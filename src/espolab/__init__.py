@@ -15,7 +15,6 @@ from .mdpcore import (  # noqa: F401
 from .stopper import (  # noqa: F401
     BetaController,
     EmaStats,
-    SmoothedScore,
     StopperSnapshot,
     WarmupGate,
 )

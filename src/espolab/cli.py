@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .config import SCHEMA, ConfigError, build_run_config, load_config_file
+from .config import SCHEMA, VARIANTS, ConfigError, build_run_config, load_config_file
 from .harness import (
     ablate,
     compare_runs,
@@ -49,10 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_ablate)
     p_ablate.add_argument("--out-root", required=True,
                           help="directory receiving one subdirectory per variant")
-    p_ablate.add_argument("--variants", default=",".join(
-        ("espo", "ppo", "espo_no_warmup", "espo_no_penalty",
-         "value_only", "regret_only", "random_stop")),
-        help="comma-separated variant ids (must include espo)")
+    p_ablate.add_argument("--variants", default=",".join(VARIANTS),
+                          help="comma-separated variant ids (must include espo)")
 
     p_eval = sub.add_parser("eval", help="evaluate a saved checkpoint")
     p_eval.add_argument("run_dir")

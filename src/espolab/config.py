@@ -9,6 +9,7 @@ the same name.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -87,7 +88,6 @@ class RunConfig:
     epochs_per_batch: int = 1
     lr_actor: float = 0.05
     lr_critic: float = 0.1
-    llm_scale_lr: float = 1e-6  # published LLM-scale value; informational only
     advantage_whitening: bool = False
     actor_init_scale: float = 0.0
     # ablation support
@@ -143,7 +143,6 @@ SCHEMA: dict[str, tuple[str, str]] = {
     "epochs_per_batch": ("int", "PPO epochs per collected batch"),
     "lr_actor": ("float", "actor learning rate (desk scale)"),
     "lr_critic": ("float", "critic learning rate (desk scale)"),
-    "llm_scale_lr": ("float", "published LLM-scale learning rate (1e-6); informational"),
     "advantage_whitening": ("bool", "whiten advantages across the batch before the update"),
     "actor_init_scale": ("float", "stddev of seeded Gaussian logit init; 0 = uniform policy"),
     "value_stop_threshold": ("opt_float", "value_only variant: stop when V < this"),
@@ -281,6 +280,10 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
         if not cond:
             errors.append(message)
 
+    for key, (kind, _help) in SCHEMA.items():
+        value = getattr(cfg, key)
+        if kind == "float" or (kind == "opt_float" and value is not None):
+            need(math.isfinite(value), f"{key} must be finite, got {value!r}")
     need(cfg.variant in VARIANTS, f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
     need(cfg.env in ENV_KINDS, f"env must be one of {ENV_KINDS}, got {cfg.env!r}")
     need(cfg.vocab_size >= 2, "vocab_size must be >= 2")
@@ -303,6 +306,8 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
     need(0.0 < cfg.clip_ratio < 1.0, "clip_ratio must lie in (0, 1)")
     need(0.0 < cfg.gamma <= 1.0, "gamma must lie in (0, 1]")
     need(0.0 < cfg.lam <= 1.0, "lam must lie in (0, 1]")
+    need(cfg.lr_actor >= 0.0, "lr_actor must be >= 0")
+    need(cfg.lr_critic >= 0.0, "lr_critic must be >= 0")
     need(cfg.epochs_per_batch >= 1, "epochs_per_batch must be >= 1")
     need(cfg.warmup_consecutive >= 1, "warmup_consecutive must be >= 1")
     need(0.0 <= cfg.warmup_step_cap_fraction <= 1.0,

@@ -8,13 +8,19 @@ import os
 import statistics
 import time
 
-from .config import ConfigError, RunConfig, env_signature, require_valid
+from .config import (
+    VARIANTS,
+    ConfigError,
+    RunConfig,
+    build_run_config,
+    env_signature,
+    require_valid,
+)
+from .envs import build_environment
 from .metrics import MetricsWriter, read_manifest, read_metrics, write_manifest
 from .policy import load_params
-from .rollout import COUNTERFACTUAL, RolloutBatch, evaluate_policy
+from .rollout import evaluate_policy, false_positive_rate
 from .trainer import TrainingRun, env_spec_from_config
-from .envs import build_environment
-from .variants import variant_config_diff
 
 __all__ = [
     "ComparisonRow",
@@ -26,22 +32,6 @@ __all__ = [
     "run_experiment",
     "token_saving_pct",
 ]
-
-ABLATION_VARIANTS = ("espo", "ppo", "espo_no_warmup", "espo_no_penalty",
-                     "value_only", "regret_only", "random_stop")
-
-
-def false_positive_rate(batch: RolloutBatch) -> float:
-    """Share of trajectories whose criterion fired but whose full rollout
-    still earned reward 1. Only defined for counterfactual-extend batches."""
-    if batch.mode.kind != COUNTERFACTUAL:
-        raise ValueError("false_positive_rate requires a counterfactual-extend batch")
-    if not batch.size:
-        return 0.0
-    hits = sum(1 for t in batch.trajectories
-               if t.counterfactual is not None
-               and t.counterfactual.hypothetical_outcome_reward == 1.0)
-    return hits / batch.size
 
 
 def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
@@ -79,8 +69,7 @@ def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
 def evaluate_run(run_dir, checkpoint: str = "final", episodes: int | None = None,
                  seed: int | None = None) -> dict:
     """Greedy and sampled success rates for a saved checkpoint."""
-    manifest = read_manifest(run_dir)
-    cfg = RunConfig(**{k: _from_flat(k, v) for k, v in manifest["config"].items()})
+    cfg = config_from_manifest(run_dir)
     actor, _critic = load_params(os.path.join(run_dir, "checkpoints", checkpoint, "params.txt"))
     env = build_environment(env_spec_from_config(cfg), cfg.state_budget)
     episodes = episodes or cfg.eval_episodes
@@ -91,17 +80,9 @@ def evaluate_run(run_dir, checkpoint: str = "final", episodes: int | None = None
             "greedy_success": greedy, "sampled_success": sampled}
 
 
-def _from_flat(key: str, raw: str):
-    from .config import SCHEMA, _coerce
-
-    if key not in SCHEMA:
-        raise ConfigError(f"manifest holds unknown config key {key!r}")
-    return _coerce(key, SCHEMA[key][0], raw)
-
-
 def config_from_manifest(run_dir) -> RunConfig:
-    manifest = read_manifest(run_dir)
-    return RunConfig(**{k: _from_flat(k, v) for k, v in manifest["config"].items()})
+    """The config a run recorded, parsed like a config file (no environment)."""
+    return build_run_config(read_manifest(run_dir)["config"], environ={})
 
 
 def token_saving_pct(tokens: float, baseline_tokens: float) -> float:
@@ -190,7 +171,7 @@ def render_comparison(rows: list[ComparisonRow]) -> str:
     return "\n".join(lines)
 
 
-def ablate(base_config: RunConfig, out_root, variants=ABLATION_VARIANTS) -> dict[str, str]:
+def ablate(base_config: RunConfig, out_root, variants=VARIANTS) -> dict[str, str]:
     """Run the variant matrix from one base config.
 
     The full method runs first (recording stop events); calibration-dependent
@@ -224,10 +205,3 @@ def ablate(base_config: RunConfig, out_root, variants=ABLATION_VARIANTS) -> dict
         fh.write(render_comparison(summary) + "\n")
     return run_dirs
 
-
-def check_variant_isolation(variant: str) -> dict:
-    """Expose the single-knob config diff for a variant (test/debug helper)."""
-    diff = variant_config_diff(variant)
-    if variant != "espo" and len(diff) != 1:
-        raise AssertionError(f"variant {variant} changes {len(diff)} knobs")
-    return diff

@@ -104,8 +104,8 @@ class StopReason(Enum):
 class StepRecord:
     """One generation step as recorded at collection time.
 
-    Treated as immutable after construction. regret_raw is g_t (always equal
-    to log_prob_max - log_prob_sampled), regret_normalized is the clipped
+    Treated as immutable after construction. regret_raw is g_t, the state's
+    maximum log-prob minus log_prob_sampled; regret_normalized is the clipped
     z-scored value under the frozen batch statistics, and smoothed_score is
     the running statistic z_t after this step's accumulation.
     """
@@ -113,7 +113,6 @@ class StepRecord:
     state_id: int
     action: int
     log_prob_sampled: float
-    log_prob_max: float
     value_estimate: float
     reward: float
     regret_raw: float
@@ -147,24 +146,3 @@ class Trajectory:
         if self.counterfactual is not None:
             return self.counterfactual.hypothetical_stop_index + 1
         return len(self.steps)
-
-    def check_invariants(self, t_max: int | None = None, tol: float = 1e-12) -> None:
-        """Raise AssertionError if any structural invariant is violated.
-
-        Used by tests; not called on the hot path.
-        """
-        assert self.steps, "trajectory must contain at least one step"
-        for rec in self.steps[:-1]:
-            assert rec.reward == 0.0, "non-final steps must carry zero reward"
-        for rec in self.steps:
-            assert rec.regret_raw >= 0.0
-            assert rec.log_prob_sampled <= rec.log_prob_max <= 0.0 + tol
-            gap = rec.log_prob_max - rec.log_prob_sampled
-            assert abs(rec.regret_raw - gap) <= tol
-        assert self.steps[-1].reward == self.outcome_reward
-        if t_max is not None:
-            assert len(self.steps) <= t_max
-            if self.stop_reason is StopReason.HORIZON_CAP:
-                assert len(self.steps) == t_max
-        if self.counterfactual is not None:
-            assert 0 <= self.counterfactual.hypothetical_stop_index < len(self.steps)

@@ -11,12 +11,9 @@ import numpy as np
 from .mdpcore import INIT_STREAM, derived_rng, log_softmax
 
 __all__ = [
-    "ActorGradient",
-    "CriticGradient",
     "MissingStateError",
     "TabularActor",
     "TabularCritic",
-    "apply_updates",
     "load_params",
     "log_prob_grad",
     "save_params",
@@ -27,64 +24,14 @@ class MissingStateError(KeyError):
     """Raised when a state id has no entry in the parameter table."""
 
 
-class ActorGradient:
-    """Sparse map (state_id, token) -> partial derivative w.r.t. that logit."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[tuple[int, int], float] | None = None):
-        self.entries = dict(entries) if entries else {}
-
-    def add(self, state_id: int, token: int, value: float) -> None:
-        key = (state_id, token)
-        self.entries[key] = self.entries.get(key, 0.0) + value
-
-    def add_row(self, state_id: int, row) -> None:
-        for token, value in enumerate(row):
-            if value != 0.0:
-                self.add(state_id, int(token), float(value))
-
-    def get(self, state_id: int, token: int) -> float:
-        return self.entries.get((state_id, token), 0.0)
-
-    def items(self):
-        return self.entries.items()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray, states=None) -> "ActorGradient":
-        grad = cls()
-        rows = range(dense.shape[0]) if states is None else states
-        for s in rows:
-            row = dense[s]
-            for k in range(dense.shape[1]):
-                v = row[k]
-                if v != 0.0:
-                    grad.entries[(int(s), int(k))] = float(v)
-        return grad
-
-
-class CriticGradient:
-    """Sparse map state_id -> partial derivative of the value loss."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[int, float] | None = None):
-        self.entries = dict(entries) if entries else {}
-
-    def add(self, state_id: int, value: float) -> None:
-        self.entries[state_id] = self.entries.get(state_id, 0.0) + value
-
-    def get(self, state_id: int) -> float:
-        return self.entries.get(state_id, 0.0)
-
-    def items(self):
-        return self.entries.items()
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def _check_gradient(grad: np.ndarray, shape: tuple, name: str) -> None:
+    """Reject a gradient of the wrong shape or with a non-finite entry before
+    any parameter moves."""
+    if grad.shape != shape:
+        raise ValueError(f"{name} gradient shape {grad.shape} does not match table {shape}")
+    if not np.isfinite(grad).all():
+        bad = np.argwhere(~np.isfinite(grad))
+        raise ValueError(f"non-finite {name} gradient at {bad[:5].tolist()} (update rejected)")
 
 
 class TabularActor:
@@ -126,14 +73,11 @@ class TabularActor:
     def log_probs_for(self, state_id: int) -> np.ndarray:
         return log_softmax(self.logits_for(state_id))
 
-    def apply_gradient(self, grad: ActorGradient, lr: float) -> None:
-        """Gradient-ascent step: logit += lr * partial."""
-        bad = [k for k, v in grad.items() if not np.isfinite(v)]
-        if bad:
-            raise ValueError(f"non-finite actor gradient at {bad[:5]} (update rejected)")
-        for (s, k), v in grad.items():
-            self._check_state(s)
-            self.table[s, k] += lr * v
+    def apply_gradient(self, grad: np.ndarray, lr: float) -> None:
+        """Gradient-ascent step on the (state_count, vocab_size) partials:
+        logits += lr * grad."""
+        _check_gradient(grad, self.table.shape, "actor")
+        self.table += lr * grad
 
     def copy(self) -> "TabularActor":
         clone = TabularActor(self.state_count, self.vocab_size)
@@ -162,14 +106,10 @@ class TabularCritic:
         self._check_state(state_id)
         self.table[state_id] = float(value)
 
-    def apply_gradient(self, grad: CriticGradient, lr: float) -> None:
-        """Gradient-descent step on the value loss: value -= lr * partial."""
-        bad = [k for k, v in grad.items() if not np.isfinite(v)]
-        if bad:
-            raise ValueError(f"non-finite critic gradient at states {bad[:5]} (update rejected)")
-        for s, v in grad.items():
-            self._check_state(s)
-            self.table[s] -= lr * v
+    def apply_gradient(self, grad: np.ndarray, lr: float) -> None:
+        """Gradient-descent step on the value loss: values -= lr * grad."""
+        _check_gradient(grad, self.table.shape, "critic")
+        self.table -= lr * grad
 
     def copy(self) -> "TabularCritic":
         clone = TabularCritic(self.state_count)
@@ -177,33 +117,14 @@ class TabularCritic:
         return clone
 
 
-def log_prob_grad(actor: TabularActor, state_id: int, action: int) -> ActorGradient:
-    """Analytic d log pi(action|state) / d logits: one_hot(action) - pi(.|state)."""
+def log_prob_grad(actor: TabularActor, state_id: int, action: int) -> np.ndarray:
+    """Analytic d log pi(action|state) / d logits[state]: one_hot(action) - pi(.|state)."""
     probs = np.exp(actor.log_probs_for(state_id))
     if not 0 <= action < actor.vocab_size:
         raise ValueError(f"action {action} outside vocabulary of size {actor.vocab_size}")
-    grad = ActorGradient()
-    for k in range(actor.vocab_size):
-        val = (1.0 if k == action else 0.0) - float(probs[k])
-        grad.entries[(state_id, k)] = val
+    grad = -probs
+    grad[action] += 1.0
     return grad
-
-
-def apply_updates(actor: TabularActor, critic: TabularCritic,
-                  actor_grad_sum: ActorGradient, critic_grad_sum: CriticGradient,
-                  lr_actor: float, lr_critic: float) -> None:
-    """One plain gradient step on both tables.
-
-    Actor ascends its surrogate objective; critic descends its value loss.
-    Either gradient containing a non-finite entry rejects the whole update.
-    """
-    bad_a = [k for k, v in actor_grad_sum.items() if not np.isfinite(v)]
-    bad_c = [k for k, v in critic_grad_sum.items() if not np.isfinite(v)]
-    if bad_a or bad_c:
-        raise ValueError(
-            f"update rejected: non-finite gradient entries actor={bad_a[:5]} critic={bad_c[:5]}")
-    actor.apply_gradient(actor_grad_sum, lr_actor)
-    critic.apply_gradient(critic_grad_sum, lr_critic)
 
 
 def save_params(actor: TabularActor, critic: TabularCritic, path) -> None:

@@ -42,6 +42,7 @@ __all__ = [
     "collect_trajectory",
     "dump_trajectory",
     "evaluate_policy",
+    "false_positive_rate",
     "token_accounting",
 ]
 
@@ -126,9 +127,18 @@ class RolloutBatch:
     def size(self) -> int:
         return len(self.trajectories)
 
-    @property
-    def frozen_stats_used(self) -> int:
-        return self.snapshot.snapshot_id
+
+def false_positive_rate(batch: RolloutBatch) -> float:
+    """Share of trajectories whose criterion fired but whose full rollout
+    still earned reward 1. Only defined for counterfactual-extend batches."""
+    if batch.mode.kind != COUNTERFACTUAL:
+        raise ValueError("false_positive_rate requires a counterfactual-extend batch")
+    if not batch.size:
+        return 0.0
+    hits = sum(1 for t in batch.trajectories
+               if t.counterfactual is not None
+               and t.counterfactual.hypothetical_outcome_reward == 1.0)
+    return hits / batch.size
 
 
 def collect_trajectory(actor: TabularActor, critic: TabularCritic,
@@ -176,20 +186,20 @@ def collect_trajectory(actor: TabularActor, critic: TabularCritic,
                 fires = rng.random() < mode.random_stop_rate
 
         if terminal:
-            steps.append(StepRecord(state, action, lp_a, lp_max, value,
+            steps.append(StepRecord(state, action, lp_a, value,
                                     env_reward, g, g_norm, z))
             stop_reason = StopReason.NATURAL_END
             outcome = env_reward
             break
         if fires and mode.kind != COUNTERFACTUAL:
-            steps.append(StepRecord(state, action, lp_a, lp_max, value,
+            steps.append(StepRecord(state, action, lp_a, value,
                                     r_fail, g, g_norm, z))
             stop_reason = StopReason.EARLY_STOP
             outcome = r_fail
             break
         if fires and cf_index is None:
             cf_index = t
-        steps.append(StepRecord(state, action, lp_a, lp_max, value,
+        steps.append(StepRecord(state, action, lp_a, value,
                                 0.0, g, g_norm, z))
         state = next_state
 
@@ -231,20 +241,19 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
 
 @dataclass(frozen=True, slots=True)
 class TokenAccounting:
-    """total/avg generated lengths, plus the actual-vs-original split that
-    counterfactual mode exposes (identical in other modes)."""
+    """Total and average generated length, and the average trained-on
+    (effective) length, which is shorter only in counterfactual mode."""
 
     total_tokens: int
     avg_length: float
     avg_length_actual: float
-    avg_length_original: float
 
 
 def token_accounting(batch: RolloutBatch) -> TokenAccounting:
     n = max(1, batch.size)
     total = sum(len(t.steps) for t in batch.trajectories)
     actual = sum(t.effective_length for t in batch.trajectories)
-    return TokenAccounting(total, total / n, actual / n, total / n)
+    return TokenAccounting(total, total / n, actual / n)
 
 
 def evaluate_policy(actor: TabularActor, env, t_max: int, episodes: int,

@@ -19,17 +19,11 @@ from enum import Enum
 __all__ = [
     "BetaController",
     "EmaStats",
-    "SmoothedScore",
-    "StopDecisionInput",
     "StopRule",
     "StopperSnapshot",
     "StopperState",
     "WarmupGate",
-    "accumulate",
     "anneal_beta",
-    "normalize_regret",
-    "should_stop",
-    "step_regret",
     "update_beta",
     "update_ema",
     "warmup_step",
@@ -40,25 +34,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, slots=True)
 class EmaStats:
-    """Running EMA of per-batch regret mean/variance plus the frozen copies
-    actually used during generation. Frozen copies change only at batch
-    boundaries (update_ema)."""
+    """Running EMA of per-batch regret mean/variance. Generation sees them
+    only through the StopperSnapshot taken at the start of each batch."""
 
     mu_g: float = 0.0
     var_g: float = 1.0
-    frozen_mu: float = 0.0
-    frozen_var: float = 1.0
     stabilizer: float = 1e-8
     clip_bound: float = 5.0
     alpha_ema: float = 0.99
-
-
-@dataclass(frozen=True, slots=True)
-class SmoothedScore:
-    """Per-trajectory exponentially smoothed stopping statistic, z_0 = 0."""
-
-    z: float = 0.0
-    alpha_s: float = 0.9
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,54 +80,9 @@ class StopRule(Enum):
     REGRET_ONLY = "regret_only"  # z > fixed threshold
 
 
-@dataclass(frozen=True, slots=True)
-class StopDecisionInput:
-    z: float
-    value_estimate: float
-    value_floor: float
-    warmup_active: bool
-
-
-def step_regret(log_probs, sampled: int) -> float:
-    """Surrogate regret g = max log-prob minus the sampled token's log-prob.
-
-    Zero exactly when the sampled token is a policy mode; equals the raw
-    logit gap because log-softmax preserves differences.
-    """
-    lp_max = max(float(v) for v in log_probs)
-    return lp_max - float(log_probs[sampled])
-
-
-def normalize_regret(g: float, stats: EmaStats) -> float:
-    """Clipped z-score of g under the frozen batch statistics."""
-    scaled = (g - stats.frozen_mu) / math.sqrt(stats.frozen_var + stats.stabilizer)
-    c = stats.clip_bound
-    if scaled > c:
-        return c
-    if scaled < -c:
-        return -c
-    return scaled
-
-
-def accumulate(score: SmoothedScore, g_norm: float) -> SmoothedScore:
-    """z' = alpha_s * z + (1 - alpha_s) * g_norm."""
-    return SmoothedScore(score.alpha_s * score.z + (1.0 - score.alpha_s) * g_norm,
-                         score.alpha_s)
-
-
-def should_stop(inp: StopDecisionInput, ctrl: BetaController) -> bool:
-    """Value-gated stop test; always False while warmup is active.
-
-    Strict inequality: ties continue.
-    """
-    if inp.warmup_active:
-        return False
-    return inp.z > ctrl.beta * max(inp.value_estimate, inp.value_floor)
-
-
 def update_ema(stats: EmaStats, batch_regrets) -> EmaStats:
-    """Blend running statistics with one batch's mean/variance and refresh the
-    frozen copies for the next batch.
+    """Blend running statistics with one batch's mean/variance; the next
+    snapshot freezes the result for the next batch.
 
     Variance is the population formula (divide by N). Sums use math.fsum so
     the result is invariant under permutation of the batch. Called exactly
@@ -160,7 +98,7 @@ def update_ema(stats: EmaStats, batch_regrets) -> EmaStats:
     a = stats.alpha_ema
     mu = a * stats.mu_g + (1.0 - a) * mean
     sigma2 = a * stats.var_g + (1.0 - a) * var
-    return replace(stats, mu_g=mu, var_g=sigma2, frozen_mu=mu, frozen_var=sigma2)
+    return replace(stats, mu_g=mu, var_g=sigma2)
 
 
 def update_beta(ctrl: BetaController, empirical_stop_rate: float) -> BetaController:
@@ -222,6 +160,7 @@ class StopperSnapshot:
     snapshot_id: int = 0
 
     def normalize(self, g: float) -> float:
+        """Clipped z-score of the step regret g under the frozen statistics."""
         scaled = (g - self.frozen_mu) / math.sqrt(self.frozen_var + self.stabilizer)
         c = self.clip_bound
         if scaled > c:
@@ -231,6 +170,8 @@ class StopperSnapshot:
         return scaled
 
     def decide(self, z: float, value_estimate: float) -> bool:
+        """Stop test for the rule in force; always False while warmup is
+        active. Strict inequalities: ties continue."""
         if self.warmup_active:
             return False
         if self.rule is StopRule.VALUE_ONLY:
@@ -275,8 +216,8 @@ class StopperState:
     def snapshot(self) -> StopperSnapshot:
         self.snapshot_counter += 1
         return StopperSnapshot(
-            frozen_mu=self.stats.frozen_mu,
-            frozen_var=self.stats.frozen_var,
+            frozen_mu=self.stats.mu_g,
+            frozen_var=self.stats.var_g,
             stabilizer=self.stats.stabilizer,
             clip_bound=self.stats.clip_bound,
             alpha_s=self.alpha_s,
@@ -303,8 +244,7 @@ class StopperState:
 
     def state_dict(self) -> dict:
         return {
-            "stats": [self.stats.mu_g, self.stats.var_g, self.stats.frozen_mu,
-                      self.stats.frozen_var],
+            "stats": [self.stats.mu_g, self.stats.var_g],
             "beta": self.controller.beta,
             "gate": [self.gate.active, self.gate.consecutive_hits, self.gate.last_loss],
             "steps_since_warmup": self.steps_since_warmup,
@@ -313,8 +253,8 @@ class StopperState:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        mu, var, fmu, fvar = state["stats"]
-        self.stats = replace(self.stats, mu_g=mu, var_g=var, frozen_mu=fmu, frozen_var=fvar)
+        mu, var = state["stats"]
+        self.stats = replace(self.stats, mu_g=mu, var_g=var)
         self.controller = replace(self.controller, beta=state["beta"])
         active, hits, last_loss = state["gate"]
         self.gate = replace(self.gate, active=active, consecutive_hits=hits, last_loss=last_loss)

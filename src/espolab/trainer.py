@@ -30,14 +30,7 @@ from .config import (
 from .envs import RecoverableBranchSpec, TrapChainSpec, build_environment
 from .mdpcore import StopReason, log_softmax
 from .metrics import MetricsRow
-from .policy import (
-    ActorGradient,
-    CriticGradient,
-    TabularActor,
-    TabularCritic,
-    load_params,
-    save_params,
-)
+from .policy import TabularActor, TabularCritic, load_params, save_params
 from .rollout import (
     COUNTERFACTUAL,
     DISABLED,
@@ -48,6 +41,8 @@ from .rollout import (
     collect_batch,
     dump_trajectory,
     evaluate_policy,
+    false_positive_rate,
+    token_accounting,
 )
 from .stopper import (
     BetaController,
@@ -208,8 +203,9 @@ def ppo_surrogate_value(actor: TabularActor, batch: RolloutBatch, advantage_sets
 
 def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch, advantage_sets,
                        config: PpoConfig,
-                       old_log_probs=None) -> tuple[ActorGradient, float]:
-    """Exact gradient of the mean clipped surrogate, plus the clip fraction.
+                       old_log_probs=None) -> tuple[np.ndarray, float]:
+    """Exact gradient of the mean clipped surrogate, as a (state_count,
+    vocab_size) array, plus the clip fraction.
 
     Steps on the clipped (constant) branch contribute zero gradient and count
     toward the clip fraction. Non-finite importance ratios are excluded from
@@ -255,13 +251,11 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch, advantage_sets,
     if excluded:
         logger.warning("ppo_surrogate_grad: excluded %d steps with non-finite ratios",
                        excluded)
-    grad = ActorGradient()
+    grad = np.zeros_like(table)
     if included:
-        inv = 1.0 / included
         for state, row in dense.items():
-            for k in range(vocab):
-                if row[k] != 0.0:
-                    grad.entries[(state, k)] = row[k] * inv
+            grad[state] = row
+        grad *= 1.0 / included
     clip_fraction = clipped_steps / included if included else 0.0
     return grad, clip_fraction
 
@@ -276,17 +270,17 @@ def _critic_terms(critic: TabularCritic, batch: RolloutBatch, advantage_sets):
             yield state, values[state] - rets[i]
 
 
-def critic_grad(critic: TabularCritic, batch: RolloutBatch, advantage_sets) -> CriticGradient:
-    """Gradient of mean (V(s) - return)^2 over unmasked steps."""
-    acc: dict[int, float] = {}
+def critic_grad(critic: TabularCritic, batch: RolloutBatch, advantage_sets) -> np.ndarray:
+    """Gradient of mean (V(s) - return)^2 over unmasked steps, as a
+    (state_count,) array."""
+    acc = [0.0] * critic.state_count
     count = 0
     for state, diff in _critic_terms(critic, batch, advantage_sets):
-        acc[state] = acc.get(state, 0.0) + 2.0 * diff
+        acc[state] += 2.0 * diff
         count += 1
-    grad = CriticGradient()
+    grad = np.array(acc)
     if count:
-        inv = 1.0 / count
-        grad.entries = {s: v * inv for s, v in acc.items()}
+        grad *= 1.0 / count
     return grad
 
 
@@ -381,7 +375,8 @@ class TrainingRun:
         self.step_index += 1
         step = self.step_index
 
-        snapshot = self.stopper.snapshot() if plan.stopper_enabled else self._inert_snapshot
+        stopping = plan.mode_kind != DISABLED
+        snapshot = self.stopper.snapshot() if stopping else self._inert_snapshot
         mode = self._collection_mode()
         cache = CachedPolicy(self.actor, self.critic)
         batch = collect_batch(self.actor, self.critic, snapshot, self.env,
@@ -403,16 +398,14 @@ class TrainingRun:
         # batch statistics over the effective (trained-on) spans
         regrets: list[float] = []
         entropy_sum = 0.0
-        actual_total = 0
         for traj in batch.trajectories:
             eff = traj.effective_length
-            actual_total += eff
             steps = traj.steps
             for i in range(eff):
                 rec = steps[i]
                 regrets.append(rec.regret_raw)
                 entropy_sum += cache.entropies[rec.state_id]
-        mean_entropy = entropy_sum / actual_total if actual_total else 0.0
+        mean_entropy = entropy_sum / len(regrets) if regrets else 0.0  # per trained-on step
 
         if mode.kind == COUNTERFACTUAL:
             stop_events = batch.hypothetical_stop_count
@@ -422,18 +415,14 @@ class TrainingRun:
             stop_events = batch.stop_count
         stop_rate = stop_events / batch.size if batch.size else 0.0
 
-        fp_rate = 0.0
-        if mode.kind == COUNTERFACTUAL:
-            fp = sum(1 for t in batch.trajectories
-                     if t.counterfactual is not None
-                     and t.counterfactual.hypothetical_outcome_reward == 1.0)
-            fp_rate = fp / batch.size if batch.size else 0.0
+        fp_rate = false_positive_rate(batch) if mode.kind == COUNTERFACTUAL else 0.0
+        lengths = token_accounting(batch)
 
         success = sum(1 for t in batch.trajectories if t.outcome_reward == 1.0)
         success_rate = success / batch.size if batch.size else 0.0
         self.cumulative_tokens += batch.total_tokens
 
-        if plan.stopper_enabled:
+        if stopping:
             released_before = not self.stopper.gate.active
             self.stopper.end_of_batch(regrets, stop_rate, loss, step, cfg.total_steps)
             if not self.stopper.gate.active and not released_before:
@@ -447,8 +436,8 @@ class TrainingRun:
         row = MetricsRow(
             step=step,
             cumulative_tokens=self.cumulative_tokens,
-            avg_trajectory_length_actual=actual_total / batch.size if batch.size else 0.0,
-            avg_trajectory_length_original=batch.total_tokens / batch.size if batch.size else 0.0,
+            avg_trajectory_length_actual=lengths.avg_length_actual,
+            avg_trajectory_length_original=lengths.avg_length,
             stop_rate=stop_rate,
             false_positive_rate=fp_rate,
             mean_entropy=mean_entropy,

@@ -20,7 +20,7 @@ import os
 import statistics
 from dataclasses import dataclass
 
-from .config import ConfigError, RunConfig
+from .config import VARIANTS, ConfigError, RunConfig
 from .metrics import read_metrics
 from .rollout import COUNTERFACTUAL, DISABLED, RANDOM, STANDARD
 from .stopper import StopRule
@@ -37,8 +37,7 @@ __all__ = [
 @dataclass(frozen=True)
 class VariantPlan:
     variant: str
-    stopper_enabled: bool
-    mode_kind: str
+    mode_kind: str  # DISABLED exactly when the stopper takes no part
     early_stop_reward: float
     warmup_enabled: bool
     rule: StopRule
@@ -79,12 +78,9 @@ def load_stop_events(run_dir) -> tuple[float, float]:
 def variant_dispatch(cfg: RunConfig) -> VariantPlan:
     """Resolve the config into a concrete collection/training plan."""
     variant = cfg.variant
-    if variant not in (
-            "ppo", "espo", "espo_no_warmup", "espo_no_penalty",
-            "value_only", "regret_only", "random_stop"):
+    if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
 
-    stopper_enabled = variant != "ppo" and not cfg.disable_stopping
     early_stop_reward = 0.0 if variant == "espo_no_penalty" else cfg.r_fail
     warmup_enabled = variant != "espo_no_warmup"
     rule = StopRule.ESPO
@@ -108,7 +104,7 @@ def variant_dispatch(cfg: RunConfig) -> VariantPlan:
         else:
             _, rule_threshold = load_stop_events(cfg.reference_run)
 
-    if not stopper_enabled:
+    if variant == "ppo" or cfg.disable_stopping:
         mode_kind = DISABLED
     elif variant == "random_stop":
         mode_kind = RANDOM
@@ -124,7 +120,6 @@ def variant_dispatch(cfg: RunConfig) -> VariantPlan:
 
     return VariantPlan(
         variant=variant,
-        stopper_enabled=stopper_enabled,
         mode_kind=mode_kind,
         early_stop_reward=early_stop_reward,
         warmup_enabled=warmup_enabled,

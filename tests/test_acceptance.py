@@ -154,7 +154,7 @@ def test_criterion_02_gradient_oracles():
                 down = ppo_surrogate_value(actor, batch, advs, cfg)
                 actor.table[s, k] = base
                 fd = (up - down) / (2 * h)
-                a = grad.get(s, k)
+                a = grad[s, k]
                 worst_actor = max(worst_actor,
                                   abs(a - fd) / max(abs(a), abs(fd), 1e-8))
         cgrad = critic_grad(critic, batch, advs)
@@ -166,7 +166,7 @@ def test_criterion_02_gradient_oracles():
             down = critic_loss(critic, batch, advs)
             critic.table[s] = base
             fd = (up - down) / (2 * h)
-            a = cgrad.get(s)
+            a = cgrad[s]
             worst_critic = max(worst_critic,
                                abs(a - fd) / max(abs(a), abs(fd), 1e-8))
     elapsed = time.monotonic() - started

@@ -100,6 +100,23 @@ class TestValidation:
         ok = RunConfig(variant="value_only", value_stop_threshold=0.1)
         assert validate_run_config(ok) == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("lr_actor", float("nan")),
+        ("lr_actor", -1.0),
+        ("lr_critic", float("inf")),
+        ("r_fail", float("nan")),
+        ("value_floor", float("inf")),
+        ("clip_bound", float("inf")),
+        ("stabilizer", float("inf")),
+        ("eta_beta", float("inf")),
+        ("beta_max", float("inf")),
+        ("value_stop_threshold", float("nan")),
+        ("regret_stop_threshold", float("nan")),
+    ])
+    def test_garbage_numbers_rejected(self, key, value):
+        errors = validate_run_config(RunConfig(**{key: value}))
+        assert any(key in e for e in errors), errors
+
     def test_target_sequence_checks(self):
         cfg = RunConfig(target_sequence="1,2", target_length=3)
         assert any("length" in e for e in validate_run_config(cfg))

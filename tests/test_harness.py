@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import os
+import pkgutil
 
 import pytest
 
@@ -11,7 +13,6 @@ from espolab.cli import main as cli_main
 from espolab.config import ConfigError, RunConfig, config_hash
 from espolab.harness import (
     ablate,
-    check_variant_isolation,
     compare_runs,
     evaluate_run,
     false_positive_rate,
@@ -34,12 +35,30 @@ from conftest import plain_snapshot
 from test_rollout import make_traj
 
 
+def check_variant_isolation(variant: str) -> dict:
+    """The single-knob config diff of a variant; espo itself changes none."""
+    diff = variant_config_diff(variant)
+    if variant != "espo" and len(diff) != 1:
+        raise AssertionError(f"variant {variant} changes {len(diff)} knobs")
+    return diff
+
+
 def tiny_config(**overrides):
     defaults = dict(variant="espo", vocab_size=4, target_length=3, t_max=12,
                     batch_size=8, total_steps=10, seed=3, actor_init_scale=1.0,
                     beta_init=1.0, beta_max=2.0, eta_beta=0.1)
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+class TestPackageSurface:
+    def test_every_exported_name_resolves(self):
+        import espolab
+
+        for info in pkgutil.iter_modules(espolab.__path__):
+            module = importlib.import_module(f"espolab.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"espolab.{info.name}.__all__ lists {name}"
 
 
 class TestVariantDispatch:

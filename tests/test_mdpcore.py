@@ -28,6 +28,26 @@ def oracle_entropy(probs):
     return -math.fsum(p * math.log(p) for p in probs if p > 0.0)
 
 
+def check_invariants(traj, actor, t_max=None, tol=1e-12):
+    """Raise AssertionError if a trajectory collected under actor violates a
+    structural invariant."""
+    assert traj.steps, "trajectory must contain at least one step"
+    for rec in traj.steps[:-1]:
+        assert rec.reward == 0.0, "non-final steps must carry zero reward"
+    for rec in traj.steps:
+        lp_max = float(log_softmax(actor.table[rec.state_id]).max())
+        assert rec.regret_raw >= 0.0
+        assert rec.log_prob_sampled <= lp_max <= 0.0 + tol
+        assert abs(rec.regret_raw - (lp_max - rec.log_prob_sampled)) <= tol
+    assert traj.steps[-1].reward == traj.outcome_reward
+    if t_max is not None:
+        assert len(traj.steps) <= t_max
+        if traj.stop_reason is StopReason.HORIZON_CAP:
+            assert len(traj.steps) == t_max
+    if traj.counterfactual is not None:
+        assert 0 <= traj.counterfactual.hypothetical_stop_index < len(traj.steps)
+
+
 class TestLogSoftmax:
     def test_uniform_logits(self):
         out = log_softmax([0.0, 0.0, 0.0, 0.0])
@@ -134,7 +154,7 @@ class TestTrajectoryRecords:
         critic = random_critic(small_env, rng)
         batch = collect_small_batch(small_env, actor, critic, batch_size=16, t_max=8)
         for traj in batch.trajectories:
-            traj.check_invariants(t_max=8)
+            check_invariants(traj, actor, t_max=8)
             # reward sparsity: all non-final rewards exactly zero
             assert math.fsum(abs(r.reward) for r in traj.steps[:-1]) == 0.0
 

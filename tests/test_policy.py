@@ -9,12 +9,9 @@ import pytest
 
 from espolab.mdpcore import log_softmax
 from espolab.policy import (
-    ActorGradient,
-    CriticGradient,
     MissingStateError,
     TabularActor,
     TabularCritic,
-    apply_updates,
     load_params,
     log_prob_grad,
     save_params,
@@ -42,7 +39,8 @@ class TestActorTable:
 
     def test_single_update_arithmetic(self):
         actor = TabularActor(3, 4)
-        grad = ActorGradient({(1, 0): 1.0})
+        grad = np.zeros((3, 4))
+        grad[1, 0] = 1.0
         actor.apply_gradient(grad, 0.1)
         assert actor.logits_for(1)[0] == pytest.approx(0.1, abs=1e-15)
         assert np.array_equal(actor.logits_for(1)[1:], np.zeros(3))
@@ -80,8 +78,9 @@ class TestLogProbGrad:
     def test_uniform_two_token_case(self):
         actor = TabularActor(1, 2)
         grad = log_prob_grad(actor, 0, 0)
-        assert grad.get(0, 0) == pytest.approx(0.5, abs=1e-12)
-        assert grad.get(0, 1) == pytest.approx(-0.5, abs=1e-12)
+        assert grad.shape == (2,)
+        assert grad[0] == pytest.approx(0.5, abs=1e-12)
+        assert grad[1] == pytest.approx(-0.5, abs=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -93,7 +92,7 @@ class TestLogProbGrad:
             grad = log_prob_grad(actor, state, action)
             fd = fd_log_prob_grad(actor, state, action)
             for k in range(5):
-                a = grad.get(state, k)
+                a = grad[k]
                 denom = max(abs(a), abs(fd[k]), 1e-8)
                 assert abs(a - fd[k]) / denom < 1e-4
 
@@ -101,7 +100,7 @@ class TestLogProbGrad:
         actor = TabularActor(1, 4)
         actor.set_row(0, [30.0, 0.0, 0.0, 0.0])
         grad = log_prob_grad(actor, 0, 0)
-        assert all(abs(grad.get(0, k)) < 1e-9 for k in range(4))
+        assert all(abs(grad[k]) < 1e-9 for k in range(4))
 
     def test_partials_sum_to_zero(self):
         rng = np.random.default_rng(4)
@@ -109,7 +108,7 @@ class TestLogProbGrad:
         for _ in range(50):
             actor.set_row(0, rng.normal(0, 2, size=6))
             grad = log_prob_grad(actor, 0, int(rng.integers(6)))
-            assert abs(math.fsum(grad.get(0, k) for k in range(6))) < 1e-10
+            assert abs(math.fsum(grad)) < 1e-10
 
 
 class TestCritic:
@@ -119,8 +118,8 @@ class TestCritic:
     def test_one_mse_step_toward_target(self):
         # loss (V - 1)^2, dL/dV at V=0 is -2; descent with lr 0.5 lands on 1.0
         critic = TabularCritic(1)
-        grad = CriticGradient({0: 2.0 * (critic.value_for(0) - 1.0)})
-        assert grad.get(0) == -2.0
+        grad = np.array([2.0 * (critic.value_for(0) - 1.0)])
+        assert grad[0] == -2.0
         critic.apply_gradient(grad, 0.5)
         assert critic.value_for(0) == pytest.approx(1.0, abs=1e-15)
 
@@ -132,25 +131,28 @@ class TestCritic:
 
 class TestApplyUpdates:
     def test_zero_gradients_leave_parameters_unchanged(self):
-        actor, critic = TabularActor(2, 3), TabularCritic(2)
-        before = actor.table.copy()
-        apply_updates(actor, critic, ActorGradient(), CriticGradient(), 0.1, 0.1)
-        assert np.array_equal(actor.table, before)
-        assert np.array_equal(critic.table, np.zeros(2))
+        actor, critic = TabularActor(2, 3, init_scale=1.0, seed=4), TabularCritic(2)
+        critic.table = np.array([0.25, -0.5])
+        before_a, before_c = actor.table.copy(), critic.table.copy()
+        actor.apply_gradient(np.zeros((2, 3)), 0.1)
+        critic.apply_gradient(np.zeros(2), 0.1)
+        assert np.array_equal(actor.table, before_a)
+        assert np.array_equal(critic.table, before_c)
 
     def test_two_sequential_updates_equal_one_summed(self):
-        g1 = ActorGradient({(0, 0): 0.5, (1, 2): -1.0})
-        g2 = ActorGradient({(0, 0): 0.25, (0, 1): 2.0})
-        summed = ActorGradient({(0, 0): 0.75, (0, 1): 2.0, (1, 2): -1.0})
+        g1 = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        g2 = np.array([[0.25, 2.0, 0.0], [0.0, 0.0, 0.0]])
         a_seq, a_sum = TabularActor(2, 3), TabularActor(2, 3)
         a_seq.apply_gradient(g1, 0.1)
         a_seq.apply_gradient(g2, 0.1)
-        a_sum.apply_gradient(summed, 0.1)
+        a_sum.apply_gradient(g1 + g2, 0.1)
         assert np.allclose(a_seq.table, a_sum.table, atol=1e-15)
 
     def test_single_entry_moves_only_that_logit(self):
         actor = TabularActor(2, 3)
-        actor.apply_gradient(ActorGradient({(1, 1): 1.0}), 0.01)
+        grad = np.zeros((2, 3))
+        grad[1, 1] = 1.0
+        actor.apply_gradient(grad, 0.01)
         expected = np.zeros((2, 3))
         expected[1, 1] = 0.01
         assert np.array_equal(actor.table, expected)
@@ -158,11 +160,19 @@ class TestApplyUpdates:
     def test_non_finite_gradient_rejected_with_diagnostic(self):
         actor, critic = TabularActor(1, 2), TabularCritic(1)
         with pytest.raises(ValueError, match="rejected"):
-            apply_updates(actor, critic, ActorGradient({(0, 0): float("nan")}),
-                          CriticGradient(), 0.1, 0.1)
+            actor.apply_gradient(np.array([[0.5, float("nan")]]), 0.1)
         with pytest.raises(ValueError, match="rejected"):
-            apply_updates(actor, critic, ActorGradient(),
-                          CriticGradient({0: float("inf")}), 0.1, 0.1)
+            critic.apply_gradient(np.array([float("inf")]), 0.1)
+        assert np.array_equal(actor.table, np.zeros((1, 2)))
+        assert np.array_equal(critic.table, np.zeros(1))
+
+    def test_wrong_shape_rejected_before_any_change(self):
+        actor, critic = TabularActor(2, 3), TabularCritic(2)
+        with pytest.raises(ValueError, match="shape"):
+            actor.apply_gradient(np.ones((3,)), 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            critic.apply_gradient(np.ones((2, 1)), 0.1)
+        assert not actor.table.any() and not critic.table.any()
 
 
 class TestDistributionProperties:
@@ -170,8 +180,9 @@ class TestDistributionProperties:
         rng = np.random.default_rng(17)
         actor = TabularActor(4, 5)
         for _ in range(20):
-            grad = ActorGradient({(int(rng.integers(4)), int(rng.integers(5))):
-                                  float(rng.normal()) for _ in range(6)})
+            grad = np.zeros((4, 5))
+            for _ in range(6):
+                grad[int(rng.integers(4)), int(rng.integers(5))] = float(rng.normal())
             actor.apply_gradient(grad, 0.3)
             for s in range(4):
                 assert abs(np.exp(log_softmax(actor.table[s])).sum() - 1.0) < 1e-12

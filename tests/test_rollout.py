@@ -13,12 +13,14 @@ from espolab.mdpcore import (
     StepRecord,
     StopReason,
     Trajectory,
+    entropy,
     log_softmax,
     sample_token,
     trajectory_rng,
 )
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
+    CachedPolicy,
     CollectionMode,
     collect_batch,
     collect_trajectory,
@@ -36,7 +38,7 @@ def make_env(padding=None, vocab=4, length=3):
 
 def make_traj(length, reason=StopReason.NATURAL_END, outcome=0.0, counterfactual=None):
     steps = tuple(
-        StepRecord(0, 0, -1.0, -0.5, 0.0, outcome if i == length - 1 else 0.0,
+        StepRecord(0, 0, -1.0, 0.0, outcome if i == length - 1 else 0.0,
                    0.5, 0.5, 0.1)
         for i in range(length))
     return Trajectory(steps, reason, outcome, counterfactual)
@@ -127,6 +129,54 @@ class TestCollectTrajectory:
         for traj in stopped:
             nonzero = [r for r in traj.steps if r.reward != 0.0]
             assert len(nonzero) == 1 and nonzero[0] is traj.steps[-1]
+
+
+class TestStopSignals:
+    def test_recorded_signals_follow_explicit_recursion(self, small_env):
+        # g = max log-prob - sampled log-prob, g~ = clip((g - mu) / sqrt(var +
+        # delta), -c, c), z = alpha * z + (1 - alpha) * g~ from z_0 = 0
+        rng = np.random.default_rng(14)
+        for trial in range(20):
+            actor = random_actor(small_env, rng, scale=2.0)
+            critic = random_critic(small_env, rng)
+            mu, var = float(rng.normal(0, 1)), float(rng.uniform(0.01, 2.0))
+            alpha, c = float(rng.uniform(0.5, 0.99)), float(rng.uniform(0.5, 5.0))
+            snapshot = plain_snapshot(frozen_mu=mu, frozen_var=var, alpha_s=alpha,
+                                      clip_bound=c, beta=0.5)
+            batch = collect_small_batch(small_env, actor, critic, snapshot=snapshot,
+                                        batch_size=8, seed=trial)
+            for traj in batch.trajectories:
+                z = 0.0
+                for rec in traj.steps:
+                    lp = log_softmax(actor.table[rec.state_id])
+                    assert rec.log_prob_sampled == pytest.approx(lp[rec.action], abs=1e-12)
+                    assert rec.regret_raw == pytest.approx(lp.max() - lp[rec.action],
+                                                           abs=1e-12)
+                    scaled = (rec.regret_raw - mu) / math.sqrt(var + snapshot.stabilizer)
+                    g_norm = min(max(scaled, -c), c)
+                    z = alpha * z + (1.0 - alpha) * g_norm
+                    assert rec.regret_normalized == g_norm
+                    assert rec.smoothed_score == z
+
+
+class TestCachedPolicy:
+    def test_rows_match_scalar_references(self):
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            states, vocab = int(rng.integers(1, 12)), int(rng.integers(2, 10))
+            actor = TabularActor(states, vocab)
+            actor.table = rng.normal(0, 3, size=(states, vocab))
+            critic = TabularCritic(states)
+            critic.table = rng.normal(0, 1, size=states)
+            pol = CachedPolicy(actor, critic)
+            for s in range(states):
+                lp = log_softmax(actor.table[s])
+                assert pol.log_probs[s] == pytest.approx(lp.tolist(), abs=1e-12)
+                assert pol.max_log_prob[s] == pytest.approx(lp.max(), abs=1e-12)
+                assert pol.entropies[s] == pytest.approx(entropy(lp), abs=1e-12)
+                assert pol.cum_probs[s] == pytest.approx(np.cumsum(np.exp(lp)).tolist(),
+                                                         abs=1e-12)
+                assert pol.values[s] == critic.table[s]
 
 
 class TestCounterfactualMode:
@@ -236,7 +286,7 @@ class TestTokenAccounting:
         acct = token_accounting(batch)
         assert acct.total_tokens == 24
         assert acct.avg_length == 6.0
-        assert acct.avg_length_actual == acct.avg_length_original == 6.0
+        assert acct.avg_length_actual == acct.avg_length == 6.0
 
     def test_counterfactual_actual_vs_original(self):
         from espolab.mdpcore import Counterfactual
@@ -247,9 +297,9 @@ class TestTokenAccounting:
         batch = RolloutBatch((fired, plain), plain_snapshot(),
                              CollectionMode.counterfactual_extend(), 0, 1, 16)
         acct = token_accounting(batch)
-        assert acct.avg_length_original == 8.0
+        assert acct.avg_length == 8.0
         assert acct.avg_length_actual == (4 + 6) / 2
-        assert acct.avg_length_actual <= acct.avg_length_original
+        assert acct.avg_length_actual <= acct.avg_length
 
 
 class TestEvaluatePolicy:

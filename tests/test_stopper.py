@@ -7,109 +7,142 @@ import math
 import numpy as np
 import pytest
 
-from espolab.mdpcore import log_softmax
+from espolab.envs import TrapChainSpec, build_trap_chain
+from espolab.mdpcore import trajectory_rng
+from espolab.policy import TabularActor, TabularCritic
+from espolab.rollout import CollectionMode, collect_batch, collect_trajectory
 from espolab.stopper import (
     BetaController,
     EmaStats,
-    SmoothedScore,
-    StopDecisionInput,
+    StopperSnapshot,
+    StopperState,
     WarmupGate,
-    accumulate,
     anneal_beta,
-    normalize_regret,
-    should_stop,
-    step_regret,
     update_beta,
     update_ema,
     warmup_step,
 )
 
+from conftest import plain_snapshot
+
+
+def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
+    """Every step collect_batch records for an actor whose every state has
+    the given logits plus seeded Gaussian noise; stopping disabled."""
+    vocab = len(logits)
+    env = build_trap_chain(TrapChainSpec(vocab, 3, (0, 0, 0), None))
+    actor = TabularActor(env.state_count, vocab)
+    rng = np.random.default_rng(seed)
+    actor.table = np.asarray(logits) + rng.normal(0.0, noise, size=actor.table.shape)
+    critic = TabularCritic(env.state_count)
+    batch = collect_batch(actor, critic, plain_snapshot(), env, batch_size, t_max,
+                          CollectionMode.stopping_disabled(), -1.0, seed, 1)
+    return actor, [rec for t in batch.trajectories for rec in t.steps]
+
+
+def smoothed_scores(frozen_mu, t_max=12):
+    """z_1..z_t_max recorded by collect_trajectory for a uniform actor with
+    alpha_s = 0.9: every step regret is 0, so every normalized regret is
+    -frozen_mu (clipped)."""
+    env = build_trap_chain(TrapChainSpec(4, 12, tuple(range(4)) * 3, None))
+    actor = TabularActor(env.state_count, 4)
+    critic = TabularCritic(env.state_count)
+    snapshot = plain_snapshot(frozen_mu=frozen_mu, frozen_var=1.0 - 1e-8,
+                              alpha_s=0.9, warmup_active=True)
+    traj = collect_trajectory(actor, critic, snapshot, env, t_max,
+                              CollectionMode.stopping_disabled(), -1.0,
+                              trajectory_rng(0, 1, 0))
+    assert len(traj.steps) == t_max
+    return [rec.smoothed_score for rec in traj.steps]
+
 
 class TestStepRegret:
     def test_mode_sample_gives_zero(self):
-        lp = log_softmax([2.0, 0.0, -1.0])
-        assert step_regret(lp, 0) == 0.0
+        _actor, steps = collected_steps([2.0, 0.0, -1.0])
+        modes = [rec for rec in steps if rec.action == 0]
+        assert modes
+        assert all(rec.regret_raw == 0.0 for rec in modes)
 
     def test_logit_gap_preserved(self):
-        lp = log_softmax([2.0, 0.0])
-        assert abs(step_regret(lp, 1) - 2.0) < 1e-12
+        _actor, steps = collected_steps([2.0, 0.0])
+        off_mode = [rec for rec in steps if rec.action == 1]
+        assert off_mode
+        assert all(abs(rec.regret_raw - 2.0) < 1e-12 for rec in off_mode)
 
     def test_three_token_derived_case(self):
-        lp = log_softmax([1.0, 0.5, -0.3])
-        assert abs(step_regret(lp, 2) - 1.3) < 1e-12
+        _actor, steps = collected_steps([1.0, 0.5, -0.3])
+        last = [rec for rec in steps if rec.action == 2]
+        assert last
+        assert all(abs(rec.regret_raw - 1.3) < 1e-12 for rec in last)
 
     def test_nonnegative_and_zero_iff_mode(self):
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            logits = rng.normal(0, 2, size=rng.integers(2, 10))
-            lp = log_softmax(logits)
-            a = int(rng.integers(len(logits)))
-            g = step_regret(lp, a)
-            assert g >= 0.0
-            assert (g == 0.0) == (logits[a] == logits.max())
+        for trial in range(30):
+            vocab = int(rng.integers(2, 10))
+            actor, steps = collected_steps([0.0] * vocab, batch_size=8, seed=trial,
+                                           noise=2.0)
+            for rec in steps:
+                row = actor.table[rec.state_id]
+                assert rec.regret_raw >= 0.0
+                assert (rec.regret_raw == 0.0) == (row[rec.action] == row.max())
 
 
 class TestNormalizeRegret:
     def test_centering(self):
-        stats = EmaStats(frozen_mu=0.7, frozen_var=2.0)
-        assert normalize_regret(0.7, stats) == 0.0
+        snap = StopperSnapshot(frozen_mu=0.7, frozen_var=2.0)
+        assert snap.normalize(0.7) == 0.0
 
     def test_clipping(self):
-        stats = EmaStats(frozen_mu=0.0, frozen_var=1.0, clip_bound=5.0)
-        assert normalize_regret(10.0, stats) == 5.0
-        assert normalize_regret(-10.0, stats) == -5.0
+        snap = StopperSnapshot(frozen_mu=0.0, frozen_var=1.0, clip_bound=5.0)
+        assert snap.normalize(10.0) == 5.0
+        assert snap.normalize(-10.0) == -5.0
 
     def test_derived_scaling(self):
-        stats = EmaStats(frozen_mu=0.5, frozen_var=0.25, stabilizer=1e-8, clip_bound=5.0)
+        snap = StopperSnapshot(frozen_mu=0.5, frozen_var=0.25, stabilizer=1e-8,
+                               clip_bound=5.0)
         expected = (1.5 - 0.5) / math.sqrt(0.25 + 1e-8)
-        got = normalize_regret(1.5, stats)
+        got = snap.normalize(1.5)
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(2.0, abs=1e-6)
 
     def test_bounded_for_random_inputs(self):
         rng = np.random.default_rng(3)
-        stats = EmaStats(frozen_mu=0.2, frozen_var=0.01, clip_bound=5.0)
+        snap = StopperSnapshot(frozen_mu=0.2, frozen_var=0.01, clip_bound=5.0)
         for _ in range(500):
-            assert abs(normalize_regret(float(rng.normal(0, 50)), stats)) <= 5.0
+            assert abs(snap.normalize(float(rng.normal(0, 50)))) <= 5.0
 
 
 class TestAccumulate:
     def test_geometric_recursion(self):
-        score = SmoothedScore(0.0, alpha_s=0.9)
-        expected = [0.1, 0.19, 0.271]
-        for want in expected:
-            score = accumulate(score, 1.0)
-            assert score.z == pytest.approx(want, abs=1e-12)
+        assert smoothed_scores(-1.0, t_max=3) == pytest.approx([0.1, 0.19, 0.271], abs=1e-12)
 
     def test_fixed_point(self):
-        score = SmoothedScore(0.37, alpha_s=0.9)
-        assert accumulate(score, 0.37).z == pytest.approx(0.37, abs=1e-15)
+        # z_0 = 0 is the fixed point of a zero input; a constant input c
+        # draws z_t = c * (1 - alpha^t) toward itself
+        assert smoothed_scores(0.0) == [0.0] * 12
+        want = [0.37 * (1.0 - 0.9 ** t) for t in range(1, 13)]
+        assert smoothed_scores(-0.37) == pytest.approx(want, abs=1e-12)
 
     def test_negative_pull(self):
-        score = SmoothedScore(0.5, alpha_s=0.9)
-        assert accumulate(score, -5.0).z == pytest.approx(-0.05, abs=1e-12)
+        assert smoothed_scores(5.0, t_max=2) == pytest.approx([-0.5, -0.95], abs=1e-12)
 
 
 class TestShouldStop:
     def test_low_value_state_stops(self):
-        inp = StopDecisionInput(z=1.5, value_estimate=0.1, value_floor=0.2,
-                                warmup_active=False)
-        assert should_stop(inp, BetaController(beta=7.0)) is True
+        snap = StopperSnapshot(beta=7.0, value_floor=0.2, warmup_active=False)
+        assert snap.decide(1.5, 0.1) is True
 
     def test_warmup_gates_everything(self):
-        inp = StopDecisionInput(z=1.5, value_estimate=0.1, value_floor=0.2,
-                                warmup_active=True)
-        assert should_stop(inp, BetaController(beta=7.0)) is False
+        snap = StopperSnapshot(beta=7.0, value_floor=0.2, warmup_active=True)
+        assert snap.decide(1.5, 0.1) is False
 
     def test_high_value_grants_tolerance(self):
-        inp = StopDecisionInput(z=1.5, value_estimate=0.5, value_floor=0.2,
-                                warmup_active=False)
-        assert should_stop(inp, BetaController(beta=7.0)) is False
+        snap = StopperSnapshot(beta=7.0, value_floor=0.2, warmup_active=False)
+        assert snap.decide(1.5, 0.5) is False
 
     def test_tie_continues(self):
-        inp = StopDecisionInput(z=1.4, value_estimate=0.1, value_floor=0.2,
-                                warmup_active=False)
-        assert should_stop(inp, BetaController(beta=7.0)) is False
+        snap = StopperSnapshot(beta=7.0, value_floor=0.2, warmup_active=False)
+        assert snap.decide(1.4, 0.1) is False
 
     def test_monotone_in_beta_and_value(self):
         rng = np.random.default_rng(4)
@@ -118,12 +151,11 @@ class TestShouldStop:
             v = float(rng.normal(0, 1))
             floor = float(rng.uniform(0.01, 1.0))
             beta = float(rng.uniform(0, 10))
-            inp = StopDecisionInput(z, v, floor, False)
-            fired = should_stop(inp, BetaController(beta=beta))
-            higher_beta = should_stop(inp, BetaController(beta=beta + rng.uniform(0, 5)))
-            higher_value = should_stop(
-                StopDecisionInput(z, v + rng.uniform(0, 3), floor, False),
-                BetaController(beta=beta))
+            snap = StopperSnapshot(beta=beta, value_floor=floor)
+            fired = snap.decide(z, v)
+            higher_beta = StopperSnapshot(beta=beta + rng.uniform(0, 5),
+                                          value_floor=floor).decide(z, v)
+            higher_value = snap.decide(z, v + rng.uniform(0, 3))
             if not fired:
                 assert not higher_beta
                 assert not higher_value
@@ -134,12 +166,11 @@ class TestUpdateEma:
         stats = EmaStats(mu_g=0.0, var_g=1.0, alpha_ema=0.99)
         out = update_ema(stats, [1.0])
         assert out.mu_g == pytest.approx(0.01, abs=1e-12)
-        assert out.frozen_mu == out.mu_g
-        assert out.frozen_var == out.var_g
+        assert out.var_g == pytest.approx(0.99, abs=1e-12)
 
     def test_fixed_point(self):
         # batch [0, 4] has mean 2 and population variance 4
-        stats = EmaStats(mu_g=2.0, var_g=4.0, frozen_mu=2.0, frozen_var=4.0)
+        stats = EmaStats(mu_g=2.0, var_g=4.0)
         out = update_ema(stats, [0.0, 4.0])
         assert out.mu_g == pytest.approx(2.0, abs=1e-12)
         assert out.var_g == pytest.approx(4.0, abs=1e-12)
@@ -168,10 +199,17 @@ class TestUpdateEma:
         assert "empty batch" in caplog.text
 
     def test_frozen_copies_change_only_through_update(self):
-        stats = EmaStats()
-        frozen_before = (stats.frozen_mu, stats.frozen_var)
-        _ = normalize_regret(3.0, stats)
-        assert (stats.frozen_mu, stats.frozen_var) == frozen_before
+        # a snapshot keeps the statistics it was taken with; only the next
+        # snapshot sees the end-of-batch update
+        state = StopperState(EmaStats(), BetaController(), WarmupGate(active=False),
+                             value_floor=0.2, alpha_s=0.9)
+        before = state.snapshot()
+        _ = before.normalize(3.0)
+        state.end_of_batch([1.0, 3.0], 0.25, 0.0, 1, 10)
+        assert (before.frozen_mu, before.frozen_var) == (0.0, 1.0)
+        after = state.snapshot()
+        assert (after.frozen_mu, after.frozen_var) == (state.stats.mu_g, state.stats.var_g)
+        assert after.frozen_mu == pytest.approx(0.02, abs=1e-12)
 
 
 class TestBetaController:

@@ -33,7 +33,7 @@ def traj_from(rewards, values, reason=StopReason.NATURAL_END, states=None, actio
     states = states or [0] * len(rewards)
     actions = actions or [0] * len(rewards)
     steps = tuple(
-        StepRecord(states[i], actions[i], -1.0, -0.5, values[i], rewards[i], 0.5, 0.5, 0.1)
+        StepRecord(states[i], actions[i], -1.0, values[i], rewards[i], 0.5, 0.5, 0.1)
         for i in range(len(rewards)))
     return Trajectory(steps, reason, rewards[-1])
 
@@ -131,7 +131,7 @@ class TestSurrogate:
         assert value == pytest.approx(1.2, abs=1e-12)
         grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, cfg,
                                                  old_log_probs=[[old_lp]])
-        assert len(grad) == 0
+        assert grad.shape == (1, 4) and not grad.any()
         assert clip_fraction == 1.0
 
     def test_gradient_matches_finite_differences(self):
@@ -153,7 +153,7 @@ class TestSurrogate:
                     down = ppo_surrogate_value(actor, batch, advs, cfg)
                     actor.table[s, k] = base
                     fd = (up - down) / (2 * h)
-                    a = grad.get(s, k)
+                    a = grad[s, k]
                     assert abs(a - fd) / max(abs(a), abs(fd), 1e-8) < 1e-4
 
 
@@ -170,8 +170,7 @@ class TestCriticRegression:
         advset = [AdvantageSet((0.0,), (1.0,), (0.0,))]
         critic2 = TabularCritic(1)
         critic2.set_value(0, 1.0)
-        assert len(critic_grad(critic2, single, advset)) == 0 or \
-            all(v == 0.0 for v in critic_grad(critic2, single, advset).entries.values())
+        assert not critic_grad(critic2, single, advset).any()
         assert critic_loss(critic2, single, advset) == 0.0
 
     def test_single_state_gradient_value(self):
@@ -181,7 +180,8 @@ class TestCriticRegression:
         advset = [AdvantageSet((0.0,), (1.0,), (0.0,))]
         critic = TabularCritic(1)
         grad = critic_grad(critic, batch, advset)
-        assert grad.get(0) == -2.0  # descent direction raises V toward the return
+        assert grad.shape == (1,)
+        assert grad[0] == -2.0  # descent direction raises V toward the return
 
     def test_gradient_matches_finite_differences(self):
         cfg = PpoConfig()
@@ -190,7 +190,7 @@ class TestCriticRegression:
             advs = compute_advantages(batch, cfg, -1.0)
             grad = critic_grad(critic, batch, advs)
             h = 1e-5
-            for s in list(grad.entries):
+            for s in range(len(grad)):
                 base = critic.table[s]
                 critic.table[s] = base + h
                 up = critic_loss(critic, batch, advs)
@@ -198,7 +198,7 @@ class TestCriticRegression:
                 down = critic_loss(critic, batch, advs)
                 critic.table[s] = base
                 fd = (up - down) / (2 * h)
-                a = grad.get(s)
+                a = grad[s]
                 assert abs(a - fd) / max(abs(a), abs(fd), 1e-8) < 1e-4
 
 
