@@ -8,9 +8,7 @@ from .mdpcore import (  # noqa: F401
     StepRecord,
     StopReason,
     Trajectory,
-    entropy,
     log_softmax,
-    sample_token,
 )
 from .stopper import (  # noqa: F401
     BetaController,

@@ -16,21 +16,19 @@ tabular actor/critic can enumerate them and step() is a pure O(1) lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .mdpcore import derived_rng
 
 __all__ = [
-    "Environment",
     "RecoverableBranchSpec",
     "StateBudgetError",
     "TabularEnv",
     "TrapChainSpec",
     "build_recoverable",
+    "build_environment",
     "build_trap_chain",
-    "enumerate_states",
     "generate_target_sequence",
 ]
 
@@ -39,15 +37,6 @@ DEFAULT_STATE_BUDGET = 100_000
 
 class StateBudgetError(ValueError):
     """Spec would enumerate more states than the configured budget."""
-
-
-class Environment(Protocol):
-    vocab_size: int
-    state_count: int
-
-    def reset(self) -> int: ...
-
-    def step(self, state_id: int, action: int) -> tuple[int, bool, float]: ...
 
 
 @dataclass(frozen=True)
@@ -122,9 +111,6 @@ class TabularEnv:
         if self._terminal_state[state_id]:
             raise ValueError(f"step() called on terminal state {state_id}")
         return self._next[state_id][action], self._term[state_id][action], self._rew[state_id][action]
-
-    def state_table(self) -> list[tuple[int, str]]:
-        return list(enumerate(self.labels))
 
 
 def _check_budget(count: int, budget: int) -> None:
@@ -250,16 +236,8 @@ def build_recoverable(spec: RecoverableBranchSpec,
     return TabularEnv(k, next_state, terminal, reward, initial_state=0, labels=labels)
 
 
-def enumerate_states(spec, state_budget: int = DEFAULT_STATE_BUDGET) -> list[tuple[int, str]]:
-    """Complete, duplicate-free table of reachable states with stable ids."""
-    if isinstance(spec, TrapChainSpec):
-        return build_trap_chain(spec, state_budget).state_table()
-    if isinstance(spec, RecoverableBranchSpec):
-        return build_recoverable(spec, state_budget).state_table()
-    raise TypeError(f"unknown environment spec {type(spec).__name__}")
-
-
 def build_environment(spec, state_budget: int = DEFAULT_STATE_BUDGET) -> TabularEnv:
+    """The environment of a spec; state i is labelled labels[i]."""
     if isinstance(spec, TrapChainSpec):
         return build_trap_chain(spec, state_budget)
     if isinstance(spec, RecoverableBranchSpec):

@@ -68,11 +68,14 @@ def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
 
 def evaluate_run(run_dir, checkpoint: str = "final", episodes: int | None = None,
                  seed: int | None = None) -> dict:
-    """Greedy and sampled success rates for a saved checkpoint."""
+    """Greedy and sampled success rates for a saved checkpoint; episodes None
+    means the run's eval_episodes."""
+    if episodes is not None and episodes < 1:
+        raise ConfigError(f"episodes must be >= 1, got {episodes}")
     cfg = config_from_manifest(run_dir)
     actor, _critic = load_params(os.path.join(run_dir, "checkpoints", checkpoint, "params.txt"))
     env = build_environment(env_spec_from_config(cfg), cfg.state_budget)
-    episodes = episodes or cfg.eval_episodes
+    episodes = cfg.eval_episodes if episodes is None else episodes
     seed = cfg.seed if seed is None else seed
     greedy = evaluate_policy(actor, env, cfg.t_max, episodes, seed, 0, greedy=True)
     sampled = evaluate_policy(actor, env, cfg.t_max, episodes, seed, 0, greedy=False)

@@ -9,20 +9,18 @@ can be shared freely across rollout workers.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Counterfactual",
     "StepRecord",
     "StopReason",
     "Trajectory",
     "derived_rng",
-    "entropy",
     "log_softmax",
-    "sample_token",
+    "pick_from_cumulative",
     "trajectory_rng",
 ]
 
@@ -51,31 +49,15 @@ def log_softmax(logits, axis: int = -1) -> np.ndarray:
     return shifted - lse
 
 
-def sample_token(log_probs, rng: np.random.Generator) -> int:
-    """Draw a token index from a log-probability vector.
+def pick_from_cumulative(cum_probs, rng: np.random.Generator) -> int:
+    """Sample an index from an inclusive cumulative-probability list.
 
     Deterministic given the generator state: one uniform draw per call.
     """
-    lp = np.asarray(log_probs, dtype=np.float64)
-    cum = np.cumsum(np.exp(lp)).tolist()
-    return pick_from_cumulative(cum, rng)
-
-
-def pick_from_cumulative(cum_probs, rng: np.random.Generator) -> int:
-    """Sample an index from an inclusive cumulative-probability list."""
     u = rng.random() * cum_probs[-1]
     idx = bisect.bisect_right(cum_probs, u)
     last = len(cum_probs) - 1
     return last if idx > last else idx
-
-
-def entropy(log_probs) -> float:
-    """Shannon entropy of a log-probability vector, in nats."""
-    lp = np.asarray(log_probs, dtype=np.float64)
-    p = np.exp(lp)
-    nz = p > 0.0
-    h = float(-(p[nz] * lp[nz]).sum())
-    return 0.0 if h < 0.0 else h
 
 
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -107,42 +89,43 @@ class StepRecord:
     Treated as immutable after construction. regret_raw is g_t, the state's
     maximum log-prob minus log_prob_sampled; regret_normalized is the clipped
     z-scored value under the frozen batch statistics, and smoothed_score is
-    the running statistic z_t after this step's accumulation.
+    the running statistic z_t after this step's accumulation. Steps carry no
+    reward: only the last step of a trajectory is rewarded, with
+    Trajectory.outcome_reward.
     """
 
     state_id: int
     action: int
     log_prob_sampled: float
     value_estimate: float
-    reward: float
     regret_raw: float
     regret_normalized: float
     smoothed_score: float
 
 
-@dataclass(frozen=True, slots=True)
-class Counterfactual:
-    """Where the stop criterion would have fired, and what the full rollout
-    actually earned. Present only on trajectories collected in
-    counterfactual-extend mode whose criterion fired."""
-
-    hypothetical_stop_index: int
-    hypothetical_outcome_reward: float
-
-
 @dataclass(frozen=True)
 class Trajectory:
+    """One rollout. hypothetical_stop_index is set only in counterfactual-
+    extend mode, at the step where the stop criterion would have fired; the
+    rollout continued to its natural end and earned outcome_reward."""
+
     steps: tuple[StepRecord, ...]
     stop_reason: StopReason
     outcome_reward: float
-    counterfactual: Counterfactual | None = field(default=None)
+    hypothetical_stop_index: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.steps)
+    @property
+    def stop_index(self) -> int | None:
+        """Step at which the stop rule fired, in earnest or hypothetically."""
+        if self.hypothetical_stop_index is not None:
+            return self.hypothetical_stop_index
+        if self.stop_reason is StopReason.EARLY_STOP:
+            return len(self.steps) - 1
+        return None
 
     @property
     def effective_length(self) -> int:
-        """Length after applying the simulated truncation point, if any."""
-        if self.counterfactual is not None:
-            return self.counterfactual.hypothetical_stop_index + 1
+        """Length of the trained-on span: up to the hypothetical stop, if any."""
+        if self.hypothetical_stop_index is not None:
+            return self.hypothetical_stop_index + 1
         return len(self.steps)

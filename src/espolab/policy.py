@@ -8,20 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mdpcore import INIT_STREAM, derived_rng, log_softmax
+from .mdpcore import INIT_STREAM, derived_rng
 
 __all__ = [
-    "MissingStateError",
     "TabularActor",
     "TabularCritic",
     "load_params",
-    "log_prob_grad",
     "save_params",
 ]
-
-
-class MissingStateError(KeyError):
-    """Raised when a state id has no entry in the parameter table."""
 
 
 def _check_gradient(grad: np.ndarray, shape: tuple, name: str) -> None:
@@ -54,25 +48,6 @@ class TabularActor:
         else:
             self.table = np.zeros((state_count, vocab_size), dtype=np.float64)
 
-    def _check_state(self, state_id: int) -> None:
-        if not 0 <= state_id < self.state_count:
-            raise MissingStateError(f"unknown state {state_id} (table has {self.state_count})")
-
-    def logits_for(self, state_id: int) -> np.ndarray:
-        """Current parameter row, as a copy so callers cannot mutate it."""
-        self._check_state(state_id)
-        return self.table[state_id].copy()
-
-    def set_row(self, state_id: int, logits) -> None:
-        self._check_state(state_id)
-        row = np.asarray(logits, dtype=np.float64)
-        if row.shape != (self.vocab_size,):
-            raise ValueError("row length must equal vocab_size")
-        self.table[state_id] = row
-
-    def log_probs_for(self, state_id: int) -> np.ndarray:
-        return log_softmax(self.logits_for(state_id))
-
     def apply_gradient(self, grad: np.ndarray, lr: float) -> None:
         """Gradient-ascent step on the (state_count, vocab_size) partials:
         logits += lr * grad."""
@@ -94,18 +69,6 @@ class TabularCritic:
         self.state_count = state_count
         self.table = np.zeros(state_count, dtype=np.float64)
 
-    def _check_state(self, state_id: int) -> None:
-        if not 0 <= state_id < self.state_count:
-            raise MissingStateError(f"unknown state {state_id} (table has {self.state_count})")
-
-    def value_for(self, state_id: int) -> float:
-        self._check_state(state_id)
-        return float(self.table[state_id])
-
-    def set_value(self, state_id: int, value: float) -> None:
-        self._check_state(state_id)
-        self.table[state_id] = float(value)
-
     def apply_gradient(self, grad: np.ndarray, lr: float) -> None:
         """Gradient-descent step on the value loss: values -= lr * grad."""
         _check_gradient(grad, self.table.shape, "critic")
@@ -115,16 +78,6 @@ class TabularCritic:
         clone = TabularCritic(self.state_count)
         clone.table = self.table.copy()
         return clone
-
-
-def log_prob_grad(actor: TabularActor, state_id: int, action: int) -> np.ndarray:
-    """Analytic d log pi(action|state) / d logits[state]: one_hot(action) - pi(.|state)."""
-    probs = np.exp(actor.log_probs_for(state_id))
-    if not 0 <= action < actor.vocab_size:
-        raise ValueError(f"action {action} outside vocabulary of size {actor.vocab_size}")
-    grad = -probs
-    grad[action] += 1.0
-    return grad
 
 
 def save_params(actor: TabularActor, critic: TabularCritic, path) -> None:
@@ -139,6 +92,9 @@ def save_params(actor: TabularActor, critic: TabularCritic, path) -> None:
 
 
 def load_params(path) -> tuple[TabularActor, TabularCritic]:
+    """Read a save_params snapshot. Every actor and critic entry of the shape
+    in the header must appear exactly once; a torn or padded file is rejected
+    rather than loaded with zeros or overwritten entries."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "shape":
@@ -146,14 +102,24 @@ def load_params(path) -> tuple[TabularActor, TabularCritic]:
         state_count, vocab_size = int(header[1]), int(header[2])
         actor = TabularActor(state_count, vocab_size)
         critic = TabularCritic(state_count)
+        seen = set()
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "actor":
-                actor.table[int(parts[1]), int(parts[2])] = float(parts[3])
-            elif parts[0] == "critic":
-                critic.table[int(parts[1])] = float(parts[2])
+            if parts[0] == "actor" and len(parts) == 4:
+                table, index = actor.table, (int(parts[1]), int(parts[2]))
+            elif parts[0] == "critic" and len(parts) == 3:
+                table, index = critic.table, (int(parts[1]),)
             else:
-                raise ValueError(f"{path}: unknown record {parts[0]!r}")
+                raise ValueError(f"{path}: malformed record {line.strip()!r}")
+            if not all(0 <= i < n for i, n in zip(index, table.shape)):
+                raise ValueError(f"{path}: {parts[0]} entry {index} outside shape {table.shape}")
+            if (parts[0], index) in seen:
+                raise ValueError(f"{path}: duplicate {parts[0]} entry {index}")
+            seen.add((parts[0], index))
+            table[index] = float(parts[-1])
+    expected = actor.table.size + critic.table.size
+    if len(seen) != expected:
+        raise ValueError(f"{path}: holds {len(seen)} of {expected} parameter entries")
     return actor, critic

@@ -21,7 +21,6 @@ import numpy as np
 
 from .mdpcore import (
     EVAL_STREAM,
-    Counterfactual,
     StepRecord,
     StopReason,
     Trajectory,
@@ -109,23 +108,30 @@ class CachedPolicy:
 
 @dataclass(frozen=True)
 class RolloutBatch:
-    """Fixed set of trajectories collected under one frozen stopper snapshot.
-
-    stop_count counts trajectories with StopReason.EARLY_STOP;
-    hypothetical_stop_count counts counterfactual-mode trajectories whose
-    criterion fired (those are the "stops" the controller sees in that mode).
-    """
+    """Fixed set of trajectories collected under one frozen stopper snapshot."""
 
     trajectories: tuple[Trajectory, ...]
     snapshot: StopperSnapshot
     mode: CollectionMode
-    stop_count: int
-    hypothetical_stop_count: int
-    total_tokens: int
 
     @property
     def size(self) -> int:
         return len(self.trajectories)
+
+    @property
+    def stop_count(self) -> int:
+        """Trajectories that ended with StopReason.EARLY_STOP."""
+        return sum(1 for t in self.trajectories if t.stop_reason is StopReason.EARLY_STOP)
+
+    @property
+    def hypothetical_stop_count(self) -> int:
+        """Counterfactual-mode trajectories whose criterion fired (the "stops"
+        the controller sees in that mode)."""
+        return sum(1 for t in self.trajectories if t.hypothetical_stop_index is not None)
+
+    @property
+    def total_tokens(self) -> int:
+        return sum(len(t.steps) for t in self.trajectories)
 
 
 def false_positive_rate(batch: RolloutBatch) -> float:
@@ -136,8 +142,7 @@ def false_positive_rate(batch: RolloutBatch) -> float:
     if not batch.size:
         return 0.0
     hits = sum(1 for t in batch.trajectories
-               if t.counterfactual is not None
-               and t.counterfactual.hypothetical_outcome_reward == 1.0)
+               if t.hypothetical_stop_index is not None and t.outcome_reward == 1.0)
     return hits / batch.size
 
 
@@ -148,9 +153,9 @@ def collect_trajectory(actor: TabularActor, critic: TabularCritic,
                        cache: CachedPolicy | None = None) -> Trajectory:
     """Generate one trajectory under the frozen snapshot.
 
-    r_fail is the reward written at an early-stop step (0.0 under the
-    no-penalty ablation). The per-trajectory rng must be a fresh stream keyed
-    by (batch, index) for schedule independence.
+    r_fail is the outcome reward of an early-stopped trajectory (0.0 under
+    the no-penalty ablation). The per-trajectory rng must be a fresh stream
+    keyed by (batch, index) for schedule independence.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -175,38 +180,26 @@ def collect_trajectory(actor: TabularActor, critic: TabularCritic,
         g_norm = snapshot.normalize(g)
         z = alpha * z + one_minus_alpha * g_norm
         value = pol.values[state]
+        steps.append(StepRecord(state, action, lp_a, value, g, g_norm, z))
 
         next_state, terminal, env_reward = env.step(state, action)
-
-        fires = False
-        if not terminal:  # natural end wins over the stop rule
-            if mode.kind == STANDARD or mode.kind == COUNTERFACTUAL:
-                fires = snapshot.decide(z, value)
-            elif mode.kind == RANDOM:
-                fires = rng.random() < mode.random_stop_rate
-
-        if terminal:
-            steps.append(StepRecord(state, action, lp_a, value,
-                                    env_reward, g, g_norm, z))
+        if terminal:  # natural end wins over the stop rule
             stop_reason = StopReason.NATURAL_END
             outcome = env_reward
             break
+        if mode.kind == STANDARD or mode.kind == COUNTERFACTUAL:
+            fires = snapshot.decide(z, value)
+        else:
+            fires = mode.kind == RANDOM and rng.random() < mode.random_stop_rate
         if fires and mode.kind != COUNTERFACTUAL:
-            steps.append(StepRecord(state, action, lp_a, value,
-                                    r_fail, g, g_norm, z))
             stop_reason = StopReason.EARLY_STOP
             outcome = r_fail
             break
         if fires and cf_index is None:
             cf_index = t
-        steps.append(StepRecord(state, action, lp_a, value,
-                                0.0, g, g_norm, z))
         state = next_state
 
-    counterfactual = None
-    if cf_index is not None:
-        counterfactual = Counterfactual(cf_index, outcome)
-    return Trajectory(tuple(steps), stop_reason, outcome, counterfactual)
+    return Trajectory(tuple(steps), stop_reason, outcome, cf_index)
 
 
 def collect_batch(actor: TabularActor, critic: TabularCritic,
@@ -221,39 +214,26 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     """
     if cache is None:
         cache = CachedPolicy(actor, critic)
-    trajectories = []
-    stop_count = 0
-    hypo_count = 0
-    total_tokens = 0
-    for i in range(batch_size):
-        rng = trajectory_rng(master_seed, batch_index, i)
-        traj = collect_trajectory(actor, critic, snapshot, env, t_max, mode,
-                                  r_fail, rng, cache=cache)
-        trajectories.append(traj)
-        total_tokens += len(traj.steps)
-        if traj.stop_reason is StopReason.EARLY_STOP:
-            stop_count += 1
-        if traj.counterfactual is not None:
-            hypo_count += 1
-    return RolloutBatch(tuple(trajectories), snapshot, mode, stop_count,
-                        hypo_count, total_tokens)
+    trajectories = tuple(
+        collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail,
+                           trajectory_rng(master_seed, batch_index, i), cache=cache)
+        for i in range(batch_size))
+    return RolloutBatch(trajectories, snapshot, mode)
 
 
 @dataclass(frozen=True, slots=True)
 class TokenAccounting:
-    """Total and average generated length, and the average trained-on
-    (effective) length, which is shorter only in counterfactual mode."""
+    """Average generated length, and the average trained-on (effective)
+    length, which is shorter only in counterfactual mode."""
 
-    total_tokens: int
     avg_length: float
     avg_length_actual: float
 
 
 def token_accounting(batch: RolloutBatch) -> TokenAccounting:
     n = max(1, batch.size)
-    total = sum(len(t.steps) for t in batch.trajectories)
     actual = sum(t.effective_length for t in batch.trajectories)
-    return TokenAccounting(total, total / n, actual / n)
+    return TokenAccounting(batch.total_tokens / n, actual / n)
 
 
 def evaluate_policy(actor: TabularActor, env, t_max: int, episodes: int,
@@ -287,15 +267,11 @@ def evaluate_policy(actor: TabularActor, env, t_max: int, episodes: int,
 def dump_trajectory(traj: Trajectory) -> str:
     """Tab-separated debug dump: one line per step with the stop signal path."""
     lines = []
+    stop_index = traj.stop_index
     for i, rec in enumerate(traj.steps):
-        flag = 0
-        if traj.stop_reason is StopReason.EARLY_STOP and i == len(traj.steps) - 1:
-            flag = 1
-        if traj.counterfactual is not None and i == traj.counterfactual.hypothetical_stop_index:
-            flag = 1
         lines.append("\t".join([
             str(i), str(rec.state_id), str(rec.action), repr(rec.regret_raw),
             repr(rec.regret_normalized), repr(rec.smoothed_score),
-            repr(rec.value_estimate), str(flag),
+            repr(rec.value_estimate), "1" if i == stop_index else "0",
         ]))
     return "\n".join(lines)

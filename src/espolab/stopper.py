@@ -157,7 +157,6 @@ class StopperSnapshot:
     warmup_active: bool = False
     rule: StopRule = StopRule.ESPO
     rule_threshold: float = 0.0
-    snapshot_id: int = 0
 
     def normalize(self, g: float) -> float:
         """Clipped z-score of the step regret g under the frozen statistics."""
@@ -204,29 +203,20 @@ class StopperState:
         self.anneal_horizon = anneal_horizon
         self.beta_updates_enabled = beta_updates_enabled
         self.steps_since_warmup = 0
-        self.snapshot_counter = 0
-
-    @property
-    def anneal_complete(self) -> bool:
-        return self.steps_since_warmup >= self.anneal_horizon
-
-    def effective_beta(self) -> float:
-        return anneal_beta(self.controller, self.steps_since_warmup, self.anneal_horizon).beta
 
     def snapshot(self) -> StopperSnapshot:
-        self.snapshot_counter += 1
+        annealed = anneal_beta(self.controller, self.steps_since_warmup, self.anneal_horizon)
         return StopperSnapshot(
             frozen_mu=self.stats.mu_g,
             frozen_var=self.stats.var_g,
             stabilizer=self.stats.stabilizer,
             clip_bound=self.stats.clip_bound,
             alpha_s=self.alpha_s,
-            beta=self.effective_beta(),
+            beta=annealed.beta,
             value_floor=self.value_floor,
             warmup_active=self.gate.active,
             rule=self.rule,
             rule_threshold=self.rule_threshold,
-            snapshot_id=self.snapshot_counter,
         )
 
     def end_of_batch(self, batch_regrets, stop_rate: float, critic_loss: float,
@@ -238,7 +228,8 @@ class StopperState:
         if self.gate.active:
             self.gate = warmup_step(self.gate, critic_loss, step, total_steps)
         if was_released:
-            if self.anneal_complete and self.beta_updates_enabled:
+            anneal_complete = self.steps_since_warmup >= self.anneal_horizon
+            if anneal_complete and self.beta_updates_enabled:
                 self.controller = update_beta(self.controller, stop_rate)
             self.steps_since_warmup += 1
 
@@ -249,7 +240,6 @@ class StopperState:
             "gate": [self.gate.active, self.gate.consecutive_hits, self.gate.last_loss],
             "steps_since_warmup": self.steps_since_warmup,
             "anneal_horizon": self.anneal_horizon,
-            "snapshot_counter": self.snapshot_counter,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -260,4 +250,3 @@ class StopperState:
         self.gate = replace(self.gate, active=active, consecutive_hits=hits, last_loss=last_loss)
         self.steps_since_warmup = state["steps_since_warmup"]
         self.anneal_horizon = state["anneal_horizon"]
-        self.snapshot_counter = state["snapshot_counter"]

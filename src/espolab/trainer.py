@@ -28,7 +28,7 @@ from .config import (
     require_valid,
 )
 from .envs import RecoverableBranchSpec, TrapChainSpec, build_environment
-from .mdpcore import StopReason, log_softmax
+from .mdpcore import log_softmax
 from .metrics import MetricsRow
 from .policy import TabularActor, TabularCritic, load_params, save_params
 from .rollout import (
@@ -65,9 +65,6 @@ __all__ = [
     "env_spec_from_config",
     "gae",
     "ppo_surrogate_grad",
-    "ppo_surrogate_value",
-    "td_errors",
-    "train_run",
 ]
 
 
@@ -99,26 +96,18 @@ class AdvantageSet:
 
 
 def _td_from_lists(rewards, values, gamma: float) -> list[float]:
-    if len(rewards) != len(values):
-        raise ValueError("rewards and values must have equal length")
+    """delta_t = r_t + gamma * V(s_{t+1}) - V(s_t).
+
+    Uses the critic values recorded at collection time; the final step (every
+    trajectory terminates) bootstraps from exactly 0.0, so an early-stop step
+    satisfies delta = r_fail - V(s_stop) bit for bit.
+    """
     horizon = len(rewards)
     out = []
     for t in range(horizon):
         bootstrap = values[t + 1] if t + 1 < horizon else 0.0
         out.append(rewards[t] + gamma * bootstrap - values[t])
     return out
-
-
-def td_errors(trajectory, gamma: float) -> list[float]:
-    """delta_t = r_t + gamma * V(s_{t+1}) - V(s_t) over the recorded steps.
-
-    Uses the critic values recorded at collection time; the final step (every
-    trajectory terminates) bootstraps from exactly 0.0, so an early-stop step
-    satisfies delta = r_fail - V(s_stop) bit for bit.
-    """
-    rewards = [rec.reward for rec in trajectory.steps]
-    values = [rec.value_estimate for rec in trajectory.steps]
-    return _td_from_lists(rewards, values, gamma)
 
 
 def gae(deltas, gamma: float, lam: float) -> list[float]:
@@ -133,13 +122,13 @@ def gae(deltas, gamma: float, lam: float) -> list[float]:
 
 
 def _effective_rewards(traj, early_stop_reward: float) -> tuple[int, list[float]]:
-    """Length and reward list of the training view of a trajectory."""
+    """Length and per-step rewards of the training view of a trajectory: 0.0
+    at every step but the last, which carries the outcome reward, or the
+    early-stop reward at a hypothetical stop."""
     eff = traj.effective_length
-    if traj.counterfactual is not None:
-        rewards = [0.0] * eff
-        rewards[-1] = early_stop_reward
-    else:
-        rewards = [traj.steps[i].reward for i in range(eff)]
+    rewards = [0.0] * eff
+    rewards[-1] = (early_stop_reward if traj.hypothetical_stop_index is not None
+                   else traj.outcome_reward)
     return eff, rewards
 
 
@@ -167,43 +156,8 @@ def compute_advantages(batch: RolloutBatch, config: PpoConfig,
     return out
 
 
-def _surrogate_terms(actor: TabularActor, batch: RolloutBatch, advantage_sets,
-                     config: PpoConfig, old_log_probs):
-    """Shared iteration for the surrogate value and gradient paths."""
-    table = log_softmax(actor.table, axis=-1)
-    lp_list = [row.tolist() for row in table]
-    lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
-    for ti, traj in enumerate(batch.trajectories):
-        advs = advantage_sets[ti].advantages
-        olps = old_log_probs[ti] if old_log_probs is not None else None
-        steps = traj.steps
-        for i in range(len(advs)):
-            rec = steps[i]
-            old_lp = olps[i] if olps is not None else rec.log_prob_sampled
-            state, action = rec.state_id, rec.action
-            ratio = math.exp(lp_list[state][action] - old_lp)
-            yield state, action, ratio, advs[i], lo, hi
-
-
-def ppo_surrogate_value(actor: TabularActor, batch: RolloutBatch, advantage_sets,
-                        config: PpoConfig, old_log_probs=None) -> float:
-    """Mean clipped surrogate over unmasked steps (the quantity whose gradient
-    ppo_surrogate_grad returns)."""
-    total = 0.0
-    included = 0
-    for _s, _a, ratio, adv, lo, hi in _surrogate_terms(
-            actor, batch, advantage_sets, config, old_log_probs):
-        if not math.isfinite(ratio):
-            continue
-        included += 1
-        clipped = min(max(ratio, lo), hi)
-        total += min(ratio * adv, clipped * adv)
-    return total / included if included else 0.0
-
-
 def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch, advantage_sets,
-                       config: PpoConfig,
-                       old_log_probs=None) -> tuple[np.ndarray, float]:
+                       config: PpoConfig) -> tuple[np.ndarray, float]:
     """Exact gradient of the mean clipped surrogate, as a (state_count,
     vocab_size) array, plus the clip fraction.
 
@@ -223,13 +177,11 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch, advantage_sets,
     excluded = 0
     for ti, traj in enumerate(batch.trajectories):
         advs = advantage_sets[ti].advantages
-        olps = old_log_probs[ti] if old_log_probs is not None else None
         steps = traj.steps
         for i in range(len(advs)):
             rec = steps[i]
-            old_lp = olps[i] if olps is not None else rec.log_prob_sampled
             state, action = rec.state_id, rec.action
-            ratio = math.exp(lp_list[state][action] - old_lp)
+            ratio = math.exp(lp_list[state][action] - rec.log_prob_sampled)
             if not math.isfinite(ratio):
                 excluded += 1
                 continue
@@ -409,8 +361,6 @@ class TrainingRun:
 
         if mode.kind == COUNTERFACTUAL:
             stop_events = batch.hypothetical_stop_count
-        elif mode.kind == DISABLED:
-            stop_events = 0
         else:
             stop_events = batch.stop_count
         stop_rate = stop_events / batch.size if batch.size else 0.0
@@ -468,11 +418,7 @@ class TrainingRun:
                 if fresh:
                     fh.write("step\ttrajectory\tstop_step\tvalue_estimate\tz\n")
                 for ti, traj in enumerate(batch.trajectories):
-                    idx = None
-                    if traj.counterfactual is not None:
-                        idx = traj.counterfactual.hypothetical_stop_index
-                    elif traj.stop_reason is StopReason.EARLY_STOP:
-                        idx = len(traj.steps) - 1
+                    idx = traj.stop_index
                     if idx is not None:
                         rec = traj.steps[idx]
                         fh.write(f"{row.step}\t{ti}\t{idx}\t{rec.value_estimate!r}"
@@ -546,8 +492,3 @@ class TrainingRun:
         run.cumulative_tokens = state["cumulative_tokens"]
         run._random_correction = state["random_correction"]
         return run
-
-
-def train_run(config: RunConfig):
-    """Run one experiment and yield its metrics stream, one row per step."""
-    yield from TrainingRun(config).run()

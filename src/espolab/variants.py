@@ -29,7 +29,6 @@ __all__ = [
     "VariantPlan",
     "load_stop_events",
     "load_stop_rate_trace",
-    "variant_config_diff",
     "variant_dispatch",
 ]
 
@@ -130,21 +129,3 @@ def variant_dispatch(cfg: RunConfig) -> VariantPlan:
         random_fixed_rate=random_fixed,
     )
 
-
-def variant_config_diff(variant: str) -> dict[str, tuple[str, str]]:
-    """The single knob by which a variant differs from full espo.
-
-    Returns {knob: (espo setting, variant setting)}; empty for espo itself.
-    """
-    diffs = {
-        "espo": {},
-        "ppo": {"stopping": ("enabled", "disabled")},
-        "espo_no_warmup": {"warmup": ("enabled", "disabled")},
-        "espo_no_penalty": {"early_stop_reward": ("r_fail", "0.0")},
-        "value_only": {"stop_rule": ("espo", "value_only")},
-        "regret_only": {"stop_rule": ("espo", "regret_only")},
-        "random_stop": {"stop_rule": ("espo", "random")},
-    }
-    if variant not in diffs:
-        raise ConfigError(f"unknown variant {variant!r}")
-    return diffs[variant]

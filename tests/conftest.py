@@ -1,10 +1,14 @@
-"""Shared fixtures: small environments, policies, and collection helpers."""
+"""Shared fixtures: small environments, policies, collection helpers, and the
+surrogate-objective reference."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from espolab.envs import TrapChainSpec, build_trap_chain
+from espolab.mdpcore import log_softmax
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import CollectionMode, collect_batch
 from espolab.stopper import StopperSnapshot
@@ -41,3 +45,20 @@ def collect_small_batch(env, actor, critic, snapshot=None, batch_size=4, t_max=8
     mode = mode if mode is not None else CollectionMode.standard()
     return collect_batch(actor, critic, snapshot, env, batch_size, t_max, mode,
                          r_fail, seed, batch_index)
+
+
+def ppo_surrogate_value(actor, batch, advantage_sets, config) -> float:
+    """Mean clipped surrogate over the unmasked steps, the objective whose
+    gradient ppo_surrogate_grad returns; the finite-difference reference."""
+    table = log_softmax(actor.table, axis=-1)
+    lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
+    total = 0.0
+    included = 0
+    for traj, advset in zip(batch.trajectories, advantage_sets):
+        for rec, adv in zip(traj.steps, advset.advantages):
+            ratio = math.exp(table[rec.state_id, rec.action] - rec.log_prob_sampled)
+            if not math.isfinite(ratio):
+                continue
+            included += 1
+            total += min(ratio * adv, min(max(ratio, lo), hi) * adv)
+    return total / included if included else 0.0

@@ -37,11 +37,9 @@ from espolab.trainer import (
     critic_loss,
     gae,
     ppo_surrogate_grad,
-    ppo_surrogate_value,
-    td_errors,
 )
 
-from conftest import plain_snapshot, random_actor, random_critic
+from conftest import plain_snapshot, ppo_surrogate_value, random_actor, random_critic
 
 
 def criterion(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -198,17 +196,21 @@ def test_criterion_04_absorbing_state_td():
     exact = True
     for _ in range(50):
         run.step()
-        for traj in run.last_batch.trajectories:
+        advantage_sets = compute_advantages(run.last_batch, run.ppo,
+                                            run.plan.early_stop_reward)
+        for traj, advs in zip(run.last_batch.trajectories, advantage_sets):
             if traj.stop_reason is not StopReason.EARLY_STOP:
                 continue
             stop_events += 1
-            deltas = td_errors(traj, cfg.gamma)
+            deltas = advs.td_errors
             stop = traj.steps[-1]
             if deltas[-1] != cfg.r_fail - stop.value_estimate:
                 exact = False
-            if stop.reward != cfg.r_fail:
+            if traj.outcome_reward != cfg.r_fail:
                 exact = False
-            if any(rec.reward != 0.0 for rec in traj.steps[:-1]):
+            # reward 0.0 at every non-final step: delta_t = gamma * V(s_t+1) - V(s_t)
+            if any(deltas[i] != cfg.gamma * traj.steps[i + 1].value_estimate
+                   - traj.steps[i].value_estimate for i in range(len(traj.steps) - 1)):
                 exact = False
     criterion(4, "absorbing-state-td", exact and stop_events >= 200,
               f"{stop_events} stop events, all bit-exact")
@@ -350,7 +352,7 @@ def test_criterion_10_false_positive_harness(tmp_path):
             row[0] = 3.0
         elif label.startswith("detour:"):
             row[0] = 2.0
-        actor.set_row(i, row)
+        actor.table[i] = row
     critic = TabularCritic(env.state_count)
 
     def fp_at(beta):

@@ -11,9 +11,9 @@ from espolab.envs import (
     RecoverableBranchSpec,
     StateBudgetError,
     TrapChainSpec,
+    build_environment,
     build_recoverable,
     build_trap_chain,
-    enumerate_states,
     generate_target_sequence,
 )
 
@@ -95,22 +95,22 @@ class TestTrapChain:
 
 class TestEnumerateStates:
     def test_seven_states_for_k4_l3_padding2(self):
-        table = enumerate_states(TrapChainSpec(4, 3, (0, 1, 2), 2))
-        assert len(table) == 7
-        assert len({i for i, _ in table}) == 7  # duplicate-free ids
+        env = build_environment(TrapChainSpec(4, 3, (0, 1, 2), 2))
+        assert env.state_count == len(env.labels) == 7
+        assert len(set(env.labels)) == 7  # state i is labels[i], no duplicates
 
     def test_minimal_graph_for_length_one(self):
-        table = enumerate_states(TrapChainSpec(2, 1, (0,), 0))
+        labels = build_environment(TrapChainSpec(2, 1, (0,), 0)).labels
         # chain position 0, success terminal, failure terminal
-        assert len(table) == 3
+        assert len(labels) == 3
 
     def test_stable_ordering_across_calls(self):
         spec = TrapChainSpec(5, 4, (1, 2, 3, 4), 3)
-        assert enumerate_states(spec) == enumerate_states(spec)
+        assert build_environment(spec).labels == build_environment(spec).labels
 
     def test_budget_exceeded_raises(self):
         with pytest.raises(StateBudgetError):
-            enumerate_states(TrapChainSpec(4, 50, tuple([0] * 50), None), state_budget=10)
+            build_environment(TrapChainSpec(4, 50, tuple([0] * 50), None), state_budget=10)
 
 
 class TestRecoverableBranch:

@@ -20,7 +20,7 @@ from espolab.harness import (
     run_experiment,
     token_saving_pct,
 )
-from espolab.mdpcore import Counterfactual, StopReason
+from espolab.mdpcore import StopReason
 from espolab.metrics import (
     MetricsRow,
     MetricsWriter,
@@ -29,18 +29,11 @@ from espolab.metrics import (
     write_manifest,
 )
 from espolab.rollout import CollectionMode, RolloutBatch
-from espolab.variants import variant_config_diff, variant_dispatch
+from espolab.trainer import TrainingRun
+from espolab.variants import variant_dispatch
 
 from conftest import plain_snapshot
 from test_rollout import make_traj
-
-
-def check_variant_isolation(variant: str) -> dict:
-    """The single-knob config diff of a variant; espo itself changes none."""
-    diff = variant_config_diff(variant)
-    if variant != "espo" and len(diff) != 1:
-        raise AssertionError(f"variant {variant} changes {len(diff)} knobs")
-    return diff
 
 
 def tiny_config(**overrides):
@@ -67,17 +60,29 @@ class TestVariantDispatch:
         with pytest.raises(ConfigError):
             variant_dispatch(cfg)
 
-    def test_each_ablation_changes_exactly_one_knob(self):
-        assert check_variant_isolation("espo") == {}
-        for variant in ("ppo", "espo_no_warmup", "espo_no_penalty",
-                        "value_only", "regret_only", "random_stop"):
-            assert len(check_variant_isolation(variant)) == 1
-            assert len(variant_config_diff(variant)) == 1
+    def test_ablation_plans_differ_from_espo_only_in_their_mechanism(self):
+        # the plan fields each ablation changes relative to espo; rule
+        # ablations also fix the threshold and freeze the controller
+        expected = {
+            "ppo": {"mode_kind"},
+            "espo_no_warmup": {"warmup_enabled"},
+            "espo_no_penalty": {"early_stop_reward"},
+            "value_only": {"rule", "rule_threshold", "beta_updates_enabled"},
+            "regret_only": {"rule", "rule_threshold", "beta_updates_enabled"},
+            "random_stop": {"mode_kind", "beta_updates_enabled", "random_fixed_rate"},
+        }
+        base = tiny_config(value_stop_threshold=0.25, regret_stop_threshold=0.5,
+                           random_stop_rate=0.1)
+        espo = dataclasses.asdict(variant_dispatch(base))
+        assert espo["variant"] == "espo"
+        for variant, fields in expected.items():
+            plan = dataclasses.asdict(variant_dispatch(
+                dataclasses.replace(base, variant=variant)))
+            changed = {k for k in plan if plan[k] != espo[k]} - {"variant"}
+            assert changed == fields, variant
 
     def test_no_penalty_keeps_truncation_but_zeroes_reward(self):
         cfg = tiny_config(variant="espo_no_penalty", total_steps=6)
-        from espolab.trainer import TrainingRun
-
         run = TrainingRun(cfg)
         saw_stop = False
         for _ in range(6):
@@ -86,7 +91,6 @@ class TestVariantDispatch:
                 if traj.stop_reason is StopReason.EARLY_STOP:
                     saw_stop = True
                     assert traj.outcome_reward == 0.0
-                    assert traj.steps[-1].reward == 0.0
         assert saw_stop
 
     def test_value_only_and_regret_only_rules(self):
@@ -105,15 +109,13 @@ class TestFalsePositiveRate:
     def build_batch(self, fired_correct=1, fired_wrong=2, plain=5):
         trajs = []
         for _ in range(fired_correct):
-            trajs.append(make_traj(8, outcome=1.0, counterfactual=Counterfactual(3, 1.0)))
+            trajs.append(make_traj(8, outcome=1.0, hypothetical_stop_index=3))
         for _ in range(fired_wrong):
-            trajs.append(make_traj(8, outcome=0.0, counterfactual=Counterfactual(2, 0.0)))
+            trajs.append(make_traj(8, outcome=0.0, hypothetical_stop_index=2))
         for _ in range(plain):
             trajs.append(make_traj(6))
         return RolloutBatch(tuple(trajs), plain_snapshot(),
-                            CollectionMode.counterfactual_extend(),
-                            0, fired_correct + fired_wrong,
-                            sum(len(t.steps) for t in trajs))
+                            CollectionMode.counterfactual_extend())
 
     def test_counting_example(self):
         assert false_positive_rate(self.build_batch()) == 0.125
@@ -123,8 +125,7 @@ class TestFalsePositiveRate:
         assert false_positive_rate(batch) == 0.0
 
     def test_mode_mismatch_errors(self):
-        batch = RolloutBatch((make_traj(3),), plain_snapshot(),
-                             CollectionMode.standard(), 0, 0, 3)
+        batch = RolloutBatch((make_traj(3),), plain_snapshot(), CollectionMode.standard())
         with pytest.raises(ValueError, match="counterfactual"):
             false_positive_rate(batch)
 
@@ -155,9 +156,7 @@ class TestMetricsFiles:
 
     def test_rows_round_trip_through_csv(self, tmp_path):
         cfg = tiny_config(out_dir=str(tmp_path / "run"))
-        from espolab.trainer import train_run
-
-        rows = list(train_run(dataclasses.replace(cfg, out_dir="")))
+        rows = list(TrainingRun(dataclasses.replace(cfg, out_dir="")).run())
         path = tmp_path / "metrics.csv"
         with MetricsWriter(path) as writer:
             for row in rows:
@@ -275,6 +274,16 @@ class TestAblateAndEval:
                                "sampled_success"}
         assert 0.0 <= report["greedy_success"] <= 1.0
         assert 0.0 <= report["sampled_success"] <= 1.0
+
+    def test_evaluate_run_rejects_fewer_than_one_episode(self, tmp_path, capsys):
+        out = run_experiment(tiny_config(out_dir=str(tmp_path / "run"), total_steps=2,
+                                         eval_episodes=8))
+        for episodes in (0, -3):
+            with pytest.raises(ConfigError, match="episodes"):
+                evaluate_run(out, episodes=episodes)
+        assert cli_main(["eval", out, "--episodes", "0"]) == 1
+        assert "episodes" in capsys.readouterr().err
+        assert evaluate_run(out)["episodes"] == 8  # None means the run's eval_episodes
 
 
 class TestCli:

@@ -9,11 +9,13 @@ import pytest
 
 from espolab.mdpcore import (
     StopReason,
-    entropy,
     log_softmax,
-    sample_token,
+    pick_from_cumulative,
     trajectory_rng,
 )
+from espolab.policy import TabularActor, TabularCritic
+from espolab.rollout import CachedPolicy
+from espolab.trainer import PpoConfig, compute_advantages
 
 from conftest import collect_small_batch, random_actor, random_critic
 
@@ -28,24 +30,34 @@ def oracle_entropy(probs):
     return -math.fsum(p * math.log(p) for p in probs if p > 0.0)
 
 
+def sample_token(log_probs, rng):
+    """Draw a token from a log-probability vector through the sampler that
+    collection uses."""
+    return pick_from_cumulative(np.cumsum(np.exp(log_probs)).tolist(), rng)
+
+
+def entropy(logits):
+    """Entropy of one logit row, as the per-batch policy cache computes it."""
+    actor = TabularActor(1, len(logits))
+    actor.table[0] = logits
+    return CachedPolicy(actor, TabularCritic(1)).entropies[0]
+
+
 def check_invariants(traj, actor, t_max=None, tol=1e-12):
     """Raise AssertionError if a trajectory collected under actor violates a
     structural invariant."""
     assert traj.steps, "trajectory must contain at least one step"
-    for rec in traj.steps[:-1]:
-        assert rec.reward == 0.0, "non-final steps must carry zero reward"
     for rec in traj.steps:
         lp_max = float(log_softmax(actor.table[rec.state_id]).max())
         assert rec.regret_raw >= 0.0
         assert rec.log_prob_sampled <= lp_max <= 0.0 + tol
         assert abs(rec.regret_raw - (lp_max - rec.log_prob_sampled)) <= tol
-    assert traj.steps[-1].reward == traj.outcome_reward
     if t_max is not None:
         assert len(traj.steps) <= t_max
         if traj.stop_reason is StopReason.HORIZON_CAP:
             assert len(traj.steps) == t_max
-    if traj.counterfactual is not None:
-        assert 0 <= traj.counterfactual.hypothetical_stop_index < len(traj.steps)
+    if traj.hypothetical_stop_index is not None:
+        assert 0 <= traj.hypothetical_stop_index < len(traj.steps)
 
 
 class TestLogSoftmax:
@@ -129,7 +141,8 @@ class TestEntropy:
         assert abs(entropy(log_softmax([0.0] * 4)) - math.log(4)) < 1e-12
 
     def test_one_hot_zero(self):
-        assert entropy(np.array([0.0, -np.inf, -np.inf])) == 0.0
+        # exp(-1e4) underflows to exactly 0: a one-hot distribution
+        assert entropy(np.array([0.0, -1e4, -1e4])) == 0.0
 
     def test_nine_one_split(self):
         lp = np.log([0.9, 0.1])
@@ -141,9 +154,9 @@ class TestEntropy:
         rng = np.random.default_rng(11)
         for _ in range(100):
             logits = rng.normal(0, 2, size=rng.integers(2, 10))
-            h = entropy(log_softmax(logits))
+            h = entropy(logits)
             assert 0.0 <= h <= math.log(len(logits)) + 1e-12
-            h_shift = entropy(log_softmax(logits + rng.normal(0, 5)))
+            h_shift = entropy(logits + rng.normal(0, 5))
             assert abs(h - h_shift) < 1e-12
 
 
@@ -153,10 +166,14 @@ class TestTrajectoryRecords:
         actor = random_actor(small_env, rng)
         critic = random_critic(small_env, rng)
         batch = collect_small_batch(small_env, actor, critic, batch_size=16, t_max=8)
-        for traj in batch.trajectories:
+        advantage_sets = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0)
+        for traj, advs in zip(batch.trajectories, advantage_sets):
             check_invariants(traj, actor, t_max=8)
-            # reward sparsity: all non-final rewards exactly zero
-            assert math.fsum(abs(r.reward) for r in traj.steps[:-1]) == 0.0
+            # reward sparsity: the trainer sees reward 0 at every non-final
+            # step and the outcome at the last, so delta_t = V(s_t+1) - V(s_t)
+            values = [rec.value_estimate for rec in traj.steps]
+            assert list(advs.td_errors[:-1]) == [b - a for a, b in zip(values, values[1:])]
+            assert advs.td_errors[-1] == traj.outcome_reward - values[-1]
 
     def test_regret_identity_against_raw_logits(self, small_env):
         # regret recorded from the log-softmax path equals the raw logit gap
@@ -180,8 +197,10 @@ class TestTrajectoryRecords:
         snapshot = plain_snapshot(beta=0.5, value_floor=0.2)
         batch = collect_small_batch(small_env, actor, critic, snapshot=snapshot,
                                     batch_size=32, t_max=8)
-        stopped = [t for t in batch.trajectories if t.stop_reason is StopReason.EARLY_STOP]
+        advantage_sets = compute_advantages(batch, PpoConfig(), -1.0)
+        stopped = [(t, a) for t, a in zip(batch.trajectories, advantage_sets)
+                   if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped, "tuned snapshot should produce early stops"
-        for traj in stopped:
+        for traj, advs in stopped:
             assert traj.outcome_reward == -1.0
-            assert traj.steps[-1].reward == -1.0
+            assert advs.td_errors[-1] == -1.0 - traj.steps[-1].value_estimate

@@ -7,15 +7,25 @@ import math
 import numpy as np
 import pytest
 
-from espolab.mdpcore import log_softmax
-from espolab.policy import (
-    MissingStateError,
-    TabularActor,
-    TabularCritic,
-    load_params,
-    log_prob_grad,
-    save_params,
-)
+from espolab.mdpcore import StepRecord, StopReason, Trajectory, log_softmax
+from espolab.policy import TabularActor, TabularCritic, load_params, save_params
+from espolab.rollout import CachedPolicy, CollectionMode, RolloutBatch
+from espolab.trainer import AdvantageSet, PpoConfig, ppo_surrogate_grad
+
+from conftest import plain_snapshot
+
+
+def log_prob_grad(actor, state, action):
+    """d log pi(action|state) / d logits[state], read from ppo_surrogate_grad
+    on a one-step on-policy batch with advantage 1: the ratio is exactly 1, so
+    the surrogate gradient is the log-prob gradient."""
+    lp = float(log_softmax(actor.table, axis=-1)[state, action])
+    traj = Trajectory((StepRecord(state, action, lp, 0.0, 0.0, 0.0, 0.0),),
+                      StopReason.NATURAL_END, 0.0)
+    batch = RolloutBatch((traj,), plain_snapshot(), CollectionMode())
+    grad, _clip_fraction = ppo_surrogate_grad(
+        actor, batch, [AdvantageSet((1.0,), (0.0,), (0.0,))], PpoConfig())
+    return grad[state]
 
 
 def fd_log_prob_grad(actor, state, action, h=1e-5):
@@ -35,36 +45,40 @@ def fd_log_prob_grad(actor, state, action, h=1e-5):
 class TestActorTable:
     def test_fresh_actor_is_all_zero(self):
         actor = TabularActor(5, 4)
-        assert np.array_equal(actor.logits_for(3), np.zeros(4))
+        assert np.array_equal(actor.table[3], np.zeros(4))
 
     def test_single_update_arithmetic(self):
         actor = TabularActor(3, 4)
         grad = np.zeros((3, 4))
         grad[1, 0] = 1.0
         actor.apply_gradient(grad, 0.1)
-        assert actor.logits_for(1)[0] == pytest.approx(0.1, abs=1e-15)
-        assert np.array_equal(actor.logits_for(1)[1:], np.zeros(3))
-        assert np.array_equal(actor.logits_for(0), np.zeros(4))
+        assert actor.table[1, 0] == pytest.approx(0.1, abs=1e-15)
+        assert np.array_equal(actor.table[1, 1:], np.zeros(3))
+        assert np.array_equal(actor.table[0], np.zeros(4))
 
     def test_row_round_trip(self):
-        actor = TabularActor(2, 3)
+        # a row written to the table is the row collection samples from
+        actor, critic = TabularActor(2, 3), TabularCritic(2)
         row = np.array([0.5, -1.25, 3.75])
-        actor.set_row(0, row)
-        assert np.array_equal(actor.logits_for(0), row)
+        actor.table[0] = row
+        assert CachedPolicy(actor, critic).log_probs[0] == log_softmax(row).tolist()
 
-    def test_unknown_state_raises(self):
-        actor = TabularActor(2, 3)
-        with pytest.raises(MissingStateError):
-            actor.logits_for(7)
-        critic = TabularCritic(2)
-        with pytest.raises(MissingStateError):
-            critic.value_for(-1)
+    def test_unknown_state_raises(self, tmp_path):
+        # a snapshot entry for a state outside the header's shape is rejected
+        path = tmp_path / "params.txt"
+        for record in ("actor 7 0 1.0", "actor 0 3 1.0", "critic -1 1.0"):
+            save_params(TabularActor(2, 3), TabularCritic(2), path)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(record + "\n")
+            with pytest.raises(ValueError, match="outside"):
+                load_params(path)
 
-    def test_logits_for_returns_copy(self):
-        actor = TabularActor(2, 3)
-        row = actor.logits_for(0)
-        row[0] = 99.0
-        assert actor.logits_for(0)[0] == 0.0
+    def test_copy_is_independent(self):
+        actor, critic = TabularActor(2, 3), TabularCritic(2)
+        actor_copy, critic_copy = actor.copy(), critic.copy()
+        actor_copy.table[0, 0] = 99.0
+        critic_copy.table[0] = 99.0
+        assert actor.table[0, 0] == 0.0 and critic.table[0] == 0.0
 
     def test_seeded_noise_init_reproducible(self):
         a = TabularActor(4, 3, init_scale=1.0, seed=9)
@@ -98,7 +112,7 @@ class TestLogProbGrad:
 
     def test_mode_gradient_vanishes_when_near_deterministic(self):
         actor = TabularActor(1, 4)
-        actor.set_row(0, [30.0, 0.0, 0.0, 0.0])
+        actor.table[0] = [30.0, 0.0, 0.0, 0.0]
         grad = log_prob_grad(actor, 0, 0)
         assert all(abs(grad[k]) < 1e-9 for k in range(4))
 
@@ -106,27 +120,28 @@ class TestLogProbGrad:
         rng = np.random.default_rng(4)
         actor = TabularActor(1, 6)
         for _ in range(50):
-            actor.set_row(0, rng.normal(0, 2, size=6))
+            actor.table[0] = rng.normal(0, 2, size=6)
             grad = log_prob_grad(actor, 0, int(rng.integers(6)))
             assert abs(math.fsum(grad)) < 1e-10
 
 
 class TestCritic:
     def test_fresh_critic_is_zero(self):
-        assert TabularCritic(3).value_for(1) == 0.0
+        assert TabularCritic(3).table[1] == 0.0
 
     def test_one_mse_step_toward_target(self):
         # loss (V - 1)^2, dL/dV at V=0 is -2; descent with lr 0.5 lands on 1.0
         critic = TabularCritic(1)
-        grad = np.array([2.0 * (critic.value_for(0) - 1.0)])
+        grad = np.array([2.0 * (critic.table[0] - 1.0)])
         assert grad[0] == -2.0
         critic.apply_gradient(grad, 0.5)
-        assert critic.value_for(0) == pytest.approx(1.0, abs=1e-15)
+        assert critic.table[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_set_then_read(self):
+        # a value written to the table is the value collection records
         critic = TabularCritic(2)
-        critic.set_value(1, -0.75)
-        assert critic.value_for(1) == -0.75
+        critic.table[1] = -0.75
+        assert CachedPolicy(TabularActor(2, 3), critic).values[1] == -0.75
 
 
 class TestApplyUpdates:
@@ -212,4 +227,16 @@ class TestParameterSnapshot:
         path = tmp_path / "bad.txt"
         path.write_text("nonsense\n")
         with pytest.raises(ValueError):
+            load_params(path)
+
+    def test_torn_or_duplicated_snapshot_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        save_params(TabularActor(3, 4), TabularCritic(3), path)
+        lines = path.read_text().splitlines(keepends=True)
+        # header plus 4 of the 12 actor entries: rows 1 and 2 would load as zeros
+        path.write_text("".join(lines[:5]))
+        with pytest.raises(ValueError, match="params.txt: holds 4 of 15"):
+            load_params(path)
+        path.write_text("".join(lines + lines[1:2]))
+        with pytest.raises(ValueError, match="params.txt: duplicate actor"):
             load_params(path)

@@ -13,21 +13,22 @@ from espolab.mdpcore import (
     StepRecord,
     StopReason,
     Trajectory,
-    entropy,
     log_softmax,
-    sample_token,
+    pick_from_cumulative,
     trajectory_rng,
 )
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
     CachedPolicy,
     CollectionMode,
+    RolloutBatch,
     collect_batch,
     collect_trajectory,
     dump_trajectory,
     evaluate_policy,
     token_accounting,
 )
+from espolab.trainer import PpoConfig, compute_advantages
 
 from conftest import collect_small_batch, plain_snapshot, random_actor, random_critic
 
@@ -36,12 +37,10 @@ def make_env(padding=None, vocab=4, length=3):
     return build_trap_chain(TrapChainSpec(vocab, length, tuple(range(length)), padding))
 
 
-def make_traj(length, reason=StopReason.NATURAL_END, outcome=0.0, counterfactual=None):
-    steps = tuple(
-        StepRecord(0, 0, -1.0, 0.0, outcome if i == length - 1 else 0.0,
-                   0.5, 0.5, 0.1)
-        for i in range(length))
-    return Trajectory(steps, reason, outcome, counterfactual)
+def make_traj(length, reason=StopReason.NATURAL_END, outcome=0.0,
+              hypothetical_stop_index=None):
+    steps = tuple(StepRecord(0, 0, -1.0, 0.0, 0.5, 0.5, 0.1) for _ in range(length))
+    return Trajectory(steps, reason, outcome, hypothetical_stop_index)
 
 
 class TestCollectTrajectory:
@@ -57,8 +56,8 @@ class TestCollectTrajectory:
         oracle_rng = trajectory_rng(7, 1, 0)
         state = env.reset()
         for rec in traj.steps:
-            lp = log_softmax(actor.table[state])
-            action = sample_token(lp, oracle_rng)
+            probs = np.exp(log_softmax(actor.table[state]))
+            action = pick_from_cumulative(np.cumsum(probs).tolist(), oracle_rng)
             assert rec.state_id == state
             assert rec.action == action
             state, terminal, _reward = env.step(state, action)
@@ -70,7 +69,7 @@ class TestCollectTrajectory:
         # 0.271; with threshold beta*eps = 0.2 the rule fires on the third step
         env = make_env(padding=None)
         actor = TabularActor(env.state_count, env.vocab_size)
-        actor.set_row(0, [0.0, 30.0, 0.0, 0.0])  # force a wrong first token
+        actor.table[0] = [0.0, 30.0, 0.0, 0.0]  # force a wrong first token
         critic = TabularCritic(env.state_count)
         snapshot = plain_snapshot(frozen_mu=-1.0, frozen_var=1.0 - 1e-8,
                                   alpha_s=0.9, beta=1.0, value_floor=0.2)
@@ -79,7 +78,7 @@ class TestCollectTrajectory:
                                   trajectory_rng(0, 1, 0))
         assert traj.stop_reason is StopReason.EARLY_STOP
         assert len(traj.steps) == 3
-        assert traj.steps[-1].reward == -1.0
+        assert traj.stop_index == 2
         assert traj.outcome_reward == -1.0
 
     def test_natural_end_wins_over_stop_rule(self):
@@ -87,7 +86,7 @@ class TestCollectTrajectory:
         # terminate naturally with the environment's reward
         env = make_env(length=1, vocab=4)
         actor = TabularActor(env.state_count, env.vocab_size)
-        actor.set_row(0, [30.0, 0.0, 0.0, 0.0])  # always emits the target
+        actor.table[0] = [30.0, 0.0, 0.0, 0.0]  # always emits the target
         critic = TabularCritic(env.state_count)
         snapshot = plain_snapshot(frozen_mu=-100.0, beta=0.0, value_floor=0.2)
         traj = collect_trajectory(actor, critic, snapshot, env, 8,
@@ -99,7 +98,7 @@ class TestCollectTrajectory:
     def test_horizon_cap_gets_zero_outcome(self):
         env = make_env(padding=None)
         actor = TabularActor(env.state_count, env.vocab_size)
-        actor.set_row(0, [0.0, 30.0, 0.0, 0.0])  # dooms immediately
+        actor.table[0] = [0.0, 30.0, 0.0, 0.0]  # dooms immediately
         critic = TabularCritic(env.state_count)
         traj = collect_trajectory(actor, critic, plain_snapshot(warmup_active=True),
                                   env, 16, CollectionMode.standard(), -1.0,
@@ -124,11 +123,16 @@ class TestCollectTrajectory:
         batch = collect_small_batch(small_env, actor, critic,
                                     snapshot=plain_snapshot(beta=0.3),
                                     batch_size=64, t_max=8)
-        stopped = [t for t in batch.trajectories if t.stop_reason is StopReason.EARLY_STOP]
+        advantage_sets = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0)
+        stopped = [(t, a) for t, a in zip(batch.trajectories, advantage_sets)
+                   if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped
-        for traj in stopped:
-            nonzero = [r for r in traj.steps if r.reward != 0.0]
-            assert len(nonzero) == 1 and nonzero[0] is traj.steps[-1]
+        for traj, advs in stopped:
+            # only the stop step is rewarded: delta_t = V(s_t+1) - V(s_t)
+            # before it, and r_fail - V(s_stop) with no bootstrap at it
+            values = [rec.value_estimate for rec in traj.steps]
+            assert list(advs.td_errors[:-1]) == [b - a for a, b in zip(values, values[1:])]
+            assert advs.td_errors[-1] == -1.0 - values[-1]
 
 
 class TestStopSignals:
@@ -173,7 +177,8 @@ class TestCachedPolicy:
                 lp = log_softmax(actor.table[s])
                 assert pol.log_probs[s] == pytest.approx(lp.tolist(), abs=1e-12)
                 assert pol.max_log_prob[s] == pytest.approx(lp.max(), abs=1e-12)
-                assert pol.entropies[s] == pytest.approx(entropy(lp), abs=1e-12)
+                entropy = -math.fsum(p * math.log(p) for p in np.exp(lp) if p > 0.0)
+                assert pol.entropies[s] == pytest.approx(entropy, abs=1e-12)
                 assert pol.cum_probs[s] == pytest.approx(np.cumsum(np.exp(lp)).tolist(),
                                                          abs=1e-12)
                 assert pol.values[s] == critic.table[s]
@@ -196,30 +201,30 @@ class TestCounterfactualMode:
         standard, extended = self.collect_pair()
         fired = 0
         for st, ex in zip(standard.trajectories, extended.trajectories):
-            if ex.counterfactual is None:
+            if ex.hypothetical_stop_index is None:
                 assert st.steps == ex.steps
                 continue
             fired += 1
-            idx = ex.counterfactual.hypothetical_stop_index
+            idx = ex.hypothetical_stop_index
             assert st.stop_reason is StopReason.EARLY_STOP
             assert len(st.steps) == idx + 1
-            # identical prefix except the stop step's reward field
-            for a, b in zip(st.steps[:idx], ex.steps[:idx]):
-                assert a == b
-            assert st.steps[idx].action == ex.steps[idx].action
-            assert st.steps[idx].reward == -1.0 and ex.steps[idx].reward == 0.0
+            # identical prefix up to and including the stop step; only the
+            # standard trajectory ends there, with r_fail
+            assert st.steps == ex.steps[:idx + 1]
+            assert st.outcome_reward == -1.0
         assert fired > 0
 
     def test_counterfactual_records_natural_outcome(self):
         _standard, extended = self.collect_pair()
         for traj in extended.trajectories:
             assert traj.stop_reason is not StopReason.EARLY_STOP
-            if traj.counterfactual is not None:
-                assert traj.counterfactual.hypothetical_outcome_reward == traj.outcome_reward
+            if traj.hypothetical_stop_index is not None:
+                # the environment's reward at the natural end, never r_fail
+                assert traj.outcome_reward in (0.0, 1.0)
 
     def test_hypothetical_stop_count(self):
         _standard, extended = self.collect_pair()
-        fired = sum(1 for t in extended.trajectories if t.counterfactual is not None)
+        fired = sum(1 for t in extended.trajectories if t.hypothetical_stop_index is not None)
         assert extended.hypothetical_stop_count == fired
         assert extended.stop_count == 0
 
@@ -230,7 +235,7 @@ class TestRandomStopMode:
         # the trajectory-level stop probability is 1 - (1-q)^t_max
         env = make_env(padding=None)
         actor = TabularActor(env.state_count, env.vocab_size)
-        actor.set_row(0, [0.0, 30.0, 0.0, 0.0])
+        actor.table[0] = [0.0, 30.0, 0.0, 0.0]
         critic = TabularCritic(env.state_count)
         q, t_max = 0.02, 32
         p = 1.0 - (1.0 - q) ** t_max
@@ -279,23 +284,17 @@ class TestBatchDeterminism:
 class TestTokenAccounting:
     def test_arithmetic(self):
         trajs = tuple(make_traj(n) for n in (3, 5, 7, 9))
-        from espolab.rollout import RolloutBatch
-
-        batch = RolloutBatch(trajs, plain_snapshot(), CollectionMode.stopping_disabled(),
-                             0, 0, sum(len(t.steps) for t in trajs))
+        batch = RolloutBatch(trajs, plain_snapshot(), CollectionMode.stopping_disabled())
         acct = token_accounting(batch)
-        assert acct.total_tokens == 24
+        assert batch.total_tokens == 24
         assert acct.avg_length == 6.0
         assert acct.avg_length_actual == acct.avg_length == 6.0
 
     def test_counterfactual_actual_vs_original(self):
-        from espolab.mdpcore import Counterfactual
-        from espolab.rollout import RolloutBatch
-
-        fired = make_traj(10, counterfactual=Counterfactual(3, 1.0))
+        fired = make_traj(10, outcome=1.0, hypothetical_stop_index=3)
         plain = make_traj(6)
         batch = RolloutBatch((fired, plain), plain_snapshot(),
-                             CollectionMode.counterfactual_extend(), 0, 1, 16)
+                             CollectionMode.counterfactual_extend())
         acct = token_accounting(batch)
         assert acct.avg_length == 8.0
         assert acct.avg_length_actual == (4 + 6) / 2
@@ -309,7 +308,7 @@ class TestEvaluatePolicy:
         for p, tok in enumerate((0, 1, 2)):
             row = [0.0] * 4
             row[tok] = 10.0
-            actor.set_row(p, row)
+            actor.table[p] = row
         assert evaluate_policy(actor, env, 8, 4, seed=0, greedy=True) == 1.0
 
     def test_sampled_eval_deterministic_per_seed(self):

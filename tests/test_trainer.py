@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,21 +22,25 @@ from espolab.trainer import (
     critic_loss,
     gae,
     ppo_surrogate_grad,
-    ppo_surrogate_value,
-    td_errors,
-    train_run,
 )
 
-from conftest import plain_snapshot, random_actor, random_critic
+from conftest import plain_snapshot, ppo_surrogate_value, random_actor, random_critic
 
 
-def traj_from(rewards, values, reason=StopReason.NATURAL_END, states=None, actions=None):
-    states = states or [0] * len(rewards)
-    actions = actions or [0] * len(rewards)
-    steps = tuple(
-        StepRecord(states[i], actions[i], -1.0, values[i], rewards[i], 0.5, 0.5, 0.1)
-        for i in range(len(rewards)))
-    return Trajectory(steps, reason, rewards[-1])
+def traj_from(values, outcome, reason=StopReason.NATURAL_END, log_prob=-1.0):
+    """Trajectory in state 0 with the given recorded values; only its last
+    step is rewarded, with outcome."""
+    steps = tuple(StepRecord(0, 0, log_prob, v, 0.5, 0.5, 0.1) for v in values)
+    return Trajectory(steps, reason, outcome)
+
+
+def one_batch(traj):
+    return RolloutBatch((traj,), plain_snapshot(), CollectionMode.standard())
+
+
+def td_errors(traj, gamma):
+    """TD errors of a single trajectory, as compute_advantages produces them."""
+    return list(compute_advantages(one_batch(traj), PpoConfig(gamma=gamma), -1.0)[0].td_errors)
 
 
 def gae_oracle(deltas, gamma, lam):
@@ -49,19 +54,19 @@ def gae_oracle(deltas, gamma, lam):
 
 class TestTdErrors:
     def test_natural_end_recursion(self):
-        traj = traj_from([0.0, 0.0, 1.0], [0.5, 0.6, 0.7])
+        traj = traj_from([0.5, 0.6, 0.7], 1.0)
         deltas = td_errors(traj, gamma=1.0)
         assert deltas == pytest.approx([0.1, 0.1, 0.3], abs=1e-12)
 
     def test_early_stop_delta_is_exact(self):
-        traj = traj_from([0.0, -1.0], [0.5, 0.6], reason=StopReason.EARLY_STOP)
+        traj = traj_from([0.5, 0.6], -1.0, reason=StopReason.EARLY_STOP)
         deltas = td_errors(traj, gamma=1.0)
         assert deltas[0] == pytest.approx(0.1, abs=1e-12)
         # bit-exact identity, not approximate: no bootstrap past the stop
         assert deltas[1] == -1.0 - 0.6
 
     def test_constant_values_telescope_to_zero(self):
-        traj = traj_from([0.0, 0.0, 0.0, 0.0], [0.3, 0.3, 0.3, 0.3])
+        traj = traj_from([0.3, 0.3, 0.3, 0.3], 0.0)
         deltas = td_errors(traj, gamma=1.0)
         assert deltas[:-1] == pytest.approx([0.0, 0.0, 0.0], abs=1e-15)
         assert deltas[-1] == pytest.approx(-0.3, abs=1e-15)
@@ -119,18 +124,15 @@ class TestSurrogate:
     def test_clip_branch_freezes_gradient(self):
         # single step, ratio 1.3 vs clip 1.2 with positive advantage: the
         # objective takes the clipped constant and the gradient vanishes
-        traj = traj_from([1.0], [0.0])
-        batch = RolloutBatch((traj,), plain_snapshot(),
-                             CollectionMode.standard(), 0, 0, 1)
         actor = TabularActor(1, 4)
         lp_now = float(np.log(0.25))
         old_lp = lp_now - math.log(1.3)
+        batch = one_batch(traj_from([0.0], 1.0, log_prob=old_lp))
         advs = [AdvantageSet((1.0,), (1.0,), (1.0,))]
         cfg = PpoConfig(clip_ratio=0.2)
-        value = ppo_surrogate_value(actor, batch, advs, cfg, old_log_probs=[[old_lp]])
+        value = ppo_surrogate_value(actor, batch, advs, cfg)
         assert value == pytest.approx(1.2, abs=1e-12)
-        grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, cfg,
-                                                 old_log_probs=[[old_lp]])
+        grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, cfg)
         assert grad.shape == (1, 4) and not grad.any()
         assert clip_fraction == 1.0
 
@@ -164,19 +166,15 @@ class TestCriticRegression:
         advs = compute_advantages(batch, cfg, -1.0)
         # overwrite the critic so V(s) equals every return seen at s
         # (construct a batch-free case instead: single state, single step)
-        traj = traj_from([1.0], [0.0])
-        single = RolloutBatch((traj,), plain_snapshot(), CollectionMode.standard(),
-                              0, 0, 1)
+        single = one_batch(traj_from([0.0], 1.0))
         advset = [AdvantageSet((0.0,), (1.0,), (0.0,))]
         critic2 = TabularCritic(1)
-        critic2.set_value(0, 1.0)
+        critic2.table[0] = 1.0
         assert not critic_grad(critic2, single, advset).any()
         assert critic_loss(critic2, single, advset) == 0.0
 
     def test_single_state_gradient_value(self):
-        traj = traj_from([1.0], [0.0])
-        batch = RolloutBatch((traj,), plain_snapshot(), CollectionMode.standard(),
-                             0, 0, 1)
+        batch = one_batch(traj_from([0.0], 1.0))
         advset = [AdvantageSet((0.0,), (1.0,), (0.0,))]
         critic = TabularCritic(1)
         grad = critic_grad(critic, batch, advset)
@@ -209,11 +207,8 @@ class TestNegativeSignalConcentration:
         for _ in range(50):
             length = int(rng.integers(2, 10))
             values = [float(v) for v in rng.uniform(-0.49, 0.49, size=length)]
-            rewards = [0.0] * (length - 1) + [-1.0]
-            traj = traj_from(rewards, values, reason=StopReason.EARLY_STOP)
-            batch = RolloutBatch((traj,), plain_snapshot(),
-                                 CollectionMode.standard(), 1, 0, length)
-            advs = compute_advantages(batch, cfg, -1.0)[0]
+            traj = traj_from(values, -1.0, reason=StopReason.EARLY_STOP)
+            advs = compute_advantages(one_batch(traj), cfg, -1.0)[0]
             assert advs.advantages[-1] < 0.0
             assert advs.td_errors[-1] == -1.0 - values[-1]
 
@@ -228,18 +223,18 @@ def base_config(**overrides):
 
 class TestTrainingLoop:
     def test_determinism_same_config_same_rows(self):
-        rows_a = list(train_run(base_config()))
-        rows_b = list(train_run(base_config()))
+        rows_a = list(TrainingRun(base_config()).run())
+        rows_b = list(TrainingRun(base_config()).run())
         assert rows_a == rows_b
 
     def test_ppo_baseline_never_stops(self):
-        rows = list(train_run(base_config(variant="ppo")))
+        rows = list(TrainingRun(base_config(variant="ppo")).run())
         assert all(r.stop_rate == 0.0 for r in rows)
         assert all(not r.warmup_active for r in rows)
 
     def test_disable_stopping_reduces_to_ppo(self):
-        espo_rows = list(train_run(base_config(variant="espo", disable_stopping=True)))
-        ppo_rows = list(train_run(base_config(variant="ppo")))
+        espo_rows = list(TrainingRun(base_config(variant="espo", disable_stopping=True)).run())
+        ppo_rows = list(TrainingRun(base_config(variant="ppo")).run())
         assert espo_rows == ppo_rows
 
     def test_warmup_phase_has_zero_stop_rate(self):
@@ -247,7 +242,7 @@ class TestTrainingLoop:
         cfg = base_config(variant="espo", actor_init_scale=1.0, beta_init=0.5,
                           beta_max=0.5, total_steps=30, warmup_abs_threshold=1e-9,
                           warmup_delta_threshold=1e-12)
-        rows = list(train_run(cfg))
+        rows = list(TrainingRun(cfg).run())
         released = [r.step for r in rows if not r.warmup_active]
         cap = math.ceil(0.10 * 30)
         assert min(released) == cap + 1  # gate closes at the cap, visible next step
@@ -260,13 +255,13 @@ class TestTrainingLoop:
         # frequent and the reward signal dense enough for PPO to climb
         cfg = base_config(variant="ppo", total_steps=80, batch_size=32,
                           doom_padding=0, lr_actor=0.8, lr_critic=0.3)
-        rows = list(train_run(cfg))
+        rows = list(TrainingRun(cfg).run())
         early = sum(r.success_rate for r in rows[:10]) / 10
         late = sum(r.success_rate for r in rows[-10:]) / 10
         assert late > early + 0.2
 
     def test_cumulative_tokens_monotone(self):
-        rows = list(train_run(base_config()))
+        rows = list(TrainingRun(base_config()).run())
         for a, b in zip(rows, rows[1:]):
             assert b.cumulative_tokens >= a.cumulative_tokens
 
@@ -286,7 +281,7 @@ class TestTrainingLoop:
         cfg = base_config(variant="espo", total_steps=40, actor_init_scale=1.0,
                           beta_init=4.0, beta_max=8.0, anneal_fraction=0.5,
                           eta_beta=0.0)
-        rows = list(train_run(cfg))
+        rows = list(TrainingRun(cfg).run())
         released = [r for r in rows if not r.warmup_active]
         assert released[0].beta == 8.0  # anneal starts at the upper bound
         assert released[-1].beta == pytest.approx(4.0)  # and lands on beta_init
@@ -343,3 +338,18 @@ class TestCheckpointResume:
         other = base_config(total_steps=4, seed=99, out_dir=str(tmp_path / "a"))
         with pytest.raises(ConfigError):
             TrainingRun.resume(other, ckpt)
+
+    def test_resume_accepts_retired_snapshot_counter_key(self, tmp_path):
+        # checkpoints written before the snapshot counter was dropped hold a
+        # "snapshot_counter" entry in their stopper state; they still load
+        cfg = base_config(total_steps=4, out_dir=str(tmp_path / "a"))
+        run = TrainingRun(cfg)
+        run.step()
+        ckpt = run.save_checkpoint(tmp_path / "a" / "ck")
+        state_path = tmp_path / "a" / "ck" / "state.json"
+        state = json.loads(state_path.read_text())
+        state["stopper"]["snapshot_counter"] = 1
+        state_path.write_text(json.dumps(state))
+        resumed = TrainingRun.resume(cfg, ckpt)
+        assert resumed.stopper.state_dict() == run.stopper.state_dict()
+        assert resumed.step() == run.step()
