@@ -9,8 +9,8 @@ Two task families:
   token again within the repair window returns to the chain, otherwise the
   trajectory is doomed.
 
-States are abstract integer ids over a precomputed transition table, so the
-tabular actor/critic can enumerate them and step() is a pure O(1) lookup.
+States are abstract integer ids over precomputed transition tables, so the
+tabular actor/critic can enumerate them and a step is an array lookup.
 """
 
 from __future__ import annotations
@@ -86,7 +86,13 @@ def generate_target_sequence(vocab: int, length: int, seed: int) -> tuple[int, .
 
 
 class TabularEnv:
-    """Deterministic environment backed by dense transition tables."""
+    """Deterministic environment backed by dense transition tables.
+
+    Taking token a in state s leads to next_state[s, a]; the episode ends
+    there when terminal[s, a], with reward reward[s, a]. Rows of terminal
+    states hold -1 and are never stepped from. Collection and evaluation
+    advance whole batches of episodes by indexing these arrays.
+    """
 
     def __init__(self, vocab_size: int, next_state: np.ndarray, terminal: np.ndarray,
                  reward: np.ndarray, initial_state: int, labels: list[str]):
@@ -94,23 +100,9 @@ class TabularEnv:
         self.state_count = next_state.shape[0]
         self.initial_state = initial_state
         self.labels = labels
-        self._terminal_state = [bool(b) for b in (next_state[:, 0] < 0)]
-        # Python nested lists keep the per-step lookup off the numpy scalar path.
-        self._next = [[int(v) for v in row] for row in next_state]
-        self._term = [[bool(v) for v in row] for row in terminal]
-        self._rew = [[float(v) for v in row] for row in reward]
-
-    def reset(self) -> int:
-        return self.initial_state
-
-    def step(self, state_id: int, action: int) -> tuple[int, bool, float]:
-        if not 0 <= state_id < self.state_count:
-            raise ValueError(f"unknown state {state_id}")
-        if not 0 <= action < self.vocab_size:
-            raise ValueError(f"action {action} outside vocabulary")
-        if self._terminal_state[state_id]:
-            raise ValueError(f"step() called on terminal state {state_id}")
-        return self._next[state_id][action], self._term[state_id][action], self._rew[state_id][action]
+        self.next_state = next_state
+        self.terminal = terminal
+        self.reward = reward
 
 
 def _check_budget(count: int, budget: int) -> None:

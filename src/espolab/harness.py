@@ -19,7 +19,7 @@ from .config import (
 from .envs import build_environment
 from .metrics import MetricsWriter, read_manifest, read_metrics, write_manifest
 from .policy import load_params
-from .rollout import evaluate_policy, false_positive_rate
+from .rollout import CachedPolicy, evaluate_policy, false_positive_rate
 from .trainer import TrainingRun, env_spec_from_config
 
 __all__ = [
@@ -73,12 +73,13 @@ def evaluate_run(run_dir, checkpoint: str = "final", episodes: int | None = None
     if episodes is not None and episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
     cfg = config_from_manifest(run_dir)
-    actor, _critic = load_params(os.path.join(run_dir, "checkpoints", checkpoint, "params.txt"))
+    actor, critic = load_params(os.path.join(run_dir, "checkpoints", checkpoint, "params.txt"))
     env = build_environment(env_spec_from_config(cfg), cfg.state_budget)
     episodes = cfg.eval_episodes if episodes is None else episodes
     seed = cfg.seed if seed is None else seed
-    greedy = evaluate_policy(actor, env, cfg.t_max, episodes, seed, 0, greedy=True)
-    sampled = evaluate_policy(actor, env, cfg.t_max, episodes, seed, 0, greedy=False)
+    policy = CachedPolicy(actor, critic)
+    greedy = evaluate_policy(policy, env, cfg.t_max, episodes, seed, 0, greedy=True)
+    sampled = evaluate_policy(policy, env, cfg.t_max, episodes, seed, 0, greedy=False)
     return {"checkpoint": checkpoint, "episodes": episodes,
             "greedy_success": greedy, "sampled_success": sampled}
 

@@ -1,14 +1,13 @@
-"""Numeric primitives and trajectory records shared by every other module.
+"""Numeric primitives, keyed random streams and per-trajectory records.
 
 Policies are categorical distributions over a small token vocabulary,
 represented as unnormalized logit vectors. Everything here is a pure function
-over value data; records are treated as immutable once constructed, so they
-can be shared freely across rollout workers.
+over value data. A collected batch is stored as arrays (rollout.RolloutBatch);
+StepRecord and Trajectory are the per-trajectory view of one row of it.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,7 +19,6 @@ __all__ = [
     "Trajectory",
     "derived_rng",
     "log_softmax",
-    "pick_from_cumulative",
     "trajectory_rng",
 ]
 
@@ -49,17 +47,6 @@ def log_softmax(logits, axis: int = -1) -> np.ndarray:
     return shifted - lse
 
 
-def pick_from_cumulative(cum_probs, rng: np.random.Generator) -> int:
-    """Sample an index from an inclusive cumulative-probability list.
-
-    Deterministic given the generator state: one uniform draw per call.
-    """
-    u = rng.random() * cum_probs[-1]
-    idx = bisect.bisect_right(cum_probs, u)
-    last = len(cum_probs) - 1
-    return last if idx > last else idx
-
-
 def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (master_seed, key...).
 
@@ -84,7 +71,8 @@ class StopReason(Enum):
 
 @dataclass(slots=True)
 class StepRecord:
-    """One generation step as recorded at collection time.
+    """One generation step as recorded at collection time: one column of one
+    row of a RolloutBatch.
 
     Treated as immutable after construction. regret_raw is g_t, the state's
     maximum log-prob minus log_prob_sampled; regret_normalized is the clipped
@@ -105,7 +93,7 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One rollout. hypothetical_stop_index is set only in counterfactual-
+    """One rollout, a row of a RolloutBatch. hypothetical_stop_index is set only in counterfactual-
     extend mode, at the step where the stop criterion would have fired; the
     rollout continued to its natural end and earned outcome_reward."""
 

@@ -1,11 +1,11 @@
 """Rollout collection with online early termination.
 
-collect_trajectory follows the published collection loop exactly: sample the
-token, compute the step regret, normalize it against the frozen batch
-statistics, fold it into the smoothed score, and only then test the stop
-rule. The sampled token at the stop step is retained and carries the failure
-reward; nothing is decoded past the stop, and simultaneous natural
-termination wins over the stop rule.
+collect_batch follows the published collection loop for every trajectory of
+a batch at once: sample the token, compute the step regret, normalize it
+against the frozen batch statistics, fold it into the smoothed score, and
+only then test the stop rule. The sampled token at the stop step is retained
+and carries the failure reward; nothing is decoded past the stop, and
+simultaneous natural termination wins over the stop rule.
 
 Counterfactual-extend mode records where the rule WOULD have fired and keeps
 decoding to the natural end, so the prefix up to the hypothetical stop index
@@ -26,7 +26,6 @@ from .mdpcore import (
     Trajectory,
     derived_rng,
     log_softmax,
-    pick_from_cumulative,
     trajectory_rng,
 )
 from .policy import TabularActor, TabularCritic
@@ -36,9 +35,9 @@ __all__ = [
     "CachedPolicy",
     "CollectionMode",
     "RolloutBatch",
+    "STOP_REASONS",
     "TokenAccounting",
     "collect_batch",
-    "collect_trajectory",
     "dump_trajectory",
     "evaluate_policy",
     "false_positive_rate",
@@ -89,49 +88,113 @@ class CachedPolicy:
     """Frozen per-batch view of the actor/critic over all enumerable states.
 
     The actor is immutable during collection, so the per-state log-softmax,
-    cumulative sampling table, max log-prob, and entropy are computed once per
-    batch. Plain Python lists keep the hot loop off the numpy scalar path.
+    cumulative sampling table, max log-prob, step regret of every token,
+    entropy and greedy token are computed once per batch, as arrays that
+    whole columns of a batch index at once.
     """
 
     def __init__(self, actor: TabularActor, critic: TabularCritic):
         table = log_softmax(actor.table, axis=-1)
         probs = np.exp(table)
-        self.log_probs = [row.tolist() for row in table]
-        self.cum_probs = [row.tolist() for row in np.cumsum(probs, axis=1)]
-        self.max_log_prob = table.max(axis=1).tolist()
+        self.log_probs = table
+        self.cum_probs = np.cumsum(probs, axis=1)
+        self.max_log_prob = table.max(axis=1)
+        self.regrets = self.max_log_prob[:, None] - table  # g for every (state, token)
         with np.errstate(invalid="ignore"):
             ent = -np.where(probs > 0.0, probs * table, 0.0).sum(axis=1)
-        self.entropies = np.maximum(ent, 0.0).tolist()
-        self.values = critic.table.tolist()
+        self.entropies = np.maximum(ent, 0.0)
+        # from the logits: rounding in the log-softmax can tie distinct logits
+        self.greedy_actions = actor.table.argmax(axis=1)
+        self.values = critic.table.copy()
         self.vocab_size = actor.vocab_size
 
+    def sample(self, states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Token drawn in each of `states` by the matching uniform in [0, 1):
+        the number of inclusive cumulative probabilities at or below
+        u * total (bisect_right). As u < 1, u * total rounds below the last
+        entry, so a draw never runs past the last token."""
+        cum = self.cum_probs.take(states, axis=0)
+        return (cum <= (uniforms * cum[:, -1])[:, None]).argmin(axis=1)
 
-@dataclass(frozen=True)
+
+# Stop codes of RolloutBatch.stop_codes, indexes into STOP_REASONS.
+NATURAL_END, HORIZON_CAP, EARLY_STOP = 0, 1, 2
+STOP_REASONS = (StopReason.NATURAL_END, StopReason.HORIZON_CAP, StopReason.EARLY_STOP)
+
+
+@dataclass(frozen=True, eq=False)
 class RolloutBatch:
-    """Fixed set of trajectories collected under one frozen stopper snapshot."""
+    """Fixed set of trajectories collected under one frozen stopper snapshot,
+    stored as arrays.
 
-    trajectories: tuple[Trajectory, ...]
+    The per-step arrays are B x T, one row per trajectory and one column per
+    step; entries at or past a row's length are zero. `scores` holds the
+    smoothed score z after each step. Per row: the length, the stop code (an
+    index into STOP_REASONS), the outcome reward, and the counterfactual
+    hypothetical stop step (-1 where the criterion never fired).
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    log_probs: np.ndarray
+    values: np.ndarray
+    regrets: np.ndarray
+    normalized_regrets: np.ndarray
+    scores: np.ndarray
+    lengths: np.ndarray
+    stop_codes: np.ndarray
+    outcomes: np.ndarray
+    hypothetical_stops: np.ndarray
     snapshot: StopperSnapshot
     mode: CollectionMode
 
     @property
     def size(self) -> int:
-        return len(self.trajectories)
+        return len(self.lengths)
 
     @property
     def stop_count(self) -> int:
         """Trajectories that ended with StopReason.EARLY_STOP."""
-        return sum(1 for t in self.trajectories if t.stop_reason is StopReason.EARLY_STOP)
+        return int(np.count_nonzero(self.stop_codes == EARLY_STOP))
 
     @property
     def hypothetical_stop_count(self) -> int:
         """Counterfactual-mode trajectories whose criterion fired (the "stops"
         the controller sees in that mode)."""
-        return sum(1 for t in self.trajectories if t.hypothetical_stop_index is not None)
+        return int(np.count_nonzero(self.hypothetical_stops >= 0))
 
     @property
     def total_tokens(self) -> int:
-        return sum(len(t.steps) for t in self.trajectories)
+        return int(self.lengths.sum())
+
+    @property
+    def effective_lengths(self) -> np.ndarray:
+        """Length of each trained-on span: up to the hypothetical stop, if any."""
+        return np.where(self.hypothetical_stops >= 0, self.hypothetical_stops + 1,
+                        self.lengths)
+
+    @property
+    def stop_indices(self) -> np.ndarray:
+        """Step at which the stop rule fired, in earnest or hypothetically;
+        -1 where it never fired."""
+        stopped = np.where(self.stop_codes == EARLY_STOP, self.lengths - 1, -1)
+        return np.where(self.hypothetical_stops >= 0, self.hypothetical_stops, stopped)
+
+    @property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """The rows as Trajectory records, built on each access (for tests and
+        the trajectory dump, not for training)."""
+        out = []
+        for i, n in enumerate(self.lengths.tolist()):
+            columns = (self.states[i, :n].tolist(), self.actions[i, :n].tolist(),
+                       self.log_probs[i, :n].tolist(), self.values[i, :n].tolist(),
+                       self.regrets[i, :n].tolist(), self.normalized_regrets[i, :n].tolist(),
+                       self.scores[i, :n].tolist())
+            hyp = int(self.hypothetical_stops[i])
+            out.append(Trajectory(tuple(StepRecord(*step) for step in zip(*columns)),
+                                  STOP_REASONS[self.stop_codes[i]], float(self.outcomes[i]),
+                                  hyp if hyp >= 0 else None))
+        return tuple(out)
 
 
 def false_positive_rate(batch: RolloutBatch) -> float:
@@ -141,65 +204,8 @@ def false_positive_rate(batch: RolloutBatch) -> float:
         raise ValueError("false_positive_rate requires a counterfactual-extend batch")
     if not batch.size:
         return 0.0
-    hits = sum(1 for t in batch.trajectories
-               if t.hypothetical_stop_index is not None and t.outcome_reward == 1.0)
-    return hits / batch.size
-
-
-def collect_trajectory(actor: TabularActor, critic: TabularCritic,
-                       snapshot: StopperSnapshot, env, t_max: int,
-                       mode: CollectionMode, r_fail: float,
-                       rng: np.random.Generator,
-                       cache: CachedPolicy | None = None) -> Trajectory:
-    """Generate one trajectory under the frozen snapshot.
-
-    r_fail is the outcome reward of an early-stopped trajectory (0.0 under
-    the no-penalty ablation). The per-trajectory rng must be a fresh stream
-    keyed by (batch, index) for schedule independence.
-    """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    pol = cache if cache is not None else CachedPolicy(actor, critic)
-
-    steps: list[StepRecord] = []
-    z = 0.0
-    alpha = snapshot.alpha_s
-    one_minus_alpha = 1.0 - alpha
-    state = env.reset()
-    cf_index: int | None = None
-    stop_reason = StopReason.HORIZON_CAP
-    outcome = 0.0
-
-    for t in range(t_max):
-        cum = pol.cum_probs[state]
-        action = pick_from_cumulative(cum, rng)
-        lp_row = pol.log_probs[state]
-        lp_max = pol.max_log_prob[state]
-        lp_a = lp_row[action]
-        g = lp_max - lp_a
-        g_norm = snapshot.normalize(g)
-        z = alpha * z + one_minus_alpha * g_norm
-        value = pol.values[state]
-        steps.append(StepRecord(state, action, lp_a, value, g, g_norm, z))
-
-        next_state, terminal, env_reward = env.step(state, action)
-        if terminal:  # natural end wins over the stop rule
-            stop_reason = StopReason.NATURAL_END
-            outcome = env_reward
-            break
-        if mode.kind == STANDARD or mode.kind == COUNTERFACTUAL:
-            fires = snapshot.decide(z, value)
-        else:
-            fires = mode.kind == RANDOM and rng.random() < mode.random_stop_rate
-        if fires and mode.kind != COUNTERFACTUAL:
-            stop_reason = StopReason.EARLY_STOP
-            outcome = r_fail
-            break
-        if fires and cf_index is None:
-            cf_index = t
-        state = next_state
-
-    return Trajectory(tuple(steps), stop_reason, outcome, cf_index)
+    hits = np.count_nonzero((batch.hypothetical_stops >= 0) & (batch.outcomes == 1.0))
+    return int(hits) / batch.size
 
 
 def collect_batch(actor: TabularActor, critic: TabularCritic,
@@ -211,14 +217,104 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
 
     Each trajectory owns the stream keyed by (batch_index, its index), so the
     batch contents do not depend on collection order or worker scheduling.
+    Trajectory i draws all its uniforms up front: one per step, or two in
+    random-stop mode (2t samples step t's token, 2t+1 is its stop test). The
+    batch then advances in lockstep, one column per step, over the policy
+    cache, the environment tables and the snapshot's regret and threshold
+    tables.
+
+    Per step: sample the token, fold its normalized regret into the smoothed
+    score, and only then test the stop rule. The token at the stop step is
+    kept and carries r_fail (0.0 under the no-penalty ablation); nothing is
+    decoded past a stop, and a natural end at the same step wins over the
+    stop rule. Counterfactual-extend mode records where the rule would first
+    have fired and keeps decoding to the natural end.
     """
-    if cache is None:
-        cache = CachedPolicy(actor, critic)
-    trajectories = tuple(
-        collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail,
-                           trajectory_rng(master_seed, batch_index, i), cache=cache)
-        for i in range(batch_size))
-    return RolloutBatch(trajectories, snapshot, mode)
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
+    pol = cache if cache is not None else CachedPolicy(actor, critic)
+    draws_per_step = 2 if mode.kind == RANDOM else 1
+    uniforms = np.empty((batch_size, draws_per_step * t_max))
+    for i in range(batch_size):
+        uniforms[i] = trajectory_rng(master_seed, batch_index, i).random(uniforms.shape[1])
+    norm_regrets = snapshot.normalize(pol.regrets).ravel()
+    thresholds = (snapshot.stop_thresholds(pol.values)
+                  if mode.kind in (STANDARD, COUNTERFACTUAL) else None)
+    vocab = pol.vocab_size
+    next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
+    alpha = snapshot.alpha_s
+    scaled_regrets = (1.0 - alpha) * norm_regrets
+    counterfactual = mode.kind == COUNTERFACTUAL
+
+    pairs = np.zeros((batch_size, t_max), dtype=np.int64)  # state * vocab + action
+    scores = np.zeros((batch_size, t_max))
+    lengths = np.full(batch_size, t_max)
+    stop_codes = np.full(batch_size, HORIZON_CAP, dtype=np.int8)
+    outcomes = np.zeros(batch_size)
+    hypothetical = np.full(batch_size, -1)
+
+    # Every row steps every column; a finished row is parked on the initial
+    # state and what it records past its length is cleared below.
+    done = np.zeros(batch_size, dtype=bool)
+    armed = np.ones(batch_size, dtype=bool)  # counterfactual: not fired yet
+    remaining = batch_size
+    state = np.full(batch_size, env.initial_state)
+    z = np.zeros(batch_size)
+    for t in range(t_max):
+        pair = state * vocab + pol.sample(state, uniforms[:, draws_per_step * t])
+        z = alpha * z + scaled_regrets.take(pair)
+        pairs[:, t] = pair
+        scores[:, t] = z
+
+        ended = terminal.take(pair)  # natural end wins over the stop rule
+        if thresholds is not None:
+            fires = z > thresholds.take(state)
+        elif mode.kind == RANDOM:
+            fires = uniforms[:, 2 * t + 1] < mode.random_stop_rate
+        else:
+            fires = None
+        if counterfactual:
+            first = fires & armed & ~ended
+            if np.count_nonzero(first):
+                hypothetical[first] = t
+                armed &= ~first
+            finish = ended & ~done
+        else:
+            finish = (ended if fires is None else ended | fires) & ~done
+        finished = np.count_nonzero(finish)
+        if finished:
+            rows = np.flatnonzero(finish)
+            natural = ended[rows]
+            lengths[rows] = t + 1
+            stop_codes[rows] = np.where(natural, NATURAL_END, EARLY_STOP)
+            outcomes[rows] = np.where(natural, env.reward.ravel().take(pair[rows]), r_fail)
+            done |= finish
+            armed &= ~finish
+            remaining -= finished
+            if not remaining:
+                break
+        state = next_state.take(pair)
+        if remaining < batch_size:
+            state[done] = env.initial_state
+
+    width = int(lengths.max()) if batch_size else 0
+    pairs, scores = pairs[:, :width], scores[:, :width]
+    past_end = np.arange(width) >= lengths[:, None]
+    pairs[past_end] = 0
+    scores[past_end] = 0.0
+
+    def gathered(table, index):
+        out = table.take(index)
+        out[past_end] = 0.0
+        return out
+
+    states = pairs // vocab
+    return RolloutBatch(
+        states=states, actions=pairs - states * vocab,
+        log_probs=gathered(pol.log_probs, pairs), values=gathered(pol.values, states),
+        regrets=gathered(pol.regrets, pairs), normalized_regrets=gathered(norm_regrets, pairs),
+        scores=scores, lengths=lengths, stop_codes=stop_codes, outcomes=outcomes,
+        hypothetical_stops=hypothetical, snapshot=snapshot, mode=mode)
 
 
 @dataclass(frozen=True, slots=True)
@@ -232,35 +328,51 @@ class TokenAccounting:
 
 def token_accounting(batch: RolloutBatch) -> TokenAccounting:
     n = max(1, batch.size)
-    actual = sum(t.effective_length for t in batch.trajectories)
-    return TokenAccounting(batch.total_tokens / n, actual / n)
+    return TokenAccounting(batch.total_tokens / n, int(batch.effective_lengths.sum()) / n)
 
 
-def evaluate_policy(actor: TabularActor, env, t_max: int, episodes: int,
+EVAL_CHUNK = 64  # sampled episodes advanced in lockstep at a time
+
+
+def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
                     seed: int, eval_tag: int = 0, greedy: bool = True) -> float:
     """Success rate over fresh episodes with no stopping machinery.
 
-    Greedy picks the argmax token (deterministic given the env); sampled
-    draws from the policy with per-episode streams keyed by (eval_tag,
-    episode). Success means terminal reward 1.
+    Greedy picks the argmax token. The env and the argmax are deterministic,
+    so every greedy episode is the same one: it runs once and scores for all.
+    Sampled episodes draw from the policy with per-episode streams keyed by
+    (eval_tag, episode) and advance in lockstep chunks. Success means
+    terminal reward 1.
     """
-    table = log_softmax(actor.table, axis=-1)
-    argmax = np.asarray(actor.table).argmax(axis=1).tolist()
-    cum = [row.tolist() for row in np.cumsum(np.exp(table), axis=1)]
-    successes = 0
-    for episode in range(episodes):
-        rng = None if greedy else derived_rng(seed, EVAL_STREAM, eval_tag, episode)
-        state = env.reset()
+    vocab = policy.vocab_size
+    next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
+    success = env.reward.ravel() == 1.0
+    if greedy:
+        state = env.initial_state
+        won = False
         for _ in range(t_max):
-            if greedy:
-                action = argmax[state]
-            else:
-                action = pick_from_cumulative(cum[state], rng)
-            state, terminal, reward = env.step(state, action)
-            if terminal:
-                if reward == 1.0:
-                    successes += 1
+            pair = state * vocab + int(policy.greedy_actions[state])
+            if terminal[pair]:
+                won = bool(success[pair])
                 break
+            state = int(next_state[pair])
+        return (episodes if won else 0) / episodes
+    successes = 0
+    for first in range(0, episodes, EVAL_CHUNK):
+        count = min(EVAL_CHUNK, episodes - first)
+        uniforms = np.empty((count, t_max))
+        for i in range(count):
+            uniforms[i] = derived_rng(seed, EVAL_STREAM, eval_tag, first + i).random(t_max)
+        rows = np.arange(count)
+        state = np.full(count, env.initial_state)
+        for t in range(t_max):
+            if not rows.size:
+                break
+            pair = state * vocab + policy.sample(state, uniforms[rows, t])
+            ended = terminal[pair]
+            successes += int(np.count_nonzero(success[pair[ended]]))
+            keep = ~ended
+            rows, state = rows[keep], next_state[pair[keep]]
     return successes / episodes
 
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "BetaController",
     "EmaStats",
@@ -144,7 +146,9 @@ class StopperSnapshot:
 
     Carries everything the per-step decision needs: frozen normalization
     statistics, the smoothing constant, the effective (annealed) beta, the
-    value floor, warmup status, and which rule variant is in force.
+    value floor, warmup status, and which rule variant is in force. Both
+    decision inputs are tables over the batch: the normalized regret of every
+    (state, token) pair and the stop threshold of every state.
     """
 
     frozen_mu: float = 0.0
@@ -158,26 +162,28 @@ class StopperSnapshot:
     rule: StopRule = StopRule.ESPO
     rule_threshold: float = 0.0
 
-    def normalize(self, g: float) -> float:
-        """Clipped z-score of the step regret g under the frozen statistics."""
+    def normalize(self, g):
+        """Clipped z-score of step regrets g (a scalar or an array) under the
+        frozen statistics."""
         scaled = (g - self.frozen_mu) / math.sqrt(self.frozen_var + self.stabilizer)
-        c = self.clip_bound
-        if scaled > c:
-            return c
-        if scaled < -c:
-            return -c
-        return scaled
+        return np.clip(scaled, -self.clip_bound, self.clip_bound)
 
-    def decide(self, z: float, value_estimate: float) -> bool:
-        """Stop test for the rule in force; always False while warmup is
-        active. Strict inequalities: ties continue."""
+    def stop_thresholds(self, values: np.ndarray) -> np.ndarray:
+        """Per-state threshold of the rule in force, for states whose critic
+        values are `values`: a trajectory in state s with smoothed score z
+        stops iff z > thresholds[s]. Strict, so ties continue.
+
+        espo: beta * max(V, value_floor); regret_only: the fixed threshold;
+        value_only fires on V < threshold whatever z is (-inf there, +inf
+        elsewhere). While warmup is active no state ever fires (+inf).
+        """
         if self.warmup_active:
-            return False
+            return np.full(len(values), np.inf)
         if self.rule is StopRule.VALUE_ONLY:
-            return value_estimate < self.rule_threshold
+            return np.where(values < self.rule_threshold, -np.inf, np.inf)
         if self.rule is StopRule.REGRET_ONLY:
-            return z > self.rule_threshold
-        return z > self.beta * max(value_estimate, self.value_floor)
+            return np.full(len(values), self.rule_threshold)
+        return self.beta * np.maximum(values, self.value_floor)
 
 
 class StopperState:

@@ -56,6 +56,7 @@ from .variants import VariantPlan, variant_dispatch
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "AdvantageRow",
     "AdvantageSet",
     "PpoConfig",
     "TrainingRun",
@@ -86,77 +87,103 @@ class PpoConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class AdvantageSet:
-    """Per-step GAE advantages, regression returns, and TD errors for the
-    effective (possibly simulated-truncated) span of one trajectory."""
+class AdvantageRow:
+    """Advantages, returns and TD errors of one trajectory's effective span."""
 
     advantages: tuple[float, ...]
     returns: tuple[float, ...]
     td_errors: tuple[float, ...]
 
 
-def _td_from_lists(rewards, values, gamma: float) -> list[float]:
-    """delta_t = r_t + gamma * V(s_{t+1}) - V(s_t).
+@dataclass(frozen=True, eq=False)
+class AdvantageSet:
+    """GAE advantages, regression returns and TD errors of a batch, as B x T
+    arrays aligned with the RolloutBatch; zero at and past each row's
+    effective (possibly simulated-truncated) length, `lengths`.
 
-    Uses the critic values recorded at collection time; the final step (every
-    trajectory terminates) bootstraps from exactly 0.0, so an early-stop step
-    satisfies delta = r_fail - V(s_stop) bit for bit.
+    Indexing or iterating gives one AdvantageRow per trajectory.
     """
-    horizon = len(rewards)
-    out = []
-    for t in range(horizon):
-        bootstrap = values[t + 1] if t + 1 < horizon else 0.0
-        out.append(rewards[t] + gamma * bootstrap - values[t])
-    return out
+
+    advantages: np.ndarray
+    returns: np.ndarray
+    td_errors: np.ndarray
+    lengths: np.ndarray
+
+    @property
+    def mask(self) -> np.ndarray:
+        """True on the steps that are trained on. Selecting with it visits
+        the steps trajectory by trajectory, in step order."""
+        return np.arange(self.advantages.shape[1]) < self.lengths[:, None]
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i: int) -> AdvantageRow:
+        n = int(self.lengths[i])
+        return AdvantageRow(tuple(self.advantages[i, :n].tolist()),
+                            tuple(self.returns[i, :n].tolist()),
+                            tuple(self.td_errors[i, :n].tolist()))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
-def gae(deltas, gamma: float, lam: float) -> list[float]:
-    """Reverse recursion A_t = delta_t + gamma * lam * A_{t+1}."""
+def gae(deltas, gamma: float, lam: float) -> np.ndarray:
+    """Reverse recursion A_t = delta_t + gamma * lam * A_{t+1} along the last
+    axis (one column at a time for a B x T array), from A = 0 past the end."""
+    deltas = np.asarray(deltas, dtype=np.float64)
     decay = gamma * lam
-    out = [0.0] * len(deltas)
-    acc = 0.0
-    for t in range(len(deltas) - 1, -1, -1):
-        acc = deltas[t] + decay * acc
-        out[t] = acc
+    out = np.empty_like(deltas)
+    acc = np.zeros(deltas.shape[:-1])
+    for t in range(deltas.shape[-1] - 1, -1, -1):
+        acc = deltas[..., t] + decay * acc
+        out[..., t] = acc
     return out
 
 
-def _effective_rewards(traj, early_stop_reward: float) -> tuple[int, list[float]]:
-    """Length and per-step rewards of the training view of a trajectory: 0.0
-    at every step but the last, which carries the outcome reward, or the
-    early-stop reward at a hypothetical stop."""
-    eff = traj.effective_length
-    rewards = [0.0] * eff
-    rewards[-1] = (early_stop_reward if traj.hypothetical_stop_index is not None
-                   else traj.outcome_reward)
-    return eff, rewards
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum from 0.0, as a Python loop adds: cumsum is
+    sequential where np.sum is pairwise. The trailing + 0.0 turns a -0.0
+    total into the loop's 0.0."""
+    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
 
 
 def compute_advantages(batch: RolloutBatch, config: PpoConfig,
-                       early_stop_reward: float) -> list[AdvantageSet]:
-    out = []
-    for traj in batch.trajectories:
-        eff, rewards = _effective_rewards(traj, early_stop_reward)
-        values = [traj.steps[i].value_estimate for i in range(eff)]
-        deltas = _td_from_lists(rewards, values, config.gamma)
-        advs = gae(deltas, config.gamma, config.lam)
-        rets = [advs[i] + values[i] for i in range(eff)]
-        out.append(AdvantageSet(tuple(advs), tuple(rets), tuple(deltas)))
-    if config.advantage_whitening:
-        flat = [a for s in out for a in s.advantages]
-        if flat:
-            mean = math.fsum(flat) / len(flat)
-            var = math.fsum((a - mean) ** 2 for a in flat) / len(flat)
-            scale = 1.0 / max(math.sqrt(var), 1e-8)
-            out = [
-                AdvantageSet(tuple((a - mean) * scale for a in s.advantages),
-                             s.returns, s.td_errors)
-                for s in out
-            ]
-    return out
+                       early_stop_reward: float) -> AdvantageSet:
+    """TD errors delta_t = r_t + gamma * V(s_{t+1}) - V(s_t) and their GAE
+    over each trajectory's effective span.
+
+    Uses the critic values recorded at collection time. Only the last step is
+    rewarded: with the outcome reward, or the early-stop reward at a
+    hypothetical stop. The last step bootstraps from exactly 0.0 (every
+    trajectory terminates), so an early-stop step satisfies
+    delta = r_fail - V(s_stop) bit for bit.
+    """
+    lengths = batch.effective_lengths
+    mask = np.arange(batch.values.shape[1]) < lengths[:, None]
+    values = np.where(mask, batch.values, 0.0)
+    rewards = np.zeros_like(values)
+    rewards[np.arange(batch.size), lengths - 1] = np.where(
+        batch.hypothetical_stops >= 0, early_stop_reward, batch.outcomes)
+    bootstrap = np.zeros_like(values)
+    bootstrap[:, :-1] = values[:, 1:]
+    deltas = rewards + config.gamma * bootstrap - values
+    advantages = gae(deltas, config.gamma, config.lam)
+    returns = advantages + values
+    if config.advantage_whitening and mask.any():
+        flat = advantages[mask].tolist()
+        mean = math.fsum(flat) / len(flat)
+        var = math.fsum((a - mean) ** 2 for a in flat) / len(flat)
+        scale = 1.0 / max(math.sqrt(var), 1e-8)
+        advantages = np.where(mask, (advantages - mean) * scale, 0.0)
+    return AdvantageSet(advantages, returns, deltas, lengths)
 
 
-def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch, advantage_sets,
+SURROGATE_CHUNK = 8192  # gradient entries scattered per bincount call
+
+
+def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
+                       advantage_sets: AdvantageSet,
                        config: PpoConfig) -> tuple[np.ndarray, float]:
     """Exact gradient of the mean clipped surrogate, as a (state_count,
     vocab_size) array, plus the clip fraction.
@@ -164,85 +191,87 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch, advantage_sets,
     Steps on the clipped (constant) branch contribute zero gradient and count
     toward the clip fraction. Non-finite importance ratios are excluded from
     both the mean and the gradient and reported via the module logger.
+
+    A step in state s with token a and coefficient c = ratio * advantage adds
+    -c * pi(k|s) to entry (s, k) for every k, then +c to (s, a). np.bincount
+    adds its weights in input order, so the entries go in as the steps come,
+    trajectory by trajectory, each step's K terms before its token's: the
+    same additions in the same order as a loop over the steps. They go in
+    chunks of consecutive steps, each chunk's bincount starting from the
+    running sums, which bounds the temporaries.
     """
     table = log_softmax(actor.table, axis=-1)
-    lp_list = [row.tolist() for row in table]
-    prob_list = [row.tolist() for row in np.exp(table)]
-    vocab = actor.vocab_size
+    probs = np.exp(table)
+    state_count, vocab = table.shape
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
 
-    dense: dict[int, list[float]] = {}
-    included = 0
-    clipped_steps = 0
-    excluded = 0
-    for ti, traj in enumerate(batch.trajectories):
-        advs = advantage_sets[ti].advantages
-        steps = traj.steps
-        for i in range(len(advs)):
-            rec = steps[i]
-            state, action = rec.state_id, rec.action
-            ratio = math.exp(lp_list[state][action] - rec.log_prob_sampled)
-            if not math.isfinite(ratio):
-                excluded += 1
-                continue
-            included += 1
-            adv = advs[i]
-            if (adv > 0.0 and ratio > hi) or (adv < 0.0 and ratio < lo):
-                clipped_steps += 1
-                continue
-            coeff = ratio * adv
-            if coeff == 0.0:
-                continue
-            row = dense.get(state)
-            if row is None:
-                row = dense[state] = [0.0] * vocab
-            probs = prob_list[state]
-            for k in range(vocab):
-                row[k] -= coeff * probs[k]
-            row[action] += coeff
+    mask = advantage_sets.mask
+    states, actions = batch.states[mask], batch.actions[mask]
+    advs = advantage_sets.advantages[mask]
+    # math.exp, not np.exp (they differ in the last bit on some inputs), once
+    # per distinct log-ratio: a batch holds few distinct (state, token) pairs
+    log_ratios, inverse = np.unique(table[states, actions] - batch.log_probs[mask],
+                                    return_inverse=True)
+    ratio = np.array(list(map(math.exp, log_ratios.tolist())))[inverse.reshape(-1)]
+    finite = np.isfinite(ratio)
+    included = int(np.count_nonzero(finite))
+    excluded = len(ratio) - included
+    clipped = finite & (((advs > 0.0) & (ratio > hi)) | ((advs < 0.0) & (ratio < lo)))
+    coeff = ratio * advs
+    live = finite & ~clipped & (coeff != 0.0)
+    states, actions, coeff = states[live], actions[live], coeff[live]
     if excluded:
         logger.warning("ppo_surrogate_grad: excluded %d steps with non-finite ratios",
                        excluded)
-    grad = np.zeros_like(table)
+
+    cells = state_count * vocab
+    cell_index = np.arange(cells).reshape(state_count, vocab)
+    grad = np.zeros(cells)
+    per_chunk = max(1, SURROGATE_CHUNK // (vocab + 1))
+    for first in range(0, len(coeff), per_chunk):
+        s = states[first:first + per_chunk]
+        c = coeff[first:first + per_chunk]
+        n = len(c)
+        index = np.empty(cells + n * (vocab + 1), dtype=np.intp)
+        weight = np.empty(len(index))
+        index[:cells] = cell_index.ravel()
+        weight[:cells] = grad
+        step_index = index[cells:].reshape(n, vocab + 1)
+        step_weight = weight[cells:].reshape(n, vocab + 1)
+        step_index[:, :vocab] = cell_index.take(s, axis=0)
+        step_index[:, vocab] = s * vocab + actions[first:first + per_chunk]
+        np.multiply((-c)[:, None], probs.take(s, axis=0), out=step_weight[:, :vocab])
+        step_weight[:, vocab] = c
+        grad = np.bincount(index, weights=weight, minlength=cells)
+    grad = grad.reshape(state_count, vocab)
     if included:
-        for state, row in dense.items():
-            grad[state] = row
         grad *= 1.0 / included
-    clip_fraction = clipped_steps / included if included else 0.0
+    clip_fraction = int(np.count_nonzero(clipped)) / included if included else 0.0
     return grad, clip_fraction
 
 
-def _critic_terms(critic: TabularCritic, batch: RolloutBatch, advantage_sets):
-    values = critic.table.tolist()
-    for ti, traj in enumerate(batch.trajectories):
-        rets = advantage_sets[ti].returns
-        steps = traj.steps
-        for i in range(len(rets)):
-            state = steps[i].state_id
-            yield state, values[state] - rets[i]
+def _critic_diffs(critic: TabularCritic, batch: RolloutBatch, advantage_sets: AdvantageSet):
+    """States and V(s) - return of the trained-on steps, in step order."""
+    mask = advantage_sets.mask
+    states = batch.states[mask]
+    return states, critic.table[states] - advantage_sets.returns[mask]
 
 
-def critic_grad(critic: TabularCritic, batch: RolloutBatch, advantage_sets) -> np.ndarray:
+def critic_grad(critic: TabularCritic, batch: RolloutBatch,
+                advantage_sets: AdvantageSet) -> np.ndarray:
     """Gradient of mean (V(s) - return)^2 over unmasked steps, as a
-    (state_count,) array."""
-    acc = [0.0] * critic.state_count
-    count = 0
-    for state, diff in _critic_terms(critic, batch, advantage_sets):
-        acc[state] += 2.0 * diff
-        count += 1
-    grad = np.array(acc)
-    if count:
-        grad *= 1.0 / count
+    (state_count,) array. bincount adds in step order, as a loop would."""
+    states, diffs = _critic_diffs(critic, batch, advantage_sets)
+    grad = np.bincount(states, weights=2.0 * diffs, minlength=critic.state_count)
+    if len(diffs):
+        grad *= 1.0 / len(diffs)
     return grad
 
 
-def critic_loss(critic: TabularCritic, batch: RolloutBatch, advantage_sets) -> float:
-    total = 0.0
-    count = 0
-    for _state, diff in _critic_terms(critic, batch, advantage_sets):
-        total += diff * diff
-        count += 1
-    return total / count if count else 0.0
+def critic_loss(critic: TabularCritic, batch: RolloutBatch,
+                advantage_sets: AdvantageSet) -> float:
+    _states, diffs = _critic_diffs(critic, batch, advantage_sets)
+    return _sequential_sum(diffs * diffs) / len(diffs) if len(diffs) else 0.0
 
 
 def env_spec_from_config(cfg: RunConfig):
@@ -348,15 +377,9 @@ class TrainingRun:
         self.critic.apply_gradient(cgrad, self.ppo.lr_critic)
 
         # batch statistics over the effective (trained-on) spans
-        regrets: list[float] = []
-        entropy_sum = 0.0
-        for traj in batch.trajectories:
-            eff = traj.effective_length
-            steps = traj.steps
-            for i in range(eff):
-                rec = steps[i]
-                regrets.append(rec.regret_raw)
-                entropy_sum += cache.entropies[rec.state_id]
+        trained = advantage_sets.mask
+        regrets = batch.regrets[trained].tolist()
+        entropy_sum = _sequential_sum(cache.entropies[batch.states[trained]])
         mean_entropy = entropy_sum / len(regrets) if regrets else 0.0  # per trained-on step
 
         if mode.kind == COUNTERFACTUAL:
@@ -368,7 +391,7 @@ class TrainingRun:
         fp_rate = false_positive_rate(batch) if mode.kind == COUNTERFACTUAL else 0.0
         lengths = token_accounting(batch)
 
-        success = sum(1 for t in batch.trajectories if t.outcome_reward == 1.0)
+        success = int(np.count_nonzero(batch.outcomes == 1.0))
         success_rate = success / batch.size if batch.size else 0.0
         self.cumulative_tokens += batch.total_tokens
 
@@ -417,12 +440,11 @@ class TrainingRun:
             with open(path, "a", encoding="utf-8") as fh:
                 if fresh:
                     fh.write("step\ttrajectory\tstop_step\tvalue_estimate\tz\n")
-                for ti, traj in enumerate(batch.trajectories):
-                    idx = traj.stop_index
-                    if idx is not None:
-                        rec = traj.steps[idx]
-                        fh.write(f"{row.step}\t{ti}\t{idx}\t{rec.value_estimate!r}"
-                                 f"\t{rec.smoothed_score!r}\n")
+                stop_indices = batch.stop_indices
+                for ti in np.flatnonzero(stop_indices >= 0).tolist():
+                    idx = int(stop_indices[ti])
+                    value, z = batch.values[ti, idx].item(), batch.scores[ti, idx].item()
+                    fh.write(f"{row.step}\t{ti}\t{idx}\t{value!r}\t{z!r}\n")
         if cfg.dump_trajectories and cfg.out_dir:
             with open(self._out_path("trajectories.tsv"), "a", encoding="utf-8") as fh:
                 for ti, traj in enumerate(batch.trajectories):
@@ -440,9 +462,10 @@ class TrainingRun:
         path = self._out_path("eval.csv")
         if path is None:
             return
-        greedy = evaluate_policy(self.actor, self.env, cfg.t_max, cfg.eval_episodes,
+        policy = CachedPolicy(self.actor, self.critic)
+        greedy = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
                                  cfg.seed, step, greedy=True)
-        sampled = evaluate_policy(self.actor, self.env, cfg.t_max, cfg.eval_episodes,
+        sampled = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
                                   cfg.seed, step, greedy=False)
         fresh = not os.path.exists(path)
         with open(path, "a", encoding="utf-8") as fh:

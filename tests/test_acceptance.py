@@ -27,7 +27,7 @@ from espolab.harness import (
 from espolab.mdpcore import StopReason, log_softmax, trajectory_rng
 from espolab.metrics import MetricsRow, MetricsWriter, read_metrics, write_manifest
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import CollectionMode, collect_batch, collect_trajectory
+from espolab.rollout import CollectionMode, collect_batch
 from espolab.stopper import BetaController, StopperSnapshot, WarmupGate, update_beta, warmup_step
 from espolab.trainer import (
     PpoConfig,
@@ -39,7 +39,13 @@ from espolab.trainer import (
     ppo_surrogate_grad,
 )
 
-from conftest import plain_snapshot, ppo_surrogate_value, random_actor, random_critic
+from conftest import (
+    collect_trajectory,
+    plain_snapshot,
+    ppo_surrogate_value,
+    random_actor,
+    random_critic,
+)
 
 
 def criterion(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -1,0 +1,236 @@
+"""Differential tests: the array code against the scalar references in
+conftest, compared with == (bit for bit), over generated cases.
+
+collect_batch runs every trajectory of a batch in lockstep over arrays; the
+reference is the per-token loop (conftest.collect_trajectory) on each
+trajectory's own stream. compute_advantages, ppo_surrogate_grad, critic_loss
+and critic_grad work on B x T arrays; the references are the per-step loops.
+evaluate_policy advances episodes in lockstep; the reference steps one
+episode at a time.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from espolab.envs import (  # noqa: E402
+    RecoverableBranchSpec,
+    TrapChainSpec,
+    build_environment,
+)
+from espolab.mdpcore import EVAL_STREAM, derived_rng, trajectory_rng  # noqa: E402
+from espolab.policy import TabularActor, TabularCritic  # noqa: E402
+from espolab.rollout import CachedPolicy, CollectionMode, collect_batch, evaluate_policy  # noqa: E402
+from espolab.stopper import StopperSnapshot, StopRule  # noqa: E402
+from espolab.trainer import (  # noqa: E402
+    AdvantageRow,
+    PpoConfig,
+    compute_advantages,
+    critic_grad,
+    critic_loss,
+    ppo_surrogate_grad,
+)
+
+from conftest import (  # noqa: E402
+    collect_trajectory,
+    env_step,
+    pick_from_cumulative,
+    scalar_advantages,
+    scalar_critic,
+    scalar_surrogate_grad,
+)
+
+CASES = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+MODES = {
+    "standard": CollectionMode.standard(),
+    "counterfactual": CollectionMode.counterfactual_extend(),
+    "disabled": CollectionMode.stopping_disabled(),
+}
+
+
+@st.composite
+def environments(draw):
+    vocab = draw(st.integers(2, 6))
+    length = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        target = tuple(draw(st.lists(st.integers(0, vocab - 1), min_size=length,
+                                     max_size=length)))
+        padding = draw(st.one_of(st.none(), st.integers(0, 4)))
+        return build_environment(TrapChainSpec(vocab, length, target, padding))
+    return build_environment(RecoverableBranchSpec(vocab, length, draw(st.integers(0, 3))))
+
+
+@st.composite
+def collection_cases(draw):
+    env = draw(environments())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    actor = TabularActor(env.state_count, env.vocab_size)
+    actor.table = rng.normal(0.0, draw(st.sampled_from([0.0, 0.5, 2.0, 6.0])),
+                             size=actor.table.shape)
+    critic = TabularCritic(env.state_count)
+    critic.table = rng.normal(0.0, draw(st.sampled_from([0.0, 0.3, 1.0])),
+                              size=critic.table.shape)
+    rule = draw(st.sampled_from(list(StopRule)))
+    snapshot = StopperSnapshot(
+        frozen_mu=draw(st.floats(-2.0, 2.0)), frozen_var=draw(st.floats(0.01, 4.0)),
+        clip_bound=draw(st.floats(0.5, 5.0)), alpha_s=draw(st.floats(0.0, 0.99)),
+        beta=draw(st.floats(0.0, 3.0)), value_floor=draw(st.floats(0.01, 1.0)),
+        warmup_active=draw(st.booleans()), rule=rule,
+        rule_threshold=draw(st.floats(-1.0, 1.0)))
+    kind = draw(st.sampled_from(["standard", "counterfactual", "disabled", "random"]))
+    if kind == "random":
+        mode = CollectionMode.random_stop(draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
+    else:
+        mode = MODES[kind]
+    return dict(actor=actor, critic=critic, snapshot=snapshot, env=env,
+                batch_size=draw(st.integers(1, 16)), t_max=draw(st.integers(1, 40)),
+                mode=mode, r_fail=draw(st.sampled_from([-1.0, 0.0])),
+                master_seed=draw(st.integers(0, 10**6)), batch_index=draw(st.integers(0, 500)))
+
+
+def oracle_batch(case):
+    return tuple(
+        collect_trajectory(case["actor"], case["critic"], case["snapshot"], case["env"],
+                           case["t_max"], case["mode"], case["r_fail"],
+                           trajectory_rng(case["master_seed"], case["batch_index"], i))
+        for i in range(case["batch_size"]))
+
+
+class TestCollectBatchAgainstOracle:
+    @CASES
+    @given(collection_cases())
+    def test_every_field_equals_the_per_token_loop(self, case):
+        batch = collect_batch(**case)
+        oracle = oracle_batch(case)
+        assert batch.trajectories == oracle
+        assert batch.lengths.tolist() == [len(t.steps) for t in oracle]
+        assert batch.total_tokens == sum(len(t.steps) for t in oracle)
+        assert batch.effective_lengths.tolist() == [t.effective_length for t in oracle]
+        assert batch.stop_indices.tolist() == [
+            -1 if t.stop_index is None else t.stop_index for t in oracle]
+        # nothing is recorded at or past a row's length
+        past_end = np.arange(batch.states.shape[1]) >= batch.lengths[:, None]
+        for array in (batch.states, batch.actions, batch.log_probs, batch.values,
+                      batch.regrets, batch.normalized_regrets, batch.scores):
+            assert not array[past_end].any()
+        assert batch.states.shape[1] == max(len(t.steps) for t in oracle)
+
+
+@st.composite
+def training_cases(draw):
+    case = draw(collection_cases())
+    if case["mode"].kind == "random" or draw(st.booleans()):
+        case["mode"] = MODES[draw(st.sampled_from(["standard", "counterfactual"]))]
+    config = PpoConfig(
+        clip_ratio=draw(st.sampled_from([0.05, 0.2, 0.5])),
+        gamma=draw(st.sampled_from([1.0, 0.99, 0.9, 0.5])),
+        lam=draw(st.sampled_from([1.0, 0.95, 0.7])),
+        advantage_whitening=draw(st.booleans()))
+    epochs = draw(st.integers(1, 4))
+    lr = draw(st.sampled_from([0.05, 0.5, 3.0]))
+    return case, config, epochs, lr
+
+
+class TestTrainerAgainstScalarLoops:
+    @CASES
+    @given(training_cases())
+    def test_advantages_gradients_and_loss_equal_the_loops(self, drawn):
+        case, config, epochs, lr = drawn
+        batch = collect_batch(**case)
+        trajectories = batch.trajectories
+        early_stop_reward = case["r_fail"]
+        advs = compute_advantages(batch, config, early_stop_reward)
+        rows = scalar_advantages(trajectories, config.gamma, config.lam, early_stop_reward,
+                                 config.advantage_whitening)
+        assert list(advs) == [AdvantageRow(tuple(a), tuple(r), tuple(d)) for a, r, d in rows]
+        for array in (advs.advantages, advs.returns, advs.td_errors):
+            assert not array[~advs.mask].any()
+
+        actor, critic = case["actor"].copy(), case["critic"].copy()
+        for _ in range(epochs):  # later epochs see ratios away from 1
+            grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, config)
+            want_grad, want_clip = scalar_surrogate_grad(actor, trajectories, rows,
+                                                         config.clip_ratio)
+            assert np.array_equal(grad, want_grad)
+            assert clip_fraction == want_clip
+            actor.apply_gradient(grad, lr)
+        want_cgrad, want_loss = scalar_critic(critic, trajectories, rows)
+        assert np.array_equal(critic_grad(critic, batch, advs), want_cgrad)
+        assert critic_loss(critic, batch, advs) == want_loss
+
+    def test_clipped_and_zero_coefficient_steps(self, small_env):
+        # a zero critic with no rewards gives all-zero advantages (every
+        # coefficient 0); with rewards, large steps make later epochs clip
+        actor = TabularActor(small_env.state_count, small_env.vocab_size)
+        actor.table = np.random.default_rng(3).normal(0, 1, size=actor.table.shape)
+        critic = TabularCritic(small_env.state_count)
+        batch = collect_batch(actor, critic, StopperSnapshot(), small_env, 8, 1,
+                              CollectionMode.stopping_disabled(), -1.0, 4, 1)
+        advs = compute_advantages(batch, PpoConfig(), -1.0)
+        assert not advs.advantages.any()
+        grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, PpoConfig())
+        assert not grad.any() and clip_fraction == 0.0
+
+        batch = collect_batch(actor, critic, StopperSnapshot(warmup_active=False, beta=0.1),
+                              small_env, 16, 8, CollectionMode.standard(), -1.0, 4, 2)
+        trajectories = batch.trajectories
+        config = PpoConfig(clip_ratio=0.05)
+        advs = compute_advantages(batch, config, -1.0)
+        rows = scalar_advantages(trajectories, 1.0, 1.0, -1.0)
+        clip_fractions = []
+        for _ in range(3):
+            grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, config)
+            want = scalar_surrogate_grad(actor, trajectories, rows, 0.05)
+            assert np.array_equal(grad, want[0]) and clip_fraction == want[1]
+            clip_fractions.append(clip_fraction)
+            actor.apply_gradient(grad, 5.0)
+        assert clip_fractions[0] == 0.0 and clip_fractions[-1] > 0.0
+
+
+def scalar_evaluate(actor, env, t_max, episodes, seed, eval_tag, greedy):
+    """Success rate by stepping one episode at a time."""
+    policy = CachedPolicy(actor, TabularCritic(env.state_count))
+    argmax = actor.table.argmax(axis=1).tolist()
+    successes = 0
+    for episode in range(episodes):
+        rng = derived_rng(seed, EVAL_STREAM, eval_tag, episode)
+        state = env.initial_state
+        for _ in range(t_max):
+            if greedy:
+                action = argmax[state]
+            else:
+                action = pick_from_cumulative(policy.cum_probs[state].tolist(), rng)
+            state, terminal, reward = env_step(env, state, action)
+            if terminal:
+                successes += reward == 1.0
+                break
+    return successes / episodes
+
+
+class TestEvaluatePolicyAgainstScalarLoop:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(environments(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1.0, 4.0]),
+           st.integers(1, 30), st.integers(1, 150), st.booleans())
+    def test_success_rate_equals_episode_by_episode(self, env, seed, scale, t_max,
+                                                    episodes, greedy):
+        actor = TabularActor(env.state_count, env.vocab_size)
+        actor.table = np.random.default_rng(seed).normal(0.0, scale, size=actor.table.shape)
+        policy = CachedPolicy(actor, TabularCritic(env.state_count))
+        got = evaluate_policy(policy, env, t_max, episodes, seed % 1000, 7, greedy=greedy)
+        assert got == scalar_evaluate(actor, env, t_max, episodes, seed % 1000, 7, greedy)
+
+    def test_greedy_reads_the_logits_argmax(self):
+        # logits 0 and 1e-300 tie after the log-softmax; the greedy token is
+        # still the larger logit
+        env = build_environment(TrapChainSpec(2, 1, (1,), 0))
+        actor = TabularActor(env.state_count, 2)
+        actor.table[0] = [0.0, 1e-300]
+        policy = CachedPolicy(actor, TabularCritic(env.state_count))
+        assert policy.log_probs[0, 0] == policy.log_probs[0, 1]
+        assert evaluate_policy(policy, env, 4, 3, seed=0, greedy=True) == 1.0

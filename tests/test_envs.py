@@ -17,12 +17,14 @@ from espolab.envs import (
     generate_target_sequence,
 )
 
+from conftest import env_step
+
 
 def rollout_actions(env, actions, t_max=64):
     """Drive the env with a fixed action list; return (length, outcome)."""
-    state = env.reset()
+    state = env.initial_state
     for t, action in enumerate(actions[:t_max]):
-        state, terminal, reward = env.step(state, action)
+        state, terminal, reward = env_step(env, state, action)
         if terminal:
             return t + 1, reward
     return min(len(actions), t_max), 0.0
@@ -55,9 +57,9 @@ class TestTrapChain:
         p = 1.0 / 64.0
         wins = 0
         for _ in range(n):
-            state = self.env.reset()
+            state = self.env.initial_state
             for _t in range(8):
-                state, terminal, reward = self.env.step(state, int(rng.integers(4)))
+                state, terminal, reward = env_step(self.env, state, int(rng.integers(4)))
                 if terminal:
                     wins += reward == 1.0
                     break
@@ -65,7 +67,7 @@ class TestTrapChain:
         assert abs(wins / n - p) <= 3 * sigma
 
     def test_rewards_sparse_and_binary(self):
-        for row_r, row_t in zip(self.env._rew, self.env._term):
+        for row_r, row_t in zip(self.env.reward.tolist(), self.env.terminal.tolist()):
             for r, t in zip(row_r, row_t):
                 assert r in (0.0, 1.0)
                 if r != 0.0:
@@ -79,9 +81,9 @@ class TestTrapChain:
         while frontier:
             s = frontier.pop()
             for a in range(self.env.vocab_size):
-                if self.env._terminal_state[s]:
+                if self.env.next_state[s, 0] < 0:  # terminal state
                     continue
-                nxt, _term, reward = self.env.step(s, a)
+                nxt, _term, reward = env_step(self.env, s, a)
                 assert reward == 0.0
                 if nxt not in seen:
                     seen.add(nxt)
@@ -148,11 +150,11 @@ class TestRecoverableBranch:
             while frontier and not found:
                 s = frontier.pop()
                 for a in range(self.env.vocab_size):
-                    nxt, term, reward = self.env.step(s, a)
+                    nxt, term, reward = env_step(self.env, s, a)
                     if reward == 1.0:
                         found = True
                         break
-                    if not term and nxt not in seen and not self.env._terminal_state[nxt]:
+                    if not term and nxt not in seen and self.env.next_state[nxt, 0] >= 0:
                         seen.add(nxt)
                         frontier.append(nxt)
             assert found, f"no path to success from {self.env.labels[start]}"
@@ -178,4 +180,4 @@ class TestTargetGeneration:
         env = build_trap_chain(TrapChainSpec(4, 3, (0, 1, 2), 2))
         success = next(i for i, lbl in enumerate(env.labels) if lbl == "terminal:success")
         with pytest.raises(ValueError):
-            env.step(success, 0)
+            env_step(env, success, 0)

@@ -28,11 +28,11 @@ from espolab.metrics import (
     read_metrics,
     write_manifest,
 )
-from espolab.rollout import CollectionMode, RolloutBatch
+from espolab.rollout import CollectionMode
 from espolab.trainer import TrainingRun
 from espolab.variants import variant_dispatch
 
-from conftest import plain_snapshot
+from conftest import batch_from_trajectories, plain_snapshot
 from test_rollout import make_traj
 
 
@@ -114,8 +114,8 @@ class TestFalsePositiveRate:
             trajs.append(make_traj(8, outcome=0.0, hypothetical_stop_index=2))
         for _ in range(plain):
             trajs.append(make_traj(6))
-        return RolloutBatch(tuple(trajs), plain_snapshot(),
-                            CollectionMode.counterfactual_extend())
+        return batch_from_trajectories(trajs, plain_snapshot(),
+                                       CollectionMode.counterfactual_extend())
 
     def test_counting_example(self):
         assert false_positive_rate(self.build_batch()) == 0.125
@@ -125,7 +125,8 @@ class TestFalsePositiveRate:
         assert false_positive_rate(batch) == 0.0
 
     def test_mode_mismatch_errors(self):
-        batch = RolloutBatch((make_traj(3),), plain_snapshot(), CollectionMode.standard())
+        batch = batch_from_trajectories([make_traj(3)], plain_snapshot(),
+                                        CollectionMode.standard())
         with pytest.raises(ValueError, match="counterfactual"):
             false_positive_rate(batch)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -10,14 +11,13 @@ import pytest
 from espolab.mdpcore import (
     StopReason,
     log_softmax,
-    pick_from_cumulative,
     trajectory_rng,
 )
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import CachedPolicy
 from espolab.trainer import PpoConfig, compute_advantages
 
-from conftest import collect_small_batch, random_actor, random_critic
+from conftest import collect_small_batch, pick_from_cumulative, random_actor, random_critic
 
 
 def oracle_log_softmax(logits):
@@ -30,10 +30,18 @@ def oracle_entropy(probs):
     return -math.fsum(p * math.log(p) for p in probs if p > 0.0)
 
 
-def sample_token(log_probs, rng):
-    """Draw a token from a log-probability vector through the sampler that
-    collection uses."""
-    return pick_from_cumulative(np.cumsum(np.exp(log_probs)).tolist(), rng)
+def sample_tokens(log_probs, rng, n=1):
+    """Draw n tokens from a log-probability vector through the sampler that
+    collection uses, CachedPolicy.sample, and check them against the scalar
+    bisect reference over the same table on a copy of the stream."""
+    actor = TabularActor(1, len(log_probs))
+    actor.table[0] = np.where(np.isfinite(log_probs), log_probs, -1e4)
+    policy = CachedPolicy(actor, TabularCritic(1))
+    cum = policy.cum_probs[0].tolist()
+    reference_rng = copy.deepcopy(rng)
+    tokens = policy.sample(np.zeros(n, dtype=np.int64), rng.random(n))
+    assert tokens.tolist() == [pick_from_cumulative(cum, reference_rng) for _ in range(n)]
+    return tokens
 
 
 def entropy(logits):
@@ -114,19 +122,32 @@ class TestSampleToken:
     def test_one_hot_always_returns_hot_index(self):
         lp = np.array([-np.inf, -np.inf, 0.0, -np.inf])
         rng = np.random.default_rng(0)
-        assert all(sample_token(lp, rng) == 2 for _ in range(50))
+        assert (sample_tokens(lp, rng, 50) == 2).all()
 
     def test_uniform_frequency(self):
         lp = log_softmax([0.0, 0.0])
         rng = np.random.default_rng(123)
-        draws = sum(sample_token(lp, rng) == 0 for _ in range(100_000))
+        draws = np.count_nonzero(sample_tokens(lp, rng, 100_000) == 0)
         assert 0.49 <= draws / 100_000 <= 0.51
 
     def test_determinism_under_fixed_seed(self):
         lp = log_softmax([0.3, -0.2, 1.1])
-        first = sample_token(lp, np.random.default_rng(42))
+        first = sample_tokens(lp, np.random.default_rng(42))
         for _ in range(5):
-            assert sample_token(lp, np.random.default_rng(42)) == first
+            assert sample_tokens(lp, np.random.default_rng(42)) == first
+
+    def test_uniform_on_a_boundary_picks_the_next_token(self):
+        # u * total equal to a cumulative entry counts that entry, as
+        # bisect_right does: cum = [0.5, 1.0] and u = 0.5 give token 1
+        class Half:
+            def random(self):
+                return 0.5
+
+        actor = TabularActor(1, 2)
+        policy = CachedPolicy(actor, TabularCritic(1))
+        assert policy.cum_probs[0].tolist() == [0.5, 1.0]
+        assert policy.sample(np.zeros(1, dtype=np.int64), np.array([0.5]))[0] == 1
+        assert pick_from_cumulative(policy.cum_probs[0].tolist(), Half()) == 1
 
     def test_trajectory_streams_are_keyed_not_sequential(self):
         a = trajectory_rng(0, 3, 5).random(4)

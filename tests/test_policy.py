@@ -9,10 +9,10 @@ import pytest
 
 from espolab.mdpcore import StepRecord, StopReason, Trajectory, log_softmax
 from espolab.policy import TabularActor, TabularCritic, load_params, save_params
-from espolab.rollout import CachedPolicy, CollectionMode, RolloutBatch
-from espolab.trainer import AdvantageSet, PpoConfig, ppo_surrogate_grad
+from espolab.rollout import CachedPolicy
+from espolab.trainer import PpoConfig, ppo_surrogate_grad
 
-from conftest import plain_snapshot
+from conftest import advantage_set, batch_from_trajectories
 
 
 def log_prob_grad(actor, state, action):
@@ -22,9 +22,9 @@ def log_prob_grad(actor, state, action):
     lp = float(log_softmax(actor.table, axis=-1)[state, action])
     traj = Trajectory((StepRecord(state, action, lp, 0.0, 0.0, 0.0, 0.0),),
                       StopReason.NATURAL_END, 0.0)
-    batch = RolloutBatch((traj,), plain_snapshot(), CollectionMode())
     grad, _clip_fraction = ppo_surrogate_grad(
-        actor, batch, [AdvantageSet((1.0,), (0.0,), (0.0,))], PpoConfig())
+        actor, batch_from_trajectories([traj]), advantage_set([((1.0,), (0.0,), (0.0,))]),
+        PpoConfig())
     return grad[state]
 
 
@@ -61,7 +61,7 @@ class TestActorTable:
         actor, critic = TabularActor(2, 3), TabularCritic(2)
         row = np.array([0.5, -1.25, 3.75])
         actor.table[0] = row
-        assert CachedPolicy(actor, critic).log_probs[0] == log_softmax(row).tolist()
+        assert CachedPolicy(actor, critic).log_probs[0].tolist() == log_softmax(row).tolist()
 
     def test_unknown_state_raises(self, tmp_path):
         # a snapshot entry for a state outside the header's shape is rejected

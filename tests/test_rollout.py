@@ -14,23 +14,29 @@ from espolab.mdpcore import (
     StopReason,
     Trajectory,
     log_softmax,
-    pick_from_cumulative,
     trajectory_rng,
 )
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
     CachedPolicy,
     CollectionMode,
-    RolloutBatch,
     collect_batch,
-    collect_trajectory,
     dump_trajectory,
     evaluate_policy,
     token_accounting,
 )
 from espolab.trainer import PpoConfig, compute_advantages
 
-from conftest import collect_small_batch, plain_snapshot, random_actor, random_critic
+from conftest import (
+    batch_from_trajectories,
+    collect_small_batch,
+    collect_trajectory,
+    env_step,
+    pick_from_cumulative,
+    plain_snapshot,
+    random_actor,
+    random_critic,
+)
 
 
 def make_env(padding=None, vocab=4, length=3):
@@ -43,6 +49,16 @@ def make_traj(length, reason=StopReason.NATURAL_END, outcome=0.0,
     return Trajectory(steps, reason, outcome, hypothetical_stop_index)
 
 
+def collect_one(actor, critic, snapshot, env, t_max, mode, r_fail=-1.0, seed=0):
+    """Trajectory 0 of a one-trajectory collect_batch, checked against the
+    scalar oracle on the same stream."""
+    (traj,) = collect_batch(actor, critic, snapshot, env, 1, t_max, mode, r_fail,
+                            seed, 1).trajectories
+    assert traj == collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail,
+                                      trajectory_rng(seed, 1, 0))
+    return traj
+
+
 class TestCollectTrajectory:
     def test_disabled_mode_matches_plain_decoding(self):
         # oracle: hand-rolled sampling loop with the same stream
@@ -50,17 +66,16 @@ class TestCollectTrajectory:
         rng = np.random.default_rng(3)
         actor = random_actor(env, rng)
         critic = random_critic(env, rng)
-        traj = collect_trajectory(actor, critic, plain_snapshot(), env, 8,
-                                  CollectionMode.stopping_disabled(), -1.0,
-                                  trajectory_rng(7, 1, 0))
+        traj = collect_one(actor, critic, plain_snapshot(), env, 8,
+                           CollectionMode.stopping_disabled(), seed=7)
         oracle_rng = trajectory_rng(7, 1, 0)
-        state = env.reset()
+        state = env.initial_state
         for rec in traj.steps:
             probs = np.exp(log_softmax(actor.table[state]))
             action = pick_from_cumulative(np.cumsum(probs).tolist(), oracle_rng)
             assert rec.state_id == state
             assert rec.action == action
-            state, terminal, _reward = env.step(state, action)
+            state, terminal, _reward = env_step(env, state, action)
             if terminal:
                 break
 
@@ -73,9 +88,7 @@ class TestCollectTrajectory:
         critic = TabularCritic(env.state_count)
         snapshot = plain_snapshot(frozen_mu=-1.0, frozen_var=1.0 - 1e-8,
                                   alpha_s=0.9, beta=1.0, value_floor=0.2)
-        traj = collect_trajectory(actor, critic, snapshot, env, 64,
-                                  CollectionMode.standard(), -1.0,
-                                  trajectory_rng(0, 1, 0))
+        traj = collect_one(actor, critic, snapshot, env, 64, CollectionMode.standard())
         assert traj.stop_reason is StopReason.EARLY_STOP
         assert len(traj.steps) == 3
         assert traj.stop_index == 2
@@ -89,9 +102,7 @@ class TestCollectTrajectory:
         actor.table[0] = [30.0, 0.0, 0.0, 0.0]  # always emits the target
         critic = TabularCritic(env.state_count)
         snapshot = plain_snapshot(frozen_mu=-100.0, beta=0.0, value_floor=0.2)
-        traj = collect_trajectory(actor, critic, snapshot, env, 8,
-                                  CollectionMode.standard(), -1.0,
-                                  trajectory_rng(0, 1, 0))
+        traj = collect_one(actor, critic, snapshot, env, 8, CollectionMode.standard())
         assert traj.stop_reason is StopReason.NATURAL_END
         assert traj.outcome_reward == 1.0
 
@@ -100,9 +111,8 @@ class TestCollectTrajectory:
         actor = TabularActor(env.state_count, env.vocab_size)
         actor.table[0] = [0.0, 30.0, 0.0, 0.0]  # dooms immediately
         critic = TabularCritic(env.state_count)
-        traj = collect_trajectory(actor, critic, plain_snapshot(warmup_active=True),
-                                  env, 16, CollectionMode.standard(), -1.0,
-                                  trajectory_rng(0, 1, 0))
+        traj = collect_one(actor, critic, plain_snapshot(warmup_active=True), env, 16,
+                           CollectionMode.standard())
         assert traj.stop_reason is StopReason.HORIZON_CAP
         assert len(traj.steps) == 16
         assert traj.outcome_reward == 0.0
@@ -175,12 +185,15 @@ class TestCachedPolicy:
             pol = CachedPolicy(actor, critic)
             for s in range(states):
                 lp = log_softmax(actor.table[s])
-                assert pol.log_probs[s] == pytest.approx(lp.tolist(), abs=1e-12)
+                assert pol.log_probs[s].tolist() == pytest.approx(lp.tolist(), abs=1e-12)
                 assert pol.max_log_prob[s] == pytest.approx(lp.max(), abs=1e-12)
+                assert pol.regrets[s].tolist() == pytest.approx((lp.max() - lp).tolist(),
+                                                                abs=1e-12)
                 entropy = -math.fsum(p * math.log(p) for p in np.exp(lp) if p > 0.0)
                 assert pol.entropies[s] == pytest.approx(entropy, abs=1e-12)
-                assert pol.cum_probs[s] == pytest.approx(np.cumsum(np.exp(lp)).tolist(),
-                                                         abs=1e-12)
+                assert pol.cum_probs[s].tolist() == pytest.approx(
+                    np.cumsum(np.exp(lp)).tolist(), abs=1e-12)
+                assert pol.greedy_actions[s] == actor.table[s].argmax()
                 assert pol.values[s] == critic.table[s]
 
 
@@ -284,7 +297,8 @@ class TestBatchDeterminism:
 class TestTokenAccounting:
     def test_arithmetic(self):
         trajs = tuple(make_traj(n) for n in (3, 5, 7, 9))
-        batch = RolloutBatch(trajs, plain_snapshot(), CollectionMode.stopping_disabled())
+        batch = batch_from_trajectories(trajs, plain_snapshot(),
+                                        CollectionMode.stopping_disabled())
         acct = token_accounting(batch)
         assert batch.total_tokens == 24
         assert acct.avg_length == 6.0
@@ -293,8 +307,8 @@ class TestTokenAccounting:
     def test_counterfactual_actual_vs_original(self):
         fired = make_traj(10, outcome=1.0, hypothetical_stop_index=3)
         plain = make_traj(6)
-        batch = RolloutBatch((fired, plain), plain_snapshot(),
-                             CollectionMode.counterfactual_extend())
+        batch = batch_from_trajectories((fired, plain), plain_snapshot(),
+                                        CollectionMode.counterfactual_extend())
         acct = token_accounting(batch)
         assert acct.avg_length == 8.0
         assert acct.avg_length_actual == (4 + 6) / 2
@@ -309,14 +323,15 @@ class TestEvaluatePolicy:
             row = [0.0] * 4
             row[tok] = 10.0
             actor.table[p] = row
-        assert evaluate_policy(actor, env, 8, 4, seed=0, greedy=True) == 1.0
+        policy = CachedPolicy(actor, TabularCritic(env.state_count))
+        assert evaluate_policy(policy, env, 8, 4, seed=0, greedy=True) == 1.0
 
     def test_sampled_eval_deterministic_per_seed(self):
         env = make_env()
         rng = np.random.default_rng(14)
-        actor = random_actor(env, rng)
-        a = evaluate_policy(actor, env, 8, 200, seed=3, greedy=False)
-        b = evaluate_policy(actor, env, 8, 200, seed=3, greedy=False)
+        policy = CachedPolicy(random_actor(env, rng), TabularCritic(env.state_count))
+        a = evaluate_policy(policy, env, 8, 200, seed=3, greedy=False)
+        b = evaluate_policy(policy, env, 8, 200, seed=3, greedy=False)
         assert a == b
 
 

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from espolab.envs import TrapChainSpec, build_trap_chain
-from espolab.mdpcore import trajectory_rng
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import CollectionMode, collect_batch, collect_trajectory
+from espolab.rollout import CollectionMode, collect_batch
 from espolab.stopper import (
     BetaController,
     EmaStats,
@@ -41,7 +40,7 @@ def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
 
 
 def smoothed_scores(frozen_mu, t_max=12):
-    """z_1..z_t_max recorded by collect_trajectory for a uniform actor with
+    """z_1..z_t_max recorded by collect_batch for a uniform actor with
     alpha_s = 0.9: every step regret is 0, so every normalized regret is
     -frozen_mu (clipped)."""
     env = build_trap_chain(TrapChainSpec(4, 12, tuple(range(4)) * 3, None))
@@ -49,9 +48,8 @@ def smoothed_scores(frozen_mu, t_max=12):
     critic = TabularCritic(env.state_count)
     snapshot = plain_snapshot(frozen_mu=frozen_mu, frozen_var=1.0 - 1e-8,
                               alpha_s=0.9, warmup_active=True)
-    traj = collect_trajectory(actor, critic, snapshot, env, t_max,
-                              CollectionMode.stopping_disabled(), -1.0,
-                              trajectory_rng(0, 1, 0))
+    (traj,) = collect_batch(actor, critic, snapshot, env, 1, t_max,
+                            CollectionMode.stopping_disabled(), -1.0, 0, 1).trajectories
     assert len(traj.steps) == t_max
     return [rec.smoothed_score for rec in traj.steps]
 
@@ -127,22 +125,28 @@ class TestAccumulate:
         assert smoothed_scores(5.0, t_max=2) == pytest.approx([-0.5, -0.95], abs=1e-12)
 
 
+def decide(snap, z, value):
+    """The stop decision for one step in a state with critic value `value`,
+    read from the snapshot's per-state threshold table."""
+    return bool(z > snap.stop_thresholds(np.array([value]))[0])
+
+
 class TestShouldStop:
     def test_low_value_state_stops(self):
         snap = StopperSnapshot(beta=7.0, value_floor=0.2, warmup_active=False)
-        assert snap.decide(1.5, 0.1) is True
+        assert decide(snap, 1.5, 0.1) is True
 
     def test_warmup_gates_everything(self):
         snap = StopperSnapshot(beta=7.0, value_floor=0.2, warmup_active=True)
-        assert snap.decide(1.5, 0.1) is False
+        assert decide(snap, 1.5, 0.1) is False
 
     def test_high_value_grants_tolerance(self):
         snap = StopperSnapshot(beta=7.0, value_floor=0.2, warmup_active=False)
-        assert snap.decide(1.5, 0.5) is False
+        assert decide(snap, 1.5, 0.5) is False
 
     def test_tie_continues(self):
         snap = StopperSnapshot(beta=7.0, value_floor=0.2, warmup_active=False)
-        assert snap.decide(1.4, 0.1) is False
+        assert decide(snap, 1.4, 0.1) is False
 
     def test_monotone_in_beta_and_value(self):
         rng = np.random.default_rng(4)
@@ -152,10 +156,10 @@ class TestShouldStop:
             floor = float(rng.uniform(0.01, 1.0))
             beta = float(rng.uniform(0, 10))
             snap = StopperSnapshot(beta=beta, value_floor=floor)
-            fired = snap.decide(z, v)
-            higher_beta = StopperSnapshot(beta=beta + rng.uniform(0, 5),
-                                          value_floor=floor).decide(z, v)
-            higher_value = snap.decide(z, v + rng.uniform(0, 3))
+            fired = decide(snap, z, v)
+            higher_beta = decide(StopperSnapshot(beta=beta + rng.uniform(0, 5),
+                                                 value_floor=floor), z, v)
+            higher_value = decide(snap, z, v + rng.uniform(0, 3))
             if not fired:
                 assert not higher_beta
                 assert not higher_value

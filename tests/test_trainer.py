@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from espolab.config import ConfigError, RunConfig
 from espolab.envs import TrapChainSpec, build_trap_chain
 from espolab.mdpcore import StepRecord, StopReason, Trajectory
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import CollectionMode, RolloutBatch, collect_batch
+from espolab.rollout import CachedPolicy, CollectionMode, collect_batch
 from espolab.trainer import (
-    AdvantageSet,
     PpoConfig,
     TrainingRun,
     compute_advantages,
@@ -24,7 +24,16 @@ from espolab.trainer import (
     ppo_surrogate_grad,
 )
 
-from conftest import plain_snapshot, ppo_surrogate_value, random_actor, random_critic
+from conftest import (
+    advantage_set,
+    batch_from_trajectories,
+    plain_snapshot,
+    ppo_surrogate_value,
+    random_actor,
+    random_critic,
+    scalar_advantages,
+    scalar_surrogate_grad,
+)
 
 
 def traj_from(values, outcome, reason=StopReason.NATURAL_END, log_prob=-1.0):
@@ -35,7 +44,7 @@ def traj_from(values, outcome, reason=StopReason.NATURAL_END, log_prob=-1.0):
 
 
 def one_batch(traj):
-    return RolloutBatch((traj,), plain_snapshot(), CollectionMode.standard())
+    return batch_from_trajectories([traj])
 
 
 def td_errors(traj, gamma):
@@ -128,7 +137,7 @@ class TestSurrogate:
         lp_now = float(np.log(0.25))
         old_lp = lp_now - math.log(1.3)
         batch = one_batch(traj_from([0.0], 1.0, log_prob=old_lp))
-        advs = [AdvantageSet((1.0,), (1.0,), (1.0,))]
+        advs = advantage_set([((1.0,), (1.0,), (1.0,))])
         cfg = PpoConfig(clip_ratio=0.2)
         value = ppo_surrogate_value(actor, batch, advs, cfg)
         assert value == pytest.approx(1.2, abs=1e-12)
@@ -167,7 +176,7 @@ class TestCriticRegression:
         # overwrite the critic so V(s) equals every return seen at s
         # (construct a batch-free case instead: single state, single step)
         single = one_batch(traj_from([0.0], 1.0))
-        advset = [AdvantageSet((0.0,), (1.0,), (0.0,))]
+        advset = advantage_set([((0.0,), (1.0,), (0.0,))])
         critic2 = TabularCritic(1)
         critic2.table[0] = 1.0
         assert not critic_grad(critic2, single, advset).any()
@@ -175,7 +184,7 @@ class TestCriticRegression:
 
     def test_single_state_gradient_value(self):
         batch = one_batch(traj_from([0.0], 1.0))
-        advset = [AdvantageSet((0.0,), (1.0,), (0.0,))]
+        advset = advantage_set([((0.0,), (1.0,), (0.0,))])
         critic = TabularCritic(1)
         grad = critic_grad(critic, batch, advset)
         assert grad.shape == (1,)
@@ -259,6 +268,33 @@ class TestTrainingLoop:
         early = sum(r.success_rate for r in rows[:10]) / 10
         late = sum(r.success_rate for r in rows[-10:]) / 10
         assert late > early + 0.2
+
+    @pytest.mark.parametrize("counterfactual", [False, True])
+    def test_row_statistics_equal_the_step_loops(self, counterfactual):
+        # the row's per-trajectory and per-step statistics, recomputed with
+        # plain loops over the trajectory records of the step's batch
+        run = TrainingRun(base_config(counterfactual=counterfactual, actor_init_scale=1.0,
+                                      total_steps=12))
+        for _ in range(12):
+            policy = CachedPolicy(run.actor, run.critic)
+            row = run.step()
+            trajs = run.last_batch.trajectories
+            spans = [t.steps[:t.effective_length] for t in trajs]
+            entropy_sum = 0.0
+            for span in spans:
+                for rec in span:
+                    entropy_sum += float(policy.entropies[rec.state_id])
+            steps = sum(len(span) for span in spans)
+            assert row.mean_entropy == entropy_sum / steps
+            fired = [t for t in trajs if t.stop_index is not None]
+            assert row.stop_rate == len(fired) / len(trajs)
+            assert row.success_rate == sum(t.outcome_reward == 1.0 for t in trajs) / len(trajs)
+            assert row.avg_trajectory_length_actual == steps / len(trajs)
+            assert row.avg_trajectory_length_original == \
+                sum(len(t.steps) for t in trajs) / len(trajs)
+            assert row.false_positive_rate == (
+                sum(t.outcome_reward == 1.0 for t in fired) / len(trajs)
+                if counterfactual else 0.0)
 
     def test_cumulative_tokens_monotone(self):
         rows = list(TrainingRun(base_config()).run())
@@ -353,3 +389,29 @@ class TestCheckpointResume:
         resumed = TrainingRun.resume(cfg, ckpt)
         assert resumed.stopper.state_dict() == run.stopper.state_dict()
         assert resumed.step() == run.step()
+
+
+class TestSurrogateMemory:
+    def test_gradient_temporaries_stay_below_one_mib(self):
+        # K = 64 and 4,096 trained-on steps: one (steps x (K + 1)) scatter
+        # would allocate ~4 MiB of indices and as much of weights; the chunked
+        # scatter keeps the peak of new allocations under 1 MiB
+        env = build_trap_chain(TrapChainSpec(64, 12, tuple(range(12)), None))
+        rng = np.random.default_rng(0)
+        actor, critic = random_actor(env, rng), random_critic(env, rng)
+        batch = collect_batch(actor, critic, plain_snapshot(), env, 64, 64,
+                              CollectionMode.stopping_disabled(), -1.0, 0, 1)
+        advs = compute_advantages(batch, PpoConfig(), -1.0)
+        assert int(advs.lengths.sum()) == 4096
+        actor.table = actor.table + rng.normal(0, 0.1, size=actor.table.shape)  # ratios != 1
+        tracemalloc.start()
+        try:
+            grad, _clip_fraction = ppo_surrogate_grad(actor, batch, advs, PpoConfig())
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
+        # the chunks carry their running sums: the result is the step loop's
+        rows = scalar_advantages(batch.trajectories, 1.0, 1.0, -1.0)
+        want, _ = scalar_surrogate_grad(actor, batch.trajectories, rows, 0.2)
+        assert grad.any() and np.array_equal(grad, want)
