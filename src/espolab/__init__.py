@@ -10,9 +10,4 @@ from .mdpcore import (  # noqa: F401
     Trajectory,
     log_softmax,
 )
-from .stopper import (  # noqa: F401
-    BetaController,
-    EmaStats,
-    StopperSnapshot,
-    WarmupGate,
-)
+from .stopper import StopperSnapshot, StopperState  # noqa: F401

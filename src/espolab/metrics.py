@@ -115,8 +115,7 @@ def read_metrics(path) -> list[MetricsRow]:
 
 
 def write_manifest(out_dir, cfg: RunConfig, status: str,
-                   wall_time_s: float | None = None,
-                   extra: dict | None = None) -> str:
+                   wall_time_s: float | None = None) -> str:
     from . import __version__
 
     manifest = {
@@ -128,8 +127,6 @@ def write_manifest(out_dir, cfg: RunConfig, status: str,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "wall_time_s": wall_time_s,
     }
-    if extra:
-        manifest.update(extra)
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -6,6 +6,8 @@ Exact gradients make the PPO update verifiable against finite differences.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .mdpcore import INIT_STREAM, derived_rng
@@ -93,32 +95,37 @@ def save_params(actor: TabularActor, critic: TabularCritic, path) -> None:
 
 def load_params(path) -> tuple[TabularActor, TabularCritic]:
     """Read a save_params snapshot. Every actor and critic entry of the shape
-    in the header must appear exactly once; a torn or padded file is rejected
-    rather than loaded with zeros or overwritten entries."""
+    in the header must appear exactly once, with integer indices and a finite
+    value; a torn, padded or corrupt file is rejected, naming the file, rather
+    than loaded with zeros, overwritten or non-finite entries."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 3 or header[0] != "shape":
-            raise ValueError(f"{path}: malformed parameter snapshot header")
-        state_count, vocab_size = int(header[1]), int(header[2])
-        actor = TabularActor(state_count, vocab_size)
+        try:
+            state_count, vocab_size = map(int, header[1:]) if header[:1] == ["shape"] else ()
+            actor = TabularActor(state_count, vocab_size)
+        except ValueError:
+            raise ValueError(f"{path}: malformed parameter snapshot header") from None
         critic = TabularCritic(state_count)
         seen = set()
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "actor" and len(parts) == 4:
-                table, index = actor.table, (int(parts[1]), int(parts[2]))
-            elif parts[0] == "critic" and len(parts) == 3:
-                table, index = critic.table, (int(parts[1]),)
-            else:
+            table = {"actor": actor.table, "critic": critic.table}.get(parts[0])
+            try:
+                index, value = tuple(map(int, parts[1:-1])), float(parts[-1])
+            except ValueError:
+                index = None
+            if table is None or index is None or len(index) != table.ndim:
                 raise ValueError(f"{path}: malformed record {line.strip()!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: non-finite {parts[0]} entry {index}: {parts[-1]}")
             if not all(0 <= i < n for i, n in zip(index, table.shape)):
                 raise ValueError(f"{path}: {parts[0]} entry {index} outside shape {table.shape}")
             if (parts[0], index) in seen:
                 raise ValueError(f"{path}: duplicate {parts[0]} entry {index}")
             seen.add((parts[0], index))
-            table[index] = float(parts[-1])
+            table[index] = value
     expected = actor.table.size + critic.table.size
     if len(seen) != expected:
         raise ValueError(f"{path}: holds {len(seen)} of {expected} parameter entries")

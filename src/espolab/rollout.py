@@ -36,12 +36,10 @@ __all__ = [
     "CollectionMode",
     "RolloutBatch",
     "STOP_REASONS",
-    "TokenAccounting",
     "collect_batch",
     "dump_trajectory",
     "evaluate_policy",
     "false_positive_rate",
-    "token_accounting",
 ]
 
 STANDARD = "standard"
@@ -66,22 +64,6 @@ class CollectionMode:
             raise ValueError(f"unknown collection mode {self.kind!r}")
         if not 0.0 <= self.random_stop_rate <= 1.0:
             raise ValueError("random_stop_rate must lie in [0, 1]")
-
-    @classmethod
-    def standard(cls) -> "CollectionMode":
-        return cls(STANDARD)
-
-    @classmethod
-    def counterfactual_extend(cls) -> "CollectionMode":
-        return cls(COUNTERFACTUAL)
-
-    @classmethod
-    def stopping_disabled(cls) -> "CollectionMode":
-        return cls(DISABLED)
-
-    @classmethod
-    def random_stop(cls, rate: float) -> "CollectionMode":
-        return cls(RANDOM, rate)
 
 
 class CachedPolicy:
@@ -315,20 +297,6 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
         regrets=gathered(pol.regrets, pairs), normalized_regrets=gathered(norm_regrets, pairs),
         scores=scores, lengths=lengths, stop_codes=stop_codes, outcomes=outcomes,
         hypothetical_stops=hypothetical, snapshot=snapshot, mode=mode)
-
-
-@dataclass(frozen=True, slots=True)
-class TokenAccounting:
-    """Average generated length, and the average trained-on (effective)
-    length, which is shorter only in counterfactual mode."""
-
-    avg_length: float
-    avg_length_actual: float
-
-
-def token_accounting(batch: RolloutBatch) -> TokenAccounting:
-    n = max(1, batch.size)
-    return TokenAccounting(batch.total_tokens / n, int(batch.effective_lengths.sum()) / n)
 
 
 EVAL_CHUNK = 64  # sampled episodes advanced in lockstep at a time

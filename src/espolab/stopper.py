@@ -4,140 +4,40 @@ Per-step surrogate regret, frozen-batch EMA normalization, exponential
 smoothing, the value-gated stop decision, the proportional stop-rate
 controller, and the adaptive critic-warmup gate.
 
-Batch statistics are functional value types: updates return new instances,
-and rollout workers only ever see a frozen StopperSnapshot, so no collection
-can observe statistics influenced by its own batch.
+StopperState changes only between batches, and rollout workers only ever see
+the frozen StopperSnapshot taken before their batch, so no collection can
+observe statistics influenced by its own batch.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import RunConfig
+
+if TYPE_CHECKING:  # variants imports StopRule from this module
+    from .variants import VariantPlan
+
 __all__ = [
-    "BetaController",
-    "EmaStats",
     "StopRule",
     "StopperSnapshot",
     "StopperState",
-    "WarmupGate",
-    "anneal_beta",
-    "update_beta",
-    "update_ema",
-    "warmup_step",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, slots=True)
-class EmaStats:
-    """Running EMA of per-batch regret mean/variance. Generation sees them
-    only through the StopperSnapshot taken at the start of each batch."""
-
-    mu_g: float = 0.0
-    var_g: float = 1.0
-    stabilizer: float = 1e-8
-    clip_bound: float = 5.0
-    alpha_ema: float = 0.99
-
-
-@dataclass(frozen=True, slots=True)
-class BetaController:
-    """Proportional setpoint controller for the stop-threshold multiplier."""
-
-    beta: float = 7.0
-    eta_beta: float = 0.1
-    target_rate: float = 0.25
-    beta_min: float = 0.0
-    beta_max: float = 10.0
-
-
-@dataclass(frozen=True, slots=True)
-class WarmupGate:
-    """Stopping stays disabled until the critic's loss stabilizes.
-
-    The gate releases when, for required_consecutive steps in a row, either
-    |loss| < abs_threshold or |loss - previous loss| < delta_threshold; it
-    releases unconditionally once ceil(step_cap_fraction * total_steps)
-    training steps have elapsed. Once released it never re-arms.
-    """
-
-    active: bool = True
-    consecutive_hits: int = 0
-    abs_threshold: float = 0.5
-    delta_threshold: float = 0.1
-    required_consecutive: int = 3
-    step_cap_fraction: float = 0.10
-    last_loss: float | None = None
 
 
 class StopRule(Enum):
     ESPO = "espo"              # z > beta * max(V, value_floor)
     VALUE_ONLY = "value_only"  # V < fixed threshold
     REGRET_ONLY = "regret_only"  # z > fixed threshold
-
-
-def update_ema(stats: EmaStats, batch_regrets) -> EmaStats:
-    """Blend running statistics with one batch's mean/variance; the next
-    snapshot freezes the result for the next batch.
-
-    Variance is the population formula (divide by N). Sums use math.fsum so
-    the result is invariant under permutation of the batch. Called exactly
-    once per rollout batch; an empty batch leaves stats unchanged.
-    """
-    values = list(batch_regrets)
-    if not values:
-        logger.warning("update_ema called with an empty batch; statistics unchanged")
-        return stats
-    n = len(values)
-    mean = math.fsum(values) / n
-    var = math.fsum((v - mean) ** 2 for v in values) / n
-    a = stats.alpha_ema
-    mu = a * stats.mu_g + (1.0 - a) * mean
-    sigma2 = a * stats.var_g + (1.0 - a) * var
-    return replace(stats, mu_g=mu, var_g=sigma2)
-
-
-def update_beta(ctrl: BetaController, empirical_stop_rate: float) -> BetaController:
-    """beta <- clip(beta + eta * (stop_rate - target), beta_min, beta_max)."""
-    if not 0.0 <= empirical_stop_rate <= 1.0:
-        raise ValueError(f"stop rate {empirical_stop_rate} outside [0, 1]")
-    beta = ctrl.beta + ctrl.eta_beta * (empirical_stop_rate - ctrl.target_rate)
-    beta = min(max(beta, ctrl.beta_min), ctrl.beta_max)
-    return replace(ctrl, beta=beta)
-
-
-def warmup_step(gate: WarmupGate, critic_loss: float, step: int, total_steps: int) -> WarmupGate:
-    """Advance the warmup gate after one training step (1-based step index)."""
-    if not gate.active:
-        return gate
-    hit = abs(critic_loss) < gate.abs_threshold or (
-        gate.last_loss is not None
-        and abs(critic_loss - gate.last_loss) < gate.delta_threshold)
-    hits = gate.consecutive_hits + 1 if hit else 0
-    hits = min(hits, gate.required_consecutive)
-    cap = math.ceil(gate.step_cap_fraction * total_steps)
-    active = hits < gate.required_consecutive and step < cap
-    return replace(gate, active=active, consecutive_hits=hits, last_loss=critic_loss)
-
-
-def anneal_beta(ctrl: BetaController, steps_since_warmup: int, anneal_horizon: int) -> BetaController:
-    """Effective controller during the post-warmup anneal.
-
-    beta interpolates linearly from beta_max down to the controller's current
-    beta over anneal_horizon steps; at and beyond the horizon the controller
-    is returned unchanged (and only then do setpoint updates apply).
-    """
-    if anneal_horizon <= 0 or steps_since_warmup >= anneal_horizon:
-        return ctrl
-    frac = steps_since_warmup / anneal_horizon
-    beta = ctrl.beta_max + (ctrl.beta - ctrl.beta_max) * frac
-    return replace(ctrl, beta=beta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,72 +87,122 @@ class StopperSnapshot:
 
 
 class StopperState:
-    """Mutable batch-boundary side of the machinery.
+    """Mutable batch-boundary side of the machinery: the EMA regret
+    statistics, the beta controller with its post-warmup anneal, and the
+    critic-warmup gate. Constants come from the run config; the rule, its
+    threshold and which mechanisms are on come from the variant plan. Yields
+    one StopperSnapshot per batch and takes one end_of_batch per step."""
 
-    Owns the EMA statistics, the controller, the warmup gate, and the anneal
-    progress; produces one StopperSnapshot per batch and consumes one
-    end_of_batch per training step. All mutation happens in the serialized
-    control phase between batches.
-    """
-
-    def __init__(self, stats: EmaStats, controller: BetaController, gate: WarmupGate,
-                 value_floor: float, alpha_s: float,
-                 rule: StopRule = StopRule.ESPO, rule_threshold: float = 0.0,
-                 anneal_horizon: int = 0, beta_updates_enabled: bool = True):
-        self.stats = stats
-        self.controller = controller
-        self.gate = gate
-        self.value_floor = value_floor
-        self.alpha_s = alpha_s
-        self.rule = rule
-        self.rule_threshold = rule_threshold
-        self.anneal_horizon = anneal_horizon
-        self.beta_updates_enabled = beta_updates_enabled
+    def __init__(self, cfg: RunConfig, plan: VariantPlan):
+        self.cfg = cfg
+        self.plan = plan
+        self.mu_g = 0.0
+        self.var_g = 1.0
+        self.beta = cfg.beta_init
+        self.warmup_active = plan.warmup_enabled
+        self.consecutive_hits = 0
+        self.last_loss: float | None = None
         self.steps_since_warmup = 0
+        # without warmup, annealing spans the configured fraction of all steps
+        self.anneal_horizon = (0 if plan.warmup_enabled
+                               else math.ceil(cfg.anneal_fraction * cfg.total_steps))
+
+    def update_ema(self, regrets: np.ndarray) -> None:
+        """Blend the running statistics with one batch's regret mean and
+        population variance (divide by N). math.fsum makes them invariant
+        under permutation of the batch; squares use libm pow, as `** 2` on a
+        float does. An empty batch leaves the statistics unchanged."""
+        n = regrets.size
+        if not n:
+            logger.warning("update_ema called with an empty batch; statistics unchanged")
+            return
+        mean = math.fsum(regrets.tolist()) / n
+        var = math.fsum(map(math.pow, (regrets - mean).tolist(), repeat(2.0))) / n
+        a = self.cfg.alpha_ema
+        self.mu_g = a * self.mu_g + (1.0 - a) * mean
+        self.var_g = a * self.var_g + (1.0 - a) * var
+
+    def update_beta(self, stop_rate: float) -> None:
+        """beta <- clip(beta + eta * (stop_rate - target), beta_min, beta_max)."""
+        if not 0.0 <= stop_rate <= 1.0:
+            raise ValueError(f"stop rate {stop_rate} outside [0, 1]")
+        cfg = self.cfg
+        beta = self.beta + cfg.eta_beta * (stop_rate - cfg.target_stop_rate)
+        self.beta = min(max(beta, cfg.beta_min), cfg.beta_max)
+
+    def warmup_step(self, critic_loss: float, step: int) -> None:
+        """Advance the warmup gate after training step `step` (1-based).
+
+        The gate releases when, for warmup_consecutive steps in a row, either
+        |loss| < warmup_abs_threshold or |loss - previous loss| <
+        warmup_delta_threshold; it releases unconditionally once
+        ceil(warmup_step_cap_fraction * total_steps) steps have elapsed. Once
+        released it never re-arms.
+        """
+        if not self.warmup_active:
+            return
+        cfg = self.cfg
+        hit = abs(critic_loss) < cfg.warmup_abs_threshold or (
+            self.last_loss is not None
+            and abs(critic_loss - self.last_loss) < cfg.warmup_delta_threshold)
+        hits = min(self.consecutive_hits + 1 if hit else 0, cfg.warmup_consecutive)
+        cap = math.ceil(cfg.warmup_step_cap_fraction * cfg.total_steps)
+        self.warmup_active = hits < cfg.warmup_consecutive and step < cap
+        self.consecutive_hits = hits
+        self.last_loss = critic_loss
+
+    def annealed_beta(self) -> float:
+        """The beta in force: during the post-warmup anneal, linear from
+        beta_max down to the controller's beta over anneal_horizon steps."""
+        horizon, done = self.anneal_horizon, self.steps_since_warmup
+        if horizon <= 0 or done >= horizon:
+            return self.beta
+        beta_max = self.cfg.beta_max
+        return beta_max + (self.beta - beta_max) * (done / horizon)
 
     def snapshot(self) -> StopperSnapshot:
-        annealed = anneal_beta(self.controller, self.steps_since_warmup, self.anneal_horizon)
+        cfg = self.cfg
         return StopperSnapshot(
-            frozen_mu=self.stats.mu_g,
-            frozen_var=self.stats.var_g,
-            stabilizer=self.stats.stabilizer,
-            clip_bound=self.stats.clip_bound,
-            alpha_s=self.alpha_s,
-            beta=annealed.beta,
-            value_floor=self.value_floor,
-            warmup_active=self.gate.active,
-            rule=self.rule,
-            rule_threshold=self.rule_threshold,
+            frozen_mu=self.mu_g,
+            frozen_var=self.var_g,
+            stabilizer=cfg.stabilizer,
+            clip_bound=cfg.clip_bound,
+            alpha_s=cfg.alpha_s,
+            beta=self.annealed_beta(),
+            value_floor=cfg.value_floor,
+            warmup_active=self.warmup_active,
+            rule=self.plan.rule,
+            rule_threshold=self.plan.rule_threshold,
         )
 
-    def end_of_batch(self, batch_regrets, stop_rate: float, critic_loss: float,
-                     step: int, total_steps: int) -> None:
-        """Serialized batch-boundary update: EMA, warmup gate, anneal progress,
-        then (only once annealing has completed) the setpoint controller."""
-        self.stats = update_ema(self.stats, batch_regrets)
-        was_released = not self.gate.active
-        if self.gate.active:
-            self.gate = warmup_step(self.gate, critic_loss, step, total_steps)
-        if was_released:
-            anneal_complete = self.steps_since_warmup >= self.anneal_horizon
-            if anneal_complete and self.beta_updates_enabled:
-                self.controller = update_beta(self.controller, stop_rate)
-            self.steps_since_warmup += 1
+    def end_of_batch(self, regrets: np.ndarray, stop_rate: float, critic_loss: float,
+                     step: int) -> None:
+        """Update after training step `step`: EMA, then the warmup gate while
+        it is armed (on release, the anneal spans anneal_fraction of the steps
+        left), else anneal progress and, once it is over, the controller."""
+        self.update_ema(regrets)
+        if self.warmup_active:
+            self.warmup_step(critic_loss, step)
+            if not self.warmup_active:
+                remaining = max(0, self.cfg.total_steps - step)
+                self.anneal_horizon = math.ceil(self.cfg.anneal_fraction * remaining)
+            return
+        if self.steps_since_warmup >= self.anneal_horizon and self.plan.beta_updates_enabled:
+            self.update_beta(stop_rate)
+        self.steps_since_warmup += 1
 
     def state_dict(self) -> dict:
         return {
-            "stats": [self.stats.mu_g, self.stats.var_g],
-            "beta": self.controller.beta,
-            "gate": [self.gate.active, self.gate.consecutive_hits, self.gate.last_loss],
+            "stats": [self.mu_g, self.var_g],
+            "beta": self.beta,
+            "gate": [self.warmup_active, self.consecutive_hits, self.last_loss],
             "steps_since_warmup": self.steps_since_warmup,
             "anneal_horizon": self.anneal_horizon,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        mu, var = state["stats"]
-        self.stats = replace(self.stats, mu_g=mu, var_g=var)
-        self.controller = replace(self.controller, beta=state["beta"])
-        active, hits, last_loss = state["gate"]
-        self.gate = replace(self.gate, active=active, consecutive_hits=hits, last_loss=last_loss)
+        self.mu_g, self.var_g = state["stats"]
+        self.beta = state["beta"]
+        self.warmup_active, self.consecutive_hits, self.last_loss = state["gate"]
         self.steps_since_warmup = state["steps_since_warmup"]
         self.anneal_horizon = state["anneal_horizon"]

@@ -42,21 +42,13 @@ from .rollout import (
     dump_trajectory,
     evaluate_policy,
     false_positive_rate,
-    token_accounting,
 )
-from .stopper import (
-    BetaController,
-    EmaStats,
-    StopperSnapshot,
-    StopperState,
-    WarmupGate,
-)
+from .stopper import StopperSnapshot, StopperState
 from .variants import VariantPlan, variant_dispatch
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "AdvantageRow",
     "AdvantageSet",
     "PpoConfig",
     "TrainingRun",
@@ -86,22 +78,11 @@ class PpoConfig:
             raise ValueError("gamma and lam must lie in (0, 1]")
 
 
-@dataclass(frozen=True, slots=True)
-class AdvantageRow:
-    """Advantages, returns and TD errors of one trajectory's effective span."""
-
-    advantages: tuple[float, ...]
-    returns: tuple[float, ...]
-    td_errors: tuple[float, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class AdvantageSet:
     """GAE advantages, regression returns and TD errors of a batch, as B x T
     arrays aligned with the RolloutBatch; zero at and past each row's
     effective (possibly simulated-truncated) length, `lengths`.
-
-    Indexing or iterating gives one AdvantageRow per trajectory.
     """
 
     advantages: np.ndarray
@@ -114,18 +95,6 @@ class AdvantageSet:
         """True on the steps that are trained on. Selecting with it visits
         the steps trajectory by trajectory, in step order."""
         return np.arange(self.advantages.shape[1]) < self.lengths[:, None]
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    def __getitem__(self, i: int) -> AdvantageRow:
-        n = int(self.lengths[i])
-        return AdvantageRow(tuple(self.advantages[i, :n].tolist()),
-                            tuple(self.returns[i, :n].tolist()),
-                            tuple(self.td_errors[i, :n].tolist()))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 def gae(deltas, gamma: float, lam: float) -> np.ndarray:
@@ -301,28 +270,7 @@ class TrainingRun:
             clip_ratio=config.clip_ratio, gamma=config.gamma, lam=config.lam,
             epochs_per_batch=config.epochs_per_batch, lr_actor=config.lr_actor,
             lr_critic=config.lr_critic, advantage_whitening=config.advantage_whitening)
-        self.stopper = StopperState(
-            stats=EmaStats(stabilizer=config.stabilizer, clip_bound=config.clip_bound,
-                           alpha_ema=config.alpha_ema),
-            controller=BetaController(beta=config.beta_init, eta_beta=config.eta_beta,
-                                      target_rate=config.target_stop_rate,
-                                      beta_min=config.beta_min, beta_max=config.beta_max),
-            gate=WarmupGate(active=self.plan.warmup_enabled,
-                            abs_threshold=config.warmup_abs_threshold,
-                            delta_threshold=config.warmup_delta_threshold,
-                            required_consecutive=config.warmup_consecutive,
-                            step_cap_fraction=config.warmup_step_cap_fraction),
-            value_floor=config.value_floor,
-            alpha_s=config.alpha_s,
-            rule=self.plan.rule,
-            rule_threshold=self.plan.rule_threshold,
-            anneal_horizon=0,
-            beta_updates_enabled=self.plan.beta_updates_enabled,
-        )
-        if not self.plan.warmup_enabled:
-            # no warmup: annealing spans the configured fraction of all steps
-            self.stopper.anneal_horizon = math.ceil(
-                config.anneal_fraction * config.total_steps)
+        self.stopper = StopperState(config, self.plan)
         self._inert_snapshot = StopperSnapshot(
             stabilizer=config.stabilizer, clip_bound=config.clip_bound,
             alpha_s=config.alpha_s, beta=config.beta_init,
@@ -347,7 +295,7 @@ class TrainingRun:
     def _collection_mode(self) -> CollectionMode:
         kind = self.plan.mode_kind
         if kind == RANDOM:
-            return CollectionMode.random_stop(self._random_hazard())
+            return CollectionMode(RANDOM, self._random_hazard())
         return CollectionMode(kind)
 
     def step(self) -> MetricsRow:
@@ -378,9 +326,9 @@ class TrainingRun:
 
         # batch statistics over the effective (trained-on) spans
         trained = advantage_sets.mask
-        regrets = batch.regrets[trained].tolist()
+        regrets = batch.regrets[trained]
         entropy_sum = _sequential_sum(cache.entropies[batch.states[trained]])
-        mean_entropy = entropy_sum / len(regrets) if regrets else 0.0  # per trained-on step
+        mean_entropy = entropy_sum / regrets.size if regrets.size else 0.0  # per trained-on step
 
         if mode.kind == COUNTERFACTUAL:
             stop_events = batch.hypothetical_stop_count
@@ -389,18 +337,14 @@ class TrainingRun:
         stop_rate = stop_events / batch.size if batch.size else 0.0
 
         fp_rate = false_positive_rate(batch) if mode.kind == COUNTERFACTUAL else 0.0
-        lengths = token_accounting(batch)
+        n_rows = max(1, batch.size)
 
         success = int(np.count_nonzero(batch.outcomes == 1.0))
         success_rate = success / batch.size if batch.size else 0.0
         self.cumulative_tokens += batch.total_tokens
 
         if stopping:
-            released_before = not self.stopper.gate.active
-            self.stopper.end_of_batch(regrets, stop_rate, loss, step, cfg.total_steps)
-            if not self.stopper.gate.active and not released_before:
-                remaining = max(0, cfg.total_steps - step)
-                self.stopper.anneal_horizon = math.ceil(cfg.anneal_fraction * remaining)
+            self.stopper.end_of_batch(regrets, stop_rate, loss, step)
             if plan.random_trace is not None:
                 idx = min(step - 1, len(plan.random_trace) - 1)
                 gain = cfg.eta_beta / cfg.t_max
@@ -409,8 +353,8 @@ class TrainingRun:
         row = MetricsRow(
             step=step,
             cumulative_tokens=self.cumulative_tokens,
-            avg_trajectory_length_actual=lengths.avg_length_actual,
-            avg_trajectory_length_original=lengths.avg_length,
+            avg_trajectory_length_actual=int(batch.effective_lengths.sum()) / n_rows,
+            avg_trajectory_length_original=batch.total_tokens / n_rows,
             stop_rate=stop_rate,
             false_positive_rate=fp_rate,
             mean_entropy=mean_entropy,

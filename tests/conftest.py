@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from espolab.config import RunConfig
 from espolab.envs import TrapChainSpec, build_trap_chain
 from espolab.mdpcore import StepRecord, StopReason, Trajectory, log_softmax
 from espolab.policy import TabularActor, TabularCritic
@@ -24,8 +25,9 @@ from espolab.rollout import (
     RolloutBatch,
     collect_batch,
 )
-from espolab.stopper import StopperSnapshot, StopRule
+from espolab.stopper import StopperSnapshot, StopperState, StopRule
 from espolab.trainer import AdvantageSet
+from espolab.variants import variant_dispatch
 
 
 @pytest.fixture
@@ -53,10 +55,16 @@ def plain_snapshot(**overrides) -> StopperSnapshot:
     return StopperSnapshot(**defaults)
 
 
+def make_stopper(**overrides) -> StopperState:
+    """A fresh StopperState for RunConfig(**overrides) and its variant plan."""
+    cfg = RunConfig(**overrides)
+    return StopperState(cfg, variant_dispatch(cfg))
+
+
 def collect_small_batch(env, actor, critic, snapshot=None, batch_size=4, t_max=8,
                         mode=None, r_fail=-1.0, seed=0, batch_index=1):
     snapshot = snapshot if snapshot is not None else plain_snapshot()
-    mode = mode if mode is not None else CollectionMode.standard()
+    mode = mode if mode is not None else CollectionMode(STANDARD)
     return collect_batch(actor, critic, snapshot, env, batch_size, t_max, mode,
                          r_fail, seed, batch_index)
 
@@ -150,7 +158,7 @@ def collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail, rng) -
 def batch_from_trajectories(trajectories, snapshot=None, mode=None) -> RolloutBatch:
     """A RolloutBatch holding the given Trajectory records as its rows."""
     snapshot = snapshot if snapshot is not None else plain_snapshot()
-    mode = mode if mode is not None else CollectionMode.standard()
+    mode = mode if mode is not None else CollectionMode(STANDARD)
     trajectories = tuple(trajectories)
     width = max((len(t.steps) for t in trajectories), default=0)
     shape = (len(trajectories), width)
@@ -278,8 +286,9 @@ def ppo_surrogate_value(actor, batch, advantage_sets, config) -> float:
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
     total = 0.0
     included = 0
-    for traj, advset in zip(batch.trajectories, advantage_sets):
-        for rec, adv in zip(traj.steps, advset.advantages):
+    for traj, advs, n in zip(batch.trajectories, advantage_sets.advantages,
+                             advantage_sets.lengths.tolist()):
+        for rec, adv in zip(traj.steps, advs[:n].tolist()):
             ratio = math.exp(table[rec.state_id, rec.action] - rec.log_prob_sampled)
             if not math.isfinite(ratio):
                 continue

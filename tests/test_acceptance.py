@@ -27,8 +27,8 @@ from espolab.harness import (
 from espolab.mdpcore import StopReason, log_softmax, trajectory_rng
 from espolab.metrics import MetricsRow, MetricsWriter, read_metrics, write_manifest
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import CollectionMode, collect_batch
-from espolab.stopper import BetaController, StopperSnapshot, WarmupGate, update_beta, warmup_step
+from espolab.rollout import COUNTERFACTUAL, STANDARD, CollectionMode, collect_batch
+from espolab.stopper import StopperSnapshot
 from espolab.trainer import (
     PpoConfig,
     TrainingRun,
@@ -41,6 +41,7 @@ from espolab.trainer import (
 
 from conftest import (
     collect_trajectory,
+    make_stopper,
     plain_snapshot,
     ppo_surrogate_value,
     random_actor,
@@ -144,7 +145,7 @@ def test_criterion_02_gradient_oracles():
         actor = random_actor(env, rng)
         critic = random_critic(env, rng)
         batch = collect_batch(actor, critic, plain_snapshot(beta=0.7), env, 4, 8,
-                              CollectionMode.standard(), -1.0, 2000 + trial, 1)
+                              CollectionMode(STANDARD), -1.0, 2000 + trial, 1)
         advs = compute_advantages(batch, cfg, -1.0)
         actor.table = actor.table + rng.normal(0, 0.2, size=actor.table.shape)
         grad, _cf = ppo_surrogate_grad(actor, batch, advs, cfg)
@@ -202,13 +203,13 @@ def test_criterion_04_absorbing_state_td():
     exact = True
     for _ in range(50):
         run.step()
-        advantage_sets = compute_advantages(run.last_batch, run.ppo,
-                                            run.plan.early_stop_reward)
-        for traj, advs in zip(run.last_batch.trajectories, advantage_sets):
+        td_errors = compute_advantages(run.last_batch, run.ppo,
+                                       run.plan.early_stop_reward).td_errors
+        for traj, row in zip(run.last_batch.trajectories, td_errors):
             if traj.stop_reason is not StopReason.EARLY_STOP:
                 continue
             stop_events += 1
-            deltas = advs.td_errors
+            deltas = row[:len(traj.steps)]
             stop = traj.steps[-1]
             if deltas[-1] != cfg.r_fail - stop.value_estimate:
                 exact = False
@@ -252,12 +253,12 @@ def test_criterion_06_causality_and_determinism(tmp_path):
     critic = random_critic(env, rng)
     snapshot = plain_snapshot(beta=0.5)
     batch = collect_batch(actor, critic, snapshot, env, 16, 32,
-                          CollectionMode.standard(), -1.0, 31, 9)
+                          CollectionMode(STANDARD), -1.0, 31, 9)
     order = list(range(16))
     np.random.default_rng(0).shuffle(order)
     causal = all(
         collect_trajectory(actor, critic, snapshot, env, 32,
-                           CollectionMode.standard(), -1.0,
+                           CollectionMode(STANDARD), -1.0,
                            trajectory_rng(31, 9, i)) == batch.trajectories[i]
         for i in order[:8])
 
@@ -274,14 +275,14 @@ def test_criterion_06_causality_and_determinism(tmp_path):
 
 def test_criterion_07_controller_setpoint():
     rng = np.random.default_rng(1007)
-    ctrl = BetaController(beta=7.0, eta_beta=0.1, target_rate=0.25,
-                          beta_min=0.0, beta_max=10.0)
+    ctrl = make_stopper(beta_init=7.0, eta_beta=0.1, target_stop_rate=0.25,
+                        beta_min=0.0, beta_max=10.0)
     rates = []
     for _ in range(250):
         p = 1.0 / (1.0 + math.exp(2.0 * (ctrl.beta - 5.0)))  # decreasing in beta
         rate = rng.binomial(64, p) / 64
         rates.append(rate)
-        ctrl = update_beta(ctrl, rate)
+        ctrl.update_beta(rate)
     rolling = {n: statistics.fmean(rates[n - 50:n]) for n in range(50, 251)}
     hit = next((n for n in sorted(rolling) if abs(rolling[n] - 0.25) <= 0.05), None)
     ok = hit is not None and hit <= 200 and abs(rolling[200] - 0.25) <= 0.05
@@ -367,7 +368,7 @@ def test_criterion_10_false_positive_harness(tmp_path):
         rates = []
         for b in range(3):  # reported per batch
             batch = collect_batch(actor, critic, snap, env, 512, 64,
-                                  CollectionMode.counterfactual_extend(),
+                                  CollectionMode(COUNTERFACTUAL),
                                   -1.0, 77, b)
             rates.append(false_positive_rate(batch))
         return rates
@@ -403,10 +404,10 @@ def test_criterion_11_published_arithmetic(tmp_path):
 
 def test_criterion_12_warmup_behavior():
     def release_step(losses, total_steps=1000):
-        gate = WarmupGate()
+        gate = make_stopper(total_steps=total_steps)
         for step, loss in enumerate(losses, start=1):
-            gate = warmup_step(gate, loss, step, total_steps)
-            if not gate.active:
+            gate.warmup_step(loss, step)
+            if not gate.warmup_active:
                 return step
         return None
 

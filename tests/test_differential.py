@@ -25,10 +25,18 @@ from espolab.envs import (  # noqa: E402
 )
 from espolab.mdpcore import EVAL_STREAM, derived_rng, trajectory_rng  # noqa: E402
 from espolab.policy import TabularActor, TabularCritic  # noqa: E402
-from espolab.rollout import CachedPolicy, CollectionMode, collect_batch, evaluate_policy  # noqa: E402
+from espolab.rollout import (  # noqa: E402
+    COUNTERFACTUAL,
+    DISABLED,
+    RANDOM,
+    STANDARD,
+    CachedPolicy,
+    CollectionMode,
+    collect_batch,
+    evaluate_policy,
+)
 from espolab.stopper import StopperSnapshot, StopRule  # noqa: E402
 from espolab.trainer import (  # noqa: E402
-    AdvantageRow,
     PpoConfig,
     compute_advantages,
     critic_grad,
@@ -48,9 +56,9 @@ from conftest import (  # noqa: E402
 CASES = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
 MODES = {
-    "standard": CollectionMode.standard(),
-    "counterfactual": CollectionMode.counterfactual_extend(),
-    "disabled": CollectionMode.stopping_disabled(),
+    "standard": CollectionMode(STANDARD),
+    "counterfactual": CollectionMode(COUNTERFACTUAL),
+    "disabled": CollectionMode(DISABLED),
 }
 
 
@@ -85,7 +93,7 @@ def collection_cases(draw):
         rule_threshold=draw(st.floats(-1.0, 1.0)))
     kind = draw(st.sampled_from(["standard", "counterfactual", "disabled", "random"]))
     if kind == "random":
-        mode = CollectionMode.random_stop(draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
+        mode = CollectionMode(RANDOM, draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
     else:
         mode = MODES[kind]
     return dict(actor=actor, critic=critic, snapshot=snapshot, env=env,
@@ -148,8 +156,10 @@ class TestTrainerAgainstScalarLoops:
         advs = compute_advantages(batch, config, early_stop_reward)
         rows = scalar_advantages(trajectories, config.gamma, config.lam, early_stop_reward,
                                  config.advantage_whitening)
-        assert list(advs) == [AdvantageRow(tuple(a), tuple(r), tuple(d)) for a, r, d in rows]
-        for array in (advs.advantages, advs.returns, advs.td_errors):
+        arrays = (advs.advantages, advs.returns, advs.td_errors)
+        assert [tuple(array[i, :n].tolist() for array in arrays)
+                for i, n in enumerate(advs.lengths.tolist())] == rows
+        for array in arrays:
             assert not array[~advs.mask].any()
 
         actor, critic = case["actor"].copy(), case["critic"].copy()
@@ -171,14 +181,14 @@ class TestTrainerAgainstScalarLoops:
         actor.table = np.random.default_rng(3).normal(0, 1, size=actor.table.shape)
         critic = TabularCritic(small_env.state_count)
         batch = collect_batch(actor, critic, StopperSnapshot(), small_env, 8, 1,
-                              CollectionMode.stopping_disabled(), -1.0, 4, 1)
+                              CollectionMode(DISABLED), -1.0, 4, 1)
         advs = compute_advantages(batch, PpoConfig(), -1.0)
         assert not advs.advantages.any()
         grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, PpoConfig())
         assert not grad.any() and clip_fraction == 0.0
 
         batch = collect_batch(actor, critic, StopperSnapshot(warmup_active=False, beta=0.1),
-                              small_env, 16, 8, CollectionMode.standard(), -1.0, 4, 2)
+                              small_env, 16, 8, CollectionMode(STANDARD), -1.0, 4, 2)
         trajectories = batch.trajectories
         config = PpoConfig(clip_ratio=0.05)
         advs = compute_advantages(batch, config, -1.0)

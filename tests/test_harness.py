@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import os
+import pathlib
 import pkgutil
 
 import pytest
@@ -28,7 +30,7 @@ from espolab.metrics import (
     read_metrics,
     write_manifest,
 )
-from espolab.rollout import CollectionMode
+from espolab.rollout import COUNTERFACTUAL, STANDARD, CollectionMode
 from espolab.trainer import TrainingRun
 from espolab.variants import variant_dispatch
 
@@ -52,6 +54,29 @@ class TestPackageSurface:
             module = importlib.import_module(f"espolab.{info.name}")
             for name in getattr(module, "__all__", ()):
                 assert hasattr(module, name), f"espolab.{info.name}.__all__ lists {name}"
+
+    def test_no_unused_imports(self):
+        # no linter ships with the lab: every name a module imports must be
+        # read, exported in its __all__, or imported on a `# noqa` line
+        import espolab
+
+        unused = []
+        for path in sorted(pathlib.Path(espolab.__file__).parent.glob("*.py")):
+            source = path.read_text(encoding="utf-8")
+            lines, tree = source.splitlines(), ast.parse(source)
+            used = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and "__all__" in [
+                        getattr(target, "id", None) for target in node.targets]:
+                    used |= set(ast.literal_eval(node.value))
+            for node in ast.walk(tree):
+                if (isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"
+                        and "# noqa" not in lines[node.lineno - 1]):
+                    unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                               if (alias.asname or alias.name.split(".")[0]) not in used]
+        assert not unused, unused
 
 
 class TestVariantDispatch:
@@ -115,7 +140,7 @@ class TestFalsePositiveRate:
         for _ in range(plain):
             trajs.append(make_traj(6))
         return batch_from_trajectories(trajs, plain_snapshot(),
-                                       CollectionMode.counterfactual_extend())
+                                       CollectionMode(COUNTERFACTUAL))
 
     def test_counting_example(self):
         assert false_positive_rate(self.build_batch()) == 0.125
@@ -126,7 +151,7 @@ class TestFalsePositiveRate:
 
     def test_mode_mismatch_errors(self):
         batch = batch_from_trajectories([make_traj(3)], plain_snapshot(),
-                                        CollectionMode.standard())
+                                        CollectionMode(STANDARD))
         with pytest.raises(ValueError, match="counterfactual"):
             false_positive_rate(batch)
 

@@ -187,14 +187,15 @@ class TestTrajectoryRecords:
         actor = random_actor(small_env, rng)
         critic = random_critic(small_env, rng)
         batch = collect_small_batch(small_env, actor, critic, batch_size=16, t_max=8)
-        advantage_sets = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0)
-        for traj, advs in zip(batch.trajectories, advantage_sets):
+        td_errors = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0).td_errors
+        for traj, row in zip(batch.trajectories, td_errors):
             check_invariants(traj, actor, t_max=8)
             # reward sparsity: the trainer sees reward 0 at every non-final
             # step and the outcome at the last, so delta_t = V(s_t+1) - V(s_t)
             values = [rec.value_estimate for rec in traj.steps]
-            assert list(advs.td_errors[:-1]) == [b - a for a, b in zip(values, values[1:])]
-            assert advs.td_errors[-1] == traj.outcome_reward - values[-1]
+            deltas = row[:len(values)].tolist()
+            assert deltas[:-1] == [b - a for a, b in zip(values, values[1:])]
+            assert deltas[-1] == traj.outcome_reward - values[-1]
 
     def test_regret_identity_against_raw_logits(self, small_env):
         # regret recorded from the log-softmax path equals the raw logit gap
@@ -218,10 +219,10 @@ class TestTrajectoryRecords:
         snapshot = plain_snapshot(beta=0.5, value_floor=0.2)
         batch = collect_small_batch(small_env, actor, critic, snapshot=snapshot,
                                     batch_size=32, t_max=8)
-        advantage_sets = compute_advantages(batch, PpoConfig(), -1.0)
-        stopped = [(t, a) for t, a in zip(batch.trajectories, advantage_sets)
+        td_errors = compute_advantages(batch, PpoConfig(), -1.0).td_errors
+        stopped = [(t, row) for t, row in zip(batch.trajectories, td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped, "tuned snapshot should produce early stops"
-        for traj, advs in stopped:
+        for traj, row in stopped:
             assert traj.outcome_reward == -1.0
-            assert advs.td_errors[-1] == -1.0 - traj.steps[-1].value_estimate
+            assert row[len(traj.steps) - 1] == -1.0 - traj.steps[-1].value_estimate

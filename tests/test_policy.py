@@ -225,9 +225,10 @@ class TestParameterSnapshot:
 
     def test_malformed_snapshot_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("nonsense\n")
-        with pytest.raises(ValueError):
-            load_params(path)
+        for header in ("nonsense", "shape x 2", "shape 0 2", "shape 2", "shape 2 2 2"):
+            path.write_text(header + "\n")
+            with pytest.raises(ValueError, match="bad.txt: malformed parameter snapshot header"):
+                load_params(path)
 
     def test_torn_or_duplicated_snapshot_rejected(self, tmp_path):
         path = tmp_path / "params.txt"
@@ -240,3 +241,21 @@ class TestParameterSnapshot:
         path.write_text("".join(lines + lines[1:2]))
         with pytest.raises(ValueError, match="params.txt: duplicate actor"):
             load_params(path)
+
+    def test_non_finite_or_non_integer_entry_rejected(self, tmp_path):
+        path = tmp_path / "params.txt"
+        save_params(TabularActor(2, 2), TabularCritic(2), path)
+        lines = path.read_text().splitlines(keepends=True)  # header, 4 actor, 2 critic
+        cases = {
+            "actor 1 1 nan": "params.txt: non-finite actor entry \\(1, 1\\): nan",
+            "actor 1 1 -inf": "params.txt: non-finite actor entry \\(1, 1\\): -inf",
+            "critic 0 inf": "params.txt: non-finite critic entry \\(0,\\): inf",
+            "actor 1 1.0 0.5": "params.txt: malformed record 'actor 1 1.0 0.5'",
+            "critic x 0.5": "params.txt: malformed record 'critic x 0.5'",
+            "critic 0 abc": "params.txt: malformed record 'critic 0 abc'",
+        }
+        for record, message in cases.items():
+            replaced = 4 if record.startswith("actor") else 5
+            path.write_text("".join(lines[:replaced] + [record + "\n"] + lines[replaced + 1:]))
+            with pytest.raises(ValueError, match=message):
+                load_params(path)

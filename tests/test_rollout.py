@@ -18,12 +18,15 @@ from espolab.mdpcore import (
 )
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
+    COUNTERFACTUAL,
+    DISABLED,
+    RANDOM,
+    STANDARD,
     CachedPolicy,
     CollectionMode,
     collect_batch,
     dump_trajectory,
     evaluate_policy,
-    token_accounting,
 )
 from espolab.trainer import PpoConfig, compute_advantages
 
@@ -67,7 +70,7 @@ class TestCollectTrajectory:
         actor = random_actor(env, rng)
         critic = random_critic(env, rng)
         traj = collect_one(actor, critic, plain_snapshot(), env, 8,
-                           CollectionMode.stopping_disabled(), seed=7)
+                           CollectionMode(DISABLED), seed=7)
         oracle_rng = trajectory_rng(7, 1, 0)
         state = env.initial_state
         for rec in traj.steps:
@@ -88,7 +91,7 @@ class TestCollectTrajectory:
         critic = TabularCritic(env.state_count)
         snapshot = plain_snapshot(frozen_mu=-1.0, frozen_var=1.0 - 1e-8,
                                   alpha_s=0.9, beta=1.0, value_floor=0.2)
-        traj = collect_one(actor, critic, snapshot, env, 64, CollectionMode.standard())
+        traj = collect_one(actor, critic, snapshot, env, 64, CollectionMode(STANDARD))
         assert traj.stop_reason is StopReason.EARLY_STOP
         assert len(traj.steps) == 3
         assert traj.stop_index == 2
@@ -102,7 +105,7 @@ class TestCollectTrajectory:
         actor.table[0] = [30.0, 0.0, 0.0, 0.0]  # always emits the target
         critic = TabularCritic(env.state_count)
         snapshot = plain_snapshot(frozen_mu=-100.0, beta=0.0, value_floor=0.2)
-        traj = collect_one(actor, critic, snapshot, env, 8, CollectionMode.standard())
+        traj = collect_one(actor, critic, snapshot, env, 8, CollectionMode(STANDARD))
         assert traj.stop_reason is StopReason.NATURAL_END
         assert traj.outcome_reward == 1.0
 
@@ -112,7 +115,7 @@ class TestCollectTrajectory:
         actor.table[0] = [0.0, 30.0, 0.0, 0.0]  # dooms immediately
         critic = TabularCritic(env.state_count)
         traj = collect_one(actor, critic, plain_snapshot(warmup_active=True), env, 16,
-                           CollectionMode.standard())
+                           CollectionMode(STANDARD))
         assert traj.stop_reason is StopReason.HORIZON_CAP
         assert len(traj.steps) == 16
         assert traj.outcome_reward == 0.0
@@ -133,16 +136,17 @@ class TestCollectTrajectory:
         batch = collect_small_batch(small_env, actor, critic,
                                     snapshot=plain_snapshot(beta=0.3),
                                     batch_size=64, t_max=8)
-        advantage_sets = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0)
-        stopped = [(t, a) for t, a in zip(batch.trajectories, advantage_sets)
+        td_errors = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0).td_errors
+        stopped = [(t, row) for t, row in zip(batch.trajectories, td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped
-        for traj, advs in stopped:
+        for traj, row in stopped:
             # only the stop step is rewarded: delta_t = V(s_t+1) - V(s_t)
             # before it, and r_fail - V(s_stop) with no bootstrap at it
             values = [rec.value_estimate for rec in traj.steps]
-            assert list(advs.td_errors[:-1]) == [b - a for a, b in zip(values, values[1:])]
-            assert advs.td_errors[-1] == -1.0 - values[-1]
+            deltas = row[:len(values)].tolist()
+            assert deltas[:-1] == [b - a for a, b in zip(values, values[1:])]
+            assert deltas[-1] == -1.0 - values[-1]
 
 
 class TestStopSignals:
@@ -205,9 +209,9 @@ class TestCounterfactualMode:
         critic = random_critic(env, rng)
         snapshot = plain_snapshot(beta=beta)
         standard = collect_batch(actor, critic, snapshot, env, 16, 12,
-                                 CollectionMode.standard(), -1.0, seed, 1)
+                                 CollectionMode(STANDARD), -1.0, seed, 1)
         extended = collect_batch(actor, critic, snapshot, env, 16, 12,
-                                 CollectionMode.counterfactual_extend(), -1.0, seed, 1)
+                                 CollectionMode(COUNTERFACTUAL), -1.0, seed, 1)
         return standard, extended
 
     def test_prefix_is_bit_identical_to_standard_mode(self):
@@ -256,7 +260,7 @@ class TestRandomStopMode:
         trials = 0
         for b in range(100):
             batch = collect_batch(actor, critic, plain_snapshot(), env, 32, t_max,
-                                  CollectionMode.random_stop(q), -1.0, 5, b)
+                                  CollectionMode(RANDOM, q), -1.0, 5, b)
             stops += batch.stop_count
             trials += batch.size
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -264,7 +268,7 @@ class TestRandomStopMode:
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
-            CollectionMode.random_stop(1.5)
+            CollectionMode(RANDOM, 1.5)
 
 
 class TestBatchDeterminism:
@@ -284,35 +288,32 @@ class TestBatchDeterminism:
         critic = random_critic(small_env, rng)
         snapshot = plain_snapshot(beta=0.5)
         batch = collect_batch(actor, critic, snapshot, small_env, 8, 8,
-                              CollectionMode.standard(), -1.0, 21, 4)
+                              CollectionMode(STANDARD), -1.0, 21, 4)
         order = list(range(8))
         random.Random(0).shuffle(order)
         for i in order:
             solo = collect_trajectory(actor, critic, snapshot, small_env, 8,
-                                      CollectionMode.standard(), -1.0,
+                                      CollectionMode(STANDARD), -1.0,
                                       trajectory_rng(21, 4, i))
             assert solo == batch.trajectories[i]
 
 
 class TestTokenAccounting:
+    # the trainer's average lengths divide these sums by the batch size
     def test_arithmetic(self):
         trajs = tuple(make_traj(n) for n in (3, 5, 7, 9))
         batch = batch_from_trajectories(trajs, plain_snapshot(),
-                                        CollectionMode.stopping_disabled())
-        acct = token_accounting(batch)
+                                        CollectionMode(DISABLED))
         assert batch.total_tokens == 24
-        assert acct.avg_length == 6.0
-        assert acct.avg_length_actual == acct.avg_length == 6.0
+        assert batch.effective_lengths.tolist() == batch.lengths.tolist() == [3, 5, 7, 9]
 
     def test_counterfactual_actual_vs_original(self):
         fired = make_traj(10, outcome=1.0, hypothetical_stop_index=3)
         plain = make_traj(6)
         batch = batch_from_trajectories((fired, plain), plain_snapshot(),
-                                        CollectionMode.counterfactual_extend())
-        acct = token_accounting(batch)
-        assert acct.avg_length == 8.0
-        assert acct.avg_length_actual == (4 + 6) / 2
-        assert acct.avg_length_actual <= acct.avg_length
+                                        CollectionMode(COUNTERFACTUAL))
+        assert batch.total_tokens == 16
+        assert batch.effective_lengths.tolist() == [4, 6]
 
 
 class TestEvaluatePolicy:

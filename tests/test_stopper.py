@@ -9,20 +9,10 @@ import pytest
 
 from espolab.envs import TrapChainSpec, build_trap_chain
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import CollectionMode, collect_batch
-from espolab.stopper import (
-    BetaController,
-    EmaStats,
-    StopperSnapshot,
-    StopperState,
-    WarmupGate,
-    anneal_beta,
-    update_beta,
-    update_ema,
-    warmup_step,
-)
+from espolab.rollout import DISABLED, CollectionMode, collect_batch
+from espolab.stopper import StopperSnapshot
 
-from conftest import plain_snapshot
+from conftest import make_stopper, plain_snapshot
 
 
 def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
@@ -35,7 +25,7 @@ def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
     actor.table = np.asarray(logits) + rng.normal(0.0, noise, size=actor.table.shape)
     critic = TabularCritic(env.state_count)
     batch = collect_batch(actor, critic, plain_snapshot(), env, batch_size, t_max,
-                          CollectionMode.stopping_disabled(), -1.0, seed, 1)
+                          CollectionMode(DISABLED), -1.0, seed, 1)
     return actor, [rec for t in batch.trajectories for rec in t.steps]
 
 
@@ -49,7 +39,7 @@ def smoothed_scores(frozen_mu, t_max=12):
     snapshot = plain_snapshot(frozen_mu=frozen_mu, frozen_var=1.0 - 1e-8,
                               alpha_s=0.9, warmup_active=True)
     (traj,) = collect_batch(actor, critic, snapshot, env, 1, t_max,
-                            CollectionMode.stopping_disabled(), -1.0, 0, 1).trajectories
+                            CollectionMode(DISABLED), -1.0, 0, 1).trajectories
     assert len(traj.steps) == t_max
     return [rec.smoothed_score for rec in traj.steps]
 
@@ -167,97 +157,115 @@ class TestShouldStop:
 
 class TestUpdateEma:
     def test_blend_arithmetic(self):
-        stats = EmaStats(mu_g=0.0, var_g=1.0, alpha_ema=0.99)
-        out = update_ema(stats, [1.0])
-        assert out.mu_g == pytest.approx(0.01, abs=1e-12)
-        assert out.var_g == pytest.approx(0.99, abs=1e-12)
+        stopper = make_stopper(alpha_ema=0.99)
+        assert (stopper.mu_g, stopper.var_g) == (0.0, 1.0)
+        stopper.update_ema(np.array([1.0]))
+        assert stopper.mu_g == pytest.approx(0.01, abs=1e-12)
+        assert stopper.var_g == pytest.approx(0.99, abs=1e-12)
 
     def test_fixed_point(self):
         # batch [0, 4] has mean 2 and population variance 4
-        stats = EmaStats(mu_g=2.0, var_g=4.0)
-        out = update_ema(stats, [0.0, 4.0])
-        assert out.mu_g == pytest.approx(2.0, abs=1e-12)
-        assert out.var_g == pytest.approx(4.0, abs=1e-12)
+        stopper = make_stopper()
+        stopper.mu_g, stopper.var_g = 2.0, 4.0
+        stopper.update_ema(np.array([0.0, 4.0]))
+        assert stopper.mu_g == pytest.approx(2.0, abs=1e-12)
+        assert stopper.var_g == pytest.approx(4.0, abs=1e-12)
 
     def test_permutation_invariance_is_bit_exact(self):
         rng = np.random.default_rng(5)
-        values = [float(v) for v in rng.normal(0, 1, size=1000)]
-        shuffled = list(values)
-        rng.shuffle(shuffled)
-        stats = EmaStats()
-        a = update_ema(stats, values)
-        b = update_ema(stats, shuffled)
+        values = rng.normal(0, 1, size=1000)
+        a, b = make_stopper(), make_stopper()
+        a.update_ema(values)
+        b.update_ema(rng.permutation(values))
         assert a.mu_g == b.mu_g
         assert a.var_g == b.var_g
 
     def test_population_variance_formula(self):
-        stats = EmaStats(mu_g=0.0, var_g=0.0, alpha_ema=0.5)
-        out = update_ema(stats, [0.0, 2.0])  # mean 1, population var 1
-        assert out.var_g == pytest.approx(0.5, abs=1e-12)
+        stopper = make_stopper(alpha_ema=0.5)
+        stopper.var_g = 0.0
+        stopper.update_ema(np.array([0.0, 2.0]))  # mean 1, population var 1
+        assert stopper.var_g == pytest.approx(0.5, abs=1e-12)
+        # bit for bit the float loop: squares are libm pow(x, 2.0), as `** 2`
+        # on a float is; x * x rounds differently on ~0.1% of inputs (with
+        # glibc, on 1.8871580461934296 among others)
+        values = np.random.default_rng(8).normal(0.4, 1.7, size=3000).tolist()
+        for batch in (values, [1.8871580461934296, -1.8871580461934296]):
+            stopper = make_stopper(alpha_ema=0.0)
+            stopper.update_ema(np.array(batch))
+            mean = math.fsum(batch) / len(batch)
+            assert stopper.mu_g == mean
+            assert stopper.var_g == math.fsum((v - mean) ** 2 for v in batch) / len(batch)
 
     def test_empty_batch_warns_and_keeps_stats(self, caplog):
-        stats = EmaStats(mu_g=0.3)
+        stopper = make_stopper()
+        stopper.mu_g = 0.3
         with caplog.at_level("WARNING"):
-            out = update_ema(stats, [])
-        assert out == stats
+            stopper.update_ema(np.array([]))
+        assert (stopper.mu_g, stopper.var_g) == (0.3, 1.0)
         assert "empty batch" in caplog.text
 
     def test_frozen_copies_change_only_through_update(self):
         # a snapshot keeps the statistics it was taken with; only the next
         # snapshot sees the end-of-batch update
-        state = StopperState(EmaStats(), BetaController(), WarmupGate(active=False),
-                             value_floor=0.2, alpha_s=0.9)
+        state = make_stopper(variant="espo_no_warmup", total_steps=10)
         before = state.snapshot()
         _ = before.normalize(3.0)
-        state.end_of_batch([1.0, 3.0], 0.25, 0.0, 1, 10)
+        state.end_of_batch(np.array([1.0, 3.0]), 0.25, 0.0, 1)
         assert (before.frozen_mu, before.frozen_var) == (0.0, 1.0)
         after = state.snapshot()
-        assert (after.frozen_mu, after.frozen_var) == (state.stats.mu_g, state.stats.var_g)
+        assert (after.frozen_mu, after.frozen_var) == (state.mu_g, state.var_g)
         assert after.frozen_mu == pytest.approx(0.02, abs=1e-12)
 
 
 class TestBetaController:
     def test_proportional_step(self):
-        ctrl = BetaController(beta=7.0, eta_beta=0.1, target_rate=0.25)
-        assert update_beta(ctrl, 0.5).beta == pytest.approx(7.025, abs=1e-12)
+        ctrl = make_stopper(beta_init=7.0, eta_beta=0.1, target_stop_rate=0.25)
+        ctrl.update_beta(0.5)
+        assert ctrl.beta == pytest.approx(7.025, abs=1e-12)
 
     def test_setpoint_is_fixed_point(self):
-        ctrl = BetaController(beta=4.0, eta_beta=0.1, target_rate=0.25)
-        assert update_beta(ctrl, 0.25).beta == 4.0
+        ctrl = make_stopper(beta_init=4.0, eta_beta=0.1, target_stop_rate=0.25)
+        ctrl.update_beta(0.25)
+        assert ctrl.beta == 4.0
 
     def test_clipping_at_bounds(self):
-        ctrl = BetaController(beta=10.0, eta_beta=0.1, target_rate=0.25, beta_max=10.0)
-        assert update_beta(ctrl, 1.0).beta == 10.0
-        ctrl = BetaController(beta=0.0, eta_beta=0.1, target_rate=0.25, beta_min=0.0)
-        assert update_beta(ctrl, 0.0).beta == 0.0
+        ctrl = make_stopper(beta_init=10.0, eta_beta=0.1, target_stop_rate=0.25,
+                            beta_max=10.0)
+        ctrl.update_beta(1.0)
+        assert ctrl.beta == 10.0
+        ctrl = make_stopper(beta_init=0.0, eta_beta=0.1, target_stop_rate=0.25,
+                            beta_min=0.0)
+        ctrl.update_beta(0.0)
+        assert ctrl.beta == 0.0
 
     def test_zero_stop_batch_decreases_beta_by_gain_times_target(self):
-        ctrl = BetaController(beta=7.0, eta_beta=0.1, target_rate=0.25)
-        out = update_beta(ctrl, 0.0)
-        assert out.beta == pytest.approx(7.0 - 0.1 * 0.25, abs=1e-12)
+        ctrl = make_stopper(beta_init=7.0, eta_beta=0.1, target_stop_rate=0.25)
+        ctrl.update_beta(0.0)
+        assert ctrl.beta == pytest.approx(7.0 - 0.1 * 0.25, abs=1e-12)
 
     def test_direction_matches_rate_error(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            ctrl = BetaController(beta=float(rng.uniform(1, 9)), eta_beta=0.1)
+            before = float(rng.uniform(1, 9))
+            ctrl = make_stopper(beta_init=before, eta_beta=0.1)
             rate = float(rng.uniform(0, 1))
-            new = update_beta(ctrl, rate)
-            if new.beta != ctrl.beta:  # unclipped
-                assert math.copysign(1, new.beta - ctrl.beta) == math.copysign(
-                    1, rate - ctrl.target_rate)
+            ctrl.update_beta(rate)
+            if ctrl.beta != before:  # unclipped
+                assert math.copysign(1, ctrl.beta - before) == math.copysign(
+                    1, rate - ctrl.cfg.target_stop_rate)
 
     def test_rate_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
-            update_beta(BetaController(), 1.5)
+            make_stopper().update_beta(1.5)
 
 
 class TestWarmupGate:
     def run_trace(self, losses, total_steps=1000):
-        gate = WarmupGate()
+        gate = make_stopper(total_steps=total_steps)
         release_step = None
         for step, loss in enumerate(losses, start=1):
-            gate = warmup_step(gate, loss, step, total_steps)
-            if not gate.active and release_step is None:
+            gate.warmup_step(loss, step)
+            if not gate.warmup_active and release_step is None:
                 release_step = step
         return gate, release_step
 
@@ -271,41 +279,44 @@ class TestWarmupGate:
 
     def test_oscillation_hits_unconditional_cap(self):
         losses = [0.0 if i % 2 == 0 else 2.0 for i in range(10)]
-        gate = WarmupGate()
-        release_step = None
         total = 40  # cap = ceil(0.1 * 40) = 4
-        for step, loss in enumerate(losses, start=1):
-            gate = warmup_step(gate, loss, step, total)
-            if not gate.active and release_step is None:
-                release_step = step
+        _gate, release_step = self.run_trace(losses, total_steps=total)
         assert release_step == math.ceil(0.10 * total) == 4
 
     def test_gate_never_rearms(self):
-        gate = WarmupGate(active=False, consecutive_hits=0)
-        out = warmup_step(gate, 100.0, 1, 1000)
-        assert out.active is False
+        gate = make_stopper(variant="espo_no_warmup")
+        assert gate.warmup_active is False
+        gate.warmup_step(100.0, 1)
+        assert gate.warmup_active is False
+        assert gate.consecutive_hits == 0
 
     def test_counter_resets_on_miss(self):
         _gate, released = self.run_trace([0.4, 0.4, 9.0, 0.4, 0.4, 0.4])
         assert released == 6  # the miss at step 3 resets the streak
 
 
+def annealing(steps_since_warmup, anneal_horizon, beta=7.0, beta_max=10.0):
+    """A released stopper whose controller sits at `beta`, that many steps
+    into an anneal of the given horizon."""
+    stopper = make_stopper(variant="espo_no_warmup", beta_init=beta, beta_max=beta_max)
+    stopper.steps_since_warmup, stopper.anneal_horizon = steps_since_warmup, anneal_horizon
+    return stopper
+
+
 class TestAnnealBeta:
     def test_starts_at_beta_max(self):
-        ctrl = BetaController(beta=7.0, beta_max=10.0)
-        assert anneal_beta(ctrl, 0, 30).beta == 10.0
+        assert annealing(0, 30).annealed_beta() == 10.0
+        assert annealing(0, 30).snapshot().beta == 10.0
 
     def test_lands_on_configured_beta(self):
-        ctrl = BetaController(beta=7.0, beta_max=10.0)
-        assert anneal_beta(ctrl, 30, 30).beta == 7.0
+        assert annealing(30, 30).annealed_beta() == 7.0
 
     def test_midpoint_is_arithmetic_mean(self):
-        ctrl = BetaController(beta=7.0, beta_max=10.0)
-        assert anneal_beta(ctrl, 15, 30).beta == pytest.approx(8.5, abs=1e-12)
+        assert annealing(15, 30).annealed_beta() == pytest.approx(8.5, abs=1e-12)
 
     def test_zero_horizon_is_identity(self):
-        ctrl = BetaController(beta=3.0, beta_max=10.0)
-        assert anneal_beta(ctrl, 0, 0) == ctrl
+        assert annealing(0, 0, beta=3.0).annealed_beta() == 3.0
+        assert make_stopper(beta_init=3.0).annealed_beta() == 3.0  # warmup armed
 
 
 class TestSetpointTracking:
@@ -313,8 +324,8 @@ class TestSetpointTracking:
         # synthetic stationary system: stop probability strictly decreasing
         # in beta; rolling 50-batch rate inside +/-0.05 of 0.25 by update 200
         rng = np.random.default_rng(99)
-        ctrl = BetaController(beta=7.0, eta_beta=0.1, target_rate=0.25,
-                              beta_min=0.0, beta_max=10.0)
+        ctrl = make_stopper(beta_init=7.0, eta_beta=0.1, target_stop_rate=0.25,
+                            beta_min=0.0, beta_max=10.0)
         batch = 64
         rates = []
         for _ in range(300):
@@ -322,7 +333,7 @@ class TestSetpointTracking:
             stops = rng.binomial(batch, p)
             rate = stops / batch
             rates.append(rate)
-            ctrl = update_beta(ctrl, rate)
+            ctrl.update_beta(rate)
         rolling = [sum(rates[i - 50:i]) / 50 for i in range(50, 301)]
         hit = next((i + 50 for i, r in enumerate(rolling) if abs(r - 0.25) <= 0.05), None)
         assert hit is not None and hit <= 200

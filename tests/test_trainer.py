@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -13,7 +14,7 @@ from espolab.config import ConfigError, RunConfig
 from espolab.envs import TrapChainSpec, build_trap_chain
 from espolab.mdpcore import StepRecord, StopReason, Trajectory
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import CachedPolicy, CollectionMode, collect_batch
+from espolab.rollout import DISABLED, STANDARD, CachedPolicy, CollectionMode, collect_batch
 from espolab.trainer import (
     PpoConfig,
     TrainingRun,
@@ -49,7 +50,8 @@ def one_batch(traj):
 
 def td_errors(traj, gamma):
     """TD errors of a single trajectory, as compute_advantages produces them."""
-    return list(compute_advantages(one_batch(traj), PpoConfig(gamma=gamma), -1.0)[0].td_errors)
+    advs = compute_advantages(one_batch(traj), PpoConfig(gamma=gamma), -1.0)
+    return advs.td_errors[0].tolist()
 
 
 def gae_oracle(deltas, gamma, lam):
@@ -113,7 +115,7 @@ def small_training_batch(seed=5, beta=0.5, batch_size=6, t_max=8):
     actor = random_actor(env, rng)
     critic = random_critic(env, rng)
     batch = collect_batch(actor, critic, plain_snapshot(beta=beta), env,
-                          batch_size, t_max, CollectionMode.standard(), -1.0, seed, 1)
+                          batch_size, t_max, CollectionMode(STANDARD), -1.0, seed, 1)
     return env, actor, critic, batch
 
 
@@ -125,7 +127,7 @@ class TestSurrogate:
         cfg = PpoConfig()
         advs = compute_advantages(batch, cfg, -1.0)
         value = ppo_surrogate_value(actor, batch, advs, cfg)
-        flat = [a for s in advs for a in s.advantages]
+        flat = advs.advantages[advs.mask].tolist()
         assert value == pytest.approx(math.fsum(flat) / len(flat), abs=1e-12)
         _grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, cfg)
         assert clip_fraction == 0.0
@@ -217,9 +219,9 @@ class TestNegativeSignalConcentration:
             length = int(rng.integers(2, 10))
             values = [float(v) for v in rng.uniform(-0.49, 0.49, size=length)]
             traj = traj_from(values, -1.0, reason=StopReason.EARLY_STOP)
-            advs = compute_advantages(one_batch(traj), cfg, -1.0)[0]
-            assert advs.advantages[-1] < 0.0
-            assert advs.td_errors[-1] == -1.0 - values[-1]
+            advs = compute_advantages(one_batch(traj), cfg, -1.0)
+            assert advs.advantages[0, -1] < 0.0
+            assert advs.td_errors[0, -1] == -1.0 - values[-1]
 
 
 def base_config(**overrides):
@@ -305,13 +307,12 @@ class TestTrainingLoop:
         _env, _actor, _critic, batch = small_training_batch(seed=3, batch_size=8)
         raw = compute_advantages(batch, PpoConfig(), -1.0)
         white = compute_advantages(batch, PpoConfig(advantage_whitening=True), -1.0)
-        flat = [a for s in white for a in s.advantages]
+        flat = white.advantages[white.mask].tolist()
         assert abs(math.fsum(flat) / len(flat)) < 1e-10
         var = math.fsum(a * a for a in flat) / len(flat)
         assert var == pytest.approx(1.0, abs=1e-8)
         # returns stay unwhitened: they are the critic's regression targets
-        for r, w in zip(raw, white):
-            assert r.returns == w.returns
+        assert np.array_equal(raw.returns, white.returns)
 
     def test_beta_anneals_from_upper_bound_after_warmup(self):
         cfg = base_config(variant="espo", total_steps=40, actor_init_scale=1.0,
@@ -366,6 +367,55 @@ class TestCheckpointResume:
         run_experiment(half_cfg, resume_checkpoint=ckpt)
         assert (half_dir / "metrics.csv").read_bytes() == full_csv
 
+    @pytest.mark.parametrize("variant", ["espo", "espo_no_warmup"])
+    def test_resume_through_warmup_release_and_anneal(self, tmp_path, variant):
+        # checkpoints during warmup, at the release step (where the stopper
+        # sets its anneal horizon), in the middle of the anneal and where the
+        # controller takes over; each resumes to the uninterrupted run's bytes
+        from espolab.harness import run_experiment
+
+        full = tmp_path / "full"
+        cfg = base_config(variant=variant, total_steps=30, checkpoint_every=1,
+                          anneal_fraction=0.5, out_dir=str(full))
+        run_experiment(cfg)
+        full_csv = (full / "metrics.csv").read_bytes()
+
+        def state_at(step):
+            return json.loads((full / "checkpoints" / step / "state.json").read_text())
+
+        stoppers = {k: state_at(f"step_{k:06d}")["stopper"] for k in range(1, 31)}
+        for stopper in stoppers.values():
+            assert set(stopper) == {"stats", "beta", "gate", "steps_since_warmup",
+                                    "anneal_horizon"}
+        released = [k for k, stopper in stoppers.items() if not stopper["gate"][0]]
+        release = released[0]
+        horizon = stoppers[release]["anneal_horizon"]
+        assert horizon > 2
+        mid, end = (next(k for k in released if stoppers[k]["steps_since_warmup"] == n)
+                    for n in (horizon // 2, horizon))
+        points = [release, mid, end]
+        if variant == "espo":
+            assert release > 1 and stoppers[release]["steps_since_warmup"] == 0
+            assert horizon == math.ceil(0.5 * (30 - release))
+            points.insert(0, release - 1)
+        else:
+            assert release == 1 and horizon == math.ceil(0.5 * 30)
+        # the controller moves (every batch stops below target) only after the anneal
+        assert [stoppers[k]["beta"] for k in range(1, end + 1)] == [7.0] * end
+        assert stoppers[end + 1]["beta"] < 7.0
+
+        rows = full_csv.splitlines(keepends=True)
+        for k in points:
+            resumed = tmp_path / f"resumed_{k}"
+            resumed.mkdir()
+            (resumed / "metrics.csv").write_bytes(b"".join(rows[:k + 1]))
+            run_experiment(dataclasses.replace(cfg, out_dir=str(resumed)),
+                           resume_checkpoint=full / "checkpoints" / f"step_{k:06d}")
+            assert (resumed / "metrics.csv").read_bytes() == full_csv, k
+            final = TrainingRun.resume(cfg, resumed / "checkpoints" / "final")
+            assert final.stopper.state_dict() == state_at("final")["stopper"], k
+            assert final.step_index == 30
+
     def test_resume_rejects_mismatched_config(self, tmp_path):
         cfg = base_config(total_steps=4, out_dir=str(tmp_path / "a"))
         run = TrainingRun(cfg)
@@ -400,7 +450,7 @@ class TestSurrogateMemory:
         rng = np.random.default_rng(0)
         actor, critic = random_actor(env, rng), random_critic(env, rng)
         batch = collect_batch(actor, critic, plain_snapshot(), env, 64, 64,
-                              CollectionMode.stopping_disabled(), -1.0, 0, 1)
+                              CollectionMode(DISABLED), -1.0, 0, 1)
         advs = compute_advantages(batch, PpoConfig(), -1.0)
         assert int(advs.lengths.sum()) == 4096
         actor.table = actor.table + rng.normal(0, 0.1, size=actor.table.shape)  # ratios != 1
