@@ -92,6 +92,10 @@ class TabularEnv:
     there when terminal[s, a], with reward reward[s, a]. Rows of terminal
     states hold -1 and are never stepped from. Collection and evaluation
     advance whole batches of episodes by indexing these arrays.
+
+    absorbing[s] is True where every token leads from s back to s and none
+    ends the episode: an episode in s stays there until the horizon and can
+    never earn a reward.
     """
 
     def __init__(self, vocab_size: int, next_state: np.ndarray, terminal: np.ndarray,
@@ -103,6 +107,8 @@ class TabularEnv:
         self.next_state = next_state
         self.terminal = terminal
         self.reward = reward
+        self.absorbing = ((next_state == np.arange(self.state_count)[:, None]).all(axis=1)
+                          & ~terminal.any(axis=1))
 
 
 def _check_budget(count: int, budget: int) -> None:

@@ -236,13 +236,20 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     hypothetical = np.full(batch_size, -1)
 
     # Every row steps every column; a finished row is parked on the initial
-    # state and what it records past its length is cleared below.
+    # state and what it records past its length is cleared below. Once every
+    # live row sits in an absorbing state, the loop hands the rest of the
+    # batch, columns `start` onwards, to the bulk finish below.
+    absorbing = env.absorbing
+    start = t_max
     done = np.zeros(batch_size, dtype=bool)
     armed = np.ones(batch_size, dtype=bool)  # counterfactual: not fired yet
     remaining = batch_size
     state = np.full(batch_size, env.initial_state)
     z = np.zeros(batch_size)
     for t in range(t_max):
+        if (absorbing.take(state) | done).all():
+            start = t
+            break
         pair = state * vocab + pol.sample(state, uniforms[:, draws_per_step * t])
         z = alpha * z + scaled_regrets.take(pair)
         pairs[:, t] = pair
@@ -279,6 +286,47 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
         if remaining < batch_size:
             state[done] = env.initial_state
 
+    if start < t_max:
+        # Each live row stays in its state s for good and no token ends it,
+        # so whole blocks of columns go at once: tokens by bisecting s's
+        # cumulative table as CachedPolicy.sample does, regrets by lookup,
+        # then z one column at a time, and the first fire by argmax.
+        live = np.flatnonzero(~done)
+        s = state[live]
+        u = uniforms[live, draws_per_step * start::draws_per_step]
+        tokens = np.empty(u.shape, dtype=np.int64)
+        for absorbed in sorted(set(s.tolist())):  # np.unique would import numpy.ma
+            rows = s == absorbed
+            cum = pol.cum_probs[absorbed]
+            tokens[rows] = np.searchsorted(cum, u[rows] * cum[-1], side="right")
+        tail = s[:, None] * vocab + tokens
+        x = scaled_regrets.take(tail)
+        zs = np.empty_like(x)
+        z = z[live]
+        for j in range(x.shape[1]):
+            z = alpha * z + x[:, j]
+            zs[:, j] = z
+        pairs[live, start:] = tail
+        scores[live, start:] = zs
+
+        if thresholds is not None:
+            fires = zs > thresholds.take(s)[:, None]
+        elif mode.kind == RANDOM:
+            fires = uniforms[live, 2 * start + 1::2] < mode.random_stop_rate
+        else:
+            fires = None
+        if fires is not None:
+            fired = fires.any(axis=1)
+            first = start + fires.argmax(axis=1)
+            if counterfactual:
+                fired &= armed[live]
+                hypothetical[live[fired]] = first[fired]
+            else:
+                rows = live[fired]
+                lengths[rows] = first[fired] + 1
+                stop_codes[rows] = EARLY_STOP
+                outcomes[rows] = r_fail
+
     width = int(lengths.max()) if batch_size else 0
     pairs, scores = pairs[:, :width], scores[:, :width]
     past_end = np.arange(width) >= lengths[:, None]
@@ -310,15 +358,19 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
     so every greedy episode is the same one: it runs once and scores for all.
     Sampled episodes draw from the policy with per-episode streams keyed by
     (eval_tag, episode) and advance in lockstep chunks. Success means
-    terminal reward 1.
+    terminal reward 1. An episode that enters an absorbing state can never
+    reach a terminal, so it is dropped there as a failure.
     """
     vocab = policy.vocab_size
     next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
     success = env.reward.ravel() == 1.0
+    absorbing = env.absorbing
     if greedy:
         state = env.initial_state
         won = False
         for _ in range(t_max):
+            if absorbing[state]:
+                break
             pair = state * vocab + int(policy.greedy_actions[state])
             if terminal[pair]:
                 won = bool(success[pair])
@@ -339,8 +391,9 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
             pair = state * vocab + policy.sample(state, uniforms[rows, t])
             ended = terminal[pair]
             successes += int(np.count_nonzero(success[pair[ended]]))
-            keep = ~ended
-            rows, state = rows[keep], next_state[pair[keep]]
+            state = next_state[pair]
+            keep = ~(ended | absorbing[state])
+            rows, state = rows[keep], state[keep]
     return successes / episodes
 
 

@@ -99,7 +99,8 @@ class StopperState:
         self.mu_g = 0.0
         self.var_g = 1.0
         self.beta = cfg.beta_init
-        self.warmup_active = plan.warmup_enabled
+        # a run without stopping never consults the gate, so it is not armed
+        self.warmup_active = plan.warmup_enabled and plan.stopping
         self.consecutive_hits = 0
         self.last_loss: float | None = None
         self.steps_since_warmup = 0
@@ -203,6 +204,7 @@ class StopperState:
     def load_state_dict(self, state: dict) -> None:
         self.mu_g, self.var_g = state["stats"]
         self.beta = state["beta"]
-        self.warmup_active, self.consecutive_hits, self.last_loss = state["gate"]
+        armed, self.consecutive_hits, self.last_loss = state["gate"]
+        self.warmup_active = armed and self.plan.stopping  # older checkpoints arm it
         self.steps_since_warmup = state["steps_since_warmup"]
         self.anneal_horizon = state["anneal_horizon"]

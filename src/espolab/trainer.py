@@ -33,7 +33,6 @@ from .metrics import MetricsRow
 from .policy import TabularActor, TabularCritic, load_params, save_params
 from .rollout import (
     COUNTERFACTUAL,
-    DISABLED,
     RANDOM,
     CachedPolicy,
     CollectionMode,
@@ -99,9 +98,15 @@ class AdvantageSet:
 
 def gae(deltas, gamma: float, lam: float) -> np.ndarray:
     """Reverse recursion A_t = delta_t + gamma * lam * A_{t+1} along the last
-    axis (one column at a time for a B x T array), from A = 0 past the end."""
+    axis (one column at a time for a B x T array), from A = 0 past the end.
+
+    With gamma * lam == 1 the recursion is a suffix sum: a reversed cumsum
+    adds in the same order, and the trailing + 0.0 turns its -0.0 prefixes
+    into the +0.0 the recursion gives (it starts from A = +0.0)."""
     deltas = np.asarray(deltas, dtype=np.float64)
     decay = gamma * lam
+    if decay == 1.0:
+        return np.cumsum(deltas[..., ::-1], axis=-1)[..., ::-1] + 0.0
     out = np.empty_like(deltas)
     acc = np.zeros(deltas.shape[:-1])
     for t in range(deltas.shape[-1] - 1, -1, -1):
@@ -304,8 +309,7 @@ class TrainingRun:
         self.step_index += 1
         step = self.step_index
 
-        stopping = plan.mode_kind != DISABLED
-        snapshot = self.stopper.snapshot() if stopping else self._inert_snapshot
+        snapshot = self.stopper.snapshot() if plan.stopping else self._inert_snapshot
         mode = self._collection_mode()
         cache = CachedPolicy(self.actor, self.critic)
         batch = collect_batch(self.actor, self.critic, snapshot, self.env,
@@ -343,7 +347,7 @@ class TrainingRun:
         success_rate = success / batch.size if batch.size else 0.0
         self.cumulative_tokens += batch.total_tokens
 
-        if stopping:
+        if plan.stopping:
             self.stopper.end_of_batch(regrets, stop_rate, loss, step)
             if plan.random_trace is not None:
                 idx = min(step - 1, len(plan.random_trace) - 1)

@@ -45,6 +45,11 @@ class VariantPlan:
     random_trace: tuple[float, ...] | None = None
     random_fixed_rate: float | None = None
 
+    @property
+    def stopping(self) -> bool:
+        """Whether the stopper takes part in the run at all."""
+        return self.mode_kind != DISABLED
+
 
 def load_stop_rate_trace(run_dir) -> tuple[float, ...]:
     rows = read_metrics(os.path.join(run_dir, "metrics.csv"))

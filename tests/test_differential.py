@@ -7,9 +7,16 @@ trajectory's own stream. compute_advantages, ppo_surrogate_grad, critic_loss
 and critic_grad work on B x T arrays; the references are the per-step loops.
 evaluate_policy advances episodes in lockstep; the reference steps one
 episode at a time.
+
+Once every live row of a batch sits in an absorbing state, collect_batch
+finishes the rest of the batch in bulk, and sampled evaluation drops absorbed
+episodes; TestBulkFinishAgainstOracle builds cases that reach every branch of
+that path.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -130,15 +137,98 @@ class TestCollectBatchAgainstOracle:
         assert batch.states.shape[1] == max(len(t.steps) for t in oracle)
 
 
+def absorbing_case(kind, seed):
+    """A collect_batch case on an environment with an absorbing state, with
+    stop thresholds near the scores the rows reach."""
+    rng = np.random.default_rng(seed)
+    vocab, length = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    if seed % 2:
+        env = build_environment(TrapChainSpec(
+            vocab, length, tuple(rng.integers(0, vocab, size=length).tolist())))
+    else:
+        env = build_environment(RecoverableBranchSpec(vocab, length, int(rng.integers(1, 3))))
+    actor = TabularActor(env.state_count, vocab)
+    actor.table = rng.normal(0.0, 1.0, size=actor.table.shape)
+    critic = TabularCritic(env.state_count)
+    critic.table = rng.normal(0.0, 0.5, size=critic.table.shape)
+    rule = list(StopRule)[seed % 3]
+    snapshot = StopperSnapshot(
+        alpha_s=float(rng.uniform(0.3, 0.95)), beta=float(rng.uniform(0.05, 1.5)),
+        value_floor=0.1, warmup_active=False, rule=rule,
+        rule_threshold=float(rng.uniform(-0.5, 1.0)))
+    if kind == "random":
+        mode = CollectionMode(RANDOM, [0.05, 0.2, 1.0][seed % 3])
+    else:
+        mode = MODES[kind]
+    return dict(actor=actor, critic=critic, snapshot=snapshot, env=env,
+                batch_size=12, t_max=int(rng.integers(8, 30)), mode=mode,
+                r_fail=-1.0, master_seed=seed, batch_index=int(rng.integers(0, 50)))
+
+
+def bulk_features(batch, case):
+    """Which parts of the bulk finish a collected batch went through, read
+    from the batch itself: the bulk starts at the first column where every
+    row not yet ended sits in an absorbing state."""
+    env, t_max = case["env"], case["t_max"]
+    inside = np.arange(batch.states.shape[1]) < batch.lengths[:, None]
+    absorbed = env.absorbing[batch.states] & inside
+    entered = absorbed.any(axis=1)
+    entry = np.where(entered, absorbed.argmax(axis=1), batch.lengths)
+    start = int(entry.max())
+    if start >= t_max:
+        return set()
+    features = {"bulk"}
+    if len(set(entry[entered].tolist())) > 1:
+        features.add("rows absorbed at different columns")
+    if not entered.all():
+        features.add("a row ended before absorbing")
+    live = batch.lengths > start
+    stops = batch.stop_indices[live]
+    if (stops == start).any():
+        features.add("fires on the first bulk column")
+    if (stops > start).any():
+        features.add("fires later in the bulk")
+    if (stops == -1).any():
+        features.add("never fires")
+    if case["mode"].kind == COUNTERFACTUAL:
+        thresholds = case["snapshot"].stop_thresholds(case["critic"].table)
+        again = (batch.scores[:, start:] > thresholds[batch.states[:, start:]]).any(axis=1)
+        if (live & (batch.hypothetical_stops >= 0)
+                & (batch.hypothetical_stops < start) & again).any():
+            features.add("fired before the bulk and would fire in it")
+    return features
+
+
+class TestBulkFinishAgainstOracle:
+    def test_every_mode_equals_the_per_token_loop(self):
+        firing = {"bulk", "rows absorbed at different columns", "a row ended before absorbing",
+                  "fires on the first bulk column", "fires later in the bulk", "never fires"}
+        expected = {
+            "standard": firing,
+            "random": firing,
+            "counterfactual": firing | {"fired before the bulk and would fire in it"},
+            "disabled": firing - {"fires on the first bulk column", "fires later in the bulk"},
+        }
+        for kind, features in expected.items():
+            seen = Counter()
+            for seed in range(60):
+                case = absorbing_case(kind, seed)
+                batch = collect_batch(**case)
+                assert batch.trajectories == oracle_batch(case), (kind, seed)
+                seen.update(bulk_features(batch, case))
+            assert set(seen) == features, kind
+
 @st.composite
 def training_cases(draw):
     case = draw(collection_cases())
     if case["mode"].kind == "random" or draw(st.booleans()):
         case["mode"] = MODES[draw(st.sampled_from(["standard", "counterfactual"]))]
+    # gamma = lam = 1 (the default) takes gae's suffix-sum path
+    gamma, lam = draw(st.one_of(
+        st.just((1.0, 1.0)),
+        st.tuples(st.sampled_from([1.0, 0.99, 0.9, 0.5]), st.sampled_from([1.0, 0.95, 0.7]))))
     config = PpoConfig(
-        clip_ratio=draw(st.sampled_from([0.05, 0.2, 0.5])),
-        gamma=draw(st.sampled_from([1.0, 0.99, 0.9, 0.5])),
-        lam=draw(st.sampled_from([1.0, 0.95, 0.7])),
+        clip_ratio=draw(st.sampled_from([0.05, 0.2, 0.5])), gamma=gamma, lam=lam,
         advantage_whitening=draw(st.booleans()))
     epochs = draw(st.integers(1, 4))
     lr = draw(st.sampled_from([0.05, 0.5, 3.0]))
@@ -234,6 +324,18 @@ class TestEvaluatePolicyAgainstScalarLoop:
         policy = CachedPolicy(actor, TabularCritic(env.state_count))
         got = evaluate_policy(policy, env, t_max, episodes, seed % 1000, 7, greedy=greedy)
         assert got == scalar_evaluate(actor, env, t_max, episodes, seed % 1000, 7, greedy)
+
+    def test_absorbed_episodes_are_dropped_as_failures(self):
+        # on a trap chain that absorbs its doomed branch, every failure within
+        # a horizon longer than the chain is an absorbed episode
+        env = build_environment(TrapChainSpec(2, 3, (0, 1, 1)))
+        actor = TabularActor(env.state_count, 2)
+        actor.table = np.random.default_rng(4).normal(0.0, 1.0, size=actor.table.shape)
+        policy = CachedPolicy(actor, TabularCritic(env.state_count))
+        for episodes in (1, 64, 150):
+            got = evaluate_policy(policy, env, 20, episodes, 5, 2, greedy=False)
+            assert got == scalar_evaluate(actor, env, 20, episodes, 5, 2, greedy=False)
+        assert 0.0 < got < 1.0
 
     def test_greedy_reads_the_logits_argmax(self):
         # logits 0 and 1e-300 tie after the log-softmax; the greedy token is

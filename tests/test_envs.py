@@ -160,6 +160,24 @@ class TestRecoverableBranch:
             assert found, f"no path to success from {self.env.labels[start]}"
 
 
+class TestAbsorbingStates:
+    @pytest.mark.parametrize("spec", [
+        TrapChainSpec(3, 4, (0, 2, 1, 1)),
+        TrapChainSpec(3, 4, (0, 2, 1, 1), doom_padding=0),
+        TrapChainSpec(3, 4, (0, 2, 1, 1), doom_padding=3),
+        RecoverableBranchSpec(3, 4, 0),
+        RecoverableBranchSpec(2, 3, 2),
+    ])
+    def test_self_loops_with_no_terminal_token(self, spec):
+        env = build_environment(spec)
+        want = [all(env.next_state[s, a] == s and not env.terminal[s, a]
+                    for a in range(env.vocab_size)) for s in range(env.state_count)]
+        assert env.absorbing.tolist() == want
+        absorbing = [env.labels[s] for s in np.flatnonzero(env.absorbing)]
+        finite = getattr(spec, "doom_padding", None) is not None
+        assert absorbing == ([] if finite else ["doom:absorb"])
+
+
 class TestTargetGeneration:
     def test_deterministic_and_in_range(self):
         a = generate_target_sequence(8, 12, seed=5)

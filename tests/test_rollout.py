@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import espolab
 from espolab.envs import TrapChainSpec, build_trap_chain
 from espolab.mdpcore import (
     StepRecord,
@@ -353,3 +357,29 @@ class TestDump:
             assert int(cols[0]) == i
         assert lines[-1].endswith("\t1")
         assert all(line.endswith("\t0") for line in lines[:-1])
+
+
+ABSORBING_RUN = """
+import sys
+from espolab.config import RunConfig
+from espolab.trainer import TrainingRun
+run = TrainingRun(RunConfig(env="recoverable", counterfactual=True, vocab_size=3,
+                            target_length=4, repair_window=1, t_max=64, batch_size=8,
+                            total_steps=3, actor_init_scale=1.0, eval_every=1,
+                            eval_episodes=32, out_dir=sys.argv[1]))
+for _ in run.run():
+    pass
+absorbed = run.env.absorbing[run.last_batch.states].any()
+print(bool(absorbed), "numpy.ma" in sys.modules)
+"""
+
+
+class TestMemoryFootprint:
+    def test_absorbing_run_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique on an integer array imports numpy.ma, which adds about
+        # 1.2 MiB to a run's peak RSS; collection and evaluation never need it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(espolab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", ABSORBING_RUN, str(tmp_path)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["True", "False"]

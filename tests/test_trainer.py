@@ -109,6 +109,43 @@ class TestGae:
                     assert max(abs(a - b) for a, b in zip(got, want)) < 1e-10
 
 
+def gae_scan(deltas, decay):
+    """The reverse recursion one column at a time, from A = +0.0."""
+    out = np.empty_like(deltas)
+    acc = np.zeros(deltas.shape[:-1])
+    for t in range(deltas.shape[-1] - 1, -1, -1):
+        acc = deltas[..., t] + decay * acc
+        out[..., t] = acc
+    return out
+
+
+class TestUndiscountedGae:
+    """gamma * lam == 1 takes the reversed-cumsum path, compared bit for bit
+    (sign of zero included) with the recursion."""
+
+    def test_signed_zero_rows(self):
+        deltas = np.array([
+            [-0.0, -0.0, -0.0, -0.0],
+            [-0.0, 0.0, -0.0, -0.0],
+            [0.0, -0.0, -0.0, -0.0],
+            [-0.0, -0.0, -0.0, 0.0],
+            [1.5, -0.0, -1.5, -0.0],
+            [-0.0, 2.0, -2.0, -0.0],
+        ])
+        got, want = gae(deltas, 1.0, 1.0), gae_scan(deltas, 1.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert not np.signbit(got[:4]).any()
+
+    def test_random_rows_with_signed_zeros(self):
+        rng = np.random.default_rng(8)
+        deltas = rng.normal(0.0, 1.0, size=(64, 33))
+        deltas[rng.random(deltas.shape) < 0.3] = 0.0
+        deltas[rng.random(deltas.shape) < 0.3] = -0.0
+        got, want = gae(deltas, 1.0, 1.0), gae_scan(deltas, 1.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def small_training_batch(seed=5, beta=0.5, batch_size=6, t_max=8):
     env = build_trap_chain(TrapChainSpec(4, 3, (0, 1, 2), 2))
     rng = np.random.default_rng(seed)
@@ -415,6 +452,53 @@ class TestCheckpointResume:
             final = TrainingRun.resume(cfg, resumed / "checkpoints" / "final")
             assert final.stopper.state_dict() == state_at("final")["stopper"], k
             assert final.step_index == 30
+
+    @pytest.mark.parametrize("variant", ["ppo", "espo"])
+    def test_checkpoints_record_the_gate_collection_used(self, tmp_path, variant):
+        # a checkpoint's gate is armed exactly when the next step collects in
+        # warmup; a ppo run never consults the gate, so it is never armed
+        from espolab.harness import run_experiment
+        from espolab.metrics import read_metrics
+
+        cfg = base_config(variant=variant, total_steps=8, checkpoint_every=1,
+                          warmup_step_cap_fraction=0.5, out_dir=str(tmp_path))
+        run_experiment(cfg)
+
+        def gate(name):
+            path = tmp_path / "checkpoints" / name / "state.json"
+            return json.loads(path.read_text())["stopper"]["gate"]
+
+        gates = [gate(f"step_{k:06d}") for k in range(1, 9)]
+        assert gate("final") == gates[-1]
+        rows = read_metrics(tmp_path / "metrics.csv")
+        assert [g[0] for g in gates[:-1]] == [row.warmup_active for row in rows[1:]]
+        if variant == "ppo":
+            assert all(g == [False, 0, None] for g in gates)
+        else:
+            assert gates[0][0] and gates[0][2] is not None and not gates[-1][0]
+
+    def test_resume_accepts_a_ppo_checkpoint_with_an_armed_gate(self, tmp_path):
+        # ppo checkpoints from before the gate was left unarmed hold
+        # [true, 0, null]; they resume to the same rows and an unarmed gate
+        from espolab.harness import run_experiment
+
+        full = tmp_path / "full"
+        cfg = base_config(variant="ppo", total_steps=6, checkpoint_every=3,
+                          out_dir=str(full))
+        run_experiment(cfg)
+        full_csv = (full / "metrics.csv").read_bytes()
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        (resumed / "metrics.csv").write_bytes(b"".join(full_csv.splitlines(keepends=True)[:4]))
+        state_path = full / "checkpoints" / "step_000003" / "state.json"
+        state = json.loads(state_path.read_text())
+        state["stopper"]["gate"] = [True, 0, None]
+        state_path.write_text(json.dumps(state))
+        run_experiment(dataclasses.replace(cfg, out_dir=str(resumed)),
+                       resume_checkpoint=full / "checkpoints" / "step_000003")
+        assert (resumed / "metrics.csv").read_bytes() == full_csv
+        final = json.loads((resumed / "checkpoints" / "final" / "state.json").read_text())
+        assert final["stopper"]["gate"] == [False, 0, None]
 
     def test_resume_rejects_mismatched_config(self, tmp_path):
         cfg = base_config(total_steps=4, out_dir=str(tmp_path / "a"))
