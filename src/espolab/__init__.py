@@ -4,10 +4,5 @@ rollouts with absorbing failure transitions, on synthetic token-level MDPs."""
 __version__ = "0.1.0"
 
 from .config import RunConfig, build_run_config, config_hash  # noqa: F401
-from .mdpcore import (  # noqa: F401
-    StepRecord,
-    StopReason,
-    Trajectory,
-    log_softmax,
-)
+from .mdpcore import log_softmax  # noqa: F401
 from .stopper import StopperSnapshot, StopperState  # noqa: F401

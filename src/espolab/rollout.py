@@ -16,20 +16,15 @@ seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mdpcore import (
-    EVAL_STREAM,
-    StepRecord,
-    StopReason,
-    Trajectory,
-    derived_rng,
-    log_softmax,
-    trajectory_rng,
-)
+from .mdpcore import EVAL_STREAM, derived_rng, log_softmax, trajectory_rng
 from .policy import TabularActor, TabularCritic
-from .stopper import StopperSnapshot
+
+if TYPE_CHECKING:  # stopper imports CollectionMode from this module
+    from .stopper import StopperSnapshot
 
 __all__ = [
     "CachedPolicy",
@@ -37,7 +32,6 @@ __all__ = [
     "RolloutBatch",
     "STOP_REASONS",
     "collect_batch",
-    "dump_trajectory",
     "evaluate_policy",
     "false_positive_rate",
 ]
@@ -101,7 +95,7 @@ class CachedPolicy:
 
 # Stop codes of RolloutBatch.stop_codes, indexes into STOP_REASONS.
 NATURAL_END, HORIZON_CAP, EARLY_STOP = 0, 1, 2
-STOP_REASONS = (StopReason.NATURAL_END, StopReason.HORIZON_CAP, StopReason.EARLY_STOP)
+STOP_REASONS = ("natural_end", "horizon_cap", "early_stop")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,17 +129,6 @@ class RolloutBatch:
         return len(self.lengths)
 
     @property
-    def stop_count(self) -> int:
-        """Trajectories that ended with StopReason.EARLY_STOP."""
-        return int(np.count_nonzero(self.stop_codes == EARLY_STOP))
-
-    @property
-    def hypothetical_stop_count(self) -> int:
-        """Counterfactual-mode trajectories whose criterion fired (the "stops"
-        the controller sees in that mode)."""
-        return int(np.count_nonzero(self.hypothetical_stops >= 0))
-
-    @property
     def total_tokens(self) -> int:
         return int(self.lengths.sum())
 
@@ -163,20 +146,17 @@ class RolloutBatch:
         return np.where(self.hypothetical_stops >= 0, self.hypothetical_stops, stopped)
 
     @property
-    def trajectories(self) -> tuple[Trajectory, ...]:
-        """The rows as Trajectory records, built on each access (for tests and
-        the trajectory dump, not for training)."""
-        out = []
-        for i, n in enumerate(self.lengths.tolist()):
-            columns = (self.states[i, :n].tolist(), self.actions[i, :n].tolist(),
-                       self.log_probs[i, :n].tolist(), self.values[i, :n].tolist(),
-                       self.regrets[i, :n].tolist(), self.normalized_regrets[i, :n].tolist(),
-                       self.scores[i, :n].tolist())
-            hyp = int(self.hypothetical_stops[i])
-            out.append(Trajectory(tuple(StepRecord(*step) for step in zip(*columns)),
-                                  STOP_REASONS[self.stop_codes[i]], float(self.outcomes[i]),
-                                  hyp if hyp >= 0 else None))
-        return tuple(out)
+    def trajectories(self) -> tuple:
+        """The rows as plain values, built on each access: per row, its step
+        tuples (state, action, log-prob, value, regret, normalized regret,
+        score), stop code, outcome and hypothetical stop. Two batches hold
+        the same rows exactly when their views are equal."""
+        columns = (self.states, self.actions, self.log_probs, self.values, self.regrets,
+                   self.normalized_regrets, self.scores)
+        rows = zip(self.lengths.tolist(), self.stop_codes.tolist(), self.outcomes.tolist(),
+                   self.hypothetical_stops.tolist())
+        return tuple((tuple(zip(*(c[i, :n].tolist() for c in columns))), code, outcome, hyp)
+                     for i, (n, code, outcome, hyp) in enumerate(rows))
 
 
 def false_positive_rate(batch: RolloutBatch) -> float:
@@ -395,16 +375,3 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
             keep = ~(ended | absorbing[state])
             rows, state = rows[keep], state[keep]
     return successes / episodes
-
-
-def dump_trajectory(traj: Trajectory) -> str:
-    """Tab-separated debug dump: one line per step with the stop signal path."""
-    lines = []
-    stop_index = traj.stop_index
-    for i, rec in enumerate(traj.steps):
-        lines.append("\t".join([
-            str(i), str(rec.state_id), str(rec.action), repr(rec.regret_raw),
-            repr(rec.regret_normalized), repr(rec.smoothed_score),
-            repr(rec.value_estimate), "1" if i == stop_index else "0",
-        ]))
-    return "\n".join(lines)

@@ -2,7 +2,8 @@
 
 Per-step surrogate regret, frozen-batch EMA normalization, exponential
 smoothing, the value-gated stop decision, the proportional stop-rate
-controller, and the adaptive critic-warmup gate.
+controllers (beta, and the random-stop hazard's correction), and the adaptive
+critic-warmup gate.
 
 StopperState changes only between batches, and rollout workers only ever see
 the frozen StopperSnapshot taken before their batch, so no collection can
@@ -21,6 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import RunConfig
+from .rollout import RANDOM, CollectionMode
 
 if TYPE_CHECKING:  # variants imports StopRule from this module
     from .variants import VariantPlan
@@ -88,10 +90,11 @@ class StopperSnapshot:
 
 class StopperState:
     """Mutable batch-boundary side of the machinery: the EMA regret
-    statistics, the beta controller with its post-warmup anneal, and the
-    critic-warmup gate. Constants come from the run config; the rule, its
-    threshold and which mechanisms are on come from the variant plan. Yields
-    one StopperSnapshot per batch and takes one end_of_batch per step."""
+    statistics, the beta controller with its post-warmup anneal, the
+    critic-warmup gate and the random-stop hazard correction. Constants come
+    from the run config; the rule, its threshold and which mechanisms are on
+    come from the variant plan. Yields one StopperSnapshot and one
+    CollectionMode per batch and takes one end_of_batch per step."""
 
     def __init__(self, cfg: RunConfig, plan: VariantPlan):
         self.cfg = cfg
@@ -107,6 +110,7 @@ class StopperState:
         # without warmup, annealing spans the configured fraction of all steps
         self.anneal_horizon = (0 if plan.warmup_enabled
                                else math.ceil(cfg.anneal_fraction * cfg.total_steps))
+        self.random_correction = 0.0
 
     def update_ema(self, regrets: np.ndarray) -> None:
         """Blend the running statistics with one batch's regret mean and
@@ -154,14 +158,18 @@ class StopperState:
 
     def annealed_beta(self) -> float:
         """The beta in force: during the post-warmup anneal, linear from
-        beta_max down to the controller's beta over anneal_horizon steps."""
+        beta_max down to the controller's beta over anneal_horizon steps. A
+        run without stopping has no anneal."""
         horizon, done = self.anneal_horizon, self.steps_since_warmup
-        if horizon <= 0 or done >= horizon:
+        if horizon <= 0 or done >= horizon or not self.plan.stopping:
             return self.beta
         beta_max = self.cfg.beta_max
         return beta_max + (self.beta - beta_max) * (done / horizon)
 
     def snapshot(self) -> StopperSnapshot:
+        """The frozen view for the next batch. In a run without stopping it is
+        inert: end_of_batch never runs, so it keeps the initial statistics and
+        beta, with warmup released."""
         cfg = self.cfg
         return StopperSnapshot(
             frozen_mu=self.mu_g,
@@ -176,12 +184,33 @@ class StopperState:
             rule_threshold=self.plan.rule_threshold,
         )
 
+    def _traced_rate(self, step: int) -> float:
+        """The reference run's stop rate at `step`, its last one past the end."""
+        trace = self.plan.random_trace
+        return trace[min(step - 1, len(trace) - 1)]
+
+    def collection_mode(self, step: int) -> CollectionMode:
+        """How batch `step` (1-based) is collected. A random stopper replaying
+        a reference trace uses the per-step hazard that stops a t_max-step
+        rollout at the traced rate, plus the correction, clipped to [0, 1]."""
+        plan = self.plan
+        if plan.mode_kind != RANDOM:
+            return CollectionMode(plan.mode_kind)
+        if plan.random_trace is None:
+            return CollectionMode(RANDOM, plan.random_fixed_rate or 0.0)
+        base = 1.0 - (1.0 - min(self._traced_rate(step), 1.0)) ** (1.0 / self.cfg.t_max)
+        return CollectionMode(RANDOM, min(max(base + self.random_correction, 0.0), 1.0))
+
     def end_of_batch(self, regrets: np.ndarray, stop_rate: float, critic_loss: float,
                      step: int) -> None:
-        """Update after training step `step`: EMA, then the warmup gate while
-        it is armed (on release, the anneal spans anneal_fraction of the steps
-        left), else anneal progress and, once it is over, the controller."""
+        """Update after training step `step`: EMA and the random hazard's
+        correction, then the warmup gate while it is armed (on release, the
+        anneal spans anneal_fraction of the steps left), else anneal progress
+        and, once it is over, the controller."""
         self.update_ema(regrets)
+        if self.plan.random_trace is not None:
+            gain = self.cfg.eta_beta / self.cfg.t_max
+            self.random_correction += gain * (self._traced_rate(step) - stop_rate)
         if self.warmup_active:
             self.warmup_step(critic_loss, step)
             if not self.warmup_active:

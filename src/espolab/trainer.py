@@ -33,16 +33,14 @@ from .metrics import MetricsRow
 from .policy import TabularActor, TabularCritic, load_params, save_params
 from .rollout import (
     COUNTERFACTUAL,
-    RANDOM,
+    STOP_REASONS,
     CachedPolicy,
-    CollectionMode,
     RolloutBatch,
     collect_batch,
-    dump_trajectory,
     evaluate_policy,
     false_positive_rate,
 )
-from .stopper import StopperSnapshot, StopperState
+from .stopper import StopperState
 from .variants import VariantPlan, variant_dispatch
 
 logger = logging.getLogger(__name__)
@@ -276,32 +274,11 @@ class TrainingRun:
             epochs_per_batch=config.epochs_per_batch, lr_actor=config.lr_actor,
             lr_critic=config.lr_critic, advantage_whitening=config.advantage_whitening)
         self.stopper = StopperState(config, self.plan)
-        self._inert_snapshot = StopperSnapshot(
-            stabilizer=config.stabilizer, clip_bound=config.clip_bound,
-            alpha_s=config.alpha_s, beta=config.beta_init,
-            value_floor=config.value_floor, warmup_active=False)
         self.step_index = 0
         self.cumulative_tokens = 0
-        self._random_correction = 0.0
         self.last_batch = None  # most recent RolloutBatch; test/debug hook
 
     # -- per-step machinery -------------------------------------------------
-
-    def _random_hazard(self) -> float:
-        plan = self.plan
-        if plan.random_trace is not None:
-            idx = min(self.step_index - 1, len(plan.random_trace) - 1)
-            target = plan.random_trace[idx]
-            base = 1.0 - (1.0 - min(target, 1.0)) ** (1.0 / self.config.t_max)
-            hazard = base + self._random_correction
-            return min(max(hazard, 0.0), 1.0)
-        return plan.random_fixed_rate or 0.0
-
-    def _collection_mode(self) -> CollectionMode:
-        kind = self.plan.mode_kind
-        if kind == RANDOM:
-            return CollectionMode(RANDOM, self._random_hazard())
-        return CollectionMode(kind)
 
     def step(self) -> MetricsRow:
         cfg = self.config
@@ -309,8 +286,8 @@ class TrainingRun:
         self.step_index += 1
         step = self.step_index
 
-        snapshot = self.stopper.snapshot() if plan.stopping else self._inert_snapshot
-        mode = self._collection_mode()
+        snapshot = self.stopper.snapshot()
+        mode = self.stopper.collection_mode(step)
         cache = CachedPolicy(self.actor, self.critic)
         batch = collect_batch(self.actor, self.critic, snapshot, self.env,
                               cfg.batch_size, cfg.t_max, mode,
@@ -334,10 +311,7 @@ class TrainingRun:
         entropy_sum = _sequential_sum(cache.entropies[batch.states[trained]])
         mean_entropy = entropy_sum / regrets.size if regrets.size else 0.0  # per trained-on step
 
-        if mode.kind == COUNTERFACTUAL:
-            stop_events = batch.hypothetical_stop_count
-        else:
-            stop_events = batch.stop_count
+        stop_events = int(np.count_nonzero(batch.stop_indices >= 0))  # real or hypothetical
         stop_rate = stop_events / batch.size if batch.size else 0.0
 
         fp_rate = false_positive_rate(batch) if mode.kind == COUNTERFACTUAL else 0.0
@@ -349,10 +323,6 @@ class TrainingRun:
 
         if plan.stopping:
             self.stopper.end_of_batch(regrets, stop_rate, loss, step)
-            if plan.random_trace is not None:
-                idx = min(step - 1, len(plan.random_trace) - 1)
-                gain = cfg.eta_beta / cfg.t_max
-                self._random_correction += gain * (plan.random_trace[idx] - stop_rate)
 
         row = MetricsRow(
             step=step,
@@ -394,11 +364,18 @@ class TrainingRun:
                     value, z = batch.values[ti, idx].item(), batch.scores[ti, idx].item()
                     fh.write(f"{row.step}\t{ti}\t{idx}\t{value!r}\t{z!r}\n")
         if cfg.dump_trajectories and cfg.out_dir:
+            # one line per step: index, state, token, regret, normalized
+            # regret, z, value, and 1 at the (real or hypothetical) stop step
+            columns = (batch.states, batch.actions, batch.regrets, batch.normalized_regrets,
+                       batch.scores, batch.values)
+            rows = zip(batch.lengths.tolist(), batch.stop_codes.tolist(),
+                       batch.stop_indices.tolist())
             with open(self._out_path("trajectories.tsv"), "a", encoding="utf-8") as fh:
-                for ti, traj in enumerate(batch.trajectories):
-                    fh.write(f"# step {row.step} trajectory {ti} "
-                             f"reason {traj.stop_reason.value}\n")
-                    fh.write(dump_trajectory(traj) + "\n")
+                for ti, (n, code, stop) in enumerate(rows):
+                    fh.write(f"# step {row.step} trajectory {ti} reason {STOP_REASONS[code]}\n")
+                    for t, (s, a, g, gn, z, v) in enumerate(
+                            zip(*(c[ti, :n].tolist() for c in columns))):
+                        fh.write(f"{t}\t{s}\t{a}\t{g!r}\t{gn!r}\t{z!r}\t{v!r}\t{int(t == stop)}\n")
         if cfg.eval_every and row.step % cfg.eval_every == 0:
             self._write_eval(row.step)
         if cfg.checkpoint_every and row.step % cfg.checkpoint_every == 0 and cfg.out_dir:
@@ -440,7 +417,7 @@ class TrainingRun:
             "cumulative_tokens": self.cumulative_tokens,
             "experiment_hash": experiment_hash(self.config),
             "stopper": self.stopper.state_dict(),
-            "random_correction": self._random_correction,
+            "random_correction": self.stopper.random_correction,
         }
         with open(os.path.join(directory, "state.json"), "w", encoding="utf-8") as fh:
             json.dump(state, fh, indent=2, sort_keys=True)
@@ -461,5 +438,5 @@ class TrainingRun:
         run.stopper.load_state_dict(state["stopper"])
         run.step_index = state["step"]
         run.cumulative_tokens = state["cumulative_tokens"]
-        run._random_correction = state["random_correction"]
+        run.stopper.random_correction = state["random_correction"]
         return run

@@ -1,19 +1,21 @@
 """Shared fixtures: small environments, policies, collection helpers, and the
-scalar references the array code is checked against (the per-token
-collection loop, the per-step environment step, and the per-step loops of the
-trainer)."""
+scalar references the array code is checked against (the per-step records
+with their trajectory dump, the per-token collection loop, the per-step
+environment step, and the per-step loops of the trainer)."""
 
 from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
 
 from espolab.config import RunConfig
 from espolab.envs import TrapChainSpec, build_trap_chain
-from espolab.mdpcore import StepRecord, StopReason, Trajectory, log_softmax
+from espolab.mdpcore import log_softmax
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
     COUNTERFACTUAL,
@@ -67,6 +69,92 @@ def collect_small_batch(env, actor, critic, snapshot=None, batch_size=4, t_max=8
     mode = mode if mode is not None else CollectionMode(STANDARD)
     return collect_batch(actor, critic, snapshot, env, batch_size, t_max, mode,
                          r_fail, seed, batch_index)
+
+
+# -- per-step records ----------------------------------------------------------
+
+
+class StopReason(Enum):
+    NATURAL_END = "natural_end"
+    HORIZON_CAP = "horizon_cap"
+    EARLY_STOP = "early_stop"
+
+
+@dataclass(slots=True)
+class StepRecord:
+    """One generation step: one column of one row of a RolloutBatch.
+
+    regret_raw is g_t, the state's maximum log-prob minus log_prob_sampled;
+    regret_normalized is the clipped z-scored value under the frozen batch
+    statistics, and smoothed_score is the running statistic z_t after this
+    step's accumulation. Steps carry no reward: only the last step of a
+    trajectory is rewarded, with Trajectory.outcome_reward.
+    """
+
+    state_id: int
+    action: int
+    log_prob_sampled: float
+    value_estimate: float
+    regret_raw: float
+    regret_normalized: float
+    smoothed_score: float
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """One rollout, a row of a RolloutBatch. hypothetical_stop_index is set
+    only in counterfactual-extend mode, at the step where the stop criterion
+    would have fired; the rollout continued to its natural end and earned
+    outcome_reward."""
+
+    steps: tuple[StepRecord, ...]
+    stop_reason: StopReason
+    outcome_reward: float
+    hypothetical_stop_index: int | None = None
+
+    @property
+    def stop_index(self) -> int | None:
+        """Step at which the stop rule fired, in earnest or hypothetically."""
+        if self.hypothetical_stop_index is not None:
+            return self.hypothetical_stop_index
+        if self.stop_reason is StopReason.EARLY_STOP:
+            return len(self.steps) - 1
+        return None
+
+    @property
+    def effective_length(self) -> int:
+        """Length of the trained-on span: up to the hypothetical stop, if any."""
+        if self.hypothetical_stop_index is not None:
+            return self.hypothetical_stop_index + 1
+        return len(self.steps)
+
+
+def records(batch: RolloutBatch) -> tuple[Trajectory, ...]:
+    """The rows of a batch as Trajectory records."""
+    return tuple(Trajectory(tuple(StepRecord(*step) for step in steps),
+                            StopReason(STOP_REASONS[code]), outcome,
+                            hyp if hyp >= 0 else None)
+                 for steps, code, outcome, hyp in batch.trajectories)
+
+
+def dump_trajectory(traj: Trajectory) -> str:
+    """Tab-separated debug dump: one line per step with the stop signal path."""
+    lines = []
+    stop_index = traj.stop_index
+    for i, rec in enumerate(traj.steps):
+        lines.append("\t".join([
+            str(i), str(rec.state_id), str(rec.action), repr(rec.regret_raw),
+            repr(rec.regret_normalized), repr(rec.smoothed_score),
+            repr(rec.value_estimate), "1" if i == stop_index else "0",
+        ]))
+    return "\n".join(lines)
+
+
+def dump_batch(batch: RolloutBatch, step: int) -> str:
+    """What trajectories.tsv gains for the batch of training step `step`: a
+    header line per trajectory, then its dump."""
+    return "".join(f"# step {step} trajectory {ti} reason {traj.stop_reason.value}\n"
+                   f"{dump_trajectory(traj)}\n" for ti, traj in enumerate(records(batch)))
 
 
 # -- scalar references ---------------------------------------------------------
@@ -173,7 +261,7 @@ def batch_from_trajectories(trajectories, snapshot=None, mode=None) -> RolloutBa
     return RolloutBatch(
         *columns,
         lengths=np.array([len(t.steps) for t in trajectories], dtype=np.int64),
-        stop_codes=np.array([STOP_REASONS.index(t.stop_reason) for t in trajectories],
+        stop_codes=np.array([STOP_REASONS.index(t.stop_reason.value) for t in trajectories],
                             dtype=np.int8),
         outcomes=np.array([t.outcome_reward for t in trajectories], dtype=np.float64),
         hypothetical_stops=np.array(
@@ -286,7 +374,7 @@ def ppo_surrogate_value(actor, batch, advantage_sets, config) -> float:
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
     total = 0.0
     included = 0
-    for traj, advs, n in zip(batch.trajectories, advantage_sets.advantages,
+    for traj, advs, n in zip(records(batch), advantage_sets.advantages,
                              advantage_sets.lengths.tolist()):
         for rec, adv in zip(traj.steps, advs[:n].tolist()):
             ratio = math.exp(table[rec.state_id, rec.action] - rec.log_prob_sampled)

@@ -24,7 +24,7 @@ from espolab.harness import (
     run_experiment,
     token_saving_pct,
 )
-from espolab.mdpcore import StopReason, log_softmax, trajectory_rng
+from espolab.mdpcore import log_softmax, trajectory_rng
 from espolab.metrics import MetricsRow, MetricsWriter, read_metrics, write_manifest
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import COUNTERFACTUAL, STANDARD, CollectionMode, collect_batch
@@ -40,12 +40,14 @@ from espolab.trainer import (
 )
 
 from conftest import (
+    StopReason,
     collect_trajectory,
     make_stopper,
     plain_snapshot,
     ppo_surrogate_value,
     random_actor,
     random_critic,
+    records,
 )
 
 
@@ -149,7 +151,7 @@ def test_criterion_02_gradient_oracles():
         advs = compute_advantages(batch, cfg, -1.0)
         actor.table = actor.table + rng.normal(0, 0.2, size=actor.table.shape)
         grad, _cf = ppo_surrogate_grad(actor, batch, advs, cfg)
-        visited = {rec.state_id for t in batch.trajectories for rec in t.steps}
+        visited = {rec.state_id for t in records(batch) for rec in t.steps}
         for s in visited:
             for k in range(actor.vocab_size):
                 base = actor.table[s, k]
@@ -205,7 +207,7 @@ def test_criterion_04_absorbing_state_td():
         run.step()
         td_errors = compute_advantages(run.last_batch, run.ppo,
                                        run.plan.early_stop_reward).td_errors
-        for traj, row in zip(run.last_batch.trajectories, td_errors):
+        for traj, row in zip(records(run.last_batch), td_errors):
             if traj.stop_reason is not StopReason.EARLY_STOP:
                 continue
             stop_events += 1
@@ -259,7 +261,7 @@ def test_criterion_06_causality_and_determinism(tmp_path):
     causal = all(
         collect_trajectory(actor, critic, snapshot, env, 32,
                            CollectionMode(STANDARD), -1.0,
-                           trajectory_rng(31, 9, i)) == batch.trajectories[i]
+                           trajectory_rng(31, 9, i)) == records(batch)[i]
         for i in order[:8])
 
     shared = dict(variant="espo", vocab_size=4, target_length=3, t_max=12,

@@ -55,6 +55,7 @@ from conftest import (  # noqa: E402
     collect_trajectory,
     env_step,
     pick_from_cumulative,
+    records,
     scalar_advantages,
     scalar_critic,
     scalar_surrogate_grad,
@@ -123,7 +124,7 @@ class TestCollectBatchAgainstOracle:
     def test_every_field_equals_the_per_token_loop(self, case):
         batch = collect_batch(**case)
         oracle = oracle_batch(case)
-        assert batch.trajectories == oracle
+        assert records(batch) == oracle
         assert batch.lengths.tolist() == [len(t.steps) for t in oracle]
         assert batch.total_tokens == sum(len(t.steps) for t in oracle)
         assert batch.effective_lengths.tolist() == [t.effective_length for t in oracle]
@@ -214,7 +215,7 @@ class TestBulkFinishAgainstOracle:
             for seed in range(60):
                 case = absorbing_case(kind, seed)
                 batch = collect_batch(**case)
-                assert batch.trajectories == oracle_batch(case), (kind, seed)
+                assert records(batch) == oracle_batch(case), (kind, seed)
                 seen.update(bulk_features(batch, case))
             assert set(seen) == features, kind
 
@@ -241,7 +242,7 @@ class TestTrainerAgainstScalarLoops:
     def test_advantages_gradients_and_loss_equal_the_loops(self, drawn):
         case, config, epochs, lr = drawn
         batch = collect_batch(**case)
-        trajectories = batch.trajectories
+        trajectories = records(batch)
         early_stop_reward = case["r_fail"]
         advs = compute_advantages(batch, config, early_stop_reward)
         rows = scalar_advantages(trajectories, config.gamma, config.lam, early_stop_reward,
@@ -279,7 +280,7 @@ class TestTrainerAgainstScalarLoops:
 
         batch = collect_batch(actor, critic, StopperSnapshot(warmup_active=False, beta=0.1),
                               small_env, 16, 8, CollectionMode(STANDARD), -1.0, 4, 2)
-        trajectories = batch.trajectories
+        trajectories = records(batch)
         config = PpoConfig(clip_ratio=0.05)
         advs = compute_advantages(batch, config, -1.0)
         rows = scalar_advantages(trajectories, 1.0, 1.0, -1.0)

@@ -22,7 +22,6 @@ from espolab.harness import (
     run_experiment,
     token_saving_pct,
 )
-from espolab.mdpcore import StopReason
 from espolab.metrics import (
     MetricsRow,
     MetricsWriter,
@@ -30,11 +29,11 @@ from espolab.metrics import (
     read_metrics,
     write_manifest,
 )
-from espolab.rollout import COUNTERFACTUAL, STANDARD, CollectionMode
+from espolab.rollout import COUNTERFACTUAL, DISABLED, RANDOM, STANDARD, CollectionMode
 from espolab.trainer import TrainingRun
 from espolab.variants import variant_dispatch
 
-from conftest import batch_from_trajectories, plain_snapshot
+from conftest import StopReason, batch_from_trajectories, dump_batch, plain_snapshot, records
 from test_rollout import make_traj
 
 
@@ -112,7 +111,7 @@ class TestVariantDispatch:
         saw_stop = False
         for _ in range(6):
             run.step()
-            for traj in run.last_batch.trajectories:
+            for traj in records(run.last_batch):
                 if traj.stop_reason is StopReason.EARLY_STOP:
                     saw_stop = True
                     assert traj.outcome_reward == 0.0
@@ -210,6 +209,34 @@ class TestMetricsFiles:
         assert events[0].startswith("step\t")
         assert len(events) > 1
         assert (tmp_path / "run" / "trajectories.tsv").exists()
+
+    @pytest.mark.parametrize("overrides, kind", [
+        (dict(), STANDARD),
+        (dict(counterfactual=True), COUNTERFACTUAL),
+        (dict(variant="random_stop", random_stop_rate=0.05), RANDOM),
+        (dict(variant="ppo"), DISABLED),
+    ], ids=["standard", "counterfactual", "random", "disabled"])
+    def test_trajectory_dump_equals_the_record_oracle(self, tmp_path, overrides, kind):
+        # trajectories.tsv, written from the batch arrays, holds the bytes
+        # the per-step record dump gives for every batch of the run
+        cfg = tiny_config(out_dir=str(tmp_path), dump_trajectories=True, total_steps=6,
+                          **overrides)
+        run = TrainingRun(cfg)
+        expected = []
+        flagged_mid_row = stopped = False
+        for _ in range(cfg.total_steps):
+            row = run.step()
+            batch = run.last_batch
+            assert batch.mode.kind == kind
+            expected.append(dump_batch(batch, row.step))
+            for traj in records(batch):
+                if traj.stop_index is not None:
+                    stopped = True
+                    flagged_mid_row |= traj.stop_index < len(traj.steps) - 1
+        assert (tmp_path / "trajectories.tsv").read_bytes() == "".join(expected).encode()
+        assert stopped == (kind != DISABLED)
+        # a hypothetical stop flags a step before the row's end
+        assert flagged_mid_row == (kind == COUNTERFACTUAL)
 
 
 class TestCompareRuns:

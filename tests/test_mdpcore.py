@@ -8,16 +8,19 @@ import math
 import numpy as np
 import pytest
 
-from espolab.mdpcore import (
-    StopReason,
-    log_softmax,
-    trajectory_rng,
-)
+from espolab.mdpcore import log_softmax, trajectory_rng
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import CachedPolicy
 from espolab.trainer import PpoConfig, compute_advantages
 
-from conftest import collect_small_batch, pick_from_cumulative, random_actor, random_critic
+from conftest import (
+    StopReason,
+    collect_small_batch,
+    pick_from_cumulative,
+    random_actor,
+    random_critic,
+    records,
+)
 
 
 def oracle_log_softmax(logits):
@@ -188,7 +191,7 @@ class TestTrajectoryRecords:
         critic = random_critic(small_env, rng)
         batch = collect_small_batch(small_env, actor, critic, batch_size=16, t_max=8)
         td_errors = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0).td_errors
-        for traj, row in zip(batch.trajectories, td_errors):
+        for traj, row in zip(records(batch), td_errors):
             check_invariants(traj, actor, t_max=8)
             # reward sparsity: the trainer sees reward 0 at every non-final
             # step and the outcome at the last, so delta_t = V(s_t+1) - V(s_t)
@@ -203,7 +206,7 @@ class TestTrajectoryRecords:
         actor = random_actor(small_env, rng)
         critic = random_critic(small_env, rng)
         batch = collect_small_batch(small_env, actor, critic, batch_size=8, t_max=8)
-        for traj in batch.trajectories:
+        for traj in records(batch):
             for rec in traj.steps:
                 row = actor.table[rec.state_id]
                 gap = row.max() - row[rec.action]
@@ -220,7 +223,7 @@ class TestTrajectoryRecords:
         batch = collect_small_batch(small_env, actor, critic, snapshot=snapshot,
                                     batch_size=32, t_max=8)
         td_errors = compute_advantages(batch, PpoConfig(), -1.0).td_errors
-        stopped = [(t, row) for t, row in zip(batch.trajectories, td_errors)
+        stopped = [(t, row) for t, row in zip(records(batch), td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped, "tuned snapshot should produce early stops"
         for traj, row in stopped:

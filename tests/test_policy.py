@@ -7,12 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from espolab.mdpcore import StepRecord, StopReason, Trajectory, log_softmax
+from espolab.mdpcore import log_softmax
 from espolab.policy import TabularActor, TabularCritic, load_params, save_params
 from espolab.rollout import CachedPolicy
 from espolab.trainer import PpoConfig, ppo_surrogate_grad
 
-from conftest import advantage_set, batch_from_trajectories
+from conftest import (
+    StepRecord,
+    StopReason,
+    Trajectory,
+    advantage_set,
+    batch_from_trajectories,
+)
 
 
 def log_prob_grad(actor, state, action):

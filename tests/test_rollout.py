@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import random
@@ -13,36 +14,36 @@ import pytest
 
 import espolab
 from espolab.envs import TrapChainSpec, build_trap_chain
-from espolab.mdpcore import (
-    StepRecord,
-    StopReason,
-    Trajectory,
-    log_softmax,
-    trajectory_rng,
-)
+from espolab.config import RunConfig
+from espolab.mdpcore import log_softmax, trajectory_rng
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
     COUNTERFACTUAL,
     DISABLED,
+    EARLY_STOP,
     RANDOM,
     STANDARD,
     CachedPolicy,
     CollectionMode,
     collect_batch,
-    dump_trajectory,
     evaluate_policy,
 )
-from espolab.trainer import PpoConfig, compute_advantages
+from espolab.trainer import PpoConfig, TrainingRun, compute_advantages
 
 from conftest import (
+    StepRecord,
+    StopReason,
+    Trajectory,
     batch_from_trajectories,
     collect_small_batch,
     collect_trajectory,
+    dump_trajectory,
     env_step,
     pick_from_cumulative,
     plain_snapshot,
     random_actor,
     random_critic,
+    records,
 )
 
 
@@ -59,8 +60,8 @@ def make_traj(length, reason=StopReason.NATURAL_END, outcome=0.0,
 def collect_one(actor, critic, snapshot, env, t_max, mode, r_fail=-1.0, seed=0):
     """Trajectory 0 of a one-trajectory collect_batch, checked against the
     scalar oracle on the same stream."""
-    (traj,) = collect_batch(actor, critic, snapshot, env, 1, t_max, mode, r_fail,
-                            seed, 1).trajectories
+    (traj,) = records(collect_batch(actor, critic, snapshot, env, 1, t_max, mode, r_fail,
+                                    seed, 1))
     assert traj == collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail,
                                       trajectory_rng(seed, 1, 0))
     return traj
@@ -131,7 +132,7 @@ class TestCollectTrajectory:
         snapshot = plain_snapshot(beta=0.0, warmup_active=True)
         batch = collect_small_batch(small_env, actor, critic, snapshot=snapshot,
                                     batch_size=32)
-        assert all(t.stop_reason is not StopReason.EARLY_STOP for t in batch.trajectories)
+        assert all(t.stop_reason is not StopReason.EARLY_STOP for t in records(batch))
 
     def test_early_stop_absorbing_contract(self, small_env):
         rng = np.random.default_rng(10)
@@ -141,7 +142,7 @@ class TestCollectTrajectory:
                                     snapshot=plain_snapshot(beta=0.3),
                                     batch_size=64, t_max=8)
         td_errors = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0).td_errors
-        stopped = [(t, row) for t, row in zip(batch.trajectories, td_errors)
+        stopped = [(t, row) for t, row in zip(records(batch), td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped
         for traj, row in stopped:
@@ -167,7 +168,7 @@ class TestStopSignals:
                                       clip_bound=c, beta=0.5)
             batch = collect_small_batch(small_env, actor, critic, snapshot=snapshot,
                                         batch_size=8, seed=trial)
-            for traj in batch.trajectories:
+            for traj in records(batch):
                 z = 0.0
                 for rec in traj.steps:
                     lp = log_softmax(actor.table[rec.state_id])
@@ -221,7 +222,7 @@ class TestCounterfactualMode:
     def test_prefix_is_bit_identical_to_standard_mode(self):
         standard, extended = self.collect_pair()
         fired = 0
-        for st, ex in zip(standard.trajectories, extended.trajectories):
+        for st, ex in zip(records(standard), records(extended)):
             if ex.hypothetical_stop_index is None:
                 assert st.steps == ex.steps
                 continue
@@ -237,17 +238,21 @@ class TestCounterfactualMode:
 
     def test_counterfactual_records_natural_outcome(self):
         _standard, extended = self.collect_pair()
-        for traj in extended.trajectories:
+        for traj in records(extended):
             assert traj.stop_reason is not StopReason.EARLY_STOP
             if traj.hypothetical_stop_index is not None:
                 # the environment's reward at the natural end, never r_fail
                 assert traj.outcome_reward in (0.0, 1.0)
 
     def test_hypothetical_stop_count(self):
-        _standard, extended = self.collect_pair()
-        fired = sum(1 for t in extended.trajectories if t.hypothetical_stop_index is not None)
-        assert extended.hypothetical_stop_count == fired
-        assert extended.stop_count == 0
+        # the stops the controller counts, in either mode, are the rows with
+        # a stop index: hypothetical here, real in standard mode
+        standard, extended = self.collect_pair()
+        fired = sum(1 for t in records(extended) if t.hypothetical_stop_index is not None)
+        assert np.count_nonzero(extended.stop_indices >= 0) == fired
+        assert np.count_nonzero(extended.stop_codes == EARLY_STOP) == 0
+        stopped = sum(1 for t in records(standard) if t.stop_reason is StopReason.EARLY_STOP)
+        assert np.count_nonzero(standard.stop_indices >= 0) == stopped
 
 
 class TestRandomStopMode:
@@ -265,7 +270,7 @@ class TestRandomStopMode:
         for b in range(100):
             batch = collect_batch(actor, critic, plain_snapshot(), env, 32, t_max,
                                   CollectionMode(RANDOM, q), -1.0, 5, b)
-            stops += batch.stop_count
+            stops += int(np.count_nonzero(batch.stop_indices >= 0))
             trials += batch.size
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(stops / trials - p) <= 3 * sigma
@@ -299,7 +304,36 @@ class TestBatchDeterminism:
             solo = collect_trajectory(actor, critic, snapshot, small_env, 8,
                                       CollectionMode(STANDARD), -1.0,
                                       trajectory_rng(21, 4, i))
-            assert solo == batch.trajectories[i]
+            assert solo == records(batch)[i]
+
+    @pytest.mark.parametrize("overrides", [
+        dict(variant="espo"),
+        dict(variant="espo", counterfactual=True),
+        dict(variant="random_stop", random_stop_rate=0.05),
+    ], ids=["standard", "counterfactual", "random"])
+    def test_recollecting_from_snapshot_and_mode_gives_equal_rows(self, overrides):
+        # a run's batch collected again from the actor and critic it was
+        # collected with, its snapshot and its mode compares equal through
+        # .trajectories, and one changed score or outcome makes it unequal
+        cfg = RunConfig(vocab_size=4, target_length=3, t_max=12, batch_size=8, seed=3,
+                        total_steps=6, actor_init_scale=1.0, beta_init=1.0, beta_max=2.0,
+                        eta_beta=0.1, **overrides)
+        run = TrainingRun(cfg)
+        for _ in range(cfg.total_steps - 1):
+            run.step()
+        actor, critic = run.actor.copy(), run.critic.copy()
+        run.step()
+        batch = run.last_batch
+        assert np.count_nonzero(batch.stop_indices >= 0)
+        again = collect_batch(actor, critic, batch.snapshot, run.env, cfg.batch_size,
+                              cfg.t_max, batch.mode, run.plan.early_stop_reward, cfg.seed,
+                              run.step_index)
+        assert again.trajectories == batch.trajectories
+        for field in ("scores", "outcomes"):
+            changed = getattr(batch, field).copy()
+            changed.flat[0] += 1.0
+            assert (dataclasses.replace(batch, **{field: changed}).trajectories
+                    != batch.trajectories), field
 
 
 class TestTokenAccounting:
@@ -347,7 +381,7 @@ class TestDump:
         critic = random_critic(small_env, rng)
         batch = collect_small_batch(small_env, actor, critic,
                                     snapshot=plain_snapshot(beta=0.3), batch_size=32)
-        stopped = next(t for t in batch.trajectories
+        stopped = next(t for t in records(batch)
                        if t.stop_reason is StopReason.EARLY_STOP)
         lines = dump_trajectory(stopped).splitlines()
         assert len(lines) == len(stopped.steps)

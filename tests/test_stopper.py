@@ -2,17 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from espolab.config import RunConfig
 from espolab.envs import TrapChainSpec, build_trap_chain
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import DISABLED, CollectionMode, collect_batch
-from espolab.stopper import StopperSnapshot
+from espolab.rollout import (
+    COUNTERFACTUAL,
+    DISABLED,
+    RANDOM,
+    STANDARD,
+    CollectionMode,
+    collect_batch,
+)
+from espolab.stopper import StopperSnapshot, StopperState
+from espolab.variants import variant_dispatch
 
-from conftest import make_stopper, plain_snapshot
+from conftest import make_stopper, plain_snapshot, records
 
 
 def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
@@ -26,7 +36,7 @@ def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
     critic = TabularCritic(env.state_count)
     batch = collect_batch(actor, critic, plain_snapshot(), env, batch_size, t_max,
                           CollectionMode(DISABLED), -1.0, seed, 1)
-    return actor, [rec for t in batch.trajectories for rec in t.steps]
+    return actor, [rec for t in records(batch) for rec in t.steps]
 
 
 def smoothed_scores(frozen_mu, t_max=12):
@@ -38,8 +48,8 @@ def smoothed_scores(frozen_mu, t_max=12):
     critic = TabularCritic(env.state_count)
     snapshot = plain_snapshot(frozen_mu=frozen_mu, frozen_var=1.0 - 1e-8,
                               alpha_s=0.9, warmup_active=True)
-    (traj,) = collect_batch(actor, critic, snapshot, env, 1, t_max,
-                            CollectionMode(DISABLED), -1.0, 0, 1).trajectories
+    (traj,) = records(collect_batch(actor, critic, snapshot, env, 1, t_max,
+                                    CollectionMode(DISABLED), -1.0, 0, 1))
     assert len(traj.steps) == t_max
     return [rec.smoothed_score for rec in traj.steps]
 
@@ -318,6 +328,17 @@ class TestAnnealBeta:
         assert annealing(0, 0, beta=3.0).annealed_beta() == 3.0
         assert make_stopper(beta_init=3.0).annealed_beta() == 3.0  # warmup armed
 
+    @pytest.mark.parametrize("variant", ["ppo", "espo_no_warmup"])
+    def test_run_without_stopping_gets_an_inert_snapshot(self, variant):
+        # espo_no_warmup anneals from its first step when it stops; with
+        # stopping disabled no anneal reaches the snapshot's beta
+        cfg = RunConfig(variant=variant, disable_stopping=True, beta_init=3.0, beta_max=9.0)
+        stopper = StopperState(cfg, variant_dispatch(cfg))
+        inert = StopperSnapshot(stabilizer=cfg.stabilizer, clip_bound=cfg.clip_bound,
+                                alpha_s=cfg.alpha_s, beta=3.0, value_floor=cfg.value_floor,
+                                warmup_active=False)
+        assert stopper.snapshot() == inert
+
 
 class TestSetpointTracking:
     def test_rolling_rate_converges_to_target(self):
@@ -338,3 +359,31 @@ class TestSetpointTracking:
         hit = next((i + 50 for i, r in enumerate(rolling) if abs(r - 0.25) <= 0.05), None)
         assert hit is not None and hit <= 200
         assert abs(rolling[200 - 50] - 0.25) <= 0.05
+
+
+class TestCollectionMode:
+    def test_kind_follows_the_plan(self):
+        assert make_stopper().collection_mode(1) == CollectionMode(STANDARD)
+        assert make_stopper(counterfactual=True).collection_mode(1) == \
+            CollectionMode(COUNTERFACTUAL)
+        assert make_stopper(variant="ppo").collection_mode(1) == CollectionMode(DISABLED)
+        fixed = make_stopper(variant="random_stop", random_stop_rate=0.05)
+        assert fixed.collection_mode(9) == CollectionMode(RANDOM, 0.05)
+
+    def test_traced_hazard_and_its_correction(self):
+        # the hazard stops a t_max-step rollout at the traced rate, plus the
+        # correction, which moves after every batch (warmup included) by
+        # eta_beta / t_max times the traced minus the measured rate; past the
+        # end of the trace its last rate holds
+        cfg = RunConfig(variant="random_stop", random_stop_rate=0.0, t_max=8, eta_beta=0.4)
+        plan = dataclasses.replace(variant_dispatch(cfg), random_trace=(0.5, 0.25))
+        stopper = StopperState(cfg, plan)
+        assert stopper.warmup_active and stopper.random_correction == 0.0
+        assert stopper.collection_mode(1) == CollectionMode(RANDOM, 1.0 - 0.5 ** (1.0 / 8))
+        stopper.end_of_batch(np.array([0.1, 0.2]), 0.75, 1.0, 1)
+        assert stopper.random_correction == (0.4 / 8) * (0.5 - 0.75)
+        hazard = 1.0 - 0.75 ** (1.0 / 8) + stopper.random_correction
+        assert stopper.collection_mode(2) == CollectionMode(RANDOM, hazard)
+        assert stopper.collection_mode(5) == CollectionMode(RANDOM, hazard)
+        stopper.random_correction = -1.0
+        assert stopper.collection_mode(2) == CollectionMode(RANDOM, 0.0)

@@ -12,7 +12,6 @@ import pytest
 
 from espolab.config import ConfigError, RunConfig
 from espolab.envs import TrapChainSpec, build_trap_chain
-from espolab.mdpcore import StepRecord, StopReason, Trajectory
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import DISABLED, STANDARD, CachedPolicy, CollectionMode, collect_batch
 from espolab.trainer import (
@@ -26,12 +25,16 @@ from espolab.trainer import (
 )
 
 from conftest import (
+    StepRecord,
+    StopReason,
+    Trajectory,
     advantage_set,
     batch_from_trajectories,
     plain_snapshot,
     ppo_surrogate_value,
     random_actor,
     random_critic,
+    records,
     scalar_advantages,
     scalar_surrogate_grad,
 )
@@ -192,7 +195,7 @@ class TestSurrogate:
             advs = compute_advantages(batch, cfg, -1.0)
             actor.table = actor.table + rng.normal(0, 0.2, size=actor.table.shape)
             grad, _cf = ppo_surrogate_grad(actor, batch, advs, cfg)
-            visited = {rec.state_id for t in batch.trajectories for rec in t.steps}
+            visited = {rec.state_id for t in records(batch) for rec in t.steps}
             h = 1e-5
             for s in visited:
                 for k in range(actor.vocab_size):
@@ -313,11 +316,13 @@ class TestTrainingLoop:
         # the row's per-trajectory and per-step statistics, recomputed with
         # plain loops over the trajectory records of the step's batch
         run = TrainingRun(base_config(counterfactual=counterfactual, actor_init_scale=1.0,
-                                      total_steps=12))
+                                      total_steps=12, beta_init=1.0, beta_max=2.0,
+                                      eta_beta=0.1))
+        stops = 0
         for _ in range(12):
             policy = CachedPolicy(run.actor, run.critic)
             row = run.step()
-            trajs = run.last_batch.trajectories
+            trajs = records(run.last_batch)
             spans = [t.steps[:t.effective_length] for t in trajs]
             entropy_sum = 0.0
             for span in spans:
@@ -326,6 +331,7 @@ class TestTrainingLoop:
             steps = sum(len(span) for span in spans)
             assert row.mean_entropy == entropy_sum / steps
             fired = [t for t in trajs if t.stop_index is not None]
+            stops += len(fired)
             assert row.stop_rate == len(fired) / len(trajs)
             assert row.success_rate == sum(t.outcome_reward == 1.0 for t in trajs) / len(trajs)
             assert row.avg_trajectory_length_actual == steps / len(trajs)
@@ -334,6 +340,7 @@ class TestTrainingLoop:
             assert row.false_positive_rate == (
                 sum(t.outcome_reward == 1.0 for t in fired) / len(trajs)
                 if counterfactual else 0.0)
+        assert stops  # the stop rate counts real or hypothetical stops
 
     def test_cumulative_tokens_monotone(self):
         rows = list(TrainingRun(base_config()).run())
@@ -500,6 +507,32 @@ class TestCheckpointResume:
         final = json.loads((resumed / "checkpoints" / "final" / "state.json").read_text())
         assert final["stopper"]["gate"] == [False, 0, None]
 
+    def test_resume_restores_the_random_trace_correction(self, tmp_path):
+        # random_stop replaying a reference run's stop-rate trace corrects its
+        # hazard after every batch; a mid-run checkpoint carries the
+        # correction, and resuming from it gives the uninterrupted bytes
+        from espolab.harness import run_experiment
+
+        reference = tmp_path / "reference"
+        run_experiment(base_config(actor_init_scale=1.0, beta_init=1.0, beta_max=2.0,
+                                   eta_beta=0.1, out_dir=str(reference)))
+        full = tmp_path / "full"
+        cfg = base_config(variant="random_stop", reference_run=str(reference),
+                          actor_init_scale=1.0, eta_beta=1.0, checkpoint_every=3,
+                          out_dir=str(full))
+        run_experiment(cfg)
+        full_csv = (full / "metrics.csv").read_bytes()
+        checkpoint = full / "checkpoints" / "step_000009"
+        assert json.loads((checkpoint / "state.json").read_text())["random_correction"] != 0.0
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        (resumed / "metrics.csv").write_bytes(b"".join(full_csv.splitlines(keepends=True)[:10]))
+        run_experiment(dataclasses.replace(cfg, out_dir=str(resumed)),
+                       resume_checkpoint=checkpoint)
+        assert (resumed / "metrics.csv").read_bytes() == full_csv
+        final = "checkpoints/final/state.json"
+        assert (resumed / final).read_bytes() == (full / final).read_bytes()
+
     def test_resume_rejects_mismatched_config(self, tmp_path):
         cfg = base_config(total_steps=4, out_dir=str(tmp_path / "a"))
         run = TrainingRun(cfg)
@@ -546,6 +579,6 @@ class TestSurrogateMemory:
             tracemalloc.stop()
         assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
         # the chunks carry their running sums: the result is the step loop's
-        rows = scalar_advantages(batch.trajectories, 1.0, 1.0, -1.0)
-        want, _ = scalar_surrogate_grad(actor, batch.trajectories, rows, 0.2)
+        rows = scalar_advantages(records(batch), 1.0, 1.0, -1.0)
+        want, _ = scalar_surrogate_grad(actor, records(batch), rows, 0.2)
         assert grad.any() and np.array_equal(grad, want)
