@@ -1,4 +1,5 @@
-"""Per-step metrics rows, the CSV emitter, and the run manifest.
+"""Per-step metrics rows, the CSV emitter, the run manifest, and the writer
+that replaces a whole file at once.
 
 The CSV is the reproducibility surface: floats are written via repr (lossless
 round-trip), the header is stable, and the file is flushed after every row so
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 
 from .config import RunConfig, config_hash, to_flat_dict
@@ -19,6 +21,7 @@ __all__ = [
     "MetricsWriter",
     "read_manifest",
     "read_metrics",
+    "replacing",
     "write_manifest",
 ]
 
@@ -114,6 +117,22 @@ def read_metrics(path) -> list[MetricsRow]:
         return [row_from_csv(line) for line in fh if line.strip()]
 
 
+@contextmanager
+def replacing(path):
+    """Text handle on a temporary file next to `path` that replaces `path`
+    in one os.replace when the block ends. A block that raises leaves the
+    previous file as it was and no temporary file behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_manifest(out_dir, cfg: RunConfig, status: str,
                    wall_time_s: float | None = None) -> str:
     from . import __version__
@@ -128,7 +147,7 @@ def write_manifest(out_dir, cfg: RunConfig, status: str,
         "wall_time_s": wall_time_s,
     }
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .mdpcore import INIT_STREAM, derived_rng
+from .metrics import replacing
 
 __all__ = [
     "TabularActor",
@@ -83,8 +84,9 @@ class TabularCritic:
 
 
 def save_params(actor: TabularActor, critic: TabularCritic, path) -> None:
-    """Flat key->value text snapshot; floats serialized via repr (lossless)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Flat key->value text snapshot; floats serialized via repr (lossless).
+    The file is replaced whole, so a failed write keeps the previous one."""
+    with replacing(path) as fh:
         fh.write(f"shape {actor.state_count} {actor.vocab_size}\n")
         for s in range(actor.state_count):
             for k in range(actor.vocab_size):

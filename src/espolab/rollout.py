@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mdpcore import EVAL_STREAM, derived_rng, log_softmax, trajectory_rng
+from .mdpcore import EVAL_STREAM, TRAIN_STREAM, keyed_uniforms, log_softmax
 from .policy import TabularActor, TabularCritic
 
 if TYPE_CHECKING:  # stopper imports CollectionMode from this module
@@ -196,9 +196,8 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
         raise ValueError("t_max must be >= 1")
     pol = cache if cache is not None else CachedPolicy(actor, critic)
     draws_per_step = 2 if mode.kind == RANDOM else 1
-    uniforms = np.empty((batch_size, draws_per_step * t_max))
-    for i in range(batch_size):
-        uniforms[i] = trajectory_rng(master_seed, batch_index, i).random(uniforms.shape[1])
+    uniforms = keyed_uniforms(master_seed, (TRAIN_STREAM, batch_index), 0, batch_size,
+                              draws_per_step * t_max)
     norm_regrets = snapshot.normalize(pol.regrets).ravel()
     thresholds = (snapshot.stop_thresholds(pol.values)
                   if mode.kind in (STANDARD, COUNTERFACTUAL) else None)
@@ -360,9 +359,7 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
     successes = 0
     for first in range(0, episodes, EVAL_CHUNK):
         count = min(EVAL_CHUNK, episodes - first)
-        uniforms = np.empty((count, t_max))
-        for i in range(count):
-            uniforms[i] = derived_rng(seed, EVAL_STREAM, eval_tag, first + i).random(t_max)
+        uniforms = keyed_uniforms(seed, (EVAL_STREAM, eval_tag), first, count, t_max)
         rows = np.arange(count)
         state = np.full(count, env.initial_state)
         for t in range(t_max):

@@ -29,7 +29,7 @@ from .config import (
 )
 from .envs import RecoverableBranchSpec, TrapChainSpec, build_environment
 from .mdpcore import log_softmax
-from .metrics import MetricsRow
+from .metrics import MetricsRow, replacing
 from .policy import TabularActor, TabularCritic, load_params, save_params
 from .rollout import (
     COUNTERFACTUAL,
@@ -419,7 +419,7 @@ class TrainingRun:
             "stopper": self.stopper.state_dict(),
             "random_correction": self.stopper.random_correction,
         }
-        with open(os.path.join(directory, "state.json"), "w", encoding="utf-8") as fh:
+        with replacing(os.path.join(directory, "state.json")) as fh:
             json.dump(state, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return directory

@@ -1,7 +1,8 @@
 """Shared fixtures: small environments, policies, collection helpers, and the
 scalar references the array code is checked against (the per-step records
-with their trajectory dump, the per-token collection loop, the per-step
-environment step, and the per-step loops of the trainer)."""
+with their trajectory dump, the per-trajectory random stream, the per-token
+collection loop, the per-step environment step, and the per-step loops of the
+trainer)."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import pytest
 
 from espolab.config import RunConfig
 from espolab.envs import TrapChainSpec, build_trap_chain
-from espolab.mdpcore import log_softmax
+from espolab.mdpcore import TRAIN_STREAM, derived_rng, log_softmax
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
     COUNTERFACTUAL,
@@ -171,6 +172,12 @@ def env_step(env, state_id: int, action: int) -> tuple[int, bool, float]:
         raise ValueError(f"step() called on terminal state {state_id}")
     return (int(env.next_state[state_id, action]), bool(env.terminal[state_id, action]),
             float(env.reward[state_id, action]))
+
+
+def trajectory_rng(master_seed: int, batch_index: int, traj_index: int) -> np.random.Generator:
+    """Trajectory traj_index's own stream in batch batch_index, built one
+    SeedSequence at a time: the oracle for collect_batch's bulk uniforms."""
+    return derived_rng(master_seed, TRAIN_STREAM, batch_index, traj_index)
 
 
 def pick_from_cumulative(cum_probs, rng: np.random.Generator) -> int:

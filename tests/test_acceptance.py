@@ -24,7 +24,7 @@ from espolab.harness import (
     run_experiment,
     token_saving_pct,
 )
-from espolab.mdpcore import log_softmax, trajectory_rng
+from espolab.mdpcore import log_softmax
 from espolab.metrics import MetricsRow, MetricsWriter, read_metrics, write_manifest
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import COUNTERFACTUAL, STANDARD, CollectionMode, collect_batch
@@ -48,6 +48,7 @@ from conftest import (
     random_actor,
     random_critic,
     records,
+    trajectory_rng,
 )
 
 

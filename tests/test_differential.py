@@ -30,7 +30,7 @@ from espolab.envs import (  # noqa: E402
     TrapChainSpec,
     build_environment,
 )
-from espolab.mdpcore import EVAL_STREAM, derived_rng, trajectory_rng  # noqa: E402
+from espolab.mdpcore import EVAL_STREAM, derived_rng  # noqa: E402
 from espolab.policy import TabularActor, TabularCritic  # noqa: E402
 from espolab.rollout import (  # noqa: E402
     COUNTERFACTUAL,
@@ -59,6 +59,7 @@ from conftest import (  # noqa: E402
     scalar_advantages,
     scalar_critic,
     scalar_surrogate_grad,
+    trajectory_rng,
 )
 
 CASES = settings(max_examples=150, deadline=None, database=None, derandomize=True)

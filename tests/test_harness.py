@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -29,6 +30,7 @@ from espolab.metrics import (
     read_metrics,
     write_manifest,
 )
+from espolab.policy import TabularActor, TabularCritic, save_params
 from espolab.rollout import COUNTERFACTUAL, DISABLED, RANDOM, STANDARD, CollectionMode
 from espolab.trainer import TrainingRun
 from espolab.variants import variant_dispatch
@@ -237,6 +239,53 @@ class TestMetricsFiles:
         assert stopped == (kind != DISABLED)
         # a hypothetical stop flags a step before the row's end
         assert flagged_mid_row == (kind == COUNTERFACTUAL)
+
+
+class TestAtomicWrites:
+    """params.txt, state.json and manifest.json are written to a temporary
+    file and moved into place: a write that raises part-way keeps the
+    previous file byte for byte and leaves no temporary file behind."""
+
+    @staticmethod
+    def torn_dump(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:40])
+        raise OSError("disk full")
+
+    @staticmethod
+    def contents(directory):
+        return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    def test_save_params(self, tmp_path):
+        actor, critic = TabularActor(3, 2), TabularCritic(3)
+        actor.table[1, 0] = 0.25
+        save_params(actor, critic, tmp_path / "params.txt")
+        before = self.contents(tmp_path)
+        actor.table[1, 0] = -1.5
+        critic.table = critic.table[:1]  # the critic rows run out part-way
+        with pytest.raises(IndexError):
+            save_params(actor, critic, tmp_path / "params.txt")
+        assert self.contents(tmp_path) == before
+
+    def test_checkpoint_state(self, tmp_path, monkeypatch):
+        run = TrainingRun(tiny_config())
+        run.step()
+        run.save_checkpoint(tmp_path)
+        before = self.contents(tmp_path)
+        run.step()
+        monkeypatch.setattr(json, "dump", self.torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            run.save_checkpoint(tmp_path)
+        after = self.contents(tmp_path)  # params.txt was replaced before the failure
+        assert after.keys() == before.keys()
+        assert after["state.json"] == before["state.json"]
+
+    def test_manifest(self, tmp_path, monkeypatch):
+        write_manifest(tmp_path, tiny_config(), status="running")
+        before = self.contents(tmp_path)
+        monkeypatch.setattr(json, "dump", self.torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            write_manifest(tmp_path, tiny_config(), status="complete", wall_time_s=1.0)
+        assert self.contents(tmp_path) == before
 
 
 class TestCompareRuns:

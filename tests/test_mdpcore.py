@@ -1,4 +1,5 @@
-"""Log-prob utilities, sampling, entropy, and trajectory record invariants."""
+"""Log-prob utilities, keyed random streams, sampling, entropy, and trajectory
+record invariants."""
 
 from __future__ import annotations
 
@@ -8,7 +9,17 @@ import math
 import numpy as np
 import pytest
 
-from espolab.mdpcore import log_softmax, trajectory_rng
+from espolab.config import RunConfig
+from espolab.mdpcore import (
+    EVAL_STREAM,
+    TRAIN_STREAM,
+    _keyed_pools,
+    _pcg64_seed,
+    _state_words,
+    derived_rng,
+    keyed_uniforms,
+    log_softmax,
+)
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import CachedPolicy
 from espolab.trainer import PpoConfig, compute_advantages
@@ -20,6 +31,7 @@ from conftest import (
     random_actor,
     random_critic,
     records,
+    trajectory_rng,
 )
 
 
@@ -119,6 +131,54 @@ class TestLogSoftmax:
         rows = log_softmax(table, axis=-1)
         for i in range(5):
             assert np.array_equal(rows[i], log_softmax(table[i]))
+
+
+T_MAX = RunConfig().t_max
+SEEDS = [0, 12, 2**32 - 1, 2**32, 2**70 + 1]
+PREFIXES = [(TRAIN_STREAM, 0), (TRAIN_STREAM, 299), (TRAIN_STREAM, 2**33), (EVAL_STREAM, 7)]
+ROW_SPANS = [(0, 64), (64, 5), (2**32 - 4, 4)]  # (first, count); the last ends at 2**32 - 1
+
+
+def stacked_streams(seed, prefix, first, count, n):
+    """The oracle: one SeedSequence -> PCG64 -> Generator per row."""
+    return np.stack([derived_rng(seed, *prefix, i).random(n) for i in range(first, first + count)])
+
+
+class TestKeyedUniforms:
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_equal_their_own_streams(self, seed, prefix):
+        for first, count in ROW_SPANS:
+            for n in (1, T_MAX, 2 * T_MAX):
+                out = keyed_uniforms(seed, prefix, first, count, n)
+                assert out.shape == (count, n)
+                assert (out == stacked_streams(seed, prefix, first, count, n)).all()
+
+    @pytest.mark.parametrize("prefix", PREFIXES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_stages_equal_numpys_own(self, seed, prefix):
+        first, count = 2**32 - 6, 6
+        pools = _keyed_pools(seed, prefix, first, count)
+        words = _state_words(pools)
+        assert pools.dtype == np.uint32 and words.dtype == np.uint64
+        for j, i in enumerate(range(first, first + count)):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, i))
+            assert pools[:, j].tolist() == ss.pool.tolist()
+            assert words[:, j].tolist() == ss.generate_state(4, np.uint64).tolist()
+            s_hi, s_lo, q_hi, q_lo = words[:, j].tolist()
+            state = np.random.PCG64(ss).state["state"]
+            assert _pcg64_seed(s_hi << 64 | s_lo, q_hi << 64 | q_lo) == (
+                state["state"], state["inc"])
+
+    def test_row_index_must_fit_one_word(self):
+        for first, count in [(2**32 - 1, 2), (2**32, 1), (-1, 2)]:
+            with pytest.raises(ValueError, match="2\\*\\*32"):
+                keyed_uniforms(3, (TRAIN_STREAM, 1), first, count, 4)
+
+    def test_negative_keys_rejected(self):
+        for seed, prefix in [(-1, (TRAIN_STREAM, 0)), (0, (TRAIN_STREAM, -5))]:
+            with pytest.raises(ValueError, match="non-negative"):
+                keyed_uniforms(seed, prefix, 0, 2, 4)
 
 
 class TestSampleToken:

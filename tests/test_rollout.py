@@ -15,7 +15,7 @@ import pytest
 import espolab
 from espolab.envs import TrapChainSpec, build_trap_chain
 from espolab.config import RunConfig
-from espolab.mdpcore import log_softmax, trajectory_rng
+from espolab.mdpcore import log_softmax
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
     COUNTERFACTUAL,
@@ -44,6 +44,7 @@ from conftest import (
     random_actor,
     random_critic,
     records,
+    trajectory_rng,
 )
 
 
