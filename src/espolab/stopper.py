@@ -31,9 +31,54 @@ __all__ = [
     "StopRule",
     "StopperSnapshot",
     "StopperState",
+    "weighted_fsum",
 ]
 
 logger = logging.getLogger(__name__)
+
+_HIGH_HALF = np.int64(-1 << 26)  # keeps sign, exponent and top 26 fraction bits
+_DIGIT_BITS = 26
+_DIGIT = (1 << _DIGIT_BITS) - 1
+
+
+def weighted_fsum(values: np.ndarray, counts: np.ndarray) -> float:
+    """math.fsum of a multiset given as contiguous float64 `values` and
+    positive integer `counts`: bit for bit the fsum of counts[i] copies of
+    each values[i], whatever the counts, from O(len(values) * log(max count))
+    addends.
+
+    fsum returns the correctly rounded value of the exact sum of its inputs,
+    so any addends whose exact sum is sum(counts[i] * values[i]) give the
+    same bits. Every addend here is an exact product:
+    - each value splits as hi + lo, hi keeping the sign, the exponent and
+      the top 26 of its 52 fraction bits (27 significant bits with the
+      implicit one), lo = value - hi the low 26 bits (exact, as lo is
+      representable);
+    - each count splits into base-2**26 digits, digit_k * 2**(26k);
+    - hi * digit_k * 2**(26k) carries at most 27 + 26 = 53 significant bits
+      and lo * digit_k * 2**(26k) at most 52, so neither rounds. Both halves
+      are multiples of 2**-1074 (subnormals included), and so are their
+      products with integers, so none is lost to underflow either.
+    A term past the float range means one value's copies alone sum past it,
+    and so, for a multiset of one sign, does every ordering of the
+    per-element sum: both raise OverflowError. With a non-finite value
+    fsum's result depends only on which non-finite values occur (nan, inf,
+    -inf, or both infinities: ValueError), whatever the finite ones are.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        return math.fsum(values[~finite].tolist())
+    hi = (values.view(np.int64) & _HIGH_HALF).view(np.float64)
+    lo = values - hi
+    terms = []
+    for shift in range(0, int(counts.max(initial=0)).bit_length(), _DIGIT_BITS):
+        digit = (counts >> shift & _DIGIT) * 2.0 ** shift
+        terms += (hi * digit).tolist()
+        terms += (lo * digit).tolist()
+    total = math.fsum(terms)
+    if math.isinf(total):
+        raise OverflowError("intermediate overflow in fsum")
+    return total
 
 
 class StopRule(Enum):
@@ -114,15 +159,24 @@ class StopperState:
 
     def update_ema(self, regrets: np.ndarray) -> None:
         """Blend the running statistics with one batch's regret mean and
-        population variance (divide by N). math.fsum makes them invariant
-        under permutation of the batch; squares use libm pow, as `** 2` on a
-        float does. An empty batch leaves the statistics unchanged."""
+        population variance (divide by N): math.fsum of the regrets, then of
+        libm pow(regret - mean, 2.0) (as `** 2` on a float is, not x * x),
+        each over N. Both are computed over the batch's distinct regrets,
+        weighted by their counts (`weighted_fsum`): a batch holds a few
+        hundred at most, being lookups into a (state, token) table, and the
+        sums are bit for bit the per-element ones, hence invariant under
+        permutation of the batch. A square is a function of the regret alone
+        (-0.0 and 0.0, which np.unique merges, square alike). An empty batch
+        leaves the statistics unchanged."""
         n = regrets.size
         if not n:
             logger.warning("update_ema called with an empty batch; statistics unchanged")
             return
-        mean = math.fsum(regrets.tolist()) / n
-        var = math.fsum(map(math.pow, (regrets - mean).tolist(), repeat(2.0))) / n
+        values, counts = np.unique(regrets, return_counts=True)
+        mean = weighted_fsum(values, counts) / n
+        squares = np.fromiter(map(math.pow, (values - mean).tolist(), repeat(2.0)),
+                              np.float64, len(values))
+        var = weighted_fsum(squares, counts) / n
         a = self.cfg.alpha_ema
         self.mu_g = a * self.mu_g + (1.0 - a) * mean
         self.var_g = a * self.var_g + (1.0 - a) * var

@@ -12,6 +12,7 @@ simulated stop step carries the early-stop reward.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -78,20 +79,17 @@ class PpoConfig:
 @dataclass(frozen=True, eq=False)
 class AdvantageSet:
     """GAE advantages, regression returns and TD errors of a batch, as B x T
-    arrays aligned with the RolloutBatch; zero at and past each row's
-    effective (possibly simulated-truncated) length, `lengths`.
+    arrays aligned with the RolloutBatch, and the B x T `mask` that is True
+    on the steps trained on: those before each row's effective (possibly
+    simulated-truncated) length. The arrays are zero outside the mask.
+    Selecting with the mask visits the steps trajectory by trajectory, in
+    step order.
     """
 
     advantages: np.ndarray
     returns: np.ndarray
     td_errors: np.ndarray
-    lengths: np.ndarray
-
-    @property
-    def mask(self) -> np.ndarray:
-        """True on the steps that are trained on. Selecting with it visits
-        the steps trajectory by trajectory, in step order."""
-        return np.arange(self.advantages.shape[1]) < self.lengths[:, None]
+    mask: np.ndarray
 
 
 def gae(deltas, gamma: float, lam: float) -> np.ndarray:
@@ -148,7 +146,7 @@ def compute_advantages(batch: RolloutBatch, config: PpoConfig,
         var = math.fsum((a - mean) ** 2 for a in flat) / len(flat)
         scale = 1.0 / max(math.sqrt(var), 1e-8)
         advantages = np.where(mask, (advantages - mean) * scale, 0.0)
-    return AdvantageSet(advantages, returns, deltas, lengths)
+    return AdvantageSet(advantages, returns, deltas, mask)
 
 
 SURROGATE_CHUNK = 8192  # gradient entries scattered per bincount call
@@ -244,6 +242,11 @@ def critic_loss(critic: TabularCritic, batch: RolloutBatch,
                 advantage_sets: AdvantageSet) -> float:
     _states, diffs = _critic_diffs(critic, batch, advantage_sets)
     return _sequential_sum(diffs * diffs) / len(diffs) if len(diffs) else 0.0
+
+
+def _file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def env_spec_from_config(cfg: RunConfig):
@@ -410,9 +413,14 @@ class TrainingRun:
             self.save_checkpoint(os.path.join(self.config.out_dir, "checkpoints", "final"))
 
     def save_checkpoint(self, directory) -> str:
+        """Write params.txt, then state.json with params.txt's sha256, each
+        replaced whole: a failure between the two leaves a state.json whose
+        digest no longer matches, which resume rejects."""
         os.makedirs(directory, exist_ok=True)
-        save_params(self.actor, self.critic, os.path.join(directory, "params.txt"))
+        params = os.path.join(directory, "params.txt")
+        save_params(self.actor, self.critic, params)
         state = {
+            "params_sha256": _file_sha256(params),
             "step": self.step_index,
             "cumulative_tokens": self.cumulative_tokens,
             "experiment_hash": experiment_hash(self.config),
@@ -431,7 +439,10 @@ class TrainingRun:
             state = json.load(fh)
         if state["experiment_hash"] != experiment_hash(config):
             raise ConfigError("checkpoint was produced by a different config")
-        actor, critic = load_params(os.path.join(checkpoint_dir, "params.txt"))
+        params = os.path.join(checkpoint_dir, "params.txt")
+        if state.get("params_sha256") != _file_sha256(params):
+            raise ConfigError(f"{params} is not the parameter file its state.json was saved with")
+        actor, critic = load_params(params)
         if actor.table.shape != run.actor.table.shape:
             raise ConfigError("checkpoint parameter shapes do not match the config")
         run.actor, run.critic = actor, critic

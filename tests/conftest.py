@@ -1,8 +1,8 @@
 """Shared fixtures: small environments, policies, collection helpers, and the
 scalar references the array code is checked against (the per-step records
 with their trajectory dump, the per-trajectory random stream, the per-token
-collection loop, the per-step environment step, and the per-step loops of the
-trainer)."""
+collection loop, the per-step environment step, the per-element EMA batch
+statistics, and the per-step loops of the trainer)."""
 
 from __future__ import annotations
 
@@ -62,6 +62,15 @@ def make_stopper(**overrides) -> StopperState:
     """A fresh StopperState for RunConfig(**overrides) and its variant plan."""
     cfg = RunConfig(**overrides)
     return StopperState(cfg, variant_dispatch(cfg))
+
+
+def batch_statistics(regrets: np.ndarray) -> tuple[float, float]:
+    """Mean and population variance of a regret batch by the per-element
+    formula StopperState.update_ema must reproduce bit for bit: math.fsum over
+    every regret, then over libm pow(regret - mean, 2.0) of every regret."""
+    n = regrets.size
+    mean = math.fsum(regrets.tolist()) / n
+    return mean, math.fsum(math.pow(d, 2.0) for d in (regrets - mean).tolist()) / n
 
 
 def collect_small_batch(env, actor, critic, snapshot=None, batch_size=4, t_max=8,
@@ -285,7 +294,8 @@ def advantage_set(rows) -> AdvantageSet:
     for i, row in enumerate(rows):
         for array, values in zip(arrays, row):
             array[i, :len(values)] = values
-    return AdvantageSet(*arrays, np.array([len(r[0]) for r in rows], dtype=np.int64))
+    lengths = np.array([len(r[0]) for r in rows], dtype=np.int64)
+    return AdvantageSet(*arrays, np.arange(width) < lengths[:, None])
 
 
 def scalar_advantages(trajectories, gamma, lam, early_stop_reward, whitening=False):
@@ -382,7 +392,7 @@ def ppo_surrogate_value(actor, batch, advantage_sets, config) -> float:
     total = 0.0
     included = 0
     for traj, advs, n in zip(records(batch), advantage_sets.advantages,
-                             advantage_sets.lengths.tolist()):
+                             advantage_sets.mask.sum(axis=1).tolist()):
         for rec, adv in zip(traj.steps, advs[:n].tolist()):
             ratio = math.exp(table[rec.state_id, rec.action] - rec.log_prob_sampled)
             if not math.isfinite(ratio):

@@ -249,8 +249,10 @@ class TestTrainerAgainstScalarLoops:
         rows = scalar_advantages(trajectories, config.gamma, config.lam, early_stop_reward,
                                  config.advantage_whitening)
         arrays = (advs.advantages, advs.returns, advs.td_errors)
+        lengths = batch.effective_lengths
+        assert (advs.mask == (np.arange(advs.mask.shape[1]) < lengths[:, None])).all()
         assert [tuple(array[i, :n].tolist() for array in arrays)
-                for i, n in enumerate(advs.lengths.tolist())] == rows
+                for i, n in enumerate(lengths.tolist())] == rows
         for array in arrays:
             assert not array[~advs.mask].any()
 

@@ -278,6 +278,10 @@ class TestAtomicWrites:
         after = self.contents(tmp_path)  # params.txt was replaced before the failure
         assert after.keys() == before.keys()
         assert after["state.json"] == before["state.json"]
+        # step 2's parameters beside step 1's state: resume refuses the mix
+        assert after["params.txt"] != before["params.txt"]
+        with pytest.raises(ConfigError, match="params.txt"):
+            TrainingRun.resume(tiny_config(), tmp_path)
 
     def test_manifest(self, tmp_path, monkeypatch):
         write_manifest(tmp_path, tiny_config(), status="running")

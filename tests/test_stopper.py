@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from espolab.config import RunConfig
 from espolab.envs import TrapChainSpec, build_trap_chain
@@ -19,10 +22,34 @@ from espolab.rollout import (
     CollectionMode,
     collect_batch,
 )
-from espolab.stopper import StopperSnapshot, StopperState
+from espolab.stopper import StopperSnapshot, StopperState, weighted_fsum
 from espolab.variants import variant_dispatch
 
-from conftest import make_stopper, plain_snapshot, records
+from conftest import batch_statistics, make_stopper, plain_snapshot, records
+
+
+EMA_CASES = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+def finite_floats(min_exp, max_exp):
+    """Floats m * 2**(e - 53) with an integer |m| < 2**53, so most carry all
+    53 significant bits, and e in [min_exp, max_exp]: zeros, subnormals and
+    normals below 2**max_exp."""
+    return st.builds(math.ldexp, st.integers(1 - 2**53, 2**53 - 1),
+                     st.integers(min_exp - 53, max_exp - 53))
+
+
+@st.composite
+def regret_batches(draw):
+    """A shuffled multiset of up to 24 floats, each repeated up to 64 times,
+    magnitudes from subnormal to ~1e300 (2**997): all in one binade, spread
+    over 2**60, or over the whole range."""
+    top = draw(st.integers(-1074, 997))
+    spread = draw(st.sampled_from([0, 60, 2071]))
+    values = draw(st.lists(finite_floats(top - spread, top), min_size=1, max_size=24))
+    counts = draw(st.lists(st.integers(1, 64), min_size=len(values), max_size=len(values)))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return order.permutation(np.repeat(values, counts))
 
 
 def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
@@ -225,6 +252,85 @@ class TestUpdateEma:
         after = state.snapshot()
         assert (after.frozen_mu, after.frozen_var) == (state.mu_g, state.var_g)
         assert after.frozen_mu == pytest.approx(0.02, abs=1e-12)
+
+    # update_ema sums over the distinct regrets weighted by their counts; the
+    # per-element fsum/pow formula (conftest.batch_statistics) is the oracle
+
+    @staticmethod
+    def statistics(regrets):
+        """(mu_g, var_g) after one update from the initial statistics with
+        alpha_ema = 0, i.e. the batch mean and variance themselves, or the
+        exception both formulas raise."""
+        stopper = make_stopper(alpha_ema=0.0)
+        try:
+            stopper.update_ema(regrets)
+        except (OverflowError, ValueError) as exc:
+            return type(exc), str(exc)
+        return stopper.mu_g, stopper.var_g
+
+    @staticmethod
+    def oracle(regrets):
+        try:
+            return batch_statistics(regrets)
+        except (OverflowError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    @given(regret_batches())
+    @EMA_CASES
+    def test_distinct_values_reproduce_the_per_element_formula(self, regrets):
+        assert self.statistics(regrets) == self.oracle(regrets)
+        # the mean's sum on its own, also where the squares overflow
+        values, counts = np.unique(regrets, return_counts=True)
+        assert weighted_fsum(values, counts) == math.fsum(regrets.tolist())
+
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 2.2250738585072014e-308, 1.3,
+                                       -0.7, 1e300, -1.7e300])
+    @pytest.mark.parametrize("count", [1, 7, 4096])
+    def test_single_value_batch(self, value, count):
+        regrets = np.full(count, value)
+        assert self.statistics(regrets) == self.oracle(regrets)
+
+    def test_non_finite_regrets_match_the_per_element_formula(self):
+        # the results are nan or inf, or both raise; repr makes nan == nan
+        inf, nan = math.inf, math.nan
+        for batch in ([inf, 1.0, 1.0], [-inf, 2.0], [nan, 0.5, 0.5], [inf, -inf, 3.0],
+                      [nan, inf, 1.0]):
+            regrets = np.array(batch)
+            with np.errstate(invalid="ignore"):
+                assert repr(self.statistics(regrets)) == repr(self.oracle(regrets)), batch
+
+    @given(st.lists(st.tuples(finite_floats(-1074, 900),
+                              st.one_of(st.integers(2**26, 2**40),
+                                        st.sampled_from([2**26 - 1, 2**26, 2**26 + 1,
+                                                         2**40, 2**52 + 1, 2**62 + 3]),
+                                        st.integers(1, 64))),
+                    max_size=12))
+    @EMA_CASES
+    def test_weighted_sum_is_exact_for_any_count(self, pairs):
+        values = np.array([v for v, _c in pairs])
+        counts = np.array([c for _v, c in pairs], dtype=np.int64)
+        exact = sum(Fraction(v) * c for v, c in pairs)
+        assert weighted_fsum(values, counts) == float(exact)
+
+    @given(finite_floats(-900, 900), st.integers(2, 2**62))
+    @EMA_CASES
+    def test_weighted_sum_keeps_a_product_rounding_error(self, value, count):
+        # count copies of value, less their correctly rounded sum, leave the
+        # rounding error alone: a single inexact product term would lose it
+        rounded = float(Fraction(value) * count)
+        values, counts = np.array([value, -rounded]), np.array([count, 1])
+        residual = Fraction(value) * count - Fraction(rounded)
+        assert weighted_fsum(values, counts) == float(residual)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_weighted_sum_past_the_float_range_raises_as_fsum(self):
+        regrets = np.full(4096, 1e305)
+        overflow = (OverflowError, "intermediate overflow in fsum")
+        assert self.statistics(regrets) == self.oracle(regrets) == overflow
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            weighted_fsum(np.array([1e300, 1.0]), np.array([2**40, 3]))
+        with pytest.raises(OverflowError, match="intermediate overflow"):
+            weighted_fsum(np.array([1.7e308]), np.array([2**26 + 1]))
 
 
 class TestBetaController:

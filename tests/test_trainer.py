@@ -569,7 +569,7 @@ class TestSurrogateMemory:
         batch = collect_batch(actor, critic, plain_snapshot(), env, 64, 64,
                               CollectionMode(DISABLED), -1.0, 0, 1)
         advs = compute_advantages(batch, PpoConfig(), -1.0)
-        assert int(advs.lengths.sum()) == 4096
+        assert int(advs.mask.sum()) == 4096
         actor.table = actor.table + rng.normal(0, 0.1, size=actor.table.shape)  # ratios != 1
         tracemalloc.start()
         try:
