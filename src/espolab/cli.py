@@ -9,8 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
-from .config import SCHEMA, VARIANTS, ConfigError, build_run_config, load_config_file
+from .config import VARIANTS, ConfigError, RunConfig, build_run_config, load_config_file
 from .harness import (
     ablate,
     compare_runs,
@@ -23,14 +24,14 @@ from .harness import (
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     group = parser.add_argument_group("config keys (override file and environment)")
-    for key, (_kind, help_text) in SCHEMA.items():
-        group.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                           metavar="V", help=help_text)
+    for f in fields(RunConfig):
+        group.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                           metavar="V", help=f.metadata["help"])
 
 
 def _config_from_args(args: argparse.Namespace):
     file_values = load_config_file(args.config) if args.config else {}
-    flag_values = {key: getattr(args, key) for key in SCHEMA if getattr(args, key, None) is not None}
+    flag_values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     return build_run_config(file_values, flag_values)
 
 

@@ -1,7 +1,7 @@
-"""Run configuration: flat key schema, file/env/flag layering, validation.
+"""Run configuration: flat keys, file/env/flag layering, validation.
 
 Precedence, lowest to highest: built-in defaults, ESPOLAB_<KEY> environment
-variables, the config file, command-line flags. Every key in the schema is a
+variables, the config file, command-line flags. Every RunConfig field is a
 config-file line `key = value`, an environment variable, and a CLI flag of
 the same name.
 """
@@ -11,12 +11,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "SCHEMA",
     "VARIANTS",
     "build_run_config",
     "config_hash",
@@ -44,130 +43,86 @@ class ConfigError(ValueError):
     """Carries every validation failure, not just the first."""
 
 
+def key(default, help_text: str):
+    """A RunConfig field: its default and its help text."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass
 class RunConfig:
+    """Every config key: its name, its kind (the annotation), its default and
+    its help text. Kinds: int, float, bool, str, int | None, float | None."""
+
     # experiment identity
-    variant: str = "espo"
-    seed: int = 0
-    total_steps: int = 300
-    batch_size: int = 64
-    out_dir: str = ""
+    variant: str = key("espo", f"method variant, one of {'|'.join(VARIANTS)}")
+    seed: int = key(0, "master seed; all RNG streams derive from it")
+    total_steps: int = key(300, "number of training steps (one rollout batch each)")
+    batch_size: int = key(64, "trajectories per rollout batch")
+    out_dir: str = key("", "output directory for metrics/manifest/checkpoints")
     # environment
-    env: str = "trap_chain"
-    vocab_size: int = 8
-    target_length: int = 12
-    target_sequence: str = ""  # comma-separated tokens; empty -> generated from target_seed
-    target_seed: int = 0
-    doom_padding: int | None = None  # None -> doomed branch absorbs until the horizon
-    repair_window: int = 3
-    t_max: int = 64
-    state_budget: int = 100_000
+    env: str = key("trap_chain", "environment kind: trap_chain | recoverable")
+    vocab_size: int = key(8, "token vocabulary size K")
+    target_length: int = key(12, "length of the rewarded token sequence")
+    target_sequence: str = key(
+        "", "comma-separated target tokens; empty generates from target_seed")
+    target_seed: int = key(0, "seed used when generating the target sequence")
+    doom_padding: int | None = key(None, "doomed-branch length; 'none' absorbs until the horizon")
+    repair_window: int = key(3, "recoverable env: steps allowed to emit the repair token")
+    t_max: int = key(64, "horizon cap T_max")
+    state_budget: int = key(100_000, "maximum enumerable states before erroring")
     # stopping machinery
-    r_fail: float = -1.0
-    alpha_ema: float = 0.99
-    alpha_s: float = 0.9
-    beta_init: float = 7.0
-    beta_min: float = 0.0
-    beta_max: float = 10.0
-    eta_beta: float = 0.1
-    target_stop_rate: float = 0.25
-    value_floor: float = 0.2
-    clip_bound: float = 5.0
-    stabilizer: float = 1e-8
-    warmup_abs_threshold: float = 0.5
-    warmup_delta_threshold: float = 0.1
-    warmup_consecutive: int = 3
-    warmup_step_cap_fraction: float = 0.10
-    anneal_fraction: float = 0.10
-    disable_stopping: bool = False
-    counterfactual: bool = False
+    r_fail: float = key(-1.0, "terminal reward written at an early stop")
+    alpha_ema: float = key(0.99, "EMA factor for batch regret statistics")
+    alpha_s: float = key(0.9, "per-trajectory smoothing factor for the stopping statistic")
+    beta_init: float = key(7.0, "initial threshold multiplier (anneal target)")
+    beta_min: float = key(0.0, "controller lower clip for beta")
+    beta_max: float = key(10.0, "controller upper clip; annealing starts here")
+    eta_beta: float = key(0.1, "proportional controller gain")
+    target_stop_rate: float = key(0.25, "controller setpoint for the per-batch stop rate")
+    value_floor: float = key(0.2, "epsilon floor inside max(V, epsilon) of the stop rule")
+    clip_bound: float = key(5.0, "clip bound c for the normalized regret")
+    stabilizer: float = key(1e-8, "variance stabilizer delta")
+    warmup_abs_threshold: float = key(0.5, "warmup exits when |critic loss| stays below this")
+    warmup_delta_threshold: float = key(0.1, "warmup exits when |loss delta| stays below this")
+    warmup_consecutive: int = key(3, "consecutive qualifying steps required to exit warmup")
+    warmup_step_cap_fraction: float = key(0.10, "fraction of total steps forcing warmup exit")
+    anneal_fraction: float = key(0.10, "fraction of post-warmup steps spent annealing beta")
+    disable_stopping: bool = key(False, "bypass the stopper entirely (reduces to plain PPO)")
+    counterfactual: bool = key(
+        False, "record hypothetical stops but keep decoding (measurement mode)")
     # optimization
-    gamma: float = 1.0
-    lam: float = 1.0
-    clip_ratio: float = 0.2
-    epochs_per_batch: int = 1
-    lr_actor: float = 0.05
-    lr_critic: float = 0.1
-    advantage_whitening: bool = False
-    actor_init_scale: float = 0.0
+    gamma: float = key(1.0, "discount factor")
+    lam: float = key(1.0, "GAE lambda")
+    clip_ratio: float = key(0.2, "PPO clipping epsilon")
+    epochs_per_batch: int = key(1, "PPO epochs per collected batch")
+    lr_actor: float = key(0.05, "actor learning rate (desk scale)")
+    lr_critic: float = key(0.1, "critic learning rate (desk scale)")
+    advantage_whitening: bool = key(False, "whiten advantages across the batch before the update")
+    actor_init_scale: float = key(0.0, "stddev of seeded Gaussian logit init; 0 = uniform policy")
     # ablation support
-    value_stop_threshold: float | None = None
-    regret_stop_threshold: float | None = None
-    random_stop_rate: float | None = None
-    reference_run: str = ""  # run dir used to calibrate value_only/regret_only/random_stop
+    value_stop_threshold: float | None = key(None, "value_only variant: stop when V < this")
+    regret_stop_threshold: float | None = key(None, "regret_only variant: stop when z > this")
+    random_stop_rate: float | None = key(None, "random_stop variant: fixed per-step hazard")
+    reference_run: str = key("", "run dir used to calibrate value_only/regret_only/random_stop")
     # outputs
-    checkpoint_every: int = 0
-    eval_every: int = 0
-    eval_episodes: int = 1024
-    dump_trajectories: bool = False
-    record_stop_events: bool = False
+    checkpoint_every: int = key(0, "save a checkpoint every N steps (0 disables)")
+    eval_every: int = key(0, "evaluate greedy/sampled success every N steps (0 disables)")
+    eval_episodes: int = key(1024, "episodes per evaluation")
+    dump_trajectories: bool = key(False, "append per-step trajectory dumps to trajectories.tsv")
+    record_stop_events: bool = key(False, "append (V, z) at every stop event to stop_events.tsv")
 
 
-# key -> (kind, help). Kinds: int, float, bool, str, opt_int, opt_float.
-SCHEMA: dict[str, tuple[str, str]] = {
-    "variant": ("str", f"method variant, one of {'|'.join(VARIANTS)}"),
-    "seed": ("int", "master seed; all RNG streams derive from it"),
-    "total_steps": ("int", "number of training steps (one rollout batch each)"),
-    "batch_size": ("int", "trajectories per rollout batch"),
-    "out_dir": ("str", "output directory for metrics/manifest/checkpoints"),
-    "env": ("str", "environment kind: trap_chain | recoverable"),
-    "vocab_size": ("int", "token vocabulary size K"),
-    "target_length": ("int", "length of the rewarded token sequence"),
-    "target_sequence": ("str", "comma-separated target tokens; empty generates from target_seed"),
-    "target_seed": ("int", "seed used when generating the target sequence"),
-    "doom_padding": ("opt_int", "doomed-branch length; 'none' absorbs until the horizon"),
-    "repair_window": ("int", "recoverable env: steps allowed to emit the repair token"),
-    "t_max": ("int", "horizon cap T_max"),
-    "state_budget": ("int", "maximum enumerable states before erroring"),
-    "r_fail": ("float", "terminal reward written at an early stop"),
-    "alpha_ema": ("float", "EMA factor for batch regret statistics"),
-    "alpha_s": ("float", "per-trajectory smoothing factor for the stopping statistic"),
-    "beta_init": ("float", "initial threshold multiplier (anneal target)"),
-    "beta_min": ("float", "controller lower clip for beta"),
-    "beta_max": ("float", "controller upper clip; annealing starts here"),
-    "eta_beta": ("float", "proportional controller gain"),
-    "target_stop_rate": ("float", "controller setpoint for the per-batch stop rate"),
-    "value_floor": ("float", "epsilon floor inside max(V, epsilon) of the stop rule"),
-    "clip_bound": ("float", "clip bound c for the normalized regret"),
-    "stabilizer": ("float", "variance stabilizer delta"),
-    "warmup_abs_threshold": ("float", "warmup exits when |critic loss| stays below this"),
-    "warmup_delta_threshold": ("float", "warmup exits when |loss delta| stays below this"),
-    "warmup_consecutive": ("int", "consecutive qualifying steps required to exit warmup"),
-    "warmup_step_cap_fraction": ("float", "fraction of total steps forcing warmup exit"),
-    "anneal_fraction": ("float", "fraction of post-warmup steps spent annealing beta"),
-    "disable_stopping": ("bool", "bypass the stopper entirely (reduces to plain PPO)"),
-    "counterfactual": ("bool", "record hypothetical stops but keep decoding (measurement mode)"),
-    "gamma": ("float", "discount factor"),
-    "lam": ("float", "GAE lambda"),
-    "clip_ratio": ("float", "PPO clipping epsilon"),
-    "epochs_per_batch": ("int", "PPO epochs per collected batch"),
-    "lr_actor": ("float", "actor learning rate (desk scale)"),
-    "lr_critic": ("float", "critic learning rate (desk scale)"),
-    "advantage_whitening": ("bool", "whiten advantages across the batch before the update"),
-    "actor_init_scale": ("float", "stddev of seeded Gaussian logit init; 0 = uniform policy"),
-    "value_stop_threshold": ("opt_float", "value_only variant: stop when V < this"),
-    "regret_stop_threshold": ("opt_float", "regret_only variant: stop when z > this"),
-    "random_stop_rate": ("opt_float", "random_stop variant: fixed per-step hazard"),
-    "reference_run": ("str", "run dir used to calibrate value_only/regret_only/random_stop"),
-    "checkpoint_every": ("int", "save a checkpoint every N steps (0 disables)"),
-    "eval_every": ("int", "evaluate greedy/sampled success every N steps (0 disables)"),
-    "eval_episodes": ("int", "episodes per evaluation"),
-    "dump_trajectories": ("bool", "append per-step trajectory dumps to trajectories.tsv"),
-    "record_stop_events": ("bool", "append (V, z) at every stop event to stop_events.tsv"),
-}
-
-
-def _coerce(key: str, kind: str, raw) -> object:
+def _coerce(name: str, kind: str, raw) -> object:
     if not isinstance(raw, str):
         return raw
     text = raw.strip()
     low = text.lower()
-    if kind in ("opt_int", "opt_float") and low in ("", "none", "null"):
+    if kind.endswith("| None") and low in ("", "none", "null"):
         return None
     try:
-        if kind == "int" or kind == "opt_int":
+        if kind.startswith("int"):
             return int(text)
-        if kind == "float" or kind == "opt_float":
+        if kind.startswith("float"):
             return float(text)
         if kind == "bool":
             if low in ("1", "true", "yes", "on"):
@@ -177,7 +132,7 @@ def _coerce(key: str, kind: str, raw) -> object:
             raise ValueError(text)
         return text
     except ValueError as exc:
-        raise ConfigError(f"config key {key}: cannot parse {text!r} as {kind}") from exc
+        raise ConfigError(f"config key {name}: cannot parse {text!r} as {kind}") from exc
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -200,20 +155,21 @@ def build_run_config(file_values: dict | None = None,
                      environ: dict | None = None) -> RunConfig:
     """Layer defaults < environment < file < flags into a RunConfig."""
     environ = os.environ if environ is None else environ
+    kinds = {f.name: f.type for f in fields(RunConfig)}
     merged: dict[str, object] = {}
     unknown: list[str] = []
-    for key, (kind, _) in SCHEMA.items():
-        env_key = f"ESPOLAB_{key.upper()}"
+    for name, kind in kinds.items():
+        env_key = f"ESPOLAB_{name.upper()}"
         if env_key in environ:
-            merged[key] = _coerce(key, kind, environ[env_key])
+            merged[name] = _coerce(name, kind, environ[env_key])
     for source in (file_values or {}, flag_values or {}):
-        for key, raw in source.items():
+        for name, raw in source.items():
             if raw is None:
                 continue
-            if key not in SCHEMA:
-                unknown.append(key)
+            if name not in kinds:
+                unknown.append(name)
                 continue
-            merged[key] = _coerce(key, SCHEMA[key][0], raw)
+            merged[name] = _coerce(name, kinds[name], raw)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(set(unknown))))
     return RunConfig(**merged)
@@ -254,12 +210,20 @@ def experiment_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _explicit_target(cfg: RunConfig) -> tuple[int, ...]:
+    """The tokens of target_sequence; () when it is unset."""
+    if not cfg.target_sequence.strip():
+        return ()
+    try:
+        return tuple(int(tok) for tok in cfg.target_sequence.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"target_sequence: cannot parse {cfg.target_sequence!r}") from exc
+
+
 def parse_target_sequence(cfg: RunConfig) -> tuple[int, ...]:
-    if cfg.target_sequence.strip():
-        try:
-            return tuple(int(tok) for tok in cfg.target_sequence.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"target_sequence: cannot parse {cfg.target_sequence!r}") from exc
+    seq = _explicit_target(cfg)
+    if seq:
+        return seq
     from .envs import generate_target_sequence
 
     return generate_target_sequence(cfg.vocab_size, cfg.target_length, cfg.target_seed)
@@ -280,12 +244,14 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
         if not cond:
             errors.append(message)
 
-    for key, (kind, _help) in SCHEMA.items():
-        value = getattr(cfg, key)
-        if kind == "float" or (kind == "opt_float" and value is not None):
-            need(math.isfinite(value), f"{key} must be finite, got {value!r}")
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if f.type.startswith("float") and value is not None:
+            need(math.isfinite(value), f"{f.name} must be finite, got {value!r}")
     need(cfg.variant in VARIANTS, f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
     need(cfg.env in ENV_KINDS, f"env must be one of {ENV_KINDS}, got {cfg.env!r}")
+    need(cfg.seed >= 0, "seed must be >= 0")
+    need(cfg.target_seed >= 0, "target_seed must be >= 0")
     need(cfg.vocab_size >= 2, "vocab_size must be >= 2")
     need(cfg.target_length >= 1, "target_length must be >= 1")
     need(cfg.doom_padding is None or cfg.doom_padding >= 0, "doom_padding must be >= 0 or none")
@@ -308,6 +274,7 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
     need(0.0 < cfg.lam <= 1.0, "lam must lie in (0, 1]")
     need(cfg.lr_actor >= 0.0, "lr_actor must be >= 0")
     need(cfg.lr_critic >= 0.0, "lr_critic must be >= 0")
+    need(cfg.actor_init_scale >= 0.0, "actor_init_scale must be >= 0")
     need(cfg.epochs_per_batch >= 1, "epochs_per_batch must be >= 1")
     need(cfg.warmup_consecutive >= 1, "warmup_consecutive must be >= 1")
     need(0.0 <= cfg.warmup_step_cap_fraction <= 1.0,
@@ -328,12 +295,12 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
     if cfg.variant == "regret_only":
         need(cfg.regret_stop_threshold is not None or bool(cfg.reference_run),
              "regret_only needs regret_stop_threshold or reference_run")
-    if cfg.target_sequence.strip():
-        try:
-            seq = tuple(int(tok) for tok in cfg.target_sequence.split(","))
-        except ValueError:
-            errors.append(f"target_sequence: cannot parse {cfg.target_sequence!r}")
-        else:
+    try:
+        seq = _explicit_target(cfg)
+    except ConfigError as exc:
+        errors.append(str(exc))
+    else:
+        if seq:
             need(len(seq) == cfg.target_length,
                  "target_sequence length must equal target_length")
             need(all(0 <= t < cfg.vocab_size for t in seq),

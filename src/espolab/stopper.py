@@ -47,23 +47,8 @@ def weighted_fsum(values: np.ndarray, counts: np.ndarray) -> float:
     each values[i], whatever the counts, from O(len(values) * log(max count))
     addends.
 
-    fsum returns the correctly rounded value of the exact sum of its inputs,
-    so any addends whose exact sum is sum(counts[i] * values[i]) give the
-    same bits. Every addend here is an exact product:
-    - each value splits as hi + lo, hi keeping the sign, the exponent and
-      the top 26 of its 52 fraction bits (27 significant bits with the
-      implicit one), lo = value - hi the low 26 bits (exact, as lo is
-      representable);
-    - each count splits into base-2**26 digits, digit_k * 2**(26k);
-    - hi * digit_k * 2**(26k) carries at most 27 + 26 = 53 significant bits
-      and lo * digit_k * 2**(26k) at most 52, so neither rounds. Both halves
-      are multiples of 2**-1074 (subnormals included), and so are their
-      products with integers, so none is lost to underflow either.
-    A term past the float range means one value's copies alone sum past it,
-    and so, for a multiset of one sign, does every ordering of the
-    per-element sum: both raise OverflowError. With a non-finite value
-    fsum's result depends only on which non-finite values occur (nan, inf,
-    -inf, or both infinities: ValueError), whatever the finite ones are.
+    Why every addend is exact, and how overflow and non-finite values
+    behave: DECISIONS.md, "EMA statistics from distinct values".
     """
     finite = np.isfinite(values)
     if not finite.all():

@@ -48,7 +48,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "AdvantageSet",
-    "PpoConfig",
     "TrainingRun",
     "compute_advantages",
     "critic_grad",
@@ -57,23 +56,6 @@ __all__ = [
     "gae",
     "ppo_surrogate_grad",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class PpoConfig:
-    clip_ratio: float = 0.2
-    gamma: float = 1.0
-    lam: float = 1.0
-    epochs_per_batch: int = 1
-    lr_actor: float = 0.05
-    lr_critic: float = 0.1
-    advantage_whitening: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.clip_ratio < 1.0:
-            raise ValueError("clip_ratio must lie in (0, 1)")
-        if not 0.0 < self.gamma <= 1.0 or not 0.0 < self.lam <= 1.0:
-            raise ValueError("gamma and lam must lie in (0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +100,7 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
 
 
-def compute_advantages(batch: RolloutBatch, config: PpoConfig,
+def compute_advantages(batch: RolloutBatch, config: RunConfig,
                        early_stop_reward: float) -> AdvantageSet:
     """TD errors delta_t = r_t + gamma * V(s_{t+1}) - V(s_t) and their GAE
     over each trajectory's effective span.
@@ -154,7 +136,7 @@ SURROGATE_CHUNK = 8192  # gradient entries scattered per bincount call
 
 def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
                        advantage_sets: AdvantageSet,
-                       config: PpoConfig) -> tuple[np.ndarray, float]:
+                       config: RunConfig) -> tuple[np.ndarray, float]:
     """Exact gradient of the mean clipped surrogate, as a (state_count,
     vocab_size) array, plus the clip fraction.
 
@@ -272,14 +254,17 @@ class TrainingRun:
         self.actor = TabularActor(self.env.state_count, config.vocab_size,
                                   config.actor_init_scale, config.seed)
         self.critic = TabularCritic(self.env.state_count)
-        self.ppo = PpoConfig(
-            clip_ratio=config.clip_ratio, gamma=config.gamma, lam=config.lam,
-            epochs_per_batch=config.epochs_per_batch, lr_actor=config.lr_actor,
-            lr_critic=config.lr_critic, advantage_whitening=config.advantage_whitening)
         self.stopper = StopperState(config, self.plan)
         self.step_index = 0
         self.cumulative_tokens = 0
         self.last_batch = None  # most recent RolloutBatch; test/debug hook
+
+    @property
+    def ppo(self) -> RunConfig:
+        """The run config. perfbench's micro benchmarks pass it to
+        compute_advantages and ppo_surrogate_grad; it stays until they read
+        `config` (ROADMAP item 1)."""
+        return self.config
 
     # -- per-step machinery -------------------------------------------------
 
@@ -297,16 +282,15 @@ class TrainingRun:
                               plan.early_stop_reward, cfg.seed, step, cache=cache)
 
         self.last_batch = batch
-        advantage_sets = compute_advantages(batch, self.ppo, plan.early_stop_reward)
+        advantage_sets = compute_advantages(batch, cfg, plan.early_stop_reward)
 
         clip_fraction = 0.0
-        for _ in range(self.ppo.epochs_per_batch):
-            grad, clip_fraction = ppo_surrogate_grad(
-                self.actor, batch, advantage_sets, self.ppo)
-            self.actor.apply_gradient(grad, self.ppo.lr_actor)
+        for _ in range(cfg.epochs_per_batch):
+            grad, clip_fraction = ppo_surrogate_grad(self.actor, batch, advantage_sets, cfg)
+            self.actor.apply_gradient(grad, cfg.lr_actor)
         loss = critic_loss(self.critic, batch, advantage_sets)
         cgrad = critic_grad(self.critic, batch, advantage_sets)
-        self.critic.apply_gradient(cgrad, self.ppo.lr_critic)
+        self.critic.apply_gradient(cgrad, cfg.lr_critic)
 
         # batch statistics over the effective (trained-on) spans
         trained = advantage_sets.mask

@@ -30,7 +30,6 @@ from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import COUNTERFACTUAL, STANDARD, CollectionMode, collect_batch
 from espolab.stopper import StopperSnapshot
 from espolab.trainer import (
-    PpoConfig,
     TrainingRun,
     compute_advantages,
     critic_grad,
@@ -139,7 +138,7 @@ def test_criterion_01_gae_oracle():
 def test_criterion_02_gradient_oracles():
     rng = np.random.default_rng(1002)
     env = build_trap_chain(TrapChainSpec(4, 3, (0, 1, 2), 2))
-    cfg = PpoConfig(clip_ratio=0.2)
+    cfg = RunConfig(clip_ratio=0.2)
     started = time.monotonic()
     h = 1e-5
     worst_actor = 0.0
@@ -206,7 +205,7 @@ def test_criterion_04_absorbing_state_td():
     exact = True
     for _ in range(50):
         run.step()
-        td_errors = compute_advantages(run.last_batch, run.ppo,
+        td_errors = compute_advantages(run.last_batch, run.config,
                                        run.plan.early_stop_reward).td_errors
         for traj, row in zip(records(run.last_batch), td_errors):
             if traj.stop_reason is not StopReason.EARLY_STOP:

@@ -6,8 +6,8 @@ import dataclasses
 
 import pytest
 
+from espolab.cli import _config_from_args, build_parser
 from espolab.config import (
-    SCHEMA,
     ConfigError,
     RunConfig,
     build_run_config,
@@ -20,18 +20,39 @@ from espolab.config import (
 )
 
 
+KINDS = ("int", "float", "bool", "str", "int | None", "float | None")
+
+# every key away from its default: each None key set, each bool True, and a
+# float whose repr is not round
+NON_DEFAULT = RunConfig(
+    variant="regret_only", seed=7, total_steps=11, batch_size=5, out_dir="runs/x",
+    env="recoverable", vocab_size=5, target_length=4, target_sequence="1,0,3,2",
+    target_seed=9, doom_padding=6, repair_window=2, t_max=33, state_budget=5000,
+    r_fail=-0.5, alpha_ema=0.9, alpha_s=0.8, beta_init=2.0, beta_min=0.5, beta_max=3.0,
+    eta_beta=0.05, target_stop_rate=0.3, value_floor=0.1, clip_bound=4.0,
+    stabilizer=1e-6, warmup_abs_threshold=0.4, warmup_delta_threshold=0.2,
+    warmup_consecutive=2, warmup_step_cap_fraction=0.2, anneal_fraction=0.3,
+    disable_stopping=True, counterfactual=True, gamma=0.99, lam=0.95, clip_ratio=0.1,
+    epochs_per_batch=2, lr_actor=0.1 + 0.2, lr_critic=0.2, advantage_whitening=True,
+    actor_init_scale=1.5, value_stop_threshold=-0.25, regret_stop_threshold=1.75,
+    random_stop_rate=0.125, reference_run="runs/ref", checkpoint_every=3, eval_every=4,
+    eval_episodes=16, dump_trajectories=True, record_stop_events=True)
+
+
 class TestSchema:
     def test_schema_covers_exactly_the_dataclass_fields(self):
-        field_names = {f.name for f in dataclasses.fields(RunConfig)}
-        assert set(SCHEMA) == field_names
+        # the loader, the validator and the CLI read each key's kind from its
+        # annotation
+        kinds = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+        assert all(kind in KINDS for kind in kinds.values()), kinds
 
     def test_every_key_has_help_text(self):
-        assert all(help_text for _kind, help_text in SCHEMA.values())
+        assert all(f.metadata.get("help") for f in dataclasses.fields(RunConfig))
 
     def test_operational_keys_are_schema_keys(self):
         from espolab.config import OPERATIONAL_KEYS, experiment_hash
 
-        assert OPERATIONAL_KEYS <= set(SCHEMA)
+        assert OPERATIONAL_KEYS <= {f.name for f in dataclasses.fields(RunConfig)}
         # operational knobs do not invalidate checkpoints
         assert experiment_hash(RunConfig()) == experiment_hash(
             RunConfig(out_dir="/elsewhere", eval_every=5))
@@ -71,6 +92,18 @@ class TestLayering:
         values = load_config_file(path)
         cfg = build_run_config(values, {}, {})
         assert (cfg.variant, cfg.batch_size, cfg.seed) == ("ppo", 12, 5)
+
+    def test_every_key_round_trips_through_file_env_and_flags(self):
+        defaults = RunConfig()
+        assert all(getattr(NON_DEFAULT, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(RunConfig))
+        flat = to_flat_dict(NON_DEFAULT)
+        assert build_run_config(flat, {}, {}) == NON_DEFAULT
+        environ = {f"ESPOLAB_{k.upper()}": v for k, v in flat.items()}
+        assert build_run_config({}, {}, environ) == NON_DEFAULT
+        args = build_parser().parse_args(
+            ["train", *(f"--{k.replace('_', '-')}={v}" for k, v in flat.items())])
+        assert _config_from_args(args) == NON_DEFAULT
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -112,6 +145,9 @@ class TestValidation:
         ("beta_max", float("inf")),
         ("value_stop_threshold", float("nan")),
         ("regret_stop_threshold", float("nan")),
+        ("seed", -1),
+        ("target_seed", -2),
+        ("actor_init_scale", -1.0),
     ])
     def test_garbage_numbers_rejected(self, key, value):
         errors = validate_run_config(RunConfig(**{key: value}))
@@ -128,6 +164,11 @@ class TestHashingAndSignature:
     def test_hash_stable_and_sensitive(self):
         assert config_hash(RunConfig()) == config_hash(RunConfig())
         assert config_hash(RunConfig()) != config_hash(RunConfig(seed=1))
+
+    def test_default_hash_is_pinned(self):
+        # any renamed key or changed default moves it
+        assert config_hash(RunConfig()) == (
+            "a95c9cc2a96f98dc1311ae28cbbd37e7b039e5946056e842a2dc39d72e42f1ad")
 
     def test_flat_dict_round_trips_floats(self):
         cfg = RunConfig(lr_actor=0.1 + 0.2)  # 0.30000000000000004

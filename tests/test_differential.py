@@ -25,6 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from espolab.config import RunConfig  # noqa: E402
 from espolab.envs import (  # noqa: E402
     RecoverableBranchSpec,
     TrapChainSpec,
@@ -44,7 +45,6 @@ from espolab.rollout import (  # noqa: E402
 )
 from espolab.stopper import StopperSnapshot, StopRule  # noqa: E402
 from espolab.trainer import (  # noqa: E402
-    PpoConfig,
     compute_advantages,
     critic_grad,
     critic_loss,
@@ -229,7 +229,7 @@ def training_cases(draw):
     gamma, lam = draw(st.one_of(
         st.just((1.0, 1.0)),
         st.tuples(st.sampled_from([1.0, 0.99, 0.9, 0.5]), st.sampled_from([1.0, 0.95, 0.7]))))
-    config = PpoConfig(
+    config = RunConfig(
         clip_ratio=draw(st.sampled_from([0.05, 0.2, 0.5])), gamma=gamma, lam=lam,
         advantage_whitening=draw(st.booleans()))
     epochs = draw(st.integers(1, 4))
@@ -276,15 +276,15 @@ class TestTrainerAgainstScalarLoops:
         critic = TabularCritic(small_env.state_count)
         batch = collect_batch(actor, critic, StopperSnapshot(), small_env, 8, 1,
                               CollectionMode(DISABLED), -1.0, 4, 1)
-        advs = compute_advantages(batch, PpoConfig(), -1.0)
+        advs = compute_advantages(batch, RunConfig(), -1.0)
         assert not advs.advantages.any()
-        grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, PpoConfig())
+        grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
         assert not grad.any() and clip_fraction == 0.0
 
         batch = collect_batch(actor, critic, StopperSnapshot(warmup_active=False, beta=0.1),
                               small_env, 16, 8, CollectionMode(STANDARD), -1.0, 4, 2)
         trajectories = records(batch)
-        config = PpoConfig(clip_ratio=0.05)
+        config = RunConfig(clip_ratio=0.05)
         advs = compute_advantages(batch, config, -1.0)
         rows = scalar_advantages(trajectories, 1.0, 1.0, -1.0)
         clip_fractions = []

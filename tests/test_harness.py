@@ -32,7 +32,7 @@ from espolab.metrics import (
 )
 from espolab.policy import TabularActor, TabularCritic, save_params
 from espolab.rollout import COUNTERFACTUAL, DISABLED, RANDOM, STANDARD, CollectionMode
-from espolab.trainer import TrainingRun
+from espolab.trainer import TrainingRun, compute_advantages, ppo_surrogate_grad
 from espolab.variants import variant_dispatch
 
 from conftest import StopReason, batch_from_trajectories, dump_batch, plain_snapshot, records
@@ -78,6 +78,35 @@ class TestPackageSurface:
                     unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                                if (alias.asname or alias.name.split(".")[0]) not in used]
         assert not unused, unused
+
+
+class TestBenchmarkHooks:
+    """perfbench wraps the names in perfbench/spans.py TARGETS and feeds
+    `TrainingRun.ppo` to the trainer functions; a src change that breaks
+    either fails here, not only in the benchmark's own suite."""
+
+    def test_every_traced_target_resolves(self):
+        spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        tree = ast.parse(spans.read_text(encoding="utf-8"))
+        targets = next(ast.literal_eval(node.value) for node in tree.body
+                       if isinstance(node, ast.Assign)
+                       and getattr(node.targets[0], "id", None) == "TARGETS")
+        assert targets
+        for module_name, path, _span in targets:
+            owner = importlib.import_module(module_name)
+            *parents, attr = path.split(".")
+            for part in parents:
+                owner = getattr(owner, part)
+            assert attr in vars(owner), f"{module_name}: {path}"
+
+    def test_run_ppo_feeds_the_trainer_functions(self):
+        run = TrainingRun(tiny_config())
+        run.step()
+        batch = run.last_batch
+        advs = compute_advantages(batch, run.ppo, run.plan.early_stop_reward)
+        grad, clip_fraction = ppo_surrogate_grad(run.actor, batch, advs, run.ppo)
+        assert grad.shape == run.actor.table.shape
+        assert 0.0 <= clip_fraction <= 1.0
 
 
 class TestVariantDispatch:
@@ -423,6 +452,15 @@ class TestCli:
                        "--out-dir", str(tmp_path / "x")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed=-1", "--target-seed=-2",
+                                      "--actor-init-scale=-1"])
+    def test_garbage_config_writes_nothing(self, tmp_path, capsys, flag):
+        out_dir = tmp_path / "run"
+        assert cli_main(["train", flag, "--out-dir", str(out_dir)]) == 1
+        key = flag[2:].split("=")[0].replace("-", "_")
+        assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_resume_appends_identical_rows(self, tmp_path):
         import shutil

@@ -22,7 +22,7 @@ from espolab.mdpcore import (
 )
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import CachedPolicy
-from espolab.trainer import PpoConfig, compute_advantages
+from espolab.trainer import compute_advantages
 
 from conftest import (
     StopReason,
@@ -250,7 +250,7 @@ class TestTrajectoryRecords:
         actor = random_actor(small_env, rng)
         critic = random_critic(small_env, rng)
         batch = collect_small_batch(small_env, actor, critic, batch_size=16, t_max=8)
-        td_errors = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0).td_errors
+        td_errors = compute_advantages(batch, RunConfig(gamma=1.0), -1.0).td_errors
         for traj, row in zip(records(batch), td_errors):
             check_invariants(traj, actor, t_max=8)
             # reward sparsity: the trainer sees reward 0 at every non-final
@@ -282,7 +282,7 @@ class TestTrajectoryRecords:
         snapshot = plain_snapshot(beta=0.5, value_floor=0.2)
         batch = collect_small_batch(small_env, actor, critic, snapshot=snapshot,
                                     batch_size=32, t_max=8)
-        td_errors = compute_advantages(batch, PpoConfig(), -1.0).td_errors
+        td_errors = compute_advantages(batch, RunConfig(), -1.0).td_errors
         stopped = [(t, row) for t, row in zip(records(batch), td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped, "tuned snapshot should produce early stops"

@@ -7,10 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from espolab.config import RunConfig
 from espolab.mdpcore import log_softmax
 from espolab.policy import TabularActor, TabularCritic, load_params, save_params
 from espolab.rollout import CachedPolicy
-from espolab.trainer import PpoConfig, ppo_surrogate_grad
+from espolab.trainer import ppo_surrogate_grad
 
 from conftest import (
     StepRecord,
@@ -30,7 +31,7 @@ def log_prob_grad(actor, state, action):
                       StopReason.NATURAL_END, 0.0)
     grad, _clip_fraction = ppo_surrogate_grad(
         actor, batch_from_trajectories([traj]), advantage_set([((1.0,), (0.0,), (0.0,))]),
-        PpoConfig())
+        RunConfig())
     return grad[state]
 
 

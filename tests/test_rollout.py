@@ -28,7 +28,7 @@ from espolab.rollout import (
     collect_batch,
     evaluate_policy,
 )
-from espolab.trainer import PpoConfig, TrainingRun, compute_advantages
+from espolab.trainer import TrainingRun, compute_advantages
 
 from conftest import (
     StepRecord,
@@ -142,7 +142,7 @@ class TestCollectTrajectory:
         batch = collect_small_batch(small_env, actor, critic,
                                     snapshot=plain_snapshot(beta=0.3),
                                     batch_size=64, t_max=8)
-        td_errors = compute_advantages(batch, PpoConfig(gamma=1.0), -1.0).td_errors
+        td_errors = compute_advantages(batch, RunConfig(gamma=1.0), -1.0).td_errors
         stopped = [(t, row) for t, row in zip(records(batch), td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped

@@ -15,7 +15,6 @@ from espolab.envs import TrapChainSpec, build_trap_chain
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import DISABLED, STANDARD, CachedPolicy, CollectionMode, collect_batch
 from espolab.trainer import (
-    PpoConfig,
     TrainingRun,
     compute_advantages,
     critic_grad,
@@ -53,7 +52,7 @@ def one_batch(traj):
 
 def td_errors(traj, gamma):
     """TD errors of a single trajectory, as compute_advantages produces them."""
-    advs = compute_advantages(one_batch(traj), PpoConfig(gamma=gamma), -1.0)
+    advs = compute_advantages(one_batch(traj), RunConfig(gamma=gamma), -1.0)
     return advs.td_errors[0].tolist()
 
 
@@ -164,7 +163,7 @@ class TestSurrogate:
         # at theta = theta_old every ratio is 1: objective equals the mean
         # advantage and nothing is clipped
         _env, actor, critic, batch = small_training_batch()
-        cfg = PpoConfig()
+        cfg = RunConfig()
         advs = compute_advantages(batch, cfg, -1.0)
         value = ppo_surrogate_value(actor, batch, advs, cfg)
         flat = advs.advantages[advs.mask].tolist()
@@ -180,7 +179,7 @@ class TestSurrogate:
         old_lp = lp_now - math.log(1.3)
         batch = one_batch(traj_from([0.0], 1.0, log_prob=old_lp))
         advs = advantage_set([((1.0,), (1.0,), (1.0,))])
-        cfg = PpoConfig(clip_ratio=0.2)
+        cfg = RunConfig(clip_ratio=0.2)
         value = ppo_surrogate_value(actor, batch, advs, cfg)
         assert value == pytest.approx(1.2, abs=1e-12)
         grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, cfg)
@@ -189,7 +188,7 @@ class TestSurrogate:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
-        cfg = PpoConfig(clip_ratio=0.2)
+        cfg = RunConfig(clip_ratio=0.2)
         for trial in range(20):
             _env, actor, _critic, batch = small_training_batch(seed=trial, beta=0.7)
             advs = compute_advantages(batch, cfg, -1.0)
@@ -213,7 +212,7 @@ class TestSurrogate:
 class TestCriticRegression:
     def test_zero_gradient_at_perfect_fit(self):
         _env, _actor, critic, batch = small_training_batch(seed=8)
-        cfg = PpoConfig()
+        cfg = RunConfig()
         advs = compute_advantages(batch, cfg, -1.0)
         # overwrite the critic so V(s) equals every return seen at s
         # (construct a batch-free case instead: single state, single step)
@@ -233,7 +232,7 @@ class TestCriticRegression:
         assert grad[0] == -2.0  # descent direction raises V toward the return
 
     def test_gradient_matches_finite_differences(self):
-        cfg = PpoConfig()
+        cfg = RunConfig()
         for trial in range(20):
             _env, _actor, critic, batch = small_training_batch(seed=100 + trial)
             advs = compute_advantages(batch, cfg, -1.0)
@@ -254,7 +253,7 @@ class TestCriticRegression:
 class TestNegativeSignalConcentration:
     def test_stop_step_advantage_is_negative(self):
         rng = np.random.default_rng(41)
-        cfg = PpoConfig()
+        cfg = RunConfig()
         for _ in range(50):
             length = int(rng.integers(2, 10))
             values = [float(v) for v in rng.uniform(-0.49, 0.49, size=length)]
@@ -349,8 +348,8 @@ class TestTrainingLoop:
 
     def test_advantage_whitening_flag(self):
         _env, _actor, _critic, batch = small_training_batch(seed=3, batch_size=8)
-        raw = compute_advantages(batch, PpoConfig(), -1.0)
-        white = compute_advantages(batch, PpoConfig(advantage_whitening=True), -1.0)
+        raw = compute_advantages(batch, RunConfig(), -1.0)
+        white = compute_advantages(batch, RunConfig(advantage_whitening=True), -1.0)
         flat = white.advantages[white.mask].tolist()
         assert abs(math.fsum(flat) / len(flat)) < 1e-10
         var = math.fsum(a * a for a in flat) / len(flat)
@@ -568,12 +567,12 @@ class TestSurrogateMemory:
         actor, critic = random_actor(env, rng), random_critic(env, rng)
         batch = collect_batch(actor, critic, plain_snapshot(), env, 64, 64,
                               CollectionMode(DISABLED), -1.0, 0, 1)
-        advs = compute_advantages(batch, PpoConfig(), -1.0)
+        advs = compute_advantages(batch, RunConfig(), -1.0)
         assert int(advs.mask.sum()) == 4096
         actor.table = actor.table + rng.normal(0, 0.1, size=actor.table.shape)  # ratios != 1
         tracemalloc.start()
         try:
-            grad, _clip_fraction = ppo_surrogate_grad(actor, batch, advs, PpoConfig())
+            grad, _clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
