@@ -72,6 +72,8 @@ def evaluate_run(run_dir, checkpoint: str = "final", episodes: int | None = None
     means the run's eval_episodes."""
     if episodes is not None and episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {episodes}")
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg = config_from_manifest(run_dir)
     actor, critic = load_params(os.path.join(run_dir, "checkpoints", checkpoint, "params.txt"))
     env = build_environment(env_spec_from_config(cfg), cfg.state_budget)
@@ -182,9 +184,13 @@ def ablate(base_config: RunConfig, out_root, variants=VARIANTS) -> dict[str, str
     variants point at it as their reference. Each run writes to its own
     subdirectory of out_root.
     """
-    os.makedirs(out_root, exist_ok=True)
+    for i, variant in enumerate(variants):
+        if variant not in VARIANTS or variant in variants[:i]:
+            raise ConfigError(f"variant {variant!r} is unknown or repeated; the matrix "
+                              f"takes distinct entries of {VARIANTS}")
     if "espo" not in variants:
         raise ConfigError("the ablation matrix needs the espo reference run")
+    os.makedirs(out_root, exist_ok=True)
     run_dirs: dict[str, str] = {}
 
     def configured(variant: str, **overrides) -> RunConfig:

@@ -1,16 +1,16 @@
-"""Rollout collection with online early termination.
+"""Rollout collection with early termination.
 
-collect_batch follows the published collection loop for every trajectory of
-a batch at once: sample the token, compute the step regret, normalize it
+collect_batch gives every trajectory of a batch what the published collection
+loop gives it: sample the token, compute the step regret, normalize it
 against the frozen batch statistics, fold it into the smoothed score, and
 only then test the stop rule. The sampled token at the stop step is retained
-and carries the failure reward; nothing is decoded past the stop, and
-simultaneous natural termination wins over the stop rule.
+and carries the failure reward; nothing past the stop is recorded or
+counted, and simultaneous natural termination wins over the stop rule.
 
 Counterfactual-extend mode records where the rule WOULD have fired and keeps
-decoding to the natural end, so the prefix up to the hypothetical stop index
-is bit-identical to what standard mode would have produced under the same
-seeds.
+the trajectory to its natural end, so the prefix up to the hypothetical stop
+index is bit-identical to what standard mode would have produced under the
+same seeds.
 """
 
 from __future__ import annotations
@@ -185,12 +185,14 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     cache, the environment tables and the snapshot's regret and threshold
     tables.
 
-    Per step: sample the token, fold its normalized regret into the smoothed
-    score, and only then test the stop rule. The token at the stop step is
-    kept and carries r_fail (0.0 under the no-penalty ablation); nothing is
-    decoded past a stop, and a natural end at the same step wins over the
-    stop rule. Counterfactual-extend mode records where the rule would first
-    have fired and keeps decoding to the natural end.
+    Per step: sample the token and fold its normalized regret into the
+    smoothed score. Every row runs to its natural end or the horizon; then
+    one test over the whole batch finds each row's first step where the
+    stop rule fires. The token at the stop step is kept and carries r_fail
+    (0.0 under the no-penalty ablation); nothing past a stop is recorded or
+    counted, and a natural end at the same step wins over the stop rule.
+    Counterfactual-extend mode records where the rule would first have fired
+    and keeps the row to its natural end.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
@@ -199,78 +201,45 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     uniforms = keyed_uniforms(master_seed, (TRAIN_STREAM, batch_index), 0, batch_size,
                               draws_per_step * t_max)
     norm_regrets = snapshot.normalize(pol.regrets).ravel()
-    thresholds = (snapshot.stop_thresholds(pol.values)
-                  if mode.kind in (STANDARD, COUNTERFACTUAL) else None)
     vocab = pol.vocab_size
     next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
     alpha = snapshot.alpha_s
     scaled_regrets = (1.0 - alpha) * norm_regrets
-    counterfactual = mode.kind == COUNTERFACTUAL
 
+    # Decode every row to its natural end or the horizon. Every row steps
+    # every column; a row that has ended is parked on the initial state and
+    # what it records past its length is cleared below. Once every row not
+    # yet ended sits in an absorbing state, the loop hands the rest of the
+    # batch, columns `start` onwards, to the bulk finish below.
     pairs = np.zeros((batch_size, t_max), dtype=np.int64)  # state * vocab + action
     scores = np.zeros((batch_size, t_max))
     lengths = np.full(batch_size, t_max)
-    stop_codes = np.full(batch_size, HORIZON_CAP, dtype=np.int8)
-    outcomes = np.zeros(batch_size)
-    hypothetical = np.full(batch_size, -1)
-
-    # Every row steps every column; a finished row is parked on the initial
-    # state and what it records past its length is cleared below. Once every
-    # live row sits in an absorbing state, the loop hands the rest of the
-    # batch, columns `start` onwards, to the bulk finish below.
+    ended = np.zeros(batch_size, dtype=bool)  # naturally, at column lengths - 1
     absorbing = env.absorbing
     start = t_max
-    done = np.zeros(batch_size, dtype=bool)
-    armed = np.ones(batch_size, dtype=bool)  # counterfactual: not fired yet
-    remaining = batch_size
     state = np.full(batch_size, env.initial_state)
     z = np.zeros(batch_size)
     for t in range(t_max):
-        if (absorbing.take(state) | done).all():
+        if (absorbing.take(state) | ended).all():
             start = t
             break
         pair = state * vocab + pol.sample(state, uniforms[:, draws_per_step * t])
         z = alpha * z + scaled_regrets.take(pair)
         pairs[:, t] = pair
         scores[:, t] = z
-
-        ended = terminal.take(pair)  # natural end wins over the stop rule
-        if thresholds is not None:
-            fires = z > thresholds.take(state)
-        elif mode.kind == RANDOM:
-            fires = uniforms[:, 2 * t + 1] < mode.random_stop_rate
-        else:
-            fires = None
-        if counterfactual:
-            first = fires & armed & ~ended
-            if np.count_nonzero(first):
-                hypothetical[first] = t
-                armed &= ~first
-            finish = ended & ~done
-        else:
-            finish = (ended if fires is None else ended | fires) & ~done
-        finished = np.count_nonzero(finish)
-        if finished:
-            rows = np.flatnonzero(finish)
-            natural = ended[rows]
-            lengths[rows] = t + 1
-            stop_codes[rows] = np.where(natural, NATURAL_END, EARLY_STOP)
-            outcomes[rows] = np.where(natural, env.reward.ravel().take(pair[rows]), r_fail)
-            done |= finish
-            armed &= ~finish
-            remaining -= finished
-            if not remaining:
-                break
+        ends = terminal.take(pair) & ~ended
+        if np.count_nonzero(ends):
+            lengths[ends] = t + 1
+            ended |= ends
         state = next_state.take(pair)
-        if remaining < batch_size:
-            state[done] = env.initial_state
+        state[ended] = env.initial_state
 
-    if start < t_max:
+    live = np.flatnonzero(~ended)
+    if start < t_max and live.size:
         # Each live row stays in its state s for good and no token ends it,
         # so whole blocks of columns go at once: tokens by bisecting s's
         # cumulative table as CachedPolicy.sample does, regrets by lookup,
-        # then z one column at a time, and the first fire by argmax.
-        live = np.flatnonzero(~done)
+        # then z one column at a time.
         s = state[live]
         u = uniforms[live, draws_per_step * start::draws_per_step]
         tokens = np.empty(u.shape, dtype=np.int64)
@@ -288,23 +257,27 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
         pairs[live, start:] = tail
         scores[live, start:] = zs
 
-        if thresholds is not None:
-            fires = zs > thresholds.take(s)[:, None]
-        elif mode.kind == RANDOM:
-            fires = uniforms[live, 2 * start + 1::2] < mode.random_stop_rate
+    # Decide every stop at once. A row's tokens come from its own uniforms
+    # alone, so its record up to a stop is what stopping there would have
+    # produced. The rule may fire before the natural end, never at it.
+    stop_codes = np.where(ended, NATURAL_END, HORIZON_CAP).astype(np.int8)
+    last = pairs[np.arange(batch_size), lengths - 1]
+    outcomes = np.where(ended, env.reward.ravel().take(last), 0.0)
+    hypothetical = np.full(batch_size, -1)
+    if mode.kind != DISABLED:
+        if mode.kind == RANDOM:
+            fires = uniforms[:, 1::2] < mode.random_stop_rate
         else:
-            fires = None
-        if fires is not None:
-            fired = fires.any(axis=1)
-            first = start + fires.argmax(axis=1)
-            if counterfactual:
-                fired &= armed[live]
-                hypothetical[live[fired]] = first[fired]
-            else:
-                rows = live[fired]
-                lengths[rows] = first[fired] + 1
-                stop_codes[rows] = EARLY_STOP
-                outcomes[rows] = r_fail
+            fires = scores > snapshot.stop_thresholds(pol.values).take(pairs // vocab)
+        fires &= np.arange(t_max) < (lengths - ended)[:, None]
+        fired = np.flatnonzero(fires.any(axis=1))
+        first = fires[fired].argmax(axis=1)
+        if mode.kind == COUNTERFACTUAL:
+            hypothetical[fired] = first
+        else:
+            lengths[fired] = first + 1
+            stop_codes[fired] = EARLY_STOP
+            outcomes[fired] = r_fail
 
     width = int(lengths.max()) if batch_size else 0
     pairs, scores = pairs[:, :width], scores[:, :width]

@@ -8,8 +8,8 @@ and critic_grad work on B x T arrays; the references are the per-step loops.
 evaluate_policy advances episodes in lockstep; the reference steps one
 episode at a time.
 
-Once every live row of a batch sits in an absorbing state, collect_batch
-finishes the rest of the batch in bulk, and sampled evaluation drops absorbed
+Once every row of a batch not yet ended sits in an absorbing state,
+collect_batch decodes the rest of the batch in bulk, and sampled evaluation drops absorbed
 episodes; TestBulkFinishAgainstOracle builds cases that reach every branch of
 that path.
 """
@@ -168,23 +168,28 @@ def absorbing_case(kind, seed):
 
 
 def bulk_features(batch, case):
-    """Which parts of the bulk finish a collected batch went through, read
-    from the batch itself: the bulk starts at the first column where every
-    row not yet ended sits in an absorbing state."""
-    env, t_max = case["env"], case["t_max"]
-    inside = np.arange(batch.states.shape[1]) < batch.lengths[:, None]
-    absorbed = env.absorbing[batch.states] & inside
+    """Which parts of the bulk finish a collected batch went through. Every
+    row decodes to its natural end or the horizon whatever the stop rule
+    says, so the bulk start is read from the batch's twin whose rule never
+    cuts a row (counterfactual, or random with rate 0), on the same tokens:
+    the first column where every row not yet ended sits in an absorbing
+    state."""
+    env, t_max, kind = case["env"], case["t_max"], case["mode"].kind
+    twin = CollectionMode(RANDOM, 0.0) if kind == RANDOM else MODES["counterfactual"]
+    full = collect_batch(**{**case, "mode": twin})
+    inside = np.arange(full.states.shape[1]) < full.lengths[:, None]
+    absorbed = env.absorbing[full.states] & inside
     entered = absorbed.any(axis=1)
-    entry = np.where(entered, absorbed.argmax(axis=1), batch.lengths)
+    entry = np.where(entered, absorbed.argmax(axis=1), full.lengths)
     start = int(entry.max())
-    if start >= t_max:
+    live = full.lengths > start
+    if start >= t_max or not live.any():
         return set()
     features = {"bulk"}
     if len(set(entry[entered].tolist())) > 1:
         features.add("rows absorbed at different columns")
     if not entered.all():
         features.add("a row ended before absorbing")
-    live = batch.lengths > start
     stops = batch.stop_indices[live]
     if (stops == start).any():
         features.add("fires on the first bulk column")
@@ -192,7 +197,9 @@ def bulk_features(batch, case):
         features.add("fires later in the bulk")
     if (stops == -1).any():
         features.add("never fires")
-    if case["mode"].kind == COUNTERFACTUAL:
+    if ((stops >= 0) & (stops < start)).any():
+        features.add("a row that fired before the bulk decodes on into it")
+    if kind == COUNTERFACTUAL:
         thresholds = case["snapshot"].stop_thresholds(case["critic"].table)
         again = (batch.scores[:, start:] > thresholds[batch.states[:, start:]]).any(axis=1)
         if (live & (batch.hypothetical_stops >= 0)
@@ -204,12 +211,14 @@ def bulk_features(batch, case):
 class TestBulkFinishAgainstOracle:
     def test_every_mode_equals_the_per_token_loop(self):
         firing = {"bulk", "rows absorbed at different columns", "a row ended before absorbing",
-                  "fires on the first bulk column", "fires later in the bulk", "never fires"}
+                  "fires on the first bulk column", "fires later in the bulk", "never fires",
+                  "a row that fired before the bulk decodes on into it"}
         expected = {
             "standard": firing,
             "random": firing,
             "counterfactual": firing | {"fired before the bulk and would fire in it"},
-            "disabled": firing - {"fires on the first bulk column", "fires later in the bulk"},
+            "disabled": firing - {"fires on the first bulk column", "fires later in the bulk",
+                                  "a row that fired before the bulk decodes on into it"},
         }
         for kind, features in expected.items():
             seen = Counter()

@@ -420,6 +420,27 @@ class TestAblateAndEval:
         assert "episodes" in capsys.readouterr().err
         assert evaluate_run(out)["episodes"] == 8  # None means the run's eval_episodes
 
+    def test_evaluate_run_rejects_a_negative_seed_up_front(self, tmp_path, capsys):
+        out = run_experiment(tiny_config(out_dir=str(tmp_path / "run"), total_steps=2,
+                                         eval_episodes=8))
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            evaluate_run(out, seed=-1)
+        # rejected before the params are read
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            evaluate_run(out, checkpoint="missing", seed=-1)
+        assert cli_main(["eval", out, "--seed", "-1"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["bogus", "ppo"])
+    def test_ablate_rejects_a_bad_variant_list_before_any_run(self, tmp_path, capsys, bad):
+        out_root = tmp_path / "matrix"
+        argv = ["ablate", "--vocab-size", "4", "--target-length", "3", "--t-max", "12",
+                "--batch-size", "8", "--total-steps", "2", "--out-root", str(out_root),
+                "--variants", f"espo,ppo,{bad}"]
+        assert cli_main(argv) == 1
+        assert f"variant {bad!r} is unknown or repeated" in capsys.readouterr().err
+        assert not out_root.exists()
+
 
 class TestCli:
     def test_train_eval_compare_round_trip(self, tmp_path, capsys):

@@ -115,6 +115,25 @@ class TestCollectTrajectory:
         assert traj.stop_reason is StopReason.NATURAL_END
         assert traj.outcome_reward == 1.0
 
+    def test_fire_on_the_last_column_of_a_horizon_row(self):
+        # the ramp of test_tuned_stopper_fires_at_step_three first exceeds
+        # beta * eps = 0.545 on the eighth step (0.522, then 0.570), the last
+        # column of an 8-step horizon: a stop, not a horizon cap
+        env = make_env(padding=None)
+        actor = TabularActor(env.state_count, env.vocab_size)
+        actor.table[0] = [0.0, 30.0, 0.0, 0.0]  # force a wrong first token
+        critic = TabularCritic(env.state_count)
+        snapshot = plain_snapshot(frozen_mu=-1.0, frozen_var=1.0 - 1e-8,
+                                  alpha_s=0.9, beta=2.725, value_floor=0.2)
+        stopped = collect_one(actor, critic, snapshot, env, 8, CollectionMode(STANDARD))
+        assert stopped.stop_reason is StopReason.EARLY_STOP
+        assert len(stopped.steps) == 8
+        assert stopped.outcome_reward == -1.0
+        extended = collect_one(actor, critic, snapshot, env, 8, CollectionMode(COUNTERFACTUAL))
+        assert extended.stop_reason is StopReason.HORIZON_CAP
+        assert extended.hypothetical_stop_index == 7
+        assert extended.steps == stopped.steps
+
     def test_horizon_cap_gets_zero_outcome(self):
         env = make_env(padding=None)
         actor = TabularActor(env.state_count, env.vocab_size)
@@ -208,12 +227,13 @@ class TestCachedPolicy:
 
 
 class TestCounterfactualMode:
-    def collect_pair(self, seed=11, beta=0.5):
+    def collect_pair(self, seed=11, beta=0.5, lean=0.0, frozen_mu=0.0):
         env = make_env(padding=None, vocab=4, length=3)
         rng = np.random.default_rng(seed)
         actor = random_actor(env, rng)
+        actor.table[[0, 1, 2], [0, 1, 2]] += lean  # toward the targets 0, 1, 2
         critic = random_critic(env, rng)
-        snapshot = plain_snapshot(beta=beta)
+        snapshot = plain_snapshot(beta=beta, frozen_mu=frozen_mu)
         standard = collect_batch(actor, critic, snapshot, env, 16, 12,
                                  CollectionMode(STANDARD), -1.0, seed, 1)
         extended = collect_batch(actor, critic, snapshot, env, 16, 12,
@@ -236,6 +256,21 @@ class TestCounterfactualMode:
             assert st.steps == ex.steps[:idx + 1]
             assert st.outcome_reward == -1.0
         assert fired > 0
+
+    def test_fired_row_runs_on_to_success(self):
+        # a policy leaning to the targets, and a negative frozen mean that
+        # raises z on the chain: the rule fires on rows that still reach the
+        # success terminal; standard mode cuts each at the fire with r_fail
+        standard, extended = self.collect_pair(lean=2.0, frozen_mu=-1.0)
+        rows = np.flatnonzero((extended.hypothetical_stops >= 0) & (extended.outcomes == 1.0))
+        assert rows.size
+        cut, full = records(standard), records(extended)
+        for i in rows.tolist():
+            idx = full[i].hypothetical_stop_index
+            assert full[i].stop_reason is StopReason.NATURAL_END
+            assert cut[i].stop_reason is StopReason.EARLY_STOP
+            assert cut[i].steps == full[i].steps[:idx + 1]
+            assert cut[i].outcome_reward == -1.0
 
     def test_counterfactual_records_natural_outcome(self):
         _standard, extended = self.collect_pair()
