@@ -170,19 +170,19 @@ def absorbing_case(kind, seed):
 def bulk_features(batch, case):
     """Which parts of the bulk finish a collected batch went through. Every
     row decodes to its natural end or the horizon whatever the stop rule
-    says, so the bulk start is read from the batch's twin whose rule never
-    cuts a row (counterfactual, or random with rate 0), on the same tokens:
-    the first column where every row not yet ended sits in an absorbing
-    state."""
+    says, so the bulk start is read from the per-token loop run in the
+    batch's twin mode whose rule never cuts a row (counterfactual, or random
+    with rate 0), on the same tokens: the first column where every row not
+    yet ended sits in an absorbing state."""
     env, t_max, kind = case["env"], case["t_max"], case["mode"].kind
     twin = CollectionMode(RANDOM, 0.0) if kind == RANDOM else MODES["counterfactual"]
-    full = collect_batch(**{**case, "mode": twin})
-    inside = np.arange(full.states.shape[1]) < full.lengths[:, None]
-    absorbed = env.absorbing[full.states] & inside
-    entered = absorbed.any(axis=1)
-    entry = np.where(entered, absorbed.argmax(axis=1), full.lengths)
+    full = oracle_batch({**case, "mode": twin})
+    lengths = np.array([len(t.steps) for t in full])
+    entry = np.array([next((i for i, rec in enumerate(t.steps) if env.absorbing[rec.state_id]),
+                           len(t.steps)) for t in full])
+    entered = entry < lengths
     start = int(entry.max())
-    live = full.lengths > start
+    live = lengths > start
     if start >= t_max or not live.any():
         return set()
     features = {"bulk"}
