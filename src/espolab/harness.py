@@ -3,6 +3,7 @@ evaluation, false-positive measurement, and cross-run comparison."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import statistics
@@ -36,7 +37,8 @@ __all__ = [
 
 def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
     """Execute one run, writing metrics.csv, manifest.json, and side files to
-    config.out_dir. Fails fast if the output path is unwritable."""
+    config.out_dir. Fails fast if the output path is unwritable. A fresh run
+    replaces the side files that runs append to; a resumed one appends."""
     require_valid(config)
     if not config.out_dir:
         raise ConfigError("run_experiment needs out_dir")
@@ -56,6 +58,9 @@ def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
                                resume_at_step=run.step_index)
     else:
         run = TrainingRun(config)
+        for name in ("eval.csv", "stop_events.tsv", "trajectories.tsv"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(config.out_dir, name))
         writer = MetricsWriter(os.path.join(config.out_dir, "metrics.csv"))
     write_manifest(config.out_dir, config, status="running")
     with writer:
@@ -182,7 +187,8 @@ def ablate(base_config: RunConfig, out_root, variants=VARIANTS) -> dict[str, str
 
     The full method runs first (recording stop events); calibration-dependent
     variants point at it as their reference. Each run writes to its own
-    subdirectory of out_root.
+    subdirectory of out_root. Every variant's config is checked before any
+    run starts.
     """
     for i, variant in enumerate(variants):
         if variant not in VARIANTS or variant in variants[:i]:
@@ -190,24 +196,16 @@ def ablate(base_config: RunConfig, out_root, variants=VARIANTS) -> dict[str, str
                               f"takes distinct entries of {VARIANTS}")
     if "espo" not in variants:
         raise ConfigError("the ablation matrix needs the espo reference run")
-    os.makedirs(out_root, exist_ok=True)
-    run_dirs: dict[str, str] = {}
-
-    def configured(variant: str, **overrides) -> RunConfig:
-        cfg = dataclasses.replace(base_config, variant=variant,
-                                  out_dir=os.path.join(out_root, variant), **overrides)
-        require_valid(cfg)
-        return cfg
-
-    reference = configured("espo", record_stop_events=True)
-    run_dirs["espo"] = run_experiment(reference)
-    for variant in variants:
-        if variant == "espo":
-            continue
-        overrides = {}
+    configs = {}
+    for variant in ("espo", *(v for v in variants if v != "espo")):
+        overrides = {"record_stop_events": True} if variant == "espo" else {}
         if variant in ("value_only", "regret_only", "random_stop"):
-            overrides["reference_run"] = run_dirs["espo"]
-        run_dirs[variant] = run_experiment(configured(variant, **overrides))
+            overrides["reference_run"] = os.path.join(out_root, "espo")
+        configs[variant] = dataclasses.replace(
+            base_config, variant=variant, out_dir=os.path.join(out_root, variant), **overrides)
+        require_valid(configs[variant])
+    os.makedirs(out_root, exist_ok=True)
+    run_dirs = {variant: run_experiment(cfg) for variant, cfg in configs.items()}
 
     summary = compare_runs(list(run_dirs.values()), baseline_variant="ppo"
                            if "ppo" in run_dirs else "espo")

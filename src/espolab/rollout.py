@@ -23,12 +23,11 @@ import numpy as np
 from .mdpcore import EVAL_STREAM, TRAIN_STREAM, keyed_uniforms, log_softmax
 from .policy import TabularActor, TabularCritic
 
-if TYPE_CHECKING:  # stopper imports CollectionMode from this module
+if TYPE_CHECKING:  # stopper imports RANDOM from this module
     from .stopper import StopperSnapshot
 
 __all__ = [
     "CachedPolicy",
-    "CollectionMode",
     "RolloutBatch",
     "STOP_REASONS",
     "collect_batch",
@@ -40,24 +39,6 @@ STANDARD = "standard"
 COUNTERFACTUAL = "counterfactual"
 DISABLED = "disabled"
 RANDOM = "random"
-
-
-@dataclass(frozen=True, slots=True)
-class CollectionMode:
-    """How the stop rule participates in collection.
-
-    random_stop_rate is the per-step independent stop hazard and is only
-    meaningful for the random kind.
-    """
-
-    kind: str = STANDARD
-    random_stop_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (STANDARD, COUNTERFACTUAL, DISABLED, RANDOM):
-            raise ValueError(f"unknown collection mode {self.kind!r}")
-        if not 0.0 <= self.random_stop_rate <= 1.0:
-            raise ValueError("random_stop_rate must lie in [0, 1]")
 
 
 class CachedPolicy:
@@ -122,7 +103,7 @@ class RolloutBatch:
     outcomes: np.ndarray
     hypothetical_stops: np.ndarray
     snapshot: StopperSnapshot
-    mode: CollectionMode
+    mode: str  # the collection mode collect_batch was given
 
     @property
     def size(self) -> int:
@@ -162,7 +143,7 @@ class RolloutBatch:
 def false_positive_rate(batch: RolloutBatch) -> float:
     """Share of trajectories whose criterion fired but whose full rollout
     still earned reward 1. Only defined for counterfactual-extend batches."""
-    if batch.mode.kind != COUNTERFACTUAL:
+    if batch.mode != COUNTERFACTUAL:
         raise ValueError("false_positive_rate requires a counterfactual-extend batch")
     if not batch.size:
         return 0.0
@@ -172,7 +153,7 @@ def false_positive_rate(batch: RolloutBatch) -> float:
 
 def collect_batch(actor: TabularActor, critic: TabularCritic,
                   snapshot: StopperSnapshot, env, batch_size: int, t_max: int,
-                  mode: CollectionMode, r_fail: float,
+                  mode: str, r_fail: float,
                   master_seed: int, batch_index: int,
                   cache: CachedPolicy | None = None) -> RolloutBatch:
     """Collect batch_size trajectories under one frozen snapshot.
@@ -185,26 +166,26 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     cache, the environment tables and the snapshot's regret and threshold
     tables.
 
-    Per step: sample the token and fold its normalized regret into the
-    smoothed score. Every row runs to its natural end or the horizon; then
-    one test over the whole batch finds each row's first step where the
-    stop rule fires. The token at the stop step is kept and carries r_fail
-    (0.0 under the no-penalty ablation); nothing past a stop is recorded or
-    counted, and a natural end at the same step wins over the stop rule.
-    Counterfactual-extend mode records where the rule would first have fired
-    and keeps the row to its natural end.
+    Every row first decodes its tokens to its natural end or the horizon.
+    Then the smoothed score z is folded from the normalized regrets of the
+    decoded columns, and one test over the whole batch finds each row's
+    first step where the stop rule fires. The token at the stop step is kept
+    and carries r_fail (0.0 under the no-penalty ablation); nothing past a
+    stop is recorded or counted, and a natural end at the same step wins
+    over the stop rule. Counterfactual-extend mode records where the rule
+    would first have fired and keeps the row to its natural end. `mode` is
+    one of STANDARD, COUNTERFACTUAL, DISABLED and RANDOM; random mode stops
+    at the snapshot's random_stop_rate.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     pol = cache if cache is not None else CachedPolicy(actor, critic)
-    draws_per_step = 2 if mode.kind == RANDOM else 1
+    draws_per_step = 2 if mode == RANDOM else 1
     uniforms = keyed_uniforms(master_seed, (TRAIN_STREAM, batch_index), 0, batch_size,
                               draws_per_step * t_max)
     norm_regrets = snapshot.normalize(pol.regrets).ravel()
     vocab = pol.vocab_size
     next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
-    alpha = snapshot.alpha_s
-    scaled_regrets = (1.0 - alpha) * norm_regrets
 
     # Decode every row to its natural end or the horizon. Every row steps
     # every column; a row that has ended is parked on the initial state and
@@ -212,21 +193,17 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     # yet ended sits in an absorbing state, the loop hands the rest of the
     # batch, columns `start` onwards, to the bulk finish below.
     pairs = np.zeros((batch_size, t_max), dtype=np.int64)  # state * vocab + action
-    scores = np.zeros((batch_size, t_max))
     lengths = np.full(batch_size, t_max)
     ended = np.zeros(batch_size, dtype=bool)  # naturally, at column lengths - 1
     absorbing = env.absorbing
     start = t_max
     state = np.full(batch_size, env.initial_state)
-    z = np.zeros(batch_size)
     for t in range(t_max):
         if (absorbing.take(state) | ended).all():
             start = t
             break
         pair = state * vocab + pol.sample(state, uniforms[:, draws_per_step * t])
-        z = alpha * z + scaled_regrets.take(pair)
         pairs[:, t] = pair
-        scores[:, t] = z
         ends = terminal.take(pair) & ~ended
         if np.count_nonzero(ends):
             lengths[ends] = t + 1
@@ -237,9 +214,8 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     live = np.flatnonzero(~ended)
     if start < t_max and live.size:
         # Each live row stays in its state s for good and no token ends it,
-        # so whole blocks of columns go at once: tokens by bisecting s's
-        # cumulative table as CachedPolicy.sample does, regrets by lookup,
-        # then z one column at a time.
+        # so its remaining tokens go at once, by bisecting s's cumulative
+        # table as CachedPolicy.sample does.
         s = state[live]
         u = uniforms[live, draws_per_step * start::draws_per_step]
         tokens = np.empty(u.shape, dtype=np.int64)
@@ -247,15 +223,19 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
             rows = s == absorbed
             cum = pol.cum_probs[absorbed]
             tokens[rows] = np.searchsorted(cum, u[rows] * cum[-1], side="right")
-        tail = s[:, None] * vocab + tokens
-        x = scaled_regrets.take(tail)
-        zs = np.empty_like(x)
-        z = z[live]
-        for j in range(x.shape[1]):
-            z = alpha * z + x[:, j]
-            zs[:, j] = z
-        pairs[live, start:] = tail
-        scores[live, start:] = zs
+        pairs[live, start:] = s[:, None] * vocab + tokens
+
+    # The smoothed score of every decoded column, one column at a time: each
+    # row gets the per-token loop's two roundings per step, in its order.
+    width = int(lengths.max()) if batch_size else 0
+    pairs = pairs[:, :width]
+    alpha = snapshot.alpha_s
+    x = ((1.0 - alpha) * norm_regrets).take(pairs)
+    scores = np.empty_like(x)
+    z = np.zeros(batch_size)
+    for j in range(width):
+        z = alpha * z + x[:, j]
+        scores[:, j] = z
 
     # Decide every stop at once. A row's tokens come from its own uniforms
     # alone, so its record up to a stop is what stopping there would have
@@ -264,15 +244,15 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     last = pairs[np.arange(batch_size), lengths - 1]
     outcomes = np.where(ended, env.reward.ravel().take(last), 0.0)
     hypothetical = np.full(batch_size, -1)
-    if mode.kind != DISABLED:
-        if mode.kind == RANDOM:
-            fires = uniforms[:, 1::2] < mode.random_stop_rate
+    if mode != DISABLED:
+        if mode == RANDOM:
+            fires = uniforms[:, 1:2 * width:2] < snapshot.random_stop_rate
         else:
             fires = scores > snapshot.stop_thresholds(pol.values).take(pairs // vocab)
-        fires &= np.arange(t_max) < (lengths - ended)[:, None]
+        fires &= np.arange(width) < (lengths - ended)[:, None]
         fired = np.flatnonzero(fires.any(axis=1))
         first = fires[fired].argmax(axis=1)
-        if mode.kind == COUNTERFACTUAL:
+        if mode == COUNTERFACTUAL:
             hypothetical[fired] = first
         else:
             lengths[fired] = first + 1

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import RunConfig
-from .rollout import RANDOM, CollectionMode
+from .rollout import RANDOM
 
 if TYPE_CHECKING:  # variants imports StopRule from this module
     from .variants import VariantPlan
@@ -78,7 +78,8 @@ class StopperSnapshot:
 
     Carries everything the per-step decision needs: frozen normalization
     statistics, the smoothing constant, the effective (annealed) beta, the
-    value floor, warmup status, and which rule variant is in force. Both
+    value floor, warmup status, which rule variant is in force, and the
+    per-step stop hazard of random mode (0.0 in every other mode). Both
     decision inputs are tables over the batch: the normalized regret of every
     (state, token) pair and the stop threshold of every state.
     """
@@ -93,6 +94,7 @@ class StopperSnapshot:
     warmup_active: bool = False
     rule: StopRule = StopRule.ESPO
     rule_threshold: float = 0.0
+    random_stop_rate: float = 0.0
 
     def normalize(self, g):
         """Clipped z-score of step regrets g (a scalar or an array) under the
@@ -123,8 +125,8 @@ class StopperState:
     statistics, the beta controller with its post-warmup anneal, the
     critic-warmup gate and the random-stop hazard correction. Constants come
     from the run config; the rule, its threshold and which mechanisms are on
-    come from the variant plan. Yields one StopperSnapshot and one
-    CollectionMode per batch and takes one end_of_batch per step."""
+    come from the variant plan. Yields one StopperSnapshot per batch and
+    takes one end_of_batch per step."""
 
     def __init__(self, cfg: RunConfig, plan: VariantPlan):
         self.cfg = cfg
@@ -205,11 +207,20 @@ class StopperState:
         beta_max = self.cfg.beta_max
         return beta_max + (self.beta - beta_max) * (done / horizon)
 
-    def snapshot(self) -> StopperSnapshot:
-        """The frozen view for the next batch. In a run without stopping it is
-        inert: end_of_batch never runs, so it keeps the initial statistics and
-        beta, with warmup released."""
-        cfg = self.cfg
+    def snapshot(self, step: int) -> StopperSnapshot:
+        """The frozen view for batch `step` (1-based). In a run without
+        stopping it is inert: end_of_batch never runs, so it keeps the initial
+        statistics and beta, with warmup released. A random stopper's hazard
+        is its fixed rate or, replaying a reference trace, the per-step hazard
+        that stops a t_max-step rollout at the traced rate, plus the
+        correction, clipped to [0, 1]."""
+        cfg, plan = self.cfg, self.plan
+        rate = 0.0
+        if plan.random_trace is not None:
+            base = 1.0 - (1.0 - min(self._traced_rate(step), 1.0)) ** (1.0 / cfg.t_max)
+            rate = min(max(base + self.random_correction, 0.0), 1.0)
+        elif plan.mode_kind == RANDOM:
+            rate = plan.random_fixed_rate or 0.0
         return StopperSnapshot(
             frozen_mu=self.mu_g,
             frozen_var=self.var_g,
@@ -219,26 +230,15 @@ class StopperState:
             beta=self.annealed_beta(),
             value_floor=cfg.value_floor,
             warmup_active=self.warmup_active,
-            rule=self.plan.rule,
-            rule_threshold=self.plan.rule_threshold,
+            rule=plan.rule,
+            rule_threshold=plan.rule_threshold,
+            random_stop_rate=rate,
         )
 
     def _traced_rate(self, step: int) -> float:
         """The reference run's stop rate at `step`, its last one past the end."""
         trace = self.plan.random_trace
         return trace[min(step - 1, len(trace) - 1)]
-
-    def collection_mode(self, step: int) -> CollectionMode:
-        """How batch `step` (1-based) is collected. A random stopper replaying
-        a reference trace uses the per-step hazard that stops a t_max-step
-        rollout at the traced rate, plus the correction, clipped to [0, 1]."""
-        plan = self.plan
-        if plan.mode_kind != RANDOM:
-            return CollectionMode(plan.mode_kind)
-        if plan.random_trace is None:
-            return CollectionMode(RANDOM, plan.random_fixed_rate or 0.0)
-        base = 1.0 - (1.0 - min(self._traced_rate(step), 1.0)) ** (1.0 / self.cfg.t_max)
-        return CollectionMode(RANDOM, min(max(base + self.random_correction, 0.0), 1.0))
 
     def end_of_batch(self, regrets: np.ndarray, stop_rate: float, critic_loss: float,
                      step: int) -> None:

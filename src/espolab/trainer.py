@@ -274,11 +274,10 @@ class TrainingRun:
         self.step_index += 1
         step = self.step_index
 
-        snapshot = self.stopper.snapshot()
-        mode = self.stopper.collection_mode(step)
+        snapshot = self.stopper.snapshot(step)
         cache = CachedPolicy(self.actor, self.critic)
         batch = collect_batch(self.actor, self.critic, snapshot, self.env,
-                              cfg.batch_size, cfg.t_max, mode,
+                              cfg.batch_size, cfg.t_max, plan.mode_kind,
                               plan.early_stop_reward, cfg.seed, step, cache=cache)
 
         self.last_batch = batch
@@ -301,7 +300,7 @@ class TrainingRun:
         stop_events = int(np.count_nonzero(batch.stop_indices >= 0))  # real or hypothetical
         stop_rate = stop_events / batch.size if batch.size else 0.0
 
-        fp_rate = false_positive_rate(batch) if mode.kind == COUNTERFACTUAL else 0.0
+        fp_rate = false_positive_rate(batch) if plan.mode_kind == COUNTERFACTUAL else 0.0
         n_rows = max(1, batch.size)
 
         success = int(np.count_nonzero(batch.outcomes == 1.0))

@@ -24,7 +24,6 @@ from espolab.rollout import (
     STANDARD,
     STOP_REASONS,
     CachedPolicy,
-    CollectionMode,
     RolloutBatch,
     collect_batch,
 )
@@ -74,9 +73,8 @@ def batch_statistics(regrets: np.ndarray) -> tuple[float, float]:
 
 
 def collect_small_batch(env, actor, critic, snapshot=None, batch_size=4, t_max=8,
-                        mode=None, r_fail=-1.0, seed=0, batch_index=1):
+                        mode=STANDARD, r_fail=-1.0, seed=0, batch_index=1):
     snapshot = snapshot if snapshot is not None else plain_snapshot()
-    mode = mode if mode is not None else CollectionMode(STANDARD)
     return collect_batch(actor, critic, snapshot, env, batch_size, t_max, mode,
                          r_fail, seed, batch_index)
 
@@ -243,13 +241,13 @@ def collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail, rng) -
             stop_reason = StopReason.NATURAL_END
             outcome = env_reward
             break
-        if mode.kind == RANDOM:
-            fires = rng.random() < mode.random_stop_rate
-        elif mode.kind in (STANDARD, COUNTERFACTUAL):
+        if mode == RANDOM:
+            fires = rng.random() < snapshot.random_stop_rate
+        elif mode in (STANDARD, COUNTERFACTUAL):
             fires = decide(snapshot, z, value)
         else:
             fires = False
-        if fires and mode.kind != COUNTERFACTUAL:
+        if fires and mode != COUNTERFACTUAL:
             stop_reason = StopReason.EARLY_STOP
             outcome = r_fail
             break
@@ -259,10 +257,9 @@ def collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail, rng) -
     return Trajectory(tuple(steps), stop_reason, outcome, cf_index)
 
 
-def batch_from_trajectories(trajectories, snapshot=None, mode=None) -> RolloutBatch:
+def batch_from_trajectories(trajectories, snapshot=None, mode=STANDARD) -> RolloutBatch:
     """A RolloutBatch holding the given Trajectory records as its rows."""
     snapshot = snapshot if snapshot is not None else plain_snapshot()
-    mode = mode if mode is not None else CollectionMode(STANDARD)
     trajectories = tuple(trajectories)
     width = max((len(t.steps) for t in trajectories), default=0)
     shape = (len(trajectories), width)

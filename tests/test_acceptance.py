@@ -27,7 +27,7 @@ from espolab.harness import (
 from espolab.mdpcore import log_softmax
 from espolab.metrics import MetricsRow, MetricsWriter, read_metrics, write_manifest
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import COUNTERFACTUAL, STANDARD, CollectionMode, collect_batch
+from espolab.rollout import COUNTERFACTUAL, STANDARD, collect_batch
 from espolab.stopper import StopperSnapshot
 from espolab.trainer import (
     TrainingRun,
@@ -147,7 +147,7 @@ def test_criterion_02_gradient_oracles():
         actor = random_actor(env, rng)
         critic = random_critic(env, rng)
         batch = collect_batch(actor, critic, plain_snapshot(beta=0.7), env, 4, 8,
-                              CollectionMode(STANDARD), -1.0, 2000 + trial, 1)
+                              STANDARD, -1.0, 2000 + trial, 1)
         advs = compute_advantages(batch, cfg, -1.0)
         actor.table = actor.table + rng.normal(0, 0.2, size=actor.table.shape)
         grad, _cf = ppo_surrogate_grad(actor, batch, advs, cfg)
@@ -255,12 +255,12 @@ def test_criterion_06_causality_and_determinism(tmp_path):
     critic = random_critic(env, rng)
     snapshot = plain_snapshot(beta=0.5)
     batch = collect_batch(actor, critic, snapshot, env, 16, 32,
-                          CollectionMode(STANDARD), -1.0, 31, 9)
+                          STANDARD, -1.0, 31, 9)
     order = list(range(16))
     np.random.default_rng(0).shuffle(order)
     causal = all(
         collect_trajectory(actor, critic, snapshot, env, 32,
-                           CollectionMode(STANDARD), -1.0,
+                           STANDARD, -1.0,
                            trajectory_rng(31, 9, i)) == records(batch)[i]
         for i in order[:8])
 
@@ -370,7 +370,7 @@ def test_criterion_10_false_positive_harness(tmp_path):
         rates = []
         for b in range(3):  # reported per batch
             batch = collect_batch(actor, critic, snap, env, 512, 64,
-                                  CollectionMode(COUNTERFACTUAL),
+                                  COUNTERFACTUAL,
                                   -1.0, 77, b)
             rates.append(false_positive_rate(batch))
         return rates

@@ -16,6 +16,7 @@ that path.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -39,7 +40,6 @@ from espolab.rollout import (  # noqa: E402
     RANDOM,
     STANDARD,
     CachedPolicy,
-    CollectionMode,
     collect_batch,
     evaluate_policy,
 )
@@ -63,12 +63,6 @@ from conftest import (  # noqa: E402
 )
 
 CASES = settings(max_examples=150, deadline=None, database=None, derandomize=True)
-
-MODES = {
-    "standard": CollectionMode(STANDARD),
-    "counterfactual": CollectionMode(COUNTERFACTUAL),
-    "disabled": CollectionMode(DISABLED),
-}
 
 
 @st.composite
@@ -100,11 +94,10 @@ def collection_cases(draw):
         beta=draw(st.floats(0.0, 3.0)), value_floor=draw(st.floats(0.01, 1.0)),
         warmup_active=draw(st.booleans()), rule=rule,
         rule_threshold=draw(st.floats(-1.0, 1.0)))
-    kind = draw(st.sampled_from(["standard", "counterfactual", "disabled", "random"]))
-    if kind == "random":
-        mode = CollectionMode(RANDOM, draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
-    else:
-        mode = MODES[kind]
+    mode = draw(st.sampled_from([STANDARD, COUNTERFACTUAL, DISABLED, RANDOM]))
+    if mode == RANDOM:
+        snapshot = dataclasses.replace(
+            snapshot, random_stop_rate=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
     return dict(actor=actor, critic=critic, snapshot=snapshot, env=env,
                 batch_size=draw(st.integers(1, 16)), t_max=draw(st.integers(1, 40)),
                 mode=mode, r_fail=draw(st.sampled_from([-1.0, 0.0])),
@@ -157,13 +150,10 @@ def absorbing_case(kind, seed):
     snapshot = StopperSnapshot(
         alpha_s=float(rng.uniform(0.3, 0.95)), beta=float(rng.uniform(0.05, 1.5)),
         value_floor=0.1, warmup_active=False, rule=rule,
-        rule_threshold=float(rng.uniform(-0.5, 1.0)))
-    if kind == "random":
-        mode = CollectionMode(RANDOM, [0.05, 0.2, 1.0][seed % 3])
-    else:
-        mode = MODES[kind]
+        rule_threshold=float(rng.uniform(-0.5, 1.0)),
+        random_stop_rate=[0.05, 0.2, 1.0][seed % 3] if kind == RANDOM else 0.0)
     return dict(actor=actor, critic=critic, snapshot=snapshot, env=env,
-                batch_size=12, t_max=int(rng.integers(8, 30)), mode=mode,
+                batch_size=12, t_max=int(rng.integers(8, 30)), mode=kind,
                 r_fail=-1.0, master_seed=seed, batch_index=int(rng.integers(0, 50)))
 
 
@@ -174,9 +164,12 @@ def bulk_features(batch, case):
     batch's twin mode whose rule never cuts a row (counterfactual, or random
     with rate 0), on the same tokens: the first column where every row not
     yet ended sits in an absorbing state."""
-    env, t_max, kind = case["env"], case["t_max"], case["mode"].kind
-    twin = CollectionMode(RANDOM, 0.0) if kind == RANDOM else MODES["counterfactual"]
-    full = oracle_batch({**case, "mode": twin})
+    env, t_max, kind = case["env"], case["t_max"], case["mode"]
+    if kind == RANDOM:
+        twin = {"snapshot": dataclasses.replace(case["snapshot"], random_stop_rate=0.0)}
+    else:
+        twin = {"mode": COUNTERFACTUAL}
+    full = oracle_batch({**case, **twin})
     lengths = np.array([len(t.steps) for t in full])
     entry = np.array([next((i for i, rec in enumerate(t.steps) if env.absorbing[rec.state_id]),
                            len(t.steps)) for t in full])
@@ -232,8 +225,8 @@ class TestBulkFinishAgainstOracle:
 @st.composite
 def training_cases(draw):
     case = draw(collection_cases())
-    if case["mode"].kind == "random" or draw(st.booleans()):
-        case["mode"] = MODES[draw(st.sampled_from(["standard", "counterfactual"]))]
+    if case["mode"] == RANDOM or draw(st.booleans()):
+        case["mode"] = draw(st.sampled_from([STANDARD, COUNTERFACTUAL]))
     # gamma = lam = 1 (the default) takes gae's suffix-sum path
     gamma, lam = draw(st.one_of(
         st.just((1.0, 1.0)),
@@ -284,14 +277,14 @@ class TestTrainerAgainstScalarLoops:
         actor.table = np.random.default_rng(3).normal(0, 1, size=actor.table.shape)
         critic = TabularCritic(small_env.state_count)
         batch = collect_batch(actor, critic, StopperSnapshot(), small_env, 8, 1,
-                              CollectionMode(DISABLED), -1.0, 4, 1)
+                              DISABLED, -1.0, 4, 1)
         advs = compute_advantages(batch, RunConfig(), -1.0)
         assert not advs.advantages.any()
         grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
         assert not grad.any() and clip_fraction == 0.0
 
         batch = collect_batch(actor, critic, StopperSnapshot(warmup_active=False, beta=0.1),
-                              small_env, 16, 8, CollectionMode(STANDARD), -1.0, 4, 2)
+                              small_env, 16, 8, STANDARD, -1.0, 4, 2)
         trajectories = records(batch)
         config = RunConfig(clip_ratio=0.05)
         advs = compute_advantages(batch, config, -1.0)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 from espolab.cli import main as cli_main
@@ -31,7 +33,14 @@ from espolab.metrics import (
     write_manifest,
 )
 from espolab.policy import TabularActor, TabularCritic, save_params
-from espolab.rollout import COUNTERFACTUAL, DISABLED, RANDOM, STANDARD, CollectionMode
+from espolab.rollout import (
+    COUNTERFACTUAL,
+    DISABLED,
+    RANDOM,
+    STANDARD,
+    CachedPolicy,
+    collect_batch,
+)
 from espolab.trainer import TrainingRun, compute_advantages, ppo_surrogate_grad
 from espolab.variants import variant_dispatch
 
@@ -79,6 +88,30 @@ class TestPackageSurface:
                                if (alias.asname or alias.name.split(".")[0]) not in used]
         assert not unused, unused
 
+    def test_no_dead_definitions(self):
+        # every function, class and method defined in src/ must be read in
+        # src/ or perfbench/, or exported in its module's __all__; Python
+        # itself calls the dunder methods
+        import espolab
+
+        src = pathlib.Path(espolab.__file__).parent
+        bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+        read, defined = set(), []
+        for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Assign) and "__all__" in [
+                        getattr(target, "id", None) for target in node.targets]:
+                    read |= set(ast.literal_eval(node.value))
+                elif (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path.parent == src
+                      and not node.name.startswith("__")):
+                    defined.append((f"{path.name}:{node.lineno}", node.name))
+        dead = [f"{where} {name}" for where, name in defined if name not in read]
+        assert not dead, dead
+
 
 class TestBenchmarkHooks:
     """perfbench wraps the names in perfbench/spans.py TARGETS and feeds
@@ -107,6 +140,34 @@ class TestBenchmarkHooks:
         grad, clip_fraction = ppo_surrogate_grad(run.actor, batch, advs, run.ppo)
         assert grad.shape == run.actor.table.shape
         assert 0.0 <= clip_fraction <= 1.0
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(counterfactual=True),
+        dict(variant="random_stop", random_stop_rate=0.05),
+    ], ids=["espo", "counterfactual", "random_stop"])
+    def test_micro_recollects_the_run_batch(self, overrides):
+        # perfbench/worker.py `micro` collects a step's batch again, passing
+        # batch.snapshot and batch.mode positionally with the actor and
+        # critic as they were before the step: every field comes out equal
+        cfg = tiny_config(total_steps=6, **overrides)
+        run = TrainingRun(cfg)
+        for _ in range(cfg.total_steps - 1):
+            run.step()
+        actor, critic = run.actor.copy(), run.critic.copy()
+        run.step()
+        batch = run.last_batch
+        assert np.count_nonzero(batch.stop_indices >= 0)
+        again = collect_batch(actor, critic, batch.snapshot, run.env, cfg.batch_size,
+                              cfg.t_max, batch.mode, run.plan.early_stop_reward, cfg.seed,
+                              run.step_index, cache=CachedPolicy(actor, critic))
+        for field in dataclasses.fields(batch):
+            ours, theirs = getattr(again, field.name), getattr(batch, field.name)
+            if isinstance(theirs, np.ndarray):
+                assert ours.dtype == theirs.dtype, field.name
+                assert np.array_equal(ours, theirs), field.name
+            else:
+                assert ours == theirs, field.name
 
 
 class TestVariantDispatch:
@@ -170,7 +231,7 @@ class TestFalsePositiveRate:
         for _ in range(plain):
             trajs.append(make_traj(6))
         return batch_from_trajectories(trajs, plain_snapshot(),
-                                       CollectionMode(COUNTERFACTUAL))
+                                       COUNTERFACTUAL)
 
     def test_counting_example(self):
         assert false_positive_rate(self.build_batch()) == 0.125
@@ -181,7 +242,7 @@ class TestFalsePositiveRate:
 
     def test_mode_mismatch_errors(self):
         batch = batch_from_trajectories([make_traj(3)], plain_snapshot(),
-                                        CollectionMode(STANDARD))
+                                        STANDARD)
         with pytest.raises(ValueError, match="counterfactual"):
             false_positive_rate(batch)
 
@@ -227,6 +288,26 @@ class TestMetricsFiles:
         with pytest.raises(ValueError, match="resume"):
             MetricsWriter(path, resume_at_step=5)
 
+    def test_fresh_run_into_a_used_out_dir_leaves_one_run(self, tmp_path):
+        # a run appends to eval.csv, stop_events.tsv and trajectories.tsv; a
+        # fresh run replaces them, so two runs leave the bytes of one
+        cfg = tiny_config(out_dir=str(tmp_path), total_steps=4, eval_every=2, eval_episodes=8,
+                          record_stop_events=True, dump_trajectories=True)
+
+        def files():
+            out = {p.relative_to(tmp_path): p.read_bytes()
+                   for p in tmp_path.rglob("*") if p.is_file()}
+            manifest = json.loads(out.pop(pathlib.Path("manifest.json")))
+            del manifest["written_at"], manifest["wall_time_s"]
+            return out, manifest
+
+        run_experiment(cfg)
+        once = files()
+        assert {"eval.csv", "stop_events.tsv", "trajectories.tsv"} <= {
+            str(p) for p in once[0]}
+        run_experiment(cfg)
+        assert files() == once
+
     def test_unwritable_out_dir_fails_fast(self):
         cfg = tiny_config(out_dir="/proc/definitely/not/writable")
         with pytest.raises((ConfigError, OSError)):
@@ -258,7 +339,7 @@ class TestMetricsFiles:
         for _ in range(cfg.total_steps):
             row = run.step()
             batch = run.last_batch
-            assert batch.mode.kind == kind
+            assert batch.mode == kind
             expected.append(dump_batch(batch, row.step))
             for traj in records(batch):
                 if traj.stop_index is not None:
@@ -440,6 +521,105 @@ class TestAblateAndEval:
         assert cli_main(argv) == 1
         assert f"variant {bad!r} is unknown or repeated" in capsys.readouterr().err
         assert not out_root.exists()
+
+    def test_ablate_rejects_a_bad_variant_config_before_any_run(self, tmp_path, capsys):
+        # counterfactual mode is valid for every variant but random_stop
+        out_root = tmp_path / "matrix"
+        argv = ["ablate", "--vocab-size", "4", "--target-length", "3", "--t-max", "12",
+                "--batch-size", "8", "--total-steps", "2", "--out-root", str(out_root),
+                "--counterfactual", "true"]
+        assert cli_main(argv) == 1
+        assert "counterfactual mode is not defined for random_stop" in capsys.readouterr().err
+        assert not out_root.exists()
+
+
+class TestPinnedOutputs:
+    """sha256 of every deterministic output of a tiny ablate matrix and a
+    counterfactual run on the recoverable env, side files included. A change
+    meant to keep the bytes keeps these. state.json is left out: its
+    experiment_hash covers the reference_run path."""
+
+    FILES = ("metrics.csv", "eval.csv", "stop_events.tsv", "trajectories.tsv",
+             os.path.join("checkpoints", "final", "params.txt"))
+    DIGESTS = {
+        "espo": (
+            "296df8d4292825418cbe925920d6e8ffa8175168ec3fbd8b768d94dc8ecd2ecf",
+            "9ae2434f9db73c620c36889c370a982ef63b5513d89308cf8d70e917e1fbd0f8",
+            "88a0e4e9fa6f637068f7758852361eeab5a7bf521c700bf73d82472c15c2bda9",
+            "812fdd87db332e3f8c88fdab514179a05aa3bff56ccae0c02221a14891d0539e",
+            "b6b5a23646d53193e386ad9c5cd965145cdb384572ff6633d70f7f63c687a01c",
+        ),
+        "ppo": (
+            "8eb119ab4abd0eaa4951f8f63e8ed1373f6e59050888f9117289a4c263f71ebd",
+            "9ae2434f9db73c620c36889c370a982ef63b5513d89308cf8d70e917e1fbd0f8",
+            "b761b5ad21fdaf1108a42500ab03165e4f6a45f57cda1bac1aa50d762b539b6e",
+            "4d61311e06ab1111505b60293d6e376ffdc44b758e5018bd8ef4c5ba688c3e31",
+            "1a128a4173725f6e26f68a32636a6348c8314efbef4bf05e81c9a07c73263cdd",
+        ),
+        "espo_no_warmup": (
+            "eb968711a54eae9a2208166bf60fe9782a07c08b0f5cd1389469f69cc5deff9e",
+            "9ae2434f9db73c620c36889c370a982ef63b5513d89308cf8d70e917e1fbd0f8",
+            "2dcc5a4f9ebc834a4e9868b66b04336a11f1c7595c02562a1cc6a31e7a699501",
+            "c2178fa8c4d95d09c9c16839a9167e566f15e5dcb0661bda92c58f9a74cb1494",
+            "0c35fdf700c3895406a816b53de09708662ebb15876ef859294938ca67b216c2",
+        ),
+        "espo_no_penalty": (
+            "c960576feca77347a1b7ae6140efb4e5c10c8c8a70171f18cdd6580495a71d64",
+            "9ae2434f9db73c620c36889c370a982ef63b5513d89308cf8d70e917e1fbd0f8",
+            "31b8638d506f6573a9a7b910663aed78302e2d7b21b3eeec6f02c65608fc39c0",
+            "98db910b65245c139418939cb2ffa7d54a8f014b237ce3f154d845f2f7cdd2ee",
+            "78e319b6a924b746c5be9b98567a69e225e0c429c7a742329b863a275d9aa497",
+        ),
+        "value_only": (
+            "6e37b75682f6340047f6977843e9486539cc2641ac8a2a7f69393d5da83a7db4",
+            "9ae2434f9db73c620c36889c370a982ef63b5513d89308cf8d70e917e1fbd0f8",
+            "b761b5ad21fdaf1108a42500ab03165e4f6a45f57cda1bac1aa50d762b539b6e",
+            "bcb46b5837adad655eedefab3eaa3af37aa9e61499a251c4cc74a6d4442a083e",
+            "1a128a4173725f6e26f68a32636a6348c8314efbef4bf05e81c9a07c73263cdd",
+        ),
+        "regret_only": (
+            "4e5350ff596a2c906b45cd8c07b86132f8b9739a9fea4c04408cfd25b0fa5932",
+            "9ae2434f9db73c620c36889c370a982ef63b5513d89308cf8d70e917e1fbd0f8",
+            "20be633ca1ee87b0dd0325b2dded5e6061e72d03af8c46c4f322c34a3de2dda1",
+            "27cc2d3dc6255f88127392d3e6f6a6d8430f8523dd3d9c088279b424fc632cbb",
+            "db1a545ceff2d99de2ea8b2a4b0961934fc5425b54e17066142d5907931c5558",
+        ),
+        "random_stop": (
+            "2afb679c34d895c32e0f90abe9c07459db1e739dc1ce12c0e2a99479f5768cb7",
+            "9ae2434f9db73c620c36889c370a982ef63b5513d89308cf8d70e917e1fbd0f8",
+            "72d474588e0eab0b65f4e7bd3e72c09b2337018b9e2c857ecbf214060549cb45",
+            "0adcfd47520c2c44d5ed48ca9076f32e4394fa95dd2ec2566728168f82fe8972",
+            "e9ac1b0e6b222df76e6cfc7ccae58301e5abc35468e2e9eb9d3395020bdf7090",
+        ),
+        "counterfactual": (
+            "2543a5c4d01b419d9d049eb9e490f9eba03cb9515d7ac123a7e228d4be83fed2",
+            "03231325282d1f95665539a5c997970587c8273943181582588e85b96b0bdac2",
+            "8c77d3458f9f343ad3109ae70b39def0351d3bcf21da930ca115ed02b671a3a0",
+            "6f504fba1eb6308718be579d5f24c747adc444d1fb9f99da37a36b93e79d58e0",
+            "bc3cc571d2f214c19e8e546f2a4136a4ca5a0d9f1a13efca6e4ae4861a892538",
+        ),
+    }
+    SUMMARY = "677a2fdf8b580ead69eaef6937250d9fc30688adbb9d2f04164273371ad69c41"
+    SIDE = dict(batch_size=16, dump_trajectories=True, record_stop_events=True,
+                eval_every=3, eval_episodes=16)
+
+    @staticmethod
+    def sha256(path):
+        return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+    def digests(self, run_dir):
+        return tuple(self.sha256(os.path.join(run_dir, name)) for name in self.FILES)
+
+    def test_ablate_matrix(self, tmp_path):
+        dirs = ablate(tiny_config(**self.SIDE), str(tmp_path))
+        for variant, run_dir in dirs.items():
+            assert self.digests(run_dir) == self.DIGESTS[variant], variant
+        assert self.sha256(tmp_path / "summary.txt") == self.SUMMARY
+
+    def test_counterfactual_recoverable_run(self, tmp_path):
+        run_experiment(tiny_config(env="recoverable", counterfactual=True, t_max=16,
+                                   out_dir=str(tmp_path), **self.SIDE))
+        assert self.digests(tmp_path) == self.DIGESTS["counterfactual"]
 
 
 class TestCli:

@@ -24,11 +24,12 @@ from espolab.rollout import (
     RANDOM,
     STANDARD,
     CachedPolicy,
-    CollectionMode,
     collect_batch,
     evaluate_policy,
 )
+from espolab.stopper import StopperState
 from espolab.trainer import TrainingRun, compute_advantages
+from espolab.variants import variant_dispatch
 
 from conftest import (
     StepRecord,
@@ -76,7 +77,7 @@ class TestCollectTrajectory:
         actor = random_actor(env, rng)
         critic = random_critic(env, rng)
         traj = collect_one(actor, critic, plain_snapshot(), env, 8,
-                           CollectionMode(DISABLED), seed=7)
+                           DISABLED, seed=7)
         oracle_rng = trajectory_rng(7, 1, 0)
         state = env.initial_state
         for rec in traj.steps:
@@ -97,7 +98,7 @@ class TestCollectTrajectory:
         critic = TabularCritic(env.state_count)
         snapshot = plain_snapshot(frozen_mu=-1.0, frozen_var=1.0 - 1e-8,
                                   alpha_s=0.9, beta=1.0, value_floor=0.2)
-        traj = collect_one(actor, critic, snapshot, env, 64, CollectionMode(STANDARD))
+        traj = collect_one(actor, critic, snapshot, env, 64, STANDARD)
         assert traj.stop_reason is StopReason.EARLY_STOP
         assert len(traj.steps) == 3
         assert traj.stop_index == 2
@@ -111,7 +112,7 @@ class TestCollectTrajectory:
         actor.table[0] = [30.0, 0.0, 0.0, 0.0]  # always emits the target
         critic = TabularCritic(env.state_count)
         snapshot = plain_snapshot(frozen_mu=-100.0, beta=0.0, value_floor=0.2)
-        traj = collect_one(actor, critic, snapshot, env, 8, CollectionMode(STANDARD))
+        traj = collect_one(actor, critic, snapshot, env, 8, STANDARD)
         assert traj.stop_reason is StopReason.NATURAL_END
         assert traj.outcome_reward == 1.0
 
@@ -125,11 +126,11 @@ class TestCollectTrajectory:
         critic = TabularCritic(env.state_count)
         snapshot = plain_snapshot(frozen_mu=-1.0, frozen_var=1.0 - 1e-8,
                                   alpha_s=0.9, beta=2.725, value_floor=0.2)
-        stopped = collect_one(actor, critic, snapshot, env, 8, CollectionMode(STANDARD))
+        stopped = collect_one(actor, critic, snapshot, env, 8, STANDARD)
         assert stopped.stop_reason is StopReason.EARLY_STOP
         assert len(stopped.steps) == 8
         assert stopped.outcome_reward == -1.0
-        extended = collect_one(actor, critic, snapshot, env, 8, CollectionMode(COUNTERFACTUAL))
+        extended = collect_one(actor, critic, snapshot, env, 8, COUNTERFACTUAL)
         assert extended.stop_reason is StopReason.HORIZON_CAP
         assert extended.hypothetical_stop_index == 7
         assert extended.steps == stopped.steps
@@ -140,7 +141,7 @@ class TestCollectTrajectory:
         actor.table[0] = [0.0, 30.0, 0.0, 0.0]  # dooms immediately
         critic = TabularCritic(env.state_count)
         traj = collect_one(actor, critic, plain_snapshot(warmup_active=True), env, 16,
-                           CollectionMode(STANDARD))
+                           STANDARD)
         assert traj.stop_reason is StopReason.HORIZON_CAP
         assert len(traj.steps) == 16
         assert traj.outcome_reward == 0.0
@@ -235,9 +236,9 @@ class TestCounterfactualMode:
         critic = random_critic(env, rng)
         snapshot = plain_snapshot(beta=beta, frozen_mu=frozen_mu)
         standard = collect_batch(actor, critic, snapshot, env, 16, 12,
-                                 CollectionMode(STANDARD), -1.0, seed, 1)
+                                 STANDARD, -1.0, seed, 1)
         extended = collect_batch(actor, critic, snapshot, env, 16, 12,
-                                 CollectionMode(COUNTERFACTUAL), -1.0, seed, 1)
+                                 COUNTERFACTUAL, -1.0, seed, 1)
         return standard, extended
 
     def test_prefix_is_bit_identical_to_standard_mode(self):
@@ -304,16 +305,24 @@ class TestRandomStopMode:
         stops = 0
         trials = 0
         for b in range(100):
-            batch = collect_batch(actor, critic, plain_snapshot(), env, 32, t_max,
-                                  CollectionMode(RANDOM, q), -1.0, 5, b)
+            batch = collect_batch(actor, critic, plain_snapshot(random_stop_rate=q), env, 32,
+                                  t_max, RANDOM, -1.0, 5, b)
             stops += int(np.count_nonzero(batch.stop_indices >= 0))
             trials += batch.size
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(stops / trials - p) <= 3 * sigma
 
     def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            CollectionMode(RANDOM, 1.5)
+        # every hazard collection sees lies in [0, 1]: the config rejects a
+        # fixed rate outside it, and the snapshot clips a traced hazard
+        with pytest.raises(ValueError, match=r"random_stop_rate must lie in \[0, 1\]"):
+            TrainingRun(RunConfig(variant="random_stop", random_stop_rate=1.5))
+        cfg = RunConfig(variant="random_stop", random_stop_rate=0.0)
+        stopper = StopperState(cfg, dataclasses.replace(variant_dispatch(cfg),
+                                                        random_trace=(0.5,)))
+        for correction, rate in ((2.0, 1.0), (-2.0, 0.0)):
+            stopper.random_correction = correction
+            assert stopper.snapshot(1).random_stop_rate == rate
 
 
 class TestBatchDeterminism:
@@ -333,12 +342,12 @@ class TestBatchDeterminism:
         critic = random_critic(small_env, rng)
         snapshot = plain_snapshot(beta=0.5)
         batch = collect_batch(actor, critic, snapshot, small_env, 8, 8,
-                              CollectionMode(STANDARD), -1.0, 21, 4)
+                              STANDARD, -1.0, 21, 4)
         order = list(range(8))
         random.Random(0).shuffle(order)
         for i in order:
             solo = collect_trajectory(actor, critic, snapshot, small_env, 8,
-                                      CollectionMode(STANDARD), -1.0,
+                                      STANDARD, -1.0,
                                       trajectory_rng(21, 4, i))
             assert solo == records(batch)[i]
 
@@ -377,7 +386,7 @@ class TestTokenAccounting:
     def test_arithmetic(self):
         trajs = tuple(make_traj(n) for n in (3, 5, 7, 9))
         batch = batch_from_trajectories(trajs, plain_snapshot(),
-                                        CollectionMode(DISABLED))
+                                        DISABLED)
         assert batch.total_tokens == 24
         assert batch.effective_lengths.tolist() == batch.lengths.tolist() == [3, 5, 7, 9]
 
@@ -385,7 +394,7 @@ class TestTokenAccounting:
         fired = make_traj(10, outcome=1.0, hypothetical_stop_index=3)
         plain = make_traj(6)
         batch = batch_from_trajectories((fired, plain), plain_snapshot(),
-                                        CollectionMode(COUNTERFACTUAL))
+                                        COUNTERFACTUAL)
         assert batch.total_tokens == 16
         assert batch.effective_lengths.tolist() == [4, 6]
 

@@ -19,7 +19,6 @@ from espolab.rollout import (
     DISABLED,
     RANDOM,
     STANDARD,
-    CollectionMode,
     collect_batch,
 )
 from espolab.stopper import StopperSnapshot, StopperState, weighted_fsum
@@ -62,7 +61,7 @@ def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
     actor.table = np.asarray(logits) + rng.normal(0.0, noise, size=actor.table.shape)
     critic = TabularCritic(env.state_count)
     batch = collect_batch(actor, critic, plain_snapshot(), env, batch_size, t_max,
-                          CollectionMode(DISABLED), -1.0, seed, 1)
+                          DISABLED, -1.0, seed, 1)
     return actor, [rec for t in records(batch) for rec in t.steps]
 
 
@@ -76,7 +75,7 @@ def smoothed_scores(frozen_mu, t_max=12):
     snapshot = plain_snapshot(frozen_mu=frozen_mu, frozen_var=1.0 - 1e-8,
                               alpha_s=0.9, warmup_active=True)
     (traj,) = records(collect_batch(actor, critic, snapshot, env, 1, t_max,
-                                    CollectionMode(DISABLED), -1.0, 0, 1))
+                                    DISABLED, -1.0, 0, 1))
     assert len(traj.steps) == t_max
     return [rec.smoothed_score for rec in traj.steps]
 
@@ -245,11 +244,11 @@ class TestUpdateEma:
         # a snapshot keeps the statistics it was taken with; only the next
         # snapshot sees the end-of-batch update
         state = make_stopper(variant="espo_no_warmup", total_steps=10)
-        before = state.snapshot()
+        before = state.snapshot(1)
         _ = before.normalize(3.0)
         state.end_of_batch(np.array([1.0, 3.0]), 0.25, 0.0, 1)
         assert (before.frozen_mu, before.frozen_var) == (0.0, 1.0)
-        after = state.snapshot()
+        after = state.snapshot(2)
         assert (after.frozen_mu, after.frozen_var) == (state.mu_g, state.var_g)
         assert after.frozen_mu == pytest.approx(0.02, abs=1e-12)
 
@@ -422,7 +421,7 @@ def annealing(steps_since_warmup, anneal_horizon, beta=7.0, beta_max=10.0):
 class TestAnnealBeta:
     def test_starts_at_beta_max(self):
         assert annealing(0, 30).annealed_beta() == 10.0
-        assert annealing(0, 30).snapshot().beta == 10.0
+        assert annealing(0, 30).snapshot(1).beta == 10.0
 
     def test_lands_on_configured_beta(self):
         assert annealing(30, 30).annealed_beta() == 7.0
@@ -443,7 +442,7 @@ class TestAnnealBeta:
         inert = StopperSnapshot(stabilizer=cfg.stabilizer, clip_bound=cfg.clip_bound,
                                 alpha_s=cfg.alpha_s, beta=3.0, value_floor=cfg.value_floor,
                                 warmup_active=False)
-        assert stopper.snapshot() == inert
+        assert stopper.snapshot(1) == inert
 
 
 class TestSetpointTracking:
@@ -467,14 +466,18 @@ class TestSetpointTracking:
         assert abs(rolling[200 - 50] - 0.25) <= 0.05
 
 
-class TestCollectionMode:
+class TestSnapshotHazard:
     def test_kind_follows_the_plan(self):
-        assert make_stopper().collection_mode(1) == CollectionMode(STANDARD)
-        assert make_stopper(counterfactual=True).collection_mode(1) == \
-            CollectionMode(COUNTERFACTUAL)
-        assert make_stopper(variant="ppo").collection_mode(1) == CollectionMode(DISABLED)
+        # the random hazard is a snapshot field: 0.0 outside random mode, the
+        # fixed rate in every batch of a fixed-rate random stopper
+        for overrides, kind in ((dict(), STANDARD), (dict(counterfactual=True), COUNTERFACTUAL),
+                                (dict(variant="ppo"), DISABLED)):
+            stopper = make_stopper(**overrides)
+            assert stopper.plan.mode_kind == kind
+            assert stopper.snapshot(1).random_stop_rate == 0.0
         fixed = make_stopper(variant="random_stop", random_stop_rate=0.05)
-        assert fixed.collection_mode(9) == CollectionMode(RANDOM, 0.05)
+        assert fixed.plan.mode_kind == RANDOM
+        assert fixed.snapshot(9).random_stop_rate == 0.05
 
     def test_traced_hazard_and_its_correction(self):
         # the hazard stops a t_max-step rollout at the traced rate, plus the
@@ -485,11 +488,11 @@ class TestCollectionMode:
         plan = dataclasses.replace(variant_dispatch(cfg), random_trace=(0.5, 0.25))
         stopper = StopperState(cfg, plan)
         assert stopper.warmup_active and stopper.random_correction == 0.0
-        assert stopper.collection_mode(1) == CollectionMode(RANDOM, 1.0 - 0.5 ** (1.0 / 8))
+        assert stopper.snapshot(1).random_stop_rate == 1.0 - 0.5 ** (1.0 / 8)
         stopper.end_of_batch(np.array([0.1, 0.2]), 0.75, 1.0, 1)
         assert stopper.random_correction == (0.4 / 8) * (0.5 - 0.75)
         hazard = 1.0 - 0.75 ** (1.0 / 8) + stopper.random_correction
-        assert stopper.collection_mode(2) == CollectionMode(RANDOM, hazard)
-        assert stopper.collection_mode(5) == CollectionMode(RANDOM, hazard)
+        assert stopper.snapshot(2).random_stop_rate == hazard
+        assert stopper.snapshot(5).random_stop_rate == hazard
         stopper.random_correction = -1.0
-        assert stopper.collection_mode(2) == CollectionMode(RANDOM, 0.0)
+        assert stopper.snapshot(2).random_stop_rate == 0.0

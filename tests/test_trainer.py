@@ -13,7 +13,7 @@ import pytest
 from espolab.config import ConfigError, RunConfig
 from espolab.envs import TrapChainSpec, build_trap_chain
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import DISABLED, STANDARD, CachedPolicy, CollectionMode, collect_batch
+from espolab.rollout import DISABLED, STANDARD, CachedPolicy, collect_batch
 from espolab.trainer import (
     TrainingRun,
     compute_advantages,
@@ -154,7 +154,7 @@ def small_training_batch(seed=5, beta=0.5, batch_size=6, t_max=8):
     actor = random_actor(env, rng)
     critic = random_critic(env, rng)
     batch = collect_batch(actor, critic, plain_snapshot(beta=beta), env,
-                          batch_size, t_max, CollectionMode(STANDARD), -1.0, seed, 1)
+                          batch_size, t_max, STANDARD, -1.0, seed, 1)
     return env, actor, critic, batch
 
 
@@ -566,7 +566,7 @@ class TestSurrogateMemory:
         rng = np.random.default_rng(0)
         actor, critic = random_actor(env, rng), random_critic(env, rng)
         batch = collect_batch(actor, critic, plain_snapshot(), env, 64, 64,
-                              CollectionMode(DISABLED), -1.0, 0, 1)
+                              DISABLED, -1.0, 0, 1)
         advs = compute_advantages(batch, RunConfig(), -1.0)
         assert int(advs.mask.sum()) == 4096
         actor.table = actor.table + rng.normal(0, 0.1, size=actor.table.shape)  # ratios != 1
