@@ -19,7 +19,6 @@ __all__ = [
     "VARIANTS",
     "build_run_config",
     "config_hash",
-    "env_signature",
     "load_config_file",
     "parse_target_sequence",
     "to_flat_dict",
@@ -229,13 +228,6 @@ def parse_target_sequence(cfg: RunConfig) -> tuple[int, ...]:
     return generate_target_sequence(cfg.vocab_size, cfg.target_length, cfg.target_seed)
 
 
-def env_signature(cfg: RunConfig) -> tuple:
-    """Fields that must agree for runs to be comparable."""
-    seq = parse_target_sequence(cfg) if cfg.env == "trap_chain" else ()
-    return (cfg.env, cfg.vocab_size, cfg.target_length, seq,
-            cfg.doom_padding, cfg.repair_window, cfg.t_max)
-
-
 def validate_run_config(cfg: RunConfig) -> list[str]:
     """Every problem with the config, in one pass; empty list means valid."""
     errors: list[str] = []
@@ -305,6 +297,14 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
                  "target_sequence length must equal target_length")
             need(all(0 <= t < cfg.vocab_size for t in seq),
                  "target_sequence tokens must lie in [0, vocab_size)")
+    if not errors:  # the environment spec of an otherwise valid config can be built
+        from .envs import env_spec_from_config
+
+        # a chain longer than the budget is over it before its target is generated
+        states = (cfg.target_length if cfg.target_length > cfg.state_budget
+                  else env_spec_from_config(cfg).state_count)
+        need(states <= cfg.state_budget, f"the environment has at least {states} states, "
+             f"more than state_budget={cfg.state_budget}")
     return errors
 
 

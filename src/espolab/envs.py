@@ -1,6 +1,9 @@
 """Synthetic token-MDPs with enumerable state graphs.
 
-Two task families:
+Both task families share one chain, positions chain:0..L-1: the target token
+at position p leads to position p+1, past the last position to
+terminal:success with reward 1, and any other token enters the family's
+branch:
 
 * trap chain -- the first wrong token is irrecoverable; the doomed branch
   burns steps (a fixed padding, or all the way to the horizon) before
@@ -9,8 +12,10 @@ Two task families:
   token again within the repair window returns to the chain, otherwise the
   trajectory is doomed.
 
-States are abstract integer ids over precomputed transition tables, so the
-tabular actor/critic can enumerate them and a step is an array lookup.
+A spec declares only its branch; `build_environment` writes the chain once
+and turns both into dense transition tables. A move ends the episode where it
+lands on a `terminal:` state. States are abstract integer ids, so the tabular
+actor/critic can enumerate them and a step is an array lookup.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig, parse_target_sequence
 from .mdpcore import derived_rng
 
 __all__ = [
@@ -26,13 +32,11 @@ __all__ = [
     "StateBudgetError",
     "TabularEnv",
     "TrapChainSpec",
-    "build_recoverable",
     "build_environment",
-    "build_trap_chain",
+    "env_signature",
+    "env_spec_from_config",
     "generate_target_sequence",
 ]
-
-DEFAULT_STATE_BUDGET = 100_000
 
 
 class StateBudgetError(ValueError):
@@ -58,6 +62,21 @@ class TrapChainSpec:
         if self.doom_padding is not None and self.doom_padding < 0:
             raise ValueError("doom_padding must be >= 0")
 
+    @property
+    def state_count(self) -> int:
+        return self.target_length + 2 + (self.doom_padding or 0)
+
+    def branch(self) -> tuple[list[str], dict]:
+        """A countdown doom:n..doom:1 into terminal:failure that every token
+        advances, or one absorbing state doom:absorb; wrong tokens enter the first."""
+        if self.doom_padding is None:
+            moves = {"doom:absorb": (None, None, "doom:absorb")}
+        else:
+            steps = [f"doom:{r}" for r in range(self.doom_padding, 0, -1)] + ["terminal:failure"]
+            moves = {s: (None, None, nxt) for s, nxt in zip(steps, steps[1:])}
+            moves["terminal:failure"] = None
+        return [next(iter(moves))] * self.target_length, moves
+
 
 @dataclass(frozen=True)
 class RecoverableBranchSpec:
@@ -75,14 +94,43 @@ class RecoverableBranchSpec:
 
     @property
     def target_sequence(self) -> tuple[int, ...]:
-        # Recoverable chains use token 0 at every position; the interesting
-        # structure is the detour, not the target pattern.
-        return tuple(0 for _ in range(self.target_length))
+        # token 0 at every position: the interesting structure is the detour
+        return (0,) * self.target_length
+
+    @property
+    def state_count(self) -> int:
+        return self.target_length * (1 + self.repair_window) + 2
+
+    def branch(self) -> tuple[list[str], dict]:
+        """Detour states detour:p:w for w = window..1: the expected token at
+        position p repairs the detour (back to chain:p); any other token
+        shrinks the window, and an exhausted window dooms the trajectory into
+        doom:absorb, which runs to the horizon."""
+        def detour(p: int, w: int) -> str:
+            return f"detour:{p}:{w}" if w else "doom:absorb"
+
+        target, window = self.target_sequence, self.repair_window
+        moves = {detour(p, w): (target[p], f"chain:{p}", detour(p, w - 1))
+                 for p in range(self.target_length) for w in range(window, 0, -1)}
+        moves["doom:absorb"] = (None, None, "doom:absorb")
+        return [detour(p, window) for p in range(self.target_length)], moves
 
 
 def generate_target_sequence(vocab: int, length: int, seed: int) -> tuple[int, ...]:
     rng = derived_rng(seed, 3)
     return tuple(int(t) for t in rng.integers(0, vocab, size=length))
+
+
+def env_spec_from_config(cfg: RunConfig):
+    if cfg.env == "trap_chain":
+        return TrapChainSpec(cfg.vocab_size, cfg.target_length,
+                             parse_target_sequence(cfg), cfg.doom_padding)
+    return RecoverableBranchSpec(cfg.vocab_size, cfg.target_length, cfg.repair_window)
+
+
+def env_signature(cfg: RunConfig) -> tuple:
+    """What must agree for runs to be comparable: the environment and the horizon."""
+    return env_spec_from_config(cfg), cfg.t_max
 
 
 class TabularEnv:
@@ -111,133 +159,37 @@ class TabularEnv:
                           & ~terminal.any(axis=1))
 
 
-def _check_budget(count: int, budget: int) -> None:
-    if count > budget:
-        raise StateBudgetError(f"spec enumerates {count} states, budget is {budget}")
+def build_environment(spec, state_budget: int = RunConfig.state_budget) -> TabularEnv:
+    """The environment of a spec; state i is labelled labels[i].
 
+    The states are the chain positions, terminal:success, then the spec's
+    branch. spec.branch() gives the state each chain position's wrong tokens
+    enter, and the branch states in order with their moves: (token, where it
+    leads, where any other token leads), token None for every token, and no
+    move for a terminal state. The chain's moves are written here. The state
+    count is checked against the budget before any state is enumerated.
+    """
+    if spec.state_count > state_budget:
+        raise StateBudgetError(f"spec enumerates {spec.state_count} states, "
+                               f"budget is {state_budget}")
+    entries, branch = spec.branch()
+    chain = [f"chain:{p}" for p in range(spec.target_length)] + ["terminal:success"]
+    moves = {s: (token, nxt, wrong) for s, nxt, token, wrong
+             in zip(chain, chain[1:], spec.target_sequence, entries)}
+    moves["terminal:success"] = None
+    moves.update(branch)
+    labels = list(moves)
+    index = {label: s for s, label in enumerate(labels)}
 
-def build_trap_chain(spec: TrapChainSpec, state_budget: int = DEFAULT_STATE_BUDGET) -> TabularEnv:
-    """State graph: chain positions 0..L-1, a success terminal, the doomed
-    branch (countdown states for finite padding, or a single absorbing state),
-    and a failure terminal when the doomed branch terminates on its own."""
-    k, length = spec.vocab, spec.target_length
-    labels = [f"chain:{p}" for p in range(length)]
-    chain = list(range(length))
-    success = len(labels)
-    labels.append("terminal:success")
-
-    if spec.doom_padding is None:
-        absorb = len(labels)
-        labels.append("doom:absorb")
-        doom_entry, fail = absorb, None
-    else:
-        doom = {}
-        for r in range(spec.doom_padding, 0, -1):
-            doom[r] = len(labels)
-            labels.append(f"doom:{r}")
-        fail = len(labels)
-        labels.append("terminal:failure")
-        doom_entry = doom[spec.doom_padding] if spec.doom_padding > 0 else None
-
-    count = len(labels)
-    _check_budget(count, state_budget)
-
-    next_state = np.full((count, k), -1, dtype=np.int64)
-    terminal = np.zeros((count, k), dtype=bool)
-    reward = np.zeros((count, k), dtype=np.float64)
-
-    for p in chain:
-        correct = spec.target_sequence[p]
-        for a in range(k):
-            if a == correct:
-                if p + 1 < length:
-                    next_state[p, a] = p + 1
-                else:
-                    next_state[p, a] = success
-                    terminal[p, a] = True
-                    reward[p, a] = 1.0
-            elif spec.doom_padding is None:
-                next_state[p, a] = doom_entry
-            elif spec.doom_padding == 0:
-                next_state[p, a] = fail
-                terminal[p, a] = True
-            else:
-                next_state[p, a] = doom_entry
-
-    if spec.doom_padding is None:
-        next_state[doom_entry, :] = doom_entry
-    else:
-        for r in range(spec.doom_padding, 0, -1):
-            s = doom[r]
-            if r > 1:
-                next_state[s, :] = doom[r - 1]
-            else:
-                next_state[s, :] = fail
-                terminal[s, :] = True
-
-    return TabularEnv(k, next_state, terminal, reward, initial_state=0, labels=labels)
-
-
-def build_recoverable(spec: RecoverableBranchSpec,
-                      state_budget: int = DEFAULT_STATE_BUDGET) -> TabularEnv:
-    """Chain positions plus detour states detour(p, w): the expected token at
-    position p repairs the detour (back to chain position p); any other token
-    shrinks the window, and an exhausted window dooms the trajectory into an
-    absorbing branch that runs to the horizon."""
-    k, length, window = spec.vocab, spec.target_length, spec.repair_window
-    target = spec.target_sequence
-    labels = [f"chain:{p}" for p in range(length)]
-    success = len(labels)
-    labels.append("terminal:success")
-    detour = {}
-    for p in range(length):
-        for w in range(window, 0, -1):
-            detour[(p, w)] = len(labels)
-            labels.append(f"detour:{p}:{w}")
-    absorb = len(labels)
-    labels.append("doom:absorb")
-
-    count = len(labels)
-    _check_budget(count, state_budget)
-
-    next_state = np.full((count, k), -1, dtype=np.int64)
-    terminal = np.zeros((count, k), dtype=bool)
-    reward = np.zeros((count, k), dtype=np.float64)
-
-    for p in range(length):
-        correct = target[p]
-        for a in range(k):
-            if a == correct:
-                if p + 1 < length:
-                    next_state[p, a] = p + 1
-                else:
-                    next_state[p, a] = success
-                    terminal[p, a] = True
-                    reward[p, a] = 1.0
-            elif window >= 1:
-                next_state[p, a] = detour[(p, window)]
-            else:
-                next_state[p, a] = absorb
-
-    for (p, w), s in detour.items():
-        repair = target[p]
-        for a in range(k):
-            if a == repair:
-                next_state[s, a] = p
-            elif w > 1:
-                next_state[s, a] = detour[(p, w - 1)]
-            else:
-                next_state[s, a] = absorb
-
-    next_state[absorb, :] = absorb
-
-    return TabularEnv(k, next_state, terminal, reward, initial_state=0, labels=labels)
-
-
-def build_environment(spec, state_budget: int = DEFAULT_STATE_BUDGET) -> TabularEnv:
-    """The environment of a spec; state i is labelled labels[i]."""
-    if isinstance(spec, TrapChainSpec):
-        return build_trap_chain(spec, state_budget)
-    if isinstance(spec, RecoverableBranchSpec):
-        return build_recoverable(spec, state_budget)
-    raise TypeError(f"unknown environment spec {type(spec).__name__}")
+    next_state = np.full((len(labels), spec.vocab), -1, dtype=np.int64)
+    for s, move in enumerate(moves.values()):
+        if move is not None:
+            token, on_token, otherwise = move
+            next_state[s] = index[otherwise]
+            if token is not None:
+                next_state[s, token] = index[on_token]
+    # the trailing False is what the -1 of a terminal state's row reads
+    ends = np.array([label.startswith("terminal:") for label in labels] + [False])
+    reward = (next_state == index["terminal:success"]).astype(np.float64)
+    return TabularEnv(spec.vocab, next_state, ends[next_state], reward,
+                      initial_state=0, labels=labels)

@@ -14,14 +14,13 @@ from .config import (
     ConfigError,
     RunConfig,
     build_run_config,
-    env_signature,
     require_valid,
 )
-from .envs import build_environment
+from .envs import build_environment, env_signature, env_spec_from_config
 from .metrics import MetricsWriter, read_manifest, read_metrics, write_manifest
 from .policy import load_params
 from .rollout import CachedPolicy, evaluate_policy, false_positive_rate
-from .trainer import TrainingRun, env_spec_from_config
+from .trainer import TrainingRun
 
 __all__ = [
     "ComparisonRow",

@@ -21,14 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    experiment_hash,
-    parse_target_sequence,
-    require_valid,
-)
-from .envs import RecoverableBranchSpec, TrapChainSpec, build_environment
+from .config import ConfigError, RunConfig, experiment_hash, require_valid
+from .envs import build_environment, env_spec_from_config
 from .mdpcore import log_softmax
 from .metrics import MetricsRow, replacing
 from .policy import TabularActor, TabularCritic, load_params, save_params
@@ -52,7 +46,6 @@ __all__ = [
     "compute_advantages",
     "critic_grad",
     "critic_loss",
-    "env_spec_from_config",
     "gae",
     "ppo_surrogate_grad",
 ]
@@ -229,13 +222,6 @@ def critic_loss(critic: TabularCritic, batch: RolloutBatch,
 def _file_sha256(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
-
-
-def env_spec_from_config(cfg: RunConfig):
-    if cfg.env == "trap_chain":
-        return TrapChainSpec(cfg.vocab_size, cfg.target_length,
-                             parse_target_sequence(cfg), cfg.doom_padding)
-    return RecoverableBranchSpec(cfg.vocab_size, cfg.target_length, cfg.repair_window)
 
 
 class TrainingRun:

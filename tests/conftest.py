@@ -1,8 +1,9 @@
 """Shared fixtures: small environments, policies, collection helpers, and the
 scalar references the array code is checked against (the per-step records
 with their trajectory dump, the per-trajectory random stream, the per-token
-collection loop, the per-step environment step, the per-element EMA batch
-statistics, and the per-step loops of the trainer)."""
+collection loop, the per-step environment step and the per-(label, token)
+environment rules, the per-element EMA batch statistics, and the per-step
+loops of the trainer)."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from espolab.config import RunConfig
-from espolab.envs import TrapChainSpec, build_trap_chain
+from espolab.envs import RecoverableBranchSpec, TrapChainSpec, build_environment
 from espolab.mdpcore import TRAIN_STREAM, derived_rng, log_softmax
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
@@ -35,7 +36,7 @@ from espolab.variants import variant_dispatch
 @pytest.fixture
 def small_env():
     """Trap chain K=4, L=3, padding=2 (7 states)."""
-    return build_trap_chain(TrapChainSpec(4, 3, (0, 1, 2), 2))
+    return build_environment(TrapChainSpec(4, 3, (0, 1, 2), 2))
 
 
 def random_actor(env, rng, scale=1.0):
@@ -179,6 +180,72 @@ def env_step(env, state_id: int, action: int) -> tuple[int, bool, float]:
         raise ValueError(f"step() called on terminal state {state_id}")
     return (int(env.next_state[state_id, action]), bool(env.terminal[state_id, action]),
             float(env.reward[state_id, action]))
+
+
+def _chain_move(spec, p: int, token: int, wrong: tuple[str, bool, float]):
+    """The target token at chain position p leads on, past the last position
+    to the success terminal with reward 1; any other token makes `wrong`."""
+    if token != spec.target_sequence[p]:
+        return wrong
+    if p + 1 < spec.target_length:
+        return f"chain:{p + 1}", False, 0.0
+    return "terminal:success", True, 1.0
+
+
+def _trap_chain_rules(spec):
+    """Doomed branch labels in state order, and the move of (label, token)."""
+    n = spec.doom_padding
+    if n is None:
+        branch, entry = ["doom:absorb"], ("doom:absorb", False, 0.0)
+    else:
+        branch = [f"doom:{r}" for r in range(n, 0, -1)] + ["terminal:failure"]
+        entry = (f"doom:{n}", False, 0.0) if n else ("terminal:failure", True, 0.0)
+
+    def move(label: str, token: int):
+        kind, _, at = label.partition(":")
+        if kind == "chain":
+            return _chain_move(spec, int(at), token, entry)
+        if at == "absorb":
+            return "doom:absorb", False, 0.0
+        if int(at) > 1:
+            return f"doom:{int(at) - 1}", False, 0.0
+        return "terminal:failure", True, 0.0
+
+    return branch, move
+
+
+def _recoverable_rules(spec):
+    """Detour labels (then the absorbing doom) in state order, and the move of
+    (label, token). Every chain position expects token 0."""
+    window = spec.repair_window
+    branch = [f"detour:{p}:{w}" for p in range(spec.target_length)
+              for w in range(window, 0, -1)] + ["doom:absorb"]
+
+    def move(label: str, token: int):
+        kind, _, at = label.partition(":")
+        if kind == "chain":
+            entry = f"detour:{at}:{window}" if window else "doom:absorb"
+            return _chain_move(spec, int(at), token, (entry, False, 0.0))
+        if kind == "detour":
+            p, w = (int(x) for x in at.split(":"))
+            if token == 0:
+                return f"chain:{p}", False, 0.0
+            return (f"detour:{p}:{w - 1}" if w > 1 else "doom:absorb"), False, 0.0
+        return "doom:absorb", False, 0.0
+
+    return branch, move
+
+
+def oracle_environment(spec) -> tuple[list[str], dict]:
+    """A spec's environment written per (label, token) from the rules in the
+    envs.py docstrings: the state labels in order (the chain, the success
+    terminal, then the family's branch), and for each non-terminal label and
+    token its (next label, terminal, reward)."""
+    rules = {TrapChainSpec: _trap_chain_rules, RecoverableBranchSpec: _recoverable_rules}
+    branch, move = rules[type(spec)](spec)
+    labels = [f"chain:{p}" for p in range(spec.target_length)] + ["terminal:success", *branch]
+    return labels, {(label, a): move(label, a) for label in labels
+                    if not label.startswith("terminal:") for a in range(spec.vocab)}
 
 
 def trajectory_rng(master_seed: int, batch_index: int, traj_index: int) -> np.random.Generator:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from espolab.config import RunConfig
-from espolab.envs import RecoverableBranchSpec, TrapChainSpec, build_recoverable, build_trap_chain
+from espolab.envs import RecoverableBranchSpec, TrapChainSpec, build_environment
 from espolab.harness import (
     compare_runs,
     false_positive_rate,
@@ -137,7 +137,7 @@ def test_criterion_01_gae_oracle():
 
 def test_criterion_02_gradient_oracles():
     rng = np.random.default_rng(1002)
-    env = build_trap_chain(TrapChainSpec(4, 3, (0, 1, 2), 2))
+    env = build_environment(TrapChainSpec(4, 3, (0, 1, 2), 2))
     cfg = RunConfig(clip_ratio=0.2)
     started = time.monotonic()
     h = 1e-5
@@ -249,7 +249,7 @@ def test_criterion_05_ppo_reduction(tmp_path):
 def test_criterion_06_causality_and_determinism(tmp_path):
     # frozen-snapshot causality: each trajectory is unchanged when others are
     # removed or reordered
-    env = build_trap_chain(TrapChainSpec(8, 12, tuple(range(8)) + (0, 1, 2, 3), None))
+    env = build_environment(TrapChainSpec(8, 12, tuple(range(8)) + (0, 1, 2, 3), None))
     rng = np.random.default_rng(1006)
     actor = random_actor(env, rng)
     critic = random_critic(env, rng)
@@ -353,7 +353,7 @@ def test_criterion_10_false_positive_harness(tmp_path):
 
     # (b) frozen-policy measurement on recoverable(m=3): finite FP rate that
     # strictly decreases when beta is raised 7.0 -> 10.0
-    env = build_recoverable(RecoverableBranchSpec(8, 12, 3))
+    env = build_environment(RecoverableBranchSpec(8, 12, 3))
     actor = TabularActor(env.state_count, env.vocab_size)
     for i, label in enumerate(env.labels):
         row = np.zeros(8)

@@ -12,12 +12,12 @@ from espolab.config import (
     RunConfig,
     build_run_config,
     config_hash,
-    env_signature,
     load_config_file,
     parse_target_sequence,
     to_flat_dict,
     validate_run_config,
 )
+from espolab.envs import env_signature
 
 
 KINDS = ("int", "float", "bool", "str", "int | None", "float | None")
@@ -158,6 +158,17 @@ class TestValidation:
         assert any("length" in e for e in validate_run_config(cfg))
         cfg = RunConfig(target_sequence="1,2,9", target_length=3, vocab_size=4)
         assert any("vocab" in e for e in validate_run_config(cfg))
+
+    @pytest.mark.parametrize("keys", [
+        dict(doom_padding=10**9),
+        dict(env="recoverable", target_length=10, repair_window=10**5),
+        dict(target_length=10**9),  # rejected before a target this long is generated
+        dict(state_budget=13),  # the default chain has 12 + 2 states
+    ])
+    def test_environment_over_the_state_budget_rejected(self, keys):
+        errors = validate_run_config(RunConfig(**keys))
+        assert len(errors) == 1 and "state_budget" in errors[0], errors
+        assert validate_run_config(RunConfig(state_budget=14)) == []
 
 
 class TestHashingAndSignature:

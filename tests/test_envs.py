@@ -2,22 +2,35 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+from espolab.config import RunConfig
 from espolab.envs import (
     RecoverableBranchSpec,
     StateBudgetError,
     TrapChainSpec,
     build_environment,
-    build_recoverable,
-    build_trap_chain,
+    env_spec_from_config,
     generate_target_sequence,
 )
 
-from conftest import env_step
+from conftest import env_step, oracle_environment
+
+# every family on a grid with its smallest cases: length 1, vocab 2, no
+# padding, no repair window
+_targets = np.random.default_rng(7)
+ORACLE_GRID = [
+    *(TrapChainSpec(vocab, length, tuple(int(t) for t in _targets.integers(0, vocab, length)),
+                    padding)
+      for vocab, length, padding in product((2, 3, 64), (1, 2, 5), (None, 0, 1, 2, 5))),
+    *(RecoverableBranchSpec(vocab, length, window)
+      for vocab, length, window in product((2, 3, 64), (1, 2, 5), (0, 1, 2, 3))),
+]
 
 
 def rollout_actions(env, actions, t_max=64):
@@ -33,7 +46,7 @@ def rollout_actions(env, actions, t_max=64):
 class TestTrapChain:
     def setup_method(self):
         self.spec = TrapChainSpec(4, 3, (0, 1, 2), doom_padding=2)
-        self.env = build_trap_chain(self.spec)
+        self.env = build_environment(self.spec)
 
     def test_all_correct_sequence_terminates_with_reward(self):
         length, reward = rollout_actions(self.env, [0, 1, 2])
@@ -90,7 +103,7 @@ class TestTrapChain:
                     frontier.append(nxt)
 
     def test_absorbing_default_runs_to_horizon(self):
-        env = build_trap_chain(TrapChainSpec(4, 3, (0, 1, 2), doom_padding=None))
+        env = build_environment(TrapChainSpec(4, 3, (0, 1, 2), doom_padding=None))
         length, reward = rollout_actions(env, [3] * 50, t_max=50)
         assert (length, reward) == (50, 0.0)
 
@@ -114,11 +127,83 @@ class TestEnumerateStates:
         with pytest.raises(StateBudgetError):
             build_environment(TrapChainSpec(4, 50, tuple([0] * 50), None), state_budget=10)
 
+    @pytest.mark.parametrize("spec", [TrapChainSpec(4, 3, (0, 1, 2), 10**6),
+                                      RecoverableBranchSpec(4, 10, 10**5)],
+                             ids=["doom_padding", "repair_window"])
+    def test_budget_is_checked_before_any_state_is_enumerated(self, spec):
+        # enumerating a million states takes hundreds of MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(StateBudgetError, match="budget is 100000"):
+                build_environment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_state_count_is_the_number_of_labels(self):
+        for spec in ORACLE_GRID:
+            assert spec.state_count == len(build_environment(spec).labels), spec
+
+
+class TestScalarOracle:
+    def test_tables_equal_the_per_label_rules(self):
+        for spec in ORACLE_GRID:
+            env = build_environment(spec)
+            labels, moves = oracle_environment(spec)
+            assert env.labels == labels, spec
+            assert env.initial_state == 0 and env.vocab_size == spec.vocab
+            assert (env.next_state.dtype, env.terminal.dtype, env.reward.dtype) == (
+                np.int64, np.bool_, np.float64)
+            for s, label in enumerate(labels):
+                for a in range(spec.vocab):
+                    got = (int(env.next_state[s, a]), bool(env.terminal[s, a]),
+                           float(env.reward[s, a]))
+                    if label.startswith("terminal:"):
+                        assert got == (-1, False, 0.0), (spec, label, a)
+                    else:
+                        nxt, terminal, reward = moves[(label, a)]
+                        assert got == (labels.index(nxt), terminal, reward), (spec, label, a)
+
+
+class TestPinnedTables:
+    """sha256 of the transition tables and labels of the benchmark workloads'
+    environments, computed before the builder was rewritten: a change meant
+    to keep the state numbering keeps these."""
+
+    WORKLOADS = {
+        "protocol-espo": (
+            dict(vocab_size=8, target_length=12),
+            "ed9c79e4e499b5a43da8795bf3713e1c3cf9d7e49ac95711f979a8c848aef221"),
+        "wide-vocab-espo": (
+            dict(vocab_size=64, target_length=12),
+            "d2bf9fe14dfc6237c72f94306ee3954cb22266f1c3b0c60ceff832524b328429"),
+        "counterfactual-long": (
+            dict(env="recoverable", target_length=48, repair_window=8),
+            "ac98338eea767e97d21d33fc128d72cae9e09d5f6c7052f5f0ddee10b6c346c9"),
+    }
+
+    @staticmethod
+    def digest(env) -> str:
+        h = hashlib.sha256()
+        for table in (env.next_state, env.terminal, env.reward, env.absorbing):
+            h.update(f"{table.dtype.str}{table.shape}".encode())
+            h.update(table.tobytes())
+        h.update(f"{env.initial_state}\n".encode())
+        h.update("\n".join(env.labels).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("name", list(WORKLOADS))
+    def test_workload_tables(self, name):
+        keys, want = self.WORKLOADS[name]
+        cfg = RunConfig(**keys)
+        assert self.digest(build_environment(env_spec_from_config(cfg), cfg.state_budget)) == want
+
 
 class TestRecoverableBranch:
     def setup_method(self):
         self.spec = RecoverableBranchSpec(4, 3, repair_window=2)
-        self.env = build_recoverable(self.spec)
+        self.env = build_environment(self.spec)
         self.target = self.spec.target_sequence  # all zeros
 
     def test_wrong_then_repair_still_succeeds(self):
@@ -132,8 +217,8 @@ class TestRecoverableBranch:
         assert length == 20  # absorbing doom runs to the cap
 
     def test_window_zero_reduces_to_trap_chain(self):
-        flat = build_recoverable(RecoverableBranchSpec(4, 3, 0))
-        trap = build_trap_chain(TrapChainSpec(4, 3, (0, 0, 0), None))
+        flat = build_environment(RecoverableBranchSpec(4, 3, 0))
+        trap = build_environment(TrapChainSpec(4, 3, (0, 0, 0), None))
         rng = np.random.default_rng(1)
         for _ in range(200):
             actions = [int(a) for a in rng.integers(0, 4, size=10)]
@@ -195,7 +280,7 @@ class TestTargetGeneration:
             TrapChainSpec(4, 2, (0, 0, 0))
 
     def test_terminal_state_step_rejected(self):
-        env = build_trap_chain(TrapChainSpec(4, 3, (0, 1, 2), 2))
+        env = build_environment(TrapChainSpec(4, 3, (0, 1, 2), 2))
         success = next(i for i, lbl in enumerate(env.labels) if lbl == "terminal:success")
         with pytest.raises(ValueError):
             env_step(env, success, 0)

@@ -89,16 +89,24 @@ class TestPackageSurface:
         assert not unused, unused
 
     def test_no_dead_definitions(self):
-        # every function, class and method defined in src/ must be read in
-        # src/ or perfbench/, or exported in its module's __all__; Python
-        # itself calls the dunder methods
+        # every function, class and method defined in src/, and every name a
+        # src/ module assigns at its top level, must be read in src/ or
+        # perfbench/, or exported in its module's __all__; Python itself
+        # calls the dunder methods and reads the dunder names
         import espolab
 
         src = pathlib.Path(espolab.__file__).parent
         bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
         read, defined = set(), []
         for path in sorted(src.glob("*.py")) + sorted(bench.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in tree.body if path.parent == src else ():
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, ast.AnnAssign) else [])
+                defined += [(f"{path.name}:{node.lineno}", name.id)
+                            for target in targets for name in ast.walk(target)
+                            if isinstance(name, ast.Name) and not name.id.startswith("__")]
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -403,10 +411,10 @@ class TestAtomicWrites:
 
 
 class TestCompareRuns:
-    def synthetic_run(self, path, variant, tokens, success, seed=0):
+    def synthetic_run(self, path, variant, tokens, success, seed=0, **keys):
         """Minimal on-disk run: manifest + two metrics rows."""
         os.makedirs(path, exist_ok=True)
-        cfg = RunConfig(variant=variant, seed=seed)
+        cfg = RunConfig(variant=variant, seed=seed, **keys)
         write_manifest(path, cfg, status="complete", wall_time_s=1.0)
         with MetricsWriter(os.path.join(path, "metrics.csv")) as writer:
             writer.write(MetricsRow(1, tokens // 2, 1.0, 1.0, 0.0, 0.0, 1.0,
@@ -455,6 +463,24 @@ class TestCompareRuns:
                                     7.0, 0.0, 1.0, 0.0, 0.0, False))
         with pytest.raises(ValueError, match="environments"):
             compare_runs([a, b])
+
+    def test_trap_chain_runs_that_differ_in_repair_window_compare(self, tmp_path):
+        # the trap chain never reads repair_window
+        a = run_experiment(tiny_config(variant="ppo", total_steps=2, eval_episodes=8,
+                                       out_dir=str(tmp_path / "ppo")))
+        b = run_experiment(tiny_config(total_steps=2, eval_episodes=8, repair_window=5,
+                                       out_dir=str(tmp_path / "espo")))
+        assert [row.variant for row in compare_runs([a, b])] == ["espo", "ppo"]
+
+    @pytest.mark.parametrize("keys", [dict(doom_padding=4), dict(target_seed=3)])
+    def test_recoverable_runs_ignore_the_trap_chain_keys(self, tmp_path, keys):
+        a = self.synthetic_run(str(tmp_path / "a"), "ppo", 1000, 0.5, env="recoverable")
+        b = self.synthetic_run(str(tmp_path / "b"), "espo", 800, 0.5, env="recoverable", **keys)
+        assert len(compare_runs([a, b])) == 2
+        c = self.synthetic_run(str(tmp_path / "c"), "espo", 800, 0.5, env="recoverable",
+                               vocab_size=5, **keys)
+        with pytest.raises(ValueError, match="environments"):
+            compare_runs([a, c])
 
     def test_token_saving_pct(self):
         assert token_saving_pct(839.24, 1072.40) == pytest.approx(21.7419, abs=1e-3)
@@ -520,6 +546,14 @@ class TestAblateAndEval:
                 "--variants", f"espo,ppo,{bad}"]
         assert cli_main(argv) == 1
         assert f"variant {bad!r} is unknown or repeated" in capsys.readouterr().err
+        assert not out_root.exists()
+
+    def test_ablate_rejects_an_environment_over_the_budget_before_any_run(self, tmp_path,
+                                                                           capsys):
+        out_root = tmp_path / "matrix"
+        assert cli_main(["ablate", "--doom-padding", "1000000000",
+                         "--out-root", str(out_root)]) == 1
+        assert "state_budget" in capsys.readouterr().err
         assert not out_root.exists()
 
     def test_ablate_rejects_a_bad_variant_config_before_any_run(self, tmp_path, capsys):
@@ -661,6 +695,13 @@ class TestCli:
         assert cli_main(["train", flag, "--out-dir", str(out_dir)]) == 1
         key = flag[2:].split("=")[0].replace("-", "_")
         assert f"{key} must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_environment_over_the_budget_writes_nothing(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert cli_main(["train", "--doom-padding", "1000000000",
+                         "--out-dir", str(out_dir)]) == 1
+        assert "state_budget=100000" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_resume_appends_identical_rows(self, tmp_path):

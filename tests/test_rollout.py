@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import espolab
-from espolab.envs import TrapChainSpec, build_trap_chain
+from espolab.envs import TrapChainSpec, build_environment
 from espolab.config import RunConfig
 from espolab.mdpcore import log_softmax
 from espolab.policy import TabularActor, TabularCritic
@@ -50,7 +50,7 @@ from conftest import (
 
 
 def make_env(padding=None, vocab=4, length=3):
-    return build_trap_chain(TrapChainSpec(vocab, length, tuple(range(length)), padding))
+    return build_environment(TrapChainSpec(vocab, length, tuple(range(length)), padding))
 
 
 def make_traj(length, reason=StopReason.NATURAL_END, outcome=0.0,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from espolab.config import RunConfig
-from espolab.envs import TrapChainSpec, build_trap_chain
+from espolab.envs import TrapChainSpec, build_environment
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
     COUNTERFACTUAL,
@@ -55,7 +55,7 @@ def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
     """Every step collect_batch records for an actor whose every state has
     the given logits plus seeded Gaussian noise; stopping disabled."""
     vocab = len(logits)
-    env = build_trap_chain(TrapChainSpec(vocab, 3, (0, 0, 0), None))
+    env = build_environment(TrapChainSpec(vocab, 3, (0, 0, 0), None))
     actor = TabularActor(env.state_count, vocab)
     rng = np.random.default_rng(seed)
     actor.table = np.asarray(logits) + rng.normal(0.0, noise, size=actor.table.shape)
@@ -69,7 +69,7 @@ def smoothed_scores(frozen_mu, t_max=12):
     """z_1..z_t_max recorded by collect_batch for a uniform actor with
     alpha_s = 0.9: every step regret is 0, so every normalized regret is
     -frozen_mu (clipped)."""
-    env = build_trap_chain(TrapChainSpec(4, 12, tuple(range(4)) * 3, None))
+    env = build_environment(TrapChainSpec(4, 12, tuple(range(4)) * 3, None))
     actor = TabularActor(env.state_count, 4)
     critic = TabularCritic(env.state_count)
     snapshot = plain_snapshot(frozen_mu=frozen_mu, frozen_var=1.0 - 1e-8,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from espolab.config import ConfigError, RunConfig
-from espolab.envs import TrapChainSpec, build_trap_chain
+from espolab.envs import TrapChainSpec, build_environment
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import DISABLED, STANDARD, CachedPolicy, collect_batch
 from espolab.trainer import (
@@ -149,7 +149,7 @@ class TestUndiscountedGae:
 
 
 def small_training_batch(seed=5, beta=0.5, batch_size=6, t_max=8):
-    env = build_trap_chain(TrapChainSpec(4, 3, (0, 1, 2), 2))
+    env = build_environment(TrapChainSpec(4, 3, (0, 1, 2), 2))
     rng = np.random.default_rng(seed)
     actor = random_actor(env, rng)
     critic = random_critic(env, rng)
@@ -562,7 +562,7 @@ class TestSurrogateMemory:
         # K = 64 and 4,096 trained-on steps: one (steps x (K + 1)) scatter
         # would allocate ~4 MiB of indices and as much of weights; the chunked
         # scatter keeps the peak of new allocations under 1 MiB
-        env = build_trap_chain(TrapChainSpec(64, 12, tuple(range(12)), None))
+        env = build_environment(TrapChainSpec(64, 12, tuple(range(12)), None))
         rng = np.random.default_rng(0)
         actor, critic = random_actor(env, rng), random_critic(env, rng)
         batch = collect_batch(actor, critic, plain_snapshot(), env, 64, 64,
