@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 __all__ = [
+    "CALIBRATED",
     "ConfigError",
     "RunConfig",
     "VARIANTS",
@@ -34,6 +35,14 @@ VARIANTS = (
     "regret_only",
     "random_stop",
 )
+
+# Each variant calibrated by a reference espo run, and the key that sets its
+# value directly (precedence: espolab.variants)
+CALIBRATED = {
+    "value_only": "value_stop_threshold",
+    "regret_only": "regret_stop_threshold",
+    "random_stop": "random_stop_rate",
+}
 
 ENV_KINDS = ("trap_chain", "recoverable")
 
@@ -102,7 +111,7 @@ class RunConfig:
     value_stop_threshold: float | None = key(None, "value_only variant: stop when V < this")
     regret_stop_threshold: float | None = key(None, "regret_only variant: stop when z > this")
     random_stop_rate: float | None = key(None, "random_stop variant: fixed per-step hazard")
-    reference_run: str = key("", "run dir used to calibrate value_only/regret_only/random_stop")
+    reference_run: str = key("", f"run dir used to calibrate {'/'.join(CALIBRATED)}")
     # outputs
     checkpoint_every: int = key(0, "save a checkpoint every N steps (0 disables)")
     eval_every: int = key(0, "evaluate greedy/sampled success every N steps (0 disables)")
@@ -190,9 +199,13 @@ def to_flat_dict(cfg: RunConfig) -> dict[str, str]:
     return out
 
 
-def config_hash(cfg: RunConfig) -> str:
-    canon = "\n".join(f"{k}={v}" for k, v in sorted(to_flat_dict(cfg).items()))
+def _digest(cfg: RunConfig, skip=frozenset()) -> str:
+    canon = "\n".join(f"{k}={v}" for k, v in sorted(to_flat_dict(cfg).items()) if k not in skip)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def config_hash(cfg: RunConfig) -> str:
+    return _digest(cfg)
 
 
 # Keys that do not affect the training stream; a checkpoint stays resumable
@@ -204,9 +217,7 @@ OPERATIONAL_KEYS = frozenset({
 
 
 def experiment_hash(cfg: RunConfig) -> str:
-    canon = "\n".join(f"{k}={v}" for k, v in sorted(to_flat_dict(cfg).items())
-                      if k not in OPERATIONAL_KEYS)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return _digest(cfg, OPERATIONAL_KEYS)
 
 
 def _explicit_target(cfg: RunConfig) -> tuple[int, ...]:
@@ -277,16 +288,12 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
     need(cfg.eval_every >= 0, "eval_every must be >= 0")
     if cfg.random_stop_rate is not None:
         need(0.0 <= cfg.random_stop_rate <= 1.0, "random_stop_rate must lie in [0, 1]")
+    if cfg.variant in CALIBRATED:
+        explicit = CALIBRATED[cfg.variant]
+        need(bool(cfg.reference_run) or getattr(cfg, explicit) is not None,
+             f"{cfg.variant} needs reference_run or {explicit}")
     if cfg.variant == "random_stop":
-        need(bool(cfg.reference_run) or cfg.random_stop_rate is not None,
-             "random_stop needs reference_run or random_stop_rate")
         need(not cfg.counterfactual, "counterfactual mode is not defined for random_stop")
-    if cfg.variant == "value_only":
-        need(cfg.value_stop_threshold is not None or bool(cfg.reference_run),
-             "value_only needs value_stop_threshold or reference_run")
-    if cfg.variant == "regret_only":
-        need(cfg.regret_stop_threshold is not None or bool(cfg.reference_run),
-             "regret_only needs regret_stop_threshold or reference_run")
     try:
         seq = _explicit_target(cfg)
     except ConfigError as exc:

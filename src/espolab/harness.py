@@ -6,10 +6,12 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+import shutil
 import statistics
 import time
 
 from .config import (
+    CALIBRATED,
     VARIANTS,
     ConfigError,
     RunConfig,
@@ -36,11 +38,15 @@ __all__ = [
 
 def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
     """Execute one run, writing metrics.csv, manifest.json, and side files to
-    config.out_dir. Fails fast if the output path is unwritable. A fresh run
-    replaces the side files that runs append to; a resumed one appends."""
-    require_valid(config)
+    config.out_dir. Fails fast, before writing anything, if the config is
+    invalid (TrainingRun checks it) or the output path is unwritable. A fresh
+    run replaces the checkpoints and the side files that runs append to; a
+    resumed one keeps them and appends."""
     if not config.out_dir:
         raise ConfigError("run_experiment needs out_dir")
+    started = time.monotonic()
+    run = (TrainingRun(config) if resume_checkpoint is None
+           else TrainingRun.resume(config, resume_checkpoint))
     os.makedirs(config.out_dir, exist_ok=True)
     probe = os.path.join(config.out_dir, ".write_probe")
     try:
@@ -50,17 +56,14 @@ def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
     except OSError as exc:
         raise ConfigError(f"output path {config.out_dir} is not writable: {exc}") from exc
 
-    started = time.monotonic()
-    if resume_checkpoint is not None:
-        run = TrainingRun.resume(config, resume_checkpoint)
-        writer = MetricsWriter(os.path.join(config.out_dir, "metrics.csv"),
-                               resume_at_step=run.step_index)
-    else:
-        run = TrainingRun(config)
+    if resume_checkpoint is None:
+        with contextlib.suppress(FileNotFoundError):
+            shutil.rmtree(os.path.join(config.out_dir, "checkpoints"))
         for name in ("eval.csv", "stop_events.tsv", "trajectories.tsv"):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(config.out_dir, name))
-        writer = MetricsWriter(os.path.join(config.out_dir, "metrics.csv"))
+    writer = MetricsWriter(os.path.join(config.out_dir, "metrics.csv"),
+                           resume_at_step=None if resume_checkpoint is None else run.step_index)
     write_manifest(config.out_dir, config, status="running")
     with writer:
         for row in run.run():
@@ -198,7 +201,7 @@ def ablate(base_config: RunConfig, out_root, variants=VARIANTS) -> dict[str, str
     configs = {}
     for variant in ("espo", *(v for v in variants if v != "espo")):
         overrides = {"record_stop_events": True} if variant == "espo" else {}
-        if variant in ("value_only", "regret_only", "random_stop"):
+        if variant in CALIBRATED:
             overrides["reference_run"] = os.path.join(out_root, "espo")
         configs[variant] = dataclasses.replace(
             base_config, variant=variant, out_dir=os.path.join(out_root, variant), **overrides)

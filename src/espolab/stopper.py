@@ -15,20 +15,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import repeat
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import RunConfig
 from .rollout import RANDOM
-
-if TYPE_CHECKING:  # variants imports StopRule from this module
-    from .variants import VariantPlan
+from .variants import VariantPlan
 
 __all__ = [
-    "StopRule",
     "StopperSnapshot",
     "StopperState",
     "weighted_fsum",
@@ -66,19 +61,14 @@ def weighted_fsum(values: np.ndarray, counts: np.ndarray) -> float:
     return total
 
 
-class StopRule(Enum):
-    ESPO = "espo"              # z > beta * max(V, value_floor)
-    VALUE_ONLY = "value_only"  # V < fixed threshold
-    REGRET_ONLY = "regret_only"  # z > fixed threshold
-
-
 @dataclass(frozen=True, slots=True)
 class StopperSnapshot:
     """Frozen view handed to rollout workers for one batch.
 
     Carries everything the per-step decision needs: frozen normalization
     statistics, the smoothing constant, the effective (annealed) beta, the
-    value floor, warmup status, which rule variant is in force, and the
+    value floor, warmup status, the rule in force (named by its variant id:
+    "espo", "value_only" or "regret_only") with its threshold, and the
     per-step stop hazard of random mode (0.0 in every other mode). Both
     decision inputs are tables over the batch: the normalized regret of every
     (state, token) pair and the stop threshold of every state.
@@ -92,7 +82,7 @@ class StopperSnapshot:
     beta: float = 7.0
     value_floor: float = 0.2
     warmup_active: bool = False
-    rule: StopRule = StopRule.ESPO
+    rule: str = "espo"
     rule_threshold: float = 0.0
     random_stop_rate: float = 0.0
 
@@ -113,9 +103,9 @@ class StopperSnapshot:
         """
         if self.warmup_active:
             return np.full(len(values), np.inf)
-        if self.rule is StopRule.VALUE_ONLY:
+        if self.rule == "value_only":
             return np.where(values < self.rule_threshold, -np.inf, np.inf)
-        if self.rule is StopRule.REGRET_ONLY:
+        if self.rule == "regret_only":
             return np.full(len(values), self.rule_threshold)
         return self.beta * np.maximum(values, self.value_floor)
 

@@ -9,9 +9,11 @@ Each ablation variant differs from full espo by exactly one mechanism:
     regret_only     stop when z > fixed threshold (value gate unused)
     random_stop     per-step hazard replaying a reference run's stop-rate trace
 
-Fixed thresholds for value_only/regret_only default to the medians of (V, z)
-at the reference run's stop events; the random hazard is calibrated from the
-reference run's per-batch stop-rate trace.
+The stop rule is named by its variant id: "espo", "value_only" or
+"regret_only". config.CALIBRATED maps each calibrated variant to the key that
+sets its value. An explicit threshold wins over the median V (value_only) or z
+(regret_only) at the reference run's stop events; random_stop replays the
+reference's per-batch stop-rate trace, which wins over random_stop_rate.
 """
 
 from __future__ import annotations
@@ -20,26 +22,23 @@ import os
 import statistics
 from dataclasses import dataclass
 
-from .config import VARIANTS, ConfigError, RunConfig
+from .config import CALIBRATED, VARIANTS, ConfigError, RunConfig
 from .metrics import read_metrics
 from .rollout import COUNTERFACTUAL, DISABLED, RANDOM, STANDARD
-from .stopper import StopRule
 
 __all__ = [
     "VariantPlan",
-    "load_stop_events",
-    "load_stop_rate_trace",
+    "load_reference",
     "variant_dispatch",
 ]
 
 
 @dataclass(frozen=True)
 class VariantPlan:
-    variant: str
     mode_kind: str  # DISABLED exactly when the stopper takes no part
     early_stop_reward: float
     warmup_enabled: bool
-    rule: StopRule
+    rule: str  # "espo", "value_only" or "regret_only"
     rule_threshold: float
     beta_updates_enabled: bool
     random_trace: tuple[float, ...] | None = None
@@ -51,32 +50,28 @@ class VariantPlan:
         return self.mode_kind != DISABLED
 
 
-def load_stop_rate_trace(run_dir) -> tuple[float, ...]:
-    rows = read_metrics(os.path.join(run_dir, "metrics.csv"))
-    if not rows:
-        raise ConfigError(f"reference run {run_dir} has no metrics rows")
-    return tuple(row.stop_rate for row in rows)
-
-
-def load_stop_events(run_dir) -> tuple[float, float]:
-    """Median (value_estimate, z) over the reference run's stop events."""
-    path = os.path.join(run_dir, "stop_events.tsv")
-    values, zs = [], []
+def load_reference(run_dir, variant: str) -> float | tuple[float, ...]:
+    """What the reference run gives a calibrated variant: its per-batch
+    stop-rate trace (random_stop), or the median V (value_only) or z
+    (regret_only) over its stop events."""
+    if variant == "random_stop":
+        rows = read_metrics(os.path.join(run_dir, "metrics.csv"))
+        if not rows:
+            raise ConfigError(f"reference run {run_dir} has no metrics rows")
+        return tuple(row.stop_rate for row in rows)
+    column = 3 if variant == "value_only" else 4  # value_estimate, z
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(os.path.join(run_dir, "stop_events.tsv"), encoding="utf-8") as fh:
             fh.readline()  # header
-            for line in fh:
-                parts = line.split("\t")
-                if len(parts) >= 5:
-                    values.append(float(parts[3]))
-                    zs.append(float(parts[4]))
+            picked = [float(parts[column]) for parts in (line.split("\t") for line in fh)
+                      if len(parts) >= 5]
     except FileNotFoundError as exc:
         raise ConfigError(
             f"reference run {run_dir} has no stop_events.tsv "
             "(rerun it with record_stop_events = true)") from exc
-    if not values:
+    if not picked:
         raise ConfigError(f"reference run {run_dir} recorded no stop events")
-    return statistics.median(values), statistics.median(zs)
+    return statistics.median(picked)
 
 
 def variant_dispatch(cfg: RunConfig) -> VariantPlan:
@@ -84,53 +79,30 @@ def variant_dispatch(cfg: RunConfig) -> VariantPlan:
     variant = cfg.variant
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-
-    early_stop_reward = 0.0 if variant == "espo_no_penalty" else cfg.r_fail
-    warmup_enabled = variant != "espo_no_warmup"
-    rule = StopRule.ESPO
-    rule_threshold = 0.0
-    beta_updates = True
-    random_trace = None
-    random_fixed = None
-
-    if variant == "value_only":
-        rule = StopRule.VALUE_ONLY
-        beta_updates = False
-        if cfg.value_stop_threshold is not None:
-            rule_threshold = cfg.value_stop_threshold
-        else:
-            rule_threshold, _ = load_stop_events(cfg.reference_run)
-    elif variant == "regret_only":
-        rule = StopRule.REGRET_ONLY
-        beta_updates = False
-        if cfg.regret_stop_threshold is not None:
-            rule_threshold = cfg.regret_stop_threshold
-        else:
-            _, rule_threshold = load_stop_events(cfg.reference_run)
-
     if variant == "ppo" or cfg.disable_stopping:
         mode_kind = DISABLED
     elif variant == "random_stop":
         mode_kind = RANDOM
-        beta_updates = False
-        if cfg.reference_run:
-            random_trace = load_stop_rate_trace(cfg.reference_run)
-        else:
-            random_fixed = cfg.random_stop_rate
     elif cfg.counterfactual:
         mode_kind = COUNTERFACTUAL
     else:
         mode_kind = STANDARD
+    rule = variant if variant in ("value_only", "regret_only") else "espo"
+    random_mode = mode_kind == RANDOM
+
+    # a calibrated variant's value: its key's or its reference run's
+    explicit = getattr(cfg, CALIBRATED[variant]) if variant in CALIBRATED else None
+    from_reference = (bool(cfg.reference_run) if random_mode
+                      else explicit is None and rule != "espo")
+    calibration = load_reference(cfg.reference_run, variant) if from_reference else explicit
 
     return VariantPlan(
-        variant=variant,
         mode_kind=mode_kind,
-        early_stop_reward=early_stop_reward,
-        warmup_enabled=warmup_enabled,
+        early_stop_reward=0.0 if variant == "espo_no_penalty" else cfg.r_fail,
+        warmup_enabled=variant != "espo_no_warmup",
         rule=rule,
-        rule_threshold=rule_threshold,
-        beta_updates_enabled=beta_updates,
-        random_trace=random_trace,
-        random_fixed_rate=random_fixed,
+        rule_threshold=0.0 if rule == "espo" else calibration,
+        beta_updates_enabled=rule == "espo" and not random_mode,
+        random_trace=calibration if random_mode and from_reference else None,
+        random_fixed_rate=calibration if random_mode and not from_reference else None,
     )
-

@@ -28,7 +28,7 @@ from espolab.rollout import (
     RolloutBatch,
     collect_batch,
 )
-from espolab.stopper import StopperSnapshot, StopperState, StopRule
+from espolab.stopper import StopperSnapshot, StopperState
 from espolab.trainer import AdvantageSet
 from espolab.variants import variant_dispatch
 
@@ -268,9 +268,9 @@ def decide(snapshot: StopperSnapshot, z: float, value: float) -> bool:
     fires while warmup is active."""
     if snapshot.warmup_active:
         return False
-    if snapshot.rule is StopRule.VALUE_ONLY:
+    if snapshot.rule == "value_only":
         return value < snapshot.rule_threshold
-    if snapshot.rule is StopRule.REGRET_ONLY:
+    if snapshot.rule == "regret_only":
         return z > snapshot.rule_threshold
     return z > snapshot.beta * max(value, snapshot.value_floor)
 

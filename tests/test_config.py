@@ -132,6 +132,12 @@ class TestValidation:
         assert any("value_only" in e for e in errs)
         ok = RunConfig(variant="value_only", value_stop_threshold=0.1)
         assert validate_run_config(ok) == []
+        # each calibrated variant without either source names both
+        for variant, key in (("value_only", "value_stop_threshold"),
+                             ("regret_only", "regret_stop_threshold"),
+                             ("random_stop", "random_stop_rate")):
+            errs = validate_run_config(RunConfig(variant=variant))
+            assert any("reference_run" in e and key in e for e in errs), (variant, errs)
 
     @pytest.mark.parametrize("key, value", [
         ("lr_actor", float("nan")),
@@ -180,6 +186,13 @@ class TestHashingAndSignature:
         # any renamed key or changed default moves it
         assert config_hash(RunConfig()) == (
             "a95c9cc2a96f98dc1311ae28cbbd37e7b039e5946056e842a2dc39d72e42f1ad")
+
+    def test_default_experiment_hash_is_pinned(self):
+        # checkpoints store it in state.json; if it moves, they stop resuming
+        from espolab.config import experiment_hash
+
+        assert experiment_hash(RunConfig()) == (
+            "2bb96ad0cc973edb364afbaf14b61af320518b859a684016591c3f9b2c1732e8")
 
     def test_flat_dict_round_trips_floats(self):
         cfg = RunConfig(lr_actor=0.1 + 0.2)  # 0.30000000000000004

@@ -126,19 +126,50 @@ class TestBenchmarkHooks:
     `TrainingRun.ppo` to the trainer functions; a src change that breaks
     either fails here, not only in the benchmark's own suite."""
 
-    def test_every_traced_target_resolves(self):
+    @staticmethod
+    def targets():
+        """spans.TARGETS, (module, attribute path, span name) each, read
+        without importing perfbench."""
         spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
         tree = ast.parse(spans.read_text(encoding="utf-8"))
-        targets = next(ast.literal_eval(node.value) for node in tree.body
-                       if isinstance(node, ast.Assign)
-                       and getattr(node.targets[0], "id", None) == "TARGETS")
+        return next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "TARGETS")
+
+    @staticmethod
+    def resolve(module_name, path):
+        """The object that holds a target's attribute, and the attribute."""
+        owner = importlib.import_module(module_name)
+        *parents, attr = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        return owner, attr
+
+    def test_every_traced_target_resolves(self):
+        targets = self.targets()
         assert targets
         for module_name, path, _span in targets:
-            owner = importlib.import_module(module_name)
-            *parents, attr = path.split(".")
-            for part in parents:
-                owner = getattr(owner, part)
+            owner, attr = self.resolve(module_name, path)
             assert attr in vars(owner), f"{module_name}: {path}"
+
+    def test_every_traced_span_is_recorded(self, tmp_path, monkeypatch):
+        # perfbench's layer_metrics looks each span name up in a traced run's
+        # totals, so a target that a run no longer calls is a KeyError there
+        calls = {}
+
+        def counted(span, fn):
+            def wrapper(*args, **kwargs):
+                calls[span] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module_name, path, span in self.targets():
+            owner, attr = self.resolve(module_name, path)
+            calls[span] = 0
+            monkeypatch.setattr(owner, attr, counted(span, vars(owner)[attr]))
+        run_experiment(tiny_config(out_dir=str(tmp_path), total_steps=4, checkpoint_every=2,
+                                   eval_every=2, eval_episodes=8))
+        assert [span for span, n in calls.items() if not n] == []
 
     def test_run_ppo_feeds_the_trainer_functions(self):
         run = TrainingRun(tiny_config())
@@ -198,11 +229,10 @@ class TestVariantDispatch:
         base = tiny_config(value_stop_threshold=0.25, regret_stop_threshold=0.5,
                            random_stop_rate=0.1)
         espo = dataclasses.asdict(variant_dispatch(base))
-        assert espo["variant"] == "espo"
         for variant, fields in expected.items():
             plan = dataclasses.asdict(variant_dispatch(
                 dataclasses.replace(base, variant=variant)))
-            changed = {k for k in plan if plan[k] != espo[k]} - {"variant"}
+            changed = {k for k in plan if plan[k] != espo[k]}
             assert changed == fields, variant
 
     def test_no_penalty_keeps_truncation_but_zeroes_reward(self):
@@ -218,15 +248,48 @@ class TestVariantDispatch:
         assert saw_stop
 
     def test_value_only_and_regret_only_rules(self):
-        from espolab.stopper import StopRule
-
         plan_d = variant_dispatch(tiny_config(variant="value_only",
                                               value_stop_threshold=0.25))
-        assert plan_d.rule is StopRule.VALUE_ONLY and plan_d.rule_threshold == 0.25
+        assert plan_d.rule == "value_only" and plan_d.rule_threshold == 0.25
         assert plan_d.beta_updates_enabled is False
         plan_e = variant_dispatch(tiny_config(variant="regret_only",
                                               regret_stop_threshold=0.5))
-        assert plan_e.rule is StopRule.REGRET_ONLY and plan_e.rule_threshold == 0.5
+        assert plan_e.rule == "regret_only" and plan_e.rule_threshold == 0.5
+
+    @staticmethod
+    def reference_run(path) -> str:
+        """A reference run directory: stop rates 0.25 then 0.5, and stop
+        events whose medians are V = -0.3 and z = 1.5."""
+        os.makedirs(path)
+        with MetricsWriter(os.path.join(path, "metrics.csv")) as writer:
+            for step, rate in ((1, 0.25), (2, 0.5)):
+                writer.write(MetricsRow(step, 10 * step, 1.0, 1.0, rate, 0.0, 1.0, 0.0,
+                                        7.0, 0.0, 1.0, 0.0, 0.0, False))
+        with open(os.path.join(path, "stop_events.tsv"), "w", encoding="utf-8") as fh:
+            fh.write("step\ttrajectory\tstop_step\tvalue_estimate\tz\n")
+            for value, z in ((-0.5, 1.0), (-0.3, 2.0), (0.1, 1.5)):
+                fh.write(f"1\t0\t3\t{value!r}\t{z!r}\n")
+        return str(path)
+
+    @pytest.mark.parametrize("variant, key, explicit, median", [
+        ("value_only", "value_stop_threshold", 0.25, -0.3),
+        ("regret_only", "regret_stop_threshold", 0.5, 1.5),
+    ])
+    def test_an_explicit_threshold_wins_over_the_reference(self, tmp_path, variant, key,
+                                                            explicit, median):
+        reference = self.reference_run(tmp_path / "espo")
+        cfg = tiny_config(variant=variant, reference_run=reference)
+        assert variant_dispatch(cfg).rule_threshold == median
+        plan = variant_dispatch(dataclasses.replace(cfg, **{key: explicit}))
+        assert plan.rule_threshold == explicit
+
+    def test_random_stop_replays_the_reference_over_a_fixed_rate(self, tmp_path):
+        reference = self.reference_run(tmp_path / "espo")
+        cfg = tiny_config(variant="random_stop", random_stop_rate=0.1)
+        plan = variant_dispatch(cfg)
+        assert plan.random_trace is None and plan.random_fixed_rate == 0.1
+        plan = variant_dispatch(dataclasses.replace(cfg, reference_run=reference))
+        assert plan.random_trace == (0.25, 0.5) and plan.random_fixed_rate is None
 
 
 class TestFalsePositiveRate:
@@ -315,6 +378,34 @@ class TestMetricsFiles:
             str(p) for p in once[0]}
         run_experiment(cfg)
         assert files() == once
+
+    def test_fresh_run_replaces_the_checkpoints(self, tmp_path):
+        # an earlier run's checkpoints would stay resumable beside a
+        # metrics.csv that no longer holds their run
+        cfg = tiny_config(out_dir=str(tmp_path), total_steps=4, checkpoint_every=2)
+        run_experiment(cfg)
+        checkpoints = tmp_path / "checkpoints"
+        assert sorted(p.name for p in checkpoints.iterdir()) == [
+            "final", "step_000002", "step_000004"]
+        run_experiment(dataclasses.replace(cfg, checkpoint_every=0))
+        assert [p.name for p in checkpoints.iterdir()] == ["final"]
+
+    def test_a_run_validates_its_config_once(self, tmp_path, monkeypatch):
+        import espolab.config
+
+        calls = []
+        validate = espolab.config.validate_run_config
+        monkeypatch.setattr(espolab.config, "validate_run_config",
+                            lambda cfg: calls.append(cfg) or validate(cfg))
+        cfg = tiny_config(out_dir=str(tmp_path), total_steps=4, checkpoint_every=2)
+        run_experiment(cfg)
+        assert calls == [cfg]
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text("".join(metrics.read_text().splitlines(True)[:3]))
+        run_experiment(cfg, resume_checkpoint=tmp_path / "checkpoints" / "step_000002")
+        assert calls == [cfg, cfg]
+        assert sorted(p.name for p in (tmp_path / "checkpoints").iterdir()) == [
+            "final", "step_000002", "step_000004"]
 
     def test_unwritable_out_dir_fails_fast(self):
         cfg = tiny_config(out_dir="/proc/definitely/not/writable")
