@@ -39,7 +39,8 @@ __all__ = [
 def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
     """Execute one run, writing metrics.csv, manifest.json, and side files to
     config.out_dir. Fails fast, before writing anything, if the config is
-    invalid (TrainingRun checks it) or the output path is unwritable. A fresh
+    invalid (TrainingRun checks it) or the output path is unwritable. A run
+    that raises later marks its manifest failed, with the error. A fresh
     run replaces the checkpoints and the side files that runs append to; a
     resumed one keeps them and appends."""
     if not config.out_dir:
@@ -65,9 +66,15 @@ def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
     writer = MetricsWriter(os.path.join(config.out_dir, "metrics.csv"),
                            resume_at_step=None if resume_checkpoint is None else run.step_index)
     write_manifest(config.out_dir, config, status="running")
-    with writer:
-        for row in run.run():
-            writer.write(row)
+    try:
+        with writer:
+            for row in run.run():
+                writer.write(row)
+    except BaseException as exc:
+        write_manifest(config.out_dir, config, status="failed",
+                       wall_time_s=time.monotonic() - started,
+                       error=f"{type(exc).__name__}: {exc}")
+        raise
     write_manifest(config.out_dir, config, status="complete",
                    wall_time_s=time.monotonic() - started)
     return config.out_dir

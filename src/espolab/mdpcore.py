@@ -2,20 +2,25 @@
 
 Policies are categorical distributions over a small token vocabulary,
 represented as unnormalized logit vectors. Everything here is a pure function
-over value data. keyed_uniforms computes a block of keyed streams at once and
-gives the same bits as numpy's SeedSequence -> PCG64 -> Generator per stream.
+over value data. keyed_seeds seeds a block of keyed streams at once as uint64
+arrays, and keyed_uniforms draws from them the same bits as numpy's
+SeedSequence -> PCG64 -> Generator per stream, keeping the last block it
+seeded for the next call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
 
 __all__ = [
     "derived_rng",
+    "keyed_seeds",
     "keyed_uniforms",
     "log_softmax",
+    "seeded_uniforms",
 ]
 
 # Stream tags keep training / evaluation / initialization draws on disjoint
@@ -54,13 +59,18 @@ def derived_rng(master_seed: int, *key: int) -> np.random.Generator:
 
 
 # numpy's SeedSequence hash constants (a pool of four uint32 words) and the
-# PCG64 multiplier, reproduced by keyed_uniforms.
+# PCG64 multiplier, reproduced by keyed_seeds.
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = map(np.uint64, divmod(0x2360ED051FC65DA44385DF649FCCF645, 1 << 64))
+
+# keyed_uniforms seeds up to KEY_BLOCK consecutive last keys, aligned, at
+# once, and at most SEED_ROWS rows. KEY_BLOCK is a power of two, so an aligned
+# block never spans a change in the key's word count (at 2**32, 2**64, ...).
+KEY_BLOCK = 32
+SEED_ROWS = 2048
 
 
 def _hash_consts(const: int, mult: int):
@@ -102,16 +112,20 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _keyed_pools(master_seed: int, key_prefix, first: int, count: int) -> np.ndarray:
-    """SeedSequence(master_seed, spawn_key=(*key_prefix, i)).pool for each
-    row index i in first .. first + count - 1, as the columns of a 4 x count
-    uint32 array. Only the last entropy word, the row index, differs between
-    rows, so every earlier word is mixed in once in Python ints."""
+def _keyed_pools(master_seed: int, key_prefix, first: int, count: int,
+                 keys: int = 1) -> np.ndarray:
+    """SeedSequence(master_seed, spawn_key=(*key_prefix[:-1], key_prefix[-1] + k, i)).pool
+    for each k in 0 .. keys - 1 and row index i in first .. first + count - 1, as
+    the columns of a 4 x (keys * count) uint32 array, k-major. The keys must
+    share their word count. The first four entropy words, the seed's, are
+    mixed in Python ints; every later word is mixed in as a uint32 array
+    broadcast over (keys, rows)."""
     if first < 0 or first + count > 1 << 32:
         raise ValueError("keyed stream row indices must lie in [0, 2**32)")
+    *head, last = key_prefix
     seed_words = _words(master_seed)
     entropy = seed_words + [0] * (4 - len(seed_words))  # padded: the key is non-empty
-    for key in key_prefix:
+    for key in head:
         entropy += _words(key)
     chain = _hash_consts(_INIT_A, _MULT_A)
     pool = [_hash(word, *next(chain)) for word in entropy[:4]]
@@ -119,12 +133,13 @@ def _keyed_pools(master_seed: int, key_prefix, first: int, count: int) -> np.nda
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], *next(chain)))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(chain)))
-    xors, mults = np.array(list(islice(chain, 4)), dtype=np.uint32).T[..., None]
+    last_words = np.array([_words(k) for k in range(last, last + keys)], dtype=np.uint32)
     rows = np.arange(first, first + count, dtype=np.uint32)
-    return _mix(np.array(pool, dtype=np.uint32)[:, None], _hash(rows, xors, mults))
+    pool = np.array(pool, dtype=np.uint32).reshape(4, 1, 1)  # (dst, key, row)
+    for word in [*entropy[4:], *last_words.T[..., None], rows]:
+        xors, mults = np.array(list(islice(chain, 4)), dtype=np.uint32).T.reshape(2, 4, 1, 1)
+        pool = _mix(pool, _hash(word, xors, mults))
+    return pool.reshape(4, keys * count)
 
 
 def _state_words(pools: np.ndarray) -> np.ndarray:
@@ -134,10 +149,57 @@ def _state_words(pools: np.ndarray) -> np.ndarray:
     return words[0::2].astype(np.uint64) | words[1::2].astype(np.uint64) << np.uint64(32)
 
 
-def _pcg64_seed(initstate: int, initseq: int) -> tuple[int, int]:
-    """(state, inc) that pcg64_set_seed gives for 128-bit initstate, initseq."""
-    inc = (initseq << 1 | 1) & _MASK128
-    return ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High 64 bits of each 128-bit product a * b, from 32-bit halves."""
+    a_hi, a_lo, b_hi, b_lo = a >> 32, a & _MASK32, b >> 32, b & _MASK32
+    cross, mid = a_hi * b_lo, a_lo * b_hi
+    carry = ((a_lo * b_lo >> 32) + (cross & _MASK32) + (mid & _MASK32)) >> 32
+    return a_hi * b_hi + (cross >> 32) + (mid >> 32) + carry
+
+
+def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
+    """(state, inc) that pcg64_set_seed gives each column's initstate
+    w0 * 2**64 + w1 and initseq w2 * 2**64 + w3: inc = initseq << 1 | 1 and
+    state = ((inc + initstate) * M + inc) mod 2**128, in uint64 halves. Rows
+    of the 4 x count uint64 result: state high, state low, inc high, inc low."""
+    s_hi, s_lo, q_hi, q_lo = words
+    inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
+    t_lo = inc_lo + s_lo
+    t_hi = inc_hi + s_hi + (t_lo < inc_lo)
+    p_lo = t_lo * _MULT_LO
+    p_hi = _mulhi(t_lo, _MULT_LO) + t_lo * _MULT_HI + t_hi * _MULT_LO
+    state_lo = p_lo + inc_lo
+    return np.stack((p_hi + inc_hi + (state_lo < inc_lo), state_lo, inc_hi, inc_lo))
+
+
+@lru_cache(maxsize=1)
+def keyed_seeds(master_seed: int, key_prefix: tuple[int, ...], first: int, count: int,
+                keys: int = 1) -> np.ndarray:
+    """PCG64 (state, inc) of derived_rng(master_seed, *key_prefix[:-1],
+    key_prefix[-1] + k, i) for each k in 0 .. keys - 1 and row index i in
+    first .. first + count - 1, as the columns of a read-only 4 x (keys * count)
+    uint64 array, k-major (rows as in _pcg64_seeds). Row indices must fit one
+    uint32 word, and the keys must share their word count. The last result is
+    kept for the next call."""
+    seeds = _pcg64_seeds(_state_words(_keyed_pools(master_seed, key_prefix, first, count, keys)))
+    seeds.flags.writeable = False
+    return seeds
+
+
+def seeded_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
+    """n uniforms per column of a keyed_seeds array, one row each: one reused
+    PCG64 takes the column's (state, inc) through its state setter, and
+    numpy's own Generator.random fills the row."""
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    state = {}
+    seeded = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    out = np.empty((seeds.shape[1], n))
+    for row, (s_hi, s_lo, inc_hi, inc_lo) in zip(out, seeds.T.tolist()):
+        state["state"], state["inc"] = s_hi << 64 | s_lo, inc_hi << 64 | inc_lo
+        bit_generator.state = seeded
+        generator.random(out=row)
+    return out
 
 
 def keyed_uniforms(master_seed: int, key_prefix: tuple[int, ...], first: int, count: int,
@@ -145,19 +207,16 @@ def keyed_uniforms(master_seed: int, key_prefix: tuple[int, ...], first: int, co
     """count x n uniforms whose row j is, bit for bit,
     derived_rng(master_seed, *key_prefix, first + j).random(n).
 
-    The rows' SeedSequence pools and state words are hashed together as
-    arrays; each row then seeds one reused PCG64 through its state setter and
-    fills its row through numpy's own Generator.random. Row indices must fit
-    one uint32 word.
+    The streams are seeded a block of consecutive last keys at a time (up to
+    KEY_BLOCK of them, aligned, and at most SEED_ROWS rows), and keyed_seeds
+    keeps the block, so consecutive batch indices of a run share one seeding.
+    Row indices must fit one uint32 word.
     """
-    words = _state_words(_keyed_pools(master_seed, key_prefix, first, count)).T.tolist()
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    seeded = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    out = np.empty((count, n))
-    for row, (s_hi, s_lo, q_hi, q_lo) in zip(out, words):
-        state, inc = _pcg64_seed(s_hi << 64 | s_lo, q_hi << 64 | q_lo)
-        seeded["state"] = {"state": state, "inc": inc}
-        bit_generator.state = seeded
-        generator.random(out=row)
-    return out
+    *head, last = key_prefix
+    keys = KEY_BLOCK
+    while keys > 1 and keys * count > SEED_ROWS:
+        keys //= 2
+    start = last - last % keys
+    block = keyed_seeds(master_seed, (*head, start), first, count, keys)
+    at = (last - start) * count
+    return seeded_uniforms(block[:, at:at + count], n)

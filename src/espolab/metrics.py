@@ -134,7 +134,8 @@ def replacing(path):
 
 
 def write_manifest(out_dir, cfg: RunConfig, status: str,
-                   wall_time_s: float | None = None) -> str:
+                   wall_time_s: float | None = None, error: str | None = None) -> str:
+    """Write manifest.json; `error` is recorded, under that key, only when given."""
     from . import __version__
 
     manifest = {
@@ -146,6 +147,8 @@ def write_manifest(out_dir, cfg: RunConfig, status: str,
         "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "wall_time_s": wall_time_s,
     }
+    if error is not None:
+        manifest["error"] = error
     path = os.path.join(out_dir, "manifest.json")
     with replacing(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

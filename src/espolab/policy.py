@@ -85,14 +85,13 @@ class TabularCritic:
 
 def save_params(actor: TabularActor, critic: TabularCritic, path) -> None:
     """Flat key->value text snapshot; floats serialized via repr (lossless).
-    The file is replaced whole, so a failed write keeps the previous one."""
+    The file is replaced whole, so a failed write keeps the previous one.
+    One write per actor row holds one row's lines in memory at a time."""
     with replacing(path) as fh:
         fh.write(f"shape {actor.state_count} {actor.vocab_size}\n")
-        for s in range(actor.state_count):
-            for k in range(actor.vocab_size):
-                fh.write(f"actor {s} {k} {float(actor.table[s, k])!r}\n")
-        for s in range(critic.state_count):
-            fh.write(f"critic {s} {float(critic.table[s])!r}\n")
+        for s, row in enumerate(actor.table):
+            fh.write("".join([f"actor {s} {k} {v!r}\n" for k, v in enumerate(row.tolist())]))
+        fh.write("".join([f"critic {s} {v!r}\n" for s, v in enumerate(critic.table.tolist())]))
 
 
 def load_params(path) -> tuple[TabularActor, TabularCritic]:

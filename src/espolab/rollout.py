@@ -20,7 +20,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mdpcore import EVAL_STREAM, TRAIN_STREAM, keyed_uniforms, log_softmax
+from .mdpcore import (
+    EVAL_STREAM,
+    SEED_ROWS,
+    TRAIN_STREAM,
+    keyed_seeds,
+    keyed_uniforms,
+    log_softmax,
+    seeded_uniforms,
+)
 from .policy import TabularActor, TabularCritic
 
 if TYPE_CHECKING:  # stopper imports RANDOM from this module
@@ -226,16 +234,17 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
         pairs[live, start:] = s[:, None] * vocab + tokens
 
     # The smoothed score of every decoded column, one column at a time: each
-    # row gets the per-token loop's two roundings per step, in its order.
+    # row gets the per-token loop's two roundings per step, in its order,
+    # z = alpha * z + x, folded in place over the contiguous columns of x.
     width = int(lengths.max()) if batch_size else 0
     pairs = pairs[:, :width]
     alpha = snapshot.alpha_s
-    x = ((1.0 - alpha) * norm_regrets).take(pairs)
-    scores = np.empty_like(x)
-    z = np.zeros(batch_size)
-    for j in range(width):
-        z = alpha * z + x[:, j]
-        scores[:, j] = z
+    columns = ((1.0 - alpha) * norm_regrets).take(pairs.T)  # x, then z
+    z, scaled = np.zeros(batch_size), np.empty(batch_size)
+    for column in columns:
+        np.add(np.multiply(z, alpha, out=scaled), column, out=column)
+        z = column
+    scores = columns.T
 
     # Decide every stop at once. A row's tokens come from its own uniforms
     # alone, so its record up to a stop is what stopping there would have
@@ -279,7 +288,7 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
         hypothetical_stops=hypothetical, snapshot=snapshot, mode=mode)
 
 
-EVAL_CHUNK = 64  # sampled episodes advanced in lockstep at a time
+EVAL_CHUNK = 64  # sampled episodes advanced in lockstep at a time; divides SEED_ROWS
 
 
 def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
@@ -289,9 +298,10 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
     Greedy picks the argmax token. The env and the argmax are deterministic,
     so every greedy episode is the same one: it runs once and scores for all.
     Sampled episodes draw from the policy with per-episode streams keyed by
-    (eval_tag, episode) and advance in lockstep chunks. Success means
-    terminal reward 1. An episode that enters an absorbing state can never
-    reach a terminal, so it is dropped there as a failure.
+    (eval_tag, episode), seeded up to SEED_ROWS episodes at once, and advance
+    in lockstep chunks. Success means terminal reward 1. An episode that
+    enters an absorbing state can never reach a terminal, so it is dropped
+    there as a failure.
     """
     vocab = policy.vocab_size
     next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
@@ -311,8 +321,12 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
         return (episodes if won else 0) / episodes
     successes = 0
     for first in range(0, episodes, EVAL_CHUNK):
+        if first % SEED_ROWS == 0:  # seed the next SEED_ROWS episodes' streams at once
+            seeds = keyed_seeds(seed, (EVAL_STREAM, eval_tag), first,
+                                min(SEED_ROWS, episodes - first))
         count = min(EVAL_CHUNK, episodes - first)
-        uniforms = keyed_uniforms(seed, (EVAL_STREAM, eval_tag), first, count, t_max)
+        at = first % SEED_ROWS
+        uniforms = seeded_uniforms(seeds[:, at:at + count], t_max)
         rows = np.arange(count)
         state = np.full(count, env.initial_state)
         for t in range(t_max):

@@ -45,6 +45,17 @@ def random_actor(env, rng, scale=1.0):
     return actor
 
 
+def params_text(actor, critic) -> str:
+    """save_params's file, written one entry at a time through float repr."""
+    text = f"shape {actor.state_count} {actor.vocab_size}\n"
+    for s in range(actor.state_count):
+        for k in range(actor.vocab_size):
+            text += f"actor {s} {k} {float(actor.table[s, k])!r}\n"
+    for s in range(critic.state_count):
+        text += f"critic {s} {float(critic.table[s])!r}\n"
+    return text
+
+
 def random_critic(env, rng, scale=0.5):
     critic = TabularCritic(env.state_count)
     critic.table = rng.normal(0.0, scale, size=critic.table.shape)

@@ -339,7 +339,7 @@ class TestEvaluatePolicyAgainstScalarLoop:
         actor = TabularActor(env.state_count, 2)
         actor.table = np.random.default_rng(4).normal(0.0, 1.0, size=actor.table.shape)
         policy = CachedPolicy(actor, TabularCritic(env.state_count))
-        for episodes in (1, 64, 150):
+        for episodes in (1, 64, 150, 2100):  # 2,100 seeds its streams in two blocks
             got = evaluate_policy(policy, env, 20, episodes, 5, 2, greedy=False)
             assert got == scalar_evaluate(actor, env, 20, episodes, 5, 2, greedy=False)
         assert 0.0 < got < 1.0

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ import pkgutil
 import numpy as np
 import pytest
 
+from espolab import metrics as metrics_module
 from espolab.cli import main as cli_main
 from espolab.config import ConfigError, RunConfig, config_hash
 from espolab.harness import (
@@ -333,6 +335,22 @@ class TestMetricsFiles:
         for a, b in zip(rows, rows[1:]):
             assert b.cumulative_tokens >= a.cumulative_tokens
 
+    def test_a_run_that_raises_marks_its_manifest_failed(self, tmp_path):
+        # r_fail = 1e308 passes validation, and the actor gradient overflows
+        # at step 12 of this config
+        cfg = RunConfig(variant="espo", r_fail=1e308, vocab_size=4, target_length=3, t_max=16,
+                        batch_size=16, total_steps=20, actor_init_scale=1.0, eta_beta=1.0,
+                        target_stop_rate=0.5, out_dir=str(tmp_path / "run"))
+        with pytest.raises(ValueError, match="non-finite actor gradient") as raised:
+            run_experiment(cfg)
+        manifest = read_manifest(cfg.out_dir)
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == f"ValueError: {raised.value}"
+        assert manifest["config_hash"] == config_hash(cfg)
+        assert len(read_metrics(os.path.join(cfg.out_dir, "metrics.csv"))) == 11
+        complete = run_experiment(tiny_config(out_dir=str(tmp_path / "ok")))
+        assert "error" not in read_manifest(complete)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = tiny_config(out_dir=str(tmp_path / "a"))
         cfg_b = tiny_config(out_dir=str(tmp_path / "b"))
@@ -464,14 +482,23 @@ class TestAtomicWrites:
     def contents(directory):
         return {p.name: p.read_bytes() for p in directory.iterdir()}
 
-    def test_save_params(self, tmp_path):
+    def test_save_params(self, tmp_path, monkeypatch):
         actor, critic = TabularActor(3, 2), TabularCritic(3)
         actor.table[1, 0] = 0.25
         save_params(actor, critic, tmp_path / "params.txt")
         before = self.contents(tmp_path)
         actor.table[1, 0] = -1.5
-        critic.table = critic.table[:1]  # the critic rows run out part-way
-        with pytest.raises(IndexError):
+
+        class TornFile(io.TextIOWrapper):
+            def write(self, text):
+                super().write(text[:40])
+                raise OSError("disk full")
+
+        def torn_open(path, mode, encoding):
+            return TornFile(io.FileIO(path, mode), encoding=encoding)
+
+        monkeypatch.setattr(metrics_module, "open", torn_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
             save_params(actor, critic, tmp_path / "params.txt")
         assert self.contents(tmp_path) == before
 

@@ -12,13 +12,17 @@ import pytest
 from espolab.config import RunConfig
 from espolab.mdpcore import (
     EVAL_STREAM,
+    KEY_BLOCK,
+    SEED_ROWS,
     TRAIN_STREAM,
     _keyed_pools,
-    _pcg64_seed,
+    _pcg64_seeds,
     _state_words,
     derived_rng,
+    keyed_seeds,
     keyed_uniforms,
     log_softmax,
+    seeded_uniforms,
 )
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import CachedPolicy
@@ -157,18 +161,61 @@ class TestKeyedUniforms:
     @pytest.mark.parametrize("prefix", PREFIXES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_stages_equal_numpys_own(self, seed, prefix):
-        first, count = 2**32 - 6, 6
-        pools = _keyed_pools(seed, prefix, first, count)
+        # three consecutive last keys, each with the last six row indices
+        first, count, keys = 2**32 - 6, 6, 3
+        pools = _keyed_pools(seed, prefix, first, count, keys)
         words = _state_words(pools)
-        assert pools.dtype == np.uint32 and words.dtype == np.uint64
-        for j, i in enumerate(range(first, first + count)):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(*prefix, i))
+        seeds = _pcg64_seeds(words)
+        assert pools.dtype == np.uint32 and words.dtype == seeds.dtype == np.uint64
+        assert np.array_equal(keyed_seeds(seed, prefix, first, count, keys), seeds)
+        *head, last = prefix
+        for j, (k, i) in enumerate((k, i) for k in range(keys)
+                                   for i in range(first, first + count)):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(*head, last + k, i))
             assert pools[:, j].tolist() == ss.pool.tolist()
             assert words[:, j].tolist() == ss.generate_state(4, np.uint64).tolist()
-            s_hi, s_lo, q_hi, q_lo = words[:, j].tolist()
             state = np.random.PCG64(ss).state["state"]
-            assert _pcg64_seed(s_hi << 64 | s_lo, q_hi << 64 | q_lo) == (
-                state["state"], state["inc"])
+            s_hi, s_lo, inc_hi, inc_lo = seeds[:, j].tolist()
+            assert (s_hi << 64 | s_lo, inc_hi << 64 | inc_lo) == (state["state"], state["inc"])
+
+    @pytest.mark.parametrize("seed", [0, 2**70 + 1])
+    def test_rows_across_block_boundaries(self, seed):
+        # last keys on both sides of a block boundary, and blocks that end at
+        # 2**32 - 1 and start at 2**32 and 2**33, where the key gains a word
+        assert KEY_BLOCK == 32
+        for last in (31, 32, 33, 2**32 - 1, 2**32, 2**33 - 1, 2**33, 2**33 + 1):
+            for count in (1, 8, 64, 100, 2049):
+                n = 2 if count > 64 else T_MAX
+                out = keyed_uniforms(seed, (TRAIN_STREAM, last), 0, count, n)
+                assert (out == stacked_streams(seed, (TRAIN_STREAM, last), 0, count, n)).all()
+
+    def test_a_block_holds_at_most_seed_rows_streams(self):
+        # 32 keys of up to 64 rows, halved until they fit SEED_ROWS, or one key
+        for count, keys in [(64, 32), (100, 16), (2049, 1)]:
+            keyed_uniforms(0, (TRAIN_STREAM, 40), 0, count, 1)
+            hits = keyed_seeds.cache_info().hits
+            block = keyed_seeds(0, (TRAIN_STREAM, 40 - 40 % keys), 0, count, keys)
+            assert keyed_seeds.cache_info().hits == hits + 1
+            assert block.shape == (4, keys * count) and keys * count <= max(SEED_ROWS, count)
+
+    def test_calls_out_of_order_and_after_a_fresh_seeding(self):
+        # the kept block serves a later key of the same block, a key of an
+        # earlier block in between, and the first call after it is dropped
+        for last in (40, 3, 40, 63, 32):
+            out = keyed_uniforms(7, (TRAIN_STREAM, last), 0, 64, T_MAX)
+            assert (out == stacked_streams(7, (TRAIN_STREAM, last), 0, 64, T_MAX)).all()
+        keyed_seeds.cache_clear()
+        out = keyed_uniforms(7, (TRAIN_STREAM, 40), 0, 64, T_MAX)
+        assert (out == stacked_streams(7, (TRAIN_STREAM, 40), 0, 64, T_MAX)).all()
+        assert not keyed_seeds(7, (TRAIN_STREAM, 32), 0, 64, KEY_BLOCK).flags.writeable
+
+    @pytest.mark.parametrize("first", [0, 960])
+    def test_eval_chunks_of_one_seeded_tag(self, first):
+        # evaluate_policy seeds a tag's 1,024 episodes at once, then fills a
+        # 64-episode chunk at a time
+        seeds = keyed_seeds(12, (EVAL_STREAM, 300), 0, 1024)
+        out = seeded_uniforms(seeds[:, first:first + 64], T_MAX)
+        assert (out == stacked_streams(12, (EVAL_STREAM, 300), first, 64, T_MAX)).all()
 
     def test_row_index_must_fit_one_word(self):
         for first, count in [(2**32 - 1, 2), (2**32, 1), (-1, 2)]:

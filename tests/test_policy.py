@@ -19,6 +19,7 @@ from conftest import (
     Trajectory,
     advantage_set,
     batch_from_trajectories,
+    params_text,
 )
 
 
@@ -229,6 +230,20 @@ class TestParameterSnapshot:
         actor2, critic2 = load_params(path)
         assert np.array_equal(actor.table, actor2.table)
         assert np.array_equal(critic.table, critic2.table)
+
+    def test_bytes_equal_the_per_entry_oracle(self, tmp_path):
+        # a 434-state actor, the recoverable env's size, with signed zeros,
+        # subnormals and entries near the float range
+        rng = np.random.default_rng(434)
+        actor, critic = TabularActor(434, 8), TabularCritic(434)
+        actor.table = rng.normal(0, 3, size=(434, 8))
+        actor.table.flat[rng.choice(actor.table.size, 40, replace=False)] = [
+            -0.0, 0.0, 5e-324, -5e-324, 2.2e-308 / 3, 1e308, -1e308, 1.7976931348623157e308] * 5
+        critic.table = rng.normal(0, 1, size=434)
+        critic.table[:4] = [-0.0, 5e-324, 1e308, 1e-310]
+        path = tmp_path / "params.txt"
+        save_params(actor, critic, path)
+        assert path.read_bytes() == params_text(actor, critic).encode()
 
     def test_malformed_snapshot_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

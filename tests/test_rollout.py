@@ -15,7 +15,7 @@ import pytest
 import espolab
 from espolab.envs import TrapChainSpec, build_environment
 from espolab.config import RunConfig
-from espolab.mdpcore import log_softmax
+from espolab.mdpcore import keyed_seeds, log_softmax
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import (
     COUNTERFACTUAL,
@@ -379,6 +379,33 @@ class TestBatchDeterminism:
             changed.flat[0] += 1.0
             assert (dataclasses.replace(batch, **{field: changed}).trajectories
                     != batch.trajectories), field
+
+    @pytest.mark.parametrize("overrides", [
+        dict(variant="espo"),
+        dict(variant="random_stop", random_stop_rate=0.05),
+    ], ids=["standard", "random"])
+    def test_step_50_collected_alone_equals_the_run_batch(self, overrides):
+        # the 50th batch of a run, collected again alone with the streams'
+        # kept block dropped first, as a fresh process would: every array
+        # equal, and the snapshot and mode too
+        cfg = RunConfig(vocab_size=4, target_length=3, t_max=12, batch_size=8, seed=5,
+                        total_steps=50, actor_init_scale=1.0, beta_init=1.0, beta_max=2.0,
+                        eta_beta=0.1, **overrides)
+        run = TrainingRun(cfg)
+        for _ in range(49):
+            run.step()
+        actor, critic = run.actor.copy(), run.critic.copy()
+        run.step()
+        batch = run.last_batch
+        keyed_seeds.cache_clear()
+        again = collect_batch(actor, critic, batch.snapshot, run.env, cfg.batch_size,
+                              cfg.t_max, batch.mode, run.plan.early_stop_reward, cfg.seed, 50)
+        for field in dataclasses.fields(batch):
+            ours, theirs = getattr(again, field.name), getattr(batch, field.name)
+            if isinstance(theirs, np.ndarray):
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field.name
+            else:
+                assert ours == theirs, field.name
 
 
 class TestTokenAccounting:
