@@ -86,9 +86,13 @@ class TabularCritic:
 def save_params(actor: TabularActor, critic: TabularCritic, path) -> None:
     """Flat key->value text snapshot; floats serialized via repr (lossless).
     The file is replaced whole, so a failed write keeps the previous one.
-    One write per actor row holds one row's lines in memory at a time."""
+    One write per actor row holds one row's lines in memory at a time. A
+    critic table that does not fit the actor's states is refused first."""
+    states, vocab = actor.table.shape
+    if critic.table.shape != (states,):
+        raise ValueError(f"critic table {critic.table.shape} does not fit {states} states")
     with replacing(path) as fh:
-        fh.write(f"shape {actor.state_count} {actor.vocab_size}\n")
+        fh.write(f"shape {states} {vocab}\n")
         for s, row in enumerate(actor.table):
             fh.write("".join([f"actor {s} {k} {v!r}\n" for k, v in enumerate(row.tolist())]))
         fh.write("".join([f"critic {s} {v!r}\n" for s, v in enumerate(critic.table.tolist())]))

@@ -3,20 +3,19 @@
 collect_batch gives every trajectory of a batch what the published collection
 loop gives it: sample the token, compute the step regret, normalize it
 against the frozen batch statistics, fold it into the smoothed score, and
-only then test the stop rule. The sampled token at the stop step is retained
-and carries the failure reward; nothing past the stop is recorded or
-counted, and simultaneous natural termination wins over the stop rule.
-
-Counterfactual-extend mode records where the rule WOULD have fired and keeps
-the trajectory to its natural end, so the prefix up to the hypothetical stop
-index is bit-identical to what standard mode would have produced under the
-same seeds.
+only then test the snapshot's stop rule. Every batch records, per row, the
+first step where the rule fired (`stops`). The collection mode decides only
+what that stop does. Standard mode cuts the row there: the sampled token at
+the stop step is retained and carries the failure reward, nothing past the
+stop is recorded or counted, and simultaneous natural termination wins over
+the stop rule. Counterfactual-extend mode keeps the row to its natural end,
+so the prefix up to the stop is bit-identical to what standard mode would
+have produced under the same seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,9 +29,8 @@ from .mdpcore import (
     seeded_uniforms,
 )
 from .policy import TabularActor, TabularCritic
-
-if TYPE_CHECKING:  # stopper imports RANDOM from this module
-    from .stopper import StopperSnapshot
+from .stopper import StopperSnapshot
+from .variants import COUNTERFACTUAL, STANDARD
 
 __all__ = [
     "CachedPolicy",
@@ -42,11 +40,6 @@ __all__ = [
     "evaluate_policy",
     "false_positive_rate",
 ]
-
-STANDARD = "standard"
-COUNTERFACTUAL = "counterfactual"
-DISABLED = "disabled"
-RANDOM = "random"
 
 
 class CachedPolicy:
@@ -95,8 +88,9 @@ class RolloutBatch:
     The per-step arrays are B x T, one row per trajectory and one column per
     step; entries at or past a row's length are zero. `scores` holds the
     smoothed score z after each step. Per row: the length, the stop code (an
-    index into STOP_REASONS), the outcome reward, and the counterfactual
-    hypothetical stop step (-1 where the criterion never fired).
+    index into STOP_REASONS), the outcome reward, and the stop: the first
+    step where the rule fired, -1 where it never did. A standard row that
+    stopped ends there (length stop + 1); a counterfactual row runs on.
     """
 
     states: np.ndarray
@@ -109,7 +103,7 @@ class RolloutBatch:
     lengths: np.ndarray
     stop_codes: np.ndarray
     outcomes: np.ndarray
-    hypothetical_stops: np.ndarray
+    stops: np.ndarray
     snapshot: StopperSnapshot
     mode: str  # the collection mode collect_batch was given
 
@@ -123,29 +117,21 @@ class RolloutBatch:
 
     @property
     def effective_lengths(self) -> np.ndarray:
-        """Length of each trained-on span: up to the hypothetical stop, if any."""
-        return np.where(self.hypothetical_stops >= 0, self.hypothetical_stops + 1,
-                        self.lengths)
-
-    @property
-    def stop_indices(self) -> np.ndarray:
-        """Step at which the stop rule fired, in earnest or hypothetically;
-        -1 where it never fired."""
-        stopped = np.where(self.stop_codes == EARLY_STOP, self.lengths - 1, -1)
-        return np.where(self.hypothetical_stops >= 0, self.hypothetical_stops, stopped)
+        """Length of each trained-on span: up to the stop, if any."""
+        return np.where(self.stops >= 0, self.stops + 1, self.lengths)
 
     @property
     def trajectories(self) -> tuple:
         """The rows as plain values, built on each access: per row, its step
         tuples (state, action, log-prob, value, regret, normalized regret,
-        score), stop code, outcome and hypothetical stop. Two batches hold
-        the same rows exactly when their views are equal."""
+        score), stop code, outcome and stop. Two batches hold the same rows
+        exactly when their views are equal."""
         columns = (self.states, self.actions, self.log_probs, self.values, self.regrets,
                    self.normalized_regrets, self.scores)
         rows = zip(self.lengths.tolist(), self.stop_codes.tolist(), self.outcomes.tolist(),
-                   self.hypothetical_stops.tolist())
-        return tuple((tuple(zip(*(c[i, :n].tolist() for c in columns))), code, outcome, hyp)
-                     for i, (n, code, outcome, hyp) in enumerate(rows))
+                   self.stops.tolist())
+        return tuple((tuple(zip(*(c[i, :n].tolist() for c in columns))), code, outcome, stop)
+                     for i, (n, code, outcome, stop) in enumerate(rows))
 
 
 def false_positive_rate(batch: RolloutBatch) -> float:
@@ -153,10 +139,8 @@ def false_positive_rate(batch: RolloutBatch) -> float:
     still earned reward 1. Only defined for counterfactual-extend batches."""
     if batch.mode != COUNTERFACTUAL:
         raise ValueError("false_positive_rate requires a counterfactual-extend batch")
-    if not batch.size:
-        return 0.0
-    hits = np.count_nonzero((batch.hypothetical_stops >= 0) & (batch.outcomes == 1.0))
-    return int(hits) / batch.size
+    hits = np.count_nonzero((batch.stops >= 0) & (batch.outcomes == 1.0))
+    return int(hits) / batch.size if batch.size else 0.0
 
 
 def collect_batch(actor: TabularActor, critic: TabularCritic,
@@ -168,27 +152,30 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
 
     Each trajectory owns the stream keyed by (batch_index, its index), so the
     batch contents do not depend on collection order or worker scheduling.
-    Trajectory i draws all its uniforms up front: one per step, or two in
-    random-stop mode (2t samples step t's token, 2t+1 is its stop test). The
-    batch then advances in lockstep, one column per step, over the policy
-    cache, the environment tables and the snapshot's regret and threshold
-    tables.
+    Trajectory i draws all its uniforms up front: one per step, or two under
+    the random_stop rule (2t samples step t's token, 2t+1 is its stop test).
+    The batch then advances in lockstep, one column per step, over the
+    policy cache, the environment tables and the snapshot's regret and
+    threshold tables.
 
     Every row first decodes its tokens to its natural end or the horizon.
     Then the smoothed score z is folded from the normalized regrets of the
     decoded columns, and one test over the whole batch finds each row's
-    first step where the stop rule fires. The token at the stop step is kept
-    and carries r_fail (0.0 under the no-penalty ablation); nothing past a
-    stop is recorded or counted, and a natural end at the same step wins
-    over the stop rule. Counterfactual-extend mode records where the rule
-    would first have fired and keeps the row to its natural end. `mode` is
-    one of STANDARD, COUNTERFACTUAL, DISABLED and RANDOM; random mode stops
-    at the snapshot's random_stop_rate.
+    first step where the snapshot's rule fires (the random_stop rule at the
+    snapshot's random_stop_rate, ignoring warmup; the ppo rule never). A
+    natural end at the same step wins over the stop rule. `mode` is
+    STANDARD or COUNTERFACTUAL. In standard mode the token at the stop step
+    is kept and carries r_fail (0.0 under the no-penalty ablation), and
+    nothing past a stop is recorded or counted. Counterfactual-extend mode
+    keeps the row to its natural end.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    if mode not in (STANDARD, COUNTERFACTUAL):
+        raise ValueError(f"unknown collection mode {mode!r}")
     pol = cache if cache is not None else CachedPolicy(actor, critic)
-    draws_per_step = 2 if mode == RANDOM else 1
+    random_rule = snapshot.rule == "random_stop"
+    draws_per_step = 2 if random_rule else 1
     uniforms = keyed_uniforms(master_seed, (TRAIN_STREAM, batch_index), 0, batch_size,
                               draws_per_step * t_max)
     norm_regrets = snapshot.normalize(pol.regrets).ravel()
@@ -252,21 +239,17 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     stop_codes = np.where(ended, NATURAL_END, HORIZON_CAP).astype(np.int8)
     last = pairs[np.arange(batch_size), lengths - 1]
     outcomes = np.where(ended, env.reward.ravel().take(last), 0.0)
-    hypothetical = np.full(batch_size, -1)
-    if mode != DISABLED:
-        if mode == RANDOM:
-            fires = uniforms[:, 1:2 * width:2] < snapshot.random_stop_rate
-        else:
-            fires = scores > snapshot.stop_thresholds(pol.values).take(pairs // vocab)
-        fires &= np.arange(width) < (lengths - ended)[:, None]
-        fired = np.flatnonzero(fires.any(axis=1))
-        first = fires[fired].argmax(axis=1)
-        if mode == COUNTERFACTUAL:
-            hypothetical[fired] = first
-        else:
-            lengths[fired] = first + 1
-            stop_codes[fired] = EARLY_STOP
-            outcomes[fired] = r_fail
+    if random_rule:
+        fires = uniforms[:, 1:2 * width:2] < snapshot.random_stop_rate
+    else:
+        fires = scores > snapshot.stop_thresholds(pol.values).take(pairs // vocab)
+    fires &= np.arange(width) < (lengths - ended)[:, None]
+    stops = np.where(fires.any(axis=1), fires.argmax(axis=1), -1)
+    if mode == STANDARD:
+        fired = stops >= 0
+        lengths[fired] = stops[fired] + 1
+        stop_codes[fired] = EARLY_STOP
+        outcomes[fired] = r_fail
 
     width = int(lengths.max()) if batch_size else 0
     pairs, scores = pairs[:, :width], scores[:, :width]
@@ -285,7 +268,7 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
         log_probs=gathered(pol.log_probs, pairs), values=gathered(pol.values, states),
         regrets=gathered(pol.regrets, pairs), normalized_regrets=gathered(norm_regrets, pairs),
         scores=scores, lengths=lengths, stop_codes=stop_codes, outcomes=outcomes,
-        hypothetical_stops=hypothetical, snapshot=snapshot, mode=mode)
+        stops=stops, snapshot=snapshot, mode=mode)
 
 
 EVAL_CHUNK = 64  # sampled episodes advanced in lockstep at a time; divides SEED_ROWS

@@ -20,7 +20,6 @@ from itertools import repeat
 import numpy as np
 
 from .config import RunConfig
-from .rollout import RANDOM
 from .variants import VariantPlan
 
 __all__ = [
@@ -67,11 +66,11 @@ class StopperSnapshot:
 
     Carries everything the per-step decision needs: frozen normalization
     statistics, the smoothing constant, the effective (annealed) beta, the
-    value floor, warmup status, the rule in force (named by its variant id:
-    "espo", "value_only" or "regret_only") with its threshold, and the
-    per-step stop hazard of random mode (0.0 in every other mode). Both
-    decision inputs are tables over the batch: the normalized regret of every
-    (state, token) pair and the stop threshold of every state.
+    value floor, warmup status, the rule in force ("ppo", "espo",
+    "value_only", "regret_only" or "random_stop") with its threshold, and the
+    random_stop rule's per-step hazard (0.0 under every other rule). The
+    other rules read two tables over the batch: the normalized regret of
+    every (state, token) pair and the stop threshold of every state.
     """
 
     frozen_mu: float = 0.0
@@ -99,9 +98,10 @@ class StopperSnapshot:
 
         espo: beta * max(V, value_floor); regret_only: the fixed threshold;
         value_only fires on V < threshold whatever z is (-inf there, +inf
-        elsewhere). While warmup is active no state ever fires (+inf).
+        elsewhere). Under ppo, and while warmup is active, no state ever
+        fires (+inf). random_stop fires on its hazard instead.
         """
-        if self.warmup_active:
+        if self.warmup_active or self.rule == "ppo":
             return np.full(len(values), np.inf)
         if self.rule == "value_only":
             return np.where(values < self.rule_threshold, -np.inf, np.inf)
@@ -209,7 +209,7 @@ class StopperState:
         if plan.random_trace is not None:
             base = 1.0 - (1.0 - min(self._traced_rate(step), 1.0)) ** (1.0 / cfg.t_max)
             rate = min(max(base + self.random_correction, 0.0), 1.0)
-        elif plan.mode_kind == RANDOM:
+        elif plan.rule == "random_stop":
             rate = plan.random_fixed_rate or 0.0
         return StopperSnapshot(
             frozen_mu=self.mu_g,
@@ -235,7 +235,7 @@ class StopperState:
         """Update after training step `step`: EMA and the random hazard's
         correction, then the warmup gate while it is armed (on release, the
         anneal spans anneal_fraction of the steps left), else anneal progress
-        and, once it is over, the controller."""
+        and, once it is over, the controller (under the espo rule only)."""
         self.update_ema(regrets)
         if self.plan.random_trace is not None:
             gain = self.cfg.eta_beta / self.cfg.t_max
@@ -246,7 +246,7 @@ class StopperState:
                 remaining = max(0, self.cfg.total_steps - step)
                 self.anneal_horizon = math.ceil(self.cfg.anneal_fraction * remaining)
             return
-        if self.steps_since_warmup >= self.anneal_horizon and self.plan.beta_updates_enabled:
+        if self.steps_since_warmup >= self.anneal_horizon and self.plan.rule == "espo":
             self.update_beta(stop_rate)
         self.steps_since_warmup += 1
 

@@ -4,10 +4,10 @@ TD errors with absorbing-state handling, GAE, the clipped surrogate gradient,
 critic regression, and the loop that sequences warmup -> anneal -> controller.
 
 Every trajectory ends in a terminal event (natural end, horizon cap, or early
-stop) and none of them bootstraps past the final step. Counterfactual-mode
-trajectories whose criterion fired train as if truncated there: the masked
-tail is excluded from gradients, statistics, and rate accounting, and the
-simulated stop step carries the early-stop reward.
+stop) and none of them bootstraps past the final step. A trajectory whose
+rule fired trains as if truncated at its stop: in counterfactual mode the
+masked tail is excluded from gradients, statistics, and rate accounting, and
+the stop step carries the early-stop reward in either mode.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .mdpcore import log_softmax
 from .metrics import MetricsRow, replacing
 from .policy import TabularActor, TabularCritic, load_params, save_params
 from .rollout import (
-    COUNTERFACTUAL,
     STOP_REASONS,
     CachedPolicy,
     RolloutBatch,
@@ -36,7 +35,7 @@ from .rollout import (
     false_positive_rate,
 )
 from .stopper import StopperState
-from .variants import VariantPlan, variant_dispatch
+from .variants import COUNTERFACTUAL, VariantPlan, variant_dispatch
 
 logger = logging.getLogger(__name__)
 
@@ -99,8 +98,8 @@ def compute_advantages(batch: RolloutBatch, config: RunConfig,
     over each trajectory's effective span.
 
     Uses the critic values recorded at collection time. Only the last step is
-    rewarded: with the outcome reward, or the early-stop reward at a
-    hypothetical stop. The last step bootstraps from exactly 0.0 (every
+    rewarded: with the early-stop reward where the rule fired, else the
+    outcome reward. The last step bootstraps from exactly 0.0 (every
     trajectory terminates), so an early-stop step satisfies
     delta = r_fail - V(s_stop) bit for bit.
     """
@@ -109,7 +108,7 @@ def compute_advantages(batch: RolloutBatch, config: RunConfig,
     values = np.where(mask, batch.values, 0.0)
     rewards = np.zeros_like(values)
     rewards[np.arange(batch.size), lengths - 1] = np.where(
-        batch.hypothetical_stops >= 0, early_stop_reward, batch.outcomes)
+        batch.stops >= 0, early_stop_reward, batch.outcomes)
     bootstrap = np.zeros_like(values)
     bootstrap[:, :-1] = values[:, 1:]
     deltas = rewards + config.gamma * bootstrap - values
@@ -263,7 +262,7 @@ class TrainingRun:
         snapshot = self.stopper.snapshot(step)
         cache = CachedPolicy(self.actor, self.critic)
         batch = collect_batch(self.actor, self.critic, snapshot, self.env,
-                              cfg.batch_size, cfg.t_max, plan.mode_kind,
+                              cfg.batch_size, cfg.t_max, plan.mode,
                               plan.early_stop_reward, cfg.seed, step, cache=cache)
 
         self.last_batch = batch
@@ -283,10 +282,10 @@ class TrainingRun:
         entropy_sum = _sequential_sum(cache.entropies[batch.states[trained]])
         mean_entropy = entropy_sum / regrets.size if regrets.size else 0.0  # per trained-on step
 
-        stop_events = int(np.count_nonzero(batch.stop_indices >= 0))  # real or hypothetical
+        stop_events = int(np.count_nonzero(batch.stops >= 0))  # in either mode
         stop_rate = stop_events / batch.size if batch.size else 0.0
 
-        fp_rate = false_positive_rate(batch) if plan.mode_kind == COUNTERFACTUAL else 0.0
+        fp_rate = false_positive_rate(batch) if plan.mode == COUNTERFACTUAL else 0.0
         n_rows = max(1, batch.size)
 
         success = int(np.count_nonzero(batch.outcomes == 1.0))
@@ -330,18 +329,17 @@ class TrainingRun:
             with open(path, "a", encoding="utf-8") as fh:
                 if fresh:
                     fh.write("step\ttrajectory\tstop_step\tvalue_estimate\tz\n")
-                stop_indices = batch.stop_indices
-                for ti in np.flatnonzero(stop_indices >= 0).tolist():
-                    idx = int(stop_indices[ti])
+                for ti in np.flatnonzero(batch.stops >= 0).tolist():
+                    idx = int(batch.stops[ti])
                     value, z = batch.values[ti, idx].item(), batch.scores[ti, idx].item()
                     fh.write(f"{row.step}\t{ti}\t{idx}\t{value!r}\t{z!r}\n")
         if cfg.dump_trajectories and cfg.out_dir:
             # one line per step: index, state, token, regret, normalized
-            # regret, z, value, and 1 at the (real or hypothetical) stop step
+            # regret, z, value, and 1 at the stop step
             columns = (batch.states, batch.actions, batch.regrets, batch.normalized_regrets,
                        batch.scores, batch.values)
             rows = zip(batch.lengths.tolist(), batch.stop_codes.tolist(),
-                       batch.stop_indices.tolist())
+                       batch.stops.tolist())
             with open(self._out_path("trajectories.tsv"), "a", encoding="utf-8") as fh:
                 for ti, (n, code, stop) in enumerate(rows):
                     fh.write(f"# step {row.step} trajectory {ti} reason {STOP_REASONS[code]}\n")

@@ -9,11 +9,15 @@ Each ablation variant differs from full espo by exactly one mechanism:
     regret_only     stop when z > fixed threshold (value gate unused)
     random_stop     per-step hazard replaying a reference run's stop-rate trace
 
-The stop rule is named by its variant id: "espo", "value_only" or
-"regret_only". config.CALIBRATED maps each calibrated variant to the key that
-sets its value. An explicit threshold wins over the median V (value_only) or z
-(regret_only) at the reference run's stop events; random_stop replays the
-reference's per-batch stop-rate trace, which wins over random_stop_rate.
+A plan's rule decides whether and where a row stops: "ppo" (never; any
+variant under disable_stopping), "espo" (the espo_* variants too),
+"value_only", "regret_only" or "random_stop". Its collection mode decides
+only what a stop does: STANDARD cuts the row, COUNTERFACTUAL records the stop
+and keeps the row. config.CALIBRATED maps each calibrated variant to the key
+that sets its value. An explicit threshold wins over the median V
+(value_only) or z (regret_only) at the reference run's stop events;
+random_stop replays the reference's per-batch stop-rate trace, which wins
+over random_stop_rate.
 """
 
 from __future__ import annotations
@@ -24,30 +28,33 @@ from dataclasses import dataclass
 
 from .config import CALIBRATED, VARIANTS, ConfigError, RunConfig
 from .metrics import read_metrics
-from .rollout import COUNTERFACTUAL, DISABLED, RANDOM, STANDARD
 
 __all__ = [
+    "COUNTERFACTUAL",
+    "STANDARD",
     "VariantPlan",
     "load_reference",
     "variant_dispatch",
 ]
 
+STANDARD = "standard"  # a stop cuts its row
+COUNTERFACTUAL = "counterfactual"  # a stop is recorded and the row decodes on
+
 
 @dataclass(frozen=True)
 class VariantPlan:
-    mode_kind: str  # DISABLED exactly when the stopper takes no part
+    mode: str  # STANDARD or COUNTERFACTUAL
     early_stop_reward: float
     warmup_enabled: bool
-    rule: str  # "espo", "value_only" or "regret_only"
+    rule: str  # "ppo", "espo", "value_only", "regret_only" or "random_stop"
     rule_threshold: float
-    beta_updates_enabled: bool
     random_trace: tuple[float, ...] | None = None
     random_fixed_rate: float | None = None
 
     @property
     def stopping(self) -> bool:
         """Whether the stopper takes part in the run at all."""
-        return self.mode_kind != DISABLED
+        return self.rule != "ppo"
 
 
 def load_reference(run_dir, variant: str) -> float | tuple[float, ...]:
@@ -79,30 +86,23 @@ def variant_dispatch(cfg: RunConfig) -> VariantPlan:
     variant = cfg.variant
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    if variant == "ppo" or cfg.disable_stopping:
-        mode_kind = DISABLED
-    elif variant == "random_stop":
-        mode_kind = RANDOM
-    elif cfg.counterfactual:
-        mode_kind = COUNTERFACTUAL
-    else:
-        mode_kind = STANDARD
-    rule = variant if variant in ("value_only", "regret_only") else "espo"
-    random_mode = mode_kind == RANDOM
+    # each espo_* variant changes a mechanism other than the rule
+    rule = ("ppo" if cfg.disable_stopping
+            else "espo" if variant.startswith("espo_") else variant)
+    random_mode = rule == "random_stop"
 
-    # a calibrated variant's value: its key's or its reference run's
-    explicit = getattr(cfg, CALIBRATED[variant]) if variant in CALIBRATED else None
+    # a calibrated rule's value: its key's or its reference run's
+    explicit = getattr(cfg, CALIBRATED[rule]) if rule in CALIBRATED else None
     from_reference = (bool(cfg.reference_run) if random_mode
-                      else explicit is None and rule != "espo")
-    calibration = load_reference(cfg.reference_run, variant) if from_reference else explicit
+                      else rule in CALIBRATED and explicit is None)
+    calibration = load_reference(cfg.reference_run, rule) if from_reference else explicit
 
     return VariantPlan(
-        mode_kind=mode_kind,
+        mode=COUNTERFACTUAL if cfg.counterfactual else STANDARD,
         early_stop_reward=0.0 if variant == "espo_no_penalty" else cfg.r_fail,
         warmup_enabled=variant != "espo_no_warmup",
         rule=rule,
-        rule_threshold=0.0 if rule == "espo" else calibration,
-        beta_updates_enabled=rule == "espo" and not random_mode,
+        rule_threshold=calibration if rule in ("value_only", "regret_only") else 0.0,
         random_trace=calibration if random_mode and from_reference else None,
         random_fixed_rate=calibration if random_mode and not from_reference else None,
     )

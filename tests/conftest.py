@@ -19,18 +19,10 @@ from espolab.config import RunConfig
 from espolab.envs import RecoverableBranchSpec, TrapChainSpec, build_environment
 from espolab.mdpcore import TRAIN_STREAM, derived_rng, log_softmax
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import (
-    COUNTERFACTUAL,
-    RANDOM,
-    STANDARD,
-    STOP_REASONS,
-    CachedPolicy,
-    RolloutBatch,
-    collect_batch,
-)
+from espolab.rollout import STOP_REASONS, CachedPolicy, RolloutBatch, collect_batch
 from espolab.stopper import StopperSnapshot, StopperState
 from espolab.trainer import AdvantageSet
-from espolab.variants import variant_dispatch
+from espolab.variants import COUNTERFACTUAL, STANDARD, variant_dispatch
 
 
 @pytest.fixture
@@ -150,11 +142,15 @@ class Trajectory:
 
 
 def records(batch: RolloutBatch) -> tuple[Trajectory, ...]:
-    """The rows of a batch as Trajectory records."""
-    return tuple(Trajectory(tuple(StepRecord(*step) for step in steps),
+    """The rows of a batch as Trajectory records. A counterfactual row's stop
+    is its hypothetical stop index; a standard row's stop is where the row
+    was cut, which its record carries as EARLY_STOP and its last step."""
+    rows = tuple(Trajectory(tuple(StepRecord(*step) for step in steps),
                             StopReason(STOP_REASONS[code]), outcome,
-                            hyp if hyp >= 0 else None)
-                 for steps, code, outcome, hyp in batch.trajectories)
+                            stop if batch.mode == COUNTERFACTUAL and stop >= 0 else None)
+                 for steps, code, outcome, stop in batch.trajectories)
+    assert batch.stops.tolist() == [-1 if t.stop_index is None else t.stop_index for t in rows]
+    return rows
 
 
 def dump_trajectory(traj: Trajectory) -> str:
@@ -276,8 +272,9 @@ def pick_from_cumulative(cum_probs, rng: np.random.Generator) -> int:
 
 def decide(snapshot: StopperSnapshot, z: float, value: float) -> bool:
     """The stop rule written out for one step: strict inequalities, nothing
-    fires while warmup is active."""
-    if snapshot.warmup_active:
+    fires under the ppo rule or while warmup is active. (The random_stop rule
+    draws its own test in collect_trajectory.)"""
+    if snapshot.warmup_active or snapshot.rule == "ppo":
         return False
     if snapshot.rule == "value_only":
         return value < snapshot.rule_threshold
@@ -293,8 +290,9 @@ def normalize(snapshot: StopperSnapshot, g: float) -> float:
 
 def collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail, rng) -> Trajectory:
     """The published collection loop, one token at a time: sample, regret,
-    normalize, smooth, then test the stop rule. The oracle collect_batch is
-    compared against."""
+    normalize, smooth, then test the snapshot's stop rule; standard mode ends
+    the trajectory at the first fire, counterfactual mode records it and
+    goes on. The oracle collect_batch is compared against."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     lp_table = log_softmax(actor.table, axis=-1)
@@ -319,13 +317,11 @@ def collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail, rng) -
             stop_reason = StopReason.NATURAL_END
             outcome = env_reward
             break
-        if mode == RANDOM:
+        if snapshot.rule == "random_stop":
             fires = rng.random() < snapshot.random_stop_rate
-        elif mode in (STANDARD, COUNTERFACTUAL):
-            fires = decide(snapshot, z, value)
         else:
-            fires = False
-        if fires and mode != COUNTERFACTUAL:
+            fires = decide(snapshot, z, value)
+        if fires and mode == STANDARD:
             stop_reason = StopReason.EARLY_STOP
             outcome = r_fail
             break
@@ -355,9 +351,8 @@ def batch_from_trajectories(trajectories, snapshot=None, mode=STANDARD) -> Rollo
         stop_codes=np.array([STOP_REASONS.index(t.stop_reason.value) for t in trajectories],
                             dtype=np.int8),
         outcomes=np.array([t.outcome_reward for t in trajectories], dtype=np.float64),
-        hypothetical_stops=np.array(
-            [-1 if t.hypothetical_stop_index is None else t.hypothetical_stop_index
-             for t in trajectories], dtype=np.int64),
+        stops=np.array([-1 if t.stop_index is None else t.stop_index for t in trajectories],
+                       dtype=np.int64),
         snapshot=snapshot, mode=mode)
 
 

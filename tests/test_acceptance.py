@@ -27,7 +27,7 @@ from espolab.harness import (
 from espolab.mdpcore import log_softmax
 from espolab.metrics import MetricsRow, MetricsWriter, read_metrics, write_manifest
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import COUNTERFACTUAL, STANDARD, collect_batch
+from espolab.rollout import collect_batch
 from espolab.stopper import StopperSnapshot
 from espolab.trainer import (
     TrainingRun,
@@ -37,6 +37,7 @@ from espolab.trainer import (
     gae,
     ppo_surrogate_grad,
 )
+from espolab.variants import COUNTERFACTUAL, STANDARD
 
 from conftest import (
     StopReason,

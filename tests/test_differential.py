@@ -34,15 +34,7 @@ from espolab.envs import (  # noqa: E402
 )
 from espolab.mdpcore import EVAL_STREAM, derived_rng  # noqa: E402
 from espolab.policy import TabularActor, TabularCritic  # noqa: E402
-from espolab.rollout import (  # noqa: E402
-    COUNTERFACTUAL,
-    DISABLED,
-    RANDOM,
-    STANDARD,
-    CachedPolicy,
-    collect_batch,
-    evaluate_policy,
-)
+from espolab.rollout import CachedPolicy, collect_batch, evaluate_policy  # noqa: E402
 from espolab.stopper import StopperSnapshot  # noqa: E402
 from espolab.trainer import (  # noqa: E402
     compute_advantages,
@@ -50,6 +42,7 @@ from espolab.trainer import (  # noqa: E402
     critic_loss,
     ppo_surrogate_grad,
 )
+from espolab.variants import COUNTERFACTUAL, STANDARD  # noqa: E402
 
 from conftest import (  # noqa: E402
     collect_trajectory,
@@ -63,7 +56,9 @@ from conftest import (  # noqa: E402
 )
 
 CASES = settings(max_examples=150, deadline=None, database=None, derandomize=True)
-RULES = ("espo", "value_only", "regret_only")  # the stop rules, by variant id
+# the stop rules; the first three fire on thresholds, "ppo" never fires and
+# "random_stop" fires on its hazard
+RULES = ("espo", "value_only", "regret_only", "ppo", "random_stop")
 
 
 @st.composite
@@ -95,13 +90,13 @@ def collection_cases(draw):
         beta=draw(st.floats(0.0, 3.0)), value_floor=draw(st.floats(0.01, 1.0)),
         warmup_active=draw(st.booleans()), rule=rule,
         rule_threshold=draw(st.floats(-1.0, 1.0)))
-    mode = draw(st.sampled_from([STANDARD, COUNTERFACTUAL, DISABLED, RANDOM]))
-    if mode == RANDOM:
+    if rule == "random_stop":
         snapshot = dataclasses.replace(
             snapshot, random_stop_rate=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
     return dict(actor=actor, critic=critic, snapshot=snapshot, env=env,
                 batch_size=draw(st.integers(1, 16)), t_max=draw(st.integers(1, 40)),
-                mode=mode, r_fail=draw(st.sampled_from([-1.0, 0.0])),
+                mode=draw(st.sampled_from([STANDARD, COUNTERFACTUAL])),
+                r_fail=draw(st.sampled_from([-1.0, 0.0])),
                 master_seed=draw(st.integers(0, 10**6)), batch_index=draw(st.integers(0, 500)))
 
 
@@ -123,7 +118,7 @@ class TestCollectBatchAgainstOracle:
         assert batch.lengths.tolist() == [len(t.steps) for t in oracle]
         assert batch.total_tokens == sum(len(t.steps) for t in oracle)
         assert batch.effective_lengths.tolist() == [t.effective_length for t in oracle]
-        assert batch.stop_indices.tolist() == [
+        assert batch.stops.tolist() == [
             -1 if t.stop_index is None else t.stop_index for t in oracle]
         # nothing is recorded at or past a row's length
         past_end = np.arange(batch.states.shape[1]) >= batch.lengths[:, None]
@@ -134,8 +129,10 @@ class TestCollectBatchAgainstOracle:
 
 
 def absorbing_case(kind, seed):
-    """A collect_batch case on an environment with an absorbing state, with
-    stop thresholds near the scores the rows reach."""
+    """A collect_batch case of `kind` (a threshold rule in standard or
+    counterfactual mode, or the random or the ppo rule in standard mode) on
+    an environment with an absorbing state, with stop thresholds near the
+    scores the rows reach."""
     rng = np.random.default_rng(seed)
     vocab, length = int(rng.integers(2, 4)), int(rng.integers(2, 5))
     if seed % 2:
@@ -147,26 +144,27 @@ def absorbing_case(kind, seed):
     actor.table = rng.normal(0.0, 1.0, size=actor.table.shape)
     critic = TabularCritic(env.state_count)
     critic.table = rng.normal(0.0, 0.5, size=critic.table.shape)
-    rule = RULES[seed % 3]
+    rule = {"random": "random_stop", "disabled": "ppo"}.get(kind, RULES[seed % 3])
     snapshot = StopperSnapshot(
         alpha_s=float(rng.uniform(0.3, 0.95)), beta=float(rng.uniform(0.05, 1.5)),
         value_floor=0.1, warmup_active=False, rule=rule,
         rule_threshold=float(rng.uniform(-0.5, 1.0)),
-        random_stop_rate=[0.05, 0.2, 1.0][seed % 3] if kind == RANDOM else 0.0)
+        random_stop_rate=[0.05, 0.2, 1.0][seed % 3] if kind == "random" else 0.0)
     return dict(actor=actor, critic=critic, snapshot=snapshot, env=env,
-                batch_size=12, t_max=int(rng.integers(8, 30)), mode=kind,
+                batch_size=12, t_max=int(rng.integers(8, 30)),
+                mode=COUNTERFACTUAL if kind == "counterfactual" else STANDARD,
                 r_fail=-1.0, master_seed=seed, batch_index=int(rng.integers(0, 50)))
 
 
-def bulk_features(batch, case):
+def bulk_features(batch, case, kind):
     """Which parts of the bulk finish a collected batch went through. Every
     row decodes to its natural end or the horizon whatever the stop rule
-    says, so the bulk start is read from the per-token loop run in the
-    batch's twin mode whose rule never cuts a row (counterfactual, or random
-    with rate 0), on the same tokens: the first column where every row not
+    says, so the bulk start is read from the per-token loop run on the same
+    tokens in the batch's twin that never cuts a row (counterfactual mode,
+    or the random rule with rate 0): the first column where every row not
     yet ended sits in an absorbing state."""
-    env, t_max, kind = case["env"], case["t_max"], case["mode"]
-    if kind == RANDOM:
+    env, t_max = case["env"], case["t_max"]
+    if kind == "random":
         twin = {"snapshot": dataclasses.replace(case["snapshot"], random_stop_rate=0.0)}
     else:
         twin = {"mode": COUNTERFACTUAL}
@@ -184,7 +182,7 @@ def bulk_features(batch, case):
         features.add("rows absorbed at different columns")
     if not entered.all():
         features.add("a row ended before absorbing")
-    stops = batch.stop_indices[live]
+    stops = batch.stops[live]
     if (stops == start).any():
         features.add("fires on the first bulk column")
     if (stops > start).any():
@@ -193,11 +191,10 @@ def bulk_features(batch, case):
         features.add("never fires")
     if ((stops >= 0) & (stops < start)).any():
         features.add("a row that fired before the bulk decodes on into it")
-    if kind == COUNTERFACTUAL:
+    if kind == "counterfactual":
         thresholds = case["snapshot"].stop_thresholds(case["critic"].table)
         again = (batch.scores[:, start:] > thresholds[batch.states[:, start:]]).any(axis=1)
-        if (live & (batch.hypothetical_stops >= 0)
-                & (batch.hypothetical_stops < start) & again).any():
+        if (live & (batch.stops >= 0) & (batch.stops < start) & again).any():
             features.add("fired before the bulk and would fire in it")
     return features
 
@@ -220,14 +217,12 @@ class TestBulkFinishAgainstOracle:
                 case = absorbing_case(kind, seed)
                 batch = collect_batch(**case)
                 assert records(batch) == oracle_batch(case), (kind, seed)
-                seen.update(bulk_features(batch, case))
+                seen.update(bulk_features(batch, case, kind))
             assert set(seen) == features, kind
 
 @st.composite
 def training_cases(draw):
     case = draw(collection_cases())
-    if case["mode"] == RANDOM or draw(st.booleans()):
-        case["mode"] = draw(st.sampled_from([STANDARD, COUNTERFACTUAL]))
     # gamma = lam = 1 (the default) takes gae's suffix-sum path
     gamma, lam = draw(st.one_of(
         st.just((1.0, 1.0)),
@@ -277,8 +272,8 @@ class TestTrainerAgainstScalarLoops:
         actor = TabularActor(small_env.state_count, small_env.vocab_size)
         actor.table = np.random.default_rng(3).normal(0, 1, size=actor.table.shape)
         critic = TabularCritic(small_env.state_count)
-        batch = collect_batch(actor, critic, StopperSnapshot(), small_env, 8, 1,
-                              DISABLED, -1.0, 4, 1)
+        batch = collect_batch(actor, critic, StopperSnapshot(rule="ppo"), small_env, 8, 1,
+                              STANDARD, -1.0, 4, 1)
         advs = compute_advantages(batch, RunConfig(), -1.0)
         assert not advs.advantages.any()
         grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())

@@ -35,16 +35,10 @@ from espolab.metrics import (
     write_manifest,
 )
 from espolab.policy import TabularActor, TabularCritic, save_params
-from espolab.rollout import (
-    COUNTERFACTUAL,
-    DISABLED,
-    RANDOM,
-    STANDARD,
-    CachedPolicy,
-    collect_batch,
-)
+from espolab.rollout import CachedPolicy, collect_batch
+from espolab.stopper import StopperState
 from espolab.trainer import TrainingRun, compute_advantages, ppo_surrogate_grad
-from espolab.variants import variant_dispatch
+from espolab.variants import COUNTERFACTUAL, STANDARD, variant_dispatch
 
 from conftest import StopReason, batch_from_trajectories, dump_batch, plain_snapshot, records
 from test_rollout import make_traj
@@ -89,6 +83,31 @@ class TestPackageSurface:
                     unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                                if (alias.asname or alias.name.split(".")[0]) not in used]
         assert not unused, unused
+
+    def test_no_import_cycle(self):
+        # the package's module-level imports of its own modules, with those
+        # under `if TYPE_CHECKING:` counted, form no cycle; the imports
+        # deferred into functions are exactly the two named here
+        import graphlib
+
+        import espolab
+
+        graph, deferred = {}, set()
+        for path in sorted(pathlib.Path(espolab.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inner = {id(node) for fn in ast.walk(tree)
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for node in ast.walk(fn)}
+            graph[path.stem] = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    edge = node.module or "__init__"
+                    if id(node) in inner:
+                        deferred.add((path.stem, edge))
+                    else:
+                        graph[path.stem].add(edge)
+        graphlib.TopologicalSorter(graph).prepare()  # raises CycleError naming the cycle
+        assert deferred == {("config", "envs"), ("metrics", "__init__")}
 
     def test_no_dead_definitions(self):
         # every function, class and method defined in src/, and every name a
@@ -198,7 +217,7 @@ class TestBenchmarkHooks:
         actor, critic = run.actor.copy(), run.critic.copy()
         run.step()
         batch = run.last_batch
-        assert np.count_nonzero(batch.stop_indices >= 0)
+        assert np.count_nonzero(batch.stops >= 0)
         again = collect_batch(actor, critic, batch.snapshot, run.env, cfg.batch_size,
                               cfg.t_max, batch.mode, run.plan.early_stop_reward, cfg.seed,
                               run.step_index, cache=CachedPolicy(actor, critic))
@@ -218,15 +237,16 @@ class TestVariantDispatch:
             variant_dispatch(cfg)
 
     def test_ablation_plans_differ_from_espo_only_in_their_mechanism(self):
-        # the plan fields each ablation changes relative to espo; rule
-        # ablations also fix the threshold and freeze the controller
+        # the plan fields each ablation changes relative to espo; threshold
+        # rules also fix the threshold and random_stop its rate (the
+        # controller runs under the espo rule alone)
         expected = {
-            "ppo": {"mode_kind"},
+            "ppo": {"rule"},
             "espo_no_warmup": {"warmup_enabled"},
             "espo_no_penalty": {"early_stop_reward"},
-            "value_only": {"rule", "rule_threshold", "beta_updates_enabled"},
-            "regret_only": {"rule", "rule_threshold", "beta_updates_enabled"},
-            "random_stop": {"mode_kind", "beta_updates_enabled", "random_fixed_rate"},
+            "value_only": {"rule", "rule_threshold"},
+            "regret_only": {"rule", "rule_threshold"},
+            "random_stop": {"rule", "random_fixed_rate"},
         }
         base = tiny_config(value_stop_threshold=0.25, regret_stop_threshold=0.5,
                            random_stop_rate=0.1)
@@ -253,7 +273,13 @@ class TestVariantDispatch:
         plan_d = variant_dispatch(tiny_config(variant="value_only",
                                               value_stop_threshold=0.25))
         assert plan_d.rule == "value_only" and plan_d.rule_threshold == 0.25
-        assert plan_d.beta_updates_enabled is False
+        # the controller runs under the espo rule alone: past warmup and
+        # anneal, a full stop rate moves espo's beta and not value_only's
+        for plan, moves in ((plan_d, False), (variant_dispatch(tiny_config()), True)):
+            stopper = StopperState(tiny_config(), plan)
+            stopper.warmup_active = False
+            stopper.end_of_batch(np.array([0.1]), 1.0, 0.0, 1)
+            assert (stopper.beta != tiny_config().beta_init) == moves
         plan_e = variant_dispatch(tiny_config(variant="regret_only",
                                               regret_stop_threshold=0.5))
         assert plan_e.rule == "regret_only" and plan_e.rule_threshold == 0.5
@@ -439,13 +465,13 @@ class TestMetricsFiles:
         assert len(events) > 1
         assert (tmp_path / "run" / "trajectories.tsv").exists()
 
-    @pytest.mark.parametrize("overrides, kind", [
-        (dict(), STANDARD),
-        (dict(counterfactual=True), COUNTERFACTUAL),
-        (dict(variant="random_stop", random_stop_rate=0.05), RANDOM),
-        (dict(variant="ppo"), DISABLED),
+    @pytest.mark.parametrize("overrides, mode, rule", [
+        (dict(), STANDARD, "espo"),
+        (dict(counterfactual=True), COUNTERFACTUAL, "espo"),
+        (dict(variant="random_stop", random_stop_rate=0.05), STANDARD, "random_stop"),
+        (dict(variant="ppo"), STANDARD, "ppo"),
     ], ids=["standard", "counterfactual", "random", "disabled"])
-    def test_trajectory_dump_equals_the_record_oracle(self, tmp_path, overrides, kind):
+    def test_trajectory_dump_equals_the_record_oracle(self, tmp_path, overrides, mode, rule):
         # trajectories.tsv, written from the batch arrays, holds the bytes
         # the per-step record dump gives for every batch of the run
         cfg = tiny_config(out_dir=str(tmp_path), dump_trajectories=True, total_steps=6,
@@ -456,16 +482,16 @@ class TestMetricsFiles:
         for _ in range(cfg.total_steps):
             row = run.step()
             batch = run.last_batch
-            assert batch.mode == kind
+            assert (batch.mode, batch.snapshot.rule) == (mode, rule)
             expected.append(dump_batch(batch, row.step))
             for traj in records(batch):
                 if traj.stop_index is not None:
                     stopped = True
                     flagged_mid_row |= traj.stop_index < len(traj.steps) - 1
         assert (tmp_path / "trajectories.tsv").read_bytes() == "".join(expected).encode()
-        assert stopped == (kind != DISABLED)
+        assert stopped == (rule != "ppo")
         # a hypothetical stop flags a step before the row's end
-        assert flagged_mid_row == (kind == COUNTERFACTUAL)
+        assert flagged_mid_row == (mode == COUNTERFACTUAL)
 
 
 class TestAtomicWrites:
@@ -499,6 +525,18 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(metrics_module, "open", torn_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
+            save_params(actor, critic, tmp_path / "params.txt")
+        assert self.contents(tmp_path) == before
+
+    def test_save_params_refuses_a_critic_of_another_state_count(self, tmp_path):
+        # load_params would reject the file (7 of 9 entries): the save raises
+        # before anything is written and the previous params.txt stays
+        actor, critic = TabularActor(3, 2), TabularCritic(3)
+        save_params(actor, critic, tmp_path / "params.txt")
+        before = self.contents(tmp_path)
+        actor.table[1, 0] = -1.5
+        critic.table = critic.table[:1]
+        with pytest.raises(ValueError, match="does not fit 3 states"):
             save_params(actor, critic, tmp_path / "params.txt")
         assert self.contents(tmp_path) == before
 

@@ -17,19 +17,10 @@ from espolab.envs import TrapChainSpec, build_environment
 from espolab.config import RunConfig
 from espolab.mdpcore import keyed_seeds, log_softmax
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import (
-    COUNTERFACTUAL,
-    DISABLED,
-    EARLY_STOP,
-    RANDOM,
-    STANDARD,
-    CachedPolicy,
-    collect_batch,
-    evaluate_policy,
-)
+from espolab.rollout import EARLY_STOP, CachedPolicy, collect_batch, evaluate_policy
 from espolab.stopper import StopperState
 from espolab.trainer import TrainingRun, compute_advantages
-from espolab.variants import variant_dispatch
+from espolab.variants import COUNTERFACTUAL, STANDARD, variant_dispatch
 
 from conftest import (
     StepRecord,
@@ -76,8 +67,8 @@ class TestCollectTrajectory:
         rng = np.random.default_rng(3)
         actor = random_actor(env, rng)
         critic = random_critic(env, rng)
-        traj = collect_one(actor, critic, plain_snapshot(), env, 8,
-                           DISABLED, seed=7)
+        traj = collect_one(actor, critic, plain_snapshot(rule="ppo"), env, 8,
+                           STANDARD, seed=7)
         oracle_rng = trajectory_rng(7, 1, 0)
         state = env.initial_state
         for rec in traj.steps:
@@ -134,6 +125,16 @@ class TestCollectTrajectory:
         assert extended.stop_reason is StopReason.HORIZON_CAP
         assert extended.hypothetical_stop_index == 7
         assert extended.steps == stopped.steps
+
+    def test_unknown_mode_rejected(self, small_env):
+        # the mode decides only what a stop does, so it is STANDARD or
+        # COUNTERFACTUAL; never stopping and random stops are the snapshot's
+        # rules "ppo" and "random_stop"
+        actor = TabularActor(small_env.state_count, small_env.vocab_size)
+        critic = TabularCritic(small_env.state_count)
+        for mode in ("disabled", "random"):
+            with pytest.raises(ValueError, match="unknown collection mode"):
+                collect_small_batch(small_env, actor, critic, mode=mode)
 
     def test_horizon_cap_gets_zero_outcome(self):
         env = make_env(padding=None)
@@ -228,13 +229,13 @@ class TestCachedPolicy:
 
 
 class TestCounterfactualMode:
-    def collect_pair(self, seed=11, beta=0.5, lean=0.0, frozen_mu=0.0):
+    def collect_pair(self, seed=11, beta=0.5, lean=0.0, frozen_mu=0.0, **snapshot_fields):
         env = make_env(padding=None, vocab=4, length=3)
         rng = np.random.default_rng(seed)
         actor = random_actor(env, rng)
         actor.table[[0, 1, 2], [0, 1, 2]] += lean  # toward the targets 0, 1, 2
         critic = random_critic(env, rng)
-        snapshot = plain_snapshot(beta=beta, frozen_mu=frozen_mu)
+        snapshot = plain_snapshot(beta=beta, frozen_mu=frozen_mu, **snapshot_fields)
         standard = collect_batch(actor, critic, snapshot, env, 16, 12,
                                  STANDARD, -1.0, seed, 1)
         extended = collect_batch(actor, critic, snapshot, env, 16, 12,
@@ -263,7 +264,7 @@ class TestCounterfactualMode:
         # raises z on the chain: the rule fires on rows that still reach the
         # success terminal; standard mode cuts each at the fire with r_fail
         standard, extended = self.collect_pair(lean=2.0, frozen_mu=-1.0)
-        rows = np.flatnonzero((extended.hypothetical_stops >= 0) & (extended.outcomes == 1.0))
+        rows = np.flatnonzero((extended.stops >= 0) & (extended.outcomes == 1.0))
         assert rows.size
         cut, full = records(standard), records(extended)
         for i in rows.tolist():
@@ -286,10 +287,30 @@ class TestCounterfactualMode:
         # a stop index: hypothetical here, real in standard mode
         standard, extended = self.collect_pair()
         fired = sum(1 for t in records(extended) if t.hypothetical_stop_index is not None)
-        assert np.count_nonzero(extended.stop_indices >= 0) == fired
+        assert np.count_nonzero(extended.stops >= 0) == fired
         assert np.count_nonzero(extended.stop_codes == EARLY_STOP) == 0
         stopped = sum(1 for t in records(standard) if t.stop_reason is StopReason.EARLY_STOP)
-        assert np.count_nonzero(standard.stop_indices >= 0) == stopped
+        assert np.count_nonzero(standard.stops >= 0) == stopped
+
+    @pytest.mark.parametrize("rule", ["espo", "value_only", "regret_only", "random_stop", "ppo"])
+    def test_standard_and_counterfactual_stops_are_equal(self, rule):
+        # the rule decides every stop and the mode only what it does, so
+        # under the same seeds both modes find the same first fire in a row
+        standard, extended = self.collect_pair(
+            rule=rule, rule_threshold=0.0 if rule == "value_only" else 0.3,
+            random_stop_rate=0.1)
+        assert standard.stops.dtype == extended.stops.dtype
+        assert np.array_equal(standard.stops, extended.stops)
+        assert (np.count_nonzero(standard.stops >= 0) > 0) == (rule != "ppo")
+
+    def test_standard_rows_end_at_their_stop(self):
+        # a standard row that stopped is cut at its stop: lengths == stops + 1,
+        # and exactly those rows end EARLY_STOP
+        standard, _extended = self.collect_pair()
+        stopped = standard.stops >= 0
+        assert stopped.any()
+        assert np.array_equal(standard.lengths[stopped], standard.stops[stopped] + 1)
+        assert np.array_equal(stopped, standard.stop_codes == EARLY_STOP)
 
 
 class TestRandomStopMode:
@@ -305,9 +326,10 @@ class TestRandomStopMode:
         stops = 0
         trials = 0
         for b in range(100):
-            batch = collect_batch(actor, critic, plain_snapshot(random_stop_rate=q), env, 32,
-                                  t_max, RANDOM, -1.0, 5, b)
-            stops += int(np.count_nonzero(batch.stop_indices >= 0))
+            batch = collect_batch(actor, critic,
+                                  plain_snapshot(rule="random_stop", random_stop_rate=q), env,
+                                  32, t_max, STANDARD, -1.0, 5, b)
+            stops += int(np.count_nonzero(batch.stops >= 0))
             trials += batch.size
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(stops / trials - p) <= 3 * sigma
@@ -369,7 +391,7 @@ class TestBatchDeterminism:
         actor, critic = run.actor.copy(), run.critic.copy()
         run.step()
         batch = run.last_batch
-        assert np.count_nonzero(batch.stop_indices >= 0)
+        assert np.count_nonzero(batch.stops >= 0)
         again = collect_batch(actor, critic, batch.snapshot, run.env, cfg.batch_size,
                               cfg.t_max, batch.mode, run.plan.early_stop_reward, cfg.seed,
                               run.step_index)
@@ -412,8 +434,8 @@ class TestTokenAccounting:
     # the trainer's average lengths divide these sums by the batch size
     def test_arithmetic(self):
         trajs = tuple(make_traj(n) for n in (3, 5, 7, 9))
-        batch = batch_from_trajectories(trajs, plain_snapshot(),
-                                        DISABLED)
+        batch = batch_from_trajectories(trajs, plain_snapshot(rule="ppo"),
+                                        STANDARD)
         assert batch.total_tokens == 24
         assert batch.effective_lengths.tolist() == batch.lengths.tolist() == [3, 5, 7, 9]
 

@@ -14,15 +14,9 @@ from hypothesis import strategies as st
 from espolab.config import RunConfig
 from espolab.envs import TrapChainSpec, build_environment
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import (
-    COUNTERFACTUAL,
-    DISABLED,
-    RANDOM,
-    STANDARD,
-    collect_batch,
-)
+from espolab.rollout import EARLY_STOP, collect_batch
 from espolab.stopper import StopperSnapshot, StopperState, weighted_fsum
-from espolab.variants import variant_dispatch
+from espolab.variants import COUNTERFACTUAL, STANDARD, variant_dispatch
 
 from conftest import batch_statistics, make_stopper, plain_snapshot, records
 
@@ -60,8 +54,8 @@ def collected_steps(logits, batch_size=32, t_max=8, seed=0, noise=0.0):
     rng = np.random.default_rng(seed)
     actor.table = np.asarray(logits) + rng.normal(0.0, noise, size=actor.table.shape)
     critic = TabularCritic(env.state_count)
-    batch = collect_batch(actor, critic, plain_snapshot(), env, batch_size, t_max,
-                          DISABLED, -1.0, seed, 1)
+    batch = collect_batch(actor, critic, plain_snapshot(rule="ppo"), env, batch_size, t_max,
+                          STANDARD, -1.0, seed, 1)
     return actor, [rec for t in records(batch) for rec in t.steps]
 
 
@@ -73,9 +67,9 @@ def smoothed_scores(frozen_mu, t_max=12):
     actor = TabularActor(env.state_count, 4)
     critic = TabularCritic(env.state_count)
     snapshot = plain_snapshot(frozen_mu=frozen_mu, frozen_var=1.0 - 1e-8,
-                              alpha_s=0.9, warmup_active=True)
+                              alpha_s=0.9, warmup_active=True, rule="ppo")
     (traj,) = records(collect_batch(actor, critic, snapshot, env, 1, t_max,
-                                    DISABLED, -1.0, 0, 1))
+                                    STANDARD, -1.0, 0, 1))
     assert len(traj.steps) == t_max
     return [rec.smoothed_score for rec in traj.steps]
 
@@ -173,6 +167,24 @@ class TestShouldStop:
     def test_tie_continues(self):
         snap = StopperSnapshot(beta=7.0, value_floor=0.2, warmup_active=False)
         assert decide(snap, 1.4, 0.1) is False
+
+    def test_ppo_rule_never_fires(self):
+        # the ppo rule's threshold is +inf in every state, even at beta = 0
+        # with z far above any value; the same snapshot under espo fires on
+        # every row's first step, and under ppo no row of either mode stops
+        snap = StopperSnapshot(beta=0.0, value_floor=0.2, warmup_active=False, rule="ppo")
+        assert (snap.stop_thresholds(np.array([-5.0, 0.0, 0.1, 3.0])) == np.inf).all()
+        assert decide(snap, 1e308, -1.0) is False
+        assert decide(dataclasses.replace(snap, rule="espo"), 1e308, -1.0) is True
+        env = build_environment(TrapChainSpec(4, 3, (0, 0, 0), None))
+        actor, critic = TabularActor(env.state_count, 4), TabularCritic(env.state_count)
+        snap = dataclasses.replace(snap, frozen_mu=-100.0)  # z = 0.5 after one step
+        for mode in (STANDARD, COUNTERFACTUAL):
+            batch = collect_batch(actor, critic, snap, env, 16, 8, mode, -1.0, 0, 1)
+            assert (batch.stops == -1).all() and not (batch.stop_codes == EARLY_STOP).any()
+            espo = collect_batch(actor, critic, dataclasses.replace(snap, rule="espo"), env,
+                                 16, 8, mode, -1.0, 0, 1)
+            assert (espo.stops == 0).all()
 
     def test_monotone_in_beta_and_value(self):
         rng = np.random.default_rng(4)
@@ -441,7 +453,7 @@ class TestAnnealBeta:
         stopper = StopperState(cfg, variant_dispatch(cfg))
         inert = StopperSnapshot(stabilizer=cfg.stabilizer, clip_bound=cfg.clip_bound,
                                 alpha_s=cfg.alpha_s, beta=3.0, value_floor=cfg.value_floor,
-                                warmup_active=False)
+                                warmup_active=False, rule="ppo")
         assert stopper.snapshot(1) == inert
 
 
@@ -468,15 +480,19 @@ class TestSetpointTracking:
 
 class TestSnapshotHazard:
     def test_kind_follows_the_plan(self):
-        # the random hazard is a snapshot field: 0.0 outside random mode, the
-        # fixed rate in every batch of a fixed-rate random stopper
-        for overrides, kind in ((dict(), STANDARD), (dict(counterfactual=True), COUNTERFACTUAL),
-                                (dict(variant="ppo"), DISABLED)):
+        # the random hazard is a snapshot field: 0.0 under every rule but
+        # random_stop, the fixed rate in every batch of a fixed-rate random
+        # stopper; the snapshot carries the plan's rule
+        for overrides, mode, rule in ((dict(), STANDARD, "espo"),
+                                      (dict(counterfactual=True), COUNTERFACTUAL, "espo"),
+                                      (dict(variant="ppo"), STANDARD, "ppo")):
             stopper = make_stopper(**overrides)
-            assert stopper.plan.mode_kind == kind
+            assert (stopper.plan.mode, stopper.plan.rule) == (mode, rule)
+            assert stopper.snapshot(1).rule == rule
             assert stopper.snapshot(1).random_stop_rate == 0.0
         fixed = make_stopper(variant="random_stop", random_stop_rate=0.05)
-        assert fixed.plan.mode_kind == RANDOM
+        assert (fixed.plan.mode, fixed.plan.rule) == (STANDARD, "random_stop")
+        assert fixed.snapshot(9).rule == "random_stop"
         assert fixed.snapshot(9).random_stop_rate == 0.05
 
     def test_traced_hazard_and_its_correction(self):

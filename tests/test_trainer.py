@@ -13,7 +13,7 @@ import pytest
 from espolab.config import ConfigError, RunConfig
 from espolab.envs import TrapChainSpec, build_environment
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import DISABLED, STANDARD, CachedPolicy, collect_batch
+from espolab.rollout import CachedPolicy, collect_batch
 from espolab.trainer import (
     TrainingRun,
     compute_advantages,
@@ -22,6 +22,7 @@ from espolab.trainer import (
     gae,
     ppo_surrogate_grad,
 )
+from espolab.variants import STANDARD
 
 from conftest import (
     StepRecord,
@@ -565,8 +566,8 @@ class TestSurrogateMemory:
         env = build_environment(TrapChainSpec(64, 12, tuple(range(12)), None))
         rng = np.random.default_rng(0)
         actor, critic = random_actor(env, rng), random_critic(env, rng)
-        batch = collect_batch(actor, critic, plain_snapshot(), env, 64, 64,
-                              DISABLED, -1.0, 0, 1)
+        batch = collect_batch(actor, critic, plain_snapshot(rule="ppo"), env, 64, 64,
+                              STANDARD, -1.0, 0, 1)
         advs = compute_advantages(batch, RunConfig(), -1.0)
         assert int(advs.mask.sum()) == 4096
         actor.table = actor.table + rng.normal(0, 0.1, size=actor.table.shape)  # ratios != 1
