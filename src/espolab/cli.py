@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .config import VARIANTS, ConfigError, RunConfig, build_run_config, load_config_file
+from .config import VARIANTS, ConfigError, RunConfig, build_run_config, domain, load_config_file
 from .harness import (
     ablate,
     compare_runs,
@@ -25,8 +25,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     group = parser.add_argument_group("config keys (override file and environment)")
     for f in fields(RunConfig):
+        shown = f"; must {domain(f)}" if f.metadata["valid"] is not None else ""
         group.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
-                           metavar="V", help=f.metadata["help"])
+                           metavar="V", help=f.metadata["help"] + shown)
 
 
 def _config_from_args(args: argparse.Namespace):

@@ -51,71 +51,72 @@ class ConfigError(ValueError):
     """Carries every validation failure, not just the first."""
 
 
-def key(default, help_text: str):
-    """A RunConfig field: its default and its help text."""
-    return field(default=default, metadata={"help": help_text})
+def key(default, help_text: str, valid=None):
+    """A RunConfig field: its default, help text and valid values (">= n",
+    "> n", an interval such as "(0, 1]", a tuple of choices, or None: any)."""
+    return field(default=default, metadata={"help": help_text, "valid": valid})
 
 
 @dataclass
 class RunConfig:
-    """Every config key: its name, its kind (the annotation), its default and
-    its help text. Kinds: int, float, bool, str, int | None, float | None."""
+    """Every config key: its name, its kind (the annotation) and its key().
+    Kinds: int, float, bool, str, int | None, float | None."""
 
     # experiment identity
-    variant: str = key("espo", f"method variant, one of {'|'.join(VARIANTS)}")
-    seed: int = key(0, "master seed; all RNG streams derive from it")
-    total_steps: int = key(300, "number of training steps (one rollout batch each)")
-    batch_size: int = key(64, "trajectories per rollout batch")
+    variant: str = key("espo", "method variant", VARIANTS)
+    seed: int = key(0, "master seed; all RNG streams derive from it", ">= 0")
+    total_steps: int = key(300, "number of training steps (one rollout batch each)", ">= 1")
+    batch_size: int = key(64, "trajectories per rollout batch", ">= 1")
     out_dir: str = key("", "output directory for metrics/manifest/checkpoints")
     # environment
-    env: str = key("trap_chain", "environment kind: trap_chain | recoverable")
-    vocab_size: int = key(8, "token vocabulary size K")
-    target_length: int = key(12, "length of the rewarded token sequence")
+    env: str = key("trap_chain", "environment kind", ENV_KINDS)
+    vocab_size: int = key(8, "token vocabulary size K", ">= 2")
+    target_length: int = key(12, "length of the rewarded token sequence", ">= 1")
     target_sequence: str = key(
         "", "comma-separated target tokens; empty generates from target_seed")
-    target_seed: int = key(0, "seed used when generating the target sequence")
-    doom_padding: int | None = key(None, "doomed-branch length; 'none' absorbs until the horizon")
-    repair_window: int = key(3, "recoverable env: steps allowed to emit the repair token")
-    t_max: int = key(64, "horizon cap T_max")
-    state_budget: int = key(100_000, "maximum enumerable states before erroring")
+    target_seed: int = key(0, "seed used when generating the target sequence", ">= 0")
+    doom_padding: int | None = key(None, "doomed-branch length; 'none' absorbs to T_max", ">= 0")
+    repair_window: int = key(3, "recoverable env: steps allowed to emit the repair token", ">= 0")
+    t_max: int = key(64, "horizon cap T_max", ">= 1")
+    state_budget: int = key(100_000, "maximum enumerable states before erroring", ">= 1")
     # stopping machinery
     r_fail: float = key(-1.0, "terminal reward written at an early stop")
-    alpha_ema: float = key(0.99, "EMA factor for batch regret statistics")
-    alpha_s: float = key(0.9, "per-trajectory smoothing factor for the stopping statistic")
+    alpha_ema: float = key(0.99, "EMA factor for batch regret statistics", "(0, 1)")
+    alpha_s: float = key(0.9, "per-trajectory smoothing factor of the stop statistic", "(0, 1)")
     beta_init: float = key(7.0, "initial threshold multiplier (anneal target)")
     beta_min: float = key(0.0, "controller lower clip for beta")
     beta_max: float = key(10.0, "controller upper clip; annealing starts here")
-    eta_beta: float = key(0.1, "proportional controller gain")
-    target_stop_rate: float = key(0.25, "controller setpoint for the per-batch stop rate")
-    value_floor: float = key(0.2, "epsilon floor inside max(V, epsilon) of the stop rule")
-    clip_bound: float = key(5.0, "clip bound c for the normalized regret")
-    stabilizer: float = key(1e-8, "variance stabilizer delta")
+    eta_beta: float = key(0.1, "proportional controller gain", ">= 0")
+    target_stop_rate: float = key(0.25, "controller setpoint for the batch stop rate", "[0, 1]")
+    value_floor: float = key(0.2, "epsilon floor inside max(V, epsilon) of the stop rule", "> 0")
+    clip_bound: float = key(5.0, "clip bound c for the normalized regret", "> 0")
+    stabilizer: float = key(1e-8, "variance stabilizer delta", "> 0")
     warmup_abs_threshold: float = key(0.5, "warmup exits when |critic loss| stays below this")
     warmup_delta_threshold: float = key(0.1, "warmup exits when |loss delta| stays below this")
-    warmup_consecutive: int = key(3, "consecutive qualifying steps required to exit warmup")
-    warmup_step_cap_fraction: float = key(0.10, "fraction of total steps forcing warmup exit")
-    anneal_fraction: float = key(0.10, "fraction of post-warmup steps spent annealing beta")
+    warmup_consecutive: int = key(3, "consecutive qualifying steps needed to exit warmup", ">= 1")
+    warmup_step_cap_fraction: float = key(0.1, "warmup cap as a fraction of total steps", "[0, 1]")
+    anneal_fraction: float = key(0.1, "fraction of post-warmup steps that anneal beta", "[0, 1]")
     disable_stopping: bool = key(False, "bypass the stopper entirely (reduces to plain PPO)")
     counterfactual: bool = key(
         False, "record hypothetical stops but keep decoding (measurement mode)")
     # optimization
-    gamma: float = key(1.0, "discount factor")
-    lam: float = key(1.0, "GAE lambda")
-    clip_ratio: float = key(0.2, "PPO clipping epsilon")
-    epochs_per_batch: int = key(1, "PPO epochs per collected batch")
-    lr_actor: float = key(0.05, "actor learning rate (desk scale)")
-    lr_critic: float = key(0.1, "critic learning rate (desk scale)")
+    gamma: float = key(1.0, "discount factor", "(0, 1]")
+    lam: float = key(1.0, "GAE lambda", "(0, 1]")
+    clip_ratio: float = key(0.2, "PPO clipping epsilon", "(0, 1)")
+    epochs_per_batch: int = key(1, "PPO epochs per collected batch", ">= 1")
+    lr_actor: float = key(0.05, "actor learning rate (desk scale)", ">= 0")
+    lr_critic: float = key(0.1, "critic learning rate (desk scale)", ">= 0")
     advantage_whitening: bool = key(False, "whiten advantages across the batch before the update")
-    actor_init_scale: float = key(0.0, "stddev of seeded Gaussian logit init; 0 = uniform policy")
+    actor_init_scale: float = key(0.0, "stddev of Gaussian logit init; 0 = uniform policy", ">= 0")
     # ablation support
     value_stop_threshold: float | None = key(None, "value_only variant: stop when V < this")
     regret_stop_threshold: float | None = key(None, "regret_only variant: stop when z > this")
-    random_stop_rate: float | None = key(None, "random_stop variant: fixed per-step hazard")
+    random_stop_rate: float | None = key(None, "random_stop variant: fixed step hazard", "[0, 1]")
     reference_run: str = key("", f"run dir used to calibrate {'/'.join(CALIBRATED)}")
     # outputs
-    checkpoint_every: int = key(0, "save a checkpoint every N steps (0 disables)")
-    eval_every: int = key(0, "evaluate greedy/sampled success every N steps (0 disables)")
-    eval_episodes: int = key(1024, "episodes per evaluation")
+    checkpoint_every: int = key(0, "save a checkpoint every N steps (0 disables)", ">= 0")
+    eval_every: int = key(0, "evaluate greedy/sampled success every N steps (0 disables)", ">= 0")
+    eval_episodes: int = key(1024, "episodes per evaluation", ">= 1")
     dump_trajectories: bool = key(False, "append per-step trajectory dumps to trajectories.tsv")
     record_stop_events: bool = key(False, "append (V, z) at every stop event to stop_events.tsv")
 
@@ -239,6 +240,24 @@ def parse_target_sequence(cfg: RunConfig) -> tuple[int, ...]:
     return generate_target_sequence(cfg.vocab_size, cfg.target_length, cfg.target_seed)
 
 
+def domain(f) -> str:
+    """Field f's valid values as its errors and --help word them."""
+    valid = f.metadata["valid"]
+    text = (f"be one of {valid}" if isinstance(valid, tuple)
+            else f"lie in {valid}" if valid[0] in "([" else f"be {valid}")
+    return text + " or none" if f.type.endswith("| None") else text
+
+
+def _accepts(valid, value) -> bool:
+    if isinstance(valid, tuple):
+        return value in valid
+    if valid[0] == ">":  # ">= n" or "> n"
+        return value > float(valid[2:]) or valid[1] == "=" and value == float(valid[2:])
+    low, high = map(float, valid[1:-1].split(","))
+    return (low < value or valid[0] == "[" and value == low) and (
+        value < high or valid[-1] == "]" and value == high)
+
+
 def validate_run_config(cfg: RunConfig) -> list[str]:
     """Every problem with the config, in one pass; empty list means valid."""
     errors: list[str] = []
@@ -248,46 +267,14 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
             errors.append(message)
 
     for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
+        value, valid = getattr(cfg, f.name), f.metadata["valid"]
         if f.type.startswith("float") and value is not None:
             need(math.isfinite(value), f"{f.name} must be finite, got {value!r}")
-    need(cfg.variant in VARIANTS, f"variant must be one of {VARIANTS}, got {cfg.variant!r}")
-    need(cfg.env in ENV_KINDS, f"env must be one of {ENV_KINDS}, got {cfg.env!r}")
-    need(cfg.seed >= 0, "seed must be >= 0")
-    need(cfg.target_seed >= 0, "target_seed must be >= 0")
-    need(cfg.vocab_size >= 2, "vocab_size must be >= 2")
-    need(cfg.target_length >= 1, "target_length must be >= 1")
-    need(cfg.doom_padding is None or cfg.doom_padding >= 0, "doom_padding must be >= 0 or none")
-    need(cfg.repair_window >= 0, "repair_window must be >= 0")
-    need(cfg.t_max >= 1, "t_max must be >= 1")
-    need(cfg.batch_size >= 1, "batch_size must be >= 1")
-    need(cfg.total_steps >= 1, "total_steps must be >= 1")
-    need(cfg.state_budget >= 1, "state_budget must be >= 1")
-    need(0.0 < cfg.alpha_ema < 1.0, "alpha_ema must lie in (0, 1)")
-    need(0.0 < cfg.alpha_s < 1.0, "alpha_s must lie in (0, 1)")
-    need(0.0 <= cfg.target_stop_rate <= 1.0, "target_stop_rate must lie in [0, 1]")
-    need(cfg.value_floor > 0.0, "value_floor must be > 0")
-    need(cfg.clip_bound > 0.0, "clip_bound must be > 0")
-    need(cfg.stabilizer > 0.0, "stabilizer must be > 0")
+        if valid is not None and value is not None and not _accepts(valid, value):
+            got = f", got {value!r}" if isinstance(valid, tuple) else ""
+            errors.append(f"{f.name} must {domain(f)}{got}")
     need(cfg.beta_min <= cfg.beta_init <= cfg.beta_max,
          "beta_init must lie in [beta_min, beta_max]")
-    need(cfg.eta_beta >= 0.0, "eta_beta must be >= 0")
-    need(0.0 < cfg.clip_ratio < 1.0, "clip_ratio must lie in (0, 1)")
-    need(0.0 < cfg.gamma <= 1.0, "gamma must lie in (0, 1]")
-    need(0.0 < cfg.lam <= 1.0, "lam must lie in (0, 1]")
-    need(cfg.lr_actor >= 0.0, "lr_actor must be >= 0")
-    need(cfg.lr_critic >= 0.0, "lr_critic must be >= 0")
-    need(cfg.actor_init_scale >= 0.0, "actor_init_scale must be >= 0")
-    need(cfg.epochs_per_batch >= 1, "epochs_per_batch must be >= 1")
-    need(cfg.warmup_consecutive >= 1, "warmup_consecutive must be >= 1")
-    need(0.0 <= cfg.warmup_step_cap_fraction <= 1.0,
-         "warmup_step_cap_fraction must lie in [0, 1]")
-    need(0.0 <= cfg.anneal_fraction <= 1.0, "anneal_fraction must lie in [0, 1]")
-    need(cfg.eval_episodes >= 1, "eval_episodes must be >= 1")
-    need(cfg.checkpoint_every >= 0, "checkpoint_every must be >= 0")
-    need(cfg.eval_every >= 0, "eval_every must be >= 0")
-    if cfg.random_stop_rate is not None:
-        need(0.0 <= cfg.random_stop_rate <= 1.0, "random_stop_rate must lie in [0, 1]")
     if cfg.variant in CALIBRATED:
         explicit = CALIBRATED[cfg.variant]
         need(bool(cfg.reference_run) or getattr(cfg, explicit) is not None,

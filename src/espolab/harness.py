@@ -82,17 +82,14 @@ def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
 
 def evaluate_run(run_dir, checkpoint: str = "final", episodes: int | None = None,
                  seed: int | None = None) -> dict:
-    """Greedy and sampled success rates for a saved checkpoint; episodes None
-    means the run's eval_episodes."""
-    if episodes is not None and episodes < 1:
-        raise ConfigError(f"episodes must be >= 1, got {episodes}")
-    if seed is not None and seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    """Greedy and sampled success rates for a saved checkpoint. episodes and
+    seed default to the run's; the config with both is checked up front."""
     cfg = config_from_manifest(run_dir)
-    actor, critic = load_params(os.path.join(run_dir, "checkpoints", checkpoint, "params.txt"))
-    env = build_environment(env_spec_from_config(cfg), cfg.state_budget)
     episodes = cfg.eval_episodes if episodes is None else episodes
     seed = cfg.seed if seed is None else seed
+    require_valid(dataclasses.replace(cfg, eval_episodes=episodes, seed=seed))
+    actor, critic = load_params(os.path.join(run_dir, "checkpoints", checkpoint, "params.txt"))
+    env = build_environment(env_spec_from_config(cfg), cfg.state_budget)
     policy = CachedPolicy(actor, critic)
     greedy = evaluate_policy(policy, env, cfg.t_max, episodes, seed, 0, greedy=True)
     sampled = evaluate_policy(policy, env, cfg.t_max, episodes, seed, 0, greedy=False)
@@ -203,8 +200,8 @@ def ablate(base_config: RunConfig, out_root, variants=VARIANTS) -> dict[str, str
         if variant not in VARIANTS or variant in variants[:i]:
             raise ConfigError(f"variant {variant!r} is unknown or repeated; the matrix "
                               f"takes distinct entries of {VARIANTS}")
-    if "espo" not in variants:
-        raise ConfigError("the ablation matrix needs the espo reference run")
+    if "espo" not in variants or len(variants) < 2:
+        raise ConfigError("the ablation matrix needs the espo reference run and another variant")
     configs = {}
     for variant in ("espo", *(v for v in variants if v != "espo")):
         overrides = {"record_stop_events": True} if variant == "espo" else {}

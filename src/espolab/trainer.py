@@ -124,6 +124,7 @@ def compute_advantages(batch: RolloutBatch, config: RunConfig,
 
 
 SURROGATE_CHUNK = 8192  # gradient entries scattered per bincount call
+LOG_RATIO_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 
 
 def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
@@ -156,12 +157,13 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     # per distinct log-ratio: a batch holds few distinct (state, token) pairs
     log_ratios, inverse = np.unique(table[states, actions] - batch.log_probs[mask],
                                     return_inverse=True)
+    log_ratios[log_ratios > LOG_RATIO_MAX] = np.inf  # an overflowing ratio counts as +inf
     ratio = np.array(list(map(math.exp, log_ratios.tolist())))[inverse.reshape(-1)]
     finite = np.isfinite(ratio)
     included = int(np.count_nonzero(finite))
     excluded = len(ratio) - included
     clipped = finite & (((advs > 0.0) & (ratio > hi)) | ((advs < 0.0) & (ratio < lo)))
-    coeff = ratio * advs
+    coeff = np.where(finite, ratio, 0.0) * advs
     live = finite & ~clipped & (coeff != 0.0)
     states, actions, coeff = states[live], actions[live], coeff[live]
     if excluded:

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from espolab.cli import _config_from_args, build_parser
+from espolab.cli import _add_config_flags, _config_from_args, build_parser
 from espolab.config import (
     ConfigError,
     RunConfig,
@@ -105,6 +109,19 @@ class TestLayering:
             ["train", *(f"--{k.replace('_', '-')}={v}" for k, v in flat.items())])
         assert _config_from_args(args) == NON_DEFAULT
 
+    @pytest.mark.parametrize("source", ["file", "environment", "flag"])
+    def test_non_boolean_text_for_a_bool_key_rejected(self, tmp_path, source):
+        path = tmp_path / "run.cfg"
+        path.write_text("counterfactual = maybe\n" if source == "file" else "")
+        environ = {"ESPOLAB_COUNTERFACTUAL": "maybe"} if source == "environment" else {}
+        argv = ["train", "--config", str(path)]
+        argv += ["--counterfactual", "maybe"] if source == "flag" else []
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ConfigError, match="counterfactual: cannot parse 'maybe' as bool"):
+            build_run_config(load_config_file(args.config),
+                             {f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(RunConfig)}, environ)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("justakey\n")
@@ -165,6 +182,11 @@ class TestValidation:
         cfg = RunConfig(target_sequence="1,2,9", target_length=3, vocab_size=4)
         assert any("vocab" in e for e in validate_run_config(cfg))
 
+    def test_unparseable_target_sequence_listed_with_the_other_errors(self):
+        errors = validate_run_config(RunConfig(target_sequence="1,x,2", seed=-1, gamma=0.0))
+        assert errors == ["seed must be >= 0", "gamma must lie in (0, 1]",
+                          "target_sequence: cannot parse '1,x,2'"]
+
     @pytest.mark.parametrize("keys", [
         dict(doom_padding=10**9),
         dict(env="recoverable", target_length=10, repair_window=10**5),
@@ -211,3 +233,110 @@ class TestHashingAndSignature:
         assert parse_target_sequence(cfg) == parse_target_sequence(cfg)
         explicit = RunConfig(target_sequence="1,2,3", target_length=3)
         assert parse_target_sequence(explicit) == (1, 2, 3)
+
+
+# A config that names a reference run, so that every variant has its
+# calibration source; otherwise the defaults.
+BASE = RunConfig(reference_run="runs/espo")
+DECLARED = [f for f in dataclasses.fields(RunConfig) if f.metadata["valid"] is not None]
+DEFAULT_STATES = 14  # the default chain: 12 + 2 states
+
+
+def declared_range(valid: str):
+    """(low, high, low_open, high_open) of a declared range, parsed here
+    independently of espolab.config."""
+    if valid.startswith(">"):
+        op, bound = valid.split()
+        return float(bound), math.inf, op == ">", False
+    low, high = valid[1:-1].split(", ")
+    return float(low), float(high), valid[0] == "(", valid[-1] == ")"
+
+
+def in_declared(f, value) -> bool:
+    valid = f.metadata["valid"]
+    if value is None:
+        return f.type.endswith("| None")
+    if isinstance(valid, tuple):
+        return value in valid
+    low, high, low_open, high_open = declared_range(valid)
+    return ((low < value) if low_open else (low <= value)) and (
+        (value < high) if high_open else (value <= high))
+
+
+def inside(f):
+    valid = f.metadata["valid"]
+    if isinstance(valid, tuple):
+        values = st.sampled_from(valid)
+    else:
+        low, high, low_open, high_open = declared_range(valid)
+        if f.type.startswith("int"):
+            low = int(low) + low_open
+            if f.name == "state_budget":  # the budget rule: the default chain must fit
+                low = max(low, DEFAULT_STATES)
+            values = st.integers(low, low + 64)
+        else:
+            values = st.floats(low, min(high, 1e6), exclude_min=low_open,
+                               exclude_max=high_open and high <= 1e6)
+    return values | st.none() if f.type.endswith("| None") else values
+
+
+def outside(f):
+    valid = f.metadata["valid"]
+    if isinstance(valid, tuple):
+        return st.text(max_size=12).filter(lambda text: text not in valid)
+    low, high, low_open, high_open = declared_range(valid)
+    if f.type.startswith("int"):
+        return st.integers(int(low) - 64, int(low) - (not low_open))
+    below = st.floats(max_value=low, exclude_max=not low_open, allow_nan=False)
+    return below if high == math.inf else below | st.floats(
+        min_value=high, exclude_min=not high_open, allow_nan=False)
+
+
+def expected_error(f, value) -> str:
+    """The error text a value outside f's declaration draws, worded here."""
+    valid = f.metadata["valid"]
+    if isinstance(valid, tuple):
+        return f"{f.name} must be one of {valid}, got {value!r}"
+    verb = "lie in" if valid[0] in "([" else "be"
+    return f"{f.name} must {verb} {valid}" + (" or none" if f.type.endswith("| None") else "")
+
+
+DECLARATION_CASES = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+class TestDeclaredValidValues:
+    """Each key's `valid` declaration is the whole single-key check."""
+
+    def test_every_default_satisfies_its_declaration(self):
+        assert len(DECLARED) == 33
+        for f in DECLARED:
+            assert in_declared(f, f.default), f.name
+        assert validate_run_config(BASE) == []
+
+    @DECLARATION_CASES
+    @given(st.sampled_from(DECLARED).flatmap(lambda f: st.tuples(st.just(f), inside(f))))
+    def test_a_value_inside_the_declaration_passes(self, case):
+        f, value = case
+        assert in_declared(f, value)
+        assert validate_run_config(dataclasses.replace(BASE, **{f.name: value})) == []
+
+    @DECLARATION_CASES
+    @given(st.sampled_from(DECLARED).flatmap(lambda f: st.tuples(st.just(f), outside(f))))
+    def test_a_value_outside_the_declaration_fails_naming_the_key(self, case):
+        f, value = case
+        assert not in_declared(f, value)
+        errors = validate_run_config(dataclasses.replace(BASE, **{f.name: value}))
+        assert expected_error(f, value) in errors, errors
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)
+                                      if f.type.startswith("float")])
+    def test_nan_fails_for_every_float_key(self, name):
+        errors = validate_run_config(dataclasses.replace(BASE, **{name: math.nan}))
+        assert f"{name} must be finite, got nan" in errors, errors
+
+    def test_every_flag_shows_its_valid_values(self):
+        parser = argparse.ArgumentParser()
+        _add_config_flags(parser)
+        helps = {action.dest: action.help for action in parser._actions}
+        for f in DECLARED:
+            assert str(f.metadata["valid"]) in helps[f.name], f.name

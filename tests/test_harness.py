@@ -677,10 +677,10 @@ class TestAblateAndEval:
         out = run_experiment(tiny_config(out_dir=str(tmp_path / "run"), total_steps=2,
                                          eval_episodes=8))
         for episodes in (0, -3):
-            with pytest.raises(ConfigError, match="episodes"):
+            with pytest.raises(ConfigError, match="eval_episodes must be >= 1"):
                 evaluate_run(out, episodes=episodes)
         assert cli_main(["eval", out, "--episodes", "0"]) == 1
-        assert "episodes" in capsys.readouterr().err
+        assert "eval_episodes must be >= 1" in capsys.readouterr().err
         assert evaluate_run(out)["episodes"] == 8  # None means the run's eval_episodes
 
     def test_evaluate_run_rejects_a_negative_seed_up_front(self, tmp_path, capsys):
@@ -702,6 +702,15 @@ class TestAblateAndEval:
                 "--variants", f"espo,ppo,{bad}"]
         assert cli_main(argv) == 1
         assert f"variant {bad!r} is unknown or repeated" in capsys.readouterr().err
+        assert not out_root.exists()
+
+    def test_ablate_rejects_a_single_variant_before_any_run(self, tmp_path, capsys):
+        out_root = tmp_path / "matrix"
+        argv = ["ablate", "--vocab-size", "3", "--target-length", "2", "--t-max", "6",
+                "--batch-size", "4", "--total-steps", "3", "--eval-episodes", "4",
+                "--out-root", str(out_root), "--variants", "espo"]
+        assert cli_main(argv) == 1
+        assert "needs the espo reference run and another variant" in capsys.readouterr().err
         assert not out_root.exists()
 
     def test_ablate_rejects_an_environment_over_the_budget_before_any_run(self, tmp_path,

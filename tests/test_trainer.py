@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from espolab.config import ConfigError, RunConfig
 from espolab.envs import TrapChainSpec, build_environment
-from espolab.policy import TabularActor, TabularCritic
+from espolab.policy import TabularActor, TabularCritic, save_params
 from espolab.rollout import CachedPolicy, collect_batch
 from espolab.trainer import (
     TrainingRun,
@@ -186,6 +189,27 @@ class TestSurrogate:
         grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, cfg)
         assert grad.shape == (1, 4) and not grad.any()
         assert clip_fraction == 1.0
+
+    @pytest.mark.parametrize("bad_advantage", [0.0, 1.0])
+    @pytest.mark.parametrize("bad_log_prob", [-1000.0, math.nan, -math.inf],
+                             ids=["overflow", "nan", "inf"])
+    def test_non_finite_ratio_excluded(self, caplog, bad_log_prob, bad_advantage):
+        # behaviour log-probs of -1000 (exp overflows), NaN and -inf give the
+        # second step a +inf, NaN and +inf ratio; it leaves the mean and the
+        # gradient, is logged, and raises nothing, even times a zero advantage
+        actor = TabularActor(1, 4)
+        good = traj_from([0.0], 1.0, log_prob=float(np.log(0.25)) - math.log(1.1))
+        cfg = RunConfig(clip_ratio=0.2)
+        row = ((1.0,), (1.0,), (1.0,))
+        want = ppo_surrogate_grad(actor, one_batch(good), advantage_set([row]), cfg)
+        batch = batch_from_trajectories([good, traj_from([0.0], 1.0, log_prob=bad_log_prob)])
+        advs = advantage_set([row, ((bad_advantage,), (1.0,), (1.0,))])
+        with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
+            warnings.simplefilter("error")
+            grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, cfg)
+        assert np.array_equal(grad, want[0]) and grad.any()
+        assert clip_fraction == want[1] == 0.0
+        assert "excluded 1 steps with non-finite ratios" in caplog.text
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -541,6 +565,23 @@ class TestCheckpointResume:
         other = base_config(total_steps=4, seed=99, out_dir=str(tmp_path / "a"))
         with pytest.raises(ConfigError):
             TrainingRun.resume(other, ckpt)
+
+    def test_resume_rejects_parameters_of_other_shapes(self, tmp_path):
+        # params.txt matches its state.json digest and the experiment hash,
+        # but holds one more state than the config's environment
+        cfg = base_config(total_steps=4, out_dir=str(tmp_path / "a"))
+        run = TrainingRun(cfg)
+        run.step()
+        ckpt = run.save_checkpoint(tmp_path / "a" / "ck")
+        params = tmp_path / "a" / "ck" / "params.txt"
+        states = run.env.state_count + 1
+        save_params(TabularActor(states, cfg.vocab_size), TabularCritic(states), params)
+        state_path = tmp_path / "a" / "ck" / "state.json"
+        state = json.loads(state_path.read_text())
+        state["params_sha256"] = hashlib.sha256(params.read_bytes()).hexdigest()
+        state_path.write_text(json.dumps(state))
+        with pytest.raises(ConfigError, match="parameter shapes do not match the config"):
+            TrainingRun.resume(cfg, ckpt)
 
     def test_resume_accepts_retired_snapshot_counter_key(self, tmp_path):
         # checkpoints written before the snapshot counter was dropped hold a
