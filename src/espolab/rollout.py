@@ -15,6 +15,7 @@ have produced under the same seeds.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +144,114 @@ def false_positive_rate(batch: RolloutBatch) -> float:
     return int(hits) / batch.size if batch.size else 0.0
 
 
+# Batches of fewer rows decode and fold each row on its own in Python; wider
+# ones step whole columns in numpy (DECISIONS.md "Narrow batches decoded row
+# by row").
+ROW_PATH_ROWS = 16
+
+
+def _absorbed_tokens(pol: CachedPolicy, state: int, uniforms: np.ndarray) -> np.ndarray:
+    """Tokens drawn by `uniforms` in an absorbing state, where no token ends
+    the row or moves it, all at once: the counts CachedPolicy.sample takes,
+    by bisecting the state's cumulative table."""
+    cum = pol.cum_probs[state]
+    return np.searchsorted(cum, uniforms * cum[-1], side="right")
+
+
+def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarray,
+                     alpha: float) -> tuple:
+    """Every row decoded to its natural end or the horizon, one column of the
+    batch at a time, and its smoothed scores: (pairs, lengths, ended, scores),
+    the pairs and scores as wide as the longest row. Column t of `uniforms`
+    draws step t's tokens, and pair_x[pair] is the x that z folds in."""
+    batch_size, t_max = uniforms.shape
+    vocab = pol.vocab_size
+    next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
+    # Every row steps every column; a row that has ended is parked on the
+    # initial state, and what it records past its length is cleared by the
+    # caller. Once every row not yet ended sits in an absorbing state, the
+    # rest of the batch, columns `start` onwards, goes at once.
+    pairs = np.zeros((batch_size, t_max), dtype=np.int64)  # state * vocab + action
+    lengths = np.full(batch_size, t_max)
+    ended = np.zeros(batch_size, dtype=bool)  # naturally, at column lengths - 1
+    absorbing = env.absorbing
+    start = t_max
+    state = np.full(batch_size, env.initial_state)
+    for t in range(t_max):
+        if (absorbing.take(state) | ended).all():
+            start = t
+            break
+        pair = state * vocab + pol.sample(state, uniforms[:, t])
+        pairs[:, t] = pair
+        ends = terminal.take(pair) & ~ended
+        if np.count_nonzero(ends):
+            lengths[ends] = t + 1
+            ended |= ends
+        state = next_state.take(pair)
+        state[ended] = env.initial_state
+    live = np.flatnonzero(~ended)
+    if start < t_max and live.size:
+        s, u = state[live], uniforms[live, start:]
+        tokens = np.empty(u.shape, dtype=np.int64)
+        for absorbed in sorted(set(s.tolist())):  # np.unique would import numpy.ma
+            rows = s == absorbed
+            tokens[rows] = _absorbed_tokens(pol, absorbed, u[rows])
+        pairs[live, start:] = s[:, None] * vocab + tokens
+
+    # The smoothed score of every decoded column, one column at a time: each
+    # row gets the per-token loop's two roundings per step, in its order,
+    # z = alpha * z + x, folded in place over the contiguous columns of x.
+    width = int(lengths.max()) if batch_size else 0
+    pairs = pairs[:, :width]
+    columns = pair_x.take(pairs.T)  # x, then z
+    z, scaled = np.zeros(batch_size), np.empty(batch_size)
+    for column in columns:
+        np.add(np.multiply(z, alpha, out=scaled), column, out=column)
+        z = column
+    return pairs, lengths, ended, columns.T
+
+
+def _decode_rows(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarray,
+                 alpha: float) -> tuple:
+    """_decode_lockstep's result, one row at a time. A row steps in Python
+    until it ends or enters an absorbing state, bisecting its state's
+    cumulative list as CachedPolicy.sample counts; its absorbed tail goes at
+    once. Its z is then folded in Python floats, the same two roundings per
+    step, and the row is written out before the next one starts, so Python
+    floats never hold more than one row. Pairs and scores past a natural end
+    stay 0."""
+    batch_size, t_max = uniforms.shape
+    vocab = pol.vocab_size
+    pairs = np.zeros((batch_size, t_max), dtype=np.int64)
+    scores = np.zeros((batch_size, t_max))
+    lengths = np.full(batch_size, t_max)
+    ended = np.zeros(batch_size, dtype=bool)
+    moves = {}  # per visited state: cumulative list, successors, terminal flags
+    for i in range(batch_size):
+        u = uniforms[i]
+        state, row = env.initial_state, []
+        for t in range(t_max):
+            if state not in moves:
+                moves[state] = (pol.cum_probs[state].tolist(), env.next_state[state].tolist(),
+                                env.terminal[state].tolist(), bool(env.absorbing[state]))
+            cum, successors, terminal, absorbing = moves[state]
+            if absorbing:
+                pairs[i, t:] = state * vocab + _absorbed_tokens(pol, state, u[t:])
+                break
+            token = bisect_right(cum, u.item(t) * cum[-1])
+            row.append(state * vocab + token)
+            if terminal[token]:
+                lengths[i], ended[i] = t + 1, True
+                break
+            state = successors[token]
+        pairs[i, :len(row)] = row
+        n = lengths[i]
+        z = 0.0
+        scores[i, :n] = [z := alpha * z + x for x in pair_x.take(pairs[i, :n]).tolist()]
+    width = int(lengths.max()) if batch_size else 0
+    return pairs[:, :width], lengths, ended, scores[:, :width]
+
+
 def collect_batch(actor: TabularActor, critic: TabularCritic,
                   snapshot: StopperSnapshot, env, batch_size: int, t_max: int,
                   mode: str, r_fail: float,
@@ -154,9 +263,10 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     batch contents do not depend on collection order or worker scheduling.
     Trajectory i draws all its uniforms up front: one per step, or two under
     the random_stop rule (2t samples step t's token, 2t+1 is its stop test).
-    The batch then advances in lockstep, one column per step, over the
-    policy cache, the environment tables and the snapshot's regret and
-    threshold tables.
+    A batch of ROW_PATH_ROWS rows or more then advances in lockstep, one
+    column per step, over the policy cache, the environment tables and the
+    snapshot's regret and threshold tables; a narrower one decodes row by
+    row. Both give the same bytes.
 
     Every row first decodes its tokens to its natural end or the horizon.
     Then the smoothed score z is folded from the normalized regrets of the
@@ -180,58 +290,12 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
                               draws_per_step * t_max)
     norm_regrets = snapshot.normalize(pol.regrets).ravel()
     vocab = pol.vocab_size
-    next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
-
-    # Decode every row to its natural end or the horizon. Every row steps
-    # every column; a row that has ended is parked on the initial state and
-    # what it records past its length is cleared below. Once every row not
-    # yet ended sits in an absorbing state, the loop hands the rest of the
-    # batch, columns `start` onwards, to the bulk finish below.
-    pairs = np.zeros((batch_size, t_max), dtype=np.int64)  # state * vocab + action
-    lengths = np.full(batch_size, t_max)
-    ended = np.zeros(batch_size, dtype=bool)  # naturally, at column lengths - 1
-    absorbing = env.absorbing
-    start = t_max
-    state = np.full(batch_size, env.initial_state)
-    for t in range(t_max):
-        if (absorbing.take(state) | ended).all():
-            start = t
-            break
-        pair = state * vocab + pol.sample(state, uniforms[:, draws_per_step * t])
-        pairs[:, t] = pair
-        ends = terminal.take(pair) & ~ended
-        if np.count_nonzero(ends):
-            lengths[ends] = t + 1
-            ended |= ends
-        state = next_state.take(pair)
-        state[ended] = env.initial_state
-
-    live = np.flatnonzero(~ended)
-    if start < t_max and live.size:
-        # Each live row stays in its state s for good and no token ends it,
-        # so its remaining tokens go at once, by bisecting s's cumulative
-        # table as CachedPolicy.sample does.
-        s = state[live]
-        u = uniforms[live, draws_per_step * start::draws_per_step]
-        tokens = np.empty(u.shape, dtype=np.int64)
-        for absorbed in sorted(set(s.tolist())):  # np.unique would import numpy.ma
-            rows = s == absorbed
-            cum = pol.cum_probs[absorbed]
-            tokens[rows] = np.searchsorted(cum, u[rows] * cum[-1], side="right")
-        pairs[live, start:] = s[:, None] * vocab + tokens
-
-    # The smoothed score of every decoded column, one column at a time: each
-    # row gets the per-token loop's two roundings per step, in its order,
-    # z = alpha * z + x, folded in place over the contiguous columns of x.
-    width = int(lengths.max()) if batch_size else 0
-    pairs = pairs[:, :width]
     alpha = snapshot.alpha_s
-    columns = ((1.0 - alpha) * norm_regrets).take(pairs.T)  # x, then z
-    z, scaled = np.zeros(batch_size), np.empty(batch_size)
-    for column in columns:
-        np.add(np.multiply(z, alpha, out=scaled), column, out=column)
-        z = column
-    scores = columns.T
+    pair_x = (1.0 - alpha) * norm_regrets  # the smoothed score is z = alpha * z + x
+    decode = _decode_rows if batch_size < ROW_PATH_ROWS else _decode_lockstep
+    pairs, lengths, ended, scores = decode(pol, env, uniforms[:, ::draws_per_step], pair_x,
+                                           alpha)
+    width = pairs.shape[1]
 
     # Decide every stop at once. A row's tokens come from its own uniforms
     # alone, so its record up to a stop is what stopping there would have

@@ -8,12 +8,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import espolab
-from espolab.envs import TrapChainSpec, build_environment
+from espolab import rollout
+from espolab.envs import RecoverableBranchSpec, TrapChainSpec, build_environment
 from espolab.config import RunConfig
 from espolab.mdpcore import keyed_seeds, log_softmax
 from espolab.policy import TabularActor, TabularCritic
@@ -430,6 +432,92 @@ class TestBatchDeterminism:
                 assert ours == theirs, field.name
 
 
+ROW_PATH_ENVS = {  # each with its target sequence
+    "trap-absorbing": (lambda: make_env(padding=None), [0, 1, 2]),
+    "trap-padded": (lambda: make_env(padding=2), [0, 1, 2]),
+    "recoverable": (lambda: build_environment(RecoverableBranchSpec(3, 3, 2)), [0, 0, 0]),
+}
+
+
+class TestRowPathMatchesLockstep:
+    """Narrow batches decode row by row, wide ones in lockstep; forced through
+    either path, every input gives the same arrays, dtypes and sign bits."""
+
+    @pytest.mark.parametrize("env_name", sorted(ROW_PATH_ENVS))
+    @pytest.mark.parametrize("rule, mode", [
+        *((rule, mode) for rule in ("ppo", "espo", "value_only", "regret_only")
+          for mode in (STANDARD, COUNTERFACTUAL)),
+        ("random_stop", STANDARD),
+    ])
+    def test_both_paths_give_the_same_batch(self, monkeypatch, env_name, rule, mode):
+        build, targets = ROW_PATH_ENVS[env_name]
+        env = build()
+        rng = np.random.default_rng(7)
+        actor, critic = random_actor(env, rng), random_critic(env, rng)
+        actor.table[[0, 1, 2], targets] += 1.5  # toward the targets: some rows succeed
+        snapshot = plain_snapshot(rule=rule, beta=0.5, frozen_mu=-0.5, random_stop_rate=0.1,
+                                  rule_threshold=0.3)
+        seen = np.zeros(3, dtype=np.int64)  # rows by stop code, over the grid
+        for batch_size in (1, 15, 16, 40):
+            for t_max in (1, 4, 33, 128):
+                batch = self.assert_same_batches(monkeypatch, actor, critic, snapshot, env,
+                                                 batch_size, t_max, mode, -1.0, 5, t_max)
+                seen += np.bincount(batch.stop_codes, minlength=3)
+        # rows ran to the horizon, absorbed or not, and to a natural end, and
+        # the rule stopped rows wherever it can
+        if mode == COUNTERFACTUAL:
+            assert seen[rollout.HORIZON_CAP] > 0 and seen[rollout.NATURAL_END] > 0
+        assert (seen[EARLY_STOP] > 0) == (mode == STANDARD and rule != "ppo")
+
+    def test_lockstep_bulk_finish_equals_the_per_token_loop(self, monkeypatch):
+        # TestBulkFinishAgainstOracle's batches of 12 rows take the row path;
+        # forced through the lockstep path, its cases reach every branch of
+        # the lockstep's common bulk start
+        from test_differential import TestBulkFinishAgainstOracle
+        monkeypatch.setattr(rollout, "ROW_PATH_ROWS", 0)
+        TestBulkFinishAgainstOracle().test_every_mode_equals_the_per_token_loop()
+
+    @staticmethod
+    def assert_same_batches(monkeypatch, *args):
+        batches = []
+        for row_path_rows in (0, 10**9):  # lockstep, then row by row
+            monkeypatch.setattr(rollout, "ROW_PATH_ROWS", row_path_rows)
+            batches.append(collect_batch(*args))
+        for field in dataclasses.fields(batches[0]):
+            theirs, ours = (getattr(b, field.name) for b in batches)
+            if not isinstance(theirs, np.ndarray):
+                assert ours == theirs, field.name
+                continue
+            assert ours.dtype == theirs.dtype, field.name
+            assert np.array_equal(ours, theirs), field.name
+            assert np.array_equal(np.signbit(ours), np.signbit(theirs)), field.name
+        return batches[0]
+
+    @pytest.mark.parametrize("mode", [STANDARD, COUNTERFACTUAL])
+    def test_draws_on_a_cumulative_entry_pick_the_same_token(self, monkeypatch, mode):
+        # zero logits over 4 tokens give the cumulative table [1/4, 1/2, 3/4, 1]
+        # exactly, and every uniform here is a multiple of 1/4: each draw ties
+        # with an entry and takes the token after it. Two tokens of the first
+        # state have probability 0, so its table repeats entries.
+        env = make_env(padding=2)
+        actor = TabularActor(env.state_count, 4)
+        critic = random_critic(env, np.random.default_rng(3))
+        actor.table[0, [1, 3]] = -800.0
+        pol = CachedPolicy(actor, critic)
+        assert pol.cum_probs[1].tolist() == [0.25, 0.5, 0.75, 1.0]
+        assert pol.cum_probs[0].tolist() == [0.5, 0.5, 1.0, 1.0]
+
+        def quarters(master_seed, key, first, count, n):
+            return np.random.default_rng(key).integers(0, 4, size=(count, n)) / 4
+
+        monkeypatch.setattr(rollout, "keyed_uniforms", quarters)
+        for batch_size, t_max in ((3, 9), (15, 33)):
+            batch = self.assert_same_batches(monkeypatch, actor, critic,
+                                             plain_snapshot(beta=0.5, frozen_mu=-0.5), env,
+                                             batch_size, t_max, mode, -1.0, 0, t_max)
+            assert set(batch.actions[:, 0].tolist()) == {0, 2}  # never a zero-probability token
+
+
 class TestTokenAccounting:
     # the trainer's average lengths divide these sums by the batch size
     def test_arithmetic(self):
@@ -503,6 +591,31 @@ print(bool(absorbed), "numpy.ma" in sys.modules)
 
 
 class TestMemoryFootprint:
+    def test_row_path_holds_one_row_in_python_floats(self):
+        # a narrow batch of long rows, stopped early by the random hazard, so
+        # that the decode, not the gathers, sets the peak. Its own B x t_max
+        # arrays are four float64 arrays: the uniforms (two per step), the
+        # pairs and the scores. The row path adds one row of x and z in
+        # Python floats; the whole batch in Python floats, 32 B an element
+        # for each of x and z, would add eight more arrays' worth.
+        env = make_env(padding=None)
+        rng = np.random.default_rng(0)
+        actor, critic = random_actor(env, rng), random_critic(env, rng)
+        snapshot = plain_snapshot(rule="random_stop", random_stop_rate=0.1)
+        batch_size, t_max = 8, 10_000
+        assert batch_size < rollout.ROW_PATH_ROWS
+        collect_batch(actor, critic, snapshot, env, batch_size, t_max, STANDARD, -1.0, 0, 1)
+        tracemalloc.start()  # the keyed streams of batch 2 were seeded with batch 1's
+        try:
+            batch = collect_batch(actor, critic, snapshot, env, batch_size, t_max, STANDARD,
+                                  -1.0, 0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = 4 * batch_size * t_max * 8
+        assert peak < 2 * own, f"peak {peak / 2**20:.2f} MiB"
+        assert batch.lengths.max() < t_max and batch.total_tokens
+
     def test_absorbing_run_does_not_import_numpy_ma(self, tmp_path):
         # np.unique on an integer array imports numpy.ma, which adds about
         # 1.2 MiB to a run's peak RSS; collection and evaluation never need it
