@@ -22,6 +22,7 @@ __all__ = [
     "config_hash",
     "load_config_file",
     "parse_target_sequence",
+    "stop_rule",
     "to_flat_dict",
     "validate_run_config",
 ]
@@ -258,6 +259,14 @@ def _accepts(valid, value) -> bool:
         value < high or valid[-1] == "]" and value == high)
 
 
+def stop_rule(cfg: RunConfig) -> str:
+    """The rule that decides the run's stops: "ppo" (never) under
+    disable_stopping, "espo" for every espo_* variant, else the variant."""
+    if cfg.disable_stopping:
+        return "ppo"
+    return "espo" if cfg.variant.startswith("espo_") else cfg.variant
+
+
 def validate_run_config(cfg: RunConfig) -> list[str]:
     """Every problem with the config, in one pass; empty list means valid."""
     errors: list[str] = []
@@ -275,11 +284,12 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
             errors.append(f"{f.name} must {domain(f)}{got}")
     need(cfg.beta_min <= cfg.beta_init <= cfg.beta_max,
          "beta_init must lie in [beta_min, beta_max]")
-    if cfg.variant in CALIBRATED:
-        explicit = CALIBRATED[cfg.variant]
+    rule = stop_rule(cfg)
+    if rule in CALIBRATED:
+        explicit = CALIBRATED[rule]
         need(bool(cfg.reference_run) or getattr(cfg, explicit) is not None,
-             f"{cfg.variant} needs reference_run or {explicit}")
-    if cfg.variant == "random_stop":
+             f"{rule} needs reference_run or {explicit}")
+    if rule == "random_stop":
         need(not cfg.counterfactual, "counterfactual mode is not defined for random_stop")
     try:
         seq = _explicit_target(cfg)

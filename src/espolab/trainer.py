@@ -125,6 +125,33 @@ def compute_advantages(batch: RolloutBatch, config: RunConfig,
 
 SURROGATE_CHUNK = 8192  # gradient entries scattered per bincount call
 LOG_RATIO_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
+# With a vocabulary of ROW_SUM_VOCAB or more, a state with ROW_SUM_STEPS or
+# more live steps is summed row by row in blocks of at most ROW_SUM_BLOCK
+# entries (measured crossover: DECISIONS.md "Heavy states summed row by row")
+ROW_SUM_VOCAB = 32
+ROW_SUM_STEPS = 256
+ROW_SUM_BLOCK = 32768
+
+
+def _row_sum(pi: np.ndarray, coeff: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """One state's gradient row from its live steps, in step order. A block
+    holds the running sums, then per step its -c * pi row and a row with +c
+    at its token; np.add.reduce along axis 0 adds the rows in order. A sum
+    that starts at +0.0 never becomes -0.0, so its +0.0 entries, and the
+    +0.0 that np.einsum may give a -0.0 product, leave every sum unchanged."""
+    vocab = len(pi)
+    per_block = max(1, (ROW_SUM_BLOCK // vocab - 1) // 2)
+    block = np.zeros((2 * min(per_block, len(coeff)) + 1, vocab))
+    flat = block.reshape(-1)
+    for first in range(0, len(coeff), per_block):
+        c = coeff[first:first + per_block]
+        rows = block[:2 * len(c) + 1]
+        np.einsum("i,k->ik", -c, pi, out=rows[1::2])  # one product each, faster than outer
+        at = np.arange(2 * vocab, rows.size, 2 * vocab) + actions[first:first + per_block]
+        flat[at] = c
+        rows[0] = np.add.reduce(rows, axis=0)
+        flat[at] = 0.0
+    return block[0]
 
 
 def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
@@ -138,12 +165,16 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     both the mean and the gradient and reported via the module logger.
 
     A step in state s with token a and coefficient c = ratio * advantage adds
-    -c * pi(k|s) to entry (s, k) for every k, then +c to (s, a). np.bincount
-    adds its weights in input order, so the entries go in as the steps come,
-    trajectory by trajectory, each step's K terms before its token's: the
-    same additions in the same order as a loop over the steps. They go in
-    chunks of consecutive steps, each chunk's bincount starting from the
-    running sums, which bounds the temporaries.
+    -c * pi(k|s) to entry (s, k) for every k, then +c to (s, a): each cell
+    takes its terms in step order, as a loop over the steps adds them. Cells
+    of different states are disjoint, so each state may take its own path.
+    With a vocabulary of ROW_SUM_VOCAB or more, a state with ROW_SUM_STEPS or
+    more live steps is summed by _row_sum, an in-order reduce of its rows.
+    The other states go through np.bincount, which adds its weights in input
+    order: the entries go in as the steps come, trajectory by trajectory,
+    each step's K terms before its token's. They go in chunks of consecutive
+    steps, each chunk's bincount starting from the running sums, which
+    bounds the temporaries.
     """
     table = log_softmax(actor.table, axis=-1)
     probs = np.exp(table)
@@ -170,6 +201,15 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
         logger.warning("ppo_surrogate_grad: excluded %d steps with non-finite ratios",
                        excluded)
 
+    heavy_rows = {}
+    if vocab >= ROW_SUM_VOCAB:
+        counts = np.bincount(states, minlength=state_count)
+        for s in np.flatnonzero(counts >= ROW_SUM_STEPS).tolist():
+            here = states == s
+            heavy_rows[s] = _row_sum(probs[s], coeff[here], actions[here])
+        light = counts[states] < ROW_SUM_STEPS
+        states, actions, coeff = states[light], actions[light], coeff[light]
+
     cells = state_count * vocab
     cell_index = np.arange(cells).reshape(state_count, vocab)
     grad = np.zeros(cells)
@@ -190,6 +230,8 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
         step_weight[:, vocab] = c
         grad = np.bincount(index, weights=weight, minlength=cells)
     grad = grad.reshape(state_count, vocab)
+    for s, row in heavy_rows.items():
+        grad[s] = row
     if included:
         grad *= 1.0 / included
     clip_fraction = int(np.count_nonzero(clipped)) / included if included else 0.0

@@ -9,13 +9,13 @@ Each ablation variant differs from full espo by exactly one mechanism:
     regret_only     stop when z > fixed threshold (value gate unused)
     random_stop     per-step hazard replaying a reference run's stop-rate trace
 
-A plan's rule decides whether and where a row stops: "ppo" (never; any
-variant under disable_stopping), "espo" (the espo_* variants too),
-"value_only", "regret_only" or "random_stop". Its collection mode decides
-only what a stop does: STANDARD cuts the row, COUNTERFACTUAL records the stop
-and keeps the row. config.CALIBRATED maps each calibrated variant to the key
-that sets its value. An explicit threshold wins over the median V
-(value_only) or z (regret_only) at the reference run's stop events;
+A plan's rule (config.stop_rule) decides whether and where a row stops:
+"ppo" (never; any variant under disable_stopping), "espo" (the espo_*
+variants too), "value_only", "regret_only" or "random_stop". Its collection
+mode decides only what a stop does: STANDARD cuts the row, COUNTERFACTUAL
+records the stop and keeps the row. config.CALIBRATED maps each calibrated
+variant to the key that sets its value. An explicit threshold wins over the
+median V (value_only) or z (regret_only) at the reference run's stop events;
 random_stop replays the reference's per-batch stop-rate trace, which wins
 over random_stop_rate.
 """
@@ -26,7 +26,7 @@ import os
 import statistics
 from dataclasses import dataclass
 
-from .config import CALIBRATED, VARIANTS, ConfigError, RunConfig
+from .config import CALIBRATED, VARIANTS, ConfigError, RunConfig, stop_rule
 from .metrics import read_metrics
 
 __all__ = [
@@ -86,9 +86,7 @@ def variant_dispatch(cfg: RunConfig) -> VariantPlan:
     variant = cfg.variant
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    # each espo_* variant changes a mechanism other than the rule
-    rule = ("ppo" if cfg.disable_stopping
-            else "espo" if variant.startswith("espo_") else variant)
+    rule = stop_rule(cfg)
     random_mode = rule == "random_stop"
 
     # a calibrated rule's value: its key's or its reference run's

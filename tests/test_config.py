@@ -12,16 +12,21 @@ from hypothesis import strategies as st
 
 from espolab.cli import _add_config_flags, _config_from_args, build_parser
 from espolab.config import (
+    CALIBRATED,
+    VARIANTS,
     ConfigError,
     RunConfig,
     build_run_config,
     config_hash,
     load_config_file,
     parse_target_sequence,
+    stop_rule,
     to_flat_dict,
     validate_run_config,
 )
 from espolab.envs import env_signature
+from espolab.trainer import TrainingRun
+from espolab.variants import variant_dispatch
 
 
 KINDS = ("int", "float", "bool", "str", "int | None", "float | None")
@@ -155,6 +160,35 @@ class TestValidation:
                              ("random_stop", "random_stop_rate")):
             errs = validate_run_config(RunConfig(variant=variant))
             assert any("reference_run" in e and key in e for e in errs), (variant, errs)
+
+    @pytest.mark.parametrize("variant", sorted(CALIBRATED))
+    def test_calibration_checks_apply_only_under_the_rule_that_reads_them(self, variant):
+        # a calibrated variant under disable_stopping runs as plain PPO: its
+        # reference is never read, so it needs none
+        stopping = RunConfig(variant=variant)
+        assert validate_run_config(stopping) == [
+            f"{variant} needs reference_run or {CALIBRATED[variant]}"]
+        disabled = RunConfig(variant=variant, disable_stopping=True)
+        assert validate_run_config(disabled) == []
+        assert variant_dispatch(disabled).rule == "ppo"
+        run = TrainingRun(dataclasses.replace(disabled, batch_size=2, t_max=4))
+        assert run.step().stop_rate == 0.0
+        # counterfactual random_stop is rejected only where its hazard decides
+        for cfg in (stopping, disabled):
+            counterfactual = dataclasses.replace(cfg, counterfactual=True,
+                                                 **{CALIBRATED[variant]: 0.5})
+            errors = validate_run_config(counterfactual)
+            if variant == "random_stop" and not cfg.disable_stopping:
+                assert errors == ["counterfactual mode is not defined for random_stop"]
+            else:
+                assert errors == []
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("disable_stopping", [False, True])
+    def test_stop_rule_is_the_plans_rule(self, variant, disable_stopping):
+        cfg = RunConfig(variant=variant, disable_stopping=disable_stopping,
+                        **{key: 0.5 for key in CALIBRATED.values()})
+        assert stop_rule(cfg) == variant_dispatch(cfg).rule
 
     @pytest.mark.parametrize("key, value", [
         ("lr_actor", float("nan")),

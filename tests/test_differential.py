@@ -1,17 +1,25 @@
 """Differential tests: the array code against the scalar references in
 conftest, compared with == (bit for bit), over generated cases.
 
-collect_batch runs every trajectory of a batch in lockstep over arrays; the
+collect_batch decodes a batch of fewer than rollout.ROW_PATH_ROWS rows one
+row at a time, and a wider batch in lockstep columns over arrays. The
 reference is the per-token loop (conftest.collect_trajectory) on each
-trajectory's own stream. compute_advantages, ppo_surrogate_grad, critic_loss
-and critic_grad work on B x T arrays; the references are the per-step loops.
-evaluate_policy advances episodes in lockstep; the reference steps one
-episode at a time.
+trajectory's own stream. The generated batches hold 1 to 16 rows, so they
+reach both paths. compute_advantages, ppo_surrogate_grad, critic_loss and
+critic_grad work on B x T arrays; the references are the per-step loops.
+The vocabularies here are narrow, so ppo_surrogate_grad scatters every
+state; test_trainer.py's TestSurrogatePathsAgainstScalarLoop forces each of
+its paths. evaluate_policy advances episodes in lockstep; the reference steps
+one episode at a time.
 
-Once every row of a batch not yet ended sits in an absorbing state,
-collect_batch decodes the rest of the batch in bulk, and sampled evaluation drops absorbed
-episodes; TestBulkFinishAgainstOracle builds cases that reach every branch of
-that path.
+Once a row enters an absorbing state, the rest of it is decoded at once. The
+row path does this for each row from its own absorbing column. The lockstep
+path waits until every row not yet ended is absorbed and then finishes them
+together, from that common bulk start. Sampled evaluation drops absorbed
+episodes. TestBulkFinishAgainstOracle builds cases that reach every branch
+of the lockstep bulk finish. Its batches of 12 rows take the row path here,
+and test_rollout.py's TestRowPathMatchesLockstep runs the same cases again
+with the lockstep path forced.
 """
 
 from __future__ import annotations
@@ -157,12 +165,13 @@ def absorbing_case(kind, seed):
 
 
 def bulk_features(batch, case, kind):
-    """Which parts of the bulk finish a collected batch went through. Every
-    row decodes to its natural end or the horizon whatever the stop rule
-    says, so the bulk start is read from the per-token loop run on the same
-    tokens in the batch's twin that never cuts a row (counterfactual mode,
-    or the random rule with rate 0): the first column where every row not
-    yet ended sits in an absorbing state."""
+    """Which branches of the lockstep bulk finish a case reaches, whichever
+    path collected the batch: they are read from the case, not the code.
+    Every row decodes to its natural end or the horizon whatever the stop
+    rule says, so the bulk start is read from the per-token loop run on the
+    same tokens in the batch's twin that never cuts a row (counterfactual
+    mode, or the random rule with rate 0): the first column where every row
+    not yet ended sits in an absorbing state."""
     env, t_max = case["env"], case["t_max"]
     if kind == "random":
         twin = {"snapshot": dataclasses.replace(case["snapshot"], random_stop_rate=0.0)}
@@ -201,6 +210,9 @@ def bulk_features(batch, case, kind):
 
 class TestBulkFinishAgainstOracle:
     def test_every_mode_equals_the_per_token_loop(self):
+        # each kind of case must reach each branch of the lockstep bulk
+        # finish at least once over its 60 seeds; collected on either path,
+        # every batch must equal the per-token loop
         firing = {"bulk", "rows absorbed at different columns", "a row ended before absorbing",
                   "fires on the first bulk column", "fires later in the bulk", "never fires",
                   "a row that fired before the bulk decodes on into it"}

@@ -13,8 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
+from espolab import trainer
 from espolab.config import ConfigError, RunConfig
 from espolab.envs import TrapChainSpec, build_environment
+from espolab.mdpcore import log_softmax
 from espolab.policy import TabularActor, TabularCritic, save_params
 from espolab.rollout import CachedPolicy, collect_batch
 from espolab.trainer import (
@@ -623,3 +625,133 @@ class TestSurrogateMemory:
         rows = scalar_advantages(records(batch), 1.0, 1.0, -1.0)
         want, _ = scalar_surrogate_grad(actor, records(batch), rows, 0.2)
         assert grad.any() and np.array_equal(grad, want)
+
+
+def pairwise_sum(values):
+    """The sum of the two halves' sums, as pairwise summation orders it."""
+    if len(values) == 1:
+        return values[0]
+    half = len(values) // 2
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+
+
+class TestRowSumPremises:
+    """The numpy behaviour that trainer._row_sum keeps the step loop's bits
+    by. A numpy that changes it fails here, by name."""
+
+    @pytest.mark.parametrize("vocab", [2, 8, 64])
+    def test_reduce_along_axis_0_adds_the_rows_in_order(self, vocab):
+        # 2**53 then fifteen 1.0s: in order every 1.0 rounds away (a tie goes
+        # to the even 2**53), while a pairwise sum adds them up first
+        crafted = np.ones((16, vocab))
+        crafted[0] = 2.0 ** 53
+        column = crafted[:, 0].tolist()
+        assert pairwise_sum(column) != 2.0 ** 53
+        rng = np.random.default_rng(vocab)
+        cases = [crafted] + [
+            rng.normal(size=(rows, vocab)) * 10.0 ** rng.integers(-12, 12, size=(rows, 1))
+            for rows in (2, 3, 9, 17, 129, 511, 2049)]
+        for block in cases:
+            assert block.flags.c_contiguous
+            loop = block[0].copy()
+            for row in block[1:]:
+                loop = loop + row
+            assert np.array_equal(np.add.reduce(block, axis=0), loop)
+
+    def test_einsum_outer_product_is_one_multiply_per_entry(self):
+        # equal to np.multiply.outer, into a strided output; only a zero
+        # product's sign may differ, which a sum that starts at +0.0 never shows
+        values = np.array([0.0, -0.0, 5e-324, -2.5e-308, 0.3, -1.7, 1e300, np.inf, -np.inf,
+                           np.nan])
+        rng = np.random.default_rng(1)
+        for left, right in ((values, values), (rng.normal(size=7), values),
+                            (values, rng.normal(size=64)), (-rng.random(300), rng.random(64))):
+            block = np.zeros((2 * len(left) + 1, len(right)))
+            with np.errstate(all="ignore"):
+                np.einsum("i,k->ik", left, right, out=block[1::2])
+                want = np.multiply.outer(left, right)
+            got = block[1::2]
+            assert np.array_equal(got, want, equal_nan=True)
+            assert (got[np.signbit(got) != np.signbit(want)] == 0.0).all()
+            assert not block[2::2].any()
+
+
+# (ROW_SUM_VOCAB, ROW_SUM_STEPS, ROW_SUM_BLOCK as a function of the vocabulary)
+SURROGATE_PATHS = {
+    "scatter": (10**9, 1, lambda vocab: trainer.ROW_SUM_BLOCK),
+    "rows": (0, 1, lambda vocab: trainer.ROW_SUM_BLOCK),
+    "rows in 3-step blocks": (0, 1, lambda vocab: 7 * vocab),
+    "rows from 64 steps": (0, 64, lambda vocab: trainer.ROW_SUM_BLOCK),
+    "module constants": (trainer.ROW_SUM_VOCAB, trainer.ROW_SUM_STEPS,
+                         lambda vocab: trainer.ROW_SUM_BLOCK),
+}
+# live steps per state, around the thresholds above and the 255-step blocks
+# of a 64-token vocabulary
+STATE_STEPS = (1, 63, 64, 65, 255, 256, 257, 511, 513)
+
+
+def surrogate_case(vocab):
+    """An actor, trajectories and advantage rows in which state i has
+    STATE_STEPS[i] live steps, shuffled into rows of 1-64 steps, among
+    clipped, zero-advantage and non-finite-ratio steps. The last token's
+    probability underflows to 0 and, from 3 tokens on, the first token's is
+    subnormal."""
+    rng = np.random.default_rng(vocab)
+    state_count = len(STATE_STEPS)
+    actor = TabularActor(state_count, vocab)
+    actor.table = rng.normal(0.0, 1.0, size=(state_count, vocab))
+    actor.table[:, -1] = -800.0
+    if vocab >= 3:
+        actor.table[:, 0] = -720.0
+    log_pi = log_softmax(actor.table, axis=-1)
+    live = np.repeat(np.arange(state_count), STATE_STEPS)
+    other = rng.integers(0, state_count, size=300)
+    states = np.concatenate([live, other])
+    kinds = np.concatenate([np.zeros(len(live), int), np.arange(len(other)) % 3 + 1])
+    order = rng.permutation(len(states))
+    steps, advantages = [], []
+    for state, kind in zip(states[order].tolist(), kinds[order].tolist()):
+        action = int(rng.integers(vocab))
+        ratio, advantage = math.exp(rng.uniform(-0.15, 0.15)), float(rng.normal())
+        if kind == 1:  # clipped: the ratio is past 1 + clip_ratio
+            ratio, advantage = 1.5, abs(advantage)
+        elif kind == 2:  # a zero coefficient
+            advantage = 0.0
+        log_prob = float(log_pi[state, action]) - math.log(ratio)
+        if kind == 3:  # a non-finite ratio
+            log_prob = [-math.inf, math.nan][state % 2]
+        steps.append(StepRecord(state, action, log_prob, 0.0, 0.0, 0.0, 0.0))
+        advantages.append(advantage)
+    trajectories, rows, first = [], [], 0
+    while first < len(steps):
+        n = int(rng.integers(1, 65))
+        trajectories.append(Trajectory(tuple(steps[first:first + n]), StopReason.NATURAL_END, 1.0))
+        advs = tuple(advantages[first:first + n])
+        rows.append((advs, (0.0,) * len(advs), (0.0,) * len(advs)))
+        first += n
+    return actor, trajectories, rows
+
+
+class TestSurrogatePathsAgainstScalarLoop:
+    @pytest.mark.parametrize("vocab", [2, 3, 16, 64])
+    @pytest.mark.parametrize("path", sorted(SURROGATE_PATHS))
+    def test_each_path_equals_the_step_loop(self, monkeypatch, caplog, vocab, path):
+        min_vocab, min_steps, block = SURROGATE_PATHS[path]
+        monkeypatch.setattr(trainer, "ROW_SUM_VOCAB", min_vocab)
+        monkeypatch.setattr(trainer, "ROW_SUM_STEPS", min_steps)
+        monkeypatch.setattr(trainer, "ROW_SUM_BLOCK", block(vocab))
+        summed = []
+        row_sum = trainer._row_sum
+        monkeypatch.setattr(trainer, "_row_sum",
+                            lambda pi, c, a: summed.append(len(c)) or row_sum(pi, c, a))
+        actor, trajectories, rows = surrogate_case(vocab)
+        batch, advs = batch_from_trajectories(trajectories), advantage_set(rows)
+        with caplog.at_level(logging.WARNING):
+            grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
+        want, want_clip = scalar_surrogate_grad(actor, trajectories, rows, 0.2)
+        assert np.array_equal(grad, want)
+        assert (np.signbit(grad) == np.signbit(want)).all()
+        assert clip_fraction == want_clip > 0.0
+        assert "excluded 100 steps with non-finite ratios" in caplog.text
+        heavy = [n for n in STATE_STEPS if vocab >= min_vocab and n >= min_steps]
+        assert summed == heavy
