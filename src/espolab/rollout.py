@@ -159,11 +159,11 @@ def _absorbed_tokens(pol: CachedPolicy, state: int, uniforms: np.ndarray) -> np.
 
 
 def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarray,
-                     alpha: float) -> tuple:
+                     alpha: float, cuts: np.ndarray) -> tuple:
     """Every row decoded to its natural end or the horizon, one column of the
     batch at a time, and its smoothed scores: (pairs, lengths, ended, scores),
-    the pairs and scores as wide as the longest row. Column t of `uniforms`
-    draws step t's tokens, and pair_x[pair] is the x that z folds in."""
+    the pairs as wide as the longest row. Column t of `uniforms` draws step
+    t's tokens; z folds in pair_x[pair] up to the longest min(length, cut)."""
     batch_size, t_max = uniforms.shape
     vocab = pol.vocab_size
     next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
@@ -203,7 +203,7 @@ def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.nd
     # z = alpha * z + x, folded in place over the contiguous columns of x.
     width = int(lengths.max()) if batch_size else 0
     pairs = pairs[:, :width]
-    columns = pair_x.take(pairs.T)  # x, then z
+    columns = pair_x.take(pairs[:, :int(np.minimum(lengths, cuts).max(initial=0))].T)  # x, then z
     z, scaled = np.zeros(batch_size), np.empty(batch_size)
     for column in columns:
         np.add(np.multiply(z, alpha, out=scaled), column, out=column)
@@ -212,14 +212,14 @@ def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.nd
 
 
 def _decode_rows(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarray,
-                 alpha: float) -> tuple:
+                 alpha: float, cuts: np.ndarray) -> tuple:
     """_decode_lockstep's result, one row at a time. A row steps in Python
     until it ends or enters an absorbing state, bisecting its state's
     cumulative list as CachedPolicy.sample counts; its absorbed tail goes at
-    once. Its z is then folded in Python floats, the same two roundings per
-    step, and the row is written out before the next one starts, so Python
-    floats never hold more than one row. Pairs and scores past a natural end
-    stay 0."""
+    once. Its z is then folded in Python floats up to its length or its cut,
+    the same two roundings per step, and the row is written out before the
+    next one starts, so Python floats never hold more than one row. Pairs
+    past a natural end, and scores past the fold, stay 0."""
     batch_size, t_max = uniforms.shape
     vocab = pol.vocab_size
     pairs = np.zeros((batch_size, t_max), dtype=np.int64)
@@ -245,7 +245,7 @@ def _decode_rows(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarra
                 break
             state = successors[token]
         pairs[i, :len(row)] = row
-        n = lengths[i]
+        n = min(lengths[i], cuts[i])
         z = 0.0
         scores[i, :n] = [z := alpha * z + x for x in pair_x.take(pairs[i, :n]).tolist()]
     width = int(lengths.max()) if batch_size else 0
@@ -270,7 +270,8 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
 
     Every row first decodes its tokens to its natural end or the horizon.
     Then the smoothed score z is folded from the normalized regrets of the
-    decoded columns, and one test over the whole batch finds each row's
+    decoded columns (a standard random_stop row's up to its first fire, as
+    its uniforms decide), and one test over the batch finds each row's
     first step where the snapshot's rule fires (the random_stop rule at the
     snapshot's random_stop_rate, ignoring warmup; the ppo rule never). A
     natural end at the same step wins over the stop rule. `mode` is
@@ -292,9 +293,13 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     vocab = pol.vocab_size
     alpha = snapshot.alpha_s
     pair_x = (1.0 - alpha) * norm_regrets  # the smoothed score is z = alpha * z + x
+    fires = uniforms[:, 1::2] < snapshot.random_stop_rate if random_rule else None
+    cuts = np.full(batch_size, t_max)  # the columns of z that each row needs
+    if random_rule and mode == STANDARD:  # z past the first fire would be cleared unread
+        cuts = np.where(fires.any(axis=1), fires.argmax(axis=1) + 1, t_max)
     decode = _decode_rows if batch_size < ROW_PATH_ROWS else _decode_lockstep
     pairs, lengths, ended, scores = decode(pol, env, uniforms[:, ::draws_per_step], pair_x,
-                                           alpha)
+                                           alpha, cuts)
     width = pairs.shape[1]
 
     # Decide every stop at once. A row's tokens come from its own uniforms
@@ -304,7 +309,7 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     last = pairs[np.arange(batch_size), lengths - 1]
     outcomes = np.where(ended, env.reward.ravel().take(last), 0.0)
     if random_rule:
-        fires = uniforms[:, 1:2 * width:2] < snapshot.random_stop_rate
+        fires = fires[:, :width]
     else:
         fires = scores > snapshot.stop_thresholds(pol.values).take(pairs // vocab)
     fires &= np.arange(width) < (lengths - ended)[:, None]

@@ -134,22 +134,20 @@ class StopperState:
                                else math.ceil(cfg.anneal_fraction * cfg.total_steps))
         self.random_correction = 0.0
 
-    def update_ema(self, regrets: np.ndarray) -> None:
+    def update_ema(self, values: np.ndarray, counts: np.ndarray) -> None:
         """Blend the running statistics with one batch's regret mean and
-        population variance (divide by N): math.fsum of the regrets, then of
-        libm pow(regret - mean, 2.0) (as `** 2` on a float is, not x * x),
-        each over N. Both are computed over the batch's distinct regrets,
-        weighted by their counts (`weighted_fsum`): a batch holds a few
-        hundred at most, being lookups into a (state, token) table, and the
-        sums are bit for bit the per-element ones, hence invariant under
-        permutation of the batch. A square is a function of the regret alone
-        (-0.0 and 0.0, which np.unique merges, square alike). An empty batch
+        population variance (divide by N). The batch is a multiset: float64
+        `values` with positive integer `counts`, such as each visited (state,
+        token) pair's regret and its count. Mean: math.fsum of the regrets;
+        variance: math.fsum of libm pow(regret - mean, 2.0) (as `** 2` on a
+        float is, not x * x); each over N. `weighted_fsum` gives both bit for
+        bit as the per-element sums, however the batch is grouped or ordered,
+        since a square is a function of the regret alone. An empty batch
         leaves the statistics unchanged."""
-        n = regrets.size
+        n = int(counts.sum())
         if not n:
             logger.warning("update_ema called with an empty batch; statistics unchanged")
             return
-        values, counts = np.unique(regrets, return_counts=True)
         mean = weighted_fsum(values, counts) / n
         squares = np.fromiter(map(math.pow, (values - mean).tolist(), repeat(2.0)),
                               np.float64, len(values))
@@ -230,13 +228,15 @@ class StopperState:
         trace = self.plan.random_trace
         return trace[min(step - 1, len(trace) - 1)]
 
-    def end_of_batch(self, regrets: np.ndarray, stop_rate: float, critic_loss: float,
-                     step: int) -> None:
-        """Update after training step `step`: EMA and the random hazard's
-        correction, then the warmup gate while it is armed (on release, the
-        anneal spans anneal_fraction of the steps left), else anneal progress
-        and, once it is over, the controller (under the espo rule only)."""
-        self.update_ema(regrets)
+    def end_of_batch(self, values: np.ndarray, counts: np.ndarray, stop_rate: float,
+                     critic_loss: float, step: int) -> None:
+        """Update after training step `step`: EMA from the batch's regrets
+        (`values` with `counts`, as update_ema takes them) and the random
+        hazard's correction, then the warmup gate while it is armed (on
+        release, the anneal spans anneal_fraction of the steps left), else
+        anneal progress and, once it is over, the controller (under the espo
+        rule only)."""
+        self.update_ema(values, counts)
         if self.plan.random_trace is not None:
             gain = self.cfg.eta_beta / self.cfg.t_max
             self.random_correction += gain * (self._traced_rate(step) - stop_rate)

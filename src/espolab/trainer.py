@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,14 +56,25 @@ class AdvantageSet:
     arrays aligned with the RolloutBatch, and the B x T `mask` that is True
     on the steps trained on: those before each row's effective (possibly
     simulated-truncated) length. The arrays are zero outside the mask.
-    Selecting with the mask visits the steps trajectory by trajectory, in
-    step order.
+    `steps` holds the table that _trained_steps gathers on first use.
     """
 
     advantages: np.ndarray
     returns: np.ndarray
     td_errors: np.ndarray
     mask: np.ndarray
+    steps: tuple | None = field(default=None, init=False, repr=False)
+
+
+def _trained_steps(batch: RolloutBatch, advantage_sets: AdvantageSet) -> tuple:
+    """The trained-on steps as flat arrays in step order: states, actions,
+    recorded log-probs, advantages and returns. Every epoch over the batch
+    reads the same steps, so they are gathered once and kept with the set."""
+    if advantage_sets.steps is None:
+        columns = (batch.states, batch.actions, batch.log_probs, advantage_sets.advantages,
+                   advantage_sets.returns)
+        object.__setattr__(advantage_sets, "steps", tuple(c[advantage_sets.mask] for c in columns))
+    return advantage_sets.steps
 
 
 def gae(deltas, gamma: float, lam: float) -> np.ndarray:
@@ -181,15 +192,16 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     state_count, vocab = table.shape
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
 
-    mask = advantage_sets.mask
-    states, actions = batch.states[mask], batch.actions[mask]
-    advs = advantage_sets.advantages[mask]
-    # math.exp, not np.exp (they differ in the last bit on some inputs), once
-    # per distinct log-ratio: a batch holds few distinct (state, token) pairs
-    log_ratios, inverse = np.unique(table[states, actions] - batch.log_probs[mask],
-                                    return_inverse=True)
-    log_ratios[log_ratios > LOG_RATIO_MAX] = np.inf  # an overflowing ratio counts as +inf
-    ratio = np.array(list(map(math.exp, log_ratios.tolist())))[inverse.reshape(-1)]
+    states, actions, log_probs, advs, _returns = _trained_steps(batch, advantage_sets)
+    log_ratios = table[states, actions] - log_probs
+    if log_ratios.any():
+        # math.exp, not np.exp (they differ in the last bit on some inputs), once
+        # per distinct log-ratio: a batch holds few distinct (state, token) pairs
+        log_ratios, inverse = np.unique(log_ratios, return_inverse=True)
+        log_ratios[log_ratios > LOG_RATIO_MAX] = np.inf  # an overflowing ratio counts as +inf
+        ratio = np.array(list(map(math.exp, log_ratios.tolist())))[inverse.reshape(-1)]
+    else:  # all +-0.0, as on the policy that collected the batch: exp(+-0) = 1
+        ratio = np.ones(len(log_ratios))
     finite = np.isfinite(ratio)
     included = int(np.count_nonzero(finite))
     excluded = len(ratio) - included
@@ -240,9 +252,8 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
 
 def _critic_diffs(critic: TabularCritic, batch: RolloutBatch, advantage_sets: AdvantageSet):
     """States and V(s) - return of the trained-on steps, in step order."""
-    mask = advantage_sets.mask
-    states = batch.states[mask]
-    return states, critic.table[states] - advantage_sets.returns[mask]
+    states, _actions, _log_probs, _advs, returns = _trained_steps(batch, advantage_sets)
+    return states, critic.table[states] - returns
 
 
 def critic_grad(critic: TabularCritic, batch: RolloutBatch,
@@ -287,12 +298,13 @@ class TrainingRun:
         self.step_index = 0
         self.cumulative_tokens = 0
         self.last_batch = None  # most recent RolloutBatch; test/debug hook
+        self._eval_row = (None, "")  # (step, line) of the last eval.csv row written
 
     @property
     def ppo(self) -> RunConfig:
         """The run config. perfbench's micro benchmarks pass it to
         compute_advantages and ppo_surrogate_grad; it stays until they read
-        `config` (ROADMAP item 1)."""
+        `config` (ROADMAP item 2)."""
         return self.config
 
     # -- per-step machinery -------------------------------------------------
@@ -320,30 +332,25 @@ class TrainingRun:
         cgrad = critic_grad(self.critic, batch, advantage_sets)
         self.critic.apply_gradient(cgrad, cfg.lr_critic)
 
-        # batch statistics over the effective (trained-on) spans
-        trained = advantage_sets.mask
-        regrets = batch.regrets[trained]
-        entropy_sum = _sequential_sum(cache.entropies[batch.states[trained]])
-        mean_entropy = entropy_sum / regrets.size if regrets.size else 0.0  # per trained-on step
+        # batch statistics over the trained-on steps, at least one in each row
+        states, actions = _trained_steps(batch, advantage_sets)[:2]
+        mean_entropy = _sequential_sum(cache.entropies[states]) / states.size  # per step
 
-        stop_events = int(np.count_nonzero(batch.stops >= 0))  # in either mode
-        stop_rate = stop_events / batch.size if batch.size else 0.0
-
+        stop_rate = int(np.count_nonzero(batch.stops >= 0)) / batch.size  # in either mode
         fp_rate = false_positive_rate(batch) if plan.mode == COUNTERFACTUAL else 0.0
-        n_rows = max(1, batch.size)
-
-        success = int(np.count_nonzero(batch.outcomes == 1.0))
-        success_rate = success / batch.size if batch.size else 0.0
+        success_rate = int(np.count_nonzero(batch.outcomes == 1.0)) / batch.size
         self.cumulative_tokens += batch.total_tokens
 
-        if plan.stopping:
-            self.stopper.end_of_batch(regrets, stop_rate, loss, step)
+        if plan.stopping:  # the regrets as a multiset: each visited pair's, with its count
+            counts = np.bincount(states * cache.vocab_size + actions, minlength=cache.regrets.size)
+            ids = np.flatnonzero(counts)
+            self.stopper.end_of_batch(cache.regrets.take(ids), counts[ids], stop_rate, loss, step)
 
         row = MetricsRow(
             step=step,
             cumulative_tokens=self.cumulative_tokens,
-            avg_trajectory_length_actual=int(batch.effective_lengths.sum()) / n_rows,
-            avg_trajectory_length_original=batch.total_tokens / n_rows,
+            avg_trajectory_length_actual=int(batch.effective_lengths.sum()) / batch.size,
+            avg_trajectory_length_original=batch.total_tokens / batch.size,
             stop_rate=stop_rate,
             false_positive_rate=fp_rate,
             mean_entropy=mean_entropy,
@@ -401,16 +408,18 @@ class TrainingRun:
         path = self._out_path("eval.csv")
         if path is None:
             return
-        policy = CachedPolicy(self.actor, self.critic)
-        greedy = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
-                                 cfg.seed, step, greedy=True)
-        sampled = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
-                                  cfg.seed, step, greedy=False)
+        if self._eval_row[0] != step:  # run() repeats the last step's row as it is
+            policy = CachedPolicy(self.actor, self.critic)
+            greedy = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
+                                     cfg.seed, step, greedy=True)
+            sampled = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
+                                      cfg.seed, step, greedy=False)
+            self._eval_row = (step, f"{step},{greedy!r},{sampled!r},{cfg.eval_episodes}\n")
         fresh = not os.path.exists(path)
         with open(path, "a", encoding="utf-8") as fh:
             if fresh:
                 fh.write("step,greedy_success,sampled_success,episodes\n")
-            fh.write(f"{step},{greedy!r},{sampled!r},{cfg.eval_episodes}\n")
+            fh.write(self._eval_row[1])
 
     # -- run/checkpoint lifecycle -------------------------------------------
 

@@ -76,6 +76,12 @@ def batch_statistics(regrets: np.ndarray) -> tuple[float, float]:
     return mean, math.fsum(math.pow(d, 2.0) for d in (regrets - mean).tolist()) / n
 
 
+def grouped(regrets):
+    """A plain regret batch as the multiset StopperState.update_ema takes:
+    its distinct values and their counts."""
+    return np.unique(np.asarray(regrets, dtype=np.float64), return_counts=True)
+
+
 def collect_small_batch(env, actor, critic, snapshot=None, batch_size=4, t_max=8,
                         mode=STANDARD, r_fail=-1.0, seed=0, batch_index=1):
     snapshot = snapshot if snapshot is not None else plain_snapshot()

@@ -40,7 +40,14 @@ from espolab.stopper import StopperState
 from espolab.trainer import TrainingRun, compute_advantages, ppo_surrogate_grad
 from espolab.variants import COUNTERFACTUAL, STANDARD, variant_dispatch
 
-from conftest import StopReason, batch_from_trajectories, dump_batch, plain_snapshot, records
+from conftest import (
+    StopReason,
+    batch_from_trajectories,
+    dump_batch,
+    grouped,
+    plain_snapshot,
+    records,
+)
 from test_rollout import make_traj
 
 
@@ -278,7 +285,7 @@ class TestVariantDispatch:
         for plan, moves in ((plan_d, False), (variant_dispatch(tiny_config()), True)):
             stopper = StopperState(tiny_config(), plan)
             stopper.warmup_active = False
-            stopper.end_of_batch(np.array([0.1]), 1.0, 0.0, 1)
+            stopper.end_of_batch(*grouped([0.1]), 1.0, 0.0, 1)
             assert (stopper.beta != tiny_config().beta_init) == moves
         plan_e = variant_dispatch(tiny_config(variant="regret_only",
                                               regret_stop_threshold=0.5))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -624,3 +625,84 @@ class TestMemoryFootprint:
         out = subprocess.run([sys.executable, "-c", ABSORBING_RUN, str(tmp_path)],
                              env=env, capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["True", "False"]
+
+
+class CountingTake(np.ndarray):
+    """An array view that counts the entries its take() reads."""
+    taken = 0
+
+    def take(self, indices, *args, **kwargs):
+        CountingTake.taken += np.size(indices)
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+def counting_decode(monkeypatch, name):
+    """Route collect_batch's decoder `name` through a pair_x that counts the
+    x values it hands out: the values each path folds into z."""
+    decode = getattr(rollout, name)
+    CountingTake.taken = 0
+    monkeypatch.setattr(rollout, name, lambda pol, env, u, pair_x, alpha, cuts: decode(
+        pol, env, u, pair_x.view(CountingTake), alpha, cuts))
+
+
+BATCH_FIELDS = ("states", "actions", "log_probs", "values", "regrets", "normalized_regrets",
+                "scores", "lengths", "stop_codes", "outcomes", "stops")
+
+
+def batch_digest(batch) -> str:
+    digest = hashlib.sha256()
+    for name in BATCH_FIELDS:
+        array = np.ascontiguousarray(getattr(batch, name))
+        digest.update(f"{name}{array.shape}{array.dtype}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestRandomStopFold:
+    """Under the random_stop rule the uniforms alone decide the stops, so a
+    standard row's z is folded only up to its first fire."""
+
+    @staticmethod
+    def long_batch(rows):
+        env = make_env(padding=None)
+        rng = np.random.default_rng(0)
+        actor, critic = random_actor(env, rng), random_critic(env, rng)
+        snapshot = plain_snapshot(rule="random_stop", random_stop_rate=0.1)
+        return collect_batch(actor, critic, snapshot, env, rows, 10_000, STANDARD, -1.0, 0, 2)
+
+    def test_row_path_folds_only_the_kept_steps(self, monkeypatch):
+        # TestMemoryFootprint's 8 x 10,000 batch: folding every decoded step
+        # would fold 80,000 values to keep a few dozen
+        counting_decode(monkeypatch, "_decode_rows")
+        batch = self.long_batch(8)
+        assert CountingTake.taken == batch.total_tokens < 100
+        assert (batch.stops >= 0).all()
+
+    def test_lockstep_folds_up_to_the_longest_kept_row(self, monkeypatch):
+        monkeypatch.setattr(rollout, "ROW_PATH_ROWS", 0)
+        counting_decode(monkeypatch, "_decode_lockstep")
+        batch = self.long_batch(8)
+        assert CountingTake.taken == 8 * int(batch.lengths.max()) < 8 * 100
+
+    # sha256 of every array of standard random-stop batches, as collected
+    # when z was folded over every decoded step
+    PINNED = {
+        ("trap", 8): "e92c0a14746e36ad16212db6c62995772ce9bc2935f1c7fda97f3092ac525f6a",
+        ("trap", 64): "98efe356fa679b08139ec8228e7b3447568cfec84aed028dfd8b7412b8b034a6",
+        ("recoverable", 8): "f64eb0e16a916e956556da173e7303da6f9cf84b6653f9cc4dd1bd7ac4f83ede",
+        ("recoverable", 64): "bde321afc0681583a66e8e0f9c57a1e725c8f759db02b80a8a4e6a9cfb8d9ad7",
+    }
+
+    @pytest.mark.parametrize("env_name, rows", sorted(PINNED))
+    def test_batches_keep_their_bytes(self, env_name, rows):
+        spec = (TrapChainSpec(4, 3, (0, 1, 2), None) if env_name == "trap"
+                else RecoverableBranchSpec(3, 4, 1))
+        env = build_environment(spec)
+        rng = np.random.default_rng(21)
+        actor, critic = random_actor(env, rng), random_critic(env, rng)
+        snapshot = plain_snapshot(frozen_mu=0.3, frozen_var=0.8, rule="random_stop",
+                                  random_stop_rate=0.04)
+        batch = collect_batch(actor, critic, snapshot, env, rows, 40, STANDARD, -1.0, 3, 2)
+        assert batch_digest(batch) == self.PINNED[env_name, rows]
+        # stops and horizon caps occur, and natural ends in the wide batches
+        assert set(batch.stop_codes.tolist()) == ({0, 1, 2} if rows == 64 else {1, 2})

@@ -18,7 +18,7 @@ from espolab.rollout import EARLY_STOP, collect_batch
 from espolab.stopper import StopperSnapshot, StopperState, weighted_fsum
 from espolab.variants import COUNTERFACTUAL, STANDARD, variant_dispatch
 
-from conftest import batch_statistics, make_stopper, plain_snapshot, records
+from conftest import batch_statistics, grouped, make_stopper, plain_snapshot, records
 
 
 EMA_CASES = settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -207,7 +207,7 @@ class TestUpdateEma:
     def test_blend_arithmetic(self):
         stopper = make_stopper(alpha_ema=0.99)
         assert (stopper.mu_g, stopper.var_g) == (0.0, 1.0)
-        stopper.update_ema(np.array([1.0]))
+        stopper.update_ema(*grouped([1.0]))
         assert stopper.mu_g == pytest.approx(0.01, abs=1e-12)
         assert stopper.var_g == pytest.approx(0.99, abs=1e-12)
 
@@ -215,23 +215,25 @@ class TestUpdateEma:
         # batch [0, 4] has mean 2 and population variance 4
         stopper = make_stopper()
         stopper.mu_g, stopper.var_g = 2.0, 4.0
-        stopper.update_ema(np.array([0.0, 4.0]))
+        stopper.update_ema(*grouped([0.0, 4.0]))
         assert stopper.mu_g == pytest.approx(2.0, abs=1e-12)
         assert stopper.var_g == pytest.approx(4.0, abs=1e-12)
 
-    def test_permutation_invariance_is_bit_exact(self):
+    def test_grouping_and_order_invariance_is_bit_exact(self):
+        # the batch grouped by value, and the same batch one element at a
+        # time in another order, give the same bits
         rng = np.random.default_rng(5)
-        values = rng.normal(0, 1, size=1000)
+        values = rng.normal(0, 1, size=1000).round(2)
         a, b = make_stopper(), make_stopper()
-        a.update_ema(values)
-        b.update_ema(rng.permutation(values))
+        a.update_ema(*grouped(values))
+        b.update_ema(rng.permutation(values), np.ones(len(values), dtype=np.int64))
         assert a.mu_g == b.mu_g
         assert a.var_g == b.var_g
 
     def test_population_variance_formula(self):
         stopper = make_stopper(alpha_ema=0.5)
         stopper.var_g = 0.0
-        stopper.update_ema(np.array([0.0, 2.0]))  # mean 1, population var 1
+        stopper.update_ema(*grouped([0.0, 2.0]))  # mean 1, population var 1
         assert stopper.var_g == pytest.approx(0.5, abs=1e-12)
         # bit for bit the float loop: squares are libm pow(x, 2.0), as `** 2`
         # on a float is; x * x rounds differently on ~0.1% of inputs (with
@@ -239,7 +241,7 @@ class TestUpdateEma:
         values = np.random.default_rng(8).normal(0.4, 1.7, size=3000).tolist()
         for batch in (values, [1.8871580461934296, -1.8871580461934296]):
             stopper = make_stopper(alpha_ema=0.0)
-            stopper.update_ema(np.array(batch))
+            stopper.update_ema(*grouped(batch))
             mean = math.fsum(batch) / len(batch)
             assert stopper.mu_g == mean
             assert stopper.var_g == math.fsum((v - mean) ** 2 for v in batch) / len(batch)
@@ -248,7 +250,7 @@ class TestUpdateEma:
         stopper = make_stopper()
         stopper.mu_g = 0.3
         with caplog.at_level("WARNING"):
-            stopper.update_ema(np.array([]))
+            stopper.update_ema(*grouped([]))
         assert (stopper.mu_g, stopper.var_g) == (0.3, 1.0)
         assert "empty batch" in caplog.text
 
@@ -258,13 +260,13 @@ class TestUpdateEma:
         state = make_stopper(variant="espo_no_warmup", total_steps=10)
         before = state.snapshot(1)
         _ = before.normalize(3.0)
-        state.end_of_batch(np.array([1.0, 3.0]), 0.25, 0.0, 1)
+        state.end_of_batch(*grouped([1.0, 3.0]), 0.25, 0.0, 1)
         assert (before.frozen_mu, before.frozen_var) == (0.0, 1.0)
         after = state.snapshot(2)
         assert (after.frozen_mu, after.frozen_var) == (state.mu_g, state.var_g)
         assert after.frozen_mu == pytest.approx(0.02, abs=1e-12)
 
-    # update_ema sums over the distinct regrets weighted by their counts; the
+    # update_ema sums over distinct regrets weighted by their counts; the
     # per-element fsum/pow formula (conftest.batch_statistics) is the oracle
 
     @staticmethod
@@ -274,7 +276,7 @@ class TestUpdateEma:
         exception both formulas raise."""
         stopper = make_stopper(alpha_ema=0.0)
         try:
-            stopper.update_ema(regrets)
+            stopper.update_ema(*grouped(regrets))
         except (OverflowError, ValueError) as exc:
             return type(exc), str(exc)
         return stopper.mu_g, stopper.var_g
@@ -505,7 +507,7 @@ class TestSnapshotHazard:
         stopper = StopperState(cfg, plan)
         assert stopper.warmup_active and stopper.random_correction == 0.0
         assert stopper.snapshot(1).random_stop_rate == 1.0 - 0.5 ** (1.0 / 8)
-        stopper.end_of_batch(np.array([0.1, 0.2]), 0.75, 1.0, 1)
+        stopper.end_of_batch(*grouped([0.1, 0.2]), 0.75, 1.0, 1)
         assert stopper.random_correction == (0.4 / 8) * (0.5 - 0.75)
         hazard = 1.0 - 0.75 ** (1.0 / 8) + stopper.random_correction
         assert stopper.snapshot(2).random_stop_rate == hazard

@@ -35,6 +35,7 @@ from conftest import (
     Trajectory,
     advantage_set,
     batch_from_trajectories,
+    batch_statistics,
     plain_snapshot,
     ppo_surrogate_value,
     random_actor,
@@ -755,3 +756,117 @@ class TestSurrogatePathsAgainstScalarLoop:
         assert "excluded 100 steps with non-finite ratios" in caplog.text
         heavy = [n for n in STATE_STEPS if vocab >= min_vocab and n >= min_steps]
         assert summed == heavy
+
+
+class TestTrainedStepTable:
+    """Every epoch, the critic and the step statistics read one table of the
+    batch's trained-on steps, gathered from the RolloutBatch and the
+    AdvantageSet on first use."""
+
+    def test_epochs_on_one_batch_equal_the_step_loop(self, monkeypatch):
+        # the first epoch runs on the policy that collected the batch, so
+        # every log-ratio is 0 and no ratio is sorted or exponentiated; the
+        # later ones, after updates, sort their log-ratios
+        env = build_environment(TrapChainSpec(4, 3, (0, 1, 2), None))
+        rng = np.random.default_rng(11)
+        actor, critic = random_actor(env, rng), random_critic(env, rng)
+        batch = collect_batch(actor, critic, plain_snapshot(beta=0.6), env, 32, 24,
+                              STANDARD, -1.0, 11, 1)
+        config = RunConfig(clip_ratio=0.05)
+        advs = compute_advantages(batch, config, -1.0)
+        trajectories = records(batch)
+        rows = scalar_advantages(trajectories, 1.0, 1.0, -1.0)
+        sorts = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+        per_epoch = []
+        for _ in range(4):
+            before = len(sorts)
+            grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, config)
+            per_epoch.append(len(sorts) - before)
+            want, want_clip = scalar_surrogate_grad(actor, trajectories, rows, 0.05)
+            assert np.array_equal(grad, want) and grad.any()
+            assert (np.signbit(grad) == np.signbit(want)).all()
+            assert clip_fraction == want_clip
+            actor.apply_gradient(grad, 5.0)
+        assert per_epoch == [0, 1, 1, 1]
+        assert clip_fraction > 0.0  # the later epochs reach the clipped branch
+
+    def test_hand_built_sets_go_through_the_table(self):
+        actor, trajectories, rows = surrogate_case(8)
+        batch, advs = batch_from_trajectories(trajectories), advantage_set(rows)
+        assert advs.steps is None
+        grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
+        assert advs.steps is not None
+        states, actions, log_probs, advantages, returns = advs.steps
+        assert states.tolist() == [rec.state_id for t in trajectories for rec in t.steps]
+        assert actions.tolist() == [rec.action for t in trajectories for rec in t.steps]
+        assert len(returns) == len(states) and not returns.any()
+        assert np.array_equal(log_probs, [rec.log_prob_sampled for t in trajectories
+                                          for rec in t.steps], equal_nan=True)
+        assert advantages.tolist() == [a for advs_row, _r, _d in rows for a in advs_row]
+        want, want_clip = scalar_surrogate_grad(actor, trajectories, rows, 0.2)
+        assert np.array_equal(grad, want)
+        assert (np.signbit(grad) == np.signbit(want)).all()
+        assert clip_fraction == want_clip
+
+    def test_gathered_once_per_batch(self, monkeypatch):
+        calls = []
+        gather = trainer._trained_steps
+
+        def spy(batch, advantage_sets):
+            calls.append((id(advantage_sets), advantage_sets.steps is None))
+            return gather(batch, advantage_sets)
+
+        monkeypatch.setattr(trainer, "_trained_steps", spy)
+        epochs, steps = 3, 4
+        run = TrainingRun(base_config(epochs_per_batch=epochs, total_steps=steps))
+        for _ in range(steps):
+            run.step()
+        # each batch: one call per epoch, critic_loss, critic_grad and the
+        # row statistics; only the first gathers
+        per_batch = epochs + 3
+        assert len(calls) == steps * per_batch
+        for first in range(0, len(calls), per_batch):
+            batch_calls = calls[first:first + per_batch]
+            assert len({key for key, _ in batch_calls}) == 1
+            assert [fresh for _, fresh in batch_calls] == [True] + [False] * (per_batch - 1)
+
+    def test_ema_multiset_equals_the_per_element_formula(self):
+        # the EMA reads each visited (state, token) pair's regret with its
+        # count; pairs that share a regret value, such as the greedy token's
+        # 0.0 in every visited state, stay separate multiset entries
+        run = TrainingRun(base_config(variant="espo_no_warmup", actor_init_scale=1.0,
+                                      total_steps=6))
+        alpha = run.config.alpha_ema
+        shared = 0
+        for _ in range(6):
+            mu, var = run.stopper.mu_g, run.stopper.var_g
+            run.step()
+            batch = run.last_batch
+            trained = np.arange(batch.states.shape[1]) < batch.effective_lengths[:, None]
+            regrets = batch.regrets[trained]
+            pairs = batch.states[trained] * run.config.vocab_size + batch.actions[trained]
+            shared += len(set(pairs.tolist())) > len(set(regrets.tolist()))
+            mean, variance = batch_statistics(regrets)
+            assert run.stopper.mu_g == alpha * mu + (1.0 - alpha) * mean
+            assert run.stopper.var_g == alpha * var + (1.0 - alpha) * variance
+        assert shared == 6
+
+
+class TestFinalEvalRow:
+    def test_final_row_reuses_the_last_steps_evaluation(self, tmp_path, monkeypatch):
+        # eval_every divides total_steps: the step-6 row is written twice,
+        # from one evaluation
+        calls = []
+        evaluate = trainer.evaluate_policy
+        monkeypatch.setattr(trainer, "evaluate_policy",
+                            lambda *a, **k: calls.append(a[5]) or evaluate(*a, **k))
+        run = TrainingRun(base_config(total_steps=6, eval_every=3, eval_episodes=16,
+                                      out_dir=str(tmp_path)))
+        for _ in run.run():
+            pass
+        lines = (tmp_path / "eval.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["step", "3", "6", "6"]
+        assert lines[-1] == lines[-2]
+        assert calls == [3, 3, 6, 6]
