@@ -12,10 +12,11 @@ branch:
   token again within the repair window returns to the chain, otherwise the
   trajectory is doomed.
 
-A spec declares only its branch; `build_environment` writes the chain once
-and turns both into dense transition tables. A move ends the episode where it
-lands on a `terminal:` state. States are abstract integer ids, so the tabular
-actor/critic can enumerate them and a step is an array lookup.
+A spec takes a validated config's values as given and declares only its
+branch; `build_environment` writes the chain once and turns both into dense
+transition tables. A move ends the episode where it lands on a `terminal:`
+state. States are abstract integer ids, so the tabular actor/critic can
+enumerate them and a step is an array lookup.
 """
 
 from __future__ import annotations
@@ -50,18 +51,6 @@ class TrapChainSpec:
     target_sequence: tuple[int, ...]
     doom_padding: int | None = None  # None: doomed branch absorbs until the horizon
 
-    def __post_init__(self):
-        if self.vocab < 2:
-            raise ValueError("vocab must be >= 2")
-        if self.target_length < 1:
-            raise ValueError("target_length must be >= 1")
-        if len(self.target_sequence) != self.target_length:
-            raise ValueError("target_sequence length must equal target_length")
-        if any(not 0 <= t < self.vocab for t in self.target_sequence):
-            raise ValueError("target tokens must lie in [0, vocab)")
-        if self.doom_padding is not None and self.doom_padding < 0:
-            raise ValueError("doom_padding must be >= 0")
-
     @property
     def state_count(self) -> int:
         return self.target_length + 2 + (self.doom_padding or 0)
@@ -83,14 +72,6 @@ class RecoverableBranchSpec:
     vocab: int
     target_length: int
     repair_window: int
-
-    def __post_init__(self):
-        if self.vocab < 2:
-            raise ValueError("vocab must be >= 2")
-        if self.target_length < 1:
-            raise ValueError("target_length must be >= 1")
-        if self.repair_window < 0:
-            raise ValueError("repair_window must be >= 0")
 
     @property
     def target_sequence(self) -> tuple[int, ...]:

@@ -22,7 +22,7 @@ from .envs import build_environment, env_signature, env_spec_from_config
 from .metrics import MetricsWriter, read_manifest, read_metrics, write_manifest
 from .policy import load_params
 from .rollout import CachedPolicy, evaluate_policy, false_positive_rate
-from .trainer import TrainingRun
+from .trainer import SIDE_FILES, TrainingRun
 
 __all__ = [
     "ComparisonRow",
@@ -60,7 +60,7 @@ def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
     if resume_checkpoint is None:
         with contextlib.suppress(FileNotFoundError):
             shutil.rmtree(os.path.join(config.out_dir, "checkpoints"))
-        for name in ("eval.csv", "stop_events.tsv", "trajectories.tsv"):
+        for name in SIDE_FILES:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(config.out_dir, name))
     writer = MetricsWriter(os.path.join(config.out_dir, "metrics.csv"),
@@ -146,6 +146,7 @@ def compare_runs(run_dirs, baseline_variant: str = "ppo") -> list[ComparisonRow]
     signatures = set()
     for run_dir in run_dirs:
         cfg = config_from_manifest(run_dir)
+        require_valid(cfg)  # a manifest is outside input; specs take valid values only
         signatures.add(env_signature(cfg))
         rows = read_metrics(os.path.join(run_dir, "metrics.csv"))
         if not rows:
@@ -197,9 +198,8 @@ def ablate(base_config: RunConfig, out_root, variants=VARIANTS) -> dict[str, str
     run starts.
     """
     for i, variant in enumerate(variants):
-        if variant not in VARIANTS or variant in variants[:i]:
-            raise ConfigError(f"variant {variant!r} is unknown or repeated; the matrix "
-                              f"takes distinct entries of {VARIANTS}")
+        if variant in variants[:i]:
+            raise ConfigError(f"variant {variant!r} is repeated; the matrix takes each once")
     if "espo" not in variants or len(variants) < 2:
         raise ConfigError("the ablation matrix needs the espo reference run and another variant")
     configs = {}

@@ -39,8 +39,6 @@ def log_softmax(logits, axis: int = -1) -> np.ndarray:
     makes the regret signal computable from either representation.
     """
     arr = np.asarray(logits, dtype=np.float64)
-    if arr.shape[axis] < 2:
-        raise ValueError("log_softmax requires a vocabulary of at least 2")
     if not np.all(np.isfinite(arr)):
         raise ValueError("log_softmax requires finite logits")
     shifted = arr - arr.max(axis=axis, keepdims=True)

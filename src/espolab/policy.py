@@ -67,8 +67,6 @@ class TabularCritic:
     """State-value table; plain MSE-regression parameters."""
 
     def __init__(self, state_count: int):
-        if state_count < 1:
-            raise ValueError("need at least one state")
         self.state_count = state_count
         self.table = np.zeros(state_count, dtype=np.float64)
 

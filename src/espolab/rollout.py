@@ -280,10 +280,6 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     nothing past a stop is recorded or counted. Counterfactual-extend mode
     keeps the row to its natural end.
     """
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
-    if mode not in (STANDARD, COUNTERFACTUAL):
-        raise ValueError(f"unknown collection mode {mode!r}")
     pol = cache if cache is not None else CachedPolicy(actor, critic)
     random_rule = snapshot.rule == "random_stop"
     draws_per_step = 2 if random_rule else 1
@@ -370,7 +366,7 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
                 won = bool(success[pair])
                 break
             state = int(next_state[pair])
-        return (episodes if won else 0) / episodes
+        return 1.0 if won else 0.0
     successes = 0
     for first in range(0, episodes, EVAL_CHUNK):
         if first % SEED_ROWS == 0:  # seed the next SEED_ROWS episodes' streams at once

@@ -12,7 +12,6 @@ observe statistics influenced by its own batch.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -27,8 +26,6 @@ __all__ = [
     "StopperState",
     "weighted_fsum",
 ]
-
-logger = logging.getLogger(__name__)
 
 _HIGH_HALF = np.int64(-1 << 26)  # keeps sign, exponent and top 26 fraction bits
 _DIGIT_BITS = 26
@@ -142,12 +139,9 @@ class StopperState:
         variance: math.fsum of libm pow(regret - mean, 2.0) (as `** 2` on a
         float is, not x * x); each over N. `weighted_fsum` gives both bit for
         bit as the per-element sums, however the batch is grouped or ordered,
-        since a square is a function of the regret alone. An empty batch
-        leaves the statistics unchanged."""
+        since a square is a function of the regret alone. N >= 1: every row
+        trains at least one step."""
         n = int(counts.sum())
-        if not n:
-            logger.warning("update_ema called with an empty batch; statistics unchanged")
-            return
         mean = weighted_fsum(values, counts) / n
         squares = np.fromiter(map(math.pow, (values - mean).tolist(), repeat(2.0)),
                               np.float64, len(values))
@@ -158,8 +152,6 @@ class StopperState:
 
     def update_beta(self, stop_rate: float) -> None:
         """beta <- clip(beta + eta * (stop_rate - target), beta_min, beta_max)."""
-        if not 0.0 <= stop_rate <= 1.0:
-            raise ValueError(f"stop rate {stop_rate} outside [0, 1]")
         cfg = self.cfg
         beta = self.beta + cfg.eta_beta * (stop_rate - cfg.target_stop_rate)
         self.beta = min(max(beta, cfg.beta_min), cfg.beta_max)

@@ -12,6 +12,7 @@ the stop step carries the early-stop reward in either mode.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -48,6 +49,14 @@ __all__ = [
     "gae",
     "ppo_surrogate_grad",
 ]
+
+# The files a run appends to, each with the header a new file starts with; a
+# fresh run removes them first (harness.run_experiment)
+SIDE_FILES = {
+    "eval.csv": "step,greedy_success,sampled_success,episodes\n",
+    "stop_events.tsv": "step\ttrajectory\tstop_step\tvalue_estimate\tz\n",
+    "trajectories.tsv": "",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,19 +376,21 @@ class TrainingRun:
 
     # -- side outputs ---------------------------------------------------------
 
-    def _out_path(self, name: str) -> str | None:
-        if not self.config.out_dir:
-            return None
-        return os.path.join(self.config.out_dir, name)
+    @contextlib.contextmanager
+    def _appending(self, name: str):
+        """Side file `name` in out_dir, open to append; a new file gets its
+        SIDE_FILES header first."""
+        path = os.path.join(self.config.out_dir, name)
+        fresh = not os.path.exists(path)
+        with open(path, "a", encoding="utf-8") as fh:
+            if fresh:
+                fh.write(SIDE_FILES[name])
+            yield fh
 
     def _side_outputs(self, batch: RolloutBatch, row: MetricsRow) -> None:
         cfg = self.config
         if cfg.record_stop_events and cfg.out_dir:
-            path = self._out_path("stop_events.tsv")
-            fresh = not os.path.exists(path)
-            with open(path, "a", encoding="utf-8") as fh:
-                if fresh:
-                    fh.write("step\ttrajectory\tstop_step\tvalue_estimate\tz\n")
+            with self._appending("stop_events.tsv") as fh:
                 for ti in np.flatnonzero(batch.stops >= 0).tolist():
                     idx = int(batch.stops[ti])
                     value, z = batch.values[ti, idx].item(), batch.scores[ti, idx].item()
@@ -391,13 +402,13 @@ class TrainingRun:
                        batch.scores, batch.values)
             rows = zip(batch.lengths.tolist(), batch.stop_codes.tolist(),
                        batch.stops.tolist())
-            with open(self._out_path("trajectories.tsv"), "a", encoding="utf-8") as fh:
+            with self._appending("trajectories.tsv") as fh:
                 for ti, (n, code, stop) in enumerate(rows):
                     fh.write(f"# step {row.step} trajectory {ti} reason {STOP_REASONS[code]}\n")
                     for t, (s, a, g, gn, z, v) in enumerate(
                             zip(*(c[ti, :n].tolist() for c in columns))):
                         fh.write(f"{t}\t{s}\t{a}\t{g!r}\t{gn!r}\t{z!r}\t{v!r}\t{int(t == stop)}\n")
-        if cfg.eval_every and row.step % cfg.eval_every == 0:
+        if cfg.eval_every and row.step % cfg.eval_every == 0 and cfg.out_dir:
             self._write_eval(row.step)
         if cfg.checkpoint_every and row.step % cfg.checkpoint_every == 0 and cfg.out_dir:
             self.save_checkpoint(os.path.join(cfg.out_dir, "checkpoints",
@@ -405,9 +416,6 @@ class TrainingRun:
 
     def _write_eval(self, step: int) -> None:
         cfg = self.config
-        path = self._out_path("eval.csv")
-        if path is None:
-            return
         if self._eval_row[0] != step:  # run() repeats the last step's row as it is
             policy = CachedPolicy(self.actor, self.critic)
             greedy = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
@@ -415,10 +423,7 @@ class TrainingRun:
             sampled = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
                                       cfg.seed, step, greedy=False)
             self._eval_row = (step, f"{step},{greedy!r},{sampled!r},{cfg.eval_episodes}\n")
-        fresh = not os.path.exists(path)
-        with open(path, "a", encoding="utf-8") as fh:
-            if fresh:
-                fh.write("step,greedy_success,sampled_success,episodes\n")
+        with self._appending("eval.csv") as fh:
             fh.write(self._eval_row[1])
 
     # -- run/checkpoint lifecycle -------------------------------------------

@@ -26,7 +26,7 @@ import os
 import statistics
 from dataclasses import dataclass
 
-from .config import CALIBRATED, VARIANTS, ConfigError, RunConfig, stop_rule
+from .config import CALIBRATED, ConfigError, RunConfig, stop_rule
 from .metrics import read_metrics
 
 __all__ = [
@@ -82,10 +82,8 @@ def load_reference(run_dir, variant: str) -> float | tuple[float, ...]:
 
 
 def variant_dispatch(cfg: RunConfig) -> VariantPlan:
-    """Resolve the config into a concrete collection/training plan."""
+    """Resolve a validated config into a concrete collection/training plan."""
     variant = cfg.variant
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
     rule = stop_rule(cfg)
     random_mode = rule == "random_stop"
 

@@ -24,6 +24,7 @@ from espolab.config import (
     to_flat_dict,
     validate_run_config,
 )
+from espolab import trainer
 from espolab.envs import env_signature
 from espolab.trainer import TrainingRun
 from espolab.variants import variant_dispatch
@@ -231,6 +232,27 @@ class TestValidation:
         errors = validate_run_config(RunConfig(**keys))
         assert len(errors) == 1 and "state_budget" in errors[0], errors
         assert validate_run_config(RunConfig(state_budget=14)) == []
+
+    @pytest.mark.parametrize("key, keys", [
+        ("vocab_size", dict(vocab_size=1)),
+        ("target_length", dict(target_length=0)),
+        ("doom_padding", dict(doom_padding=-1)),
+        ("repair_window", dict(env="recoverable", repair_window=-1)),
+        ("t_max", dict(t_max=0)),
+        ("variant", dict(variant="mystery")),
+        ("target_sequence", dict(vocab_size=4, target_length=3, target_sequence="0,9,0")),
+        ("target_sequence", dict(target_length=2, target_sequence="0,0,0")),
+    ], ids=["vocab_size", "target_length", "doom_padding", "repair_window", "t_max",
+            "variant", "target_token", "target_sequence_length"])
+    def test_a_run_is_the_one_gate(self, monkeypatch, key, keys):
+        # validation is the only check of these values: the environment
+        # specs, collect_batch and variant_dispatch take them as given, so a
+        # run rejects them, naming the key, before anything is built
+        built = []
+        monkeypatch.setattr(trainer, "build_environment", lambda *args: built.append(args))
+        with pytest.raises(ConfigError, match=f"- {key} "):
+            TrainingRun(RunConfig(**keys))
+        assert built == []
 
 
 class TestHashingAndSignature:

@@ -271,14 +271,6 @@ class TestTargetGeneration:
         assert all(0 <= t < 8 for t in a)
         assert generate_target_sequence(8, 12, seed=6) != a
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            TrapChainSpec(1, 3, (0, 0, 0))
-        with pytest.raises(ValueError):
-            TrapChainSpec(4, 3, (0, 9, 0))
-        with pytest.raises(ValueError):
-            TrapChainSpec(4, 2, (0, 0, 0))
-
     def test_terminal_state_step_rejected(self):
         env = build_environment(TrapChainSpec(4, 3, (0, 1, 2), 2))
         success = next(i for i, lbl in enumerate(env.labels) if lbl == "terminal:success")

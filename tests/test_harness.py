@@ -11,6 +11,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import types
 
 import numpy as np
 import pytest
@@ -150,19 +151,26 @@ class TestPackageSurface:
 
 
 class TestBenchmarkHooks:
-    """perfbench wraps the names in perfbench/spans.py TARGETS and feeds
-    `TrainingRun.ppo` to the trainer functions; a src change that breaks
-    either fails here, not only in the benchmark's own suite."""
+    """perfbench imports names from espolab, wraps the names in
+    perfbench/spans.py TARGETS and feeds `TrainingRun.ppo` to the trainer
+    functions; a src change that breaks any of them fails here, not only in
+    the benchmark's own suite, which lies outside testpaths."""
 
-    @staticmethod
-    def targets():
-        """spans.TARGETS, (module, attribute path, span name) each, read
-        without importing perfbench."""
-        spans = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        tree = ast.parse(spans.read_text(encoding="utf-8"))
-        return next(ast.literal_eval(node.value) for node in tree.body
-                    if isinstance(node, ast.Assign)
-                    and getattr(node.targets[0], "id", None) == "TARGETS")
+    BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+    @classmethod
+    def spans(cls):
+        """perfbench/spans.py run from its source in a fresh namespace: no
+        import, no bytecode written under perfbench/."""
+        module = types.ModuleType("spans")
+        path = cls.BENCH / "spans.py"
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+        return module
+
+    @classmethod
+    def targets(cls):
+        """spans.TARGETS: (module, attribute path, span name) each."""
+        return cls.spans().TARGETS
 
     @staticmethod
     def resolve(module_name, path):
@@ -180,24 +188,24 @@ class TestBenchmarkHooks:
             owner, attr = self.resolve(module_name, path)
             assert attr in vars(owner), f"{module_name}: {path}"
 
-    def test_every_traced_span_is_recorded(self, tmp_path, monkeypatch):
+    def test_every_traced_span_is_recorded(self, tmp_path):
         # perfbench's layer_metrics looks each span name up in a traced run's
         # totals, so a target that a run no longer calls is a KeyError there
-        calls = {}
+        spans = self.spans()
+        tracer = spans.Tracer("tier-1")
+        with tracer.instrument():
+            run_experiment(tiny_config(out_dir=str(tmp_path), t_max=8, batch_size=4,
+                                       total_steps=2, eval_episodes=8))
+        recorded = {name for name, *_times in tracer.spans}
+        assert [span for _m, _p, span in spans.TARGETS if span not in recorded] == []
 
-        def counted(span, fn):
-            def wrapper(*args, **kwargs):
-                calls[span] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module_name, path, span in self.targets():
-            owner, attr = self.resolve(module_name, path)
-            calls[span] = 0
-            monkeypatch.setattr(owner, attr, counted(span, vars(owner)[attr]))
-        run_experiment(tiny_config(out_dir=str(tmp_path), total_steps=4, checkpoint_every=2,
-                                   eval_every=2, eval_episodes=8))
-        assert [span for span, n in calls.items() if not n] == []
+    def test_every_name_the_worker_imports_exists(self):
+        tree = ast.parse((self.BENCH / "worker.py").read_text(encoding="utf-8"))
+        missing = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module.startswith("espolab")
+                   for alias in node.names
+                   if not hasattr(importlib.import_module(node.module), alias.name)]
+        assert missing == []
 
     def test_run_ppo_feeds_the_trainer_functions(self):
         run = TrainingRun(tiny_config())
@@ -238,11 +246,6 @@ class TestBenchmarkHooks:
 
 
 class TestVariantDispatch:
-    def test_unknown_variant_rejected(self):
-        cfg = dataclasses.replace(RunConfig(), variant="mystery")
-        with pytest.raises(ConfigError):
-            variant_dispatch(cfg)
-
     def test_ablation_plans_differ_from_espo_only_in_their_mechanism(self):
         # the plan fields each ablation changes relative to espo; threshold
         # rules also fix the threshold and random_stop its rate (the
@@ -645,6 +648,18 @@ class TestCompareRuns:
         with pytest.raises(ValueError, match="environments"):
             compare_runs([a, c])
 
+    def test_a_manifest_config_is_validated_before_its_environment(self, tmp_path):
+        # a manifest is read from disk; an edited one is rejected naming the
+        # key, not by whatever the environment would do with the value
+        a = self.synthetic_run(str(tmp_path / "a"), "ppo", 1000, 0.5)
+        b = self.synthetic_run(str(tmp_path / "b"), "espo", 800, 0.5)
+        manifest = pathlib.Path(b) / "manifest.json"
+        record = json.loads(manifest.read_text(encoding="utf-8"))
+        record["config"]["vocab_size"] = "1"
+        manifest.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(ConfigError, match="vocab_size must be >= 2"):
+            compare_runs([a, b])
+
     def test_token_saving_pct(self):
         assert token_saving_pct(839.24, 1072.40) == pytest.approx(21.7419, abs=1e-3)
         with pytest.raises(ValueError):
@@ -701,14 +716,18 @@ class TestAblateAndEval:
         assert cli_main(["eval", out, "--seed", "-1"]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["bogus", "ppo"])
-    def test_ablate_rejects_a_bad_variant_list_before_any_run(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("bad, message", [
+        ("bogus", "variant must be one of ('ppo', 'espo',"),  # its config's declared choices
+        ("ppo", "variant 'ppo' is repeated"),
+    ], ids=["unknown", "repeated"])
+    def test_ablate_rejects_a_bad_variant_list_before_any_run(self, tmp_path, capsys, bad,
+                                                              message):
         out_root = tmp_path / "matrix"
         argv = ["ablate", "--vocab-size", "4", "--target-length", "3", "--t-max", "12",
                 "--batch-size", "8", "--total-steps", "2", "--out-root", str(out_root),
                 "--variants", f"espo,ppo,{bad}"]
         assert cli_main(argv) == 1
-        assert f"variant {bad!r} is unknown or repeated" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out_root.exists()
 
     def test_ablate_rejects_a_single_variant_before_any_run(self, tmp_path, capsys):

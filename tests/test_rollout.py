@@ -129,16 +129,6 @@ class TestCollectTrajectory:
         assert extended.hypothetical_stop_index == 7
         assert extended.steps == stopped.steps
 
-    def test_unknown_mode_rejected(self, small_env):
-        # the mode decides only what a stop does, so it is STANDARD or
-        # COUNTERFACTUAL; never stopping and random stops are the snapshot's
-        # rules "ppo" and "random_stop"
-        actor = TabularActor(small_env.state_count, small_env.vocab_size)
-        critic = TabularCritic(small_env.state_count)
-        for mode in ("disabled", "random"):
-            with pytest.raises(ValueError, match="unknown collection mode"):
-                collect_small_batch(small_env, actor, critic, mode=mode)
-
     def test_horizon_cap_gets_zero_outcome(self):
         env = make_env(padding=None)
         actor = TabularActor(env.state_count, env.vocab_size)
