@@ -4,8 +4,9 @@ Policies are categorical distributions over a small token vocabulary,
 represented as unnormalized logit vectors. Everything here is a pure function
 over value data. keyed_seeds seeds a block of keyed streams at once as uint64
 arrays, and keyed_uniforms draws from them the same bits as numpy's
-SeedSequence -> PCG64 -> Generator per stream, keeping the last block it
-seeded for the next call.
+SeedSequence -> PCG64 -> Generator per stream: a wide, short block all at
+once as PCG64 lanes, kept for the next call, and any other block row by row
+through numpy's own generator.
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ _MULT_HI, _MULT_LO = map(np.uint64, divmod(0x2360ED051FC65DA44385DF649FCCF645, 1
 # block never spans a change in the key's word count (at 2**32, 2**64, ...).
 KEY_BLOCK = 32
 SEED_ROWS = 2048
+
+# keyed_uniforms draws a block as PCG64 lanes, one draw of all its streams at
+# a time, when it has at least LANE_RATIO streams per draw and at most
+# LANE_CELLS uniforms (1 MiB); one draw of up to 2,048 lanes costs about as
+# much as filling 10-12 rows. Any other block is filled row by row.
+LANE_RATIO = 16
+LANE_CELLS = 1 << 17
+_kept_lanes = {}  # the last lane block drawn, keyed by (seeding, n)
 
 
 def _hash_consts(const: int, mult: int):
@@ -155,6 +164,15 @@ def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
     return a_hi * b_hi + (cross >> 32) + (mid >> 32) + carry
 
 
+def _lcg_step(s_hi, s_lo, inc_hi, inc_lo) -> tuple:
+    """PCG64's LCG step, (state * M + inc) mod 2**128, in uint64 halves, as
+    (high, low): the low word is s_lo * M_lo + inc_lo and the high word
+    mulhi(s_lo, M_lo) + s_lo * M_hi + s_hi * M_lo + inc_hi plus the low
+    addition's carry, each mod 2**64."""
+    lo = s_lo * _MULT_LO + inc_lo
+    return _mulhi(s_lo, _MULT_LO) + s_lo * _MULT_HI + s_hi * _MULT_LO + inc_hi + (lo < inc_lo), lo
+
+
 def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
     """(state, inc) that pcg64_set_seed gives each column's initstate
     w0 * 2**64 + w1 and initseq w2 * 2**64 + w3: inc = initseq << 1 | 1 and
@@ -164,10 +182,18 @@ def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
     inc_hi, inc_lo = q_hi << 1 | q_lo >> 63, q_lo << 1 | 1
     t_lo = inc_lo + s_lo
     t_hi = inc_hi + s_hi + (t_lo < inc_lo)
-    p_lo = t_lo * _MULT_LO
-    p_hi = _mulhi(t_lo, _MULT_LO) + t_lo * _MULT_HI + t_hi * _MULT_LO
-    state_lo = p_lo + inc_lo
-    return np.stack((p_hi + inc_hi + (state_lo < inc_lo), state_lo, inc_hi, inc_lo))
+    return np.stack((*_lcg_step(t_hi, t_lo, inc_hi, inc_lo), inc_hi, inc_lo))
+
+
+def _xsl_rr_columns(seeds: np.ndarray, n: int):
+    """The first n PCG64 outputs of every column of a keyed_seeds array, as
+    one uint64 array a draw. Each draw steps every lane's state, then outputs
+    XSL-RR of the new state, rotr64(high ^ low, high >> 58), as pcg64 does."""
+    s_hi, s_lo, inc_hi, inc_lo = seeds
+    for _ in range(n):
+        s_hi, s_lo = _lcg_step(s_hi, s_lo, inc_hi, inc_lo)
+        word, rot = s_hi ^ s_lo, s_hi >> 58
+        yield word >> rot | word << (-rot & 63)
 
 
 @lru_cache(maxsize=1)
@@ -208,13 +234,27 @@ def keyed_uniforms(master_seed: int, key_prefix: tuple[int, ...], first: int, co
     The streams are seeded a block of consecutive last keys at a time (up to
     KEY_BLOCK of them, aligned, and at most SEED_ROWS rows), and keyed_seeds
     keeps the block, so consecutive batch indices of a run share one seeding.
-    Row indices must fit one uint32 word.
+    A block of at least LANE_RATIO streams per draw and at most LANE_CELLS
+    uniforms is drawn whole as lanes, (x >> 11) * 2**-53 of each XSL-RR word
+    x as Generator.random converts, and kept in place of the last one drawn;
+    the result is then a read-only view of it. Other blocks fill only the
+    call's rows. Row indices must fit one uint32 word.
     """
     *head, last = key_prefix
     keys = KEY_BLOCK
     while keys > 1 and keys * count > SEED_ROWS:
         keys //= 2
     start = last - last % keys
-    block = keyed_seeds(master_seed, (*head, start), first, count, keys)
     at = (last - start) * count
-    return seeded_uniforms(block[:, at:at + count], n)
+    lanes = keys * count
+    seeding = (master_seed, (*head, start), first, count, keys)
+    if lanes < LANE_RATIO * n or lanes * n > LANE_CELLS:
+        return seeded_uniforms(keyed_seeds(*seeding)[:, at:at + count], n)
+    if (seeding, n) not in _kept_lanes:
+        _kept_lanes.clear()  # the old block goes before the new one is drawn
+        block = np.empty((n, lanes))
+        for row, words in zip(block, _xsl_rr_columns(keyed_seeds(*seeding), n)):
+            np.multiply(words >> 11, 2.0 ** -53, out=row)
+        block.flags.writeable = False
+        _kept_lanes[seeding, n] = block
+    return _kept_lanes[seeding, n][:, at:at + count].T

@@ -17,7 +17,8 @@ import pytest
 
 from espolab.config import RunConfig
 from espolab.envs import RecoverableBranchSpec, TrapChainSpec, build_environment
-from espolab.mdpcore import TRAIN_STREAM, derived_rng, log_softmax
+from espolab import mdpcore
+from espolab.mdpcore import TRAIN_STREAM, derived_rng, keyed_seeds, log_softmax
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import STOP_REASONS, CachedPolicy, RolloutBatch, collect_batch
 from espolab.stopper import StopperSnapshot, StopperState
@@ -265,6 +266,13 @@ def trajectory_rng(master_seed: int, batch_index: int, traj_index: int) -> np.ra
     """Trajectory traj_index's own stream in batch batch_index, built one
     SeedSequence at a time: the oracle for collect_batch's bulk uniforms."""
     return derived_rng(master_seed, TRAIN_STREAM, batch_index, traj_index)
+
+
+def drop_kept_streams():
+    """Drop the seed block and the lane block that keyed_uniforms keeps, so
+    the next call seeds and draws afresh, as a new process would."""
+    keyed_seeds.cache_clear()
+    mdpcore._kept_lanes.clear()
 
 
 def pick_from_cumulative(cum_probs, rng: np.random.Generator) -> int:

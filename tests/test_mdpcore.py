@@ -5,19 +5,24 @@ from __future__ import annotations
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from espolab.config import RunConfig
+from espolab import mdpcore
 from espolab.mdpcore import (
     EVAL_STREAM,
     KEY_BLOCK,
+    LANE_CELLS,
+    LANE_RATIO,
     SEED_ROWS,
     TRAIN_STREAM,
     _keyed_pools,
     _pcg64_seeds,
     _state_words,
+    _xsl_rr_columns,
     derived_rng,
     keyed_seeds,
     keyed_uniforms,
@@ -31,6 +36,7 @@ from espolab.trainer import compute_advantages
 from conftest import (
     StopReason,
     collect_small_batch,
+    drop_kept_streams,
     pick_from_cumulative,
     random_actor,
     random_critic,
@@ -177,10 +183,12 @@ class TestKeyedUniforms:
     @pytest.mark.parametrize("seed", [0, 2**70 + 1])
     def test_rows_across_block_boundaries(self, seed):
         # last keys on both sides of a block boundary, and blocks that end at
-        # 2**32 - 1 and start at 2**32 and 2**33, where the key gains a word
-        assert KEY_BLOCK == 32
+        # 2**32 - 1 and start at 2**32 and 2**33, where the key gains a word;
+        # 64 x 64 is drawn as lanes on both edges of the lane rule (LANE_RATIO
+        # streams a draw, LANE_CELLS uniforms), 32 x 64 on the ratio's edge
+        assert (KEY_BLOCK, LANE_RATIO, LANE_CELLS) == (32, 16, 2**17)
         for last in (31, 32, 33, 2**32 - 1, 2**32, 2**33 - 1, 2**33, 2**33 + 1):
-            for count in (1, 8, 64, 100, 2049):
+            for count in (1, 8, 32, 64, 100, 2049):
                 n = 2 if count > 64 else T_MAX
                 out = keyed_uniforms(seed, (TRAIN_STREAM, last), 0, count, n)
                 assert (out == stacked_streams(seed, (TRAIN_STREAM, last), 0, count, n)).all()
@@ -200,10 +208,48 @@ class TestKeyedUniforms:
         for last in (40, 3, 40, 63, 32):
             out = keyed_uniforms(7, (TRAIN_STREAM, last), 0, 64, T_MAX)
             assert (out == stacked_streams(7, (TRAIN_STREAM, last), 0, 64, T_MAX)).all()
-        keyed_seeds.cache_clear()
+        drop_kept_streams()
         out = keyed_uniforms(7, (TRAIN_STREAM, 40), 0, 64, T_MAX)
         assert (out == stacked_streams(7, (TRAIN_STREAM, 40), 0, 64, T_MAX)).all()
         assert not keyed_seeds(7, (TRAIN_STREAM, 32), 0, 64, KEY_BLOCK).flags.writeable
+
+    def test_lane_words_equal_pcg64_raw_output(self):
+        # before the double conversion: each lane's XSL-RR words are its
+        # PCG64's random_raw, for a three-word seed and two-word keys
+        seeds = keyed_seeds(2**70 + 1, (TRAIN_STREAM, 2**32), 0, 64, 4)
+        words = np.stack(list(_xsl_rr_columns(seeds, 40)))
+        assert words.dtype == np.uint64 and words.shape == (40, 256)
+        for j in (0, 63, 64, 130, 255):
+            ss = np.random.SeedSequence(entropy=2**70 + 1,
+                                        spawn_key=(TRAIN_STREAM, 2**32 + j // 64, j % 64))
+            assert words[:, j].tolist() == np.random.PCG64(ss).random_raw(40).tolist()
+
+    def test_wide_short_blocks_take_lanes(self):
+        # which shapes the rule draws as lanes: the protocol's 64 x 64 does,
+        # and counterfactual-long's 8 x 512 and random_stop's 64 x 128 do not
+        for count, n, lanes in [(64, 64, True), (32, 64, True), (4096, 32, True),
+                                (64, 65, False), (32, 65, False), (4096, 33, False),
+                                (8, 512, False), (64, 128, False)]:
+            drop_kept_streams()
+            out = keyed_uniforms(0, (TRAIN_STREAM, 5), 0, count, n)
+            assert bool(mdpcore._kept_lanes) == lanes == (not out.flags.writeable), (count, n)
+            assert out.shape == (count, n)
+
+    def test_a_new_lane_block_replaces_the_kept_one(self):
+        # from key 31 to 32 at 64 x 64: the kept block is dropped before the
+        # next one is drawn, and drawing it makes no block-sized temporary
+        block_bytes = 64 * KEY_BLOCK * 64 * 8
+        drop_kept_streams()
+        tracemalloc.start()
+        try:
+            keyed_uniforms(3, (TRAIN_STREAM, 31), 0, 64, 64)
+            assert tracemalloc.get_traced_memory()[0] >= block_bytes
+            tracemalloc.reset_peak()
+            keyed_uniforms(3, (TRAIN_STREAM, 32), 0, 64, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block_bytes
 
     @pytest.mark.parametrize("first", [0, 960])
     def test_eval_chunks_of_one_seeded_tag(self, first):

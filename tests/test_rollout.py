@@ -18,7 +18,7 @@ import espolab
 from espolab import rollout
 from espolab.envs import RecoverableBranchSpec, TrapChainSpec, build_environment
 from espolab.config import RunConfig
-from espolab.mdpcore import keyed_seeds, log_softmax
+from espolab.mdpcore import log_softmax
 from espolab.policy import TabularActor, TabularCritic
 from espolab.rollout import EARLY_STOP, CachedPolicy, collect_batch, evaluate_policy
 from espolab.stopper import StopperState
@@ -33,6 +33,7 @@ from conftest import (
     collect_small_batch,
     collect_trajectory,
     dump_trajectory,
+    drop_kept_streams,
     env_step,
     pick_from_cumulative,
     plain_snapshot,
@@ -412,7 +413,7 @@ class TestBatchDeterminism:
         actor, critic = run.actor.copy(), run.critic.copy()
         run.step()
         batch = run.last_batch
-        keyed_seeds.cache_clear()
+        drop_kept_streams()
         again = collect_batch(actor, critic, batch.snapshot, run.env, cfg.batch_size,
                               cfg.t_max, batch.mode, run.plan.early_stop_reward, cfg.seed, 50)
         for field in dataclasses.fields(batch):

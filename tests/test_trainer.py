@@ -36,6 +36,7 @@ from conftest import (
     advantage_set,
     batch_from_trajectories,
     batch_statistics,
+    drop_kept_streams,
     plain_snapshot,
     ppo_surrogate_value,
     random_actor,
@@ -416,25 +417,34 @@ class TestTrainingLoop:
 
 class TestCheckpointResume:
     def test_resume_continues_bit_identically(self, tmp_path):
+        self.assert_resumes_bit_identically(tmp_path, batch_size=16, total_steps=24, at=12)
+
+    def test_resume_inside_a_lane_block(self, tmp_path):
+        # 64 rows draw a 2,048-stream lane block once per KEY_BLOCK steps; step
+        # 13 resumes inside the first block, and the run goes on into the second
+        self.assert_resumes_bit_identically(tmp_path, batch_size=64, total_steps=40, at=13)
+
+    @staticmethod
+    def assert_resumes_bit_identically(tmp_path, batch_size, total_steps, at):
         from espolab.harness import run_experiment
 
-        full_cfg = base_config(total_steps=24, checkpoint_every=12,
-                               out_dir=str(tmp_path / "full"))
+        full_cfg = base_config(batch_size=batch_size, total_steps=total_steps,
+                               checkpoint_every=at, out_dir=str(tmp_path / "full"))
         run_experiment(full_cfg)
         full_csv = (tmp_path / "full" / "metrics.csv").read_bytes()
 
-        # replay the first half, then resume from its checkpoint
+        # replay up to the checkpoint, then resume from it as a new process would
         half_dir = tmp_path / "resumed"
-        half_cfg = base_config(total_steps=24, checkpoint_every=12,
-                               out_dir=str(half_dir))
+        half_cfg = dataclasses.replace(full_cfg, out_dir=str(half_dir))
         run = TrainingRun(half_cfg)
         from espolab.metrics import MetricsWriter
 
         half_dir.mkdir()
         with MetricsWriter(half_dir / "metrics.csv") as writer:
-            for _ in range(12):
+            for _ in range(at):
                 writer.write(run.step())
-        ckpt = run.save_checkpoint(half_dir / "checkpoints" / "step_000012")
+        ckpt = run.save_checkpoint(half_dir / "checkpoints" / f"step_{at:06d}")
+        drop_kept_streams()
         run_experiment(half_cfg, resume_checkpoint=ckpt)
         assert (half_dir / "metrics.csv").read_bytes() == full_csv
 
