@@ -65,7 +65,8 @@ class AdvantageSet:
     arrays aligned with the RolloutBatch, and the B x T `mask` that is True
     on the steps trained on: those before each row's effective (possibly
     simulated-truncated) length. The arrays are zero outside the mask.
-    `steps` holds the table that _trained_steps gathers on first use.
+    `steps` holds the table that _trained_steps gathers on first use, `plan`
+    the _SurrogatePlan of ppo_surrogate_grad's first epoch.
     """
 
     advantages: np.ndarray
@@ -73,6 +74,7 @@ class AdvantageSet:
     td_errors: np.ndarray
     mask: np.ndarray
     steps: tuple | None = field(default=None, init=False, repr=False)
+    plan: _SurrogatePlan | None = field(default=None, init=False, repr=False)
 
 
 def _trained_steps(batch: RolloutBatch, advantage_sets: AdvantageSet) -> tuple:
@@ -146,32 +148,76 @@ def compute_advantages(batch: RolloutBatch, config: RunConfig,
 SURROGATE_CHUNK = 8192  # gradient entries scattered per bincount call
 LOG_RATIO_MAX = math.log(np.finfo(float).max)  # math.exp overflows above it
 # With a vocabulary of ROW_SUM_VOCAB or more, a state with ROW_SUM_STEPS or
-# more live steps is summed row by row in blocks of at most ROW_SUM_BLOCK
+# more trained-on steps is summed row by row in blocks of at most ROW_SUM_BLOCK
 # entries (measured crossover: DECISIONS.md "Heavy states summed row by row")
 ROW_SUM_VOCAB = 32
 ROW_SUM_STEPS = 256
 ROW_SUM_BLOCK = 32768
 
 
-def _row_sum(pi: np.ndarray, coeff: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """One state's gradient row from its live steps, in step order. A block
-    holds the running sums, then per step its -c * pi row and a row with +c
-    at its token; np.add.reduce along axis 0 adds the rows in order. A sum
-    that starts at +0.0 never becomes -0.0, so its +0.0 entries, and the
-    +0.0 that np.einsum may give a -0.0 product, leave every sum unchanged."""
-    vocab = len(pi)
-    per_block = max(1, (ROW_SUM_BLOCK // vocab - 1) // 2)
-    block = np.zeros((2 * min(per_block, len(coeff)) + 1, vocab))
+def _row_sum(pi: np.ndarray, coeff: np.ndarray, at: np.ndarray, block: np.ndarray):
+    """One state's gradient row from its steps, in step order, as a view of
+    `block` row 0: each pass holds the running sums, then per step its -c * pi
+    row and a row with +c at flat offset `at`, and np.add.reduce adds them in
+    order. A sum that starts at +0.0 never becomes -0.0, so its +0.0 entries
+    and the +0.0 that np.einsum may give a -0.0 product change no sum."""
+    per_block = len(block) // 2
     flat = block.reshape(-1)
+    block[0] = 0.0
     for first in range(0, len(coeff), per_block):
         c = coeff[first:first + per_block]
         rows = block[:2 * len(c) + 1]
         np.einsum("i,k->ik", -c, pi, out=rows[1::2])  # one product each, faster than outer
-        at = np.arange(2 * vocab, rows.size, 2 * vocab) + actions[first:first + per_block]
-        flat[at] = c
+        tokens = at[first:first + per_block]
+        flat[tokens] = c
         rows[0] = np.add.reduce(rows, axis=0)
-        flat[at] = 0.0
+        flat[tokens] = 0.0
     return block[0]
+
+
+class _SurrogatePlan:
+    """What every ppo_surrogate_grad epoch over one batch shares: each step's
+    (state, token) pair id, the steps per pair and, with a vocabulary of
+    ROW_SUM_VOCAB or more, each state of ROW_SUM_STEPS or more steps as
+    (state, its steps, their +c offsets in `block`). The other steps, `light`
+    (all of them, as a slice, when no state is heavy), go through the scatter."""
+
+    def __init__(self, states: np.ndarray, actions: np.ndarray, state_count: int, vocab: int):
+        self.pairs = states * vocab + actions
+        self.pair_counts = np.bincount(self.pairs, minlength=state_count * vocab)
+        state_steps = np.bincount(states, minlength=state_count)
+        row_summed = (state_steps >= ROW_SUM_STEPS) & (vocab >= ROW_SUM_VOCAB)
+        per_block = min(max(1, (ROW_SUM_BLOCK // vocab - 1) // 2),
+                        int(state_steps[row_summed].max(initial=0)))
+        self.block = np.zeros((2 * per_block + 1, vocab))
+        token_rows = np.arange(2, 2 * per_block + 2, 2) * vocab  # of one pass
+        self.heavy = []
+        for s in np.flatnonzero(row_summed).tolist():
+            steps = np.flatnonzero(states == s)
+            self.heavy.append((s, steps, np.resize(token_rows, len(steps)) + actions[steps]))
+        self.light = np.flatnonzero(~row_summed[states]) if row_summed.any() else slice(None)
+        self.groups = None
+
+    def ratios(self, table: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
+        """Each step's importance ratio: exp(+-0) = 1 while every log-ratio is
+        +-0.0, as on the policy that collected the batch, then one math.exp
+        (not np.exp: they differ in the last bit on some inputs) per group of
+        steps with one pair and one recorded log-prob. A collected batch has
+        one per pair; a step unlike its pair's representative leads its own."""
+        if self.groups is None:
+            if not (table.ravel()[self.pairs] - log_probs).any():
+                return np.ones(len(log_probs))
+            steps = np.arange(len(self.pairs))
+            lead = np.empty(table.size, dtype=np.intp)
+            lead[self.pairs] = steps  # each pair's representative: one of its steps
+            lead, bits = lead[self.pairs], log_probs.view(np.int64)
+            lead = np.where(bits == bits[lead], lead, steps)
+            leads = lead == steps
+            self.groups = (self.pairs[leads], log_probs[leads], (np.cumsum(leads) - 1)[lead])
+        group_pairs, group_log_probs, step_group = self.groups
+        log_ratios = table.ravel()[group_pairs] - group_log_probs
+        log_ratios[log_ratios > LOG_RATIO_MAX] = np.inf  # an overflowing ratio counts as +inf
+        return np.array(list(map(math.exp, log_ratios.tolist())))[step_group]
 
 
 def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
@@ -186,15 +232,14 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
 
     A step in state s with token a and coefficient c = ratio * advantage adds
     -c * pi(k|s) to entry (s, k) for every k, then +c to (s, a): each cell
-    takes its terms in step order, as a loop over the steps adds them. Cells
-    of different states are disjoint, so each state may take its own path.
-    With a vocabulary of ROW_SUM_VOCAB or more, a state with ROW_SUM_STEPS or
-    more live steps is summed by _row_sum, an in-order reduce of its rows.
-    The other states go through np.bincount, which adds its weights in input
-    order: the entries go in as the steps come, trajectory by trajectory,
-    each step's K terms before its token's. They go in chunks of consecutive
-    steps, each chunk's bincount starting from the running sums, which
-    bounds the temporaries.
+    takes its terms in step order, as a loop over the steps adds them; a
+    clipped, zero or non-finite step adds its +-0.0 terms, which change no
+    sum. Cells of different states are disjoint, so each state may take its
+    own path, which the batch's _SurrogatePlan holds for every epoch. A heavy
+    state is summed by _row_sum, an in-order reduce of its rows. The others
+    go through np.bincount, which adds its weights in input order: the
+    entries go in as the steps come, each step's K terms before its token's,
+    in chunks that each start from the running sums, bounding temporaries.
     """
     table = log_softmax(actor.table, axis=-1)
     probs = np.exp(table)
@@ -202,42 +247,27 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
 
     states, actions, log_probs, advs, _returns = _trained_steps(batch, advantage_sets)
-    log_ratios = table[states, actions] - log_probs
-    if log_ratios.any():
-        # math.exp, not np.exp (they differ in the last bit on some inputs), once
-        # per distinct log-ratio: a batch holds few distinct (state, token) pairs
-        log_ratios, inverse = np.unique(log_ratios, return_inverse=True)
-        log_ratios[log_ratios > LOG_RATIO_MAX] = np.inf  # an overflowing ratio counts as +inf
-        ratio = np.array(list(map(math.exp, log_ratios.tolist())))[inverse.reshape(-1)]
-    else:  # all +-0.0, as on the policy that collected the batch: exp(+-0) = 1
-        ratio = np.ones(len(log_ratios))
+    plan = advantage_sets.plan or _SurrogatePlan(states, actions, state_count, vocab)
+    object.__setattr__(advantage_sets, "plan", plan)  # kept for the batch's later epochs
+    ratio = plan.ratios(table, log_probs)
     finite = np.isfinite(ratio)
     included = int(np.count_nonzero(finite))
     excluded = len(ratio) - included
     clipped = finite & (((advs > 0.0) & (ratio > hi)) | ((advs < 0.0) & (ratio < lo)))
-    coeff = np.where(finite, ratio, 0.0) * advs
-    live = finite & ~clipped & (coeff != 0.0)
-    states, actions, coeff = states[live], actions[live], coeff[live]
+    coeff = np.zeros(len(ratio))
+    np.multiply(ratio, advs, out=coeff, where=finite & ~clipped)
     if excluded:
         logger.warning("ppo_surrogate_grad: excluded %d steps with non-finite ratios",
                        excluded)
 
-    heavy_rows = {}
-    if vocab >= ROW_SUM_VOCAB:
-        counts = np.bincount(states, minlength=state_count)
-        for s in np.flatnonzero(counts >= ROW_SUM_STEPS).tolist():
-            here = states == s
-            heavy_rows[s] = _row_sum(probs[s], coeff[here], actions[here])
-        light = counts[states] < ROW_SUM_STEPS
-        states, actions, coeff = states[light], actions[light], coeff[light]
-
+    light_states, light_pairs, light_coeff = (a[plan.light] for a in (states, plan.pairs, coeff))
     cells = state_count * vocab
     cell_index = np.arange(cells).reshape(state_count, vocab)
     grad = np.zeros(cells)
     per_chunk = max(1, SURROGATE_CHUNK // (vocab + 1))
-    for first in range(0, len(coeff), per_chunk):
-        s = states[first:first + per_chunk]
-        c = coeff[first:first + per_chunk]
+    for first in range(0, len(light_coeff), per_chunk):
+        s = light_states[first:first + per_chunk]
+        c = light_coeff[first:first + per_chunk]
         n = len(c)
         index = np.empty(cells + n * (vocab + 1), dtype=np.intp)
         weight = np.empty(len(index))
@@ -246,13 +276,13 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
         step_index = index[cells:].reshape(n, vocab + 1)
         step_weight = weight[cells:].reshape(n, vocab + 1)
         step_index[:, :vocab] = cell_index.take(s, axis=0)
-        step_index[:, vocab] = s * vocab + actions[first:first + per_chunk]
+        step_index[:, vocab] = light_pairs[first:first + per_chunk]
         np.multiply((-c)[:, None], probs.take(s, axis=0), out=step_weight[:, :vocab])
         step_weight[:, vocab] = c
         grad = np.bincount(index, weights=weight, minlength=cells)
     grad = grad.reshape(state_count, vocab)
-    for s, row in heavy_rows.items():
-        grad[s] = row
+    for s, steps, at in plan.heavy:
+        grad[s] = _row_sum(probs[s], coeff[steps], at, plan.block)
     if included:
         grad *= 1.0 / included
     clip_fraction = int(np.count_nonzero(clipped)) / included if included else 0.0
@@ -342,7 +372,7 @@ class TrainingRun:
         self.critic.apply_gradient(cgrad, cfg.lr_critic)
 
         # batch statistics over the trained-on steps, at least one in each row
-        states, actions = _trained_steps(batch, advantage_sets)[:2]
+        states = _trained_steps(batch, advantage_sets)[0]
         mean_entropy = _sequential_sum(cache.entropies[states]) / states.size  # per step
 
         stop_rate = int(np.count_nonzero(batch.stops >= 0)) / batch.size  # in either mode
@@ -351,7 +381,7 @@ class TrainingRun:
         self.cumulative_tokens += batch.total_tokens
 
         if plan.stopping:  # the regrets as a multiset: each visited pair's, with its count
-            counts = np.bincount(states * cache.vocab_size + actions, minlength=cache.regrets.size)
+            counts = advantage_sets.plan.pair_counts
             ids = np.flatnonzero(counts)
             self.stopper.end_of_batch(cache.regrets.take(ids), counts[ids], stop_rate, loss, step)
 

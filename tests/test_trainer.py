@@ -615,8 +615,10 @@ class TestCheckpointResume:
 class TestSurrogateMemory:
     def test_gradient_temporaries_stay_below_one_mib(self):
         # K = 64 and 4,096 trained-on steps: one (steps x (K + 1)) scatter
-        # would allocate ~4 MiB of indices and as much of weights; the chunked
-        # scatter keeps the peak of new allocations under 1 MiB
+        # would allocate ~4 MiB of indices and as much of weights; over four
+        # epochs, with the plan the set keeps between them, the chunked
+        # scatter and the one row block keep the peak of new allocations
+        # under 1 MiB
         env = build_environment(TrapChainSpec(64, 12, tuple(range(12)), None))
         rng = np.random.default_rng(0)
         actor, critic = random_actor(env, rng), random_critic(env, rng)
@@ -625,17 +627,25 @@ class TestSurrogateMemory:
         advs = compute_advantages(batch, RunConfig(), -1.0)
         assert int(advs.mask.sum()) == 4096
         actor.table = actor.table + rng.normal(0, 0.1, size=actor.table.shape)  # ratios != 1
+        epochs = []
         tracemalloc.start()
         try:
-            grad, _clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
+            for _ in range(4):
+                table = actor.table.copy()
+                grad, _clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
+                epochs.append((table, grad))
+                actor.apply_gradient(grad, 1.0)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
-        # the chunks carry their running sums: the result is the step loop's
+        assert advs.plan is not None and advs.plan.groups is not None
+        # the chunks and passes carry their running sums: each epoch is the step loop's
         rows = scalar_advantages(records(batch), 1.0, 1.0, -1.0)
-        want, _ = scalar_surrogate_grad(actor, records(batch), rows, 0.2)
-        assert grad.any() and np.array_equal(grad, want)
+        for table, grad in epochs:
+            actor.table = table
+            want, _ = scalar_surrogate_grad(actor, records(batch), rows, 0.2)
+            assert grad.any() and np.array_equal(grad, want)
 
 
 def pairwise_sum(values):
@@ -686,6 +696,37 @@ class TestRowSumPremises:
             assert (got[np.signbit(got) != np.signbit(want)] == 0.0).all()
             assert not block[2::2].any()
 
+    def test_signed_zero_terms_change_no_sum(self):
+        # a step that adds nothing keeps its place with c = 0.0 and adds
+        # +-0.0 terms: they leave np.bincount and the axis-0 reduce as they
+        # are, bit for bit, because both sums start at +0.0 and a
+        # round-to-nearest sum is -0.0 only when both addends are -0.0; a
+        # sum of signed zeros alone stays +0.0
+        rng = np.random.default_rng(3)
+        terms = rng.normal(size=400) * 10.0 ** rng.integers(-9, 9, size=400)
+        cells = rng.integers(0, 6, size=400)
+        zeros = np.resize([0.0, -0.0], 200)
+        zero_cells = np.resize(np.arange(7), 200)  # cell 6 gets zeros alone
+        order = rng.permutation(600)
+        weights = np.concatenate([terms, zeros])[order]
+        index = np.concatenate([cells, zero_cells])[order]
+        kept = order < 400
+        got = np.bincount(index, weights=weights, minlength=7)
+        want = np.bincount(index[kept], weights=weights[kept], minlength=7)
+        assert np.array_equal(got, want) and (np.signbit(got) == np.signbit(want)).all()
+        assert got[6] == 0.0 and not np.signbit(got[6])
+        for vocab in (2, 8, 64):
+            rows = rng.normal(size=(300, vocab)) * 10.0 ** rng.integers(-9, 9, size=(300, 1))
+            rows[:, 0] = -0.0  # a column of zeros alone
+            zero_rows = np.where(rng.random((150, vocab)) < 0.5, 0.0, -0.0)
+            order = rng.permutation(450)
+            block = np.concatenate([np.zeros((1, vocab)), np.concatenate([rows, zero_rows])[order]])
+            kept = np.concatenate([[True], order < 300])
+            got = np.add.reduce(block, axis=0)
+            want = np.add.reduce(np.ascontiguousarray(block[kept]), axis=0)
+            assert np.array_equal(got, want) and (np.signbit(got) == np.signbit(want)).all()
+            assert got[0] == 0.0 and not np.signbit(got[0])
+
 
 # (ROW_SUM_VOCAB, ROW_SUM_STEPS, ROW_SUM_BLOCK as a function of the vocabulary)
 SURROGATE_PATHS = {
@@ -696,15 +737,15 @@ SURROGATE_PATHS = {
     "module constants": (trainer.ROW_SUM_VOCAB, trainer.ROW_SUM_STEPS,
                          lambda vocab: trainer.ROW_SUM_BLOCK),
 }
-# live steps per state, around the thresholds above and the 255-step blocks
-# of a 64-token vocabulary
+# trained-on steps per state, around the thresholds above and the 255-step
+# blocks of a 64-token vocabulary
 STATE_STEPS = (1, 63, 64, 65, 255, 256, 257, 511, 513)
 
 
 def surrogate_case(vocab):
     """An actor, trajectories and advantage rows in which state i has
-    STATE_STEPS[i] live steps, shuffled into rows of 1-64 steps, among
-    clipped, zero-advantage and non-finite-ratio steps. The last token's
+    STATE_STEPS[i] steps, shuffled into rows of 1-64 steps; 300 of them are
+    clipped, zero-advantage or non-finite-ratio steps. The last token's
     probability underflows to 0 and, from 3 tokens on, the first token's is
     subnormal."""
     rng = np.random.default_rng(vocab)
@@ -715,10 +756,9 @@ def surrogate_case(vocab):
     if vocab >= 3:
         actor.table[:, 0] = -720.0
     log_pi = log_softmax(actor.table, axis=-1)
-    live = np.repeat(np.arange(state_count), STATE_STEPS)
-    other = rng.integers(0, state_count, size=300)
-    states = np.concatenate([live, other])
-    kinds = np.concatenate([np.zeros(len(live), int), np.arange(len(other)) % 3 + 1])
+    states = np.repeat(np.arange(state_count), STATE_STEPS)
+    kinds = np.zeros(len(states), int)
+    kinds[rng.choice(len(states), 300, replace=False)] = np.arange(300) % 3 + 1
     order = rng.permutation(len(states))
     steps, advantages = [], []
     for state, kind in zip(states[order].tolist(), kinds[order].tolist()):
@@ -754,7 +794,7 @@ class TestSurrogatePathsAgainstScalarLoop:
         summed = []
         row_sum = trainer._row_sum
         monkeypatch.setattr(trainer, "_row_sum",
-                            lambda pi, c, a: summed.append(len(c)) or row_sum(pi, c, a))
+                            lambda pi, c, *plan: summed.append(len(c)) or row_sum(pi, c, *plan))
         actor, trajectories, rows = surrogate_case(vocab)
         batch, advs = batch_from_trajectories(trajectories), advantage_set(rows)
         with caplog.at_level(logging.WARNING):
@@ -764,6 +804,7 @@ class TestSurrogatePathsAgainstScalarLoop:
         assert (np.signbit(grad) == np.signbit(want)).all()
         assert clip_fraction == want_clip > 0.0
         assert "excluded 100 steps with non-finite ratios" in caplog.text
+        # a state's clipped, zero and non-finite steps stay in its rows with c = 0.0
         heavy = [n for n in STATE_STEPS if vocab >= min_vocab and n >= min_steps]
         assert summed == heavy
 
@@ -775,8 +816,9 @@ class TestTrainedStepTable:
 
     def test_epochs_on_one_batch_equal_the_step_loop(self, monkeypatch):
         # the first epoch runs on the policy that collected the batch, so
-        # every log-ratio is 0 and no ratio is sorted or exponentiated; the
-        # later ones, after updates, sort their log-ratios
+        # every log-ratio is 0 and no ratio is exponentiated; the later ones,
+        # after updates, take one math.exp per visited (state, token) pair,
+        # and no epoch sorts floats
         env = build_environment(TrapChainSpec(4, 3, (0, 1, 2), None))
         rng = np.random.default_rng(11)
         actor, critic = random_actor(env, rng), random_critic(env, rng)
@@ -786,20 +828,27 @@ class TestTrainedStepTable:
         advs = compute_advantages(batch, config, -1.0)
         trajectories = records(batch)
         rows = scalar_advantages(trajectories, 1.0, 1.0, -1.0)
-        sorts = []
-        unique = np.unique
-        monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+        float_sorts, exps = [], []
+        for name in ("unique", "sort", "argsort", "lexsort"):
+            def spy(values, *a, _sort=getattr(np, name), **k):
+                float_sorts.append(np.asarray(values).dtype.kind == "f")
+                return _sort(values, *a, **k)
+            monkeypatch.setattr(np, name, spy)
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda x: exps.append(1) or exp(x))
         per_epoch = []
         for _ in range(4):
-            before = len(sorts)
+            before = len(exps)
             grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, config)
-            per_epoch.append(len(sorts) - before)
+            per_epoch.append(len(exps) - before)
             want, want_clip = scalar_surrogate_grad(actor, trajectories, rows, 0.05)
             assert np.array_equal(grad, want) and grad.any()
             assert (np.signbit(grad) == np.signbit(want)).all()
             assert clip_fraction == want_clip
             actor.apply_gradient(grad, 5.0)
-        assert per_epoch == [0, 1, 1, 1]
+        pairs = {(rec.state_id, rec.action) for t in trajectories for rec in t.steps}
+        assert per_epoch == [0] + [len(pairs)] * 3
+        assert not any(float_sorts)
         assert clip_fraction > 0.0  # the later epochs reach the clipped branch
 
     def test_hand_built_sets_go_through_the_table(self):
@@ -820,6 +869,42 @@ class TestTrainedStepTable:
         assert (np.signbit(grad) == np.signbit(want)).all()
         assert clip_fraction == want_clip
 
+    def test_one_pair_with_several_recorded_log_probs(self, caplog):
+        # a hand-built set may record several log-probs for one (state,
+        # token) pair, finite, NaN and -inf among them: each recorded value
+        # gets its own ratio, and four epochs equal the step loop
+        rng = np.random.default_rng(8)
+        actor = TabularActor(3, 5)
+        actor.table = rng.normal(size=(3, 5))
+        log_pi = log_softmax(actor.table, axis=-1)
+        shared = float(log_pi[1, 2])
+        recorded = [shared, shared - 0.05, math.nan, shared + 0.4, -math.inf, shared]
+        steps, advantages = [], []
+        for i in range(90):
+            state, action = (1, 2) if i % 2 else (int(rng.integers(3)), int(rng.integers(5)))
+            log_prob = recorded[i // 2 % 6] if i % 2 else float(log_pi[state, action]) - 0.1
+            steps.append(StepRecord(state, action, log_prob, 0.0, 0.0, 0.0, 0.0))
+            advantages.append(float(rng.normal()) if i % 7 else 0.0)
+        trajectories = [Trajectory(tuple(steps[i:i + 9]), StopReason.NATURAL_END, 1.0)
+                        for i in range(0, 90, 9)]
+        rows = [(tuple(advantages[i:i + 9]), (0.0,) * 9, (0.0,) * 9) for i in range(0, 90, 9)]
+        batch, advs = batch_from_trajectories(trajectories), advantage_set(rows)
+        clip_fractions = []
+        for _ in range(4):
+            with caplog.at_level(logging.WARNING):
+                grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
+            want, want_clip = scalar_surrogate_grad(actor, trajectories, rows, 0.2)
+            assert np.array_equal(grad, want) and grad[1].any()
+            assert (np.signbit(grad) == np.signbit(want)).all()
+            assert clip_fraction == want_clip
+            clip_fractions.append(clip_fraction)
+            actor.apply_gradient(grad, 0.5)
+        assert "excluded 15 steps with non-finite ratios" in caplog.text
+        assert any(clip_fractions)
+        # the shared pair's five recorded values take a group each at least
+        group_pairs = advs.plan.groups[0]
+        assert np.count_nonzero(group_pairs == 1 * 5 + 2) >= 5
+
     def test_gathered_once_per_batch(self, monkeypatch):
         calls = []
         gather = trainer._trained_steps
@@ -829,6 +914,9 @@ class TestTrainedStepTable:
             return gather(batch, advantage_sets)
 
         monkeypatch.setattr(trainer, "_trained_steps", spy)
+        plans = []
+        plan = trainer._SurrogatePlan
+        monkeypatch.setattr(trainer, "_SurrogatePlan", lambda *a: plans.append(1) or plan(*a))
         epochs, steps = 3, 4
         run = TrainingRun(base_config(epochs_per_batch=epochs, total_steps=steps))
         for _ in range(steps):
@@ -841,6 +929,7 @@ class TestTrainedStepTable:
             batch_calls = calls[first:first + per_batch]
             assert len({key for key, _ in batch_calls}) == 1
             assert [fresh for _, fresh in batch_calls] == [True] + [False] * (per_batch - 1)
+        assert len(plans) == steps
 
     def test_ema_multiset_equals_the_per_element_formula(self):
         # the EMA reads each visited (state, token) pair's regret with its
