@@ -83,23 +83,20 @@ STOP_REASONS = ("natural_end", "horizon_cap", "early_stop")
 
 @dataclass(frozen=True, eq=False)
 class RolloutBatch:
-    """Fixed set of trajectories collected under one frozen stopper snapshot,
-    stored as arrays.
+    """Fixed set of trajectories collected under one frozen stopper snapshot
+    from the frozen CachedPolicy `policy`, stored as arrays.
 
-    The per-step arrays are B x T, one row per trajectory and one column per
-    step; entries at or past a row's length are zero. `scores` holds the
-    smoothed score z after each step. Per row: the length, the stop code (an
-    index into STOP_REASONS), the outcome reward, and the stop: the first
-    step where the rule fired, -1 where it never did. A standard row that
-    stopped ends there (length stop + 1); a counterfactual row runs on.
+    `pairs` (state * vocab + token) and `scores` (the smoothed score z after
+    each step) are B x T, one row per trajectory and one column per step;
+    entries at or past a row's length are zero. A step's log-prob, regret and
+    value are its pair's and its state's entries in `policy`. Per row: the
+    length, the stop code (an index into STOP_REASONS), the outcome reward,
+    and the stop: the first step where the rule fired, -1 where it never
+    did. A standard row that stopped ends there (length stop + 1); a
+    counterfactual row runs on.
     """
 
-    states: np.ndarray
-    actions: np.ndarray
-    log_probs: np.ndarray
-    values: np.ndarray
-    regrets: np.ndarray
-    normalized_regrets: np.ndarray
+    pairs: np.ndarray
     scores: np.ndarray
     lengths: np.ndarray
     stop_codes: np.ndarray
@@ -107,6 +104,15 @@ class RolloutBatch:
     stops: np.ndarray
     snapshot: StopperSnapshot
     mode: str  # the collection mode collect_batch was given
+    policy: CachedPolicy
+
+    @property
+    def states(self) -> np.ndarray:
+        return self.pairs // self.policy.vocab_size
+
+    @property
+    def actions(self) -> np.ndarray:
+        return self.pairs % self.policy.vocab_size
 
     @property
     def size(self) -> int:
@@ -127,8 +133,10 @@ class RolloutBatch:
         tuples (state, action, log-prob, value, regret, normalized regret,
         score), stop code, outcome and stop. Two batches hold the same rows
         exactly when their views are equal."""
-        columns = (self.states, self.actions, self.log_probs, self.values, self.regrets,
-                   self.normalized_regrets, self.scores)
+        pol, states = self.policy, self.states
+        regrets = pol.regrets.take(self.pairs)
+        columns = (states, self.actions, pol.log_probs.take(self.pairs), pol.values.take(states),
+                   regrets, self.snapshot.normalize(regrets), self.scores)
         rows = zip(self.lengths.tolist(), self.stop_codes.tolist(), self.outcomes.tolist(),
                    self.stops.tolist())
         return tuple((tuple(zip(*(c[i, :n].tolist() for c in columns))), code, outcome, stop)
@@ -278,17 +286,19 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     STANDARD or COUNTERFACTUAL. In standard mode the token at the stop step
     is kept and carries r_fail (0.0 under the no-penalty ablation), and
     nothing past a stop is recorded or counted. Counterfactual-extend mode
-    keeps the row to its natural end.
+    keeps the row to its natural end. The batch records each step's pair and
+    score and keeps the policy cache it was drawn from (`cache`, or one built
+    from the actor and critic), which holds every other per-step value.
     """
     pol = cache if cache is not None else CachedPolicy(actor, critic)
     random_rule = snapshot.rule == "random_stop"
     draws_per_step = 2 if random_rule else 1
     uniforms = keyed_uniforms(master_seed, (TRAIN_STREAM, batch_index), 0, batch_size,
                               draws_per_step * t_max)
-    norm_regrets = snapshot.normalize(pol.regrets).ravel()
     vocab = pol.vocab_size
     alpha = snapshot.alpha_s
-    pair_x = (1.0 - alpha) * norm_regrets  # the smoothed score is z = alpha * z + x
+    # the smoothed score is z = alpha * z + x
+    pair_x = (1.0 - alpha) * snapshot.normalize(pol.regrets).ravel()
     fires = uniforms[:, 1::2] < snapshot.random_stop_rate if random_rule else None
     cuts = np.full(batch_size, t_max)  # the columns of z that each row needs
     if random_rule and mode == STANDARD:  # z past the first fire would be cleared unread
@@ -321,19 +331,8 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     past_end = np.arange(width) >= lengths[:, None]
     pairs[past_end] = 0
     scores[past_end] = 0.0
-
-    def gathered(table, index):
-        out = table.take(index)
-        out[past_end] = 0.0
-        return out
-
-    states = pairs // vocab
-    return RolloutBatch(
-        states=states, actions=pairs - states * vocab,
-        log_probs=gathered(pol.log_probs, pairs), values=gathered(pol.values, states),
-        regrets=gathered(pol.regrets, pairs), normalized_regrets=gathered(norm_regrets, pairs),
-        scores=scores, lengths=lengths, stop_codes=stop_codes, outcomes=outcomes,
-        stops=stops, snapshot=snapshot, mode=mode)
+    return RolloutBatch(pairs=pairs, scores=scores, lengths=lengths, stop_codes=stop_codes,
+                        outcomes=outcomes, stops=stops, snapshot=snapshot, mode=mode, policy=pol)
 
 
 EVAL_CHUNK = 64  # sampled episodes advanced in lockstep at a time; divides SEED_ROWS

@@ -62,9 +62,9 @@ SIDE_FILES = {
 @dataclass(frozen=True, eq=False)
 class AdvantageSet:
     """GAE advantages, regression returns and TD errors of a batch, as B x T
-    arrays aligned with the RolloutBatch, and the B x T `mask` that is True
-    on the steps trained on: those before each row's effective (possibly
-    simulated-truncated) length. The arrays are zero outside the mask.
+    arrays aligned with the RolloutBatch's pairs, and the B x T `mask` that
+    is True on the steps trained on: those before each row's effective
+    (possibly simulated-truncated) length. The arrays are zero outside the mask.
     `steps` holds the table that _trained_steps gathers on first use, `plan`
     the _SurrogatePlan of ppo_surrogate_grad's first epoch.
     """
@@ -78,12 +78,11 @@ class AdvantageSet:
 
 
 def _trained_steps(batch: RolloutBatch, advantage_sets: AdvantageSet) -> tuple:
-    """The trained-on steps as flat arrays in step order: states, actions,
-    recorded log-probs, advantages and returns. Every epoch over the batch
-    reads the same steps, so they are gathered once and kept with the set."""
+    """The trained-on steps as flat arrays in step order: states, (state,
+    token) pairs, advantages and returns. Every epoch over the batch reads the
+    same steps, so they are gathered once and kept with the set."""
     if advantage_sets.steps is None:
-        columns = (batch.states, batch.actions, batch.log_probs, advantage_sets.advantages,
-                   advantage_sets.returns)
+        columns = (batch.states, batch.pairs, advantage_sets.advantages, advantage_sets.returns)
         object.__setattr__(advantage_sets, "steps", tuple(c[advantage_sets.mask] for c in columns))
     return advantage_sets.steps
 
@@ -119,15 +118,15 @@ def compute_advantages(batch: RolloutBatch, config: RunConfig,
     """TD errors delta_t = r_t + gamma * V(s_{t+1}) - V(s_t) and their GAE
     over each trajectory's effective span.
 
-    Uses the critic values recorded at collection time. Only the last step is
-    rewarded: with the early-stop reward where the rule fired, else the
-    outcome reward. The last step bootstraps from exactly 0.0 (every
+    Uses the critic values of the policy the batch was drawn from. Only the
+    last step is rewarded: with the early-stop reward where the rule fired,
+    else the outcome reward. The last step bootstraps from exactly 0.0 (every
     trajectory terminates), so an early-stop step satisfies
     delta = r_fail - V(s_stop) bit for bit.
     """
     lengths = batch.effective_lengths
-    mask = np.arange(batch.values.shape[1]) < lengths[:, None]
-    values = np.where(mask, batch.values, 0.0)
+    mask = np.arange(batch.pairs.shape[1]) < lengths[:, None]
+    values = np.where(mask, batch.policy.values.take(batch.states), 0.0)
     rewards = np.zeros_like(values)
     rewards[np.arange(batch.size), lengths - 1] = np.where(
         batch.stops >= 0, early_stop_reward, batch.outcomes)
@@ -177,14 +176,16 @@ def _row_sum(pi: np.ndarray, coeff: np.ndarray, at: np.ndarray, block: np.ndarra
 
 class _SurrogatePlan:
     """What every ppo_surrogate_grad epoch over one batch shares: each step's
-    (state, token) pair id, the steps per pair and, with a vocabulary of
-    ROW_SUM_VOCAB or more, each state of ROW_SUM_STEPS or more steps as
-    (state, its steps, their +c offsets in `block`). The other steps, `light`
-    (all of them, as a slice, when no state is heavy), go through the scatter."""
+    (state, token) pair id, the steps per pair, the pairs `visited` and, with
+    a vocabulary of ROW_SUM_VOCAB or more, each state of ROW_SUM_STEPS or more
+    steps as (state, its steps, their +c offsets in `block`). The other
+    steps, `light` (all of them, as a slice, when no state is heavy), go
+    through the scatter."""
 
-    def __init__(self, states: np.ndarray, actions: np.ndarray, state_count: int, vocab: int):
-        self.pairs = states * vocab + actions
-        self.pair_counts = np.bincount(self.pairs, minlength=state_count * vocab)
+    def __init__(self, states: np.ndarray, pairs: np.ndarray, state_count: int, vocab: int):
+        self.pairs = pairs
+        self.pair_counts = np.bincount(pairs, minlength=state_count * vocab)
+        self.visited = np.flatnonzero(self.pair_counts)
         state_steps = np.bincount(states, minlength=state_count)
         row_summed = (state_steps >= ROW_SUM_STEPS) & (vocab >= ROW_SUM_VOCAB)
         per_block = min(max(1, (ROW_SUM_BLOCK // vocab - 1) // 2),
@@ -194,30 +195,21 @@ class _SurrogatePlan:
         self.heavy = []
         for s in np.flatnonzero(row_summed).tolist():
             steps = np.flatnonzero(states == s)
-            self.heavy.append((s, steps, np.resize(token_rows, len(steps)) + actions[steps]))
+            self.heavy.append((s, steps, np.resize(token_rows, len(steps)) + pairs[steps] % vocab))
         self.light = np.flatnonzero(~row_summed[states]) if row_summed.any() else slice(None)
-        self.groups = None
 
-    def ratios(self, table: np.ndarray, log_probs: np.ndarray) -> np.ndarray:
-        """Each step's importance ratio: exp(+-0) = 1 while every log-ratio is
-        +-0.0, as on the policy that collected the batch, then one math.exp
-        (not np.exp: they differ in the last bit on some inputs) per group of
-        steps with one pair and one recorded log-prob. A collected batch has
-        one per pair; a step unlike its pair's representative leads its own."""
-        if self.groups is None:
-            if not (table.ravel()[self.pairs] - log_probs).any():
-                return np.ones(len(log_probs))
-            steps = np.arange(len(self.pairs))
-            lead = np.empty(table.size, dtype=np.intp)
-            lead[self.pairs] = steps  # each pair's representative: one of its steps
-            lead, bits = lead[self.pairs], log_probs.view(np.int64)
-            lead = np.where(bits == bits[lead], lead, steps)
-            leads = lead == steps
-            self.groups = (self.pairs[leads], log_probs[leads], (np.cumsum(leads) - 1)[lead])
-        group_pairs, group_log_probs, step_group = self.groups
-        log_ratios = table.ravel()[group_pairs] - group_log_probs
+    def ratios(self, table: np.ndarray, then: np.ndarray) -> np.ndarray:
+        """Each step's importance ratio, its pair's exp(table - then), `then`
+        being the collecting policy's log-probs: 1 while every log-ratio is
+        +-0.0, then one math.exp (not np.exp: they differ in the last bit on
+        some inputs) per visited pair."""
+        log_ratios = table.ravel()[self.visited] - then.ravel()[self.visited]
+        if not log_ratios.any():
+            return np.ones(len(self.pairs))
         log_ratios[log_ratios > LOG_RATIO_MAX] = np.inf  # an overflowing ratio counts as +inf
-        return np.array(list(map(math.exp, log_ratios.tolist())))[step_group]
+        ratios = np.empty(table.size)
+        ratios[self.visited] = list(map(math.exp, log_ratios.tolist()))
+        return ratios[self.pairs]
 
 
 def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
@@ -227,8 +219,10 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     vocab_size) array, plus the clip fraction.
 
     Steps on the clipped (constant) branch contribute zero gradient and count
-    toward the clip fraction. Non-finite importance ratios are excluded from
-    both the mean and the gradient and reported via the module logger.
+    toward the clip fraction. A step's importance ratio is its pair's under
+    the actor over its pair's under the policy the batch was drawn from.
+    Non-finite ratios are excluded from both the mean and the gradient and
+    reported via the module logger.
 
     A step in state s with token a and coefficient c = ratio * advantage adds
     -c * pi(k|s) to entry (s, k) for every k, then +c to (s, a): each cell
@@ -246,10 +240,10 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     state_count, vocab = table.shape
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
 
-    states, actions, log_probs, advs, _returns = _trained_steps(batch, advantage_sets)
-    plan = advantage_sets.plan or _SurrogatePlan(states, actions, state_count, vocab)
+    states, pairs, advs, _returns = _trained_steps(batch, advantage_sets)
+    plan = advantage_sets.plan or _SurrogatePlan(states, pairs, state_count, vocab)
     object.__setattr__(advantage_sets, "plan", plan)  # kept for the batch's later epochs
-    ratio = plan.ratios(table, log_probs)
+    ratio = plan.ratios(table, batch.policy.log_probs)
     finite = np.isfinite(ratio)
     included = int(np.count_nonzero(finite))
     excluded = len(ratio) - included
@@ -260,7 +254,7 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
         logger.warning("ppo_surrogate_grad: excluded %d steps with non-finite ratios",
                        excluded)
 
-    light_states, light_pairs, light_coeff = (a[plan.light] for a in (states, plan.pairs, coeff))
+    light_states, light_pairs, light_coeff = (a[plan.light] for a in (states, pairs, coeff))
     cells = state_count * vocab
     cell_index = np.arange(cells).reshape(state_count, vocab)
     grad = np.zeros(cells)
@@ -291,7 +285,7 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
 
 def _critic_diffs(critic: TabularCritic, batch: RolloutBatch, advantage_sets: AdvantageSet):
     """States and V(s) - return of the trained-on steps, in step order."""
-    states, _actions, _log_probs, _advs, returns = _trained_steps(batch, advantage_sets)
+    states, _pairs, _advs, returns = _trained_steps(batch, advantage_sets)
     return states, critic.table[states] - returns
 
 
@@ -381,8 +375,7 @@ class TrainingRun:
         self.cumulative_tokens += batch.total_tokens
 
         if plan.stopping:  # the regrets as a multiset: each visited pair's, with its count
-            counts = advantage_sets.plan.pair_counts
-            ids = np.flatnonzero(counts)
+            ids, counts = advantage_sets.plan.visited, advantage_sets.plan.pair_counts
             self.stopper.end_of_batch(cache.regrets.take(ids), counts[ids], stop_rate, loss, step)
 
         row = MetricsRow(
@@ -423,20 +416,16 @@ class TrainingRun:
             with self._appending("stop_events.tsv") as fh:
                 for ti in np.flatnonzero(batch.stops >= 0).tolist():
                     idx = int(batch.stops[ti])
-                    value, z = batch.values[ti, idx].item(), batch.scores[ti, idx].item()
+                    state = batch.pairs[ti, idx] // batch.policy.vocab_size
+                    value, z = batch.policy.values[state].item(), batch.scores[ti, idx].item()
                     fh.write(f"{row.step}\t{ti}\t{idx}\t{value!r}\t{z!r}\n")
         if cfg.dump_trajectories and cfg.out_dir:
             # one line per step: index, state, token, regret, normalized
             # regret, z, value, and 1 at the stop step
-            columns = (batch.states, batch.actions, batch.regrets, batch.normalized_regrets,
-                       batch.scores, batch.values)
-            rows = zip(batch.lengths.tolist(), batch.stop_codes.tolist(),
-                       batch.stops.tolist())
             with self._appending("trajectories.tsv") as fh:
-                for ti, (n, code, stop) in enumerate(rows):
+                for ti, (steps, code, _outcome, stop) in enumerate(batch.trajectories):
                     fh.write(f"# step {row.step} trajectory {ti} reason {STOP_REASONS[code]}\n")
-                    for t, (s, a, g, gn, z, v) in enumerate(
-                            zip(*(c[ti, :n].tolist() for c in columns))):
+                    for t, (s, a, _log_prob, v, g, gn, z) in enumerate(steps):
                         fh.write(f"{t}\t{s}\t{a}\t{g!r}\t{gn!r}\t{z!r}\t{v!r}\t{int(t == stop)}\n")
         if cfg.eval_every and row.step % cfg.eval_every == 0 and cfg.out_dir:
             self._write_eval(row.step)

@@ -8,9 +8,11 @@ loops of the trainer)."""
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -345,29 +347,70 @@ def collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail, rng) -
     return Trajectory(tuple(steps), stop_reason, outcome, cf_index)
 
 
-def batch_from_trajectories(trajectories, snapshot=None, mode=STANDARD) -> RolloutBatch:
-    """A RolloutBatch holding the given Trajectory records as its rows."""
+def batch_from_trajectories(trajectories, snapshot=None, mode=STANDARD,
+                            shape=None) -> RolloutBatch:
+    """A RolloutBatch holding the given Trajectory records as its rows, drawn
+    from the frozen tables the records imply: each (state, token) pair's
+    log-prob and regret and each state's value, over `shape` (state count,
+    vocabulary; by default just wide enough for the records), 0.0 where no
+    record says. Raises ValueError naming the pair or state on which two
+    records disagree, bit for bit, or whose normalized regret is not its
+    regret through the snapshot."""
     snapshot = snapshot if snapshot is not None else plain_snapshot()
     trajectories = tuple(trajectories)
+    steps = [rec for traj in trajectories for rec in traj.steps]
+    if shape is None:
+        shape = (1 + max((r.state_id for r in steps), default=0),
+                 1 + max((r.action for r in steps), default=0))
+    tables = {"log-prob": np.zeros(shape), "regret": np.zeros(shape), "value": np.zeros(shape[0])}
+    seen = {}
+    for rec in steps:
+        pair = (rec.state_id, rec.action)
+        if float(snapshot.normalize(rec.regret_raw)).hex() != float(rec.regret_normalized).hex():
+            raise ValueError(f"the normalized regret of (state, token) {pair} is not its regret "
+                             "through the snapshot")
+        for name, at, value in (("log-prob", pair, rec.log_prob_sampled),
+                                ("regret", pair, rec.regret_raw),
+                                ("value", rec.state_id, rec.value_estimate)):
+            if float(seen.setdefault((name, at), value)).hex() != float(value).hex():
+                where = "state" if name == "value" else "(state, token)"
+                raise ValueError(f"the records disagree on the {name} of {where} {at}")
+            tables[name][at] = value
     width = max((len(t.steps) for t in trajectories), default=0)
-    shape = (len(trajectories), width)
-    columns = [np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)]
-    columns += [np.zeros(shape) for _ in range(5)]
+    pairs = np.zeros((len(trajectories), width), dtype=np.int64)
+    scores = np.zeros(pairs.shape)
     for i, traj in enumerate(trajectories):
         for t, rec in enumerate(traj.steps):
-            for column, value in zip(columns, (rec.state_id, rec.action, rec.log_prob_sampled,
-                                               rec.value_estimate, rec.regret_raw,
-                                               rec.regret_normalized, rec.smoothed_score)):
-                column[i, t] = value
+            pairs[i, t] = rec.state_id * shape[1] + rec.action
+            scores[i, t] = rec.smoothed_score
+    policy = SimpleNamespace(log_probs=tables["log-prob"], regrets=tables["regret"],
+                             values=tables["value"], vocab_size=shape[1])
     return RolloutBatch(
-        *columns,
+        pairs=pairs, scores=scores,
         lengths=np.array([len(t.steps) for t in trajectories], dtype=np.int64),
         stop_codes=np.array([STOP_REASONS.index(t.stop_reason.value) for t in trajectories],
                             dtype=np.int8),
         outcomes=np.array([t.outcome_reward for t in trajectories], dtype=np.float64),
         stops=np.array([-1 if t.stop_index is None else t.stop_index for t in trajectories],
                        dtype=np.int64),
-        snapshot=snapshot, mode=mode)
+        snapshot=snapshot, mode=mode, policy=policy)
+
+
+def assert_same_batch(ours: RolloutBatch, theirs: RolloutBatch) -> None:
+    """The two batches hold the same rows drawn from the same tables: every
+    array field equal in dtype, value and sign bit, the snapshot and mode
+    equal, and every table of the policies array_equal."""
+    for field in dataclasses.fields(theirs):
+        a, b = getattr(ours, field.name), getattr(theirs, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), field.name
+        elif field.name == "policy":
+            assert vars(a).keys() == vars(b).keys()
+            for name, table in vars(b).items():
+                assert np.array_equal(vars(a)[name], table), name
+        else:
+            assert a == b, field.name
 
 
 def advantage_set(rows) -> AdvantageSet:

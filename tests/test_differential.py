@@ -129,11 +129,9 @@ class TestCollectBatchAgainstOracle:
         assert batch.stops.tolist() == [
             -1 if t.stop_index is None else t.stop_index for t in oracle]
         # nothing is recorded at or past a row's length
-        past_end = np.arange(batch.states.shape[1]) >= batch.lengths[:, None]
-        for array in (batch.states, batch.actions, batch.log_probs, batch.values,
-                      batch.regrets, batch.normalized_regrets, batch.scores):
-            assert not array[past_end].any()
-        assert batch.states.shape[1] == max(len(t.steps) for t in oracle)
+        past_end = np.arange(batch.pairs.shape[1]) >= batch.lengths[:, None]
+        assert not batch.pairs[past_end].any() and not batch.scores[past_end].any()
+        assert batch.pairs.shape[1] == max(len(t.steps) for t in oracle)
 
 
 def absorbing_case(kind, seed):

@@ -43,6 +43,7 @@ from espolab.variants import COUNTERFACTUAL, STANDARD, variant_dispatch
 
 from conftest import (
     StopReason,
+    assert_same_batch,
     batch_from_trajectories,
     dump_batch,
     grouped,
@@ -236,13 +237,7 @@ class TestBenchmarkHooks:
         again = collect_batch(actor, critic, batch.snapshot, run.env, cfg.batch_size,
                               cfg.t_max, batch.mode, run.plan.early_stop_reward, cfg.seed,
                               run.step_index, cache=CachedPolicy(actor, critic))
-        for field in dataclasses.fields(batch):
-            ours, theirs = getattr(again, field.name), getattr(batch, field.name)
-            if isinstance(theirs, np.ndarray):
-                assert ours.dtype == theirs.dtype, field.name
-                assert np.array_equal(ours, theirs), field.name
-            else:
-                assert ours == theirs, field.name
+        assert_same_batch(again, batch)
 
 
 class TestVariantDispatch:

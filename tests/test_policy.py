@@ -31,8 +31,8 @@ def log_prob_grad(actor, state, action):
     traj = Trajectory((StepRecord(state, action, lp, 0.0, 0.0, 0.0, 0.0),),
                       StopReason.NATURAL_END, 0.0)
     grad, _clip_fraction = ppo_surrogate_grad(
-        actor, batch_from_trajectories([traj]), advantage_set([((1.0,), (0.0,), (0.0,))]),
-        RunConfig())
+        actor, batch_from_trajectories([traj], shape=actor.table.shape),
+        advantage_set([((1.0,), (0.0,), (0.0,))]), RunConfig())
     return grad[state]
 
 

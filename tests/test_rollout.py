@@ -29,6 +29,7 @@ from conftest import (
     StepRecord,
     StopReason,
     Trajectory,
+    assert_same_batch,
     batch_from_trajectories,
     collect_small_batch,
     collect_trajectory,
@@ -50,7 +51,7 @@ def make_env(padding=None, vocab=4, length=3):
 
 def make_traj(length, reason=StopReason.NATURAL_END, outcome=0.0,
               hypothetical_stop_index=None):
-    steps = tuple(StepRecord(0, 0, -1.0, 0.0, 0.5, 0.5, 0.1) for _ in range(length))
+    steps = tuple(StepRecord(0, 0, -1.0, 0.0, 0.0, 0.0, 0.1) for _ in range(length))
     return Trajectory(steps, reason, outcome, hypothetical_stop_index)
 
 
@@ -416,12 +417,7 @@ class TestBatchDeterminism:
         drop_kept_streams()
         again = collect_batch(actor, critic, batch.snapshot, run.env, cfg.batch_size,
                               cfg.t_max, batch.mode, run.plan.early_stop_reward, cfg.seed, 50)
-        for field in dataclasses.fields(batch):
-            ours, theirs = getattr(again, field.name), getattr(batch, field.name)
-            if isinstance(theirs, np.ndarray):
-                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs), field.name
-            else:
-                assert ours == theirs, field.name
+        assert_same_batch(again, batch)
 
 
 ROW_PATH_ENVS = {  # each with its target sequence
@@ -429,6 +425,20 @@ ROW_PATH_ENVS = {  # each with its target sequence
     "trap-padded": (lambda: make_env(padding=2), [0, 1, 2]),
     "recoverable": (lambda: build_environment(RecoverableBranchSpec(3, 3, 2)), [0, 0, 0]),
 }
+
+
+class TestBatchFields:
+    def test_pairs_and_scores_are_the_only_per_step_arrays(self, small_env):
+        # a step's state and token are its pair's halves, and its log-prob,
+        # value and regrets are entries of the policy tables it was drawn from
+        rng = np.random.default_rng(4)
+        actor, critic = random_actor(small_env, rng), random_critic(small_env, rng)
+        batch = collect_small_batch(small_env, actor, critic)
+        per_step = [f.name for f in dataclasses.fields(batch)
+                    if isinstance(getattr(batch, f.name), np.ndarray)
+                    and getattr(batch, f.name).ndim == 2]
+        assert per_step == ["pairs", "scores"]
+        assert isinstance(batch.policy, CachedPolicy)
 
 
 class TestRowPathMatchesLockstep:
@@ -475,14 +485,7 @@ class TestRowPathMatchesLockstep:
         for row_path_rows in (0, 10**9):  # lockstep, then row by row
             monkeypatch.setattr(rollout, "ROW_PATH_ROWS", row_path_rows)
             batches.append(collect_batch(*args))
-        for field in dataclasses.fields(batches[0]):
-            theirs, ours = (getattr(b, field.name) for b in batches)
-            if not isinstance(theirs, np.ndarray):
-                assert ours == theirs, field.name
-                continue
-            assert ours.dtype == theirs.dtype, field.name
-            assert np.array_equal(ours, theirs), field.name
-            assert np.array_equal(np.signbit(ours), np.signbit(theirs)), field.name
+        assert_same_batch(*batches)
         return batches[0]
 
     @pytest.mark.parametrize("mode", [STANDARD, COUNTERFACTUAL])
@@ -508,6 +511,36 @@ class TestRowPathMatchesLockstep:
                                              plain_snapshot(beta=0.5, frozen_mu=-0.5), env,
                                              batch_size, t_max, mode, -1.0, 0, t_max)
             assert set(batch.actions[:, 0].tolist()) == {0, 2}  # never a zero-probability token
+
+
+class TestHandBuiltBatches:
+    """conftest.batch_from_trajectories draws a batch's rows from the tables
+    its records imply, and rejects records no table can hold."""
+
+    def test_consistent_records_come_back_from_the_tables(self):
+        snapshot = plain_snapshot(frozen_mu=0.2)
+        g = [float(snapshot.normalize(x)) for x in (0.3, 0.0)]
+        steps = (StepRecord(0, 1, -0.7, 0.25, 0.3, g[0], 0.05),
+                 StepRecord(2, 0, -1.2, -0.5, 0.0, g[1], 0.1),
+                 StepRecord(0, 1, -0.7, 0.25, 0.3, g[0], 0.2))
+        trajs = (Trajectory(steps, StopReason.NATURAL_END, 1.0),
+                 Trajectory(steps[:1], StopReason.HORIZON_CAP, 0.0))
+        batch = batch_from_trajectories(trajs, snapshot, shape=(3, 2))
+        assert batch.pairs.tolist() == [[1, 4, 1], [1, 0, 0]]
+        assert records(batch) == trajs
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(log_prob_sampled=-2.0), r"log-prob of \(state, token\) \(1, 2\)"),
+        (dict(log_prob_sampled=-0.0), r"log-prob of \(state, token\) \(1, 2\)"),
+        (dict(regret_raw=-0.0, regret_normalized=-0.0), r"regret of \(state, token\) \(1, 2\)"),
+        (dict(action=0, value_estimate=0.25), r"value of state 1"),
+        (dict(action=0, regret_normalized=0.5), r"\(1, 0\) is not its regret through"),
+    ], ids=["log-prob", "log-prob sign", "regret sign", "value", "normalized regret"])
+    def test_records_that_disagree_are_rejected(self, change, message):
+        step = StepRecord(1, 2, 0.0, 0.5, 0.0, 0.0, 0.1)
+        other = dataclasses.replace(step, **change)
+        with pytest.raises(ValueError, match=message):
+            batch_from_trajectories([Trajectory((step, other), StopReason.NATURAL_END, 0.0)])
 
 
 class TestTokenAccounting:
@@ -641,9 +674,22 @@ BATCH_FIELDS = ("states", "actions", "log_probs", "values", "regrets", "normaliz
 
 
 def batch_digest(batch) -> str:
+    """sha256 of a batch's arrays as RolloutBatch once stored them: the B x T
+    columns of state, token, the policy's log-prob, value and regret, the
+    normalized regret and the score, zero past each row's end, then the
+    per-row arrays."""
+    pol, pairs, states = batch.policy, batch.pairs, batch.states
+    past_end = np.arange(pairs.shape[1]) >= batch.lengths[:, None]
+
+    def gathered(table, index):
+        return np.where(past_end, 0.0, table.take(index))
+
+    arrays = (states, batch.actions, gathered(pol.log_probs, pairs), gathered(pol.values, states),
+              gathered(pol.regrets, pairs), gathered(batch.snapshot.normalize(pol.regrets), pairs),
+              batch.scores, batch.lengths, batch.stop_codes, batch.outcomes, batch.stops)
     digest = hashlib.sha256()
-    for name in BATCH_FIELDS:
-        array = np.ascontiguousarray(getattr(batch, name))
+    for name, array in zip(BATCH_FIELDS, arrays):
+        array = np.ascontiguousarray(array)
         digest.update(f"{name}{array.shape}{array.dtype}".encode())
         digest.update(array.tobytes())
     return digest.hexdigest()

@@ -47,15 +47,15 @@ from conftest import (
 )
 
 
-def traj_from(values, outcome, reason=StopReason.NATURAL_END, log_prob=-1.0):
-    """Trajectory in state 0 with the given recorded values; only its last
-    step is rewarded, with outcome."""
-    steps = tuple(StepRecord(0, 0, log_prob, v, 0.5, 0.5, 0.1) for v in values)
+def traj_from(values, outcome, reason=StopReason.NATURAL_END, log_prob=-1.0, token=0):
+    """Trajectory that takes `token` in state t at step t, whose value is
+    values[t]; only its last step is rewarded, with outcome."""
+    steps = tuple(StepRecord(t, token, log_prob, v, 0.0, 0.0, 0.1) for t, v in enumerate(values))
     return Trajectory(steps, reason, outcome)
 
 
-def one_batch(traj):
-    return batch_from_trajectories([traj])
+def one_batch(traj, shape=None):
+    return batch_from_trajectories([traj], shape=shape)
 
 
 def td_errors(traj, gamma):
@@ -185,7 +185,7 @@ class TestSurrogate:
         actor = TabularActor(1, 4)
         lp_now = float(np.log(0.25))
         old_lp = lp_now - math.log(1.3)
-        batch = one_batch(traj_from([0.0], 1.0, log_prob=old_lp))
+        batch = one_batch(traj_from([0.0], 1.0, log_prob=old_lp), shape=(1, 4))
         advs = advantage_set([((1.0,), (1.0,), (1.0,))])
         cfg = RunConfig(clip_ratio=0.2)
         value = ppo_surrogate_value(actor, batch, advs, cfg)
@@ -198,15 +198,17 @@ class TestSurrogate:
     @pytest.mark.parametrize("bad_log_prob", [-1000.0, math.nan, -math.inf],
                              ids=["overflow", "nan", "inf"])
     def test_non_finite_ratio_excluded(self, caplog, bad_log_prob, bad_advantage):
-        # behaviour log-probs of -1000 (exp overflows), NaN and -inf give the
-        # second step a +inf, NaN and +inf ratio; it leaves the mean and the
-        # gradient, is logged, and raises nothing, even times a zero advantage
+        # a collecting-table log-prob of -1000 (exp overflows), NaN or -inf
+        # gives the second step's pair a +inf, NaN or +inf ratio; the step
+        # leaves the mean and the gradient, is logged, and raises nothing,
+        # even times a zero advantage
         actor = TabularActor(1, 4)
         good = traj_from([0.0], 1.0, log_prob=float(np.log(0.25)) - math.log(1.1))
+        bad = traj_from([0.0], 1.0, log_prob=bad_log_prob, token=1)
         cfg = RunConfig(clip_ratio=0.2)
         row = ((1.0,), (1.0,), (1.0,))
-        want = ppo_surrogate_grad(actor, one_batch(good), advantage_set([row]), cfg)
-        batch = batch_from_trajectories([good, traj_from([0.0], 1.0, log_prob=bad_log_prob)])
+        want = ppo_surrogate_grad(actor, one_batch(good, shape=(1, 4)), advantage_set([row]), cfg)
+        batch = batch_from_trajectories([good, bad], shape=(1, 4))
         advs = advantage_set([row, ((bad_advantage,), (1.0,), (1.0,))])
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
             warnings.simplefilter("error")
@@ -639,7 +641,7 @@ class TestSurrogateMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
-        assert advs.plan is not None and advs.plan.groups is not None
+        assert advs.plan is not None
         # the chunks and passes carry their running sums: each epoch is the step loop's
         rows = scalar_advantages(records(batch), 1.0, 1.0, -1.0)
         for table, grad in epochs:
@@ -744,10 +746,15 @@ STATE_STEPS = (1, 63, 64, 65, 255, 256, 257, 511, 513)
 
 def surrogate_case(vocab):
     """An actor, trajectories and advantage rows in which state i has
-    STATE_STEPS[i] steps, shuffled into rows of 1-64 steps; 300 of them are
-    clipped, zero-advantage or non-finite-ratio steps. The last token's
-    probability underflows to 0 and, from 3 tokens on, the first token's is
-    subnormal."""
+    STATE_STEPS[i] steps, shuffled into rows of 1-64 steps. The steps are
+    drawn from a collecting table of one log-prob per (state, token) pair,
+    each a ratio within exp(+-0.15) of the actor's, except state i's odd pair,
+    token i % vocab. The odd pair's ratio is 1.5 in states 0, 3 and 6; its
+    collecting log-prob is -inf in states 1, 4 and 7 and NaN in 2, 5 and 8,
+    so its ratio is not finite. 150 steps take their state's odd pair, with
+    a positive advantage, and 150 others have a zero advantage. The last
+    token's probability underflows to 0 and, from 3 tokens on, the first
+    token's is subnormal."""
     rng = np.random.default_rng(vocab)
     state_count = len(STATE_STEPS)
     actor = TabularActor(state_count, vocab)
@@ -756,22 +763,26 @@ def surrogate_case(vocab):
     if vocab >= 3:
         actor.table[:, 0] = -720.0
     log_pi = log_softmax(actor.table, axis=-1)
+    collecting = log_pi - rng.uniform(-0.15, 0.15, size=log_pi.shape)
+    odd = np.arange(state_count) % vocab
+    for state, token in enumerate(odd.tolist()):
+        collecting[state, token] = (log_pi[state, token] - math.log(1.5), -math.inf,
+                                    math.nan)[state % 3]
     states = np.repeat(np.arange(state_count), STATE_STEPS)
     kinds = np.zeros(len(states), int)
-    kinds[rng.choice(len(states), 300, replace=False)] = np.arange(300) % 3 + 1
+    kinds[rng.choice(len(states), 300, replace=False)] = np.arange(300) % 2 + 1
     order = rng.permutation(len(states))
     steps, advantages = [], []
     for state, kind in zip(states[order].tolist(), kinds[order].tolist()):
-        action = int(rng.integers(vocab))
-        ratio, advantage = math.exp(rng.uniform(-0.15, 0.15)), float(rng.normal())
-        if kind == 1:  # clipped: the ratio is past 1 + clip_ratio
-            ratio, advantage = 1.5, abs(advantage)
+        action = int(rng.integers(vocab - 1))
+        action += action >= odd[state]  # any token but the odd one
+        advantage = float(rng.normal())
+        if kind == 1:  # the odd pair: clipped, or a non-finite ratio
+            action, advantage = int(odd[state]), abs(advantage)
         elif kind == 2:  # a zero coefficient
             advantage = 0.0
-        log_prob = float(log_pi[state, action]) - math.log(ratio)
-        if kind == 3:  # a non-finite ratio
-            log_prob = [-math.inf, math.nan][state % 2]
-        steps.append(StepRecord(state, action, log_prob, 0.0, 0.0, 0.0, 0.0))
+        steps.append(StepRecord(state, action, float(collecting[state, action]), 0.0, 0.0, 0.0,
+                                0.0))
         advantages.append(advantage)
     trajectories, rows, first = [], [], 0
     while first < len(steps):
@@ -781,6 +792,11 @@ def surrogate_case(vocab):
         rows.append((advs, (0.0,) * len(advs), (0.0,) * len(advs)))
         first += n
     return actor, trajectories, rows
+
+
+def non_finite_steps(trajectories) -> int:
+    """Steps whose collecting log-prob is NaN or -inf."""
+    return sum(not math.isfinite(rec.log_prob_sampled) for t in trajectories for rec in t.steps)
 
 
 class TestSurrogatePathsAgainstScalarLoop:
@@ -796,14 +812,16 @@ class TestSurrogatePathsAgainstScalarLoop:
         monkeypatch.setattr(trainer, "_row_sum",
                             lambda pi, c, *plan: summed.append(len(c)) or row_sum(pi, c, *plan))
         actor, trajectories, rows = surrogate_case(vocab)
-        batch, advs = batch_from_trajectories(trajectories), advantage_set(rows)
+        batch = batch_from_trajectories(trajectories, shape=actor.table.shape)
+        advs = advantage_set(rows)
         with caplog.at_level(logging.WARNING):
             grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
         want, want_clip = scalar_surrogate_grad(actor, trajectories, rows, 0.2)
         assert np.array_equal(grad, want)
         assert (np.signbit(grad) == np.signbit(want)).all()
         assert clip_fraction == want_clip > 0.0
-        assert "excluded 100 steps with non-finite ratios" in caplog.text
+        excluded = non_finite_steps(trajectories)
+        assert excluded and f"excluded {excluded} steps with non-finite ratios" in caplog.text
         # a state's clipped, zero and non-finite steps stay in its rows with c = 0.0
         heavy = [n for n in STATE_STEPS if vocab >= min_vocab and n >= min_steps]
         assert summed == heavy
@@ -853,42 +871,47 @@ class TestTrainedStepTable:
 
     def test_hand_built_sets_go_through_the_table(self):
         actor, trajectories, rows = surrogate_case(8)
-        batch, advs = batch_from_trajectories(trajectories), advantage_set(rows)
+        batch = batch_from_trajectories(trajectories, shape=actor.table.shape)
+        advs = advantage_set(rows)
         assert advs.steps is None
         grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
         assert advs.steps is not None
-        states, actions, log_probs, advantages, returns = advs.steps
+        states, pairs, advantages, returns = advs.steps
         assert states.tolist() == [rec.state_id for t in trajectories for rec in t.steps]
-        assert actions.tolist() == [rec.action for t in trajectories for rec in t.steps]
+        assert pairs.tolist() == [rec.state_id * 8 + rec.action
+                                  for t in trajectories for rec in t.steps]
         assert len(returns) == len(states) and not returns.any()
-        assert np.array_equal(log_probs, [rec.log_prob_sampled for t in trajectories
-                                          for rec in t.steps], equal_nan=True)
+        assert np.array_equal(batch.policy.log_probs.ravel()[pairs],
+                              [rec.log_prob_sampled for t in trajectories for rec in t.steps],
+                              equal_nan=True)
         assert advantages.tolist() == [a for advs_row, _r, _d in rows for a in advs_row]
         want, want_clip = scalar_surrogate_grad(actor, trajectories, rows, 0.2)
         assert np.array_equal(grad, want)
         assert (np.signbit(grad) == np.signbit(want)).all()
         assert clip_fraction == want_clip
 
-    def test_one_pair_with_several_recorded_log_probs(self, caplog):
-        # a hand-built set may record several log-probs for one (state,
-        # token) pair, finite, NaN and -inf among them: each recorded value
-        # gets its own ratio, and four epochs equal the step loop
+    def test_pairs_share_their_collecting_log_prob(self, caplog):
+        # the collecting table holds one log-prob per (state, token) pair,
+        # finite, NaN and -inf among them: every step of a pair takes
+        # the pair's ratio, one per visited pair, and four epochs equal the
+        # step loop
         rng = np.random.default_rng(8)
         actor = TabularActor(3, 5)
         actor.table = rng.normal(size=(3, 5))
-        log_pi = log_softmax(actor.table, axis=-1)
-        shared = float(log_pi[1, 2])
-        recorded = [shared, shared - 0.05, math.nan, shared + 0.4, -math.inf, shared]
+        collecting = log_softmax(actor.table, axis=-1) - 0.1
+        collecting[1, 2] -= 0.3  # the shared pair: clipped at a positive advantage
+        collecting[1, 4], collecting[2, 0] = math.nan, -math.inf
         steps, advantages = [], []
         for i in range(90):
             state, action = (1, 2) if i % 2 else (int(rng.integers(3)), int(rng.integers(5)))
-            log_prob = recorded[i // 2 % 6] if i % 2 else float(log_pi[state, action]) - 0.1
-            steps.append(StepRecord(state, action, log_prob, 0.0, 0.0, 0.0, 0.0))
+            steps.append(StepRecord(state, action, float(collecting[state, action]), 0.0, 0.0,
+                                    0.0, 0.0))
             advantages.append(float(rng.normal()) if i % 7 else 0.0)
         trajectories = [Trajectory(tuple(steps[i:i + 9]), StopReason.NATURAL_END, 1.0)
                         for i in range(0, 90, 9)]
         rows = [(tuple(advantages[i:i + 9]), (0.0,) * 9, (0.0,) * 9) for i in range(0, 90, 9)]
-        batch, advs = batch_from_trajectories(trajectories), advantage_set(rows)
+        batch = batch_from_trajectories(trajectories, shape=(3, 5))
+        advs = advantage_set(rows)
         clip_fractions = []
         for _ in range(4):
             with caplog.at_level(logging.WARNING):
@@ -899,11 +922,10 @@ class TestTrainedStepTable:
             assert clip_fraction == want_clip
             clip_fractions.append(clip_fraction)
             actor.apply_gradient(grad, 0.5)
-        assert "excluded 15 steps with non-finite ratios" in caplog.text
+        excluded = sum((rec.state_id, rec.action) in ((1, 4), (2, 0)) for rec in steps)
+        assert excluded and f"excluded {excluded} steps with non-finite ratios" in caplog.text
         assert any(clip_fractions)
-        # the shared pair's five recorded values take a group each at least
-        group_pairs = advs.plan.groups[0]
-        assert np.count_nonzero(group_pairs == 1 * 5 + 2) >= 5
+        assert advs.plan.visited.tolist() == sorted({r.state_id * 5 + r.action for r in steps})
 
     def test_gathered_once_per_batch(self, monkeypatch):
         calls = []
@@ -943,9 +965,9 @@ class TestTrainedStepTable:
             mu, var = run.stopper.mu_g, run.stopper.var_g
             run.step()
             batch = run.last_batch
-            trained = np.arange(batch.states.shape[1]) < batch.effective_lengths[:, None]
-            regrets = batch.regrets[trained]
-            pairs = batch.states[trained] * run.config.vocab_size + batch.actions[trained]
+            trained = np.arange(batch.pairs.shape[1]) < batch.effective_lengths[:, None]
+            pairs = batch.pairs[trained]
+            regrets = batch.policy.regrets.take(pairs)
             shared += len(set(pairs.tolist())) > len(set(regrets.tolist()))
             mean, variance = batch_statistics(regrets)
             assert run.stopper.mu_g == alpha * mu + (1.0 - alpha) * mean
