@@ -149,7 +149,7 @@ def false_positive_rate(batch: RolloutBatch) -> float:
     if batch.mode != COUNTERFACTUAL:
         raise ValueError("false_positive_rate requires a counterfactual-extend batch")
     hits = np.count_nonzero((batch.stops >= 0) & (batch.outcomes == 1.0))
-    return int(hits) / batch.size if batch.size else 0.0
+    return int(hits) / batch.size
 
 
 # Batches of fewer rows decode and fold each row on its own in Python; wider
@@ -209,7 +209,7 @@ def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.nd
     # The smoothed score of every decoded column, one column at a time: each
     # row gets the per-token loop's two roundings per step, in its order,
     # z = alpha * z + x, folded in place over the contiguous columns of x.
-    width = int(lengths.max()) if batch_size else 0
+    width = int(lengths.max())
     pairs = pairs[:, :width]
     columns = pair_x.take(pairs[:, :int(np.minimum(lengths, cuts).max(initial=0))].T)  # x, then z
     z, scaled = np.zeros(batch_size), np.empty(batch_size)
@@ -256,7 +256,7 @@ def _decode_rows(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarra
         n = min(lengths[i], cuts[i])
         z = 0.0
         scores[i, :n] = [z := alpha * z + x for x in pair_x.take(pairs[i, :n]).tolist()]
-    width = int(lengths.max()) if batch_size else 0
+    width = int(lengths.max())
     return pairs[:, :width], lengths, ended, scores[:, :width]
 
 
@@ -326,7 +326,7 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
         stop_codes[fired] = EARLY_STOP
         outcomes[fired] = r_fail
 
-    width = int(lengths.max()) if batch_size else 0
+    width = int(lengths.max())
     pairs, scores = pairs[:, :width], scores[:, :width]
     past_end = np.arange(width) >= lengths[:, None]
     pairs[past_end] = 0

@@ -6,8 +6,8 @@ critic regression, and the loop that sequences warmup -> anneal -> controller.
 Every trajectory ends in a terminal event (natural end, horizon cap, or early
 stop) and none of them bootstraps past the final step. A trajectory whose
 rule fired trains as if truncated at its stop: in counterfactual mode the
-masked tail is excluded from gradients, statistics, and rate accounting, and
-the stop step carries the early-stop reward in either mode.
+tail past the stop is excluded from gradients, statistics, and rate
+accounting, and the stop step carries the early-stop reward in either mode.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,30 +61,28 @@ SIDE_FILES = {
 
 @dataclass(frozen=True, eq=False)
 class AdvantageSet:
-    """GAE advantages, regression returns and TD errors of a batch, as B x T
-    arrays aligned with the RolloutBatch's pairs, and the B x T `mask` that
-    is True on the steps trained on: those before each row's effective
-    (possibly simulated-truncated) length. The arrays are zero outside the mask.
-    `steps` holds the table that _trained_steps gathers on first use, `plan`
-    the _SurrogatePlan of ppo_surrogate_grad's first epoch.
-    """
+    """The trained-on steps of a batch, those before each row's effective
+    (possibly simulated-truncated) length, as flat arrays in step order (row
+    by row): each step's state and (state, token) pair, its GAE advantage,
+    regression return and TD error; and `plan`, the _SurrogatePlan that every
+    ppo_surrogate_grad epoch over the batch reads. Built by `of_batch`."""
 
+    states: np.ndarray
+    pairs: np.ndarray
     advantages: np.ndarray
     returns: np.ndarray
     td_errors: np.ndarray
-    mask: np.ndarray
-    steps: tuple | None = field(default=None, init=False, repr=False)
-    plan: _SurrogatePlan | None = field(default=None, init=False, repr=False)
+    plan: _SurrogatePlan
 
-
-def _trained_steps(batch: RolloutBatch, advantage_sets: AdvantageSet) -> tuple:
-    """The trained-on steps as flat arrays in step order: states, (state,
-    token) pairs, advantages and returns. Every epoch over the batch reads the
-    same steps, so they are gathered once and kept with the set."""
-    if advantage_sets.steps is None:
-        columns = (batch.states, batch.pairs, advantage_sets.advantages, advantage_sets.returns)
-        object.__setattr__(advantage_sets, "steps", tuple(c[advantage_sets.mask] for c in columns))
-    return advantage_sets.steps
+    @classmethod
+    def of_batch(cls, batch: RolloutBatch, advantages: np.ndarray, returns: np.ndarray,
+                 td_errors: np.ndarray) -> AdvantageSet:
+        """The set of `batch`'s trained-on steps with these step-order values."""
+        trained = np.arange(batch.pairs.shape[1]) < batch.effective_lengths[:, None]
+        pairs = batch.pairs[trained]
+        states = pairs // batch.policy.vocab_size
+        plan = _SurrogatePlan(states, pairs, *batch.policy.log_probs.shape)
+        return cls(states, pairs, advantages, returns, td_errors, plan)
 
 
 def gae(deltas, gamma: float, lam: float) -> np.ndarray:
@@ -110,13 +108,14 @@ def _sequential_sum(values: np.ndarray) -> float:
     """Left-to-right float sum from 0.0, as a Python loop adds: cumsum is
     sequential where np.sum is pairwise. The trailing + 0.0 turns a -0.0
     total into the loop's 0.0."""
-    return float(np.cumsum(values)[-1]) + 0.0 if values.size else 0.0
+    return float(np.cumsum(values)[-1]) + 0.0
 
 
 def compute_advantages(batch: RolloutBatch, config: RunConfig,
                        early_stop_reward: float) -> AdvantageSet:
     """TD errors delta_t = r_t + gamma * V(s_{t+1}) - V(s_t) and their GAE
-    over each trajectory's effective span.
+    over each trajectory's effective span, run over B x T arrays and kept as
+    the AdvantageSet of the trained-on steps, with its _SurrogatePlan.
 
     Uses the critic values of the policy the batch was drawn from. Only the
     last step is rewarded: with the early-stop reward where the rule fired,
@@ -125,23 +124,23 @@ def compute_advantages(batch: RolloutBatch, config: RunConfig,
     delta = r_fail - V(s_stop) bit for bit.
     """
     lengths = batch.effective_lengths
-    mask = np.arange(batch.pairs.shape[1]) < lengths[:, None]
-    values = np.where(mask, batch.policy.values.take(batch.states), 0.0)
+    trained = np.arange(batch.pairs.shape[1]) < lengths[:, None]
+    values = np.where(trained, batch.policy.values.take(batch.states), 0.0)
     rewards = np.zeros_like(values)
     rewards[np.arange(batch.size), lengths - 1] = np.where(
         batch.stops >= 0, early_stop_reward, batch.outcomes)
     bootstrap = np.zeros_like(values)
     bootstrap[:, :-1] = values[:, 1:]
     deltas = rewards + config.gamma * bootstrap - values
-    advantages = gae(deltas, config.gamma, config.lam)
-    returns = advantages + values
-    if config.advantage_whitening and mask.any():
-        flat = advantages[mask].tolist()
+    advantages = gae(deltas, config.gamma, config.lam)[trained]
+    returns = advantages + values[trained]
+    if config.advantage_whitening:
+        flat = advantages.tolist()
         mean = math.fsum(flat) / len(flat)
         var = math.fsum((a - mean) ** 2 for a in flat) / len(flat)
         scale = 1.0 / max(math.sqrt(var), 1e-8)
-        advantages = np.where(mask, (advantages - mean) * scale, 0.0)
-    return AdvantageSet(advantages, returns, deltas, mask)
+        advantages = (advantages - mean) * scale
+    return AdvantageSet.of_batch(batch, advantages, returns, deltas[trained])
 
 
 SURROGATE_CHUNK = 8192  # gradient entries scattered per bincount call
@@ -175,22 +174,21 @@ def _row_sum(pi: np.ndarray, coeff: np.ndarray, at: np.ndarray, block: np.ndarra
 
 
 class _SurrogatePlan:
-    """What every ppo_surrogate_grad epoch over one batch shares: each step's
-    (state, token) pair id, the steps per pair, the pairs `visited` and, with
-    a vocabulary of ROW_SUM_VOCAB or more, each state of ROW_SUM_STEPS or more
-    steps as (state, its steps, their +c offsets in `block`). The other
+    """What every ppo_surrogate_grad epoch over one batch shares: the steps
+    per (state, token) pair, the pairs `visited` and, with a vocabulary of
+    ROW_SUM_VOCAB or more, each state of ROW_SUM_STEPS or more steps as
+    (state, its steps, their +c offsets in a `block_shape` block). The other
     steps, `light` (all of them, as a slice, when no state is heavy), go
-    through the scatter."""
+    through the scatter. No epoch writes to it."""
 
     def __init__(self, states: np.ndarray, pairs: np.ndarray, state_count: int, vocab: int):
-        self.pairs = pairs
         self.pair_counts = np.bincount(pairs, minlength=state_count * vocab)
         self.visited = np.flatnonzero(self.pair_counts)
         state_steps = np.bincount(states, minlength=state_count)
         row_summed = (state_steps >= ROW_SUM_STEPS) & (vocab >= ROW_SUM_VOCAB)
         per_block = min(max(1, (ROW_SUM_BLOCK // vocab - 1) // 2),
                         int(state_steps[row_summed].max(initial=0)))
-        self.block = np.zeros((2 * per_block + 1, vocab))
+        self.block_shape = (2 * per_block + 1, vocab)
         token_rows = np.arange(2, 2 * per_block + 2, 2) * vocab  # of one pass
         self.heavy = []
         for s in np.flatnonzero(row_summed).tolist():
@@ -198,18 +196,18 @@ class _SurrogatePlan:
             self.heavy.append((s, steps, np.resize(token_rows, len(steps)) + pairs[steps] % vocab))
         self.light = np.flatnonzero(~row_summed[states]) if row_summed.any() else slice(None)
 
-    def ratios(self, table: np.ndarray, then: np.ndarray) -> np.ndarray:
+    def ratios(self, table: np.ndarray, then: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         """Each step's importance ratio, its pair's exp(table - then), `then`
         being the collecting policy's log-probs: 1 while every log-ratio is
         +-0.0, then one math.exp (not np.exp: they differ in the last bit on
         some inputs) per visited pair."""
         log_ratios = table.ravel()[self.visited] - then.ravel()[self.visited]
         if not log_ratios.any():
-            return np.ones(len(self.pairs))
+            return np.ones(len(pairs))
         log_ratios[log_ratios > LOG_RATIO_MAX] = np.inf  # an overflowing ratio counts as +inf
         ratios = np.empty(table.size)
         ratios[self.visited] = list(map(math.exp, log_ratios.tolist()))
-        return ratios[self.pairs]
+        return ratios[pairs]
 
 
 def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
@@ -229,7 +227,7 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     takes its terms in step order, as a loop over the steps adds them; a
     clipped, zero or non-finite step adds its +-0.0 terms, which change no
     sum. Cells of different states are disjoint, so each state may take its
-    own path, which the batch's _SurrogatePlan holds for every epoch. A heavy
+    own path, which the set's _SurrogatePlan holds for every epoch. A heavy
     state is summed by _row_sum, an in-order reduce of its rows. The others
     go through np.bincount, which adds its weights in input order: the
     entries go in as the steps come, each step's K terms before its token's,
@@ -240,10 +238,9 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     state_count, vocab = table.shape
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
 
-    states, pairs, advs, _returns = _trained_steps(batch, advantage_sets)
-    plan = advantage_sets.plan or _SurrogatePlan(states, pairs, state_count, vocab)
-    object.__setattr__(advantage_sets, "plan", plan)  # kept for the batch's later epochs
-    ratio = plan.ratios(table, batch.policy.log_probs)
+    states, pairs, advs, plan = (advantage_sets.states, advantage_sets.pairs,
+                                 advantage_sets.advantages, advantage_sets.plan)
+    ratio = plan.ratios(table, batch.policy.log_probs, pairs)
     finite = np.isfinite(ratio)
     included = int(np.count_nonzero(finite))
     excluded = len(ratio) - included
@@ -275,35 +272,31 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
         step_weight[:, vocab] = c
         grad = np.bincount(index, weights=weight, minlength=cells)
     grad = grad.reshape(state_count, vocab)
+    block = np.zeros(plan.block_shape)
     for s, steps, at in plan.heavy:
-        grad[s] = _row_sum(probs[s], coeff[steps], at, plan.block)
+        grad[s] = _row_sum(probs[s], coeff[steps], at, block)
     if included:
         grad *= 1.0 / included
     clip_fraction = int(np.count_nonzero(clipped)) / included if included else 0.0
     return grad, clip_fraction
 
 
-def _critic_diffs(critic: TabularCritic, batch: RolloutBatch, advantage_sets: AdvantageSet):
-    """States and V(s) - return of the trained-on steps, in step order."""
-    states, _pairs, _advs, returns = _trained_steps(batch, advantage_sets)
-    return states, critic.table[states] - returns
-
-
 def critic_grad(critic: TabularCritic, batch: RolloutBatch,
                 advantage_sets: AdvantageSet) -> np.ndarray:
-    """Gradient of mean (V(s) - return)^2 over unmasked steps, as a
-    (state_count,) array. bincount adds in step order, as a loop would."""
-    states, diffs = _critic_diffs(critic, batch, advantage_sets)
+    """Gradient of mean (V(s) - return)^2 over the trained-on steps, as a
+    (state_count,) array. bincount adds in step order, as a loop would. The
+    critic functions do not read `batch` (ROADMAP item 2 drops it)."""
+    states = advantage_sets.states
+    diffs = critic.table[states] - advantage_sets.returns
     grad = np.bincount(states, weights=2.0 * diffs, minlength=critic.state_count)
-    if len(diffs):
-        grad *= 1.0 / len(diffs)
+    grad *= 1.0 / len(diffs)
     return grad
 
 
 def critic_loss(critic: TabularCritic, batch: RolloutBatch,
                 advantage_sets: AdvantageSet) -> float:
-    _states, diffs = _critic_diffs(critic, batch, advantage_sets)
-    return _sequential_sum(diffs * diffs) / len(diffs) if len(diffs) else 0.0
+    diffs = critic.table[advantage_sets.states] - advantage_sets.returns
+    return _sequential_sum(diffs * diffs) / len(diffs)
 
 
 def _file_sha256(path) -> str:
@@ -366,7 +359,7 @@ class TrainingRun:
         self.critic.apply_gradient(cgrad, cfg.lr_critic)
 
         # batch statistics over the trained-on steps, at least one in each row
-        states = _trained_steps(batch, advantage_sets)[0]
+        states = advantage_sets.states
         mean_entropy = _sequential_sum(cache.entropies[states]) / states.size  # per step
 
         stop_rate = int(np.count_nonzero(batch.stops >= 0)) / batch.size  # in either mode

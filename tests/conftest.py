@@ -413,16 +413,18 @@ def assert_same_batch(ours: RolloutBatch, theirs: RolloutBatch) -> None:
             assert a == b, field.name
 
 
-def advantage_set(rows) -> AdvantageSet:
-    """An AdvantageSet from per-trajectory (advantages, returns, td_errors)."""
+def advantage_set(batch: RolloutBatch, rows) -> AdvantageSet:
+    """The AdvantageSet of `batch` with per-trajectory (advantages, returns,
+    td_errors), one row per trajectory, joined in step order."""
     rows = list(rows)
-    width = max((len(r[0]) for r in rows), default=0)
-    arrays = [np.zeros((len(rows), width)) for _ in range(3)]
-    for i, row in enumerate(rows):
-        for array, values in zip(arrays, row):
-            array[i, :len(values)] = values
-    lengths = np.array([len(r[0]) for r in rows], dtype=np.int64)
-    return AdvantageSet(*arrays, np.arange(width) < lengths[:, None])
+    joined = (np.array([v for row in rows for v in row[i]], dtype=float) for i in range(3))
+    return AdvantageSet.of_batch(batch, *joined)
+
+
+def by_row(values: np.ndarray, batch: RolloutBatch) -> list[np.ndarray]:
+    """A set's flat step-order array split into the batch's rows, each up to
+    its effective length."""
+    return np.split(values, np.cumsum(batch.effective_lengths)[:-1])
 
 
 def scalar_advantages(trajectories, gamma, lam, early_stop_reward, whitening=False):
@@ -512,15 +514,14 @@ def scalar_critic(critic, trajectories, rows):
 
 
 def ppo_surrogate_value(actor, batch, advantage_sets, config) -> float:
-    """Mean clipped surrogate over the unmasked steps, the objective whose
+    """Mean clipped surrogate over the trained-on steps, the objective whose
     gradient ppo_surrogate_grad returns; the finite-difference reference."""
     table = log_softmax(actor.table, axis=-1)
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
     total = 0.0
     included = 0
-    for traj, advs, n in zip(records(batch), advantage_sets.advantages,
-                             advantage_sets.mask.sum(axis=1).tolist()):
-        for rec, adv in zip(traj.steps, advs[:n].tolist()):
+    for traj, advs in zip(records(batch), by_row(advantage_sets.advantages, batch)):
+        for rec, adv in zip(traj.steps, advs.tolist()):
             ratio = math.exp(table[rec.state_id, rec.action] - rec.log_prob_sampled)
             if not math.isfinite(ratio):
                 continue

@@ -41,6 +41,7 @@ from espolab.variants import COUNTERFACTUAL, STANDARD
 
 from conftest import (
     StopReason,
+    by_row,
     collect_trajectory,
     make_stopper,
     plain_snapshot,
@@ -206,8 +207,8 @@ def test_criterion_04_absorbing_state_td():
     exact = True
     for _ in range(50):
         run.step()
-        td_errors = compute_advantages(run.last_batch, run.config,
-                                       run.plan.early_stop_reward).td_errors
+        advs = compute_advantages(run.last_batch, run.config, run.plan.early_stop_reward)
+        td_errors = by_row(advs.td_errors, run.last_batch)
         for traj, row in zip(records(run.last_batch), td_errors):
             if traj.stop_reason is not StopReason.EARLY_STOP:
                 continue

@@ -256,13 +256,15 @@ class TestTrainerAgainstScalarLoops:
         advs = compute_advantages(batch, config, early_stop_reward)
         rows = scalar_advantages(trajectories, config.gamma, config.lam, early_stop_reward,
                                  config.advantage_whitening)
-        arrays = (advs.advantages, advs.returns, advs.td_errors)
-        lengths = batch.effective_lengths
-        assert (advs.mask == (np.arange(advs.mask.shape[1]) < lengths[:, None])).all()
-        assert [tuple(array[i, :n].tolist() for array in arrays)
-                for i, n in enumerate(lengths.tolist())] == rows
-        for array in arrays:
-            assert not array[~advs.mask].any()
+        # the trained-on steps in step order, each row up to its effective length
+        trained = [rec for traj in trajectories for rec in traj.steps[:traj.effective_length]]
+        assert advs.states.tolist() == [rec.state_id for rec in trained]
+        assert advs.pairs.tolist() == [rec.state_id * batch.policy.vocab_size + rec.action
+                                       for rec in trained]
+        for i, array in enumerate((advs.advantages, advs.returns, advs.td_errors)):
+            want = np.array([value for row in rows for value in row[i]])
+            assert array.tolist() == want.tolist()
+            assert np.array_equal(np.signbit(array), np.signbit(want))
 
         actor, critic = case["actor"].copy(), case["critic"].copy()
         for _ in range(epochs):  # later epochs see ratios away from 1

@@ -35,6 +35,7 @@ from espolab.trainer import compute_advantages
 
 from conftest import (
     StopReason,
+    by_row,
     collect_small_batch,
     drop_kept_streams,
     pick_from_cumulative,
@@ -339,7 +340,7 @@ class TestTrajectoryRecords:
         actor = random_actor(small_env, rng)
         critic = random_critic(small_env, rng)
         batch = collect_small_batch(small_env, actor, critic, batch_size=16, t_max=8)
-        td_errors = compute_advantages(batch, RunConfig(gamma=1.0), -1.0).td_errors
+        td_errors = by_row(compute_advantages(batch, RunConfig(gamma=1.0), -1.0).td_errors, batch)
         for traj, row in zip(records(batch), td_errors):
             check_invariants(traj, actor, t_max=8)
             # reward sparsity: the trainer sees reward 0 at every non-final
@@ -371,7 +372,7 @@ class TestTrajectoryRecords:
         snapshot = plain_snapshot(beta=0.5, value_floor=0.2)
         batch = collect_small_batch(small_env, actor, critic, snapshot=snapshot,
                                     batch_size=32, t_max=8)
-        td_errors = compute_advantages(batch, RunConfig(), -1.0).td_errors
+        td_errors = by_row(compute_advantages(batch, RunConfig(), -1.0).td_errors, batch)
         stopped = [(t, row) for t, row in zip(records(batch), td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped, "tuned snapshot should produce early stops"

@@ -30,9 +30,9 @@ def log_prob_grad(actor, state, action):
     lp = float(log_softmax(actor.table, axis=-1)[state, action])
     traj = Trajectory((StepRecord(state, action, lp, 0.0, 0.0, 0.0, 0.0),),
                       StopReason.NATURAL_END, 0.0)
+    batch = batch_from_trajectories([traj], shape=actor.table.shape)
     grad, _clip_fraction = ppo_surrogate_grad(
-        actor, batch_from_trajectories([traj], shape=actor.table.shape),
-        advantage_set([((1.0,), (0.0,), (0.0,))]), RunConfig())
+        actor, batch, advantage_set(batch, [((1.0,), (0.0,), (0.0,))]), RunConfig())
     return grad[state]
 
 

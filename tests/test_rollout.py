@@ -31,6 +31,7 @@ from conftest import (
     Trajectory,
     assert_same_batch,
     batch_from_trajectories,
+    by_row,
     collect_small_batch,
     collect_trajectory,
     dump_trajectory,
@@ -158,7 +159,7 @@ class TestCollectTrajectory:
         batch = collect_small_batch(small_env, actor, critic,
                                     snapshot=plain_snapshot(beta=0.3),
                                     batch_size=64, t_max=8)
-        td_errors = compute_advantages(batch, RunConfig(gamma=1.0), -1.0).td_errors
+        td_errors = by_row(compute_advantages(batch, RunConfig(gamma=1.0), -1.0).td_errors, batch)
         stopped = [(t, row) for t, row in zip(records(batch), td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped

@@ -61,7 +61,7 @@ def one_batch(traj, shape=None):
 def td_errors(traj, gamma):
     """TD errors of a single trajectory, as compute_advantages produces them."""
     advs = compute_advantages(one_batch(traj), RunConfig(gamma=gamma), -1.0)
-    return advs.td_errors[0].tolist()
+    return advs.td_errors.tolist()
 
 
 def gae_oracle(deltas, gamma, lam):
@@ -174,7 +174,7 @@ class TestSurrogate:
         cfg = RunConfig()
         advs = compute_advantages(batch, cfg, -1.0)
         value = ppo_surrogate_value(actor, batch, advs, cfg)
-        flat = advs.advantages[advs.mask].tolist()
+        flat = advs.advantages.tolist()
         assert value == pytest.approx(math.fsum(flat) / len(flat), abs=1e-12)
         _grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, cfg)
         assert clip_fraction == 0.0
@@ -186,7 +186,7 @@ class TestSurrogate:
         lp_now = float(np.log(0.25))
         old_lp = lp_now - math.log(1.3)
         batch = one_batch(traj_from([0.0], 1.0, log_prob=old_lp), shape=(1, 4))
-        advs = advantage_set([((1.0,), (1.0,), (1.0,))])
+        advs = advantage_set(batch, [((1.0,), (1.0,), (1.0,))])
         cfg = RunConfig(clip_ratio=0.2)
         value = ppo_surrogate_value(actor, batch, advs, cfg)
         assert value == pytest.approx(1.2, abs=1e-12)
@@ -207,9 +207,10 @@ class TestSurrogate:
         bad = traj_from([0.0], 1.0, log_prob=bad_log_prob, token=1)
         cfg = RunConfig(clip_ratio=0.2)
         row = ((1.0,), (1.0,), (1.0,))
-        want = ppo_surrogate_grad(actor, one_batch(good, shape=(1, 4)), advantage_set([row]), cfg)
+        single = one_batch(good, shape=(1, 4))
+        want = ppo_surrogate_grad(actor, single, advantage_set(single, [row]), cfg)
         batch = batch_from_trajectories([good, bad], shape=(1, 4))
-        advs = advantage_set([row, ((bad_advantage,), (1.0,), (1.0,))])
+        advs = advantage_set(batch, [row, ((bad_advantage,), (1.0,), (1.0,))])
         with warnings.catch_warnings(), caplog.at_level(logging.WARNING):
             warnings.simplefilter("error")
             grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, cfg)
@@ -248,7 +249,7 @@ class TestCriticRegression:
         # overwrite the critic so V(s) equals every return seen at s
         # (construct a batch-free case instead: single state, single step)
         single = one_batch(traj_from([0.0], 1.0))
-        advset = advantage_set([((0.0,), (1.0,), (0.0,))])
+        advset = advantage_set(single, [((0.0,), (1.0,), (0.0,))])
         critic2 = TabularCritic(1)
         critic2.table[0] = 1.0
         assert not critic_grad(critic2, single, advset).any()
@@ -256,7 +257,7 @@ class TestCriticRegression:
 
     def test_single_state_gradient_value(self):
         batch = one_batch(traj_from([0.0], 1.0))
-        advset = advantage_set([((0.0,), (1.0,), (0.0,))])
+        advset = advantage_set(batch, [((0.0,), (1.0,), (0.0,))])
         critic = TabularCritic(1)
         grad = critic_grad(critic, batch, advset)
         assert grad.shape == (1,)
@@ -290,8 +291,8 @@ class TestNegativeSignalConcentration:
             values = [float(v) for v in rng.uniform(-0.49, 0.49, size=length)]
             traj = traj_from(values, -1.0, reason=StopReason.EARLY_STOP)
             advs = compute_advantages(one_batch(traj), cfg, -1.0)
-            assert advs.advantages[0, -1] < 0.0
-            assert advs.td_errors[0, -1] == -1.0 - values[-1]
+            assert advs.advantages[-1] < 0.0
+            assert advs.td_errors[-1] == -1.0 - values[-1]
 
 
 def base_config(**overrides):
@@ -381,7 +382,7 @@ class TestTrainingLoop:
         _env, _actor, _critic, batch = small_training_batch(seed=3, batch_size=8)
         raw = compute_advantages(batch, RunConfig(), -1.0)
         white = compute_advantages(batch, RunConfig(advantage_whitening=True), -1.0)
-        flat = white.advantages[white.mask].tolist()
+        flat = white.advantages.tolist()
         assert abs(math.fsum(flat) / len(flat)) < 1e-10
         var = math.fsum(a * a for a in flat) / len(flat)
         assert var == pytest.approx(1.0, abs=1e-8)
@@ -618,16 +619,15 @@ class TestSurrogateMemory:
     def test_gradient_temporaries_stay_below_one_mib(self):
         # K = 64 and 4,096 trained-on steps: one (steps x (K + 1)) scatter
         # would allocate ~4 MiB of indices and as much of weights; over four
-        # epochs, with the plan the set keeps between them, the chunked
-        # scatter and the one row block keep the peak of new allocations
-        # under 1 MiB
+        # epochs on the set's plan, the chunked scatter and each epoch's one
+        # row block keep the peak of new allocations under 1 MiB
         env = build_environment(TrapChainSpec(64, 12, tuple(range(12)), None))
         rng = np.random.default_rng(0)
         actor, critic = random_actor(env, rng), random_critic(env, rng)
         batch = collect_batch(actor, critic, plain_snapshot(rule="ppo"), env, 64, 64,
                               STANDARD, -1.0, 0, 1)
         advs = compute_advantages(batch, RunConfig(), -1.0)
-        assert int(advs.mask.sum()) == 4096
+        assert len(advs.states) == 4096
         actor.table = actor.table + rng.normal(0, 0.1, size=actor.table.shape)  # ratios != 1
         epochs = []
         tracemalloc.start()
@@ -641,7 +641,6 @@ class TestSurrogateMemory:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
-        assert advs.plan is not None
         # the chunks and passes carry their running sums: each epoch is the step loop's
         rows = scalar_advantages(records(batch), 1.0, 1.0, -1.0)
         for table, grad in epochs:
@@ -794,6 +793,27 @@ def surrogate_case(vocab):
     return actor, trajectories, rows
 
 
+def advantage_set_digest(advs) -> str:
+    """sha256 of every field of an AdvantageSet and every attribute of its
+    plan: the dtype, shape and bytes of each array, the repr of the rest."""
+    h = hashlib.sha256()
+
+    def add(value):
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype.str}{value.shape}".encode())
+            h.update(value.tobytes())
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                add(item)
+        else:
+            h.update(repr(value).encode())
+
+    for field in dataclasses.fields(advs):
+        value = getattr(advs, field.name)
+        add(sorted(vars(value).items()) if field.name == "plan" else value)
+    return h.hexdigest()
+
+
 def non_finite_steps(trajectories) -> int:
     """Steps whose collecting log-prob is NaN or -inf."""
     return sum(not math.isfinite(rec.log_prob_sampled) for t in trajectories for rec in t.steps)
@@ -813,7 +833,7 @@ class TestSurrogatePathsAgainstScalarLoop:
                             lambda pi, c, *plan: summed.append(len(c)) or row_sum(pi, c, *plan))
         actor, trajectories, rows = surrogate_case(vocab)
         batch = batch_from_trajectories(trajectories, shape=actor.table.shape)
-        advs = advantage_set(rows)
+        advs = advantage_set(batch, rows)
         with caplog.at_level(logging.WARNING):
             grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
         want, want_clip = scalar_surrogate_grad(actor, trajectories, rows, 0.2)
@@ -828,9 +848,8 @@ class TestSurrogatePathsAgainstScalarLoop:
 
 
 class TestTrainedStepTable:
-    """Every epoch, the critic and the step statistics read one table of the
-    batch's trained-on steps, gathered from the RolloutBatch and the
-    AdvantageSet on first use."""
+    """Every epoch, the critic and the step statistics read the AdvantageSet
+    of the batch's trained-on steps, which compute_advantages builds once."""
 
     def test_epochs_on_one_batch_equal_the_step_loop(self, monkeypatch):
         # the first epoch runs on the policy that collected the batch, so
@@ -869,22 +888,18 @@ class TestTrainedStepTable:
         assert not any(float_sorts)
         assert clip_fraction > 0.0  # the later epochs reach the clipped branch
 
-    def test_hand_built_sets_go_through_the_table(self):
+    def test_hand_built_sets_hold_the_steps_in_order(self):
         actor, trajectories, rows = surrogate_case(8)
         batch = batch_from_trajectories(trajectories, shape=actor.table.shape)
-        advs = advantage_set(rows)
-        assert advs.steps is None
+        advs = advantage_set(batch, rows)
         grad, clip_fraction = ppo_surrogate_grad(actor, batch, advs, RunConfig())
-        assert advs.steps is not None
-        states, pairs, advantages, returns = advs.steps
-        assert states.tolist() == [rec.state_id for t in trajectories for rec in t.steps]
-        assert pairs.tolist() == [rec.state_id * 8 + rec.action
-                                  for t in trajectories for rec in t.steps]
-        assert len(returns) == len(states) and not returns.any()
-        assert np.array_equal(batch.policy.log_probs.ravel()[pairs],
-                              [rec.log_prob_sampled for t in trajectories for rec in t.steps],
-                              equal_nan=True)
-        assert advantages.tolist() == [a for advs_row, _r, _d in rows for a in advs_row]
+        steps = [rec for t in trajectories for rec in t.steps]
+        assert advs.states.tolist() == [rec.state_id for rec in steps]
+        assert advs.pairs.tolist() == [rec.state_id * 8 + rec.action for rec in steps]
+        assert len(advs.returns) == len(steps) and not advs.returns.any()
+        assert np.array_equal(batch.policy.log_probs.ravel()[advs.pairs],
+                              [rec.log_prob_sampled for rec in steps], equal_nan=True)
+        assert advs.advantages.tolist() == [a for advs_row, _r, _d in rows for a in advs_row]
         want, want_clip = scalar_surrogate_grad(actor, trajectories, rows, 0.2)
         assert np.array_equal(grad, want)
         assert (np.signbit(grad) == np.signbit(want)).all()
@@ -911,7 +926,7 @@ class TestTrainedStepTable:
                         for i in range(0, 90, 9)]
         rows = [(tuple(advantages[i:i + 9]), (0.0,) * 9, (0.0,) * 9) for i in range(0, 90, 9)]
         batch = batch_from_trajectories(trajectories, shape=(3, 5))
-        advs = advantage_set(rows)
+        advs = advantage_set(batch, rows)
         clip_fractions = []
         for _ in range(4):
             with caplog.at_level(logging.WARNING):
@@ -927,31 +942,34 @@ class TestTrainedStepTable:
         assert any(clip_fractions)
         assert advs.plan.visited.tolist() == sorted({r.state_id * 5 + r.action for r in steps})
 
-    def test_gathered_once_per_batch(self, monkeypatch):
-        calls = []
-        gather = trainer._trained_steps
+    @pytest.mark.parametrize("overrides, heavy", [
+        (dict(), False),
+        (dict(counterfactual=True, advantage_whitening=True), False),
+        (dict(variant="random_stop", random_stop_rate=0.02, vocab_size=32, target_length=2,
+              t_max=64, batch_size=8), True),
+    ], ids=["espo", "counterfactual-whitened", "heavy-states"])
+    def test_training_step_leaves_the_set_as_built(self, monkeypatch, overrides, heavy):
+        # four epochs, the critic, the step statistics and the stopper's
+        # multiset all read the set; none of them writes to it, so the bytes
+        # of every field and plan array after the step are those it was
+        # built with. States of 16 steps or more are summed row by row; the
+        # random stops' rewards give the heavy state nonzero advantages
+        built = []
+        compute = trainer.compute_advantages
 
-        def spy(batch, advantage_sets):
-            calls.append((id(advantage_sets), advantage_sets.steps is None))
-            return gather(batch, advantage_sets)
+        def spy(*args):
+            advs = compute(*args)
+            built.append((advs, advantage_set_digest(advs)))
+            return advs
 
-        monkeypatch.setattr(trainer, "_trained_steps", spy)
-        plans = []
-        plan = trainer._SurrogatePlan
-        monkeypatch.setattr(trainer, "_SurrogatePlan", lambda *a: plans.append(1) or plan(*a))
-        epochs, steps = 3, 4
-        run = TrainingRun(base_config(epochs_per_batch=epochs, total_steps=steps))
-        for _ in range(steps):
-            run.step()
-        # each batch: one call per epoch, critic_loss, critic_grad and the
-        # row statistics; only the first gathers
-        per_batch = epochs + 3
-        assert len(calls) == steps * per_batch
-        for first in range(0, len(calls), per_batch):
-            batch_calls = calls[first:first + per_batch]
-            assert len({key for key, _ in batch_calls}) == 1
-            assert [fresh for _, fresh in batch_calls] == [True] + [False] * (per_batch - 1)
-        assert len(plans) == steps
+        monkeypatch.setattr(trainer, "compute_advantages", spy)
+        monkeypatch.setattr(trainer, "ROW_SUM_STEPS", 16)
+        run = TrainingRun(base_config(epochs_per_batch=4, **overrides))
+        run.step()
+        (advs, digest), = built
+        assert advantage_set_digest(advs) == digest
+        assert bool(advs.plan.heavy) == heavy
+        assert all(advs.advantages[steps].any() for _s, steps, _at in advs.plan.heavy)
 
     def test_ema_multiset_equals_the_per_element_formula(self):
         # the EMA reads each visited (state, token) pair's regret with its
