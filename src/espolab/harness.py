@@ -90,9 +90,8 @@ def evaluate_run(run_dir, checkpoint: str = "final", episodes: int | None = None
     require_valid(dataclasses.replace(cfg, eval_episodes=episodes, seed=seed))
     actor, critic = load_params(os.path.join(run_dir, "checkpoints", checkpoint, "params.txt"))
     env = build_environment(env_spec_from_config(cfg), cfg.state_budget)
-    policy = CachedPolicy(actor, critic)
-    greedy = evaluate_policy(policy, env, cfg.t_max, episodes, seed, 0, greedy=True)
-    sampled = evaluate_policy(policy, env, cfg.t_max, episodes, seed, 0, greedy=False)
+    greedy, sampled = evaluate_policy(CachedPolicy(actor, critic), env, cfg.t_max,
+                                      episodes, seed)
     return {"checkpoint": checkpoint, "episodes": episodes,
             "greedy_success": greedy, "sampled_success": sampled}
 
@@ -120,7 +119,9 @@ class ComparisonRow:
     saving_pct: float
 
 
-def _final_success(run_dir) -> float:
+def _final_success(run_dir, rows) -> float:
+    """The last eval.csv row's greedy success, or else the last metrics row's
+    success rate."""
     eval_path = os.path.join(run_dir, "eval.csv")
     if os.path.exists(eval_path):
         with open(eval_path, encoding="utf-8") as fh:
@@ -131,9 +132,6 @@ def _final_success(run_dir) -> float:
                     last = line
         if last is not None:
             return float(last.split(",")[1])
-    rows = read_metrics(os.path.join(run_dir, "metrics.csv"))
-    if not rows:
-        raise ValueError(f"{run_dir} has no metrics rows")
     return rows[-1].success_rate
 
 
@@ -152,7 +150,7 @@ def compare_runs(run_dirs, baseline_variant: str = "ppo") -> list[ComparisonRow]
         if not rows:
             raise ValueError(f"{run_dir} has no metrics rows")
         tokens = float(rows[-1].cumulative_tokens)
-        success = _final_success(run_dir)
+        success = _final_success(run_dir, rows)
         groups.setdefault(cfg.variant, []).append((success, tokens))
     if len(signatures) > 1:
         raise ValueError("runs use different environments and cannot be compared")

@@ -1,17 +1,17 @@
 """Numeric primitives and keyed random streams.
 
 Policies are categorical distributions over a small token vocabulary,
-represented as unnormalized logit vectors. Everything here is a pure function
-over value data. keyed_seeds seeds a block of keyed streams at once as uint64
-arrays, and keyed_uniforms draws from them the same bits as numpy's
+represented as unnormalized logit vectors. Every function here is a pure
+function of its arguments. keyed_seeds seeds a block of keyed streams at once
+as uint64 arrays, and keyed_uniforms draws from them the same bits as numpy's
 SeedSequence -> PCG64 -> Generator per stream: a wide, short block all at
-once as PCG64 lanes, kept for the next call, and any other block row by row
-through numpy's own generator.
+once as PCG64 lanes, and any other block row by row through numpy's own
+generator. The one thing kept between calls is the last block keyed_uniforms
+made, its lanes or its seeds, for its next call.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -77,7 +77,7 @@ SEED_ROWS = 2048
 # much as filling 10-12 rows. Any other block is filled row by row.
 LANE_RATIO = 16
 LANE_CELLS = 1 << 17
-_kept_lanes = {}  # the last lane block drawn, keyed by (seeding, n)
+_kept_block = {}  # keyed_uniforms' last block, its lanes or its seeds, keyed by (seeding, n)
 
 
 def _hash_consts(const: int, mult: int):
@@ -196,18 +196,14 @@ def _xsl_rr_columns(seeds: np.ndarray, n: int):
         yield word >> rot | word << (-rot & 63)
 
 
-@lru_cache(maxsize=1)
 def keyed_seeds(master_seed: int, key_prefix: tuple[int, ...], first: int, count: int,
                 keys: int = 1) -> np.ndarray:
     """PCG64 (state, inc) of derived_rng(master_seed, *key_prefix[:-1],
     key_prefix[-1] + k, i) for each k in 0 .. keys - 1 and row index i in
-    first .. first + count - 1, as the columns of a read-only 4 x (keys * count)
-    uint64 array, k-major (rows as in _pcg64_seeds). Row indices must fit one
-    uint32 word, and the keys must share their word count. The last result is
-    kept for the next call."""
-    seeds = _pcg64_seeds(_state_words(_keyed_pools(master_seed, key_prefix, first, count, keys)))
-    seeds.flags.writeable = False
-    return seeds
+    first .. first + count - 1, as the columns of a 4 x (keys * count) uint64
+    array, k-major (rows as in _pcg64_seeds). Row indices must fit one uint32
+    word, and the keys must share their word count."""
+    return _pcg64_seeds(_state_words(_keyed_pools(master_seed, key_prefix, first, count, keys)))
 
 
 def seeded_uniforms(seeds: np.ndarray, n: int) -> np.ndarray:
@@ -232,13 +228,14 @@ def keyed_uniforms(master_seed: int, key_prefix: tuple[int, ...], first: int, co
     derived_rng(master_seed, *key_prefix, first + j).random(n).
 
     The streams are seeded a block of consecutive last keys at a time (up to
-    KEY_BLOCK of them, aligned, and at most SEED_ROWS rows), and keyed_seeds
-    keeps the block, so consecutive batch indices of a run share one seeding.
-    A block of at least LANE_RATIO streams per draw and at most LANE_CELLS
-    uniforms is drawn whole as lanes, (x >> 11) * 2**-53 of each XSL-RR word
-    x as Generator.random converts, and kept in place of the last one drawn;
-    the result is then a read-only view of it. Other blocks fill only the
-    call's rows. Row indices must fit one uint32 word.
+    KEY_BLOCK of them, aligned, and at most SEED_ROWS rows). A block of at
+    least LANE_RATIO streams per draw and at most LANE_CELLS uniforms is drawn
+    whole as lanes, (x >> 11) * 2**-53 of each XSL-RR word x as
+    Generator.random converts, and the result is a read-only view of them.
+    Other blocks fill only the call's rows from the block's seeds. The lanes
+    or the seeds are kept in place of the last block made, so consecutive
+    batch indices of a run share one block. Row indices must fit one uint32
+    word.
     """
     *head, last = key_prefix
     keys = KEY_BLOCK
@@ -248,13 +245,15 @@ def keyed_uniforms(master_seed: int, key_prefix: tuple[int, ...], first: int, co
     at = (last - start) * count
     lanes = keys * count
     seeding = (master_seed, (*head, start), first, count, keys)
-    if lanes < LANE_RATIO * n or lanes * n > LANE_CELLS:
-        return seeded_uniforms(keyed_seeds(*seeding)[:, at:at + count], n)
-    if (seeding, n) not in _kept_lanes:
-        _kept_lanes.clear()  # the old block goes before the new one is drawn
-        block = np.empty((n, lanes))
-        for row, words in zip(block, _xsl_rr_columns(keyed_seeds(*seeding), n)):
-            np.multiply(words >> 11, 2.0 ** -53, out=row)
-        block.flags.writeable = False
-        _kept_lanes[seeding, n] = block
-    return _kept_lanes[seeding, n][:, at:at + count].T
+    as_lanes = LANE_RATIO * n <= lanes and lanes * n <= LANE_CELLS
+    if (seeding, n) not in _kept_block:
+        _kept_block.clear()  # the old block goes before the new one is made
+        block = seeds = keyed_seeds(*seeding)
+        if as_lanes:
+            block = np.empty((n, lanes))
+            for row, words in zip(block, _xsl_rr_columns(seeds, n)):
+                np.multiply(words >> 11, 2.0 ** -53, out=row)
+            block.flags.writeable = False
+        _kept_block[seeding, n] = block
+    block = _kept_block[seeding, n][:, at:at + count]
+    return block.T if as_lanes else seeded_uniforms(block, n)

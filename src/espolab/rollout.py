@@ -47,9 +47,9 @@ class CachedPolicy:
     """Frozen per-batch view of the actor/critic over all enumerable states.
 
     The actor is immutable during collection, so the per-state log-softmax,
-    cumulative sampling table, max log-prob, step regret of every token,
-    entropy and greedy token are computed once per batch, as arrays that
-    whole columns of a batch index at once.
+    cumulative sampling table, step regret of every token, entropy and
+    greedy token are computed once per batch, as arrays that whole columns
+    of a batch index at once.
     """
 
     def __init__(self, actor: TabularActor, critic: TabularCritic):
@@ -57,8 +57,7 @@ class CachedPolicy:
         probs = np.exp(table)
         self.log_probs = table
         self.cum_probs = np.cumsum(probs, axis=1)
-        self.max_log_prob = table.max(axis=1)
-        self.regrets = self.max_log_prob[:, None] - table  # g for every (state, token)
+        self.regrets = table.max(axis=1)[:, None] - table  # g for every (state, token)
         with np.errstate(invalid="ignore"):
             ent = -np.where(probs > 0.0, probs * table, 0.0).sum(axis=1)
         self.entropies = np.maximum(ent, 0.0)
@@ -339,8 +338,9 @@ EVAL_CHUNK = 64  # sampled episodes advanced in lockstep at a time; divides SEED
 
 
 def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
-                    seed: int, eval_tag: int = 0, greedy: bool = True) -> float:
-    """Success rate over fresh episodes with no stopping machinery.
+                    seed: int, eval_tag: int = 0) -> tuple[float, float]:
+    """(greedy, sampled) success rates over fresh episodes with no stopping
+    machinery.
 
     Greedy picks the argmax token. The env and the argmax are deterministic,
     so every greedy episode is the same one: it runs once and scores for all.
@@ -354,18 +354,16 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
     next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
     success = env.reward.ravel() == 1.0
     absorbing = env.absorbing
-    if greedy:
-        state = env.initial_state
-        won = False
-        for _ in range(t_max):
-            if absorbing[state]:
-                break
-            pair = state * vocab + int(policy.greedy_actions[state])
-            if terminal[pair]:
-                won = bool(success[pair])
-                break
-            state = int(next_state[pair])
-        return 1.0 if won else 0.0
+    greedy = 0.0
+    state = env.initial_state
+    for _ in range(t_max):
+        if absorbing[state]:
+            break
+        pair = state * vocab + int(policy.greedy_actions[state])
+        if terminal[pair]:
+            greedy = 1.0 if success[pair] else 0.0
+            break
+        state = int(next_state[pair])
     successes = 0
     for first in range(0, episodes, EVAL_CHUNK):
         if first % SEED_ROWS == 0:  # seed the next SEED_ROWS episodes' streams at once
@@ -385,4 +383,4 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
             state = next_state[pair]
             keep = ~(ended | absorbing[state])
             rows, state = rows[keep], state[keep]
-    return successes / episodes
+    return greedy, successes / episodes

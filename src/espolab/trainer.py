@@ -429,11 +429,8 @@ class TrainingRun:
     def _write_eval(self, step: int) -> None:
         cfg = self.config
         if self._eval_row[0] != step:  # run() repeats the last step's row as it is
-            policy = CachedPolicy(self.actor, self.critic)
-            greedy = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
-                                     cfg.seed, step, greedy=True)
-            sampled = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
-                                      cfg.seed, step, greedy=False)
+            greedy, sampled = evaluate_policy(CachedPolicy(self.actor, self.critic), self.env,
+                                              cfg.t_max, cfg.eval_episodes, cfg.seed, step)
             self._eval_row = (step, f"{step},{greedy!r},{sampled!r},{cfg.eval_episodes}\n")
         with self._appending("eval.csv") as fh:
             fh.write(self._eval_row[1])
@@ -442,10 +439,12 @@ class TrainingRun:
 
     def run(self):
         """Yield one MetricsRow per remaining training step; write the final
-        checkpoint and evaluation when out_dir is set."""
+        checkpoint and evaluation when out_dir is set and a step was taken (a
+        finished run resumed has them already)."""
+        start = self.step_index
         while self.step_index < self.config.total_steps:
             yield self.step()
-        if self.config.out_dir:
+        if self.config.out_dir and self.step_index > start:
             self._write_eval(self.step_index)
             self.save_checkpoint(os.path.join(self.config.out_dir, "checkpoints", "final"))
 

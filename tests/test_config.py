@@ -80,6 +80,10 @@ class TestLayering:
         assert cfg.t_max == 99       # env beats default
         assert cfg.total_steps == 300  # untouched default
 
+    def test_values_that_are_not_text_are_taken_as_they_are(self):
+        cfg = build_run_config(flag_values={"seed": 3, "counterfactual": True}, environ={})
+        assert cfg.seed == 3 and cfg.counterfactual is True
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             build_run_config({"not_a_key": "1"}, {}, {})

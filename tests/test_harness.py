@@ -316,6 +316,28 @@ class TestVariantDispatch:
         plan = variant_dispatch(dataclasses.replace(cfg, **{key: explicit}))
         assert plan.rule_threshold == explicit
 
+    def test_a_reference_without_what_the_variant_reads_is_rejected(self, tmp_path):
+        reference = self.reference_run(tmp_path / "espo")
+
+        def dispatch(variant):
+            return variant_dispatch(tiny_config(variant=variant, reference_run=reference))
+
+        with MetricsWriter(os.path.join(reference, "metrics.csv")):
+            pass  # the header alone
+        with pytest.raises(ConfigError, match=f"reference run {reference} has no metrics rows"):
+            dispatch("random_stop")
+        events = os.path.join(reference, "stop_events.tsv")
+        with open(events, "w", encoding="utf-8") as fh:
+            fh.write("step\ttrajectory\tstop_step\tvalue_estimate\tz\n")
+        for variant in ("value_only", "regret_only"):
+            with pytest.raises(ConfigError, match="recorded no stop events"):
+                dispatch(variant)
+        os.remove(events)
+        for variant in ("value_only", "regret_only"):
+            with pytest.raises(ConfigError, match="has no stop_events.tsv .rerun it with "
+                                                  "record_stop_events = true"):
+                dispatch(variant)
+
     def test_random_stop_replays_the_reference_over_a_fixed_rate(self, tmp_path):
         reference = self.reference_run(tmp_path / "espo")
         cfg = tiny_config(variant="random_stop", random_stop_rate=0.1)
@@ -381,6 +403,23 @@ class TestMetricsFiles:
         assert len(read_metrics(os.path.join(cfg.out_dir, "metrics.csv"))) == 11
         complete = run_experiment(tiny_config(out_dir=str(tmp_path / "ok")))
         assert "error" not in read_manifest(complete)
+
+    def test_run_experiment_needs_an_out_dir(self):
+        with pytest.raises(ConfigError, match="run_experiment needs out_dir"):
+            run_experiment(tiny_config())
+
+    def test_read_metrics_rejects_a_foreign_header_and_a_torn_row(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        with MetricsWriter(path) as writer:
+            writer.write(MetricsRow(1, 10, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0,
+                                    7.0, 0.0, 1.0, 0.0, 0.0, True))
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header},extra\n{row}\n")
+        with pytest.raises(ValueError, match="metrics.csv: unexpected metrics header"):
+            read_metrics(path)
+        path.write_text(f"{header}\n{row.rsplit(',', 1)[0]}\n")
+        with pytest.raises(ValueError, match="metrics row has 13 fields, expected 14"):
+            read_metrics(path)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = tiny_config(out_dir=str(tmp_path / "a"))
@@ -655,6 +694,18 @@ class TestCompareRuns:
         with pytest.raises(ConfigError, match="vocab_size must be >= 2"):
             compare_runs([a, b])
 
+    def test_too_few_runs_a_missing_baseline_and_an_empty_run_rejected(self, tmp_path):
+        a = self.synthetic_run(str(tmp_path / "a"), "espo", 1000, 0.5)
+        with pytest.raises(ValueError, match="compare_runs needs at least two runs"):
+            compare_runs([a])
+        b = self.synthetic_run(str(tmp_path / "b"), "espo", 800, 0.5, seed=1)
+        with pytest.raises(ValueError, match="no runs with baseline variant 'ppo'"):
+            compare_runs([a, b])
+        with MetricsWriter(os.path.join(b, "metrics.csv")):
+            pass  # the header alone
+        with pytest.raises(ValueError, match=f"{b} has no metrics rows"):
+            compare_runs([a, b], baseline_variant="espo")
+
     def test_token_saving_pct(self):
         assert token_saving_pct(839.24, 1072.40) == pytest.approx(21.7419, abs=1e-3)
         with pytest.raises(ValueError):
@@ -855,6 +906,15 @@ class TestCli:
         assert cli_main(["compare", run_a, run_b, "--baseline", "ppo"]) == 0
         out = capsys.readouterr().out
         assert "ppo" in out
+
+    def test_ablate_runs_the_matrix(self, tmp_path, capsys):
+        out_root = tmp_path / "matrix"
+        argv = ["ablate", "--vocab-size", "3", "--target-length", "2", "--t-max", "6",
+                "--batch-size", "4", "--total-steps", "2", "--eval-episodes", "4",
+                "--out-root", str(out_root), "--variants", " espo, ppo,"]
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == f"ablation complete: 2 runs under {out_root}\n"
+        assert sorted(os.listdir(out_root)) == ["espo", "ppo", "summary.txt"]
 
     def test_config_file_and_env_precedence(self, tmp_path, monkeypatch, capsys):
         cfg_file = tmp_path / "run.cfg"

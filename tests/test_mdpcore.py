@@ -196,12 +196,15 @@ class TestKeyedUniforms:
 
     def test_a_block_holds_at_most_seed_rows_streams(self):
         # 32 keys of up to 64 rows, halved until they fit SEED_ROWS, or one key
+        # kept as the one block, which the block's first key then reuses
         for count, keys in [(64, 32), (100, 16), (2049, 1)]:
             keyed_uniforms(0, (TRAIN_STREAM, 40), 0, count, 1)
-            hits = keyed_seeds.cache_info().hits
-            block = keyed_seeds(0, (TRAIN_STREAM, 40 - 40 % keys), 0, count, keys)
-            assert keyed_seeds.cache_info().hits == hits + 1
-            assert block.shape == (4, keys * count) and keys * count <= max(SEED_ROWS, count)
+            [(seeding, block)] = mdpcore._kept_block.items()
+            assert seeding == ((0, (TRAIN_STREAM, 40 - 40 % keys), 0, count, keys), 1)
+            keyed_uniforms(0, (TRAIN_STREAM, 40 - 40 % keys), 0, count, 1)
+            assert list(mdpcore._kept_block) == [seeding]
+            assert mdpcore._kept_block[seeding] is block
+            assert block.shape[1] == keys * count <= max(SEED_ROWS, count)
 
     def test_calls_out_of_order_and_after_a_fresh_seeding(self):
         # the kept block serves a later key of the same block, a key of an
@@ -212,7 +215,9 @@ class TestKeyedUniforms:
         drop_kept_streams()
         out = keyed_uniforms(7, (TRAIN_STREAM, 40), 0, 64, T_MAX)
         assert (out == stacked_streams(7, (TRAIN_STREAM, 40), 0, 64, T_MAX)).all()
-        assert not keyed_seeds(7, (TRAIN_STREAM, 32), 0, 64, KEY_BLOCK).flags.writeable
+        [(seeding, block)] = mdpcore._kept_block.items()
+        assert seeding == ((7, (TRAIN_STREAM, 32), 0, 64, KEY_BLOCK), T_MAX)
+        assert not block.flags.writeable
 
     def test_lane_words_equal_pcg64_raw_output(self):
         # before the double conversion: each lane's XSL-RR words are its
@@ -233,7 +238,9 @@ class TestKeyedUniforms:
                                 (8, 512, False), (64, 128, False)]:
             drop_kept_streams()
             out = keyed_uniforms(0, (TRAIN_STREAM, 5), 0, count, n)
-            assert bool(mdpcore._kept_lanes) == lanes == (not out.flags.writeable), (count, n)
+            [block] = mdpcore._kept_block.values()  # the drawn lanes, or the seeds
+            assert block.shape[0] == (n if lanes else 4), (count, n)
+            assert (block.dtype == np.float64) == lanes == (not out.flags.writeable), (count, n)
             assert out.shape == (count, n)
 
     def test_a_new_lane_block_replaces_the_kept_one(self):

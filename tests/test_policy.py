@@ -231,6 +231,17 @@ class TestParameterSnapshot:
         assert np.array_equal(actor.table, actor2.table)
         assert np.array_equal(critic.table, critic2.table)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        actor, critic = TabularActor(3, 2), TabularCritic(3)
+        actor.table = np.arange(6.0).reshape(3, 2)
+        critic.table = np.array([-1.0, 0.5, 2.0])
+        path = tmp_path / "params.txt"
+        save_params(actor, critic, path)
+        path.write_text(path.read_text().replace("\n", "\n\n  \n"))
+        actor2, critic2 = load_params(path)
+        assert np.array_equal(actor2.table, actor.table)
+        assert np.array_equal(critic2.table, critic.table)
+
     def test_bytes_equal_the_per_entry_oracle(self, tmp_path):
         # a 434-state actor, the recoverable env's size, with signed zeros,
         # subnormals and entries near the float range

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import espolab
-from espolab import rollout
+from espolab import mdpcore, rollout
 from espolab.envs import RecoverableBranchSpec, TrapChainSpec, build_environment
 from espolab.config import RunConfig
 from espolab.mdpcore import log_softmax
@@ -213,9 +213,12 @@ class TestCachedPolicy:
             for s in range(states):
                 lp = log_softmax(actor.table[s])
                 assert pol.log_probs[s].tolist() == pytest.approx(lp.tolist(), abs=1e-12)
-                assert pol.max_log_prob[s] == pytest.approx(lp.max(), abs=1e-12)
                 assert pol.regrets[s].tolist() == pytest.approx((lp.max() - lp).tolist(),
                                                                 abs=1e-12)
+                # g is each token's gap to the state's max log-prob, 0 at the max
+                assert (pol.log_probs[s] + pol.regrets[s]).tolist() == pytest.approx(
+                    [lp.max()] * vocab, abs=1e-12)
+                assert pol.regrets[s].min() == 0.0
                 entropy = -math.fsum(p * math.log(p) for p in np.exp(lp) if p > 0.0)
                 assert pol.entropies[s] == pytest.approx(entropy, abs=1e-12)
                 assert pol.cum_probs[s].tolist() == pytest.approx(
@@ -571,15 +574,36 @@ class TestEvaluatePolicy:
             row[tok] = 10.0
             actor.table[p] = row
         policy = CachedPolicy(actor, TabularCritic(env.state_count))
-        assert evaluate_policy(policy, env, 8, 4, seed=0, greedy=True) == 1.0
+        assert evaluate_policy(policy, env, 8, 4, seed=0)[0] == 1.0
 
     def test_sampled_eval_deterministic_per_seed(self):
         env = make_env()
         rng = np.random.default_rng(14)
         policy = CachedPolicy(random_actor(env, rng), TabularCritic(env.state_count))
-        a = evaluate_policy(policy, env, 8, 200, seed=3, greedy=False)
-        b = evaluate_policy(policy, env, 8, 200, seed=3, greedy=False)
+        a = evaluate_policy(policy, env, 8, 200, seed=3)
+        b = evaluate_policy(policy, env, 8, 200, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize("batch_size, t_max", [(64, 8), (8, 64)])  # lanes, then seeds
+    def test_eval_between_steps_leaves_the_kept_block(self, batch_size, t_max):
+        # batch 0 keeps its block for batch 1; a sampled evaluation in
+        # between seeds its own streams and leaves that block in place
+        env = make_env()
+        actor = random_actor(env, np.random.default_rng(14))
+        critic = TabularCritic(env.state_count)
+
+        def collect(batch_index):
+            return collect_batch(actor, critic, plain_snapshot(), env, batch_size, t_max,
+                                 STANDARD, -1.0, 3, batch_index)
+
+        drop_kept_streams()
+        policy = collect(0).policy
+        [(seeding, block)] = mdpcore._kept_block.items()
+        assert block.dtype == (np.float64 if batch_size == 64 else np.uint64)
+        evaluate_policy(policy, env, t_max, 200, 3, 1)
+        assert list(mdpcore._kept_block) == [seeding] and mdpcore._kept_block[seeding] is block
+        collect(1)
+        assert list(mdpcore._kept_block) == [seeding] and mdpcore._kept_block[seeding] is block
 
 
 class TestDump:

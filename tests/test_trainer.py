@@ -1000,7 +1000,7 @@ class TestFinalEvalRow:
         calls = []
         evaluate = trainer.evaluate_policy
         monkeypatch.setattr(trainer, "evaluate_policy",
-                            lambda *a, **k: calls.append(a[5]) or evaluate(*a, **k))
+                            lambda *a: calls.append(a[5]) or evaluate(*a))
         run = TrainingRun(base_config(total_steps=6, eval_every=3, eval_episodes=16,
                                       out_dir=str(tmp_path)))
         for _ in run.run():
@@ -1008,4 +1008,17 @@ class TestFinalEvalRow:
         lines = (tmp_path / "eval.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines] == ["step", "3", "6", "6"]
         assert lines[-1] == lines[-2]
-        assert calls == [3, 3, 6, 6]
+        assert calls == [3, 6]
+
+    def test_resuming_a_finished_run_writes_no_row(self, tmp_path):
+        # resumed from its final checkpoint, a finished run takes no step, so
+        # it writes no second final evaluation and leaves both files as they were
+        from espolab.harness import run_experiment
+
+        cfg = base_config(total_steps=4, eval_every=2, eval_episodes=8, out_dir=str(tmp_path))
+        run_experiment(cfg)
+        written = {name: (tmp_path / name).read_bytes() for name in ("eval.csv", "metrics.csv")}
+        steps = [line.split(",")[0] for line in written["eval.csv"].decode().splitlines()]
+        assert steps == ["step", "2", "4", "4"]
+        run_experiment(cfg, resume_checkpoint=str(tmp_path / "checkpoints" / "final"))
+        assert {name: (tmp_path / name).read_bytes() for name in written} == written
