@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import os
 import shutil
 import statistics
@@ -82,16 +83,20 @@ def run_experiment(config: RunConfig, resume_checkpoint=None) -> str:
 
 def evaluate_run(run_dir, checkpoint: str = "final", episodes: int | None = None,
                  seed: int | None = None) -> dict:
-    """Greedy and sampled success rates for a saved checkpoint. episodes and
-    seed default to the run's; the config with both is checked up front."""
+    """Greedy and sampled success rates for a saved checkpoint, its episodes
+    keyed by its step as the run's own evaluation keys them. episodes and seed
+    default to the run's (its eval.csv row); the config is checked up front."""
     cfg = config_from_manifest(run_dir)
     episodes = cfg.eval_episodes if episodes is None else episodes
     seed = cfg.seed if seed is None else seed
     require_valid(dataclasses.replace(cfg, eval_episodes=episodes, seed=seed))
-    actor, critic = load_params(os.path.join(run_dir, "checkpoints", checkpoint, "params.txt"))
+    directory = os.path.join(run_dir, "checkpoints", checkpoint)
+    actor, critic = load_params(os.path.join(directory, "params.txt"))
+    with open(os.path.join(directory, "state.json"), encoding="utf-8") as fh:
+        step = json.load(fh)["step"]
     env = build_environment(env_spec_from_config(cfg), cfg.state_budget)
     greedy, sampled = evaluate_policy(CachedPolicy(actor, critic), env, cfg.t_max,
-                                      episodes, seed)
+                                      episodes, seed, step)
     return {"checkpoint": checkpoint, "episodes": episodes,
             "greedy_success": greedy, "sampled_success": sampled}
 

@@ -43,28 +43,44 @@ __all__ = [
 ]
 
 
+def moved_rows(logits: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """The rows of `logits` that differ bit for bit from `previous`'s (a
+    -0.0 that became +0.0 counts), as row indices."""
+    return np.flatnonzero((logits.view(np.int64) != previous.view(np.int64)).any(axis=1))
+
+
 class CachedPolicy:
     """Frozen per-batch view of the actor/critic over all enumerable states.
 
     The actor is immutable during collection, so the per-state log-softmax,
-    cumulative sampling table, step regret of every token, entropy and
-    greedy token are computed once per batch, as arrays that whole columns
-    of a batch index at once.
+    probabilities, cumulative sampling table, step regret of every token,
+    entropy and greedy token are computed once per batch, as arrays that
+    whole columns of a batch index at once. A row of each depends on its
+    state's logits alone, and numpy reduces a row the same way whatever rows
+    sit beside it, so a cache built from `previous` (an earlier actor's)
+    recomputes only the rows whose logits moved and copies the others; it
+    never writes to `previous`. The critic's values are copied whole.
     """
 
-    def __init__(self, actor: TabularActor, critic: TabularCritic):
-        table = log_softmax(actor.table, axis=-1)
-        probs = np.exp(table)
-        self.log_probs = table
-        self.cum_probs = np.cumsum(probs, axis=1)
-        self.regrets = table.max(axis=1)[:, None] - table  # g for every (state, token)
-        with np.errstate(invalid="ignore"):
-            ent = -np.where(probs > 0.0, probs * table, 0.0).sum(axis=1)
-        self.entropies = np.maximum(ent, 0.0)
-        # from the logits: rounding in the log-softmax can tie distinct logits
-        self.greedy_actions = actor.table.argmax(axis=1)
+    def __init__(self, actor: TabularActor, critic: TabularCritic,
+                 previous: CachedPolicy | None = None):
+        self.logits = actor.table.copy()
         self.values = critic.table.copy()
         self.vocab_size = actor.vocab_size
+        moved = slice(None) if previous is None else moved_rows(self.logits, previous.logits)
+        logits = self.logits[moved]
+        table = log_softmax(logits, axis=-1)
+        probs = np.exp(table)
+        ent = -np.multiply(probs, table, out=np.zeros_like(probs), where=probs > 0.0).sum(axis=1)
+        rows = {"log_probs": table, "probs": probs, "cum_probs": np.cumsum(probs, axis=1),
+                "regrets": table.max(axis=1)[:, None] - table,  # g for every (state, token)
+                "entropies": np.maximum(ent, 0.0),
+                # from the logits: rounding in the log-softmax can tie distinct logits
+                "greedy_actions": logits.argmax(axis=1)}
+        for name, new in rows.items():
+            full = new if previous is None else getattr(previous, name).copy()
+            full[moved] = new
+            setattr(self, name, full)
 
     def sample(self, states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
         """Token drawn in each of `states` by the matching uniform in [0, 1):

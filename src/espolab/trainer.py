@@ -179,7 +179,8 @@ class _SurrogatePlan:
     ROW_SUM_VOCAB or more, each state of ROW_SUM_STEPS or more steps as
     (state, its steps, their +c offsets in a `block_shape` block). The other
     steps, `light` (all of them, as a slice, when no state is heavy), go
-    through the scatter. No epoch writes to it."""
+    through the scatter, whose chunks carry the running sums of only the
+    cells of their states, `carried`. No epoch writes to it."""
 
     def __init__(self, states: np.ndarray, pairs: np.ndarray, state_count: int, vocab: int):
         self.pair_counts = np.bincount(pairs, minlength=state_count * vocab)
@@ -195,6 +196,8 @@ class _SurrogatePlan:
             steps = np.flatnonzero(states == s)
             self.heavy.append((s, steps, np.resize(token_rows, len(steps)) + pairs[steps] % vocab))
         self.light = np.flatnonzero(~row_summed[states]) if row_summed.any() else slice(None)
+        rows = np.flatnonzero((state_steps > 0) & ~row_summed)
+        self.carried = (rows[:, None] * vocab + np.arange(vocab)).ravel()
 
     def ratios(self, table: np.ndarray, then: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         """Each step's importance ratio, its pair's exp(table - then), `then`
@@ -218,7 +221,8 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
 
     Steps on the clipped (constant) branch contribute zero gradient and count
     toward the clip fraction. A step's importance ratio is its pair's under
-    the actor over its pair's under the policy the batch was drawn from.
+    the actor over its pair's under the policy the batch was drawn from,
+    whose tables are read while the actor is still that one, bit for bit.
     Non-finite ratios are excluded from both the mean and the gradient and
     reported via the module logger.
 
@@ -233,14 +237,18 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     entries go in as the steps come, each step's K terms before its token's,
     in chunks that each start from the running sums, bounding temporaries.
     """
-    table = log_softmax(actor.table, axis=-1)
-    probs = np.exp(table)
+    pol = batch.policy
+    if np.array_equal(actor.table.view(np.int64), pol.logits.view(np.int64)):
+        table, probs = pol.log_probs, pol.probs
+    else:
+        table = log_softmax(actor.table, axis=-1)
+        probs = np.exp(table)
     state_count, vocab = table.shape
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
 
     states, pairs, advs, plan = (advantage_sets.states, advantage_sets.pairs,
                                  advantage_sets.advantages, advantage_sets.plan)
-    ratio = plan.ratios(table, batch.policy.log_probs, pairs)
+    ratio = plan.ratios(table, pol.log_probs, pairs)
     finite = np.isfinite(ratio)
     included = int(np.count_nonzero(finite))
     excluded = len(ratio) - included
@@ -254,18 +262,19 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     light_states, light_pairs, light_coeff = (a[plan.light] for a in (states, pairs, coeff))
     cells = state_count * vocab
     cell_index = np.arange(cells).reshape(state_count, vocab)
+    carried = len(plan.carried)
     grad = np.zeros(cells)
     per_chunk = max(1, SURROGATE_CHUNK // (vocab + 1))
     for first in range(0, len(light_coeff), per_chunk):
         s = light_states[first:first + per_chunk]
         c = light_coeff[first:first + per_chunk]
         n = len(c)
-        index = np.empty(cells + n * (vocab + 1), dtype=np.intp)
+        index = np.empty(carried + n * (vocab + 1), dtype=np.intp)
         weight = np.empty(len(index))
-        index[:cells] = cell_index.ravel()
-        weight[:cells] = grad
-        step_index = index[cells:].reshape(n, vocab + 1)
-        step_weight = weight[cells:].reshape(n, vocab + 1)
+        index[:carried] = plan.carried
+        grad.take(plan.carried, out=weight[:carried])
+        step_index = index[carried:].reshape(n, vocab + 1)
+        step_weight = weight[carried:].reshape(n, vocab + 1)
         step_index[:, :vocab] = cell_index.take(s, axis=0)
         step_index[:, vocab] = light_pairs[first:first + per_chunk]
         np.multiply((-c)[:, None], probs.take(s, axis=0), out=step_weight[:, :vocab])
@@ -323,7 +332,7 @@ class TrainingRun:
         self.stopper = StopperState(config, self.plan)
         self.step_index = 0
         self.cumulative_tokens = 0
-        self.last_batch = None  # most recent RolloutBatch; test/debug hook
+        self.last_batch = None  # most recent RolloutBatch: the next caches refresh its policy
         self._eval_row = (None, "")  # (step, line) of the last eval.csv row written
 
     @property
@@ -342,7 +351,8 @@ class TrainingRun:
         step = self.step_index
 
         snapshot = self.stopper.snapshot(step)
-        cache = CachedPolicy(self.actor, self.critic)
+        cache = CachedPolicy(self.actor, self.critic,
+                             self.last_batch.policy if self.last_batch else None)
         batch = collect_batch(self.actor, self.critic, snapshot, self.env,
                               cfg.batch_size, cfg.t_max, plan.mode,
                               plan.early_stop_reward, cfg.seed, step, cache=cache)
@@ -429,8 +439,9 @@ class TrainingRun:
     def _write_eval(self, step: int) -> None:
         cfg = self.config
         if self._eval_row[0] != step:  # run() repeats the last step's row as it is
-            greedy, sampled = evaluate_policy(CachedPolicy(self.actor, self.critic), self.env,
-                                              cfg.t_max, cfg.eval_episodes, cfg.seed, step)
+            policy = CachedPolicy(self.actor, self.critic, self.last_batch.policy)
+            greedy, sampled = evaluate_policy(policy, self.env, cfg.t_max, cfg.eval_episodes,
+                                              cfg.seed, step)
             self._eval_row = (step, f"{step},{greedy!r},{sampled!r},{cfg.eval_episodes}\n")
         with self._appending("eval.csv") as fh:
             fh.write(self._eval_row[1])

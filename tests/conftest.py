@@ -382,7 +382,10 @@ def batch_from_trajectories(trajectories, snapshot=None, mode=STANDARD,
         for t, rec in enumerate(traj.steps):
             pairs[i, t] = rec.state_id * shape[1] + rec.action
             scores[i, t] = rec.smoothed_score
-    policy = SimpleNamespace(log_probs=tables["log-prob"], regrets=tables["regret"],
+    # the log-prob table stands for the logits too, so a table that agrees with
+    # its own log-probs and probabilities is what the surrogate reads
+    policy = SimpleNamespace(logits=tables["log-prob"], log_probs=tables["log-prob"],
+                             probs=np.exp(tables["log-prob"]), regrets=tables["regret"],
                              values=tables["value"], vocab_size=shape[1])
     return RolloutBatch(
         pairs=pairs, scores=scores,

@@ -35,8 +35,8 @@ from espolab.metrics import (
     read_metrics,
     write_manifest,
 )
-from espolab.policy import TabularActor, TabularCritic, save_params
-from espolab.rollout import CachedPolicy, collect_batch
+from espolab.policy import TabularActor, TabularCritic, load_params, save_params
+from espolab.rollout import CachedPolicy, collect_batch, evaluate_policy
 from espolab.stopper import StopperState
 from espolab.trainer import TrainingRun, compute_advantages, ppo_surrogate_grad
 from espolab.variants import COUNTERFACTUAL, STANDARD, variant_dispatch
@@ -740,6 +740,25 @@ class TestAblateAndEval:
                                "sampled_success"}
         assert 0.0 <= report["greedy_success"] <= 1.0
         assert 0.0 <= report["sampled_success"] <= 1.0
+
+    def test_evaluate_run_reproduces_the_runs_eval_rows(self, tmp_path):
+        # a checkpoint's sampled episodes are keyed by its step, as the run's
+        # own evaluation at that step keys them: the defaults give the row
+        cfg = tiny_config(env="recoverable", total_steps=6, eval_every=3, checkpoint_every=3,
+                          eval_episodes=64, out_dir=str(tmp_path / "run"))
+        out = run_experiment(cfg)
+        rows = (tmp_path / "run" / "eval.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["step", "3", "6", "6"]
+        for checkpoint, row in (("step_000003", rows[1]), ("final", rows[-1])):
+            report = evaluate_run(out, checkpoint)
+            assert row == f"{row.split(',')[0]},{report['greedy_success']!r}," \
+                          f"{report['sampled_success']!r},64"
+        # the keying shows: the episodes of tag 0 succeed at another rate
+        actor, critic = load_params(tmp_path / "run" / "checkpoints" / "final" / "params.txt")
+        env = TrainingRun(cfg).env
+        _greedy, untagged = evaluate_policy(CachedPolicy(actor, critic), env, cfg.t_max, 64,
+                                            cfg.seed)
+        assert untagged != report["sampled_success"]
 
     def test_evaluate_run_rejects_fewer_than_one_episode(self, tmp_path, capsys):
         out = run_experiment(tiny_config(out_dir=str(tmp_path / "run"), total_steps=2,

@@ -18,7 +18,7 @@ from espolab.config import ConfigError, RunConfig
 from espolab.envs import TrapChainSpec, build_environment
 from espolab.mdpcore import log_softmax
 from espolab.policy import TabularActor, TabularCritic, save_params
-from espolab.rollout import CachedPolicy, collect_batch
+from espolab.rollout import CachedPolicy, collect_batch, moved_rows
 from espolab.trainer import (
     TrainingRun,
     compute_advantages,
@@ -295,6 +295,12 @@ class TestNegativeSignalConcentration:
             assert advs.td_errors[-1] == -1.0 - values[-1]
 
 
+# a recoverable chain of 110 states over 8 tokens whose stop rule fires from
+# step 12, when warmup ends
+RECOVERABLE = dict(env="recoverable", vocab_size=8, target_length=12, repair_window=8, t_max=48,
+                   actor_init_scale=1.0, eta_beta=1.0, target_stop_rate=0.5)
+
+
 def base_config(**overrides):
     defaults = dict(variant="espo", vocab_size=3, target_length=3, t_max=12,
                     batch_size=16, total_steps=20, seed=7, lr_actor=0.05,
@@ -427,12 +433,18 @@ class TestCheckpointResume:
         # 13 resumes inside the first block, and the run goes on into the second
         self.assert_resumes_bit_identically(tmp_path, batch_size=64, total_steps=40, at=13)
 
+    def test_resume_rebuilds_the_policy_cache_of_a_counterfactual_run(self, tmp_path):
+        # the resumed run has no previous batch: its first cache is a full
+        # build, and the refreshes after it keep the uninterrupted run's bytes
+        self.assert_resumes_bit_identically(tmp_path, batch_size=8, total_steps=24, at=15,
+                                            **RECOVERABLE, counterfactual=True)
+
     @staticmethod
-    def assert_resumes_bit_identically(tmp_path, batch_size, total_steps, at):
+    def assert_resumes_bit_identically(tmp_path, batch_size, total_steps, at, **overrides):
         from espolab.harness import run_experiment
 
         full_cfg = base_config(batch_size=batch_size, total_steps=total_steps,
-                               checkpoint_every=at, out_dir=str(tmp_path / "full"))
+                               checkpoint_every=at, out_dir=str(tmp_path / "full"), **overrides)
         run_experiment(full_cfg)
         full_csv = (tmp_path / "full" / "metrics.csv").read_bytes()
 
@@ -727,6 +739,128 @@ class TestRowSumPremises:
             want = np.add.reduce(np.ascontiguousarray(block[kept]), axis=0)
             assert np.array_equal(got, want) and (np.signbit(got) == np.signbit(want)).all()
             assert got[0] == 0.0 and not np.signbit(got[0])
+
+
+def sequential_sum(values):
+    """The sum of the values added one at a time, in order."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def table_bits(policy) -> dict:
+    """Every array of a policy cache as int64 bits, so that comparing them
+    compares signs of zero too."""
+    return {name: table.view(np.int64).copy() for name, table in vars(policy).items()
+            if isinstance(table, np.ndarray)}
+
+
+def assert_same_bits(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestRefreshPremises:
+    """The numpy behaviour that a CachedPolicy refresh keeps the bytes by:
+    a per-state table computed over some of the rows equals the same rows
+    of the table computed over all of them. A numpy that changes it fails
+    here, by name."""
+
+    ROW_OPS = {
+        "log_softmax": lambda x: log_softmax(x, axis=-1),
+        "exp": np.exp,
+        "cumsum": lambda x: np.cumsum(x, axis=1),
+        "sum": lambda x: x.sum(axis=1),
+        "max": lambda x: x.max(axis=1),
+        "argmax": lambda x: x.argmax(axis=1),
+    }
+
+    @staticmethod
+    def logit_rows(vocab):
+        """Rows of every scale, and crafted rows of one 0.0 among -37.0s: each
+        e**-37 is below half an ulp of 1.0, so added in order to the 1.0 of
+        the 0.0 every one rounds away, while a pairwise sum adds them first."""
+        rng = np.random.default_rng(vocab)
+        spread = rng.normal(size=(60, vocab)) * 10.0 ** rng.integers(-3, 3, size=(60, 1))
+        crafted = np.full((4, vocab), -37.0)
+        crafted[np.arange(4), [0, 1, 0, 1]] = 0.0
+        return np.concatenate([spread[:30], crafted, spread[30:]]), rng
+
+    @pytest.mark.parametrize("vocab", [2, 8, 9, 64, 200])
+    def test_subset_rows_equal_the_full_tables_rows(self, vocab):
+        logits, rng = self.logit_rows(vocab)
+        terms = np.exp(logits[30:34] - logits[30:34].max(axis=1)[:, None])
+        if vocab > 2:  # the crafted rows tell the two orders apart
+            for row in terms.tolist():
+                assert pairwise_sum(row) != sequential_sum(row) == 1.0
+        sums = terms.sum(axis=1)
+        for rows in ([0], [1, 3], [3, 2, 1, 0]):
+            assert np.array_equal(terms[rows].sum(axis=1).view(np.int64), sums[rows].view(np.int64))
+        subsets = ([31], [0, 31, 33], np.arange(0, 64, 3), np.arange(63, -1, -1),
+                   np.sort(rng.choice(64, 20, replace=False)))
+        for name, op in self.ROW_OPS.items():
+            full = op(logits)
+            for rows in subsets:
+                got = op(logits[rows])
+                assert np.array_equal(got.view(np.int64), full[rows].view(np.int64)), name
+
+    @pytest.mark.parametrize("vocab", [2, 8, 9, 64, 200])
+    def test_a_refresh_equals_the_fresh_build(self, vocab):
+        # a cache refreshed from one that differs in some rows is the fresh
+        # cache of the new table, and the old cache keeps its bytes
+        logits, rng = self.logit_rows(vocab)
+        actor, critic = TabularActor(*logits.shape), TabularCritic(len(logits))
+        actor.table = rng.normal(size=logits.shape)
+        previous = CachedPolicy(actor, critic)
+        before = table_bits(previous)
+        actor.table = np.where(rng.random((len(logits), 1)) < 0.5, logits, previous.logits)
+        critic.table = rng.normal(size=len(logits))
+        assert 0 < len(moved_rows(actor.table, previous.logits)) < len(logits)
+        refreshed = CachedPolicy(actor, critic, previous)
+        assert_same_bits(table_bits(refreshed), table_bits(CachedPolicy(actor, critic)))
+        assert_same_bits(table_bits(previous), before)
+
+
+class TestPolicyRefresh:
+    """Each step refreshes the previous batch's policy cache in the rows the
+    updates since moved; the refreshed cache is the fresh build's, bit for
+    bit, and the previous one is left as it was."""
+
+    @pytest.mark.parametrize("overrides", [
+        dict(RECOVERABLE, batch_size=8),
+        dict(epochs_per_batch=4, vocab_size=4, actor_init_scale=1.0),
+    ], ids=["recoverable-110-states", "trap-chain-4-epochs"])
+    def test_every_step_equals_a_fresh_build(self, overrides):
+        run = TrainingRun(base_config(total_steps=30, **overrides))
+        assert run.env.state_count >= 100 or run.config.epochs_per_batch == 4
+        partial = 0
+        for _ in range(30):
+            actor, critic = run.actor.copy(), run.critic.copy()
+            previous = run.last_batch.policy if run.last_batch else None
+            before = table_bits(previous) if previous else None
+            run.step()
+            policy = run.last_batch.policy
+            assert_same_bits(table_bits(policy), table_bits(CachedPolicy(actor, critic)))
+            if previous is not None:
+                assert_same_bits(table_bits(previous), before)
+                partial += 0 < len(moved_rows(policy.logits, previous.logits)) < len(actor.table)
+        assert partial >= 10  # refreshes that recomputed some rows and copied the others
+
+    def test_a_signed_zero_logit_counts_as_moved(self):
+        rng = np.random.default_rng(5)
+        actor, critic = TabularActor(3, 4), TabularCritic(3)
+        actor.table = rng.normal(size=(3, 4))
+        actor.table[1, 2] = -0.0
+        previous = CachedPolicy(actor, critic)
+        before = table_bits(previous)
+        actor.table[1, 2] = 0.0
+        assert moved_rows(actor.table, previous.logits).tolist() == [1]
+        refreshed = CachedPolicy(actor, critic, previous)
+        assert not np.signbit(refreshed.logits[1, 2])
+        assert_same_bits(table_bits(refreshed), table_bits(CachedPolicy(actor, critic)))
+        assert_same_bits(table_bits(previous), before)
 
 
 # (ROW_SUM_VOCAB, ROW_SUM_STEPS, ROW_SUM_BLOCK as a function of the vocabulary)
