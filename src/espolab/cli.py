@@ -12,13 +12,7 @@ import sys
 from dataclasses import fields
 
 from .config import VARIANTS, ConfigError, RunConfig, build_run_config, domain, load_config_file
-from .harness import (
-    ablate,
-    compare_runs,
-    evaluate_run,
-    render_comparison,
-    run_experiment,
-)
+from .harness import ablate, compare_runs, evaluate_run, render_comparison, run_experiment
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -5,25 +5,16 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 import os
 import shutil
 import statistics
 import time
 
-from .config import (
-    CALIBRATED,
-    VARIANTS,
-    ConfigError,
-    RunConfig,
-    build_run_config,
-    require_valid,
-)
+from .config import CALIBRATED, VARIANTS, ConfigError, RunConfig, require_valid
 from .envs import build_environment, env_signature, env_spec_from_config
-from .metrics import MetricsWriter, read_manifest, read_metrics, write_manifest
-from .policy import load_params
+from .metrics import MetricsWriter, config_from_manifest, read_finished_run, write_manifest
 from .rollout import CachedPolicy, evaluate_policy, false_positive_rate
-from .trainer import SIDE_FILES, TrainingRun
+from .trainer import SIDE_FILES, TrainingRun, load_checkpoint
 
 __all__ = [
     "ComparisonRow",
@@ -85,25 +76,18 @@ def evaluate_run(run_dir, checkpoint: str = "final", episodes: int | None = None
                  seed: int | None = None) -> dict:
     """Greedy and sampled success rates for a saved checkpoint, its episodes
     keyed by its step as the run's own evaluation keys them. episodes and seed
-    default to the run's (its eval.csv row); the config is checked up front."""
+    default to the run's (its eval.csv row); the config is checked up front
+    and the checkpoint by load_checkpoint, as resume checks it."""
     cfg = config_from_manifest(run_dir)
     episodes = cfg.eval_episodes if episodes is None else episodes
     seed = cfg.seed if seed is None else seed
     require_valid(dataclasses.replace(cfg, eval_episodes=episodes, seed=seed))
-    directory = os.path.join(run_dir, "checkpoints", checkpoint)
-    actor, critic = load_params(os.path.join(directory, "params.txt"))
-    with open(os.path.join(directory, "state.json"), encoding="utf-8") as fh:
-        step = json.load(fh)["step"]
+    state, actor, critic = load_checkpoint(cfg, os.path.join(run_dir, "checkpoints", checkpoint))
     env = build_environment(env_spec_from_config(cfg), cfg.state_budget)
     greedy, sampled = evaluate_policy(CachedPolicy(actor, critic), env, cfg.t_max,
-                                      episodes, seed, step)
+                                      episodes, seed, state["step"])
     return {"checkpoint": checkpoint, "episodes": episodes,
             "greedy_success": greedy, "sampled_success": sampled}
-
-
-def config_from_manifest(run_dir) -> RunConfig:
-    """The config a run recorded, parsed like a config file (no environment)."""
-    return build_run_config(read_manifest(run_dir)["config"], environ={})
 
 
 def token_saving_pct(tokens: float, baseline_tokens: float) -> float:
@@ -127,36 +111,24 @@ class ComparisonRow:
 def _final_success(run_dir, rows) -> float:
     """The last eval.csv row's greedy success, or else the last metrics row's
     success rate."""
-    eval_path = os.path.join(run_dir, "eval.csv")
-    if os.path.exists(eval_path):
-        with open(eval_path, encoding="utf-8") as fh:
-            fh.readline()
-            last = None
-            for line in fh:
-                if line.strip():
-                    last = line
-        if last is not None:
-            return float(last.split(",")[1])
-    return rows[-1].success_rate
+    path, lines = os.path.join(run_dir, "eval.csv"), []
+    with contextlib.suppress(FileNotFoundError), open(path, encoding="utf-8") as fh:
+        lines = fh.read().split()  # the header, then one row a line
+    return float(lines[-1].split(",")[1]) if len(lines) > 1 else rows[-1].success_rate
 
 
 def compare_runs(run_dirs, baseline_variant: str = "ppo") -> list[ComparisonRow]:
-    """Aggregate completed runs into a per-variant summary with token savings
-    against the designated baseline variant."""
+    """Aggregate complete runs (read_finished_run) into a per-variant summary
+    with token savings against the designated baseline variant."""
     if len(run_dirs) < 2:
         raise ValueError("compare_runs needs at least two runs")
     groups: dict[str, list[tuple[float, float]]] = {}
     signatures = set()
     for run_dir in run_dirs:
-        cfg = config_from_manifest(run_dir)
-        require_valid(cfg)  # a manifest is outside input; specs take valid values only
+        cfg, rows = read_finished_run(run_dir)
         signatures.add(env_signature(cfg))
-        rows = read_metrics(os.path.join(run_dir, "metrics.csv"))
-        if not rows:
-            raise ValueError(f"{run_dir} has no metrics rows")
         tokens = float(rows[-1].cumulative_tokens)
-        success = _final_success(run_dir, rows)
-        groups.setdefault(cfg.variant, []).append((success, tokens))
+        groups.setdefault(cfg.variant, []).append((_final_success(run_dir, rows), tokens))
     if len(signatures) > 1:
         raise ValueError("runs use different environments and cannot be compared")
     if baseline_variant not in groups:

@@ -1,5 +1,5 @@
-"""Per-step metrics rows, the CSV emitter, the run manifest, and the writer
-that replaces a whole file at once.
+"""Per-step metrics rows, the CSV emitter, the run manifest, the reader of a
+finished run, and the writer that replaces a whole file at once.
 
 The CSV is the reproducibility surface: floats are written via repr (lossless
 round-trip), the header is stable, and the file is flushed after every row so
@@ -14,11 +14,20 @@ import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 
-from .config import RunConfig, config_hash, to_flat_dict
+from .config import (
+    ConfigError,
+    RunConfig,
+    build_run_config,
+    config_hash,
+    require_valid,
+    to_flat_dict,
+)
 
 __all__ = [
     "MetricsRow",
     "MetricsWriter",
+    "config_from_manifest",
+    "read_finished_run",
     "read_manifest",
     "read_metrics",
     "replacing",
@@ -83,7 +92,6 @@ class MetricsWriter:
     """
 
     def __init__(self, path, resume_at_step: int | None = None):
-        self.path = path
         if resume_at_step is None:
             self._fh = open(path, "w", encoding="utf-8", newline="")
             self._fh.write(_HEADER + "\n")
@@ -159,3 +167,23 @@ def write_manifest(out_dir, cfg: RunConfig, status: str,
 def read_manifest(run_dir) -> dict:
     with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def config_from_manifest(run_dir) -> RunConfig:
+    """The config a run recorded, parsed like a config file (no environment)."""
+    return build_run_config(read_manifest(run_dir)["config"], environ={})
+
+
+def read_finished_run(run_dir, name: str = "run") -> tuple[RunConfig, list[MetricsRow]]:
+    """A run's config, validated (a manifest is outside input), and its metrics
+    rows; a ConfigError naming it (`name` and directory) refuses a run whose
+    manifest status is not complete (running, failed) or that has no rows."""
+    status = read_manifest(run_dir).get("status")
+    if status != "complete":
+        raise ConfigError(f"{name} {run_dir} did not complete (manifest status {status!r})")
+    cfg = config_from_manifest(run_dir)
+    require_valid(cfg)
+    rows = read_metrics(os.path.join(run_dir, "metrics.csv"))
+    if not rows:
+        raise ConfigError(f"{name} {run_dir} has no metrics rows")
+    return cfg, rows

@@ -53,13 +53,13 @@ class CachedPolicy:
     """Frozen per-batch view of the actor/critic over all enumerable states.
 
     The actor is immutable during collection, so the per-state log-softmax,
-    probabilities, cumulative sampling table, step regret of every token,
-    entropy and greedy token are computed once per batch, as arrays that
-    whole columns of a batch index at once. A row of each depends on its
-    state's logits alone, and numpy reduces a row the same way whatever rows
-    sit beside it, so a cache built from `previous` (an earlier actor's)
-    recomputes only the rows whose logits moved and copies the others; it
-    never writes to `previous`. The critic's values are copied whole.
+    probabilities, cumulative sampling table, step regret of every token
+    and entropy are computed once per batch, as arrays that whole columns
+    of a batch index at once. A row of each depends on its state's logits
+    alone, and numpy reduces a row the same way whatever rows sit beside it,
+    so a cache built from `previous` (an earlier actor's) recomputes only the
+    rows whose logits moved and copies the others; it never writes to
+    `previous`. The critic's values are copied whole.
     """
 
     def __init__(self, actor: TabularActor, critic: TabularCritic,
@@ -74,9 +74,7 @@ class CachedPolicy:
         ent = -np.multiply(probs, table, out=np.zeros_like(probs), where=probs > 0.0).sum(axis=1)
         rows = {"log_probs": table, "probs": probs, "cum_probs": np.cumsum(probs, axis=1),
                 "regrets": table.max(axis=1)[:, None] - table,  # g for every (state, token)
-                "entropies": np.maximum(ent, 0.0),
-                # from the logits: rounding in the log-softmax can tie distinct logits
-                "greedy_actions": logits.argmax(axis=1)}
+                "entropies": np.maximum(ent, 0.0)}
         for name, new in rows.items():
             full = new if previous is None else getattr(previous, name).copy()
             full[moved] = new
@@ -375,7 +373,8 @@ def evaluate_policy(policy: CachedPolicy, env, t_max: int, episodes: int,
     for _ in range(t_max):
         if absorbing[state]:
             break
-        pair = state * vocab + int(policy.greedy_actions[state])
+        # from the logits: rounding in the log-softmax can tie distinct logits
+        pair = state * vocab + int(policy.logits[state].argmax())
         if terminal[pair]:
             greedy = 1.0 if success[pair] else 0.0
             break

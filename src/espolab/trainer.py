@@ -47,6 +47,7 @@ __all__ = [
     "critic_grad",
     "critic_loss",
     "gae",
+    "load_checkpoint",
     "ppo_surrogate_grad",
 ]
 
@@ -201,12 +202,9 @@ class _SurrogatePlan:
 
     def ratios(self, table: np.ndarray, then: np.ndarray, pairs: np.ndarray) -> np.ndarray:
         """Each step's importance ratio, its pair's exp(table - then), `then`
-        being the collecting policy's log-probs: 1 while every log-ratio is
-        +-0.0, then one math.exp (not np.exp: they differ in the last bit on
-        some inputs) per visited pair."""
+        being the collecting policy's log-probs: one math.exp (not np.exp:
+        they differ in the last bit on some inputs) per visited pair."""
         log_ratios = table.ravel()[self.visited] - then.ravel()[self.visited]
-        if not log_ratios.any():
-            return np.ones(len(pairs))
         log_ratios[log_ratios > LOG_RATIO_MAX] = np.inf  # an overflowing ratio counts as +inf
         ratios = np.empty(table.size)
         ratios[self.visited] = list(map(math.exp, log_ratios.tolist()))
@@ -221,8 +219,8 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
 
     Steps on the clipped (constant) branch contribute zero gradient and count
     toward the clip fraction. A step's importance ratio is its pair's under
-    the actor over its pair's under the policy the batch was drawn from,
-    whose tables are read while the actor is still that one, bit for bit.
+    the actor over its pair's under the policy the batch was drawn from; while
+    the actor is that one, bit for bit, its tables are read and each ratio is 1.
     Non-finite ratios are excluded from both the mean and the gradient and
     reported via the module logger.
 
@@ -238,17 +236,17 @@ def ppo_surrogate_grad(actor: TabularActor, batch: RolloutBatch,
     in chunks that each start from the running sums, bounding temporaries.
     """
     pol = batch.policy
+    states, pairs, advs, plan = (advantage_sets.states, advantage_sets.pairs,
+                                 advantage_sets.advantages, advantage_sets.plan)
     if np.array_equal(actor.table.view(np.int64), pol.logits.view(np.int64)):
-        table, probs = pol.log_probs, pol.probs
+        probs, ratio = pol.probs, np.ones(len(pairs))
     else:
         table = log_softmax(actor.table, axis=-1)
         probs = np.exp(table)
-    state_count, vocab = table.shape
+        ratio = plan.ratios(table, pol.log_probs, pairs)
+    state_count, vocab = probs.shape
     lo, hi = 1.0 - config.clip_ratio, 1.0 + config.clip_ratio
 
-    states, pairs, advs, plan = (advantage_sets.states, advantage_sets.pairs,
-                                 advantage_sets.advantages, advantage_sets.plan)
-    ratio = plan.ratios(table, pol.log_probs, pairs)
     finite = np.isfinite(ratio)
     included = int(np.count_nonzero(finite))
     excluded = len(ratio) - included
@@ -462,7 +460,7 @@ class TrainingRun:
     def save_checkpoint(self, directory) -> str:
         """Write params.txt, then state.json with params.txt's sha256, each
         replaced whole: a failure between the two leaves a state.json whose
-        digest no longer matches, which resume rejects."""
+        digest no longer matches, which load_checkpoint rejects."""
         os.makedirs(directory, exist_ok=True)
         params = os.path.join(directory, "params.txt")
         save_params(self.actor, self.critic, params)
@@ -482,19 +480,25 @@ class TrainingRun:
     @classmethod
     def resume(cls, config: RunConfig, checkpoint_dir) -> "TrainingRun":
         run = cls(config)
-        with open(os.path.join(checkpoint_dir, "state.json"), encoding="utf-8") as fh:
-            state = json.load(fh)
-        if state["experiment_hash"] != experiment_hash(config):
-            raise ConfigError("checkpoint was produced by a different config")
-        params = os.path.join(checkpoint_dir, "params.txt")
-        if state.get("params_sha256") != _file_sha256(params):
-            raise ConfigError(f"{params} is not the parameter file its state.json was saved with")
-        actor, critic = load_params(params)
-        if actor.table.shape != run.actor.table.shape:
-            raise ConfigError("checkpoint parameter shapes do not match the config")
-        run.actor, run.critic = actor, critic
+        state, run.actor, run.critic = load_checkpoint(config, checkpoint_dir)
         run.stopper.load_state_dict(state["stopper"])
         run.step_index = state["step"]
         run.cumulative_tokens = state["cumulative_tokens"]
         run.stopper.random_correction = state["random_correction"]
         return run
+
+
+def load_checkpoint(config: RunConfig, directory) -> tuple[dict, TabularActor, TabularCritic]:
+    """A checkpoint's state.json and parameters, refused unless the (valid) config's
+    experiment saved them, with the params.txt state.json records, in its env's shape."""
+    with open(os.path.join(directory, "state.json"), encoding="utf-8") as fh:
+        state = json.load(fh)
+    if state["experiment_hash"] != experiment_hash(config):
+        raise ConfigError("checkpoint was produced by a different config")
+    params = os.path.join(directory, "params.txt")
+    if state.get("params_sha256") != _file_sha256(params):
+        raise ConfigError(f"{params} is not the parameter file its state.json was saved with")
+    actor, critic = load_params(params)
+    if actor.table.shape != (env_spec_from_config(config).state_count, config.vocab_size):
+        raise ConfigError("checkpoint parameter shapes do not match the config")
+    return state, actor, critic

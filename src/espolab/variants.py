@@ -27,7 +27,7 @@ import statistics
 from dataclasses import dataclass
 
 from .config import CALIBRATED, ConfigError, RunConfig, stop_rule
-from .metrics import read_metrics
+from .metrics import read_finished_run
 
 __all__ = [
     "COUNTERFACTUAL",
@@ -58,14 +58,11 @@ class VariantPlan:
 
 
 def load_reference(run_dir, variant: str) -> float | tuple[float, ...]:
-    """What the reference run gives a calibrated variant: its per-batch
-    stop-rate trace (random_stop), or the median V (value_only) or z
-    (regret_only) over its stop events."""
+    """What the reference run, a complete one (read_finished_run), gives a
+    calibrated variant: its per-batch stop-rate trace (random_stop), or the
+    median V (value_only) or z (regret_only) over its stop events."""
     if variant == "random_stop":
-        rows = read_metrics(os.path.join(run_dir, "metrics.csv"))
-        if not rows:
-            raise ConfigError(f"reference run {run_dir} has no metrics rows")
-        return tuple(row.stop_rate for row in rows)
+        return tuple(row.stop_rate for row in read_finished_run(run_dir, "reference run")[1])
     column = 3 if variant == "value_only" else 4  # value_estimate, z
     try:
         with open(os.path.join(run_dir, "stop_events.tsv"), encoding="utf-8") as fh:
@@ -78,6 +75,7 @@ def load_reference(run_dir, variant: str) -> float | tuple[float, ...]:
             "(rerun it with record_stop_events = true)") from exc
     if not picked:
         raise ConfigError(f"reference run {run_dir} recorded no stop events")
+    read_finished_run(run_dir, "reference run")  # refuses one that did not complete
     return statistics.median(picked)
 
 

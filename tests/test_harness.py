@@ -11,6 +11,8 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
+import shutil
 import types
 
 import numpy as np
@@ -291,9 +293,10 @@ class TestVariantDispatch:
 
     @staticmethod
     def reference_run(path) -> str:
-        """A reference run directory: stop rates 0.25 then 0.5, and stop
-        events whose medians are V = -0.3 and z = 1.5."""
+        """A complete reference run directory: stop rates 0.25 then 0.5, and
+        stop events whose medians are V = -0.3 and z = 1.5."""
         os.makedirs(path)
+        write_manifest(path, tiny_config(), status="complete")
         with MetricsWriter(os.path.join(path, "metrics.csv")) as writer:
             for step, rate in ((1, 0.25), (2, 0.5)):
                 writer.write(MetricsRow(step, 10 * step, 1.0, 1.0, rate, 0.0, 1.0, 0.0,
@@ -337,6 +340,16 @@ class TestVariantDispatch:
             with pytest.raises(ConfigError, match="has no stop_events.tsv .rerun it with "
                                                   "record_stop_events = true"):
                 dispatch(variant)
+
+    @pytest.mark.parametrize("status", ["running", "failed"])
+    def test_a_reference_that_did_not_complete_is_refused(self, tmp_path, status):
+        # its rows and stop events are all there; the manifest says it did not finish
+        reference = self.reference_run(tmp_path / "espo")
+        write_manifest(reference, tiny_config(), status=status)
+        for variant in ("random_stop", "value_only", "regret_only"):
+            with pytest.raises(ConfigError, match=f"reference run {re.escape(reference)} did "
+                                                  f"not complete .manifest status '{status}'."):
+                variant_dispatch(tiny_config(variant=variant, reference_run=reference))
 
     def test_random_stop_replays_the_reference_over_a_fixed_rate(self, tmp_path):
         reference = self.reference_run(tmp_path / "espo")
@@ -611,11 +624,11 @@ class TestAtomicWrites:
 
 
 class TestCompareRuns:
-    def synthetic_run(self, path, variant, tokens, success, seed=0, **keys):
+    def synthetic_run(self, path, variant, tokens, success, seed=0, status="complete", **keys):
         """Minimal on-disk run: manifest + two metrics rows."""
         os.makedirs(path, exist_ok=True)
         cfg = RunConfig(variant=variant, seed=seed, **keys)
-        write_manifest(path, cfg, status="complete", wall_time_s=1.0)
+        write_manifest(path, cfg, status=status, wall_time_s=1.0)
         with MetricsWriter(os.path.join(path, "metrics.csv")) as writer:
             writer.write(MetricsRow(1, tokens // 2, 1.0, 1.0, 0.0, 0.0, 1.0,
                                     success / 2, 7.0, 0.0, 1.0, 0.0, 0.0, False))
@@ -706,6 +719,28 @@ class TestCompareRuns:
         with pytest.raises(ValueError, match=f"{b} has no metrics rows"):
             compare_runs([a, b], baseline_variant="espo")
 
+    def test_a_run_that_did_not_complete_is_refused(self, tmp_path, capsys):
+        # r_fail = 1e308 passes validation, but the run fails at step 12 with
+        # 11 rows written; read as a finished run it would show a token saving
+        keys = dict(vocab_size=4, target_length=3, t_max=16, batch_size=16, total_steps=20,
+                    actor_init_scale=1.0, eta_beta=1.0, target_stop_rate=0.5, r_fail=1e308,
+                    checkpoint_every=5)
+        failed = str(tmp_path / "espo")
+        with pytest.raises(ValueError, match="non-finite actor gradient"):
+            run_experiment(RunConfig(out_dir=failed, **keys))
+        assert len(read_metrics(os.path.join(failed, "metrics.csv"))) == 11
+        # its checkpoints were each written whole: eval reads them
+        assert evaluate_run(failed, "step_000010", episodes=8)["episodes"] == 8
+        ppo = run_experiment(RunConfig(variant="ppo", out_dir=str(tmp_path / "ppo"), **keys))
+        running = self.synthetic_run(str(tmp_path / "running"), "espo", 800, 0.5,
+                                     status="running", **keys)
+        for run_dir, status in ((failed, "failed"), (running, "running")):
+            message = f"run {run_dir} did not complete (manifest status '{status}')"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                compare_runs([run_dir, ppo])
+            assert cli_main(["compare", run_dir, ppo]) == 1
+            assert message in capsys.readouterr().err
+
     def test_token_saving_pct(self):
         assert token_saving_pct(839.24, 1072.40) == pytest.approx(21.7419, abs=1e-3)
         with pytest.raises(ValueError):
@@ -759,6 +794,38 @@ class TestAblateAndEval:
         _greedy, untagged = evaluate_policy(CachedPolicy(actor, critic), env, cfg.t_max, 64,
                                             cfg.seed)
         assert untagged != report["sampled_success"]
+
+    @pytest.mark.parametrize("fault, message", [
+        ("params of another step", "params.txt is not the parameter file its state.json"),
+        ("another experiment", "checkpoint was produced by a different config"),
+        ("another shape", "checkpoint parameter shapes do not match the config"),
+    ])
+    def test_evaluate_run_checks_the_checkpoint_as_resume_does(self, tmp_path, capsys, fault,
+                                                               message):
+        cfg = tiny_config(total_steps=12, checkpoint_every=10, eval_episodes=8,
+                          out_dir=str(tmp_path / "run"))
+        out = run_experiment(cfg)
+        final = tmp_path / "run" / "checkpoints" / "final"
+        if fault == "params of another step":
+            shutil.copy(final.parent / "step_000010" / "params.txt", final / "params.txt")
+        elif fault == "another experiment":
+            other = run_experiment(dataclasses.replace(cfg, seed=4, out_dir=str(tmp_path / "b")))
+            shutil.rmtree(final)
+            shutil.copytree(os.path.join(other, "checkpoints", "final"), final)
+        else:  # params.txt matches its state.json digest, with one state too many
+            states = TrainingRun(cfg).env.state_count + 1
+            save_params(TabularActor(states, 4), TabularCritic(states), final / "params.txt")
+            state = json.loads((final / "state.json").read_text())
+            state["params_sha256"] = hashlib.sha256(
+                (final / "params.txt").read_bytes()).hexdigest()
+            (final / "state.json").write_text(json.dumps(state))
+        with pytest.raises(ConfigError, match=message) as resumed:
+            TrainingRun.resume(cfg, final)
+        with pytest.raises(ConfigError) as evaluated:
+            evaluate_run(out)
+        assert str(evaluated.value) == str(resumed.value)
+        assert cli_main(["eval", out]) == 1
+        assert str(resumed.value) in capsys.readouterr().err
 
     def test_evaluate_run_rejects_fewer_than_one_episode(self, tmp_path, capsys):
         out = run_experiment(tiny_config(out_dir=str(tmp_path / "run"), total_steps=2,
