@@ -171,12 +171,30 @@ def false_positive_rate(batch: RolloutBatch) -> float:
 ROW_PATH_ROWS = 16
 
 
-def _absorbed_tokens(pol: CachedPolicy, state: int, uniforms: np.ndarray) -> np.ndarray:
+def _guide(cum: np.ndarray) -> tuple:
+    """A guide table over one state's cumulative row `cum` (DECISIONS.md
+    "Absorbed rows finished in bulk"): M buckets, M the power of two of at
+    least 4K; per bucket b the count of entries at or below (b / M) * total,
+    a lower bound for every draw whose uniform falls in the bucket; the row
+    with +inf appended, which stops every walk; and the total."""
+    buckets = 1 << (4 * len(cum) - 1).bit_length()
+    total = cum[-1]
+    lower = np.searchsorted(cum, np.arange(buckets) / buckets * total, side="right")
+    return buckets, lower, np.append(cum, np.inf), total
+
+
+def _absorbed_tokens(guide: tuple, uniforms: np.ndarray) -> np.ndarray:
     """Tokens drawn by `uniforms` in an absorbing state, where no token ends
     the row or moves it, all at once: the counts CachedPolicy.sample takes,
-    by bisecting the state's cumulative table."""
-    cum = pol.cum_probs[state]
-    return np.searchsorted(cum, uniforms * cum[-1], side="right")
+    walked up from the `_guide` table's bound in each uniform's bucket."""
+    buckets, lower, ext, total = guide
+    keys = uniforms * total
+    tokens = lower.take((uniforms * buckets).astype(np.int64))
+    while True:
+        step = ext.take(tokens) <= keys
+        if not step.any():
+            return tokens
+        tokens += step
 
 
 def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarray,
@@ -216,7 +234,7 @@ def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.nd
         tokens = np.empty(u.shape, dtype=np.int64)
         for absorbed in sorted(set(s.tolist())):  # np.unique would import numpy.ma
             rows = s == absorbed
-            tokens[rows] = _absorbed_tokens(pol, absorbed, u[rows])
+            tokens[rows] = _absorbed_tokens(_guide(pol.cum_probs[absorbed]), u[rows])
         pairs[live, start:] = s[:, None] * vocab + tokens
 
     # The smoothed score of every decoded column, one column at a time: each
@@ -225,7 +243,7 @@ def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.nd
     width = int(lengths.max())
     pairs = pairs[:, :width]
     columns = pair_x.take(pairs[:, :int(np.minimum(lengths, cuts).max(initial=0))].T)  # x, then z
-    z, scaled = np.zeros(batch_size), np.empty(batch_size)
+    z, scaled, alpha = np.zeros(batch_size), np.empty(batch_size), np.array(alpha)
     for column in columns:
         np.add(np.multiply(z, alpha, out=scaled), column, out=column)
         z = column
@@ -237,27 +255,30 @@ def _decode_rows(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarra
     """_decode_lockstep's result, one row at a time. A row steps in Python
     until it ends or enters an absorbing state, bisecting its state's
     cumulative list as CachedPolicy.sample counts; its absorbed tail goes at
-    once. Its z is then folded in Python floats up to its length or its cut,
-    the same two roundings per step, and the row is written out before the
-    next one starts, so Python floats never hold more than one row. Pairs
-    past a natural end, and scores past the fold, stay 0."""
+    once, through the state's guide table (built once per batch). Its z is
+    then folded in Python floats up to its length or its cut, the same two
+    roundings per step, and the row is written out before the next one
+    starts, so Python floats never hold more than one row. Pairs past a
+    natural end, and scores past the fold, stay 0."""
     batch_size, t_max = uniforms.shape
     vocab = pol.vocab_size
     pairs = np.zeros((batch_size, t_max), dtype=np.int64)
     scores = np.zeros((batch_size, t_max))
     lengths = np.full(batch_size, t_max)
     ended = np.zeros(batch_size, dtype=bool)
-    moves = {}  # per visited state: cumulative list, successors, terminal flags
+    moves = {}  # per visited state: cumulative list, successors, terminal flags, and
+    # the _guide table of an absorbing one (None for the others)
     for i in range(batch_size):
         u = uniforms[i]
         state, row = env.initial_state, []
         for t in range(t_max):
             if state not in moves:
                 moves[state] = (pol.cum_probs[state].tolist(), env.next_state[state].tolist(),
-                                env.terminal[state].tolist(), bool(env.absorbing[state]))
-            cum, successors, terminal, absorbing = moves[state]
-            if absorbing:
-                pairs[i, t:] = state * vocab + _absorbed_tokens(pol, state, u[t:])
+                                env.terminal[state].tolist(),
+                                _guide(pol.cum_probs[state]) if env.absorbing[state] else None)
+            cum, successors, terminal, guide = moves[state]
+            if guide is not None:
+                pairs[i, t:] = state * vocab + _absorbed_tokens(guide, u[t:])
                 break
             token = bisect_right(cum, u.item(t) * cum[-1])
             row.append(state * vocab + token)
@@ -330,7 +351,7 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     if random_rule:
         fires = fires[:, :width]
     else:
-        fires = scores > snapshot.stop_thresholds(pol.values).take(pairs // vocab)
+        fires = scores > np.repeat(snapshot.stop_thresholds(pol.values), vocab).take(pairs)
     fires &= np.arange(width) < (lengths - ended)[:, None]
     stops = np.where(fires.any(axis=1), fires.argmax(axis=1), -1)
     if mode == STANDARD:

@@ -76,11 +76,11 @@ class AdvantageSet:
     plan: _SurrogatePlan
 
     @classmethod
-    def of_batch(cls, batch: RolloutBatch, advantages: np.ndarray, returns: np.ndarray,
-                 td_errors: np.ndarray) -> AdvantageSet:
-        """The set of `batch`'s trained-on steps with these step-order values."""
-        trained = np.arange(batch.pairs.shape[1]) < batch.effective_lengths[:, None]
-        pairs = batch.pairs[trained]
+    def of_batch(cls, batch: RolloutBatch, steps: np.ndarray, advantages: np.ndarray,
+                 returns: np.ndarray, td_errors: np.ndarray) -> AdvantageSet:
+        """The set of `batch`'s trained-on steps, `steps` (their flat indices
+        into its B x T arrays, in step order), with these step-order values."""
+        pairs = batch.pairs.take(steps)
         states = pairs // batch.policy.vocab_size
         plan = _SurrogatePlan(states, pairs, *batch.policy.log_probs.shape)
         return cls(states, pairs, advantages, returns, td_errors, plan)
@@ -126,22 +126,24 @@ def compute_advantages(batch: RolloutBatch, config: RunConfig,
     """
     lengths = batch.effective_lengths
     trained = np.arange(batch.pairs.shape[1]) < lengths[:, None]
-    values = np.where(trained, batch.policy.values.take(batch.states), 0.0)
+    steps = np.flatnonzero(trained)  # the trained steps, in step order
+    pol = batch.policy
+    values = np.where(trained, np.repeat(pol.values, pol.vocab_size).take(batch.pairs), 0.0)
     rewards = np.zeros_like(values)
     rewards[np.arange(batch.size), lengths - 1] = np.where(
         batch.stops >= 0, early_stop_reward, batch.outcomes)
     bootstrap = np.zeros_like(values)
     bootstrap[:, :-1] = values[:, 1:]
     deltas = rewards + config.gamma * bootstrap - values
-    advantages = gae(deltas, config.gamma, config.lam)[trained]
-    returns = advantages + values[trained]
+    advantages = gae(deltas, config.gamma, config.lam).take(steps)
+    returns = advantages + values.take(steps)
     if config.advantage_whitening:
         flat = advantages.tolist()
         mean = math.fsum(flat) / len(flat)
         var = math.fsum((a - mean) ** 2 for a in flat) / len(flat)
         scale = 1.0 / max(math.sqrt(var), 1e-8)
         advantages = (advantages - mean) * scale
-    return AdvantageSet.of_batch(batch, advantages, returns, deltas[trained])
+    return AdvantageSet.of_batch(batch, steps, advantages, returns, deltas.take(steps))
 
 
 SURROGATE_CHUNK = 8192  # gradient entries scattered per bincount call

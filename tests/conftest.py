@@ -420,7 +420,8 @@ def advantage_set(batch: RolloutBatch, rows) -> AdvantageSet:
     td_errors), one row per trajectory, joined in step order."""
     rows = list(rows)
     joined = (np.array([v for row in rows for v in row[i]], dtype=float) for i in range(3))
-    return AdvantageSet.of_batch(batch, *joined)
+    steps = np.flatnonzero(np.arange(batch.pairs.shape[1]) < batch.effective_lengths[:, None])
+    return AdvantageSet.of_batch(batch, steps, *joined)
 
 
 def by_row(values: np.ndarray, batch: RolloutBatch) -> list[np.ndarray]:

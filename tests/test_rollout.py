@@ -493,19 +493,27 @@ class TestRowPathMatchesLockstep:
         assert_same_batch(*batches)
         return batches[0]
 
+    @pytest.mark.parametrize("padding", [2, None])
     @pytest.mark.parametrize("mode", [STANDARD, COUNTERFACTUAL])
-    def test_draws_on_a_cumulative_entry_pick_the_same_token(self, monkeypatch, mode):
+    def test_draws_on_a_cumulative_entry_pick_the_same_token(self, monkeypatch, mode, padding):
         # zero logits over 4 tokens give the cumulative table [1/4, 1/2, 3/4, 1]
         # exactly, and every uniform here is a multiple of 1/4: each draw ties
         # with an entry and takes the token after it. Two tokens of the first
-        # state have probability 0, so its table repeats entries.
-        env = make_env(padding=2)
+        # state have probability 0, so its table repeats entries. Without
+        # padding, token 2 there enters doom:absorb, whose row has two
+        # zero-probability tokens too: its ties and repeats reach the tail draw.
+        env = make_env(padding=padding)
         actor = TabularActor(env.state_count, 4)
         critic = random_critic(env, np.random.default_rng(3))
         actor.table[0, [1, 3]] = -800.0
+        doom = env.labels.index("doom:absorb") if padding is None else None
+        if doom is not None:
+            actor.table[doom, [0, 2]] = -800.0
         pol = CachedPolicy(actor, critic)
         assert pol.cum_probs[1].tolist() == [0.25, 0.5, 0.75, 1.0]
         assert pol.cum_probs[0].tolist() == [0.5, 0.5, 1.0, 1.0]
+        if doom is not None:
+            assert env.absorbing[doom] and pol.cum_probs[doom].tolist() == [0.0, 0.5, 0.5, 1.0]
 
         def quarters(master_seed, key, first, count, n):
             return np.random.default_rng(key).integers(0, 4, size=(count, n)) / 4
@@ -516,6 +524,69 @@ class TestRowPathMatchesLockstep:
                                              plain_snapshot(beta=0.5, frozen_mu=-0.5), env,
                                              batch_size, t_max, mode, -1.0, 0, t_max)
             assert set(batch.actions[:, 0].tolist()) == {0, 2}  # never a zero-probability token
+            if doom is not None:
+                absorbed = batch.actions[batch.states == doom]
+                assert set(absorbed.tolist()) == {1, 3}
+
+
+class TestGuideTableDraw:
+    """The absorbed-tail draw, rollout._absorbed_tokens over a rollout._guide
+    table, returns np.searchsorted(cum, u * cum[-1], side="right"): the
+    token CachedPolicy.sample takes."""
+
+    @staticmethod
+    def tables(k):
+        """Cumulative rows of k tokens: softmax rows as CachedPolicy builds
+        them, rows with runs of zero-probability tokens (repeated entries,
+        leading and trailing ones too), dyadic rows whose entries ties can
+        hit, one token holding nearly all the mass, and totals other than 1."""
+        rng = np.random.default_rng(k)
+        yield np.cumsum(np.exp(log_softmax(rng.normal(0.0, 2.0, size=k))))
+        yield np.cumsum(rng.random(k) * 3.7)
+        zeros = rng.random(k) * 0.3
+        zeros[rng.random(k) < 0.5] = 0.0
+        zeros[[0, -1]] = 0.0
+        zeros[k // 2] = 1.0
+        yield np.cumsum(zeros)
+        yield np.cumsum(rng.integers(0, 4, size=k) / 8.0 + (np.arange(k) == 1))
+        skewed = np.full(k, 1e-6)
+        skewed[k // 3] = 5.0
+        yield np.cumsum(skewed)
+
+    @staticmethod
+    def uniforms(cum):
+        """Every bucket edge b / M and the double below it, every uniform
+        whose product with the total ties an entry, 0, 1 - 2**-53, and
+        random draws."""
+        buckets = rollout._guide(cum)[0]
+        edges = np.arange(buckets) / buckets
+        total = cum[-1]
+        near = np.concatenate([cum / total, np.nextafter(cum / total, 0.0),
+                               np.nextafter(cum / total, 1.0)])
+        ties = near[(near < 1.0) & np.isin(near * total, cum)]
+        rng = np.random.default_rng(len(cum))
+        u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), ties,
+                            [0.0, 1.0 - 2.0**-53], rng.random(4096)])
+        return u, ties
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 9, 64, 200])
+    def test_walk_ends_at_the_searchsorted_count(self, k):
+        tied = walked = 0
+        for cum in self.tables(k):
+            u, ties = self.uniforms(cum)
+            tied += ties.size
+            assert (u >= 0.0).all() and (u < 1.0).all()
+            want = np.searchsorted(cum, u * cum[-1], side="right")
+            buckets, lower, _, _ = guide = rollout._guide(cum)
+            got = rollout._absorbed_tokens(guide, u)
+            assert got.dtype == np.int64 and (got == want).all()
+            walked = max(walked, int((got - lower.take((u * buckets).astype(np.int64))).max()))
+            # as the lockstep path calls it, a block of rows by columns
+            block = u[:len(u) // 8 * 8].reshape(8, -1)
+            assert (rollout._absorbed_tokens(guide, block)
+                    == want[:block.size].reshape(block.shape)).all()
+        assert tied  # the dyadic rows put draws on their entries
+        assert walked > 1 or k == 2  # walks pass runs of entries, which K = 2 cannot hold
 
 
 class TestHandBuiltBatches:
