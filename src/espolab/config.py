@@ -99,7 +99,7 @@ class RunConfig:
     anneal_fraction: float = key(0.1, "fraction of post-warmup steps that anneal beta", "[0, 1]")
     disable_stopping: bool = key(False, "bypass the stopper entirely (reduces to plain PPO)")
     counterfactual: bool = key(
-        False, "record hypothetical stops but keep decoding (measurement mode)")
+        False, "count every decoded token and report false positives (measurement mode)")
     # optimization
     gamma: float = key(1.0, "discount factor", "(0, 1]")
     lam: float = key(1.0, "GAE lambda", "(0, 1]")
@@ -289,8 +289,6 @@ def validate_run_config(cfg: RunConfig) -> list[str]:
         explicit = CALIBRATED[rule]
         need(bool(cfg.reference_run) or getattr(cfg, explicit) is not None,
              f"{rule} needs reference_run or {explicit}")
-    if rule == "random_stop":
-        need(not cfg.counterfactual, "counterfactual mode is not defined for random_stop")
     try:
         seq = _explicit_target(cfg)
     except ConfigError as exc:

@@ -123,14 +123,17 @@ def compare_runs(run_dirs, baseline_variant: str = "ppo") -> list[ComparisonRow]
     if len(run_dirs) < 2:
         raise ValueError("compare_runs needs at least two runs")
     groups: dict[str, list[tuple[float, float]]] = {}
-    signatures = set()
+    signatures, counterfactual = set(), set()
     for run_dir in run_dirs:
         cfg, rows = read_finished_run(run_dir)
         signatures.add(env_signature(cfg))
+        counterfactual.add(cfg.counterfactual)
         tokens = float(rows[-1].cumulative_tokens)
         groups.setdefault(cfg.variant, []).append((_final_success(run_dir, rows), tokens))
     if len(signatures) > 1:
         raise ValueError("runs use different environments and cannot be compared")
+    if len(counterfactual) > 1:  # a counterfactual run counts every decoded token
+        raise ValueError("runs mix standard and counterfactual token counts")
     if baseline_variant not in groups:
         raise ValueError(f"no runs with baseline variant {baseline_variant!r}")
     baseline_tokens = statistics.fmean(t for _s, t in groups[baseline_variant])

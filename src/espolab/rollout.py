@@ -4,13 +4,13 @@ collect_batch gives every trajectory of a batch what the published collection
 loop gives it: sample the token, compute the step regret, normalize it
 against the frozen batch statistics, fold it into the smoothed score, and
 only then test the snapshot's stop rule. Every batch records, per row, the
-first step where the rule fired (`stops`). The collection mode decides only
-what that stop does. Standard mode cuts the row there: the sampled token at
-the stop step is retained and carries the failure reward, nothing past the
-stop is recorded or counted, and simultaneous natural termination wins over
-the stop rule. Counterfactual-extend mode keeps the row to its natural end,
-so the prefix up to the stop is bit-identical to what standard mode would
-have produced under the same seeds.
+first step where the rule fired (`stops`), and keeps the row to its natural
+end or the horizon: a stop decides what is trained on and counted, not what
+is collected. The row up to its stop is what stopping there would have
+produced, the sampled token at the stop step included; the trainer cuts it
+there (effective_lengths), with the failure reward on the stop step, and a
+simultaneous natural termination wins over the stop rule. The collection
+mode, recorded on the batch, decides only which token count it reports.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .mdpcore import (
 )
 from .policy import TabularActor, TabularCritic
 from .stopper import StopperSnapshot
-from .variants import COUNTERFACTUAL, STANDARD
+from .variants import STANDARD
 
 __all__ = [
     "CachedPolicy",
@@ -105,8 +105,8 @@ class RolloutBatch:
     value are its pair's and its state's entries in `policy`. Per row: the
     length, the stop code (an index into STOP_REASONS), the outcome reward,
     and the stop: the first step where the rule fired, -1 where it never
-    did. A standard row that stopped ends there (length stop + 1); a
-    counterfactual row runs on.
+    did. Every row runs to its natural end or the horizon, stopped or not;
+    its trained span ends at its stop (effective_lengths).
     """
 
     pairs: np.ndarray
@@ -133,7 +133,8 @@ class RolloutBatch:
 
     @property
     def total_tokens(self) -> int:
-        return int(self.lengths.sum())
+        """A standard batch counts its trained spans, a counterfactual one all."""
+        return int((self.effective_lengths if self.mode == STANDARD else self.lengths).sum())
 
     @property
     def effective_lengths(self) -> np.ndarray:
@@ -157,10 +158,7 @@ class RolloutBatch:
 
 
 def false_positive_rate(batch: RolloutBatch) -> float:
-    """Share of trajectories whose criterion fired but whose full rollout
-    still earned reward 1. Only defined for counterfactual-extend batches."""
-    if batch.mode != COUNTERFACTUAL:
-        raise ValueError("false_positive_rate requires a counterfactual-extend batch")
+    """Share of trajectories whose rule fired but whose full rollout earned 1."""
     hits = np.count_nonzero((batch.stops >= 0) & (batch.outcomes == 1.0))
     return int(hits) / batch.size
 
@@ -199,17 +197,17 @@ def _absorbed_tokens(guide: tuple, uniforms: np.ndarray) -> np.ndarray:
 
 def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarray,
                      alpha: float, cuts: np.ndarray) -> tuple:
-    """Every row decoded to its natural end or the horizon, one column of the
-    batch at a time, and its smoothed scores: (pairs, lengths, ended, scores),
-    the pairs as wide as the longest row. Column t of `uniforms` draws step
-    t's tokens; z folds in pair_x[pair] up to the longest min(length, cut)."""
+    """Every row decoded to its natural end or the horizon, one column at a
+    time, and its smoothed scores: (pairs, lengths, ended, scores), as wide as
+    the longest row. Column t of `uniforms` draws step t's tokens; z folds in
+    pair_x[pair] up to each row's min(length, cut). Entries past those are 0."""
     batch_size, t_max = uniforms.shape
     vocab = pol.vocab_size
     next_state, terminal = env.next_state.ravel(), env.terminal.ravel()
     # Every row steps every column; a row that has ended is parked on the
-    # initial state, and what it records past its length is cleared by the
-    # caller. Once every row not yet ended sits in an absorbing state, the
-    # rest of the batch, columns `start` onwards, goes at once.
+    # initial state, and what it records past its length is cleared below.
+    # Once every row not yet ended sits in an absorbing state, the rest of
+    # the batch, columns `start` onwards, goes at once.
     pairs = np.zeros((batch_size, t_max), dtype=np.int64)  # state * vocab + action
     lengths = np.full(batch_size, t_max)
     ended = np.zeros(batch_size, dtype=bool)  # naturally, at column lengths - 1
@@ -242,12 +240,17 @@ def _decode_lockstep(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.nd
     # z = alpha * z + x, folded in place over the contiguous columns of x.
     width = int(lengths.max())
     pairs = pairs[:, :width]
-    columns = pair_x.take(pairs[:, :int(np.minimum(lengths, cuts).max(initial=0))].T)  # x, then z
+    pairs[np.arange(width) >= lengths[:, None]] = 0
+    folded = np.minimum(lengths, cuts)
+    columns = pair_x.take(pairs[:, :int(folded.max(initial=0))].T)  # x, then z
     z, scaled, alpha = np.zeros(batch_size), np.empty(batch_size), np.array(alpha)
     for column in columns:
         np.add(np.multiply(z, alpha, out=scaled), column, out=column)
         z = column
-    return pairs, lengths, ended, columns.T
+    scores = np.zeros(pairs.shape)
+    scores[:, :len(columns)] = columns.T
+    scores[np.arange(width) >= folded[:, None]] = 0.0
+    return pairs, lengths, ended, scores
 
 
 def _decode_rows(pol: CachedPolicy, env, uniforms: np.ndarray, pair_x: np.ndarray,
@@ -310,32 +313,31 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     snapshot's regret and threshold tables; a narrower one decodes row by
     row. Both give the same bytes.
 
-    Every row first decodes its tokens to its natural end or the horizon.
-    Then the smoothed score z is folded from the normalized regrets of the
-    decoded columns (a standard random_stop row's up to its first fire, as
-    its uniforms decide), and one test over the batch finds each row's
-    first step where the snapshot's rule fires (the random_stop rule at the
-    snapshot's random_stop_rate, ignoring warmup; the ppo rule never). A
-    natural end at the same step wins over the stop rule. `mode` is
-    STANDARD or COUNTERFACTUAL. In standard mode the token at the stop step
-    is kept and carries r_fail (0.0 under the no-penalty ablation), and
-    nothing past a stop is recorded or counted. Counterfactual-extend mode
-    keeps the row to its natural end. The batch records each step's pair and
-    score and keeps the policy cache it was drawn from (`cache`, or one built
-    from the actor and critic), which holds every other per-step value.
+    Every row decodes its tokens to its natural end or the horizon. Then the
+    smoothed score z is folded from the normalized regrets of the decoded
+    columns (a random_stop row's only up to its first fire: its uniforms
+    decide its stop, so no z past it is read), and one test over the batch
+    finds each row's first step where the snapshot's rule fires (the
+    random_stop rule at the snapshot's random_stop_rate, ignoring warmup; the
+    ppo rule never). A natural end at the same step wins over the stop rule.
+    Every row keeps its natural length, stop code and outcome, whatever
+    `mode` (STANDARD or COUNTERFACTUAL), which is only recorded on the batch;
+    the trainer cuts a stopped row at its stop. `r_fail` is not read. The
+    batch records each step's pair and score and keeps the policy cache it
+    was drawn from (`cache`, or one built from the actor and critic), which
+    holds every other per-step value.
     """
     pol = cache if cache is not None else CachedPolicy(actor, critic)
     random_rule = snapshot.rule == "random_stop"
     draws_per_step = 2 if random_rule else 1
     uniforms = keyed_uniforms(master_seed, (TRAIN_STREAM, batch_index), 0, batch_size,
                               draws_per_step * t_max)
-    vocab = pol.vocab_size
     alpha = snapshot.alpha_s
     # the smoothed score is z = alpha * z + x
     pair_x = (1.0 - alpha) * snapshot.normalize(pol.regrets).ravel()
-    fires = uniforms[:, 1::2] < snapshot.random_stop_rate if random_rule else None
     cuts = np.full(batch_size, t_max)  # the columns of z that each row needs
-    if random_rule and mode == STANDARD:  # z past the first fire would be cleared unread
+    if random_rule:
+        fires = uniforms[:, 1::2] < snapshot.random_stop_rate
         cuts = np.where(fires.any(axis=1), fires.argmax(axis=1) + 1, t_max)
     decode = _decode_rows if batch_size < ROW_PATH_ROWS else _decode_lockstep
     pairs, lengths, ended, scores = decode(pol, env, uniforms[:, ::draws_per_step], pair_x,
@@ -351,20 +353,9 @@ def collect_batch(actor: TabularActor, critic: TabularCritic,
     if random_rule:
         fires = fires[:, :width]
     else:
-        fires = scores > np.repeat(snapshot.stop_thresholds(pol.values), vocab).take(pairs)
+        fires = scores > np.repeat(snapshot.stop_thresholds(pol.values), pol.vocab_size).take(pairs)
     fires &= np.arange(width) < (lengths - ended)[:, None]
     stops = np.where(fires.any(axis=1), fires.argmax(axis=1), -1)
-    if mode == STANDARD:
-        fired = stops >= 0
-        lengths[fired] = stops[fired] + 1
-        stop_codes[fired] = EARLY_STOP
-        outcomes[fired] = r_fail
-
-    width = int(lengths.max())
-    pairs, scores = pairs[:, :width], scores[:, :width]
-    past_end = np.arange(width) >= lengths[:, None]
-    pairs[past_end] = 0
-    scores[past_end] = 0.0
     return RolloutBatch(pairs=pairs, scores=scores, lengths=lengths, stop_codes=stop_codes,
                         outcomes=outcomes, stops=stops, snapshot=snapshot, mode=mode, policy=pol)
 

@@ -5,9 +5,9 @@ critic regression, and the loop that sequences warmup -> anneal -> controller.
 
 Every trajectory ends in a terminal event (natural end, horizon cap, or early
 stop) and none of them bootstraps past the final step. A trajectory whose
-rule fired trains as if truncated at its stop: in counterfactual mode the
-tail past the stop is excluded from gradients, statistics, and rate
-accounting, and the stop step carries the early-stop reward in either mode.
+rule fired trains as if truncated at its stop, which carries the early-stop
+reward; the collected tail past it is excluded from gradients and statistics.
+The collection mode decides only what a run counts and reports.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .mdpcore import log_softmax
 from .metrics import MetricsRow, replacing
 from .policy import TabularActor, TabularCritic, load_params, save_params
 from .rollout import (
+    EARLY_STOP,
     STOP_REASONS,
     CachedPolicy,
     RolloutBatch,
@@ -36,7 +37,7 @@ from .rollout import (
     false_positive_rate,
 )
 from .stopper import StopperState
-from .variants import COUNTERFACTUAL, VariantPlan, variant_dispatch
+from .variants import STANDARD, VariantPlan, variant_dispatch
 
 logger = logging.getLogger(__name__)
 
@@ -372,9 +373,11 @@ class TrainingRun:
         states = advantage_sets.states
         mean_entropy = _sequential_sum(cache.entropies[states]) / states.size  # per step
 
-        stop_rate = int(np.count_nonzero(batch.stops >= 0)) / batch.size  # in either mode
-        fp_rate = false_positive_rate(batch) if plan.mode == COUNTERFACTUAL else 0.0
-        success_rate = int(np.count_nonzero(batch.outcomes == 1.0)) / batch.size
+        stop_rate = int(np.count_nonzero(batch.stops >= 0)) / batch.size
+        standard = plan.mode == STANDARD  # DECISIONS.md "Stops decided after decoding"
+        outcomes = np.where((batch.stops >= 0) & standard, plan.early_stop_reward, batch.outcomes)
+        fp_rate = 0.0 if standard else false_positive_rate(batch)
+        success_rate = int(np.count_nonzero(outcomes == 1.0)) / batch.size
         self.cumulative_tokens += batch.total_tokens
 
         if plan.stopping:  # the regrets as a multiset: each visited pair's, with its count
@@ -424,9 +427,12 @@ class TrainingRun:
                     fh.write(f"{row.step}\t{ti}\t{idx}\t{value!r}\t{z!r}\n")
         if cfg.dump_trajectories and cfg.out_dir:
             # one line per step: index, state, token, regret, normalized
-            # regret, z, value, and 1 at the stop step
+            # regret, z, value, and 1 at the stop step; a standard row that
+            # stopped is written as trained, up to its stop
             with self._appending("trajectories.tsv") as fh:
                 for ti, (steps, code, _outcome, stop) in enumerate(batch.trajectories):
+                    if stop >= 0 and batch.mode == STANDARD:
+                        steps, code = steps[:stop + 1], EARLY_STOP
                     fh.write(f"# step {row.step} trajectory {ti} reason {STOP_REASONS[code]}\n")
                     for t, (s, a, _log_prob, v, g, gn, z) in enumerate(steps):
                         fh.write(f"{t}\t{s}\t{a}\t{g!r}\t{gn!r}\t{z!r}\t{v!r}\t{int(t == stop)}\n")

@@ -11,13 +11,13 @@ Each ablation variant differs from full espo by exactly one mechanism:
 
 A plan's rule (config.stop_rule) decides whether and where a row stops:
 "ppo" (never; any variant under disable_stopping), "espo" (the espo_*
-variants too), "value_only", "regret_only" or "random_stop". Its collection
-mode decides only what a stop does: STANDARD cuts the row, COUNTERFACTUAL
-records the stop and keeps the row. config.CALIBRATED maps each calibrated
-variant to the key that sets its value. An explicit threshold wins over the
-median V (value_only) or z (regret_only) at the reference run's stop events;
-random_stop replays the reference's per-batch stop-rate trace, which wins
-over random_stop_rate.
+variants too), "value_only", "regret_only" or "random_stop". A row is trained
+up to its stop; its collection mode decides only what a run counts: STANDARD
+the trained spans, COUNTERFACTUAL every decoded token, with false positives.
+config.CALIBRATED maps each calibrated variant to the key that sets its
+value. An explicit threshold wins over the median V (value_only) or z
+(regret_only) at the reference run's stop events; random_stop replays the
+reference's per-batch stop-rate trace, which wins over random_stop_rate.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = [
     "variant_dispatch",
 ]
 
-STANDARD = "standard"  # a stop cuts its row
-COUNTERFACTUAL = "counterfactual"  # a stop is recorded and the row decodes on
+STANDARD = "standard"  # a run counts each row up to its stop
+COUNTERFACTUAL = "counterfactual"  # a run counts every decoded token
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Shared fixtures: small environments, policies, collection helpers, and the
 scalar references the array code is checked against (the per-step records
-with their trajectory dump, the per-trajectory random stream, the per-token
-collection loop, the per-step environment step and the per-(label, token)
-environment rules, the per-element EMA batch statistics, and the per-step
-loops of the trainer)."""
+with their trajectory dump and a batch's standard view, the per-trajectory
+random stream, the per-token collection loop, the per-step environment step
+and the per-(label, token) environment rules, the per-element EMA batch
+statistics, and the per-step loops of the trainer)."""
 
 from __future__ import annotations
 
@@ -22,10 +22,10 @@ from espolab.envs import RecoverableBranchSpec, TrapChainSpec, build_environment
 from espolab import mdpcore
 from espolab.mdpcore import TRAIN_STREAM, derived_rng, log_softmax
 from espolab.policy import TabularActor, TabularCritic
-from espolab.rollout import STOP_REASONS, CachedPolicy, RolloutBatch, collect_batch
+from espolab.rollout import EARLY_STOP, STOP_REASONS, CachedPolicy, RolloutBatch, collect_batch
 from espolab.stopper import StopperSnapshot, StopperState
 from espolab.trainer import AdvantageSet
-from espolab.variants import COUNTERFACTUAL, STANDARD, variant_dispatch
+from espolab.variants import STANDARD, variant_dispatch
 
 
 @pytest.fixture
@@ -151,15 +151,31 @@ class Trajectory:
 
 
 def records(batch: RolloutBatch) -> tuple[Trajectory, ...]:
-    """The rows of a batch as Trajectory records. A counterfactual row's stop
-    is its hypothetical stop index; a standard row's stop is where the row
-    was cut, which its record carries as EARLY_STOP and its last step."""
+    """The rows of a batch as Trajectory records. A collected row runs to its
+    natural end, and its stop, if any, is its hypothetical stop index; a row
+    of a standard_view that was cut at its stop carries it as EARLY_STOP and
+    its last step."""
     rows = tuple(Trajectory(tuple(StepRecord(*step) for step in steps),
                             StopReason(STOP_REASONS[code]), outcome,
-                            stop if batch.mode == COUNTERFACTUAL and stop >= 0 else None)
+                            stop if stop >= 0 and code != EARLY_STOP else None)
                  for steps, code, outcome, stop in batch.trajectories)
     assert batch.stops.tolist() == [-1 if t.stop_index is None else t.stop_index for t in rows]
     return rows
+
+
+def standard_view(batch: RolloutBatch, r_fail: float = -1.0) -> RolloutBatch:
+    """`batch` as the published loop's standard mode leaves it, which ends a
+    row at its stop: each stopped row cut at its effective length, with
+    EARLY_STOP and the stop reward r_fail, every entry past a row's end
+    zero, and as wide as the longest row that is left."""
+    lengths, stopped = batch.effective_lengths, batch.stops >= 0
+    width = int(lengths.max())
+    kept = np.arange(width) < lengths[:, None]
+    return dataclasses.replace(
+        batch, pairs=np.where(kept, batch.pairs[:, :width], 0),
+        scores=np.where(kept, batch.scores[:, :width], 0.0), lengths=lengths,
+        stop_codes=np.where(stopped, EARLY_STOP, batch.stop_codes).astype(np.int8),
+        outcomes=np.where(stopped, r_fail, batch.outcomes))
 
 
 def dump_trajectory(traj: Trajectory) -> str:
@@ -307,7 +323,10 @@ def collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail, rng) -
     """The published collection loop, one token at a time: sample, regret,
     normalize, smooth, then test the snapshot's stop rule; standard mode ends
     the trajectory at the first fire, counterfactual mode records it and
-    goes on. The oracle collect_batch is compared against."""
+    goes on. Under the random_stop rule, whose draws alone decide the stops,
+    a counterfactual row records z as 0.0 past its first fire. The oracle
+    collect_batch is compared against: a collected batch equals this loop's
+    counterfactual rows, and its standard_view the standard rows."""
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     lp_table = log_softmax(actor.table, axis=-1)
@@ -326,7 +345,8 @@ def collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail, rng) -
         g_norm = normalize(snapshot, g)
         z = alpha * z + (1.0 - alpha) * g_norm
         value = float(critic.table[state])
-        steps.append(StepRecord(state, action, lp_a, value, g, g_norm, z))
+        folded = cf_index is None or snapshot.rule != "random_stop"
+        steps.append(StepRecord(state, action, lp_a, value, g, g_norm, z if folded else 0.0))
         next_state, terminal, env_reward = env_step(env, state, action)
         if terminal:  # natural end wins over the stop rule
             stop_reason = StopReason.NATURAL_END

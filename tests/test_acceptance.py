@@ -49,6 +49,7 @@ from conftest import (
     random_actor,
     random_critic,
     records,
+    standard_view,
     trajectory_rng,
 )
 
@@ -209,7 +210,8 @@ def test_criterion_04_absorbing_state_td():
         run.step()
         advs = compute_advantages(run.last_batch, run.config, run.plan.early_stop_reward)
         td_errors = by_row(advs.td_errors, run.last_batch)
-        for traj, row in zip(records(run.last_batch), td_errors):
+        view = standard_view(run.last_batch, run.plan.early_stop_reward)
+        for traj, row in zip(records(view), td_errors):
             if traj.stop_reason is not StopReason.EARLY_STOP:
                 continue
             stop_events += 1
@@ -263,7 +265,7 @@ def test_criterion_06_causality_and_determinism(tmp_path):
     causal = all(
         collect_trajectory(actor, critic, snapshot, env, 32,
                            STANDARD, -1.0,
-                           trajectory_rng(31, 9, i)) == records(batch)[i]
+                           trajectory_rng(31, 9, i)) == records(standard_view(batch))[i]
         for i in order[:8])
 
     shared = dict(variant="espo", vocab_size=4, target_length=3, t_max=12,

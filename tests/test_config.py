@@ -178,15 +178,11 @@ class TestValidation:
         assert variant_dispatch(disabled).rule == "ppo"
         run = TrainingRun(dataclasses.replace(disabled, batch_size=2, t_max=4))
         assert run.step().stop_rate == 0.0
-        # counterfactual random_stop is rejected only where its hazard decides
+        # counterfactual mode only changes what is counted, so every rule takes it
         for cfg in (stopping, disabled):
             counterfactual = dataclasses.replace(cfg, counterfactual=True,
                                                  **{CALIBRATED[variant]: 0.5})
-            errors = validate_run_config(counterfactual)
-            if variant == "random_stop" and not cfg.disable_stopping:
-                assert errors == ["counterfactual mode is not defined for random_stop"]
-            else:
-                assert errors == []
+            assert validate_run_config(counterfactual) == []
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("disable_stopping", [False, True])

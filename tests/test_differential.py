@@ -60,6 +60,7 @@ from conftest import (  # noqa: E402
     scalar_advantages,
     scalar_critic,
     scalar_surrogate_grad,
+    standard_view,
     trajectory_rng,
 )
 
@@ -120,18 +121,25 @@ class TestCollectBatchAgainstOracle:
     @CASES
     @given(collection_cases())
     def test_every_field_equals_the_per_token_loop(self, case):
+        # whatever its mode, the batch holds the loop's counterfactual rows,
+        # and its standard view the loop's standard rows; the mode decides
+        # only which of them the batch counts
         batch = collect_batch(**case)
-        oracle = oracle_batch(case)
-        assert records(batch) == oracle
-        assert batch.lengths.tolist() == [len(t.steps) for t in oracle]
-        assert batch.total_tokens == sum(len(t.steps) for t in oracle)
-        assert batch.effective_lengths.tolist() == [t.effective_length for t in oracle]
+        full = oracle_batch({**case, "mode": COUNTERFACTUAL})
+        cut = oracle_batch({**case, "mode": STANDARD})
+        assert records(batch) == full
+        assert records(standard_view(batch, case["r_fail"])) == cut
+        assert batch.lengths.tolist() == [len(t.steps) for t in full]
+        counted = cut if case["mode"] == STANDARD else full
+        assert batch.total_tokens == sum(len(t.steps) for t in counted)
+        assert batch.effective_lengths.tolist() == [t.effective_length for t in full]
+        assert batch.effective_lengths.tolist() == [len(t.steps) for t in cut]
         assert batch.stops.tolist() == [
-            -1 if t.stop_index is None else t.stop_index for t in oracle]
+            -1 if t.stop_index is None else t.stop_index for t in full]
         # nothing is recorded at or past a row's length
         past_end = np.arange(batch.pairs.shape[1]) >= batch.lengths[:, None]
         assert not batch.pairs[past_end].any() and not batch.scores[past_end].any()
-        assert batch.pairs.shape[1] == max(len(t.steps) for t in oracle)
+        assert batch.pairs.shape[1] == max(len(t.steps) for t in full)
 
 
 def absorbing_case(kind, seed):
@@ -166,16 +174,11 @@ def bulk_features(batch, case, kind):
     """Which branches of the lockstep bulk finish a case reaches, whichever
     path collected the batch: they are read from the case, not the code.
     Every row decodes to its natural end or the horizon whatever the stop
-    rule says, so the bulk start is read from the per-token loop run on the
-    same tokens in the batch's twin that never cuts a row (counterfactual
-    mode, or the random rule with rate 0): the first column where every row
-    not yet ended sits in an absorbing state."""
+    rule says, so the bulk start is read from the per-token loop run in
+    counterfactual mode, which never cuts a row: the first column where every
+    row not yet ended sits in an absorbing state."""
     env, t_max = case["env"], case["t_max"]
-    if kind == "random":
-        twin = {"snapshot": dataclasses.replace(case["snapshot"], random_stop_rate=0.0)}
-    else:
-        twin = {"mode": COUNTERFACTUAL}
-    full = oracle_batch({**case, **twin})
+    full = oracle_batch({**case, "mode": COUNTERFACTUAL})
     lengths = np.array([len(t.steps) for t in full])
     entry = np.array([next((i for i, rec in enumerate(t.steps) if env.absorbing[rec.state_id]),
                            len(t.steps)) for t in full])
@@ -226,7 +229,8 @@ class TestBulkFinishAgainstOracle:
             for seed in range(60):
                 case = absorbing_case(kind, seed)
                 batch = collect_batch(**case)
-                assert records(batch) == oracle_batch(case), (kind, seed)
+                view = standard_view(batch) if case["mode"] == STANDARD else batch
+                assert records(view) == oracle_batch(case), (kind, seed)
                 seen.update(bulk_features(batch, case, kind))
             assert set(seen) == features, kind
 

@@ -18,6 +18,7 @@ import types
 import numpy as np
 import pytest
 
+from espolab import config as config_module
 from espolab import metrics as metrics_module
 from espolab.cli import main as cli_main
 from espolab.config import ConfigError, RunConfig, config_hash
@@ -47,10 +48,12 @@ from conftest import (
     StopReason,
     assert_same_batch,
     batch_from_trajectories,
+    by_row,
     dump_batch,
     grouped,
     plain_snapshot,
     records,
+    standard_view,
 )
 from test_rollout import make_traj
 
@@ -270,10 +273,17 @@ class TestVariantDispatch:
         saw_stop = False
         for _ in range(6):
             run.step()
-            for traj in records(run.last_batch):
+            batch = run.last_batch
+            td_errors = by_row(compute_advantages(batch, cfg, run.plan.early_stop_reward)
+                               .td_errors, batch)
+            view = standard_view(batch, run.plan.early_stop_reward)
+            for traj, row in zip(records(view), td_errors):
                 if traj.stop_reason is StopReason.EARLY_STOP:
                     saw_stop = True
                     assert traj.outcome_reward == 0.0
+                    # trained up to the stop, which is rewarded 0.0
+                    assert len(row) == len(traj.steps)
+                    assert row[-1] == 0.0 - traj.steps[-1].value_estimate
         assert saw_stop
 
     def test_value_only_and_regret_only_rules(self):
@@ -378,12 +388,6 @@ class TestFalsePositiveRate:
     def test_no_triggers_means_zero(self):
         batch = self.build_batch(fired_correct=0, fired_wrong=0, plain=8)
         assert false_positive_rate(batch) == 0.0
-
-    def test_mode_mismatch_errors(self):
-        batch = batch_from_trajectories([make_traj(3)], plain_snapshot(),
-                                        STANDARD)
-        with pytest.raises(ValueError, match="counterfactual"):
-            false_positive_rate(batch)
 
 
 class TestMetricsFiles:
@@ -513,6 +517,34 @@ class TestMetricsFiles:
         with pytest.raises((ConfigError, OSError)):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(variant="espo"),
+        dict(variant="regret_only", regret_stop_threshold=0.2),
+        dict(variant="random_stop", random_stop_rate=0.05),
+    ], ids=["espo", "regret_only", "random_stop"])
+    def test_both_modes_train_the_same_run(self, tmp_path, overrides):
+        # the mode decides only what a run counts and reports: from one
+        # config, a standard and a counterfactual run train the same policy
+        # on the same stops, and their metrics rows differ only in the
+        # counted tokens, the success and the false-positive columns
+        outs = [run_experiment(tiny_config(
+            out_dir=str(tmp_path / str(counterfactual)), counterfactual=counterfactual,
+            total_steps=12, eval_every=4, eval_episodes=32, record_stop_events=True,
+            **overrides)) for counterfactual in (False, True)]
+        for name in ("eval.csv", "stop_events.tsv",
+                     os.path.join("checkpoints", "final", "params.txt")):
+            standard, counterfactual = (pathlib.Path(out, name).read_bytes() for out in outs)
+            assert standard == counterfactual, name
+        standard, counterfactual = (pathlib.Path(out, "metrics.csv").read_text().splitlines()
+                                    for out in outs)
+        header = standard[0].split(",")
+        assert counterfactual[0] == standard[0] and len(standard) == 13
+        differ = {column for a, b in zip(standard[1:], counterfactual[1:])
+                  for column, x, y in zip(header, a.split(","), b.split(",")) if x != y}
+        assert "cumulative_tokens" in differ
+        assert differ <= {"cumulative_tokens", "avg_trajectory_length_original",
+                          "false_positive_rate", "success_rate"}
+
     def test_stop_events_and_dumps_written(self, tmp_path):
         cfg = tiny_config(out_dir=str(tmp_path / "run"), record_stop_events=True,
                           dump_trajectories=True, total_steps=6)
@@ -526,11 +558,14 @@ class TestMetricsFiles:
         (dict(), STANDARD, "espo"),
         (dict(counterfactual=True), COUNTERFACTUAL, "espo"),
         (dict(variant="random_stop", random_stop_rate=0.05), STANDARD, "random_stop"),
+        (dict(variant="random_stop", random_stop_rate=0.05, counterfactual=True),
+         COUNTERFACTUAL, "random_stop"),
         (dict(variant="ppo"), STANDARD, "ppo"),
-    ], ids=["standard", "counterfactual", "random", "disabled"])
+    ], ids=["standard", "counterfactual", "random", "random-counterfactual", "disabled"])
     def test_trajectory_dump_equals_the_record_oracle(self, tmp_path, overrides, mode, rule):
         # trajectories.tsv, written from the batch arrays, holds the bytes
-        # the per-step record dump gives for every batch of the run
+        # the per-step record dump gives for every batch of the run: a
+        # standard run's rows as trained, up to their stops
         cfg = tiny_config(out_dir=str(tmp_path), dump_trajectories=True, total_steps=6,
                           **overrides)
         run = TrainingRun(cfg)
@@ -540,6 +575,8 @@ class TestMetricsFiles:
             row = run.step()
             batch = run.last_batch
             assert (batch.mode, batch.snapshot.rule) == (mode, rule)
+            if mode == STANDARD:
+                batch = standard_view(batch, run.plan.early_stop_reward)
             expected.append(dump_batch(batch, row.step))
             for traj in records(batch):
                 if traj.stop_index is not None:
@@ -676,6 +713,19 @@ class TestCompareRuns:
                                     7.0, 0.0, 1.0, 0.0, 0.0, False))
         with pytest.raises(ValueError, match="environments"):
             compare_runs([a, b])
+
+    def test_standard_and_counterfactual_runs_are_not_mixed(self, tmp_path, capsys):
+        # a counterfactual run counts every decoded token, a standard one its
+        # trained spans: averaged into one variant's row, the counts would mix
+        a = self.synthetic_run(str(tmp_path / "a"), "ppo", 1000, 0.5)
+        b = self.synthetic_run(str(tmp_path / "b"), "espo", 800, 0.5)
+        c = self.synthetic_run(str(tmp_path / "c"), "espo", 1000, 0.5, seed=1,
+                               counterfactual=True)
+        assert len(compare_runs([a, b])) == 2
+        with pytest.raises(ValueError, match="runs mix standard and counterfactual token counts"):
+            compare_runs([a, b, c])
+        assert cli_main(["compare", a, b, c]) == 1
+        assert "runs mix standard and counterfactual token counts" in capsys.readouterr().err
 
     def test_trap_chain_runs_that_differ_in_repair_window_compare(self, tmp_path):
         # the trap chain never reads repair_window
@@ -879,14 +929,18 @@ class TestAblateAndEval:
         assert "state_budget" in capsys.readouterr().err
         assert not out_root.exists()
 
-    def test_ablate_rejects_a_bad_variant_config_before_any_run(self, tmp_path, capsys):
-        # counterfactual mode is valid for every variant but random_stop
+    def test_ablate_rejects_a_bad_variant_config_before_any_run(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # a config that validation refuses for random_stop alone, which runs
+        # last: no run starts, the espo reference included
+        validate = config_module.validate_run_config
+        monkeypatch.setattr(config_module, "validate_run_config", lambda cfg: [
+            *validate(cfg), *(["no random_stop here"] if cfg.variant == "random_stop" else [])])
         out_root = tmp_path / "matrix"
         argv = ["ablate", "--vocab-size", "4", "--target-length", "3", "--t-max", "12",
-                "--batch-size", "8", "--total-steps", "2", "--out-root", str(out_root),
-                "--counterfactual", "true"]
+                "--batch-size", "8", "--total-steps", "2", "--out-root", str(out_root)]
         assert cli_main(argv) == 1
-        assert "counterfactual mode is not defined for random_stop" in capsys.readouterr().err
+        assert "no random_stop here" in capsys.readouterr().err
         assert not out_root.exists()
 
 

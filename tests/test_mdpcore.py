@@ -42,6 +42,7 @@ from conftest import (
     random_actor,
     random_critic,
     records,
+    standard_view,
     trajectory_rng,
 )
 
@@ -380,7 +381,7 @@ class TestTrajectoryRecords:
         batch = collect_small_batch(small_env, actor, critic, snapshot=snapshot,
                                     batch_size=32, t_max=8)
         td_errors = by_row(compute_advantages(batch, RunConfig(), -1.0).td_errors, batch)
-        stopped = [(t, row) for t, row in zip(records(batch), td_errors)
+        stopped = [(t, row) for t, row in zip(records(standard_view(batch)), td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped, "tuned snapshot should produce early stops"
         for traj, row in stopped:

@@ -42,6 +42,7 @@ from conftest import (
     random_actor,
     random_critic,
     records,
+    standard_view,
     trajectory_rng,
 )
 
@@ -57,10 +58,11 @@ def make_traj(length, reason=StopReason.NATURAL_END, outcome=0.0,
 
 
 def collect_one(actor, critic, snapshot, env, t_max, mode, r_fail=-1.0, seed=0):
-    """Trajectory 0 of a one-trajectory collect_batch, checked against the
+    """Trajectory 0 of a one-trajectory collect_batch, as `mode`'s loop
+    leaves it (its standard_view in standard mode), checked against the
     scalar oracle on the same stream."""
-    (traj,) = records(collect_batch(actor, critic, snapshot, env, 1, t_max, mode, r_fail,
-                                    seed, 1))
+    batch = collect_batch(actor, critic, snapshot, env, 1, t_max, mode, r_fail, seed, 1)
+    (traj,) = records(standard_view(batch, r_fail) if mode == STANDARD else batch)
     assert traj == collect_trajectory(actor, critic, snapshot, env, t_max, mode, r_fail,
                                       trajectory_rng(seed, 1, 0))
     return traj
@@ -160,7 +162,7 @@ class TestCollectTrajectory:
                                     snapshot=plain_snapshot(beta=0.3),
                                     batch_size=64, t_max=8)
         td_errors = by_row(compute_advantages(batch, RunConfig(gamma=1.0), -1.0).td_errors, batch)
-        stopped = [(t, row) for t, row in zip(records(batch), td_errors)
+        stopped = [(t, row) for t, row in zip(records(standard_view(batch)), td_errors)
                    if t.stop_reason is StopReason.EARLY_STOP]
         assert stopped
         for traj, row in stopped:
@@ -242,22 +244,26 @@ class TestCounterfactualMode:
                                  COUNTERFACTUAL, -1.0, seed, 1)
         return standard, extended
 
-    def test_prefix_is_bit_identical_to_standard_mode(self):
-        standard, extended = self.collect_pair()
-        fired = 0
-        for st, ex in zip(records(standard), records(extended)):
-            if ex.hypothetical_stop_index is None:
-                assert st.steps == ex.steps
-                continue
-            fired += 1
-            idx = ex.hypothetical_stop_index
-            assert st.stop_reason is StopReason.EARLY_STOP
-            assert len(st.steps) == idx + 1
-            # identical prefix up to and including the stop step; only the
-            # standard trajectory ends there, with r_fail
-            assert st.steps == ex.steps[:idx + 1]
-            assert st.outcome_reward == -1.0
-        assert fired > 0
+    @pytest.mark.parametrize("env_name", ["trap-absorbing", "trap-padded", "recoverable"])
+    @pytest.mark.parametrize("batch_size", [8, 64])  # row by row, then in lockstep
+    @pytest.mark.parametrize("rule", ["espo", "value_only", "regret_only", "random_stop", "ppo"])
+    def test_standard_and_counterfactual_batches_are_equal(self, rule, batch_size, env_name):
+        # the mode decides only what a batch counts, so from one seed both
+        # modes collect the same batch: every array equal by bytes, rows that
+        # fired running on past their stop
+        build, targets = ROW_PATH_ENVS[env_name]
+        env = build()
+        rng = np.random.default_rng(7)
+        actor, critic = random_actor(env, rng), random_critic(env, rng)
+        actor.table[[0, 1, 2], targets] += 1.5  # toward the targets: some rows succeed
+        snapshot = plain_snapshot(rule=rule, beta=0.5, frozen_mu=-0.5, random_stop_rate=0.1,
+                                  rule_threshold=0.3)
+        standard, extended = (collect_batch(actor, critic, snapshot, env, batch_size, 33, mode,
+                                            -1.0, 1, 2) for mode in (STANDARD, COUNTERFACTUAL))
+        assert (standard.mode, extended.mode) == (STANDARD, COUNTERFACTUAL)
+        assert_same_batch(standard, dataclasses.replace(extended, mode=STANDARD))
+        fired = standard.stops >= 0
+        assert (standard.lengths[fired] > standard.stops[fired] + 1).any() == (rule != "ppo")
 
     def test_fired_row_runs_on_to_success(self):
         # a policy leaning to the targets, and a negative frozen mean that
@@ -266,7 +272,7 @@ class TestCounterfactualMode:
         standard, extended = self.collect_pair(lean=2.0, frozen_mu=-1.0)
         rows = np.flatnonzero((extended.stops >= 0) & (extended.outcomes == 1.0))
         assert rows.size
-        cut, full = records(standard), records(extended)
+        cut, full = records(standard_view(standard)), records(extended)
         for i in rows.tolist():
             idx = full[i].hypothetical_stop_index
             assert full[i].stop_reason is StopReason.NATURAL_END
@@ -289,7 +295,8 @@ class TestCounterfactualMode:
         fired = sum(1 for t in records(extended) if t.hypothetical_stop_index is not None)
         assert np.count_nonzero(extended.stops >= 0) == fired
         assert np.count_nonzero(extended.stop_codes == EARLY_STOP) == 0
-        stopped = sum(1 for t in records(standard) if t.stop_reason is StopReason.EARLY_STOP)
+        stopped = sum(1 for t in records(standard_view(standard))
+                      if t.stop_reason is StopReason.EARLY_STOP)
         assert np.count_nonzero(standard.stops >= 0) == stopped
 
     @pytest.mark.parametrize("rule", ["espo", "value_only", "regret_only", "random_stop", "ppo"])
@@ -304,13 +311,16 @@ class TestCounterfactualMode:
         assert (np.count_nonzero(standard.stops >= 0) > 0) == (rule != "ppo")
 
     def test_standard_rows_end_at_their_stop(self):
-        # a standard row that stopped is cut at its stop: lengths == stops + 1,
-        # and exactly those rows end EARLY_STOP
+        # a standard row that stopped is trained and counted up to its stop,
+        # effective_lengths == stops + 1, and keeps its natural end: no row
+        # is collected as EARLY_STOP, and some run on past their stop
         standard, _extended = self.collect_pair()
         stopped = standard.stops >= 0
         assert stopped.any()
-        assert np.array_equal(standard.lengths[stopped], standard.stops[stopped] + 1)
-        assert np.array_equal(stopped, standard.stop_codes == EARLY_STOP)
+        assert np.array_equal(standard.effective_lengths[stopped], standard.stops[stopped] + 1)
+        assert standard.total_tokens == int(standard.effective_lengths.sum())
+        assert not (standard.stop_codes == EARLY_STOP).any()
+        assert (standard.lengths[stopped] > standard.stops[stopped] + 1).any()
 
 
 class TestRandomStopMode:
@@ -371,7 +381,7 @@ class TestBatchDeterminism:
             solo = collect_trajectory(actor, critic, snapshot, small_env, 8,
                                       STANDARD, -1.0,
                                       trajectory_rng(21, 4, i))
-            assert solo == records(batch)[i]
+            assert solo == records(standard_view(batch))[i]
 
     @pytest.mark.parametrize("overrides", [
         dict(variant="espo"),
@@ -454,7 +464,7 @@ class TestRowPathMatchesLockstep:
     @pytest.mark.parametrize("rule, mode", [
         *((rule, mode) for rule in ("ppo", "espo", "value_only", "regret_only")
           for mode in (STANDARD, COUNTERFACTUAL)),
-        ("random_stop", STANDARD),
+        ("random_stop", STANDARD), ("random_stop", COUNTERFACTUAL),
     ])
     def test_both_paths_give_the_same_batch(self, monkeypatch, env_name, rule, mode):
         build, targets = ROW_PATH_ENVS[env_name]
@@ -465,16 +475,17 @@ class TestRowPathMatchesLockstep:
         snapshot = plain_snapshot(rule=rule, beta=0.5, frozen_mu=-0.5, random_stop_rate=0.1,
                                   rule_threshold=0.3)
         seen = np.zeros(3, dtype=np.int64)  # rows by stop code, over the grid
+        fired = 0
         for batch_size in (1, 15, 16, 40):
             for t_max in (1, 4, 33, 128):
                 batch = self.assert_same_batches(monkeypatch, actor, critic, snapshot, env,
                                                  batch_size, t_max, mode, -1.0, 5, t_max)
                 seen += np.bincount(batch.stop_codes, minlength=3)
+                fired += int(np.count_nonzero(batch.stops >= 0))
         # rows ran to the horizon, absorbed or not, and to a natural end, and
-        # the rule stopped rows wherever it can
-        if mode == COUNTERFACTUAL:
-            assert seen[rollout.HORIZON_CAP] > 0 and seen[rollout.NATURAL_END] > 0
-        assert (seen[EARLY_STOP] > 0) == (mode == STANDARD and rule != "ppo")
+        # the rule fired on rows wherever it can
+        assert seen[rollout.HORIZON_CAP] > 0 and seen[rollout.NATURAL_END] > 0
+        assert seen[EARLY_STOP] == 0 and (fired > 0) == (rule != "ppo")
 
     def test_lockstep_bulk_finish_equals_the_per_token_loop(self, monkeypatch):
         # TestBulkFinishAgainstOracle's batches of 12 rows take the row path;
@@ -685,7 +696,7 @@ class TestDump:
         critic = random_critic(small_env, rng)
         batch = collect_small_batch(small_env, actor, critic,
                                     snapshot=plain_snapshot(beta=0.3), batch_size=32)
-        stopped = next(t for t in records(batch)
+        stopped = next(t for t in records(standard_view(batch))
                        if t.stop_reason is StopReason.EARLY_STOP)
         lines = dump_trajectory(stopped).splitlines()
         assert len(lines) == len(stopped.steps)
@@ -736,7 +747,7 @@ class TestMemoryFootprint:
             tracemalloc.stop()
         own = 4 * batch_size * t_max * 8
         assert peak < 2 * own, f"peak {peak / 2**20:.2f} MiB"
-        assert batch.lengths.max() < t_max and batch.total_tokens
+        assert batch.effective_lengths.max() < t_max and batch.total_tokens
 
     def test_absorbing_run_does_not_import_numpy_ma(self, tmp_path):
         # np.unique on an integer array imports numpy.ma, which adds about
@@ -794,7 +805,7 @@ def batch_digest(batch) -> str:
 
 class TestRandomStopFold:
     """Under the random_stop rule the uniforms alone decide the stops, so a
-    standard row's z is folded only up to its first fire."""
+    row's z is folded only up to its first fire."""
 
     @staticmethod
     def long_batch(rows):
@@ -809,17 +820,18 @@ class TestRandomStopFold:
         # would fold 80,000 values to keep a few dozen
         counting_decode(monkeypatch, "_decode_rows")
         batch = self.long_batch(8)
-        assert CountingTake.taken == batch.total_tokens < 100
+        assert CountingTake.taken == int(batch.effective_lengths.sum()) < 100
         assert (batch.stops >= 0).all()
 
     def test_lockstep_folds_up_to_the_longest_kept_row(self, monkeypatch):
         monkeypatch.setattr(rollout, "ROW_PATH_ROWS", 0)
         counting_decode(monkeypatch, "_decode_lockstep")
         batch = self.long_batch(8)
-        assert CountingTake.taken == 8 * int(batch.lengths.max()) < 8 * 100
+        assert CountingTake.taken == 8 * int(batch.effective_lengths.max()) < 8 * 100
 
-    # sha256 of every array of standard random-stop batches, as collected
-    # when z was folded over every decoded step
+    # sha256 of every array of the standard views of random-stop batches,
+    # as collected when z was folded over every decoded step and a standard
+    # batch was cut at its stops
     PINNED = {
         ("trap", 8): "e92c0a14746e36ad16212db6c62995772ce9bc2935f1c7fda97f3092ac525f6a",
         ("trap", 64): "98efe356fa679b08139ec8228e7b3447568cfec84aed028dfd8b7412b8b034a6",
@@ -836,7 +848,8 @@ class TestRandomStopFold:
         actor, critic = random_actor(env, rng), random_critic(env, rng)
         snapshot = plain_snapshot(frozen_mu=0.3, frozen_var=0.8, rule="random_stop",
                                   random_stop_rate=0.04)
-        batch = collect_batch(actor, critic, snapshot, env, rows, 40, STANDARD, -1.0, 3, 2)
+        batch = standard_view(collect_batch(actor, critic, snapshot, env, rows, 40, STANDARD,
+                                            -1.0, 3, 2))
         assert batch_digest(batch) == self.PINNED[env_name, rows]
         # stops and horizon caps occur, and natural ends in the wide batches
         assert set(batch.stop_codes.tolist()) == ({0, 1, 2} if rows == 64 else {1, 2})

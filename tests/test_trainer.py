@@ -44,6 +44,7 @@ from conftest import (
     records,
     scalar_advantages,
     scalar_surrogate_grad,
+    standard_view,
 )
 
 
@@ -359,7 +360,9 @@ class TestTrainingLoop:
         for _ in range(12):
             policy = CachedPolicy(run.actor, run.critic)
             row = run.step()
-            trajs = records(run.last_batch)
+            batch = run.last_batch
+            trajs = records(batch if counterfactual
+                            else standard_view(batch, run.plan.early_stop_reward))
             spans = [t.steps[:t.effective_length] for t in trajs]
             entropy_sum = 0.0
             for span in spans:
@@ -1017,7 +1020,8 @@ class TestTrainedStepTable:
             assert (np.signbit(grad) == np.signbit(want)).all()
             assert clip_fraction == want_clip
             actor.apply_gradient(grad, 5.0)
-        pairs = {(rec.state_id, rec.action) for t in trajectories for rec in t.steps}
+        pairs = {(rec.state_id, rec.action) for t in trajectories
+                 for rec in t.steps[:t.effective_length]}
         assert per_epoch == [0] + [len(pairs)] * 3
         assert not any(float_sorts)
         assert clip_fraction > 0.0  # the later epochs reach the clipped branch
